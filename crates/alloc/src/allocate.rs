@@ -746,12 +746,12 @@ impl Allocator {
     /// per-connection grant storage to cover `spec`'s ids, returning a
     /// token that [`admit_in_round`](Self::admit_in_round) requires.
     ///
-    /// The point is amortisation: the validation — in particular the
-    /// grant-storage capacity check, which scans `spec`'s connection list
-    /// — is O(connections), so paying it per *request* (as
-    /// [`admit`](Self::admit) does) dominates the cost of admitting one
-    /// connection on large pools. A burst of independent requests pays it
-    /// once here and then runs each admission O(Δ).
+    /// Opening a round is O(1): the platform checks are a few integer
+    /// comparisons and the grant-storage check reads
+    /// [`SystemSpec::conn_id_bound`], which the spec caches. Opening one
+    /// per *request* (as [`admit`](Self::admit) does) therefore costs
+    /// next to nothing; the token exists so the per-request kernel can
+    /// skip the checks, not to amortise them over a burst.
     ///
     /// The token is only evidence that the checks ran; callers must keep
     /// using the same `spec`/`alloc`/`routes` triple for every

@@ -20,9 +20,10 @@ use core::fmt;
 /// One admission request against a live allocation.
 ///
 /// Requests are *total*: submitting one that does not match the current
-/// state (opening an open connection, closing a closed one) is answered
-/// with a structured refusal, never a panic — a serving layer cannot
-/// vet every client's view of the world before forwarding.
+/// state (opening an open connection, closing a closed one) or names a
+/// connection the spec does not contain is answered with a structured
+/// refusal, never a panic — a serving layer cannot vet every client's
+/// view of the world before forwarding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionRequest {
     /// Set up one connection (expected to hold no grant).
@@ -114,7 +115,11 @@ pub enum RefusalCause {
         best_ns: u64,
     },
     /// A close (or the close side of nothing — closes never roll back)
-    /// named a connection that holds no grant.
+    /// named a connection that holds no grant, or an open — single,
+    /// batched, or in a switch's open set — named a connection the spec
+    /// does not contain (an id past its bound, or one a restricted view
+    /// left out). A switch refused this way is refused whole, before its
+    /// close set is applied.
     UnknownConn,
     /// An open named a connection that already holds a grant.
     AlreadyOpen,
@@ -165,7 +170,7 @@ impl fmt::Display for RefusalCause {
                 f,
                 "requires {required_ns} ns but the best achievable bound is {best_ns} ns"
             ),
-            RefusalCause::UnknownConn => write!(f, "holds no grant"),
+            RefusalCause::UnknownConn => write!(f, "holds no grant or is not in the spec"),
             RefusalCause::AlreadyOpen => write!(f, "already holds a grant"),
             RefusalCause::LinkDown { link } => {
                 write!(f, "severed: every route traverses down link {link}")
@@ -178,9 +183,11 @@ impl fmt::Display for RefusalCause {
 ///
 /// The allocation is exactly as it was before the request, except that a
 /// refused switch leaves its close set closed (those applications were
-/// leaving the use case regardless) — `rolled_back` counts the open-set
-/// admissions that had succeeded and were undone. Grants of connections
-/// outside the request were never touched.
+/// leaving the use case regardless; only a switch refused for
+/// [`RefusalCause::UnknownConn`] is turned away before its closes) —
+/// `rolled_back` counts the open-set admissions that had succeeded and
+/// were undone. Grants of connections outside the request were never
+/// touched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionError {
     /// The connection the request was refused on.

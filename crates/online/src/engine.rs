@@ -8,7 +8,29 @@ use aelite_alloc::{
 };
 use aelite_spec::churn::ChurnOp;
 use aelite_spec::ids::ConnId;
-use aelite_spec::SystemSpec;
+use aelite_spec::{Connection, SystemSpec};
+
+/// The answer to one request.
+pub(crate) type Verdict = Result<AdmissionResponse, AdmissionError>;
+
+/// What a verdict slot holds until its request is serviced. Every burst
+/// path applies a permutation of the arrival indices, so each slot is
+/// overwritten exactly once before the caller sees it.
+pub(crate) fn placeholder() -> Verdict {
+    Err(AdmissionError {
+        conn: ConnId::new(0),
+        cause: RefusalCause::UnknownConn,
+        rolled_back: 0,
+    })
+}
+
+/// `spec`'s contract for `conn`, or `None` if `spec` does not contain it
+/// (an id past its bound, or one a restricted view left out).
+fn contract(spec: &SystemSpec, conn: ConnId) -> Option<&Connection> {
+    let conns = spec.connections();
+    let i = conns.binary_search_by_key(&conn, |c| c.id).ok()?;
+    Some(&conns[i])
+}
 
 /// Counters of the work a [`ChurnEngine`] has performed, broken down by
 /// request kind so serving layers report refusal and rollback rates
@@ -23,8 +45,8 @@ pub struct ChurnStats {
     pub teardowns: u64,
     /// Use-case switches applied end to end.
     pub switches: u64,
-    /// Single open requests refused (platform could not admit, or the
-    /// connection already held a grant).
+    /// Single open requests refused (platform could not admit, the
+    /// connection already held a grant, or the spec does not contain it).
     pub refused_opens: u64,
     /// Single close requests refused (the connection held no grant).
     pub refused_closes: u64,
@@ -53,6 +75,21 @@ impl ChurnStats {
         self.refused_opens + self.refused_closes + self.refused_switches
     }
 
+    /// Every counter of `self` combined with the same counter of `other`
+    /// — the one place besides the declaration that lists the fields.
+    fn zip(&self, other: &ChurnStats, f: impl Fn(u64, u64) -> u64) -> ChurnStats {
+        ChurnStats {
+            setups: f(self.setups, other.setups),
+            teardowns: f(self.teardowns, other.teardowns),
+            switches: f(self.switches, other.switches),
+            refused_opens: f(self.refused_opens, other.refused_opens),
+            refused_closes: f(self.refused_closes, other.refused_closes),
+            refused_switches: f(self.refused_switches, other.refused_switches),
+            rolled_back_opens: f(self.rolled_back_opens, other.rolled_back_opens),
+            refused_link_down: f(self.refused_link_down, other.refused_link_down),
+        }
+    }
+
     /// Field-wise difference `self - before` — the counters accumulated
     /// *since* a snapshot taken earlier from the same engine. Callers
     /// that warm an engine up and then measure a window (the
@@ -60,36 +97,31 @@ impl ChurnStats {
     /// lifetime totals.
     #[must_use]
     pub fn delta(&self, before: &ChurnStats) -> ChurnStats {
-        ChurnStats {
-            setups: self.setups - before.setups,
-            teardowns: self.teardowns - before.teardowns,
-            switches: self.switches - before.switches,
-            refused_opens: self.refused_opens - before.refused_opens,
-            refused_closes: self.refused_closes - before.refused_closes,
-            refused_switches: self.refused_switches - before.refused_switches,
-            rolled_back_opens: self.rolled_back_opens - before.rolled_back_opens,
-            refused_link_down: self.refused_link_down - before.refused_link_down,
-        }
+        self.zip(before, |after, before| after - before)
+    }
+
+    /// Field-wise sum — how [`ShardedEngine`](crate::ShardedEngine)
+    /// totals its per-shard engines.
+    pub(crate) fn plus(&self, other: &ChurnStats) -> ChurnStats {
+        self.zip(other, |a, b| a + b)
     }
 }
 
 /// A high-throughput online reconfiguration engine for one platform.
 ///
 /// The engine owns everything the admission hot path needs to be O(Δ)
-/// per request: the [`Allocator`] heuristic, a persistent
-/// [`RouteProvider`] (each NI pair's candidate routes are enumerated at
-/// most once over the engine's lifetime; the default is the lazy hashed
-/// [`RouteCache`], whose memory tracks the pairs actually routed) and an
-/// [`AllocScratch`] whose buffers — including recycled grants from
-/// earlier teardowns — make the steady-state open/close loop
-/// allocation-free.
+/// per request: the [`Allocator`] heuristic, a persistent lazy
+/// [`RouteCache`] (each NI pair's candidate routes are enumerated at
+/// most once over the engine's lifetime, and memory tracks the pairs
+/// actually routed) and an [`AllocScratch`] whose buffers — including
+/// recycled grants from earlier teardowns — make the steady-state
+/// open/close loop allocation-free.
 ///
 /// Every request is one [`AdmissionRequest`] serviced by
 /// [`submit`](Self::submit); [`open`](Self::open), [`close`](Self::close)
 /// and [`switch`](Self::switch) are thin wrappers over the same path, and
 /// [`submit_batch`](Self::submit_batch) applies a burst of independent
-/// requests as one batched admission round, amortising the per-request
-/// validation over the burst.
+/// requests as one admission round in a canonical order.
 ///
 /// All specs passed to an engine must describe the same platform
 /// (topology and NoC config) it was created for; restricted use-case
@@ -100,7 +132,7 @@ impl ChurnStats {
 #[derive(Debug)]
 pub struct ChurnEngine {
     allocator: Allocator,
-    routes: Box<dyn RouteProvider>,
+    routes: RouteCache,
     scratch: AllocScratch,
     /// Reusable admission-order buffer for use-case switches.
     order: Vec<ConnId>,
@@ -108,12 +140,6 @@ pub struct ChurnEngine {
     opened: Vec<ConnId>,
     /// Reusable canonical-order buffer for batched rounds.
     batch_order: Vec<usize>,
-    /// Bursts at or below this length take the serial per-request path
-    /// inside [`submit_batch`](Self::submit_batch) (still canonical
-    /// order, so outcomes are bit-identical): round setup is O(1) with
-    /// the cached connection-id bound, so a tiny burst no longer
-    /// amortises the batch bookkeeping.
-    serial_floor: usize,
     stats: ChurnStats,
 }
 
@@ -130,13 +156,6 @@ pub enum RerouteOutcome {
     BreakThenMake,
 }
 
-/// Default burst-size floor below which [`ChurnEngine::submit_batch`]
-/// applies requests through the serial per-request path (in the same
-/// canonical order — outcomes are identical; only the bookkeeping
-/// differs). Measured crossover on the paper platform after the
-/// conn-id-bound cache made round setup O(1); see `BENCH_SERVE.json`.
-pub const SERIAL_FLOOR: usize = 4;
-
 impl ChurnEngine {
     /// An engine for `spec`'s platform with the default [`Allocator`].
     #[must_use]
@@ -147,53 +166,15 @@ impl ChurnEngine {
     /// An engine for `spec`'s platform with a custom admission heuristic.
     #[must_use]
     pub fn with_allocator(spec: &SystemSpec, allocator: Allocator) -> Self {
-        let routes = Box::new(RouteCache::new(spec.topology(), allocator.max_paths));
-        ChurnEngine::with_route_provider(allocator, routes)
-    }
-
-    /// An engine using a caller-supplied [`RouteProvider`] — e.g. a
-    /// [`DenseRouteCache`](aelite_alloc::DenseRouteCache) on a small
-    /// platform, or a provider pre-warmed by an earlier flow. Admission
-    /// outcomes never depend on the provider choice, only lookup cost and
-    /// resident memory do.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `routes` was built with a different `max_paths` bound
-    /// than `allocator` uses.
-    #[must_use]
-    pub fn with_route_provider(allocator: Allocator, routes: Box<dyn RouteProvider>) -> Self {
-        assert_eq!(
-            routes.max_paths(),
-            allocator.max_paths,
-            "route provider was built for a different max_paths bound"
-        );
         ChurnEngine {
             allocator,
-            routes,
+            routes: RouteCache::new(spec.topology(), allocator.max_paths),
             scratch: AllocScratch::new(),
             order: Vec::new(),
             opened: Vec::new(),
             batch_order: Vec::new(),
-            serial_floor: SERIAL_FLOOR,
             stats: ChurnStats::default(),
         }
-    }
-
-    /// The engine's route provider (diagnostics: e.g. how many NI pairs
-    /// are resident in the cache).
-    #[must_use]
-    pub fn route_provider(&self) -> &dyn RouteProvider {
-        &*self.routes
-    }
-
-    /// Sets the burst-size floor below which
-    /// [`submit_batch`](Self::submit_batch) takes the serial per-request
-    /// path (default [`SERIAL_FLOOR`]). `0` forces every burst through
-    /// the batched round; outcomes never depend on the floor, only
-    /// throughput does.
-    pub fn set_serial_floor(&mut self, floor: usize) {
-        self.serial_floor = floor;
     }
 
     /// The admission heuristic this engine uses.
@@ -215,7 +196,7 @@ impl ChurnEngine {
         self.routes.faults()
     }
 
-    /// Installs `faults` as the route provider's fault mask: from now on
+    /// Installs `faults` as the route cache's fault mask: from now on
     /// no admission through this engine can be granted a route that
     /// traverses a down link, and resident cached routes touching a
     /// newly-down link are evicted (see [`RouteProvider::set_faults`]).
@@ -261,75 +242,41 @@ impl ChurnEngine {
     ) -> Result<RerouteOutcome, AdmissionError> {
         let Some(old) = alloc.detach_grant(conn) else {
             self.stats.refused_closes += 1;
-            return Err(AdmissionError {
-                conn,
-                cause: RefusalCause::UnknownConn,
-                rolled_back: 0,
-            });
+            return Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
         };
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-        match self.allocator.admit_in_round(
-            &round,
-            spec,
-            alloc,
-            conn,
-            &mut *self.routes,
-            &mut self.scratch,
-        ) {
-            Ok(()) => {
-                // Make succeeded with the old reservations still held:
-                // release them now that the replacement is committed.
-                alloc.release_reservations_of(&old);
-                self.scratch.recycle(old);
-                self.stats.teardowns += 1;
-                self.stats.setups += 1;
-                Ok(RerouteOutcome::MakeBeforeBreak)
-            }
-            Err(_) => {
-                // Break-then-make: the old slots may be exactly the
-                // capacity the replacement needs. Free them and retry.
-                alloc.release_reservations_of(&old);
-                self.scratch.recycle(old);
-                self.stats.teardowns += 1;
-                match self.allocator.admit_in_round(
-                    &round,
-                    spec,
-                    alloc,
-                    conn,
-                    &mut *self.routes,
-                    &mut self.scratch,
-                ) {
-                    Ok(()) => {
-                        self.stats.setups += 1;
-                        Ok(RerouteOutcome::BreakThenMake)
-                    }
-                    Err(e) => {
-                        let cause: RefusalCause = e.into();
-                        self.stats.refused_opens += 1;
-                        if matches!(cause, RefusalCause::LinkDown { .. }) {
-                            self.stats.refused_link_down += 1;
-                        }
-                        Err(AdmissionError {
-                            conn,
-                            cause,
-                            rolled_back: 0,
-                        })
-                    }
+        let round = self.allocator.begin_round(spec, alloc, &self.routes);
+        let made = self.admit(&round, spec, alloc, conn);
+        // Either the replacement is committed and the old reservations
+        // can go, or they may be exactly the capacity it needs and must
+        // go before the retry.
+        alloc.release_reservations_of(&old);
+        self.scratch.recycle(old);
+        self.stats.teardowns += 1;
+        let outcome = match made {
+            Ok(()) => RerouteOutcome::MakeBeforeBreak,
+            Err(_) => match self.admit(&round, spec, alloc, conn) {
+                Ok(()) => RerouteOutcome::BreakThenMake,
+                Err(cause) => {
+                    self.stats.refused_opens += 1;
+                    return Err(self.refusal(conn, cause, 0));
                 }
-            }
-        }
+            },
+        };
+        self.stats.setups += 1;
+        Ok(outcome)
     }
 
     /// Services one admission request: the unified entry point every
     /// other operation delegates to.
     ///
-    /// Requests are total — an open of an already-open connection or a
-    /// close of a closed one is a structured refusal
-    /// ([`RefusalCause::AlreadyOpen`] / [`RefusalCause::UnknownConn`]),
-    /// never a panic — and a refusal leaves the allocation exactly as it
-    /// was (a refused switch additionally leaves its close set closed;
-    /// see [`AdmissionError`]). Grants of connections outside the request
-    /// are never touched, whatever the outcome.
+    /// Requests are total — an open of an already-open connection, a
+    /// close of a closed one, or an open of a connection `spec` does not
+    /// contain is a structured refusal ([`RefusalCause::AlreadyOpen`] /
+    /// [`RefusalCause::UnknownConn`]), never a panic — and a refusal
+    /// leaves the allocation exactly as it was (a switch refused past
+    /// its close set leaves that set closed; see [`AdmissionError`]).
+    /// Grants of connections outside the request are never touched,
+    /// whatever the outcome.
     ///
     /// # Errors
     ///
@@ -347,26 +294,25 @@ impl ChurnEngine {
         alloc: &mut Allocation,
         request: AdmissionRequest,
     ) -> Result<AdmissionResponse, AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
+        let round = self.allocator.begin_round(spec, alloc, &self.routes);
         self.submit_in_round(&round, spec, alloc, &request)
     }
 
     /// Services a burst of **independent** requests (no connection named
-    /// by two of them) as one batched admission round, writing one
-    /// verdict per request into `verdicts` (cleared first, arrival
-    /// order).
+    /// by two of them) as one admission round, writing one verdict per
+    /// request into `verdicts` (cleared first, arrival order).
     ///
     /// The burst is applied in the canonical order of
     /// [`canonical_order`]: teardowns first, then switches, then single
     /// opens hardest-first — byte-identical end state and verdicts to
     /// serially [`submit`](Self::submit)ting the requests in that order
-    /// (property-tested in `tests/proptest_serve.rs`). What batching buys
-    /// is amortisation: the per-request validation and grant-storage
-    /// capacity check of [`Allocator::begin_round`] — O(connections) on
-    /// every serial submit — runs **once per burst**, and every request
-    /// then shares the round's warm [`RouteCache`] and recycled-grant
-    /// scratch. Per-request rollback is unchanged: one refused request
-    /// never poisons its batch.
+    /// (property-tested in `tests/proptest_serve.rs`). What a burst buys
+    /// is that order — capacity is freed before it is asked for and the
+    /// hardest connection picks first, whatever order the requests
+    /// arrived in — not time: round setup is O(1), so on one thread a
+    /// burst costs the canonical sort on top of its serial submits.
+    /// Per-request rollback is unchanged: one refused request never
+    /// poisons its batch.
     ///
     /// Requests whose connections overlap are still serviced safely (the
     /// round is just a sequence of total requests), but the canonical
@@ -384,69 +330,32 @@ impl ChurnEngine {
         verdicts: &mut Vec<Result<AdmissionResponse, AdmissionError>>,
     ) {
         verdicts.clear();
-        // Placeholder overwritten below: canonical_order is a permutation
-        // of the arrival indices, so every slot is assigned exactly once.
-        verdicts.resize(
-            requests.len(),
-            Err(AdmissionError {
-                conn: ConnId::new(0),
-                cause: RefusalCause::UnknownConn,
-                rolled_back: 0,
-            }),
-        );
-        let mut order = core::mem::take(&mut self.batch_order);
-        canonical_order(spec, requests, &mut order);
-        debug_assert_eq!(order.len(), requests.len());
-        if requests.len() <= self.serial_floor {
-            // Serial fallback: same canonical order, one round per
-            // request — bit-identical outcomes (a round carries no state
-            // between requests), but no batch bookkeeping to amortise.
-            for &i in &order {
-                let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-                verdicts[i] = self.submit_in_round(&round, spec, alloc, &requests[i]);
-            }
-        } else {
-            let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-            for &i in &order {
-                verdicts[i] = self.submit_in_round(&round, spec, alloc, &requests[i]);
-            }
-        }
-        self.batch_order = order;
+        verdicts.resize(requests.len(), placeholder());
+        self.apply_round(spec, alloc, requests, 0..requests.len(), |i, v| {
+            verdicts[i] = v;
+        });
     }
 
-    /// Services the subset `bucket` (arrival indices into `requests`) of
-    /// a burst as one batched admission round, appending
-    /// `(arrival_index, verdict)` pairs to `verdicts` in canonical
-    /// application order. This is the per-shard building block of
-    /// [`ShardedEngine`](crate::shard::ShardedEngine): each worker runs
-    /// `submit_bucket` over its own bucket against its own slot-table
-    /// partition, and the caller scatters the pairs back to arrival
-    /// order.
-    ///
-    /// With `bucket` covering all of `requests`, this is
-    /// [`submit_batch`](Self::submit_batch) minus the serial-floor
-    /// fallback and the arrival-order scatter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`submit`](Self::submit), or if
-    /// `bucket` contains an out-of-range index.
-    pub fn submit_bucket(
+    /// The one batched-round body: applies the requests at `indices`
+    /// (arrival indices into `requests`) in canonical order inside one
+    /// admission round, handing each `(arrival_index, verdict)` to `sink`
+    /// in application order. [`submit_batch`](Self::submit_batch) runs it
+    /// over a whole burst; every lane of
+    /// [`ShardedEngine`](crate::shard::ShardedEngine) runs it over its
+    /// own bucket against its own slot-table partition.
+    pub(crate) fn apply_round(
         &mut self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         requests: &[AdmissionRequest],
-        bucket: &[usize],
-        verdicts: &mut Vec<(usize, Result<AdmissionResponse, AdmissionError>)>,
+        indices: impl Iterator<Item = usize> + Clone,
+        mut sink: impl FnMut(usize, Verdict),
     ) {
         let mut order = core::mem::take(&mut self.batch_order);
-        canonical_order_of(spec, requests, bucket, &mut order);
-        debug_assert_eq!(order.len(), bucket.len());
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-        verdicts.reserve(order.len());
+        canonical_order_of(spec, requests, indices, &mut order);
+        let round = self.allocator.begin_round(spec, alloc, &self.routes);
         for &i in &order {
-            let verdict = self.submit_in_round(&round, spec, alloc, &requests[i]);
-            verdicts.push((i, verdict));
+            sink(i, self.submit_in_round(&round, spec, alloc, &requests[i]));
         }
         self.batch_order = order;
     }
@@ -458,7 +367,7 @@ impl ChurnEngine {
         spec: &SystemSpec,
         alloc: &mut Allocation,
         request: &AdmissionRequest,
-    ) -> Result<AdmissionResponse, AdmissionError> {
+    ) -> Verdict {
         match request {
             AdmissionRequest::Open(c) => self
                 .open_in_round(round, spec, alloc, *c)
@@ -470,6 +379,49 @@ impl ChurnEngine {
         }
     }
 
+    /// The error of a refused request, booking what every kind of
+    /// refusal shares: the link-down tally and the rollback count. The
+    /// per-kind counter is the caller's.
+    fn refusal(&mut self, conn: ConnId, cause: RefusalCause, rolled_back: u32) -> AdmissionError {
+        if matches!(cause, RefusalCause::LinkDown { .. }) {
+            self.stats.refused_link_down += 1;
+        }
+        self.stats.rolled_back_opens += u64::from(rolled_back);
+        AdmissionError {
+            conn,
+            cause,
+            rolled_back,
+        }
+    }
+
+    /// The admission behind every setup: refuses a connection that
+    /// already holds a grant or that `spec` does not contain, else
+    /// routes it and reserves its slots.
+    fn admit(
+        &mut self,
+        round: &AdmissionRound,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        conn: ConnId,
+    ) -> Result<(), RefusalCause> {
+        if alloc.grant(conn).is_some() {
+            return Err(RefusalCause::AlreadyOpen);
+        }
+        if contract(spec, conn).is_none() {
+            return Err(RefusalCause::UnknownConn);
+        }
+        self.allocator
+            .admit_in_round(
+                round,
+                spec,
+                alloc,
+                conn,
+                &mut self.routes,
+                &mut self.scratch,
+            )
+            .map_err(RefusalCause::from)
+    }
+
     fn open_in_round(
         &mut self,
         round: &AdmissionRound,
@@ -477,46 +429,19 @@ impl ChurnEngine {
         alloc: &mut Allocation,
         conn: ConnId,
     ) -> Result<(), AdmissionError> {
-        if alloc.grant(conn).is_some() {
-            self.stats.refused_opens += 1;
-            return Err(AdmissionError {
-                conn,
-                cause: RefusalCause::AlreadyOpen,
-                rolled_back: 0,
-            });
-        }
-        match self.allocator.admit_in_round(
-            round,
-            spec,
-            alloc,
-            conn,
-            &mut *self.routes,
-            &mut self.scratch,
-        ) {
+        match self.admit(round, spec, alloc, conn) {
             Ok(()) => {
                 self.stats.setups += 1;
                 Ok(())
             }
-            Err(e) => {
-                let cause: RefusalCause = e.into();
+            Err(cause) => {
                 self.stats.refused_opens += 1;
-                if matches!(cause, RefusalCause::LinkDown { .. }) {
-                    self.stats.refused_link_down += 1;
-                }
-                Err(AdmissionError {
-                    conn,
-                    cause,
-                    rolled_back: 0,
-                })
+                Err(self.refusal(conn, cause, 0))
             }
         }
     }
 
-    fn close_one(
-        &mut self,
-        alloc: &mut Allocation,
-        conn: ConnId,
-    ) -> Result<AdmissionResponse, AdmissionError> {
+    fn close_one(&mut self, alloc: &mut Allocation, conn: ConnId) -> Verdict {
         match alloc.take_grant(conn) {
             Some(grant) => {
                 self.scratch.recycle(grant);
@@ -525,11 +450,7 @@ impl ChurnEngine {
             }
             None => {
                 self.stats.refused_closes += 1;
-                Err(AdmissionError {
-                    conn,
-                    cause: RefusalCause::UnknownConn,
-                    rolled_back: 0,
-                })
+                Err(self.refusal(conn, RefusalCause::UnknownConn, 0))
             }
         }
     }
@@ -541,7 +462,13 @@ impl ChurnEngine {
         alloc: &mut Allocation,
         close_set: &[ConnId],
         open_set: &[ConnId],
-    ) -> Result<AdmissionResponse, AdmissionError> {
+    ) -> Verdict {
+        // A switch naming a connection `spec` does not contain is
+        // malformed, not unlucky: refuse it whole, close set untouched.
+        if let Some(&conn) = open_set.iter().find(|&&c| contract(spec, c).is_none()) {
+            self.stats.refused_switches += 1;
+            return Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
+        }
         let mut closed = 0u64;
         for &c in close_set {
             if let Some(grant) = alloc.take_grant(c) {
@@ -558,42 +485,18 @@ impl ChurnEngine {
         self.opened.clear();
         for i in 0..self.order.len() {
             let conn = self.order[i];
-            let outcome = if alloc.grant(conn).is_some() {
-                Err(RefusalCause::AlreadyOpen)
-            } else {
-                self.allocator
-                    .admit_in_round(
-                        round,
-                        spec,
-                        alloc,
-                        conn,
-                        &mut *self.routes,
-                        &mut self.scratch,
-                    )
-                    .map_err(RefusalCause::from)
-            };
-            match outcome {
-                Ok(()) => self.opened.push(conn),
-                Err(cause) => {
-                    let rolled_back = self.opened.len() as u32;
-                    for j in 0..self.opened.len() {
-                        let c = self.opened[j];
-                        let grant = alloc.take_grant(c).expect("opened this switch");
-                        self.scratch.recycle(grant);
-                    }
-                    self.stats.teardowns += closed;
-                    self.stats.refused_switches += 1;
-                    if matches!(cause, RefusalCause::LinkDown { .. }) {
-                        self.stats.refused_link_down += 1;
-                    }
-                    self.stats.rolled_back_opens += u64::from(rolled_back);
-                    return Err(AdmissionError {
-                        conn,
-                        cause,
-                        rolled_back,
-                    });
+            if let Err(cause) = self.admit(round, spec, alloc, conn) {
+                let rolled_back = self.opened.len() as u32;
+                for j in 0..self.opened.len() {
+                    let c = self.opened[j];
+                    let grant = alloc.take_grant(c).expect("opened this switch");
+                    self.scratch.recycle(grant);
                 }
+                self.stats.teardowns += closed;
+                self.stats.refused_switches += 1;
+                return Err(self.refusal(conn, cause, rolled_back));
             }
+            self.opened.push(conn);
         }
         self.stats.teardowns += closed;
         self.stats.setups += self.opened.len() as u64;
@@ -625,7 +528,7 @@ impl ChurnEngine {
         alloc: &mut Allocation,
         conn: ConnId,
     ) -> Result<(), AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
+        let round = self.allocator.begin_round(spec, alloc, &self.routes);
         self.open_in_round(&round, spec, alloc, conn)
     }
 
@@ -664,7 +567,7 @@ impl ChurnEngine {
         close_set: &[ConnId],
         open_set: &[ConnId],
     ) -> Result<AdmissionResponse, AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
+        let round = self.allocator.begin_round(spec, alloc, &self.routes);
         self.switch_in_round(&round, spec, alloc, close_set, open_set)
     }
 
@@ -689,75 +592,56 @@ impl ChurnEngine {
 /// arrival order — teardowns only free capacity), then switches (arrival
 /// order — each is its own close-then-open delta), then single opens in
 /// the allocator's hardest-first admission order (most estimated slots,
-/// tightest deadline, then connection id, then arrival index).
+/// tightest deadline, then connection id, then arrival index; opens of
+/// connections `spec` does not contain go last — they are refused
+/// whenever they run).
 ///
 /// [`ChurnEngine::submit_batch`] applies bursts in exactly this order;
 /// serially submitting the requests in this order reproduces the batch
 /// bit-for-bit, which is what makes batched results pinnable against a
 /// canonical serial application.
-///
-/// # Panics
-///
-/// Panics if an open request names a connection `spec` does not contain
-/// (the difficulty estimate needs its traffic contract).
 pub fn canonical_order(spec: &SystemSpec, requests: &[AdmissionRequest], out: &mut Vec<usize>) {
-    canonical_order_of_impl(spec, requests, None, out);
+    canonical_order_of(spec, requests, 0..requests.len(), out);
 }
 
-/// [`canonical_order`] restricted to the subset `bucket` of arrival
-/// indices: writes into `out` (cleared first) a permutation of `bucket`
-/// in canonical application order. Indices outside `bucket` never
-/// appear; with `bucket` covering `0..requests.len()` this is exactly
-/// [`canonical_order`].
-///
-/// # Panics
-///
-/// Panics if `bucket` contains an index outside `requests`, or (as
-/// [`canonical_order`]) if a bucketed open names a connection `spec`
-/// does not contain.
-pub fn canonical_order_of(
+/// [`canonical_order`] over the subset `indices` of arrival indices (a
+/// whole burst, or one shard's bucket of it): writes into `out` (cleared
+/// first) a permutation of `indices` in canonical application order.
+pub(crate) fn canonical_order_of(
     spec: &SystemSpec,
     requests: &[AdmissionRequest],
-    bucket: &[usize],
-    out: &mut Vec<usize>,
-) {
-    canonical_order_of_impl(spec, requests, Some(bucket), out);
-}
-
-fn canonical_order_of_impl(
-    spec: &SystemSpec,
-    requests: &[AdmissionRequest],
-    bucket: Option<&[usize]>,
+    indices: impl Iterator<Item = usize> + Clone,
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    let select = |kind: fn(&AdmissionRequest) -> bool, out: &mut Vec<usize>| match bucket {
-        Some(b) => out.extend(b.iter().copied().filter(|&i| kind(&requests[i]))),
-        None => out.extend((0..requests.len()).filter(|&i| kind(&requests[i]))),
-    };
-    select(|r| matches!(r, AdmissionRequest::Close(_)), out);
-    select(|r| matches!(r, AdmissionRequest::Switch { .. }), out);
+    let closes = |&i: &usize| matches!(requests[i], AdmissionRequest::Close(_));
+    let switches = |&i: &usize| matches!(requests[i], AdmissionRequest::Switch { .. });
+    let opens = |&i: &usize| matches!(requests[i], AdmissionRequest::Open(_));
+    out.extend(indices.clone().filter(closes));
+    out.extend(indices.clone().filter(switches));
     let opens_at = out.len();
-    select(|r| matches!(r, AdmissionRequest::Open(_)), out);
+    out.extend(indices.filter(opens));
     let key = |i: usize| {
         let AdmissionRequest::Open(c) = requests[i] else {
             unreachable!("opens segment holds only opens")
         };
-        (
-            core::cmp::Reverse(aelite_alloc::estimate_slots(spec, c)),
-            spec.connection(c).max_latency_ns,
-            c,
-            i,
-        )
+        match contract(spec, c) {
+            Some(known) => (
+                core::cmp::Reverse(aelite_alloc::estimate_slots(spec, c)),
+                known.max_latency_ns,
+                c,
+                i,
+            ),
+            None => (core::cmp::Reverse(0), u64::MAX, c, i),
+        }
     };
-    let opens = &mut out[opens_at..];
     // Always cache the keys: `estimate_slots` walks the connection's
     // traffic contract, so one evaluation per element beats recomputing
     // it on every comparison even for small opens segments — per-shard
     // buckets in particular hit this path with a handful of opens per
     // call, where per-comparison recomputation was measured at ~2x the
     // whole admission cost of the bucket.
-    opens.sort_by_cached_key(|&i| key(i));
+    out[opens_at..].sort_by_cached_key(|&i| key(i));
 }
 
 #[cfg(test)]
@@ -858,6 +742,49 @@ mod tests {
             &alloc,
         )
         .expect("valid after refusals");
+
+        // A connection the spec does not contain — past its id bound, or
+        // inside it but left out of a restricted view — is refused in
+        // the single, switch and batched forms alike, and nothing moves:
+        // not even the switch's close set.
+        let beyond = ConnId::new(spec.conn_id_bound() as u32 + 7);
+        let ids: Vec<ConnId> = spec.connections().iter().map(|x| x.id).collect();
+        let without_c: Vec<ConnId> = ids.iter().copied().filter(|&id| id != c).collect();
+        let view = spec.restricted_to_connections(&without_c);
+        assert!(c.index() < view.conn_id_bound());
+        let held = ids[6];
+        let snapshot = alloc.clone();
+        for (view, unknown) in [(&spec, beyond), (&view, c)] {
+            let refused = Err(AdmissionError {
+                conn: unknown,
+                cause: RefusalCause::UnknownConn,
+                rolled_back: 0,
+            });
+            let before = *engine.stats();
+            let open = AdmissionRequest::Open(unknown);
+            let switch = AdmissionRequest::Switch {
+                close: vec![held],
+                open: vec![ids[7], unknown],
+            };
+            assert_eq!(engine.submit(view, &mut alloc, open.clone()), refused);
+            assert_eq!(engine.submit(view, &mut alloc, switch.clone()), refused);
+            let mut verdicts = Vec::new();
+            engine.submit_batch(view, &mut alloc, &[open, switch], &mut verdicts);
+            assert_eq!(verdicts, [refused, refused]);
+            let counted = ChurnStats {
+                refused_opens: 2,
+                refused_switches: 2,
+                ..ChurnStats::default()
+            };
+            assert_eq!(engine.stats().delta(&before), counted);
+            for &id in &ids {
+                assert_eq!(alloc.grant(id), snapshot.grant(id), "{id} moved");
+            }
+            for l in spec.topology().links() {
+                let (now, then) = (alloc.link_table(l), snapshot.link_table(l));
+                assert!((0..now.size()).all(|s| now.owner(s) == then.owner(s)));
+            }
+        }
     }
 
     #[test]

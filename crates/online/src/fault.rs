@@ -172,13 +172,12 @@ impl FaultStats {
 
 /// The links adjacent to `router` — router-router links on either side
 /// and the NI links of its concentrated NIs.
-fn router_links(topo: &Topology, router: RouterId, out: &mut Vec<LinkId>) {
-    out.clear();
-    out.extend(topo.links().filter(|&l| {
+fn router_links(topo: &Topology, router: RouterId) -> impl Iterator<Item = LinkId> + '_ {
+    topo.links().filter(move |&l| {
         let link = topo.link(l);
         let touches = |e: Endpoint| matches!(e, Endpoint::Router(r, _) if r == router);
         touches(link.from) || touches(link.to)
-    }));
+    })
 }
 
 /// When a repair event re-homes the displaced ledger.
@@ -255,8 +254,6 @@ pub struct FaultEngine {
     displaced: Vec<ConnId>,
     /// Reusable affected-grant order buffer.
     order: Vec<ConnId>,
-    /// Reusable adjacent-links buffer for router events.
-    links: Vec<LinkId>,
     /// Reusable re-home request/verdict buffers for the batched round.
     requests: Vec<AdmissionRequest>,
     verdicts: Vec<Result<AdmissionResponse, AdmissionError>>,
@@ -271,8 +268,8 @@ impl FaultEngine {
     }
 
     /// A recovery engine over a caller-configured churn engine (custom
-    /// allocator or route provider). Any fault mask already installed on
-    /// `engine` becomes the starting mask (treated as permanent).
+    /// allocator). Any fault mask already installed on `engine` becomes
+    /// the starting mask (treated as permanent).
     #[must_use]
     pub fn with_engine(engine: ChurnEngine) -> Self {
         let mask = engine.faults().clone();
@@ -290,7 +287,6 @@ impl FaultEngine {
             stats: FaultStats::default(),
             displaced: Vec::new(),
             order: Vec::new(),
-            links: Vec::new(),
             requests: Vec::new(),
             verdicts: Vec::new(),
         }
@@ -395,14 +391,7 @@ impl FaultEngine {
         alloc: &mut Allocation,
         link: LinkId,
     ) -> RecoveryReport {
-        // A permanent failure subsumes any active glitch on the link.
-        self.cancel_glitch(link);
-        if !self.enforced.set_down(link) {
-            return RecoveryReport::default();
-        }
-        self.mask.set_down(link);
-        self.stats.link_downs += 1;
-        self.recover(spec, alloc, &[link])
+        self.links_down(spec, alloc, core::iter::once(link), |s| &mut s.link_downs)
     }
 
     /// Services one link repair: unmasks `link` (clearing any glitch on
@@ -420,14 +409,7 @@ impl FaultEngine {
         alloc: &mut Allocation,
         link: LinkId,
     ) -> RecoveryReport {
-        let had_glitch = self.cancel_glitch(link).is_some();
-        let was_enforced = self.enforced.set_up(link);
-        let was_masked = self.mask.set_up(link);
-        if !(was_masked || was_enforced || had_glitch) {
-            return RecoveryReport::default();
-        }
-        self.stats.link_ups += 1;
-        self.finish_repair(spec, alloc)
+        self.links_up(spec, alloc, core::iter::once(link), |s| &mut s.link_ups)
     }
 
     /// Services a whole-router failure: every adjacent link still up
@@ -444,26 +426,8 @@ impl FaultEngine {
         alloc: &mut Allocation,
         router: RouterId,
     ) -> RecoveryReport {
-        let mut links = core::mem::take(&mut self.links);
-        router_links(spec.topology(), router, &mut links);
-        // The router failure subsumes any glitch on an adjacent link,
-        // and enforces links that were only glitch-masked so far.
-        links.retain(|&l| {
-            self.cancel_glitch(l);
-            let newly = self.enforced.set_down(l);
-            if newly {
-                self.mask.set_down(l);
-            }
-            newly
-        });
-        let report = if links.is_empty() {
-            RecoveryReport::default()
-        } else {
-            self.stats.router_downs += 1;
-            self.recover(spec, alloc, &links)
-        };
-        self.links = links;
-        report
+        let links = router_links(spec.topology(), router);
+        self.links_down(spec, alloc, links, |s| &mut s.router_downs)
     }
 
     /// Services a whole-router repair: every adjacent link currently
@@ -479,22 +443,8 @@ impl FaultEngine {
         alloc: &mut Allocation,
         router: RouterId,
     ) -> RecoveryReport {
-        let mut links = core::mem::take(&mut self.links);
-        router_links(spec.topology(), router, &mut links);
-        links.retain(|&l| {
-            let had_glitch = self.cancel_glitch(l).is_some();
-            let was_enforced = self.enforced.set_up(l);
-            let was_masked = self.mask.set_up(l);
-            was_masked || was_enforced || had_glitch
-        });
-        let report = if links.is_empty() {
-            RecoveryReport::default()
-        } else {
-            self.stats.router_ups += 1;
-            self.finish_repair(spec, alloc)
-        };
-        self.links = links;
-        report
+        let links = router_links(spec.topology(), router);
+        self.links_up(spec, alloc, links, |s| &mut s.router_ups)
     }
 
     /// Services one transient glitch: `link` is down for `duration_ns`
@@ -720,6 +670,58 @@ impl FaultEngine {
         Some(self.glitches.remove(i))
     }
 
+    /// The failure event behind [`link_down`](Self::link_down) and
+    /// [`router_down`](Self::router_down), which differ only in the
+    /// counter `events` picks: a permanent failure subsumes any glitch
+    /// on a link and enforces one that was only glitch-masked so far;
+    /// the links newly taken down share **one** recovery sweep.
+    fn links_down(
+        &mut self,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        links: impl Iterator<Item = LinkId>,
+        events: fn(&mut FaultStats) -> &mut u64,
+    ) -> RecoveryReport {
+        let mut newly_down = Vec::new();
+        for l in links {
+            self.cancel_glitch(l);
+            if self.enforced.set_down(l) {
+                self.mask.set_down(l);
+                newly_down.push(l);
+            }
+        }
+        if newly_down.is_empty() {
+            return RecoveryReport::default();
+        }
+        *events(&mut self.stats) += 1;
+        self.recover(spec, alloc, &newly_down)
+    }
+
+    /// The repair event behind [`link_up`](Self::link_up) and
+    /// [`router_up`](Self::router_up): every link leaves both masks
+    /// (clearing any glitch on it), then the displaced ledger is
+    /// re-homed per the repair policy.
+    fn links_up(
+        &mut self,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        links: impl Iterator<Item = LinkId>,
+        events: fn(&mut FaultStats) -> &mut u64,
+    ) -> RecoveryReport {
+        let mut repaired = false;
+        for l in links {
+            let had_glitch = self.cancel_glitch(l).is_some();
+            let was_enforced = self.enforced.set_up(l);
+            let was_masked = self.mask.set_up(l);
+            repaired |= was_masked || was_enforced || had_glitch;
+        }
+        if !repaired {
+            return RecoveryReport::default();
+        }
+        *events(&mut self.stats) += 1;
+        self.finish_repair(spec, alloc)
+    }
+
     /// The failure-side sweep: installs the grown mask, collects the
     /// grants routed over any of `newly_down`, and walks them down the
     /// recovery ladder hardest-first.
@@ -774,13 +776,9 @@ impl FaultEngine {
         self.requests.clear();
         self.requests
             .extend(self.displaced.iter().map(|&c| AdmissionRequest::Open(c)));
-        let requests = core::mem::take(&mut self.requests);
-        let mut verdicts = core::mem::take(&mut self.verdicts);
         self.engine
-            .submit_batch(spec, alloc, &requests, &mut verdicts);
-        report.restored = verdicts.iter().filter(|v| v.is_ok()).count() as u32;
-        self.requests = requests;
-        self.verdicts = verdicts;
+            .submit_batch(spec, alloc, &self.requests, &mut self.verdicts);
+        report.restored = self.verdicts.iter().filter(|v| v.is_ok()).count() as u32;
         self.displaced.retain(|&c| alloc.grant(c).is_none());
         self.stats.absorb(&report);
         report
@@ -892,8 +890,7 @@ mod tests {
         assert_eq!(engine.stats().router_downs, 1);
         assert_no_grant_over_down_link(&alloc, engine.mask());
         // Every adjacent link is down, exactly once.
-        let mut links = Vec::new();
-        router_links(spec.topology(), router, &mut links);
+        let links: Vec<_> = router_links(spec.topology(), router).collect();
         for &l in &links {
             assert!(engine.mask().is_down(l));
         }

@@ -76,7 +76,7 @@ pub mod fault;
 pub mod shard;
 
 pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
-pub use engine::{canonical_order, canonical_order_of, ChurnEngine, ChurnStats, RerouteOutcome};
+pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
 pub use fault::{FaultEngine, FaultStats, RecoveryReport, RepairPolicy, DEFAULT_PERSISTENCE_NS};
 pub use shard::{
     sharded_canonical_order, BoundaryPolicy, ShardClass, ShardConfig, ShardMap, ShardedAllocation,

@@ -36,8 +36,8 @@
 //! With one shard the classification maps everything to shard 0 and the
 //! engine degenerates to today's [`ChurnEngine::submit_batch`].
 
-use crate::api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
-use crate::engine::{canonical_order_of, ChurnEngine, ChurnStats};
+use crate::api::AdmissionRequest;
+use crate::engine::{canonical_order_of, placeholder, ChurnEngine, ChurnStats, Verdict};
 use aelite_alloc::{Allocation, Allocator, RouteCache, RouteProvider, Steering};
 use aelite_spec::ids::{ConnId, LinkId};
 use aelite_spec::topology::Endpoint;
@@ -481,29 +481,6 @@ impl ShardedAllocation {
     }
 }
 
-type Verdict = Result<AdmissionResponse, AdmissionError>;
-
-fn placeholder() -> Verdict {
-    // Overwritten before returning: the buckets partition the arrival
-    // indices, so every slot is assigned exactly once.
-    Err(AdmissionError {
-        conn: ConnId::new(0),
-        cause: RefusalCause::UnknownConn,
-        rolled_back: 0,
-    })
-}
-
-fn add_stats(into: &mut ChurnStats, s: &ChurnStats) {
-    into.setups += s.setups;
-    into.teardowns += s.teardowns;
-    into.switches += s.switches;
-    into.refused_opens += s.refused_opens;
-    into.refused_closes += s.refused_closes;
-    into.refused_switches += s.refused_switches;
-    into.rolled_back_opens += s.rolled_back_opens;
-    into.refused_link_down += s.refused_link_down;
-}
-
 /// One shard's working set during a parallel phase: exclusive borrows
 /// of its engine and allocation part plus the work list and the verdict
 /// sink. Behind a `Mutex` only to satisfy `Sync` — the atomic cursor
@@ -511,10 +488,24 @@ fn add_stats(into: &mut ChurnStats, s: &ChurnStats) {
 struct Lane<'a> {
     engine: &'a mut ChurnEngine,
     part: &'a mut Allocation,
-    /// Arrival-index buckets to apply in order (one per burst of the
-    /// current segment; a single bucket for `submit_batch`).
+    /// Arrival-index buckets to apply in order, one per burst of the
+    /// current segment that has requests for this shard.
     work: &'a [Vec<usize>],
     pairs: &'a mut Vec<(usize, Verdict)>,
+}
+
+impl Lane<'_> {
+    /// Applies the lane's buckets in order, one admission round each,
+    /// appending `(arrival_index, verdict)` pairs in application order.
+    fn run(&mut self, spec: &SystemSpec, requests: &[AdmissionRequest]) {
+        for bucket in self.work {
+            let indices = bucket.iter().copied();
+            self.engine
+                .apply_round(spec, self.part, requests, indices, |i, v| {
+                    self.pairs.push((i, v));
+                });
+        }
+    }
 }
 
 /// Region-partitioned parallel admission over a [`ShardedAllocation`]:
@@ -526,7 +517,8 @@ pub struct ShardedEngine {
     map: ShardMap,
     engines: Vec<ChurnEngine>,
     hub_engine: ChurnEngine,
-    /// Reusable per-shard arrival-index buckets for `submit_batch`.
+    /// Reusable per-shard arrival-index buckets of the burst being
+    /// classified.
     buckets: Vec<Vec<usize>>,
     /// Reusable cross-shard bucket.
     cross: Vec<usize>,
@@ -600,23 +592,22 @@ impl ShardedEngine {
     /// Work counters summed over every shard engine and the hub.
     #[must_use]
     pub fn stats(&self) -> ChurnStats {
-        let mut total = ChurnStats::default();
-        for e in &self.engines {
-            add_stats(&mut total, e.stats());
-        }
-        add_stats(&mut total, self.hub_engine.stats());
-        total
+        self.engines
+            .iter()
+            .chain(core::iter::once(&self.hub_engine))
+            .fold(ChurnStats::default(), |total, e| total.plus(e.stats()))
     }
 
     /// Services a burst of **independent** requests in parallel, writing
     /// one verdict per request into `verdicts` (cleared first, arrival
     /// order).
     ///
-    /// The burst is bucketed by [`ShardMap::classify`]; intra-shard
-    /// buckets run concurrently on up to `threads` workers (each worker
-    /// claims whole shards off an atomic cursor), then the cross bucket
-    /// — if any — runs the scoped two-phase commit on the hub. End
-    /// state and verdicts are bit-identical to the sharded-canonical
+    /// This is [`replay_stream`](Self::replay_stream) over the single
+    /// burst `0..requests.len()`: intra-shard buckets run concurrently
+    /// on up to `threads` workers (each worker claims whole shards off
+    /// an atomic cursor), then the cross bucket — if any — runs the
+    /// scoped two-phase commit on the hub. End state and verdicts are
+    /// bit-identical to the sharded-canonical
     /// serial reference (shard 0's bucket in canonical order, then
     /// shard 1's, …, then cross) for any `threads`, and with one shard
     /// to [`ChurnEngine::submit_batch`] itself.
@@ -632,50 +623,9 @@ impl ShardedEngine {
         verdicts: &mut Vec<Verdict>,
         threads: usize,
     ) {
-        verdicts.clear();
-        verdicts.resize(requests.len(), placeholder());
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cross.clear();
-        for (i, r) in requests.iter().enumerate() {
-            match self.map.classify(r) {
-                ShardClass::Intra(k) => self.buckets[k].push(i),
-                ShardClass::Cross => self.cross.push(i),
-            }
-        }
-
-        // Intra phase: each shard's bucket as one work item.
-        let work: Vec<Vec<Vec<usize>>> = self
-            .buckets
-            .iter()
-            .map(|b| {
-                if b.is_empty() {
-                    Vec::new()
-                } else {
-                    vec![b.clone()]
-                }
-            })
-            .collect();
-        run_shards(
-            spec,
-            &mut self.engines,
-            &mut alloc.parts,
-            &work,
-            &mut self.pairs,
-            requests,
-            threads,
-        );
-        for pairs in &mut self.pairs {
-            for (i, v) in pairs.drain(..) {
-                verdicts[i] = v;
-            }
-        }
-
-        // Cross phase: scoped two-phase commit on the hub.
-        if !self.cross.is_empty() {
-            self.run_cross(spec, alloc, requests, verdicts);
-        }
+        let burst = 0..requests.len();
+        let bursts = core::slice::from_ref(&burst);
+        self.replay_stream(spec, alloc, requests, bursts, threads, verdicts);
     }
 
     /// Runs the pending cross bucket through the hub engine under a
@@ -717,31 +667,30 @@ impl ShardedEngine {
         self.scope_links.dedup();
 
         alloc.reserve_scope(&self.map, &self.scope_links, &self.scope_conns);
-        let mut pairs = core::mem::take(&mut self.pairs[0]);
+        let cross = self.cross.iter().copied();
         self.hub_engine
-            .submit_bucket(spec, &mut alloc.hub, requests, &self.cross, &mut pairs);
+            .apply_round(spec, &mut alloc.hub, requests, cross, |i, v| {
+                verdicts[i] = v;
+            });
         alloc.commit_scope(&self.map, &self.scope_links, &self.scope_conns);
-        for (i, v) in pairs.drain(..) {
-            verdicts[i] = v;
-        }
-        self.pairs[0] = pairs;
     }
 
     /// Replays a planned burst sequence (`plan_bursts`-style ranges
-    /// over `requests`, see `aelite-serve`) with **segment-scoped**
-    /// threading: worker
-    /// threads are spawned once per *segment* — a maximal run of bursts
-    /// containing no cross-shard request, plus at most one cross tail —
-    /// and inside a segment each shard's engine walks its buckets burst
-    /// by burst. A stream with no cross requests (e.g. region-local
-    /// client pools) is a single segment: one thread spawn for the whole
-    /// replay.
+    /// over `requests`, see `aelite-serve`) — the engine's one fan-out
+    /// path, which [`submit_batch`](Self::submit_batch) runs over a
+    /// single burst. Each burst is bucketed by [`ShardMap::classify`];
+    /// threading is **segment-scoped**: worker threads are spawned once
+    /// per *segment* — a maximal run of bursts containing no cross-shard
+    /// request, plus at most one cross tail — and inside a segment each
+    /// shard's engine walks its buckets burst by burst. A stream with no
+    /// cross requests (e.g. region-local client pools) is a single
+    /// segment: one thread spawn for the whole replay.
     ///
     /// Per-connection request order is preserved (a connection's
     /// requests all land in its home shard's lane, processed in burst
-    /// order), so verdicts and end state are bit-identical to calling
-    /// [`submit_batch`](Self::submit_batch) per burst, for any
-    /// `threads`.
+    /// order), so verdicts and end state are bit-identical to replaying
+    /// the bursts one [`submit_batch`](Self::submit_batch) at a time,
+    /// for any `threads` (pinned in `tests/shard_replay.rs`).
     ///
     /// # Panics
     ///
@@ -842,9 +791,13 @@ fn run_shards(
     // per-lane order, so outcomes cannot depend on which path runs.
     if workers <= 1 || total < PARALLEL_FLOOR {
         for &k in &active {
-            for bucket in &work[k] {
-                engines[k].submit_bucket(spec, &mut parts[k], requests, bucket, &mut pairs[k]);
-            }
+            let mut lane = Lane {
+                engine: &mut engines[k],
+                part: &mut parts[k],
+                work: &work[k],
+                pairs: &mut pairs[k],
+            };
+            lane.run(spec, requests);
         }
         return;
     }
@@ -870,11 +823,7 @@ fn run_shards(
             s.spawn(move || loop {
                 let n = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(&k) = active.get(n) else { break };
-                let lane = &mut *lanes[k].lock().expect("lane poisoned");
-                for bucket in lane.work {
-                    lane.engine
-                        .submit_bucket(spec, lane.part, requests, bucket, lane.pairs);
-                }
+                lanes[k].lock().expect("lane poisoned").run(spec, requests);
             });
         }
     });
@@ -904,7 +853,7 @@ pub fn sharded_canonical_order(
     out.clear();
     let mut ordered = Vec::new();
     for bucket in buckets.iter().chain(core::iter::once(&cross)) {
-        canonical_order_of(spec, requests, bucket, &mut ordered);
+        canonical_order_of(spec, requests, bucket.iter().copied(), &mut ordered);
         out.extend_from_slice(&ordered);
     }
 }
@@ -1015,8 +964,6 @@ mod tests {
         let map_cfg = ShardConfig::single();
         let mut sharded = ShardedEngine::new(&spec, map_cfg);
         let mut plain = ChurnEngine::new(&spec);
-        // Plain submit_batch may take its serial-floor fallback on tiny
-        // bursts; outcomes are identical either way.
         let alloc0 = allocate(&spec).unwrap();
         let mut flat = alloc0.clone();
         let mut parts = ShardedAllocation::adopt(&spec, alloc0, sharded.map());

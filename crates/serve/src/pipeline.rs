@@ -36,8 +36,22 @@ pub struct ReplayReport {
     pub stats: ChurnStats,
 }
 
-fn stats_delta(after: &ChurnStats, before: &ChurnStats) -> ChurnStats {
-    after.delta(before)
+impl ReplayReport {
+    /// The report of a window that serviced `requests` requests in
+    /// `bursts` rounds, `admitted` of them successfully, in `elapsed_ns`,
+    /// moving the engine's counters by `stats`.
+    fn new(requests: u64, bursts: u64, admitted: u64, elapsed_ns: u64, stats: ChurnStats) -> Self {
+        ReplayReport {
+            requests,
+            bursts,
+            admitted,
+            refused: requests - admitted,
+            ops: stats.ops(),
+            elapsed_ns,
+            ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
+            stats,
+        }
+    }
 }
 
 /// Applies `stream[..warmup]` serially (untimed) to bring `engine` and
@@ -74,17 +88,8 @@ pub fn replay_serial(
         }
     }
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let stats = stats_delta(engine.stats(), &before);
-    ReplayReport {
-        requests: stream.len() as u64,
-        bursts: stream.len() as u64,
-        admitted,
-        refused: stream.len() as u64 - admitted,
-        ops: stats.ops(),
-        elapsed_ns,
-        ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
-        stats,
-    }
+    let n = stream.len() as u64;
+    ReplayReport::new(n, n, admitted, elapsed_ns, engine.stats().delta(&before))
 }
 
 /// Replays `stream` through [`ChurnEngine::submit_batch`]: plans
@@ -121,17 +126,13 @@ pub fn replay_batched(
         admitted += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
     }
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let stats = stats_delta(engine.stats(), &before);
-    ReplayReport {
-        requests: stream.len() as u64,
-        bursts: bursts.len() as u64,
+    ReplayReport::new(
+        stream.len() as u64,
+        bursts.len() as u64,
         admitted,
-        refused: stream.len() as u64 - admitted,
-        ops: stats.ops(),
         elapsed_ns,
-        ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
-        stats,
-    }
+        engine.stats().delta(&before),
+    )
 }
 
 /// [`warm_up`] for the sharded engine: applies `stream[..warmup]` as
@@ -189,17 +190,13 @@ pub fn replay_sharded(
     engine.replay_stream(spec, alloc, &reqs, &bursts, threads, &mut verdicts);
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let admitted = verdicts.iter().filter(|v| v.is_ok()).count() as u64;
-    let stats = stats_delta(&engine.stats(), &before);
-    ReplayReport {
-        requests: stream.len() as u64,
-        bursts: bursts.len() as u64,
+    ReplayReport::new(
+        stream.len() as u64,
+        bursts.len() as u64,
         admitted,
-        refused: stream.len() as u64 - admitted,
-        ops: stats.ops(),
         elapsed_ns,
-        ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
-        stats,
-    }
+        engine.stats().delta(&before),
+    )
 }
 
 /// Tuning knobs of the threaded pipeline.
@@ -334,137 +331,9 @@ pub fn serve_pipeline(
     });
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
 
-    let stats = stats_delta(engine.stats(), &before);
+    let stats = engine.stats().delta(&before);
     PipelineReport {
-        replay: ReplayReport {
-            requests,
-            bursts,
-            admitted,
-            refused: requests - admitted,
-            ops: stats.ops(),
-            elapsed_ns,
-            ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
-            stats,
-        },
-        latency,
-    }
-}
-
-/// [`serve_pipeline`] driving a [`ShardedEngine`]: the admission loop
-/// buckets incoming requests by shard lane as it drains the queue,
-/// flushes a burst when a client repeats **or any single lane reaches
-/// `cfg.burst_cap`** (so bursts fan out up to `shards × burst_cap`
-/// wide), and applies each burst through
-/// [`ShardedEngine::submit_batch`] on up to `threads` admission
-/// workers.
-///
-/// Latency semantics are identical to [`serve_pipeline`]: enqueue
-/// (after backpressure) to burst completion. Burst composition depends
-/// on producer interleaving, so use [`replay_sharded`] for the
-/// deterministic mode.
-///
-/// # Panics
-///
-/// Panics as [`serve_pipeline`].
-#[must_use]
-pub fn serve_pipeline_sharded(
-    spec: &SystemSpec,
-    engine: &mut ShardedEngine,
-    alloc: &mut ShardedAllocation,
-    streams: &[Vec<TimedRequest>],
-    cfg: &PipelineConfig,
-    threads: usize,
-) -> PipelineReport {
-    assert!(cfg.producers > 0, "need at least one producer");
-    assert!(cfg.burst_cap > 0, "burst capacity must be positive");
-    let clients = streams
-        .iter()
-        .flat_map(|s| s.iter().map(|r| r.client))
-        .max()
-        .map_or(0, |c| c as usize + 1);
-
-    let before = engine.stats();
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = sync_channel::<(Instant, u32, AdmissionRequest)>(cfg.queue_depth);
-
-    let mut latency = LatencyHistogram::new();
-    let mut admitted = 0u64;
-    let mut requests = 0u64;
-    let mut bursts = 0u64;
-
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..cfg.producers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            s.spawn(move || loop {
-                let k = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(stream) = streams.get(k) else { break };
-                for r in stream {
-                    tx.send((Instant::now(), r.client, r.request.clone()))
-                        .expect("admission loop outlives producers");
-                }
-            });
-        }
-        drop(tx);
-
-        let lanes = engine.map().shards() + 1; // last lane = cross-shard
-        let mut stamp = vec![u64::MAX; clients];
-        let mut lane_count = vec![0usize; lanes];
-        let mut burst_id = 0u64;
-        let mut enq: Vec<Instant> = Vec::new();
-        let mut reqs: Vec<AdmissionRequest> = Vec::new();
-        let mut verdicts = Vec::new();
-        let mut flush = |engine: &mut ShardedEngine,
-                         alloc: &mut ShardedAllocation,
-                         reqs: &mut Vec<AdmissionRequest>,
-                         enq: &mut Vec<Instant>,
-                         lane_count: &mut Vec<usize>| {
-            if reqs.is_empty() {
-                return;
-            }
-            engine.submit_batch(spec, alloc, reqs, &mut verdicts, threads);
-            admitted += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
-            let done = Instant::now();
-            for &t in enq.iter() {
-                latency.record(done.duration_since(t).as_nanos() as u64);
-            }
-            bursts += 1;
-            reqs.clear();
-            enq.clear();
-            lane_count.iter_mut().for_each(|c| *c = 0);
-        };
-        while let Ok((t, client, request)) = rx.recv() {
-            let lane = match engine.map().classify(&request) {
-                ShardClass::Intra(k) => k,
-                ShardClass::Cross => lanes - 1,
-            };
-            if lane_count[lane] >= cfg.burst_cap || stamp[client as usize] == burst_id {
-                flush(engine, alloc, &mut reqs, &mut enq, &mut lane_count);
-                burst_id += 1;
-            }
-            stamp[client as usize] = burst_id;
-            lane_count[lane] += 1;
-            enq.push(t);
-            reqs.push(request);
-            requests += 1;
-        }
-        flush(engine, alloc, &mut reqs, &mut enq, &mut lane_count);
-    });
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-
-    let stats = stats_delta(&engine.stats(), &before);
-    PipelineReport {
-        replay: ReplayReport {
-            requests,
-            bursts,
-            admitted,
-            refused: requests - admitted,
-            ops: stats.ops(),
-            elapsed_ns,
-            ops_per_sec: stats.ops() as f64 / (elapsed_ns as f64 / 1e9).max(1e-12),
-            stats,
-        },
+        replay: ReplayReport::new(requests, bursts, admitted, elapsed_ns, stats),
         latency,
     }
 }
@@ -524,7 +393,7 @@ mod tests {
         // Identical outcomes, fewer rounds than requests.
         assert_eq!(batched.requests, timed.len() as u64);
         assert_eq!(batched.admitted, admitted);
-        assert_eq!(batched.stats, stats_delta(e1.stats(), &before1));
+        assert_eq!(batched.stats, e1.stats().delta(&before1));
         assert!(batched.bursts < batched.requests);
         for c in spec.connections() {
             assert_eq!(a1.grant(c.id), a2.grant(c.id), "{} diverged", c.id);

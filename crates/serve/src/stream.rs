@@ -61,26 +61,7 @@ pub fn merge_population(population: Vec<ClientTrace>) -> Vec<TimedRequest> {
 /// Panics if `cap` is zero.
 #[must_use]
 pub fn plan_bursts(stream: &[TimedRequest], cap: usize) -> Vec<Range<usize>> {
-    assert!(cap > 0, "burst capacity must be positive");
-    let clients = stream.iter().map(|r| r.client).max().map_or(0, |c| c + 1);
-    // Epoch-stamped membership set: stamp[c] == current burst id means
-    // client c already has a request in the burst. O(1) per request, no
-    // clearing between bursts.
-    let mut stamp = vec![usize::MAX; clients as usize];
-    let mut bursts = Vec::new();
-    let mut start = 0usize;
-    for (i, r) in stream.iter().enumerate() {
-        let burst_id = bursts.len();
-        if i - start >= cap || stamp[r.client as usize] == burst_id {
-            bursts.push(start..i);
-            start = i;
-        }
-        stamp[r.client as usize] = bursts.len();
-    }
-    if start < stream.len() {
-        bursts.push(start..stream.len());
-    }
-    bursts
+    plan_bursts_sharded(stream, cap, 1, |_| 0)
 }
 
 /// Shard-aware burst planning: like [`plan_bursts`], but the capacity
@@ -93,8 +74,8 @@ pub fn plan_bursts(stream: &[TimedRequest], cap: usize) -> Vec<Range<usize>> {
 /// bursts up to `shards × cap` wide — wider fan-out per round — while
 /// keeping every lane's round bounded.
 ///
-/// With one shard (a constant `shard_of`) this is exactly
-/// [`plan_bursts`].
+/// With one lane this is exactly [`plan_bursts`], which is defined as
+/// that call.
 ///
 /// # Panics
 ///
@@ -108,6 +89,9 @@ pub fn plan_bursts_sharded(
 ) -> Vec<Range<usize>> {
     assert!(cap > 0, "burst capacity must be positive");
     let clients = stream.iter().map(|r| r.client).max().map_or(0, |c| c + 1);
+    // Epoch-stamped membership set: stamp[c] == current burst id means
+    // client c already has a request in the burst. O(1) per request, no
+    // clearing between bursts.
     let mut stamp = vec![usize::MAX; clients as usize];
     // Per-lane request counts of the current burst (lane index clamped
     // into range, so an out-of-range `shard_of` answer is just a lane).

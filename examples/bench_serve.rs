@@ -12,8 +12,7 @@
 //!   `ChurnEngine::submit`, one admission round each;
 //! * **batched** — the deterministic single-thread pipeline:
 //!   `plan_bursts` + `ChurnEngine::submit_batch`, one admission round
-//!   per independent burst (the per-round platform validation and
-//!   grant-capacity check amortise across the burst);
+//!   per independent burst, applied in canonical hardest-first order;
 //! * **pipeline** — the threaded executor (`serve_pipeline`): producer
 //!   threads enqueue per-client streams into a bounded queue, the
 //!   admission loop drains bursts and records end-to-end latency in an
@@ -29,10 +28,9 @@
 //! validation, so batching's amortisation premise is gone and the
 //! single-thread crossover vanished — batched now runs at ~0.6–0.7×
 //! serial, the price of one slot estimate per open for canonical
-//! hardest-first ordering. Bursts at or under the engine's serial
-//! floor (4) take the per-request path outright. Batching's payoff is
-//! admission ordering under contention and the sharded parallel
-//! fan-out measured in `BENCH_SHARD.json`.
+//! hardest-first ordering. Batching's payoff is admission ordering
+//! under contention and the sharded parallel fan-out measured in
+//! `BENCH_SHARD.json`.
 //!
 //! Run with `cargo run --release --example bench_serve`.
 
@@ -215,15 +213,15 @@ fn main() {
         "  \"note\": \"request pipeline over aelite_online::ChurnEngine: per-client Poisson churn \
          streams on disjoint connection pools, merged arrival-ordered; serial = one admission \
          round per request; batched = one round per independent burst (client-unique, cap 64), \
-         which amortises the per-round spec validation and grant-capacity check and shares the \
-         warm RouteCache and recycled-grant scratch across the burst, with per-request rollback; \
+         applied in canonical hardest-first order over the warm RouteCache and recycled-grant \
+         scratch, with per-request rollback; \
          pipeline = threaded producer/consumer executor, latency measured enqueue-to-burst-\
          completion on a log-linear HDR histogram (~6% resolution). ops = individual connection \
          setups+teardowns; first quarter of each stream is an untimed ramp; serial and batched \
          report the best of 5 interleaved repetitions each. Crossover: since begin_round became \
          O(1) the serial path pays no per-request platform validation, so single-thread batched \
          runs at ~0.6-0.7x serial (one slot estimate per open buys canonical hardest-first \
-         ordering); bursts <= the engine's serial floor (4) take the per-request path outright. \
+         ordering). \
          Batching's payoff is admission ordering under contention and the sharded parallel \
          fan-out recorded in BENCH_SHARD.json\",\n",
     );

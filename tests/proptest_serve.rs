@@ -2,15 +2,20 @@
 //! arbitrary burst — conflicting requests included — yields the
 //! identical end-state allocation (free mask and owner array in
 //! lock-step per slot) and identical per-request verdicts as serially
-//! submitting the same requests in canonical order; and the planned
-//! independent bursts of a client-population stream replay identically
-//! batched and burstwise-serial.
+//! submitting the same requests in canonical order — at every burst
+//! length from 1 to 8 and for the fault engine's batched re-home of a
+//! few displaced connections; and the planned independent bursts of a
+//! client-population stream replay identically batched and
+//! burstwise-serial.
 
-use aelite_alloc::Allocation;
-use aelite_online::{canonical_order, AdmissionRequest, AdmissionResponse, ChurnEngine};
+use aelite_alloc::{admission_order, Allocation, FaultMask};
+use aelite_online::{
+    canonical_order, AdmissionRequest, AdmissionResponse, ChurnEngine, FaultEngine,
+};
 use aelite_serve::{merge_population, plan_bursts, replay_batched, warm_up};
 use aelite_spec::app::SystemSpec;
-use aelite_spec::churn::{client_population, ChurnParams};
+use aelite_spec::churn::{client_population, ChurnOp, ChurnParams};
+use aelite_spec::fault::ScenarioOp;
 use aelite_spec::generate::{random_workload, WorkloadParams};
 use aelite_spec::ids::{AppId, ConnId, LinkId};
 use aelite_spec::topology::Topology;
@@ -87,13 +92,20 @@ proptest! {
     /// `submit_batch` over an arbitrary burst ≡ serial `submit` of the
     /// same requests in `canonical_order`: identical verdicts at every
     /// arrival index, identical engine counters, identical end state
-    /// down to each slot's free bit and owner.
+    /// down to each slot's free bit and owner. Every prefix of `short`
+    /// is one more burst, so each case runs every length 1..=8 — both
+    /// sides of the serial floor of 4 that `submit_batch` used to fork
+    /// on — and the case ends with a `FaultEngine` re-home of up to
+    /// `rehome` displaced connections, the other caller whose bursts
+    /// sat under that floor.
     #[test]
     fn batched_round_equals_serial_canonical(
         seed in 0u64..4,
         prelude in proptest::collection::vec((0u8..8, 0u16..1024), 0..20),
         bursts in proptest::collection::vec(
             proptest::collection::vec((0u8..8, 0u16..1024), 1..16), 1..5),
+        short in proptest::collection::vec((0u8..8, 0u16..1024), 8),
+        rehome in 1usize..=4,
     ) {
         let spec = small_spec(seed);
         let mut engine_a = ChurnEngine::new(&spec);
@@ -111,7 +123,8 @@ proptest! {
 
         let mut order = Vec::new();
         let mut verdicts_a = Vec::new();
-        for burst in &bursts {
+        let prefixes = (1..=short.len()).map(|n| &short[..n]);
+        for burst in bursts.iter().map(Vec::as_slice).chain(prefixes) {
             let requests: Vec<AdmissionRequest> = burst
                 .iter()
                 .map(|&(kind, pick)| decode_request(&spec, kind, pick))
@@ -136,6 +149,65 @@ proptest! {
             assert_tables_identical(&spec, &alloc_a, &alloc_b);
             prop_assert_eq!(engine_a.stats(), engine_b.stats());
         }
+
+        // Sever the NI that sources the most connections, with `rehome`
+        // of them open: no route avoids an NI's ingress link, so each is
+        // dropped and parked, and the repair re-homes them as one
+        // `submit_batch` burst of opens.
+        let src_ni = |c: &aelite_spec::Connection| spec.ip_ni(c.src);
+        let sourced_at =
+            |ni| spec.connections().iter().filter(move |&c| src_ni(c) == ni).map(|c| c.id);
+        let ni = spec
+            .connections()
+            .iter()
+            .map(src_ni)
+            .max_by_key(|&ni| (sourced_at(ni).count(), core::cmp::Reverse(ni)))
+            .expect("the spec has connections");
+        let link = spec.topology().ni_ingress_link(ni);
+        let mut fault_a = FaultEngine::with_engine(engine_a);
+        for (k, c) in sourced_at(ni).enumerate() {
+            let op = if k < rehome { ChurnOp::Open(c) } else { ChurnOp::Close(c) };
+            fault_a.apply(&spec, &mut alloc_a, &ScenarioOp::Churn(op.clone()));
+            engine_b.apply(&spec, &mut alloc_b, &op);
+        }
+
+        // A: the fault engine's recovery ladder. B: the same ladder by
+        // hand — mask, affected grants hardest-first, reroute each.
+        let down = fault_a.link_down(&spec, &mut alloc_a, link);
+        let mut mask = FaultMask::new();
+        mask.set_down(link);
+        engine_b.set_faults(&mask);
+        let mut affected: Vec<ConnId> = alloc_b
+            .grants()
+            .filter(|g| g.links.contains(&link))
+            .map(|g| g.conn)
+            .collect();
+        admission_order(&spec, &mut affected);
+        affected.retain(|&c| engine_b.reroute(&spec, &mut alloc_b, c).is_err());
+        let displaced = affected;
+        prop_assert!((1..=rehome).contains(&displaced.len()), "{} displaced", displaced.len());
+        prop_assert_eq!(down.dropped as usize, displaced.len());
+        prop_assert_eq!(fault_a.displaced(), &displaced[..]);
+        assert_tables_identical(&spec, &alloc_a, &alloc_b);
+
+        // A: the repair's batched re-home. B: the displaced opens
+        // submitted serially in canonical order.
+        let up = fault_a.link_up(&spec, &mut alloc_a, link);
+        mask.set_up(link);
+        engine_b.set_faults(&mask);
+        let requests: Vec<AdmissionRequest> =
+            displaced.iter().map(|&c| AdmissionRequest::Open(c)).collect();
+        canonical_order(&spec, &requests, &mut order);
+        let mut restored = 0u32;
+        for &i in &order {
+            if engine_b.submit(&spec, &mut alloc_b, requests[i].clone()).is_ok() {
+                restored += 1;
+            }
+        }
+        prop_assert_eq!(up.restored, restored);
+        prop_assert!(restored > 0, "a repaired empty link re-admits");
+        assert_tables_identical(&spec, &alloc_a, &alloc_b);
+        prop_assert_eq!(fault_a.engine().stats(), engine_b.stats());
     }
 
     /// The deterministic batched replay of a client-population stream
