@@ -208,9 +208,12 @@ pub struct PipelineConfig {
     pub producers: usize,
     /// Maximum requests per batched admission round.
     pub burst_cap: usize,
-    /// Bounded queue depth between producers and the admission loop —
-    /// the backpressure window; enqueue blocks when it is full, and that
-    /// wait is part of the measured request latency.
+    /// Requests queued between producers and the admission loop — the
+    /// backpressure window. The queue holds chunks of
+    /// `min(burst_cap, queue_depth)` requests (1 when `queue_depth` is 0:
+    /// a rendezvous hand-off); a producer blocks, holding the chunk it
+    /// staged, while the queue is full, and that wait is part of the
+    /// measured request latency.
     pub queue_depth: usize,
 }
 
@@ -230,8 +233,8 @@ impl Default for PipelineConfig {
 pub struct PipelineReport {
     /// Throughput and admission accounting of the run.
     pub replay: ReplayReport,
-    /// End-to-end latency (enqueue → burst completion) of every request,
-    /// in nanoseconds.
+    /// End-to-end latency (staged for enqueue → burst completion) of every
+    /// request, in nanoseconds.
     pub latency: LatencyHistogram,
 }
 
@@ -242,11 +245,20 @@ pub struct PipelineReport {
 /// on client repeat or at `cfg.burst_cap` — applying each as one batched
 /// admission round.
 ///
-/// Per-request latency is measured from enqueue (after any backpressure
-/// wait) to completion of the request's burst, and recorded in the
-/// returned histogram. Burst composition depends on thread interleaving,
+/// The hand-off is chunk-granular, as aelite's clock-domain crossings
+/// are flit-granular: a producer stages up to
+/// `min(cfg.burst_cap, cfg.queue_depth)` consecutive requests of its
+/// client into one message, so the threads synchronise once per chunk,
+/// not once per request. The admission loop reads the chunks request by
+/// request, so chunking changes no burst.
+///
+/// Per-request latency is measured from the moment the request is staged
+/// into its chunk — the rest of the chunk's fill and any backpressure
+/// wait are inside it — to completion of the request's burst. With
+/// several producers burst composition depends on thread interleaving,
 /// so throughput and latency are measurements, not reproducible
-/// artifacts — use [`replay_batched`] for the deterministic mode.
+/// artifacts — use [`replay_batched`] for the deterministic mode (which
+/// one producer reproduces exactly: `tests/serve_pipeline.rs`).
 ///
 /// # Panics
 ///
@@ -270,7 +282,10 @@ pub fn serve_pipeline(
 
     let before = *engine.stats();
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = sync_channel::<(Instant, u32, AdmissionRequest)>(cfg.queue_depth);
+    // Whole chunks cross the channel; `queue_depth / chunk` of them keep
+    // at most `queue_depth` requests queued.
+    let chunk = cfg.burst_cap.min(cfg.queue_depth).max(1);
+    let (tx, rx) = sync_channel::<Vec<(Instant, u32, AdmissionRequest)>>(cfg.queue_depth / chunk);
 
     let mut latency = LatencyHistogram::new();
     let mut admitted = 0u64;
@@ -285,9 +300,12 @@ pub fn serve_pipeline(
             s.spawn(move || loop {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(stream) = streams.get(k) else { break };
-                for r in stream {
-                    tx.send((Instant::now(), r.client, r.request.clone()))
-                        .expect("admission loop outlives producers");
+                for part in stream.chunks(chunk) {
+                    let staged = part
+                        .iter()
+                        .map(|r| (Instant::now(), r.client, r.request.clone()))
+                        .collect();
+                    tx.send(staged).expect("admission loop outlives producers");
                 }
             });
         }
@@ -317,15 +335,17 @@ pub fn serve_pipeline(
             reqs.clear();
             enq.clear();
         };
-        while let Ok((t, client, request)) = rx.recv() {
-            if reqs.len() >= cfg.burst_cap || stamp[client as usize] == burst_id {
-                flush(engine, alloc, &mut reqs, &mut enq);
-                burst_id += 1;
+        while let Ok(staged) = rx.recv() {
+            for (t, client, request) in staged {
+                if reqs.len() >= cfg.burst_cap || stamp[client as usize] == burst_id {
+                    flush(engine, alloc, &mut reqs, &mut enq);
+                    burst_id += 1;
+                }
+                stamp[client as usize] = burst_id;
+                enq.push(t);
+                reqs.push(request);
+                requests += 1;
             }
-            stamp[client as usize] = burst_id;
-            enq.push(t);
-            reqs.push(request);
-            requests += 1;
         }
         flush(engine, alloc, &mut reqs, &mut enq);
     });

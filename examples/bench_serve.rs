@@ -4,9 +4,9 @@
 //! perf record future PRs track.
 //!
 //! Per workload the harness measures, over the same merged request
-//! stream after the same untimed warm-up quarter (serial and batched as
-//! the best of five interleaved repetitions each, so scheduler noise
-//! cannot fake or mask a speedup):
+//! stream after the same untimed warm-up quarter (each leg as the best
+//! of five interleaved repetitions, so scheduler noise cannot fake or
+//! mask a speedup):
 //!
 //! * **serial** — the per-op baseline: every request through
 //!   `ChurnEngine::submit`, one admission round each;
@@ -14,14 +14,17 @@
 //!   `plan_bursts` + `ChurnEngine::submit_batch`, one admission round
 //!   per independent burst, applied in canonical hardest-first order;
 //! * **pipeline** — the threaded executor (`serve_pipeline`): producer
-//!   threads enqueue per-client streams into a bounded queue, the
-//!   admission loop drains bursts and records end-to-end latency in an
-//!   HDR-style histogram (p50/p99/p999).
+//!   threads hand per-client streams to the admission loop a chunk of
+//!   requests at a time through a bounded queue, the admission loop
+//!   drains bursts and records end-to-end latency in an HDR-style
+//!   histogram (p50/p99/p999).
 //!
 //! The committed gate (asserted here, smoke-run in CI) is on the
 //! 8×8-mesh/1000-connection platform: **batched throughput ≥0.5× the
 //! serial per-op baseline**, with sane latency percentiles
-//! (p50 ≤ p99 ≤ p999).
+//! (p50 ≤ p99 ≤ p999), and — only where `available_parallelism` is at
+//! least 2, since the executor needs a core for its producers —
+//! **pipeline throughput ≥0.5× the serial baseline**.
 //!
 //! The gate was re-baselined when round setup (`begin_round`) became
 //! O(1): the serial path no longer pays per-request platform
@@ -52,6 +55,11 @@ const BURST_CAP: usize = 64;
 /// (noise can only slow a repetition down, never speed it up).
 const REPS: usize = 5;
 
+/// Floor on `pipeline_vs_serial` for `mesh8x8_1000` on a host with at
+/// least two cores. Six runs on the 2-vCPU host gave 0.72–0.85; the
+/// per-request hand-off this harness last measured gave 0.33–0.35.
+const PIPELINE_FLOOR: f64 = 0.5;
+
 struct Row {
     name: &'static str,
     platform: &'static str,
@@ -69,6 +77,7 @@ struct Row {
     refused_switches: u64,
     rolled_back_opens: u64,
     pipeline_ops_per_sec: f64,
+    pipeline_vs_serial: f64,
     p50_ns: u64,
     p99_ns: u64,
     p999_ns: u64,
@@ -99,12 +108,24 @@ fn measure(
     let warmup = stream.len() / 4;
     let timed = &stream[warmup..];
 
+    // The threaded executor's input: the same timed window, split back
+    // into per-client streams (order within each client preserved).
+    let mut streams: Vec<Vec<TimedRequest>> = (0..clients).map(|_| Vec::new()).collect();
+    for r in timed {
+        streams[r.client as usize].push(r.clone());
+    }
+    let cfg = PipelineConfig {
+        burst_cap: BURST_CAP,
+        ..PipelineConfig::default()
+    };
+
     // Interleaved best-of-N: scheduler noise only ever *slows* a run
-    // down, so the fastest of several repetitions — serial and batched
-    // alternating, so a quiet window benefits both legs — recovers each
-    // leg's true sustained rate.
+    // down, so the fastest of several repetitions — the three legs
+    // alternating, so a quiet window benefits all of them — recovers
+    // each leg's true sustained rate.
     let mut serial: Option<aelite_serve::ReplayReport> = None;
     let mut batched: Option<aelite_serve::ReplayReport> = None;
+    let mut pipeline: Option<aelite_serve::PipelineReport> = None;
     for _ in 0..REPS {
         let (mut engine, mut alloc) = fresh(spec, &stream, warmup);
         let s = replay_serial(spec, &mut engine, &mut alloc, timed);
@@ -122,26 +143,16 @@ fn measure(
         {
             batched = Some(b);
         }
+        let (mut engine, mut alloc) = fresh(spec, &stream, warmup);
+        let p = serve_pipeline(spec, &mut engine, &mut alloc, &streams, &cfg);
+        if pipeline
+            .as_ref()
+            .is_none_or(|x| p.replay.ops_per_sec > x.replay.ops_per_sec)
+        {
+            pipeline = Some(p);
+        }
     }
-    let (serial, batched) = (serial.unwrap(), batched.unwrap());
-
-    // The threaded executor over the same timed window, split back into
-    // per-client streams (order within each client preserved).
-    let (mut engine, mut alloc) = fresh(spec, &stream, warmup);
-    let mut streams: Vec<Vec<TimedRequest>> = (0..clients).map(|_| Vec::new()).collect();
-    for r in timed {
-        streams[r.client as usize].push(r.clone());
-    }
-    let pipeline = serve_pipeline(
-        spec,
-        &mut engine,
-        &mut alloc,
-        &streams,
-        &PipelineConfig {
-            burst_cap: BURST_CAP,
-            ..PipelineConfig::default()
-        },
-    );
+    let (serial, batched, pipeline) = (serial.unwrap(), batched.unwrap(), pipeline.unwrap());
 
     let row = Row {
         name,
@@ -160,6 +171,7 @@ fn measure(
         refused_switches: batched.stats.refused_switches,
         rolled_back_opens: batched.stats.rolled_back_opens,
         pipeline_ops_per_sec: pipeline.replay.ops_per_sec,
+        pipeline_vs_serial: pipeline.replay.ops_per_sec / serial.ops_per_sec,
         p50_ns: pipeline.latency.percentile(50.0),
         p99_ns: pipeline.latency.percentile(99.0),
         p999_ns: pipeline.latency.percentile(99.9),
@@ -168,12 +180,13 @@ fn measure(
     };
     println!(
         "{name:>13}: serial {:5.2} Mops/s | batched {:5.2} Mops/s ({:4.2}x, {:4.1} req/burst) | \
-         pipeline {:5.2} Mops/s | p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
+         pipeline {:5.2} Mops/s ({:4.2}x) | p50 {:.1} us, p99 {:.1} us, p999 {:.1} us",
         row.serial_ops_per_sec / 1e6,
         row.batched_ops_per_sec / 1e6,
         row.batched_speedup,
         row.mean_burst,
         row.pipeline_ops_per_sec / 1e6,
+        row.pipeline_vs_serial,
         row.p50_ns as f64 / 1e3,
         row.p99_ns as f64 / 1e3,
         row.p999_ns as f64 / 1e3,
@@ -182,9 +195,10 @@ fn measure(
 }
 
 fn main() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "admission-as-a-service (client populations over disjoint pools; burst cap {BURST_CAP}, \
-         first quarter untimed)"
+         first quarter untimed; {cores} core(s))"
     );
     let rows = [
         measure(
@@ -215,19 +229,24 @@ fn main() {
          round per request; batched = one round per independent burst (client-unique, cap 64), \
          applied in canonical hardest-first order over the warm RouteCache and recycled-grant \
          scratch, with per-request rollback; \
-         pipeline = threaded producer/consumer executor, latency measured enqueue-to-burst-\
-         completion on a log-linear HDR histogram (~6% resolution). ops = individual connection \
-         setups+teardowns; first quarter of each stream is an untimed ramp; serial and batched \
-         report the best of 5 interleaved repetitions each. Crossover: since begin_round became \
-         O(1) the serial path pays no per-request platform validation, so single-thread batched \
-         runs at ~0.6-0.7x serial (one slot estimate per open buys canonical hardest-first \
-         ordering). \
-         Batching's payoff is admission ordering under contention and the sharded parallel \
-         fan-out recorded in BENCH_SHARD.json\",\n",
+         pipeline = threaded producer/consumer executor (2 producers + the admission thread) \
+         handing over chunks of up to 64 requests, latency measured from staging into the \
+         chunk (chunk fill and backpressure wait included) to burst completion on a log-linear \
+         HDR histogram (~6% resolution); pipeline_vs_serial = pipeline / serial ops per second. \
+         ops = individual connection setups+teardowns; first quarter of each stream is an \
+         untimed ramp; every leg reports the best of 5 interleaved repetitions. \
+         Crossover: since begin_round became O(1) the serial path pays no per-request platform \
+         validation, so single-thread batched runs at ~0.6-0.7x serial (one slot estimate per \
+         open buys canonical hardest-first ordering). Batching's payoff is admission ordering \
+         under contention and the sharded parallel fan-out recorded in BENCH_SHARD.json\",\n",
     );
-    json.push_str(
-        "  \"gate\": \"mesh8x8_1000: batched_speedup_vs_serial >= 0.5 and p50 <= p99 <= p999\",\n",
-    );
+    writeln!(json, "  \"available_parallelism\": {cores},").unwrap();
+    writeln!(
+        json,
+        "  \"gate\": \"mesh8x8_1000: batched_speedup_vs_serial >= 0.5, pipeline_vs_serial >= \
+         {PIPELINE_FLOOR} where available_parallelism >= 2, and p50 <= p99 <= p999\","
+    )
+    .unwrap();
     json.push_str("  \"workloads\": [\n");
     for (i, r) in rows.iter().enumerate() {
         writeln!(json, "    {{").unwrap();
@@ -272,6 +291,12 @@ fn main() {
             r.pipeline_ops_per_sec
         )
         .unwrap();
+        writeln!(
+            json,
+            "      \"pipeline_vs_serial\": {:.2},",
+            r.pipeline_vs_serial
+        )
+        .unwrap();
         writeln!(json, "      \"latency_p50_ns\": {},", r.p50_ns).unwrap();
         writeln!(json, "      \"latency_p99_ns\": {},", r.p99_ns).unwrap();
         writeln!(json, "      \"latency_p999_ns\": {},", r.p999_ns).unwrap();
@@ -298,6 +323,13 @@ fn main() {
         gate.batched_speedup >= 0.5,
         "mesh8x8_1000 batched admission fell below 0.5x serial: {:.2}x",
         gate.batched_speedup
+    );
+    // The executor needs a core for its producers: on one core the two
+    // sides time-slice and the ratio says nothing about the hand-off.
+    assert!(
+        cores < 2 || gate.pipeline_vs_serial >= PIPELINE_FLOOR,
+        "mesh8x8_1000 pipeline fell below {PIPELINE_FLOOR}x the serial engine: {:.2}x",
+        gate.pipeline_vs_serial
     );
     for r in &rows {
         assert!(
