@@ -8,38 +8,16 @@ use crate::mask::SlotMask;
 use aelite_spec::ids::ConnId;
 use core::fmt;
 
-/// Owner storage of a [`SlotTable`]: who holds each reserved slot.
-///
-/// The allocator's decisions are driven entirely by the free-slot
-/// [`SlotMask`]; the owner side only answers probes (`owner`, `reserve`
-/// conflict reporting, teardown). That makes its representation a pure
-/// memory/probe-cost trade, invisible to allocation results:
-///
-/// * `Dense` — a flat `slot → owner` vector: O(1) probes, `size`
-///   entries resident regardless of occupancy.
-/// * `Sparse` — `(slot, owner)` pairs sorted by slot: O(log reserved)
-///   probes, memory proportional to the reservations actually held.
-///
-/// On mega-mesh platforms most links carry little or no traffic, so
-/// tables start sparse and self-promote to dense once occupancy makes
-/// the flat vector worth its footprint.
-#[derive(Debug, Clone)]
-enum Owners {
-    Dense(Vec<Option<ConnId>>),
-    Sparse(Vec<(u32, ConnId)>),
-}
-
 /// The reservation table of a single link: `size` slots, each free or
 /// owned by one connection.
 ///
-/// Alongside the owner storage, the table maintains a [`SlotMask`] bitset
-/// of its free slots ([`free_mask`](Self::free_mask)), kept in sync by
-/// every mutating operation, so the allocator can intersect the free sets
-/// of a whole path with word-level rotate-and-AND kernels. Owners live in
-/// a dense or sparse representation selected per table behind these
-/// methods (see [`new`](Self::new), [`new_dense`](Self::new_dense) and
-/// [`new_sparse`](Self::new_sparse)); two tables with the same
-/// reservations compare equal regardless of representation.
+/// Alongside the `slot → owner` vector, the table maintains a
+/// [`SlotMask`] bitset of its free slots ([`free_mask`](Self::free_mask)),
+/// kept in sync by every mutating operation, so the allocator can
+/// intersect the free sets of a whole path with word-level rotate-and-AND
+/// kernels. The allocator's decisions are driven entirely by that mask;
+/// the owner side only answers probes (`owner`, `reserve` conflict
+/// reporting, teardown).
 ///
 /// # Examples
 ///
@@ -54,94 +32,31 @@ enum Owners {
 /// assert!(!t.free_mask().get(3));
 /// assert_eq!(t.reserved_count(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTable {
-    size: u32,
-    owners: Owners,
+    owners: Vec<Option<ConnId>>,
     free: SlotMask,
-    /// Sparse entry count at which the table switches to the dense
-    /// representation; `u32::MAX` pins it sparse forever.
-    promote_at: u32,
 }
 
 impl SlotTable {
     /// Creates a table of `size` free slots.
-    ///
-    /// Owner storage starts in the sparse representation (a low-occupancy
-    /// table holds no owner memory at all) and promotes itself to the
-    /// dense one when a quarter of the slots are reserved. Use
-    /// [`new_dense`](Self::new_dense) / [`new_sparse`](Self::new_sparse)
-    /// to pin a representation.
     ///
     /// # Panics
     ///
     /// Panics if `size` is zero.
     #[must_use]
     pub fn new(size: u32) -> Self {
-        Self::with_promotion(size, (size / 4).max(4))
-    }
-
-    /// Creates a table whose owner storage is dense from the start — the
-    /// historical representation: O(1) probes, `size` entries resident.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    #[must_use]
-    pub fn new_dense(size: u32) -> Self {
         assert!(size > 0, "slot table must have at least one slot");
         SlotTable {
-            size,
-            owners: Owners::Dense(vec![None; size as usize]),
+            owners: vec![None; size as usize],
             free: SlotMask::new_full(size),
-            promote_at: 0,
-        }
-    }
-
-    /// Creates a table whose owner storage stays sparse at every
-    /// occupancy (it never self-promotes) — memory stays proportional to
-    /// the reservations held, probes cost O(log reserved).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    #[must_use]
-    pub fn new_sparse(size: u32) -> Self {
-        Self::with_promotion(size, u32::MAX)
-    }
-
-    fn with_promotion(size: u32, promote_at: u32) -> Self {
-        assert!(size > 0, "slot table must have at least one slot");
-        SlotTable {
-            size,
-            owners: Owners::Sparse(Vec::new()),
-            free: SlotMask::new_full(size),
-            promote_at,
-        }
-    }
-
-    /// Whether the owner storage is currently in the sparse
-    /// representation (diagnostics and memory accounting).
-    #[must_use]
-    pub fn is_sparse(&self) -> bool {
-        matches!(self.owners, Owners::Sparse(_))
-    }
-
-    /// Resident owner entries: `size` for a dense table, the reserved
-    /// count for a sparse one — the quantity the sparse representation
-    /// exists to shrink.
-    #[must_use]
-    pub fn owner_entries_resident(&self) -> usize {
-        match &self.owners {
-            Owners::Dense(v) => v.len(),
-            Owners::Sparse(v) => v.len(),
         }
     }
 
     /// The table period in slots.
     #[must_use]
     pub fn size(&self) -> u32 {
-        self.size
+        self.owners.len() as u32
     }
 
     /// Whether `slot` (taken modulo the table size) is unreserved.
@@ -151,7 +66,7 @@ impl SlotTable {
     }
 
     /// The bitset of free slots (bit set ⇔ slot unreserved), maintained in
-    /// lock-step with the owner storage.
+    /// lock-step with the owner vector.
     #[must_use]
     pub fn free_mask(&self) -> &SlotMask {
         &self.free
@@ -160,25 +75,7 @@ impl SlotTable {
     /// The connection owning `slot` (modulo table size), if any.
     #[must_use]
     pub fn owner(&self, slot: u32) -> Option<ConnId> {
-        let i = self.wrap(slot);
-        match &self.owners {
-            Owners::Dense(v) => v[i],
-            Owners::Sparse(v) => v
-                .binary_search_by_key(&(i as u32), |&(s, _)| s)
-                .ok()
-                .map(|pos| v[pos].1),
-        }
-    }
-
-    /// Switches sparse owner storage to the dense representation.
-    fn promote(&mut self) {
-        if let Owners::Sparse(list) = &self.owners {
-            let mut dense = vec![None; self.size as usize];
-            for &(s, c) in list {
-                dense[s as usize] = Some(c);
-            }
-            self.owners = Owners::Dense(dense);
-        }
+        self.owners[self.wrap(slot)]
     }
 
     /// Reserves `slot` (modulo table size) for `conn`.
@@ -189,87 +86,53 @@ impl SlotTable {
     /// (allocator) treats this as "try elsewhere", never as a panic,
     /// because contention for slots is the normal case.
     pub fn reserve(&mut self, slot: u32, conn: ConnId) -> Result<(), ConnId> {
-        let i = self.wrap(slot) as u32;
-        match &mut self.owners {
-            Owners::Dense(v) => match v[i as usize] {
-                Some(owner) => return Err(owner),
-                None => v[i as usize] = Some(conn),
-            },
-            Owners::Sparse(v) => match v.binary_search_by_key(&i, |&(s, _)| s) {
-                Ok(pos) => return Err(v[pos].1),
-                Err(pos) => {
-                    v.insert(pos, (i, conn));
-                    if v.len() as u32 >= self.promote_at {
-                        self.promote();
-                    }
-                }
-            },
+        let i = self.wrap(slot);
+        if let Some(owner) = self.owners[i] {
+            return Err(owner);
         }
-        self.free.clear(i);
+        self.owners[i] = Some(conn);
+        self.free.clear(i as u32);
         Ok(())
     }
 
     /// Releases `slot` (modulo table size), returning its previous owner.
     pub fn release(&mut self, slot: u32) -> Option<ConnId> {
-        let i = self.wrap(slot) as u32;
-        let prev = match &mut self.owners {
-            Owners::Dense(v) => v[i as usize].take(),
-            Owners::Sparse(v) => v
-                .binary_search_by_key(&i, |&(s, _)| s)
-                .ok()
-                .map(|pos| v.remove(pos).1),
-        };
+        let i = self.wrap(slot);
+        let prev = self.owners[i].take();
         if prev.is_some() {
-            self.free.set(i);
+            self.free.set(i as u32);
         }
         prev
     }
 
     /// Releases every slot owned by `conn`, returning how many there were.
     ///
-    /// Sub-linear in the table size for either representation: the sparse
-    /// side is a single pass over the reserved entries; the dense side
-    /// walks the *reserved* slots through the free mask's complement one
-    /// word at a time (`trailing_zeros` per reserved slot), so a
-    /// lightly-loaded table costs O(reserved) rather than O(size).
+    /// Sub-linear in the table size: walks the *reserved* slots through
+    /// the free mask's complement one word at a time (`trailing_zeros`
+    /// per reserved slot), so a lightly-loaded table costs O(reserved)
+    /// rather than O(size).
     /// (Grant-based teardown — the online churn hot path — goes further:
     /// [`Allocation::take_grant`](crate::allocate::Allocation::take_grant)
     /// releases exactly the grant's own slots without any scan; this
     /// method serves callers that hold no grant record.)
     pub fn release_all(&mut self, conn: ConnId) -> u32 {
         let mut n = 0;
-        let free = &mut self.free;
-        match &mut self.owners {
-            Owners::Sparse(v) => {
-                v.retain(|&(s, c)| {
-                    if c == conn {
-                        free.set(s);
-                        n += 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
+        let tail = self.free.tail_mask();
+        let last = self.free.word_count() - 1;
+        for wi in 0..=last {
+            // Reserved slots of this word (free-mask complement,
+            // with out-of-range bits masked off in the final word).
+            let mut reserved = !self.free.word(wi);
+            if wi == last {
+                reserved &= tail;
             }
-            Owners::Dense(slots) => {
-                let tail = free.tail_mask();
-                let last = free.word_count() - 1;
-                for wi in 0..=last {
-                    // Reserved slots of this word (free-mask complement,
-                    // with out-of-range bits masked off in the final word).
-                    let mut reserved = !free.word(wi);
-                    if wi == last {
-                        reserved &= tail;
-                    }
-                    while reserved != 0 {
-                        let s = wi as u32 * 64 + reserved.trailing_zeros();
-                        reserved &= reserved - 1;
-                        if slots[s as usize] == Some(conn) {
-                            slots[s as usize] = None;
-                            free.set(s);
-                            n += 1;
-                        }
-                    }
+            while reserved != 0 {
+                let s = wi as u32 * 64 + reserved.trailing_zeros();
+                reserved &= reserved - 1;
+                if self.owners[s as usize] == Some(conn) {
+                    self.owners[s as usize] = None;
+                    self.free.set(s);
+                    n += 1;
                 }
             }
         }
@@ -299,52 +162,23 @@ impl SlotTable {
     /// The slots reserved for `conn`, ascending.
     #[must_use]
     pub fn slots_of(&self, conn: ConnId) -> Vec<u32> {
-        match &self.owners {
-            Owners::Dense(v) => v
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| **s == Some(conn))
-                .map(|(i, _)| i as u32)
-                .collect(),
-            Owners::Sparse(v) => v
-                .iter()
-                .filter(|&&(_, c)| c == conn)
-                .map(|&(s, _)| s)
-                .collect(),
-        }
+        self.owners
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| **s == Some(conn))
+            .map(|(i, _)| i as u32)
+            .collect()
     }
 
     /// Iterates over `(slot, owner)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Option<ConnId>)> + '_ {
-        (0..self.size).map(move |s| (s, self.owner(s)))
+        (0..).zip(self.owners.iter().copied())
     }
 
     fn wrap(&self, slot: u32) -> usize {
-        (slot as usize) % self.size as usize
+        (slot as usize) % self.owners.len()
     }
 }
-
-/// Equality is over the logical reservations — size, free set and owner
-/// of every reserved slot — never over the owner representation, so a
-/// sparse table equals its dense twin.
-impl PartialEq for SlotTable {
-    fn eq(&self, other: &Self) -> bool {
-        if self.size != other.size || self.free != other.free {
-            return false;
-        }
-        // Free masks match, so both sides reserve the same slot set; only
-        // the owners on that set can still differ.
-        match (&self.owners, &other.owners) {
-            (Owners::Dense(a), Owners::Dense(b)) => a == b,
-            (Owners::Sparse(a), Owners::Sparse(b)) => a == b,
-            (Owners::Sparse(s), Owners::Dense(d)) | (Owners::Dense(d), Owners::Sparse(s)) => {
-                s.iter().all(|&(slot, c)| d[slot as usize] == Some(c))
-            }
-        }
-    }
-}
-
-impl Eq for SlotTable {}
 
 impl fmt::Display for SlotTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -547,88 +381,85 @@ mod tests {
     }
 
     #[test]
-    fn new_table_starts_sparse_and_promotes_at_quarter_occupancy() {
+    fn full_table_keeps_every_owner_and_refuses_more() {
         let mut t = SlotTable::new(32);
-        assert!(t.is_sparse());
-        assert_eq!(t.owner_entries_resident(), 0);
-        for s in 0..7 {
+        for s in 0..32 {
             t.reserve(s, c(s)).unwrap();
-            assert!(t.is_sparse(), "below threshold after {} slots", s + 1);
+            assert_eq!(t.reserved_count(), s + 1);
         }
-        t.reserve(7, c(7)).unwrap(); // 8 = 32/4 reserved: promote
-        assert!(!t.is_sparse());
-        assert_eq!(t.owner_entries_resident(), 32);
-        for s in 0..8 {
-            assert_eq!(t.owner(s), Some(c(s)), "promotion preserved owners");
+        assert_eq!(t.free_count(), 0);
+        assert!(t.free_mask().is_empty());
+        for s in 0..32 {
+            assert_eq!(t.owner(s), Some(c(s)), "filling preserved owners");
+            assert_eq!(t.reserve(s, c(99)), Err(c(s)));
         }
     }
 
     #[test]
-    fn pinned_sparse_never_promotes() {
-        let mut t = SlotTable::new_sparse(8);
+    fn release_all_on_a_full_table_frees_only_the_named_owner() {
+        let mut t = SlotTable::new(8);
         for s in 0..8 {
             t.reserve(s, c(s)).unwrap();
         }
-        assert!(t.is_sparse(), "full table still sparse when pinned");
-        assert_eq!(t.owner_entries_resident(), 8);
         assert_eq!(t.release_all(c(3)), 1);
-        assert_eq!(t.owner_entries_resident(), 7);
+        assert_eq!(t.reserved_count(), 7);
+        assert!(t.is_free(3));
+        assert_eq!(t.release_all(c(3)), 0, "nothing left to release");
+        assert_eq!(t.reserved_count(), 7);
     }
 
     #[test]
-    fn sparse_and_dense_tables_compare_equal() {
-        let mut sparse = SlotTable::new_sparse(16);
-        let mut dense = SlotTable::new_dense(16);
-        assert!(!dense.is_sparse());
-        assert_eq!(sparse, dense, "both empty");
+    fn tables_compare_by_reservations_not_by_history() {
+        let mut a = SlotTable::new(16);
+        let mut b = SlotTable::new(16);
+        assert_eq!(a, b, "both empty");
         for (s, owner) in [(1, 5), (9, 5), (14, 2)] {
-            sparse.reserve(s, c(owner)).unwrap();
-            dense.reserve(s, c(owner)).unwrap();
+            a.reserve(s, c(owner)).unwrap();
         }
-        assert_eq!(sparse, dense);
-        assert_eq!(dense, sparse, "symmetric");
-        assert_eq!(sparse.to_string(), dense.to_string());
-        // Same slot set, different owner: unequal in any representation.
-        let mut other = SlotTable::new_dense(16);
+        // Same reservations reached in another order, through a detour.
+        b.reserve(3, c(7)).unwrap();
+        for (s, owner) in [(14, 2), (9, 5), (1, 5)] {
+            b.reserve(s, c(owner)).unwrap();
+        }
+        assert_ne!(a, b);
+        b.release(3);
+        assert_eq!(a, b);
+        assert_eq!(a.to_string(), b.to_string());
+        // Same slot set, different owner: unequal.
+        let mut other = SlotTable::new(16);
         for (s, owner) in [(1, 5), (9, 4), (14, 2)] {
             other.reserve(s, c(owner)).unwrap();
         }
-        assert_ne!(sparse, other);
-        assert_ne!(other, sparse);
+        assert_ne!(a, other);
+        // Same (empty) reservations, different period: unequal.
+        assert_ne!(SlotTable::new(16), SlotTable::new(17));
     }
 
     #[test]
-    fn sparse_release_all_and_probes_match_dense() {
+    fn probes_match_the_reservation_pattern_across_word_boundaries() {
         // Mirror of release_all_word_scan_matches_owner_scan for the
-        // pinned-sparse representation, cross-checked against a dense
-        // twin mutated identically.
+        // read side: slots_of, iter and the free mask against the
+        // pattern that filled the table.
         for size in [1u32, 7, 63, 64, 65, 100, 128, 130] {
-            let mut sparse = SlotTable::new_sparse(size);
-            let mut dense = SlotTable::new_dense(size);
+            let owner_of = |s: u32| match (s * 7 + 3) % 5 {
+                0 => Some(c(0)),
+                1 => Some(c(1)),
+                _ => None,
+            };
+            let mut t = SlotTable::new(size);
             for s in 0..size {
-                match (s * 7 + 3) % 5 {
-                    0 => {
-                        sparse.reserve(s, c(0)).unwrap();
-                        dense.reserve(s, c(0)).unwrap();
-                    }
-                    1 => {
-                        sparse.reserve(s, c(1)).unwrap();
-                        dense.reserve(s, c(1)).unwrap();
-                    }
-                    _ => {}
+                if let Some(conn) = owner_of(s) {
+                    t.reserve(s, conn).unwrap();
                 }
             }
-            assert_eq!(sparse, dense, "size {size}");
-            assert_eq!(sparse.slots_of(c(0)), dense.slots_of(c(0)), "size {size}");
-            assert_eq!(
-                sparse.release_all(c(0)),
-                dense.release_all(c(0)),
-                "size {size}"
-            );
-            assert_eq!(sparse, dense, "size {size} after release_all");
-            assert_eq!(sparse.free_mask(), dense.free_mask(), "size {size}");
+            for conn in [c(0), c(1)] {
+                let expect: Vec<u32> = (0..size).filter(|&s| owner_of(s) == Some(conn)).collect();
+                assert_eq!(t.slots_of(conn), expect, "size {size}");
+            }
+            assert!(t.iter().all(|(s, o)| o == owner_of(s)), "size {size}");
+            assert_eq!(t.iter().count() as u32, size);
             for s in 0..size {
-                assert_eq!(sparse.owner(s), dense.owner(s), "size {size} slot {s}");
+                assert_eq!(t.free_mask().get(s), owner_of(s).is_none(), "size {size}");
             }
         }
     }

@@ -14,8 +14,11 @@
 //! * `full_realloc_*` — batch re-allocation of the same workload, the
 //!   cost the O(Δ) kernels replace per event.
 //!
-//! `examples/bench_churn.rs` runs the trace-driven version of this
-//! matrix and records the numbers in `BENCH_CHURN.json`.
+//! The trace-driven per-request costs are the
+//! `online.engine.{serial_ns_per_req,open_ns,close_ns,switch_ns}` and
+//! `alloc.allocate.batch_warm_conns_per_s` rows of `benchmark/`; this
+//! matrix is the only place the full-re-allocation counterfactual is
+//! still timed.
 
 use aelite_alloc::{allocate, Allocator, RouteCache};
 use aelite_online::ChurnEngine;
@@ -33,7 +36,7 @@ fn workloads() -> Vec<(&'static str, SystemSpec)> {
     ]
 }
 
-fn bench_churn_pair(c: &mut Criterion) {
+fn bench_pair(c: &mut Criterion) {
     for (name, spec) in workloads() {
         let mut alloc = allocate(&spec).expect("allocates");
         let mut engine = ChurnEngine::new(&spec);
@@ -52,7 +55,7 @@ fn bench_churn_pair(c: &mut Criterion) {
     }
 }
 
-fn bench_churn_switch(c: &mut Criterion) {
+fn bench_switch(c: &mut Criterion) {
     for (name, spec) in workloads() {
         // Start inside use case {0, 1, 2}; flip apps 2 and 3 per iter.
         let uc1 = spec.restricted_to(&[AppId::new(0), AppId::new(1), AppId::new(2)]);
@@ -97,6 +100,6 @@ fn bench_full_realloc(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_churn_pair, bench_churn_switch, bench_full_realloc
+    targets = bench_pair, bench_switch, bench_full_realloc
 }
 criterion_main!(benches);

@@ -11,8 +11,9 @@
 
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
-use aelite_alloc::Allocation;
-use aelite_online::FaultEngine;
+use aelite_alloc::{Allocation, Allocator, Steering};
+use aelite_online::{ChurnEngine, FaultEngine};
+use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{churn_trace, ChurnOp, ChurnParams};
 use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario, ScenarioOp};
 use aelite_spec::generate::try_random_workload;
@@ -93,14 +94,66 @@ pub fn fault_table_header() -> String {
     )
 }
 
-/// Replays one design point through a seeded merged churn + fault
-/// scenario and returns its deterministic robustness counts.
+/// Replays a seeded merged churn + fault scenario over `spec`: the one
+/// populate → merge → replay → settle sequence behind [`fault_point`]
+/// and the steering pin of `tests/fault_recovery_golden.rs`.
 ///
 /// The platform is populated from empty through the engine itself
 /// (refusals are fine — the admitted set is what the scenario then
-/// stresses), the merged trace replayed with the scenario clock (so
-/// transient glitches self-expire), and the clock finally run past the
-/// last pending glitch so the end state is glitch-free.
+/// stresses), a steady churn trace of `churn_events` and a sparse fault
+/// trace of `fault_events` at 1e5 faults/s are drawn from `seed`, merged
+/// ([`FaultScenario::merge`]) and replayed with the scenario clock (so
+/// transient glitches self-expire), and the clock is finally run past
+/// the last pending glitch so the end state is glitch-free: only
+/// enforced faults remain masked.
+///
+/// Returns the engine and allocation in their end state, the number of
+/// connections admitted while populating, and the number of scenario
+/// events replayed — in that order.
+#[must_use]
+pub fn replay_fault_scenario(
+    spec: &SystemSpec,
+    steering: Steering,
+    churn_events: u32,
+    fault_events: u32,
+    seed: u64,
+) -> (FaultEngine, Allocation, u32, u32) {
+    let mut alloc = Allocation::empty_for(spec);
+    let mut engine = FaultEngine::with_engine(ChurnEngine::with_allocator(
+        spec,
+        Allocator {
+            steering,
+            ..Allocator::new()
+        },
+    ));
+    let mut admitted = 0u32;
+    for c in spec.connections() {
+        if engine.apply(spec, &mut alloc, &ScenarioOp::Churn(ChurnOp::Open(c.id))) {
+            admitted += 1;
+        }
+    }
+
+    let churn = churn_trace(spec, &ChurnParams::steady(churn_events), seed);
+    let faults = fault_trace(
+        spec.topology(),
+        &FaultParams {
+            rate_per_sec: 1.0e5,
+            ..FaultParams::sparse(fault_events)
+        },
+        seed,
+    );
+    let scenario = FaultScenario::merge(&churn, &faults);
+    for e in &scenario.events {
+        engine.apply_event(spec, &mut alloc, e);
+    }
+    let end_ns = scenario.events.last().map_or(0, |e| e.at_ns);
+    engine.advance_to(spec, &mut alloc, end_ns.saturating_add(1_000_000));
+    (engine, alloc, admitted, scenario.len() as u32)
+}
+
+/// Replays one design point through its seeded merged churn + fault
+/// scenario ([`replay_fault_scenario`], shortest-first candidate order)
+/// and returns its deterministic robustness counts.
 ///
 /// # Panics
 ///
@@ -116,41 +169,19 @@ pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
     )
     .unwrap_or_else(|e| panic!("{}: workload no longer draws: {e}", point.id()));
 
-    let mut alloc = Allocation::empty_for(&spec);
-    let mut engine = FaultEngine::new(&spec);
-    let mut admitted = 0u32;
-    for c in spec.connections() {
-        if engine.apply(&spec, &mut alloc, &ScenarioOp::Churn(ChurnOp::Open(c.id))) {
-            admitted += 1;
-        }
-    }
-
-    let churn = churn_trace(
+    let (engine, _alloc, admitted, events) = replay_fault_scenario(
         &spec,
-        &ChurnParams::steady(FAULT_CHURN_EVENTS),
+        Steering::ShortestFirst,
+        FAULT_CHURN_EVENTS,
+        FAULT_EVENTS,
         point.seed(),
     );
-    let faults = fault_trace(
-        spec.topology(),
-        &FaultParams {
-            rate_per_sec: 1.0e5,
-            ..FaultParams::sparse(FAULT_EVENTS)
-        },
-        point.seed(),
-    );
-    let scenario = FaultScenario::merge(&churn, &faults);
-    for e in &scenario.events {
-        engine.apply_event(&spec, &mut alloc, e);
-    }
-    let end_ns = scenario.events.last().map_or(0, |e| e.at_ns);
-    engine.advance_to(&spec, &mut alloc, end_ns.saturating_add(1_000_000));
-
     let s = *engine.stats();
     FaultScenarioPoint {
         id: point.id(),
         connections: spec.connections().len() as u32,
         admitted,
-        events: scenario.len() as u32,
+        events,
         link_downs: s.link_downs,
         router_downs: s.router_downs,
         glitches: s.glitches,

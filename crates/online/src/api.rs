@@ -13,68 +13,20 @@
 //! panic or an opaque boolean.
 
 use aelite_alloc::AllocError;
-use aelite_spec::churn::ChurnOp;
 use aelite_spec::ids::{ConnId, LinkId};
 use core::fmt;
 
-/// One admission request against a live allocation.
+/// One admission request against a live allocation: a churn-trace
+/// operation ([`aelite_spec::churn::ChurnOp`]) under the name the
+/// serving side knows it by.
 ///
 /// Requests are *total*: submitting one that does not match the current
 /// state (opening an open connection, closing a closed one) or names a
 /// connection the spec does not contain is answered with a structured
 /// refusal, never a panic — a serving layer cannot vet every client's
-/// view of the world before forwarding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AdmissionRequest {
-    /// Set up one connection (expected to hold no grant).
-    Open(ConnId),
-    /// Tear down one connection (expected to hold a grant).
-    Close(ConnId),
-    /// A use-case switch: tear down `close` and set up `open` as one
-    /// delta. Connections in neither set are untouched — the paper's
-    /// undisturbed-service model — and a refused switch rolls its own
-    /// admissions back.
-    Switch {
-        /// Connections leaving the use case.
-        close: Vec<ConnId>,
-        /// Connections entering the use case.
-        open: Vec<ConnId>,
-    },
-}
-
-impl AdmissionRequest {
-    /// Individual connection setups this request asks for.
-    #[must_use]
-    pub fn setups(&self) -> u64 {
-        match self {
-            AdmissionRequest::Open(_) => 1,
-            AdmissionRequest::Close(_) => 0,
-            AdmissionRequest::Switch { open, .. } => open.len() as u64,
-        }
-    }
-
-    /// Individual connection teardowns this request asks for.
-    #[must_use]
-    pub fn teardowns(&self) -> u64 {
-        match self {
-            AdmissionRequest::Open(_) => 0,
-            AdmissionRequest::Close(_) => 1,
-            AdmissionRequest::Switch { close, .. } => close.len() as u64,
-        }
-    }
-}
-
-/// Churn-trace operations are admission requests with a different name;
-/// the conversion moves the switch sets without copying.
-impl From<ChurnOp> for AdmissionRequest {
-    fn from(op: ChurnOp) -> Self {
-        match op {
-            ChurnOp::Open(c) => AdmissionRequest::Open(c),
-            ChurnOp::Close(c) => AdmissionRequest::Close(c),
-            ChurnOp::Switch { close, open } => AdmissionRequest::Switch { close, open },
-        }
-    }
-}
+/// view of the world before forwarding. A refused
+/// [`Switch`](AdmissionRequest::Switch) rolls its own admissions back.
+pub use aelite_spec::churn::ChurnOp as AdmissionRequest;
 
 /// The successful outcome of one [`AdmissionRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,10 +40,9 @@
 //! Real interconnects mostly see *glitches*: a link misbehaves for
 //! microseconds and recovers on its own. Displacing traffic for those
 //! would be pure churn, so the engine holds a **persistence threshold**
-//! ([`set_persistence_threshold_ns`](FaultEngine::set_persistence_threshold_ns)):
-//! a [`FaultOp::LinkGlitch`] shorter than the threshold only *masks*
-//! admission — new opens over the link refuse with
-//! [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown), but every
+//! ([`DEFAULT_PERSISTENCE_NS`]): a [`FaultOp::LinkGlitch`] shorter than
+//! the threshold only *masks* admission — new opens over the link refuse
+//! with [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown), but every
 //! standing grant keeps its slots, so a sub-threshold glitch displaces
 //! **zero** connections and leaves every slot table bit-for-bit
 //! unchanged. A glitch at or past the threshold (or a permanent
@@ -196,8 +195,8 @@ pub enum RepairPolicy {
     Deferred,
 }
 
-/// Default persistence threshold: glitches shorter than 10 µs are
-/// masked without displacing any grant.
+/// The persistence threshold: glitches shorter than 10 µs are masked
+/// without displacing any grant.
 pub const DEFAULT_PERSISTENCE_NS: u64 = 10_000;
 
 /// One active transient glitch.
@@ -239,7 +238,6 @@ pub struct FaultEngine {
     /// a subset of `mask`.
     enforced: FaultMask,
     policy: RepairPolicy,
-    threshold_ns: u64,
     now_ns: u64,
     /// Active transient glitches, unordered; expiry processing sorts by
     /// `(expires_ns, link)` so clearance is deterministic.
@@ -279,7 +277,6 @@ impl FaultEngine {
             mask,
             enforced,
             policy: RepairPolicy::Immediate,
-            threshold_ns: DEFAULT_PERSISTENCE_NS,
             now_ns: 0,
             glitches: Vec::new(),
             expired: Vec::new(),
@@ -305,19 +302,6 @@ impl FaultEngine {
     /// [`drain_repairs`](Self::drain_repairs) first if that matters.
     pub fn set_repair_policy(&mut self, policy: RepairPolicy) {
         self.policy = policy;
-    }
-
-    /// The persistence threshold in nanoseconds: glitches shorter than
-    /// this only mask admission and displace nothing.
-    #[must_use]
-    pub fn persistence_threshold_ns(&self) -> u64 {
-        self.threshold_ns
-    }
-
-    /// Sets the persistence threshold (applies to glitches serviced
-    /// from now on).
-    pub fn set_persistence_threshold_ns(&mut self, threshold_ns: u64) {
-        self.threshold_ns = threshold_ns;
     }
 
     /// The engine's clock: the timestamp of the latest
@@ -472,7 +456,7 @@ impl FaultEngine {
         duration_ns: u64,
     ) -> RecoveryReport {
         let expires_ns = self.now_ns.saturating_add(duration_ns);
-        let escalates = duration_ns >= self.threshold_ns;
+        let escalates = duration_ns >= DEFAULT_PERSISTENCE_NS;
         if let Some(g) = self.glitches.iter_mut().find(|g| g.link == link) {
             // Repeat glitch on an active one: extend, maybe escalate.
             g.expires_ns = g.expires_ns.max(expires_ns);
@@ -945,7 +929,7 @@ mod tests {
         }
         let victim = load.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0;
         let victim = aelite_spec::ids::LinkId::new(victim as u32);
-        let short = engine.persistence_threshold_ns() - 1;
+        let short = DEFAULT_PERSISTENCE_NS - 1;
         let report = engine.link_glitch(&spec, &mut alloc, victim, short);
 
         // Zero displacement, zero recovery activity, everything still
@@ -996,7 +980,7 @@ mod tests {
         let (spec, ingress, conn) = severed_spec();
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = FaultEngine::new(&spec);
-        let long = engine.persistence_threshold_ns() * 3;
+        let long = DEFAULT_PERSISTENCE_NS * 3;
 
         let report = engine.link_glitch(&spec, &mut alloc, ingress, long);
         // Exactly the permanent-fault ladder: affected, dropped, parked.
@@ -1021,7 +1005,7 @@ mod tests {
         let (spec, ingress, conn) = severed_spec();
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = FaultEngine::new(&spec);
-        let short = engine.persistence_threshold_ns() / 2;
+        let short = DEFAULT_PERSISTENCE_NS / 2;
 
         // Sub-threshold glitch first: nothing displaced.
         engine.link_glitch(&spec, &mut alloc, ingress, short);

@@ -41,11 +41,13 @@
 //!   (`tests/fault_undisturbed.rs`).
 //!
 //! Churn workloads (Poisson arrivals, occupancy steering, use-case
-//! switches) are drawn by [`aelite_spec::churn`]; the engine's
-//! throughput trajectory lives in `BENCH_CHURN.json` (regenerated by
-//! `examples/bench_churn.rs`, gated at ≥1M setup+teardown ops/sec and
-//! ≥10× over per-event full re-allocation on the 8×8/64-slot platform)
-//! and the serving layer's in `BENCH_SERVE.json`.
+//! switches) are drawn by [`aelite_spec::churn`]; what a request costs
+//! is measured by the repository's `benchmark/` package, per layer:
+//! `online.engine.{serial_ns_per_req,open_ns,close_ns,switch_ns}` (335,
+//! 533, 232 and 1210 ns on the 8×8/64-slot/1000-connection
+//! `serve_uniform` stream — seed-1 medians, 2-vCPU Xeon @ 2.10 GHz),
+//! `online.shard.*` and `online.fault.*` for the two wrappers, and the
+//! serving layer's `serve.*` rows.
 //!
 //! # Examples
 //!

@@ -34,7 +34,7 @@ pub fn merge_population(population: Vec<ClientTrace>) -> Vec<TimedRequest> {
             ct.trace.events.into_iter().map(move |e| TimedRequest {
                 at_ns: e.at_ns,
                 client,
-                request: e.op.into(),
+                request: e.op,
             })
         })
         .collect();

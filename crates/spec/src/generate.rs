@@ -471,7 +471,8 @@ pub fn scaled_workload(
 /// endpoints' bounding box — and a tile is a contiguous grid rectangle —
 /// a matching shard tiling with the route bound capped at the XY/YX pair
 /// classifies every such connection intra-shard: this is the workload
-/// shape the sharded admission engine scales on (`BENCH_SHARD.json`).
+/// shape sharded admission is measured on (`shard_regional` in
+/// `benchmark/`).
 ///
 /// Deterministic for a given `seed`.
 ///

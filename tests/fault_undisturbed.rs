@@ -25,7 +25,7 @@ use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
 use aelite_online::{
     sharded_canonical_order, AdmissionRequest, ChurnEngine, FaultEngine, ShardConfig,
-    ShardedAllocation, ShardedEngine,
+    ShardedAllocation, ShardedEngine, DEFAULT_PERSISTENCE_NS,
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, scaled_workload};
@@ -156,7 +156,7 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
     let before = delivery_logs(&spec, &alloc, &everyone);
 
     let mut engine = FaultEngine::new(&spec);
-    let duration_ns = engine.persistence_threshold_ns() - 1;
+    let duration_ns = DEFAULT_PERSISTENCE_NS - 1;
     let report = engine.link_glitch(&spec, &mut alloc, victim, duration_ns);
     assert_eq!(report.affected, 0, "a sub-threshold glitch displaced");
     assert_eq!(engine.stats().affected, 0);

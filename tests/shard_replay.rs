@@ -1,8 +1,9 @@
-//! Deterministic sharded replay: the reduced bench-shard scenario —
+//! Deterministic sharded replay: a reduced `shard_regional` scenario —
 //! regional workload, shard-grouped client population, shard-aware
 //! burst planning — must produce bit-identical admission counts, slot
 //! tables and verdict streams at every thread count. This is the
-//! invariance `examples/bench_shard.rs` records into `BENCH_SHARD.json`.
+//! machine-independent half of the sharding record; the wall-clock half
+//! is the `online.shard.*` rows of `benchmark/`.
 //! And on uniform traffic, where most segments end in a cross-shard
 //! tail: `replay_stream` ≡ `submit_batch` per burst ≡ a plain engine in
 //! sharded-canonical order — the equivalence both functions document.
