@@ -1,5 +1,6 @@
-//! Experiment A1 — ablations of the design choices `DESIGN.md` calls out,
-//! plus the paper's sleep-mode future work (Section VI-A).
+//! Experiment A1 — ablations of the allocator's design choices (the
+//! `Allocator` knobs: latency-aware slot addition, candidate-path count,
+//! phase salts), plus the paper's sleep-mode future work (Section VI-A).
 //!
 //! Not a paper artefact: these quantify *why* the allocator and the
 //! configuration look the way they do, over 8 workload seeds.

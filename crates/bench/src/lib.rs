@@ -1,8 +1,9 @@
 //! # aelite-bench — evaluation harness utilities
 //!
 //! Shared helpers for the benchmark binaries that regenerate every figure
-//! and table of the paper (see `DESIGN.md` section 4 for the experiment
-//! index and `EXPERIMENTS.md` for recorded results).
+//! and table of the paper: one binary per experiment under `benches/`,
+//! named after it (`fig5_freq_area`, `table1_router_comparison`, …), each
+//! printing its table with `[PASS]`/`[FAIL]` verdict lines.
 
 #![warn(missing_docs)]
 

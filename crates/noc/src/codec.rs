@@ -23,8 +23,8 @@
 //! * End-to-end flow-control credits are **not** in this header: like
 //!   Æthereal, aelite piggybacks credits on reverse-direction headers; our
 //!   behavioural models account for them out of band with a configurable
-//!   return delay (see `DESIGN.md`), so the wire format reserves no bits
-//!   for them.
+//!   return delay (see the [`ni`](crate::ni) module docs), so the wire
+//!   format reserves no bits for them.
 
 use crate::phit::{Header, RouteBits};
 use aelite_spec::ids::ConnId;

@@ -7,7 +7,7 @@
 //! never overflow. IPs interface through queues and place no timing
 //! assumptions on the network — blocking reads and writes.
 //!
-//! Credits are modelled out of band (see `DESIGN.md`): the real Æthereal
+//! Credits are modelled out of band: the real Æthereal
 //! piggybacks them on reverse headers; here a
 //! [`SharedBisync`] channel with a configurable return delay plays that
 //! role, preserving the property that matters — credits arrive a bounded

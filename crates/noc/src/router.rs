@@ -14,7 +14,7 @@
 //!    under a correct TDM allocation, and this model panics if two words
 //!    ever target the same output in the same cycle — turning any
 //!    allocation bug into an immediate, loud failure (the contention-free
-//!    invariant from `DESIGN.md`).
+//!    invariant `aelite_alloc::validate_allocation` checks statically).
 //!
 //! Three cycles after a flit is presented at an input, its first word
 //! appears on the output — the open-headed arrow of Fig 2.

@@ -22,8 +22,7 @@
 //! model works at whole-flit (token) granularity: one firing moves one
 //! token per port. The word-level data path inside a firing is untimed —
 //! the firing times carry all the semantics the paper argues about (rate,
-//! composability, deadlock freedom), and `DESIGN.md` records this
-//! abstraction.
+//! composability, deadlock freedom).
 //!
 //! A wrapped element attempts to fire once per flit cycle (every
 //! `flit_words` local clock cycles); stalling means skipping the attempt

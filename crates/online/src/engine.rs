@@ -177,12 +177,6 @@ impl ChurnEngine {
         }
     }
 
-    /// The admission heuristic this engine uses.
-    #[must_use]
-    pub fn allocator(&self) -> &Allocator {
-        &self.allocator
-    }
-
     /// Work counters since the engine was created.
     #[must_use]
     pub fn stats(&self) -> &ChurnStats {

@@ -52,18 +52,6 @@
 //! expiry is driven by the engine's clock
 //! ([`advance_to`](FaultEngine::advance_to) /
 //! [`apply_event`](FaultEngine::apply_event)).
-//!
-//! # Deferred batch repair
-//!
-//! Under [`RepairPolicy::Deferred`], repair events shrink the mask
-//! immediately (new admissions may use the capacity at once) but queue
-//! the re-homing of the displaced ledger; the queue is drained as **one**
-//! batched admission round ([`drain_repairs`](FaultEngine::drain_repairs),
-//! built on [`ChurnEngine::submit_batch`] and its hardest-first canonical
-//! order), so a burst of simultaneous repairs re-homes the ledger once
-//! instead of N times. Both policies share the same batched re-home code
-//! path, so deferred and immediate repair produce identical survivor
-//! sets.
 
 use crate::api::{AdmissionError, AdmissionRequest, AdmissionResponse};
 use crate::engine::{ChurnEngine, RerouteOutcome};
@@ -90,11 +78,6 @@ pub struct RecoveryReport {
     pub dropped: u32,
     /// Previously displaced connections re-homed by this repair event.
     pub restored: u32,
-    /// Displaced connections whose re-homing this repair event *queued*
-    /// (under [`RepairPolicy::Deferred`]) instead of performing; the
-    /// next [`drain_repairs`](FaultEngine::drain_repairs) services them
-    /// in one batched round and reports them as `restored`.
-    pub deferred: u32,
 }
 
 impl RecoveryReport {
@@ -112,7 +95,6 @@ impl RecoveryReport {
         self.break_then_make += r.break_then_make;
         self.dropped += r.dropped;
         self.restored += r.restored;
-        self.deferred += r.deferred;
     }
 }
 
@@ -145,12 +127,6 @@ pub struct FaultStats {
     /// Glitches that self-cleared at expiry (no permanent fault landed
     /// on them first).
     pub glitch_expiries: u64,
-    /// Repair events whose re-homing was queued under
-    /// [`RepairPolicy::Deferred`].
-    pub deferred_repairs: u64,
-    /// Deferred drain rounds executed — each one batched admission
-    /// round over the whole displaced ledger.
-    pub repair_drains: u64,
 }
 
 impl FaultStats {
@@ -179,22 +155,6 @@ fn router_links(topo: &Topology, router: RouterId) -> impl Iterator<Item = LinkI
     })
 }
 
-/// When a repair event re-homes the displaced ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RepairPolicy {
-    /// Re-home immediately, on the repair event itself — the historical
-    /// behaviour.
-    #[default]
-    Immediate,
-    /// Shrink the mask immediately but queue the re-homing; the queue is
-    /// drained as **one** batched admission round by
-    /// [`drain_repairs`](FaultEngine::drain_repairs) (or automatically
-    /// when the clock advances past the queued repairs in
-    /// [`apply_event`](FaultEngine::apply_event)), so simultaneous
-    /// repairs re-home the ledger once instead of N times.
-    Deferred,
-}
-
 /// The persistence threshold: glitches shorter than 10 µs are masked
 /// without displacing any grant.
 pub const DEFAULT_PERSISTENCE_NS: u64 = 10_000;
@@ -212,8 +172,8 @@ struct Glitch {
 
 /// A recovery engine: a [`ChurnEngine`] plus the fault mask it admits
 /// under, the displaced-connection ledger, and the event counters. See
-/// the [module docs](self) for the recovery ladder, the transient-fault
-/// model and the repair policies.
+/// the [module docs](self) for the recovery ladder and the
+/// transient-fault model.
 ///
 /// Ordinary churn flows through [`apply`](Self::apply) (or the wrapped
 /// engine's own API between events); fault events flow through
@@ -237,15 +197,12 @@ pub struct FaultEngine {
     /// Links no standing grant may traverse (recovery ran for them);
     /// a subset of `mask`.
     enforced: FaultMask,
-    policy: RepairPolicy,
     now_ns: u64,
     /// Active transient glitches, unordered; expiry processing sorts by
     /// `(expires_ns, link)` so clearance is deterministic.
     glitches: Vec<Glitch>,
     /// Scratch for expiry processing.
     expired: Vec<Glitch>,
-    /// Whether deferred repairs are queued for the next drain.
-    repairs_pending: bool,
     stats: FaultStats,
     /// Connections dropped by failures that the workload still holds
     /// open: candidates for re-homing on the next repair event.
@@ -276,11 +233,9 @@ impl FaultEngine {
             engine,
             mask,
             enforced,
-            policy: RepairPolicy::Immediate,
             now_ns: 0,
             glitches: Vec::new(),
             expired: Vec::new(),
-            repairs_pending: false,
             stats: FaultStats::default(),
             displaced: Vec::new(),
             order: Vec::new(),
@@ -289,34 +244,12 @@ impl FaultEngine {
         }
     }
 
-    /// The repair policy (immediate or deferred re-homing).
-    #[must_use]
-    pub fn policy(&self) -> RepairPolicy {
-        self.policy
-    }
-
-    /// Sets the repair policy. Switching from
-    /// [`Deferred`](RepairPolicy::Deferred) to
-    /// [`Immediate`](RepairPolicy::Immediate) does **not** drain an
-    /// already-queued repair — call
-    /// [`drain_repairs`](Self::drain_repairs) first if that matters.
-    pub fn set_repair_policy(&mut self, policy: RepairPolicy) {
-        self.policy = policy;
-    }
-
     /// The engine's clock: the timestamp of the latest
     /// [`advance_to`](Self::advance_to) (or
     /// [`apply_event`](Self::apply_event)).
     #[must_use]
     pub fn now_ns(&self) -> u64 {
         self.now_ns
-    }
-
-    /// Whether deferred repairs are queued for the next
-    /// [`drain_repairs`](Self::drain_repairs).
-    #[must_use]
-    pub fn repairs_pending(&self) -> bool {
-        self.repairs_pending
     }
 
     /// The wrapped churn engine (e.g. for its [`ChurnStats`] refusal
@@ -379,10 +312,8 @@ impl FaultEngine {
     }
 
     /// Services one link repair: unmasks `link` (clearing any glitch on
-    /// it) and re-homes displaced connections that now fit — on the
-    /// event under [`RepairPolicy::Immediate`], queued for the next
-    /// drain under [`RepairPolicy::Deferred`]. A repair of a link that
-    /// is not down is a no-op.
+    /// it) and re-homes displaced connections that now fit. A repair of
+    /// a link that is not down is a no-op.
     ///
     /// # Panics
     ///
@@ -492,14 +423,11 @@ impl FaultEngine {
         }
     }
 
-    /// Advances the engine's clock to `t_ns`, servicing everything that
-    /// falls due on the way: queued deferred repairs drain first (they
-    /// were queued strictly earlier), then glitches expiring at or
+    /// Advances the engine's clock to `t_ns`: glitches expiring at or
     /// before `t_ns` self-clear in deterministic `(expiry, link)` order
     /// — sub-threshold glitches just leave the mask; escalated ones
-    /// restore capacity like a repair (immediately or queued, per the
-    /// policy). Returns the accumulated report; a clock that does not
-    /// move (`t_ns <= now`) is a no-op.
+    /// restore capacity like a repair. Returns the accumulated report; a
+    /// clock that does not move (`t_ns <= now`) is a no-op.
     ///
     /// # Panics
     ///
@@ -513,11 +441,6 @@ impl FaultEngine {
         let mut total = RecoveryReport::default();
         if t_ns <= self.now_ns {
             return total;
-        }
-        // Time moves past the instant the queued repairs arrived at:
-        // drain them before anything that happens later.
-        if self.repairs_pending {
-            total.add(&self.drain_repairs(spec, alloc));
         }
         let expired = &mut self.expired;
         expired.clear();
@@ -536,7 +459,7 @@ impl FaultEngine {
             self.mask.set_up(g.link);
             if g.escalated {
                 self.enforced.set_up(g.link);
-                total.add(&self.finish_repair(spec, alloc));
+                total.add(&self.rehome(spec, alloc));
             } else {
                 // The sub-threshold lifecycle touches only the mask.
                 self.engine.set_faults(&self.mask);
@@ -546,45 +469,6 @@ impl FaultEngine {
         self.expired = expired;
         self.now_ns = t_ns;
         total
-    }
-
-    /// Drains the deferred-repair queue: re-homes the whole displaced
-    /// ledger as **one** batched admission round (hardest-first
-    /// canonical order, shared with [`ChurnEngine::submit_batch`]).
-    /// A no-op unless repairs are pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
-    pub fn drain_repairs(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
-        if !self.repairs_pending {
-            return RecoveryReport::default();
-        }
-        self.repairs_pending = false;
-        self.stats.repair_drains += 1;
-        self.rehome(spec, alloc)
-    }
-
-    /// The repair tail shared by every capacity-restoring event:
-    /// re-home now (immediate policy) or queue for the next drain
-    /// (deferred policy, mask installed at once so new admissions see
-    /// the repaired link immediately).
-    fn finish_repair(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
-        match self.policy {
-            RepairPolicy::Immediate => self.rehome(spec, alloc),
-            RepairPolicy::Deferred => {
-                self.engine.set_faults(&self.mask);
-                if self.displaced.is_empty() {
-                    return RecoveryReport::default();
-                }
-                self.repairs_pending = true;
-                self.stats.deferred_repairs += 1;
-                RecoveryReport {
-                    deferred: self.displaced.len() as u32,
-                    ..RecoveryReport::default()
-                }
-            }
-        }
     }
 
     /// Applies one scenario operation (see [`aelite_spec::fault`]):
@@ -630,11 +514,11 @@ impl FaultEngine {
     }
 
     /// Applies one *timestamped* scenario event: advances the clock to
-    /// the event's arrival time (clearing expired glitches and draining
-    /// queued repairs on the way — see [`advance_to`](Self::advance_to))
-    /// and then applies the operation as [`apply`](Self::apply). This is
-    /// the replay entry point for merged [`FaultScenario`] streams whose
-    /// glitches should self-clear at their real expiry.
+    /// the event's arrival time (clearing expired glitches on the way —
+    /// see [`advance_to`](Self::advance_to)) and then applies the
+    /// operation as [`apply`](Self::apply). This is the replay entry
+    /// point for merged [`FaultScenario`] streams whose glitches should
+    /// self-clear at their real expiry.
     ///
     /// [`FaultScenario`]: aelite_spec::fault::FaultScenario
     pub fn apply_event(
@@ -684,7 +568,7 @@ impl FaultEngine {
     /// The repair event behind [`link_up`](Self::link_up) and
     /// [`router_up`](Self::router_up): every link leaves both masks
     /// (clearing any glitch on it), then the displaced ledger is
-    /// re-homed per the repair policy.
+    /// re-homed.
     fn links_up(
         &mut self,
         spec: &SystemSpec,
@@ -703,7 +587,7 @@ impl FaultEngine {
             return RecoveryReport::default();
         }
         *events(&mut self.stats) += 1;
-        self.finish_repair(spec, alloc)
+        self.rehome(spec, alloc)
     }
 
     /// The failure-side sweep: installs the grown mask, collects the
@@ -747,10 +631,8 @@ impl FaultEngine {
     /// displaced ledger as **one** batched admission round —
     /// [`ChurnEngine::submit_batch`] over per-connection opens, whose
     /// canonical order is exactly the hardest-first cached-key sort of
-    /// batch admission. Immediate repair and a deferred drain therefore
-    /// run the *same* code path over the same ledger, which is what
-    /// makes their survivor sets identical. Connections that still do
-    /// not fit stay parked for the next repair.
+    /// batch admission. Connections that still do not fit stay parked
+    /// for the next repair.
     fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
         self.engine.set_faults(&self.mask);
         let mut report = RecoveryReport::default();
@@ -1023,78 +905,6 @@ mod tests {
             "permanent fault must not expire with the glitch"
         );
         assert_eq!(engine.stats().glitch_expiries, 0);
-    }
-
-    #[test]
-    fn deferred_repair_queues_and_drains_as_one_round() {
-        let (spec, ingress, conn) = severed_spec();
-        let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
-        engine.set_repair_policy(RepairPolicy::Deferred);
-        assert_eq!(engine.policy(), RepairPolicy::Deferred);
-
-        engine.link_down(&spec, &mut alloc, ingress);
-        assert_eq!(engine.displaced(), &[conn]);
-
-        // The repair shrinks the mask but queues the re-home.
-        let report = engine.link_up(&spec, &mut alloc, ingress);
-        assert_eq!(report.restored, 0);
-        assert_eq!(report.deferred, 1);
-        assert!(engine.repairs_pending());
-        assert!(engine.mask().is_empty(), "mask shrinks immediately");
-        assert!(alloc.grant(conn).is_none(), "re-home deferred");
-
-        // The drain services the whole ledger in one batched round.
-        let report = engine.drain_repairs(&spec, &mut alloc);
-        assert_eq!(report.restored, 1);
-        assert!(!engine.repairs_pending());
-        assert!(alloc.grant(conn).is_some());
-        assert_eq!(engine.stats().deferred_repairs, 1);
-        assert_eq!(engine.stats().repair_drains, 1);
-        // A second drain with nothing pending is a no-op.
-        assert_eq!(
-            engine.drain_repairs(&spec, &mut alloc),
-            RecoveryReport::default()
-        );
-        assert_eq!(engine.stats().repair_drains, 1);
-    }
-
-    #[test]
-    fn deferred_and_immediate_repair_produce_identical_survivor_sets() {
-        // Knock a router out of the paper platform (many links at once),
-        // then repair it. The immediate engine re-homes on the repair
-        // event; the deferred engine queues and drains once. Same
-        // batched code path, same hardest-first order => identical
-        // survivor sets and identical grants.
-        let spec = paper_workload(42);
-        let router = aelite_spec::ids::RouterId::new(5);
-
-        let run = |policy: RepairPolicy| {
-            let mut alloc = allocate(&spec).unwrap();
-            let mut engine = FaultEngine::new(&spec);
-            engine.set_repair_policy(policy);
-            engine.router_down(&spec, &mut alloc, router);
-            engine.router_up(&spec, &mut alloc, router);
-            if policy == RepairPolicy::Deferred {
-                engine.drain_repairs(&spec, &mut alloc);
-            }
-            let mut displaced = engine.displaced().to_vec();
-            displaced.sort_unstable();
-            (alloc, displaced, engine.stats().restored)
-        };
-
-        let (a_imm, d_imm, r_imm) = run(RepairPolicy::Immediate);
-        let (a_def, d_def, r_def) = run(RepairPolicy::Deferred);
-        assert_eq!(d_imm, d_def, "different survivor sets");
-        assert_eq!(r_imm, r_def);
-        for c in spec.connections() {
-            assert_eq!(
-                a_imm.grant(c.id),
-                a_def.grant(c.id),
-                "{} granted differently",
-                c.id
-            );
-        }
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //! * **bursts** of independent requests go through
 //!   [`ChurnEngine::submit_batch`]: one batched admission round per
 //!   burst, per-request rollback, verdicts identical to a serial
-//!   [`canonical_order`] application — the foundation the `aelite-serve`
-//!   request pipeline builds on;
+//!   [`canonical_order`] application — what the fault engine's re-home,
+//!   the shard lanes and `aelite-serve`'s offline batched replay run on
+//!   (the live serving pipeline admits per request, on arrival);
 //! * **faults** — link and router failures are churn deltas too:
 //!   [`FaultEngine`] masks down links out of every admission path
 //!   ([`aelite_alloc::FaultMask`]), re-routes the affected grants down a
@@ -79,7 +80,7 @@ pub mod shard;
 
 pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
 pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
-pub use fault::{FaultEngine, FaultStats, RecoveryReport, RepairPolicy, DEFAULT_PERSISTENCE_NS};
+pub use fault::{FaultEngine, FaultStats, RecoveryReport, DEFAULT_PERSISTENCE_NS};
 pub use shard::{
     sharded_canonical_order, BoundaryPolicy, ShardClass, ShardConfig, ShardMap, ShardedAllocation,
     ShardedEngine,

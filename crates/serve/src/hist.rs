@@ -1,5 +1,5 @@
 //! A hand-rolled HDR-style latency histogram: log-linear buckets with
-//! bounded relative error, O(1) recording, mergeable across threads.
+//! bounded relative error and O(1) recording.
 //!
 //! Values below 16 get one exact bucket each; every power-of-two octave
 //! above that is split into 16 linear sub-buckets, so any recorded value
@@ -19,11 +19,10 @@ const BUCKETS: usize = LINEAR_MAX as usize + OCTAVES * SUBS;
 /// A log-linear latency histogram with ~6% relative bucket resolution.
 ///
 /// Recording is branch-light O(1) (a leading-zeros count and two
-/// shifts); [`merge`](Self::merge) folds per-thread histograms into one;
-/// [`percentile`](Self::percentile) reports the upper bound of the
-/// bucket holding the requested quantile, clamped to the true observed
-/// maximum — so `percentile(100.0)` is exact and every other quantile is
-/// overestimated by at most one bucket width.
+/// shifts); [`percentile`](Self::percentile) reports the upper bound of
+/// the bucket holding the requested quantile, clamped to the true
+/// observed maximum — so `percentile(100.0)` is exact and every other
+/// quantile is overestimated by at most one bucket width.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Box<[u64; BUCKETS]>,
@@ -83,16 +82,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.max = self.max.max(v);
         self.sum += u128::from(v);
-    }
-
-    /// Folds `other` into `self` (for per-thread histogram merging).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// Number of recorded values.
@@ -183,29 +172,6 @@ mod tests {
         let p = h.percentile(99.0);
         assert!(p >= v);
         assert!((p - v) as f64 / v as f64 <= 1.0 / 16.0, "p={p} for v={v}");
-    }
-
-    #[test]
-    fn merge_matches_recording_everything_in_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut all = LatencyHistogram::new();
-        for i in 0..1_000u64 {
-            let v = i * i % 777_777;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.max(), all.max());
-        for p in [50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(a.percentile(p), all.percentile(p));
-        }
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
     }
 
     #[test]

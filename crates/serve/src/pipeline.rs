@@ -206,7 +206,11 @@ pub struct PipelineConfig {
     /// claims the next un-served client off an atomic cursor and enqueues
     /// that client's requests in order.
     pub producers: usize,
-    /// Maximum requests per batched admission round.
+    /// Maximum requests per hand-off chunk — one channel message, one
+    /// thread synchronisation. It sizes the hand-off only: every request
+    /// is admitted on its own, on arrival, whatever chunk it crossed in.
+    /// (Not named `chunk` because the frozen `benchmark/src/api.rs`
+    /// writes this field; ROADMAP queues the rename.)
     pub burst_cap: usize,
     /// Requests queued between producers and the admission loop — the
     /// backpressure window. The queue holds chunks of
@@ -231,34 +235,35 @@ impl Default for PipelineConfig {
 /// end-to-end request latency distribution.
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
-    /// Throughput and admission accounting of the run.
+    /// Throughput and admission accounting of the run
+    /// (`bursts == requests`: the live path batches nothing).
     pub replay: ReplayReport,
-    /// End-to-end latency (staged for enqueue → burst completion) of every
-    /// request, in nanoseconds.
+    /// End-to-end latency (staged for enqueue → the request's own
+    /// verdict) of every request, in nanoseconds.
     pub latency: LatencyHistogram,
 }
 
 /// Runs the threaded admission pipeline: `cfg.producers` threads enqueue
 /// the per-client request streams (claimed whole off an atomic cursor,
 /// preserving each client's order) into a bounded channel, and this
-/// thread's admission loop drains it into independent bursts — flushed
-/// on client repeat or at `cfg.burst_cap` — applying each as one batched
-/// admission round.
+/// thread's admission loop admits every request on arrival through
+/// [`ChurnEngine::submit`]. A verdict is therefore a function of arrival
+/// order alone — never of what happened to be queued beside the request —
+/// and any recorded arrival order replays through [`replay_serial`]
+/// (which one producer reproduces exactly: `tests/serve_pipeline.rs`).
 ///
 /// The hand-off is chunk-granular, as aelite's clock-domain crossings
 /// are flit-granular: a producer stages up to
 /// `min(cfg.burst_cap, cfg.queue_depth)` consecutive requests of its
 /// client into one message, so the threads synchronise once per chunk,
 /// not once per request. The admission loop reads the chunks request by
-/// request, so chunking changes no burst.
+/// request, so chunking changes no verdict.
 ///
 /// Per-request latency is measured from the moment the request is staged
 /// into its chunk — the rest of the chunk's fill and any backpressure
-/// wait are inside it — to completion of the request's burst. With
-/// several producers burst composition depends on thread interleaving,
-/// so throughput and latency are measurements, not reproducible
-/// artifacts — use [`replay_batched`] for the deterministic mode (which
-/// one producer reproduces exactly: `tests/serve_pipeline.rs`).
+/// wait are inside it — to that request's own verdict. With several
+/// producers the arrival order depends on thread interleaving, so
+/// throughput and latency are measurements, not reproducible artifacts.
 ///
 /// # Panics
 ///
@@ -273,24 +278,18 @@ pub fn serve_pipeline(
     cfg: &PipelineConfig,
 ) -> PipelineReport {
     assert!(cfg.producers > 0, "need at least one producer");
-    assert!(cfg.burst_cap > 0, "burst capacity must be positive");
-    let clients = streams
-        .iter()
-        .flat_map(|s| s.iter().map(|r| r.client))
-        .max()
-        .map_or(0, |c| c as usize + 1);
+    assert!(cfg.burst_cap > 0, "chunk capacity must be positive");
 
     let before = *engine.stats();
     let cursor = AtomicUsize::new(0);
     // Whole chunks cross the channel; `queue_depth / chunk` of them keep
     // at most `queue_depth` requests queued.
     let chunk = cfg.burst_cap.min(cfg.queue_depth).max(1);
-    let (tx, rx) = sync_channel::<Vec<(Instant, u32, AdmissionRequest)>>(cfg.queue_depth / chunk);
+    let (tx, rx) = sync_channel::<Vec<(Instant, AdmissionRequest)>>(cfg.queue_depth / chunk);
 
     let mut latency = LatencyHistogram::new();
     let mut admitted = 0u64;
     let mut requests = 0u64;
-    let mut bursts = 0u64;
 
     let t0 = Instant::now();
     std::thread::scope(|s| {
@@ -303,7 +302,7 @@ pub fn serve_pipeline(
                 for part in stream.chunks(chunk) {
                     let staged = part
                         .iter()
-                        .map(|r| (Instant::now(), r.client, r.request.clone()))
+                        .map(|r| (Instant::now(), r.request.clone()))
                         .collect();
                     tx.send(staged).expect("admission loop outlives producers");
                 }
@@ -311,49 +310,22 @@ pub fn serve_pipeline(
         }
         drop(tx);
 
-        // The admission loop. Epoch stamps track burst membership in
-        // O(1) without clearing between bursts.
-        let mut stamp = vec![u64::MAX; clients];
-        let mut burst_id = 0u64;
-        let mut enq: Vec<Instant> = Vec::with_capacity(cfg.burst_cap);
-        let mut reqs: Vec<AdmissionRequest> = Vec::with_capacity(cfg.burst_cap);
-        let mut verdicts = Vec::with_capacity(cfg.burst_cap);
-        let mut flush = |engine: &mut ChurnEngine,
-                         alloc: &mut Allocation,
-                         reqs: &mut Vec<AdmissionRequest>,
-                         enq: &mut Vec<Instant>| {
-            if reqs.is_empty() {
-                return;
-            }
-            engine.submit_batch(spec, alloc, reqs, &mut verdicts);
-            admitted += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
-            let done = Instant::now();
-            for &t in enq.iter() {
-                latency.record(done.duration_since(t).as_nanos() as u64);
-            }
-            bursts += 1;
-            reqs.clear();
-            enq.clear();
-        };
+        // The admission loop: arrival order, one verdict per request.
         while let Ok(staged) = rx.recv() {
-            for (t, client, request) in staged {
-                if reqs.len() >= cfg.burst_cap || stamp[client as usize] == burst_id {
-                    flush(engine, alloc, &mut reqs, &mut enq);
-                    burst_id += 1;
+            for (t, request) in staged {
+                if engine.submit(spec, alloc, request).is_ok() {
+                    admitted += 1;
                 }
-                stamp[client as usize] = burst_id;
-                enq.push(t);
-                reqs.push(request);
+                latency.record(t.elapsed().as_nanos() as u64);
                 requests += 1;
             }
         }
-        flush(engine, alloc, &mut reqs, &mut enq);
     });
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
 
     let stats = engine.stats().delta(&before);
     PipelineReport {
-        replay: ReplayReport::new(requests, bursts, admitted, elapsed_ns, stats),
+        replay: ReplayReport::new(requests, requests, admitted, elapsed_ns, stats),
         latency,
     }
 }

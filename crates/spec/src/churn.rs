@@ -216,31 +216,7 @@ pub fn client_population(
     params: &ChurnParams,
     seed: u64,
 ) -> Vec<ClientTrace> {
-    let conns = spec.connections();
-    assert!(clients > 0, "need at least one client");
-    assert!(
-        (clients as usize) <= conns.len(),
-        "{clients} clients cannot share {} connections one-per-client",
-        conns.len()
-    );
-    (0..clients)
-        .map(|k| {
-            let pool: Vec<ConnId> = conns
-                .iter()
-                .skip(k as usize)
-                .step_by(clients as usize)
-                .map(|c| c.id)
-                .collect();
-            let view = spec.restricted_to_connections(&pool);
-            let client_seed = seed ^ (u64::from(k)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let trace = churn_trace(&view, params, client_seed);
-            ClientTrace {
-                client: k,
-                view,
-                trace,
-            }
-        })
-        .collect()
+    client_population_grouped(spec, clients, params, seed, |_| 0)
 }
 
 /// [`client_population`] with **grouped pools**: connections are first
@@ -248,14 +224,13 @@ pub fn client_population(
 /// so each client's pool — and therefore its whole request stream —
 /// maps to one shard), clients are distributed over the groups
 /// proportionally to group size (every group gets at least one client),
-/// and within each group the pool splits round-robin exactly as
-/// [`client_population`] does.
+/// and within each group the pool splits round-robin (member `j` of `m`
+/// owns the group's positions `j, j + m, …`).
 ///
-/// Client indices are assigned in ascending group-key order, so the
-/// returned population is deterministic for a given
-/// `(spec, clients, params, seed, group_of)` — and per-client seeds use
-/// the same global-index derivation as [`client_population`], making a
-/// one-group population identical to the ungrouped one.
+/// Client indices are assigned in ascending group-key order and seed
+/// each client's draw, so the returned population is deterministic for
+/// a given `(spec, clients, params, seed, group_of)` — and
+/// [`client_population`] is the one-group case.
 ///
 /// # Panics
 ///
@@ -667,6 +642,38 @@ mod tests {
         }
         let c = client_population(&spec, 4, &params, 6);
         assert!(a.iter().zip(&c).any(|(x, y)| x.trace != y.trace));
+    }
+
+    #[test]
+    fn one_group_population_is_the_round_robin_population() {
+        // The documented shape — client `k` owns positions `k, k + n, …`
+        // and draws with its own derived seed — and the one-group
+        // grouped call agree client for client, event for event.
+        let spec = paper_workload(42);
+        let params = ChurnParams::steady(60);
+        for clients in [7u32, 50] {
+            let plain = client_population(&spec, clients, &params, 13);
+            let grouped = client_population_grouped(&spec, clients, &params, 13, |_| 0);
+            assert_eq!(plain.len(), grouped.len());
+            for (k, (p, g)) in plain.iter().zip(&grouped).enumerate() {
+                assert_eq!((p.client, g.client), (k as u32, k as u32));
+                let pool: Vec<ConnId> = spec
+                    .connections()
+                    .iter()
+                    .skip(k)
+                    .step_by(clients as usize)
+                    .map(|c| c.id)
+                    .collect();
+                let owned = |ct: &ClientTrace| -> Vec<ConnId> {
+                    ct.view.connections().iter().map(|c| c.id).collect()
+                };
+                assert_eq!(owned(p), pool);
+                assert_eq!(owned(g), pool);
+                let seed = 13 ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(p.trace, churn_trace(&p.view, &params, seed));
+                assert_eq!(p.trace, g.trace, "client {k} of {clients}");
+            }
+        }
     }
 
     #[test]

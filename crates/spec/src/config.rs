@@ -49,9 +49,9 @@ impl NocConfig {
     /// 32-bit data path, 500 MHz, 3-word flits.
     ///
     /// The slot-table size (64) and NI buffering are not stated in the
-    /// paper; they are design-flow choices recorded in `DESIGN.md` (a
-    /// longer table gives finer bandwidth granularity at the same 3-cycle
-    /// slot duration).
+    /// paper; they are design-flow choices recorded here (a longer table
+    /// gives finer bandwidth granularity at the same 3-cycle slot
+    /// duration).
     #[must_use]
     pub const fn paper_default() -> Self {
         NocConfig {

@@ -9,7 +9,7 @@
 //! setup from a seed.
 //!
 //! Because the paper does not publish its random draw, we make two choices
-//! and record them here (and in `DESIGN.md`):
+//! and record them here:
 //!
 //! 1. **Log-uniform bandwidths.** A uniform draw over 10–500 MB/s gives an
 //!    aggregate demand (~51 GB/s) that exceeds the platform's NI ingress
@@ -182,10 +182,9 @@ pub enum TrafficProfile {
 ///
 /// Construct with [`WorkloadBuilder::mesh`], adjust knobs, then call
 /// [`build`](Self::build) (panicking) or [`try_build`](Self::try_build)
-/// (error-reporting). The builder funnels into the same
-/// [`try_random_workload_with`] core as the historical constructors, so
-/// for equal parameters the random draw sequence — and therefore every
-/// pinned golden workload — is bit-identical.
+/// (error-reporting). The builder and [`try_random_workload`] share one
+/// generator core, so for equal parameters the random draw sequence —
+/// and therefore every pinned golden workload — is bit-identical.
 ///
 /// # Examples
 ///
@@ -299,14 +298,6 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Sets the latency-requirement range in ns.
-    #[must_use]
-    pub fn latency_ns(mut self, min: u64, max: u64) -> Self {
-        self.params.lat_min_ns = min;
-        self.params.lat_max_ns = max;
-        self
-    }
-
     /// Sets the message size used by the traffic generators, in bytes.
     #[must_use]
     pub fn message_bytes(mut self, bytes: u32) -> Self {
@@ -322,8 +313,12 @@ impl WorkloadBuilder {
     }
 
     /// Constrains every connection to one tile of a `tiles_x × tiles_y`
-    /// tiling of the router grid (regional locality — the shape the
-    /// sharded admission engine and the mega-mesh regime scale on).
+    /// tiling of the router grid: each destination is drawn from the IPs
+    /// of its source's tile (regional locality — the shape the sharded
+    /// admission engine and the mega-mesh regime scale on; XY/YX routes
+    /// never leave their endpoints' bounding box, so a matching shard
+    /// tiling classifies every such connection intra-shard). A tile with
+    /// fewer than two IPs makes every draw of that tile infeasible.
     #[must_use]
     pub fn tiles(mut self, tiles_x: u32, tiles_y: u32) -> Self {
         self.locality = Some((tiles_x, tiles_y));
@@ -376,7 +371,7 @@ impl WorkloadBuilder {
     ///
     /// # Panics
     ///
-    /// Panics as [`try_random_workload_with`], or when the draw is
+    /// Panics as [`try_build`](Self::try_build), or when the draw is
     /// infeasible.
     #[must_use]
     pub fn build(self) -> SystemSpec {
@@ -388,15 +383,21 @@ impl WorkloadBuilder {
     /// # Errors
     ///
     /// Returns [`WorkloadError::InfeasibleDraw`] as
-    /// [`try_random_workload_with`].
+    /// [`try_random_workload`] — adversarial profiles concentrate load,
+    /// so they hit the per-link budget at connection counts a uniform
+    /// draw carries easily.
     ///
     /// # Panics
     ///
     /// Panics on parameter errors that no retry can fix (fewer than 2
-    /// IPs, zero connections/apps, invalid ranges).
+    /// IPs, zero connections/apps, invalid ranges); additionally if an
+    /// adversarial profile is combined with [`tiles`](Self::tiles), if
+    /// [`TrafficProfile::Hotspot`] asks for zero spots or more spots than
+    /// IPs, or if [`TrafficProfile::Transpose`] runs on a non-square
+    /// mesh.
     pub fn try_build(self) -> Result<SystemSpec, WorkloadError> {
         let (topo, params) = self.resolved();
-        try_random_workload_profiled(
+        draw_workload(
             topo,
             self.config,
             params,
@@ -423,8 +424,9 @@ impl WorkloadBuilder {
 /// assert_eq!(spec.apps().len(), 4);
 /// assert_eq!(spec.topology().router_count(), 12);
 /// ```
-/// Thin wrapper over [`WorkloadBuilder`] (kept for the many existing
-/// call sites; prefer the builder in new code).
+///
+/// A name for the experiment, not a second generator: one fixed
+/// [`WorkloadBuilder`] call.
 #[must_use]
 pub fn paper_workload(seed: u64) -> SystemSpec {
     WorkloadBuilder::mesh(4, 3, 4)
@@ -448,9 +450,10 @@ pub fn paper_workload(seed: u64) -> SystemSpec {
 /// # Panics
 ///
 /// Panics as [`random_workload`] (fewer than 2 IPs, zero connections).
-/// Thin wrapper over [`WorkloadBuilder`] (kept for the many existing
-/// call sites; prefer the builder in new code — mega-mesh configs use
-/// [`WorkloadBuilder::mega_traffic`] rather than a fourth signature).
+///
+/// A name for the regime, not a second generator: one
+/// [`WorkloadBuilder`] call (every other shape — tiles, mega-mesh
+/// deadlines, traffic profiles — is spelled on the builder).
 #[must_use]
 pub fn scaled_workload(
     cols: u32,
@@ -461,41 +464,6 @@ pub fn scaled_workload(
 ) -> SystemSpec {
     WorkloadBuilder::mesh(cols, rows, nis_per_router)
         .connections(connections)
-        .seed(seed)
-        .build()
-}
-
-/// [`scaled_workload`] with **regional locality**: the router grid is
-/// tiled `tiles_x × tiles_y` and every connection is drawn with both
-/// endpoints inside one tile. Because XY/YX routes never leave their
-/// endpoints' bounding box — and a tile is a contiguous grid rectangle —
-/// a matching shard tiling with the route bound capped at the XY/YX pair
-/// classifies every such connection intra-shard: this is the workload
-/// shape sharded admission is measured on (`shard_regional` in
-/// `benchmark/`).
-///
-/// Deterministic for a given `seed`.
-///
-/// # Panics
-///
-/// Panics as [`random_workload`], or if a tile ends up with fewer than
-/// two IPs (no intra-tile pair can be drawn).
-/// Thin wrapper over [`WorkloadBuilder`] (kept for the many existing
-/// call sites; prefer the builder in new code — mega-mesh configs use
-/// [`WorkloadBuilder::mega_traffic`] rather than a fourth signature).
-#[must_use]
-pub fn regional_workload(
-    cols: u32,
-    rows: u32,
-    nis_per_router: u32,
-    connections: u32,
-    seed: u64,
-    tiles_x: u32,
-    tiles_y: u32,
-) -> SystemSpec {
-    WorkloadBuilder::mesh(cols, rows, nis_per_router)
-        .connections(connections)
-        .tiles(tiles_x, tiles_y)
         .seed(seed)
         .build()
 }
@@ -538,67 +506,16 @@ pub fn try_random_workload(
     params: WorkloadParams,
     seed: u64,
 ) -> Result<SystemSpec, WorkloadError> {
-    try_random_workload_with(topo, config, params, seed, None)
+    draw_workload(topo, config, params, seed, None, TrafficProfile::Uniform)
 }
 
-/// [`try_random_workload`] with an optional **locality constraint**:
-/// with `locality: Some((tiles_x, tiles_y))` the router grid is tiled
-/// and every connection's destination is drawn from the IPs of its
-/// source's tile, producing region-local traffic (see
-/// [`regional_workload`]). `None` reproduces [`try_random_workload`]
-/// bit-for-bit (identical rng draw sequence).
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InfeasibleDraw`] as [`try_random_workload`]
-/// — a tile with fewer than two IPs makes every draw of that tile
-/// infeasible.
-///
-/// # Panics
-///
-/// Panics as [`try_random_workload`], or if `locality` is requested on
-/// a non-mesh topology.
-pub fn try_random_workload_with(
-    topo: Topology,
-    config: NocConfig,
-    params: WorkloadParams,
-    seed: u64,
-    locality: Option<(u32, u32)>,
-) -> Result<SystemSpec, WorkloadError> {
-    try_random_workload_profiled(
-        topo,
-        config,
-        params,
-        seed,
-        locality,
-        TrafficProfile::Uniform,
-    )
-}
-
-/// [`try_random_workload_with`] with a destination-draw
-/// [`TrafficProfile`]: the full generator core every other entry point
-/// funnels into. [`TrafficProfile::Uniform`] reproduces
-/// [`try_random_workload_with`] bit-for-bit (identical rng draw
-/// sequence); the adversarial profiles replace the uniform destination
-/// draw with their own structure and keep everything else — bandwidth
-/// and latency draws, feasibility budgeting, app assignment — unchanged.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::InfeasibleDraw`] as
-/// [`try_random_workload`] — adversarial profiles concentrate load, so
-/// they hit the per-link budget at connection counts a uniform draw
-/// carries easily.
-///
-/// # Panics
-///
-/// Panics as [`try_random_workload_with`]; additionally if an
-/// adversarial profile is combined with a locality constraint, if
-/// [`TrafficProfile::Hotspot`] asks for zero spots or more spots than
-/// IPs, if [`TrafficProfile::Transpose`] runs on a non-square or
-/// non-mesh topology, or if [`TrafficProfile::BitComplement`] runs on a
-/// non-mesh topology.
-pub fn try_random_workload_profiled(
+/// The generator core behind [`try_random_workload`] and
+/// [`WorkloadBuilder::try_build`]. No rng draw depends on `locality` or
+/// `profile` until a destination is picked, and [`TrafficProfile::Uniform`]
+/// without locality picks it with the plain uniform draw — so both entry
+/// points share one draw sequence; the adversarial profiles and tile
+/// locality replace only the destination draw.
+fn draw_workload(
     topo: Topology,
     config: NocConfig,
     params: WorkloadParams,
@@ -1018,10 +935,17 @@ mod tests {
             .tiles(2, 2)
             .seed(9)
             .build();
-        assert_eq!(
-            regional.connections(),
-            regional_workload(4, 4, 4, 400, 9, 2, 2).connections()
-        );
+        // No wrapper names the tiled draw; what it promises is that no
+        // connection leaves its 2×2-router tile.
+        let topo = regional.topology();
+        let tile = |ip| {
+            let (x, y) = topo.coords(topo.ni_router(regional.ip_ni(ip))).unwrap();
+            (x / 2, y / 2)
+        };
+        assert_eq!(regional.connections().len(), 400);
+        for c in regional.connections() {
+            assert_eq!(tile(c.src), tile(c.dst), "{c} leaves its tile");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's evaluation rests on commercial synthesis of the aelite
 //! router in a 90 nm low-power CMOS technology. This crate substitutes a
 //! first-order gate-level model calibrated to every number the paper
-//! reports (the substitution is documented in `DESIGN.md`):
+//! reports (each module's docs name the figures it is calibrated to):
 //!
 //! * [`router`] — cell area and maximum frequency of the aelite router,
 //!   with the target-frequency effort curve of Fig 5 and the arity/width

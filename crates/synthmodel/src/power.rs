@@ -10,8 +10,8 @@
 //!
 //! The model is a standard three-term decomposition for a low-power 90 nm
 //! process; the paper reports no power numbers, so the constants are
-//! representative rather than calibrated (documented in `DESIGN.md`'s
-//! spirit: shapes and ratios are meaningful, absolute mW are indicative):
+//! representative rather than calibrated (shapes and ratios are
+//! meaningful, absolute mW are indicative):
 //!
 //! * **leakage** — proportional to cell area, frequency-independent;
 //! * **clock/register power** — proportional to area × frequency; burned

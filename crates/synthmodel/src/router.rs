@@ -1,6 +1,6 @@
 //! Analytical area and timing model of the aelite router.
 //!
-//! Substitutes for the paper's commercial synthesis flow (see `DESIGN.md`):
+//! Substitutes for the paper's commercial synthesis flow:
 //! a first-order gate-level model whose free constants are calibrated to
 //! the three result sets the paper reports for 90 nm worst-case low-power
 //! CMOS, cell area only, pre-layout:

@@ -8,8 +8,9 @@
 //! tests (`tests/`).
 //!
 //! Start with [`aelite_core::AeliteSystem`]; see the
-//! repository `README.md` for the architecture overview and
-//! `EXPERIMENTS.md` for the reproduced evaluation.
+//! repository `README.md` for the architecture overview and the
+//! `aelite-bench` bench binaries (`cargo bench --bench fig5_freq_area`,
+//! …) for the reproduced evaluation.
 
 #![warn(missing_docs)]
 

@@ -19,7 +19,7 @@ use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
 use aelite_online::{AdmissionRequest, ChurnEngine, ShardConfig, ShardedAllocation, ShardedEngine};
 use aelite_spec::app::SystemSpec;
-use aelite_spec::generate::{paper_workload, regional_workload};
+use aelite_spec::generate::{paper_workload, WorkloadBuilder};
 use aelite_spec::ids::{AppId, ConnId};
 
 const HORIZON_CYCLES: u64 = 20_000;
@@ -172,7 +172,11 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
     // The sharded engine admits a burst across four shard threads; the
     // bystanders — every connection the burst never names — must keep a
     // bit-for-bit identical delivery log, exactly as on the serial path.
-    let spec = regional_workload(4, 4, 2, 120, 21, 2, 2);
+    let spec = WorkloadBuilder::mesh(4, 4, 2)
+        .connections(120)
+        .tiles(2, 2)
+        .seed(21)
+        .build();
     let cfg = ShardConfig {
         max_paths: 2,
         ..ShardConfig::tiled(2, 2)

@@ -6,7 +6,7 @@
 //! to the 4×4/8×8 `scaled_workload` platforms.
 //!
 //! This is the test that justifies running the 200-connection experiment
-//! at flit level (see `aelite-noc::flitsim` docs and `DESIGN.md`), and
+//! at flit level (see the `aelite_noc::flitsim` module docs), and
 //! that cross-pins analytical flitsim, event-driven simulation and the
 //! turbo engine on the same scenarios.
 

@@ -11,7 +11,7 @@
 //! displaces exactly what a permanent `LinkDown` would.
 
 use aelite_alloc::Allocation;
-use aelite_online::{FaultEngine, RepairPolicy, DEFAULT_PERSISTENCE_NS};
+use aelite_online::{FaultEngine, DEFAULT_PERSISTENCE_NS};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::fault::{FaultOp, ScenarioOp};
 use aelite_spec::generate::{random_workload, WorkloadParams};
@@ -169,8 +169,7 @@ fn apply_step(
                 &ScenarioOp::Fault(FaultOp::LinkGlitch { link, duration_ns }),
             );
         }
-        // Advance the scenario clock: pending glitches expire (and any
-        // queued deferred repairs drain first).
+        // Advance the scenario clock: pending glitches expire.
         _ => {
             let t = engine.now_ns() + 1 + u64::from(pick) * 50;
             engine.advance_to(spec, alloc, t);
@@ -194,20 +193,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The fault invariants hold after *every* operation of an
-    /// arbitrary churn/fault/glitch interleaving, under both repair
-    /// policies.
+    /// arbitrary churn/fault/glitch interleaving.
     #[test]
     fn interleaved_faults_never_grant_over_a_down_link(
         seed in 0u64..4,
-        deferred in 0u8..2,
         script in proptest::collection::vec((0u8..14, 0u16..1024), 1..40),
     ) {
         let spec = small_spec(seed);
         let mut alloc = Allocation::empty_for(&spec);
         let mut engine = FaultEngine::new(&spec);
-        if deferred == 1 {
-            engine.set_repair_policy(RepairPolicy::Deferred);
-        }
         for &(kind, pick) in &script {
             apply_step(&spec, &mut engine, &mut alloc, kind, pick);
             assert_fault_invariants(&spec, &engine, &alloc);
@@ -220,26 +214,20 @@ proptest! {
     #[test]
     fn repairing_and_draining_frees_every_slot(
         seed in 0u64..4,
-        deferred in 0u8..2,
         script in proptest::collection::vec((0u8..14, 0u16..1024), 1..30),
     ) {
         let spec = small_spec(seed);
         let mut alloc = Allocation::empty_for(&spec);
         let mut engine = FaultEngine::new(&spec);
-        if deferred == 1 {
-            engine.set_repair_policy(RepairPolicy::Deferred);
-        }
         for &(kind, pick) in &script {
             apply_step(&spec, &mut engine, &mut alloc, kind, pick);
         }
 
         // Repair the world: every down link comes back up (cancelling
-        // any pending glitch on it), and queued deferred re-homes drain
-        // as one batched round.
+        // any pending glitch on it).
         for li in 0..spec.topology().link_count() {
             engine.link_up(&spec, &mut alloc, LinkId::new(li as u32));
         }
-        engine.drain_repairs(&spec, &mut alloc);
         prop_assert!(engine.mask().is_empty());
 
         // Drain: close every grant; a close of a displaced connection

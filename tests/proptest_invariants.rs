@@ -1,4 +1,6 @@
-//! Property-based tests of the core invariants (`DESIGN.md` section 5),
+//! Property-based tests of the core invariants (gap and worst-window
+//! arithmetic, header codec round-trips, bisync FIFO ordering, slot
+//! table ≡ free mask, and allocate → validate → simulate composability),
 //! exercised over randomly generated workloads, slot sets, routes and
 //! clock phases.
 

@@ -4,15 +4,19 @@
 //! lock-step per slot) and identical per-request verdicts as serially
 //! submitting the same requests in canonical order — at every burst
 //! length from 1 to 8 and for the fault engine's batched re-home of a
-//! few displaced connections; and the planned independent bursts of a
+//! few displaced connections; the planned independent bursts of a
 //! client-population stream replay identically batched and
-//! burstwise-serial.
+//! burstwise-serial; and the threaded pipeline with one producer answers
+//! a population exactly as the serial replay does, at any hand-off shape.
 
 use aelite_alloc::{admission_order, Allocation, FaultMask};
 use aelite_online::{
     canonical_order, AdmissionRequest, AdmissionResponse, ChurnEngine, FaultEngine,
 };
-use aelite_serve::{merge_population, plan_bursts, replay_batched, warm_up};
+use aelite_serve::{
+    merge_population, plan_bursts, replay_batched, replay_serial, serve_pipeline, warm_up,
+    PipelineConfig, TimedRequest,
+};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{client_population, ChurnOp, ChurnParams};
 use aelite_spec::fault::ScenarioOp;
@@ -250,6 +254,43 @@ proptest! {
 
         prop_assert_eq!(report.admitted, admitted);
         prop_assert_eq!(report.requests, timed.len() as u64);
+        assert_tables_identical(&spec, &alloc_a, &alloc_b);
+        prop_assert_eq!(engine_a.stats(), engine_b.stats());
+    }
+
+    /// `serve_pipeline` with one producer ≡ `replay_serial` over the
+    /// per-client streams back to back, whatever chunk size and queue
+    /// depth the hand-off runs at (rendezvous included): the live path
+    /// admits in arrival order and nothing else.
+    #[test]
+    fn one_producer_pipeline_equals_serial_replay(
+        clients in 2u32..8,
+        events in 20u32..60,
+        seed in 0u64..3,
+        burst_cap in 1usize..40,
+        queue_depth in 0usize..80,
+    ) {
+        let spec = small_spec(1);
+        let streams: Vec<Vec<TimedRequest>> =
+            client_population(&spec, clients, &ChurnParams::steady(events), seed)
+                .into_iter()
+                .map(|ct| merge_population(vec![ct]))
+                .collect();
+        let concat: Vec<TimedRequest> = streams.iter().flatten().cloned().collect();
+
+        let mut engine_a = ChurnEngine::new(&spec);
+        let mut alloc_a = Allocation::empty_for(&spec);
+        let cfg = PipelineConfig { producers: 1, burst_cap, queue_depth };
+        let piped = serve_pipeline(&spec, &mut engine_a, &mut alloc_a, &streams, &cfg);
+
+        let mut engine_b = ChurnEngine::new(&spec);
+        let mut alloc_b = Allocation::empty_for(&spec);
+        let serial = replay_serial(&spec, &mut engine_b, &mut alloc_b, &concat);
+
+        prop_assert_eq!(piped.replay.requests, serial.requests);
+        prop_assert_eq!(piped.replay.bursts, serial.bursts);
+        prop_assert_eq!(piped.replay.admitted, serial.admitted);
+        prop_assert_eq!(piped.latency.count(), serial.requests);
         assert_tables_identical(&spec, &alloc_a, &alloc_b);
         prop_assert_eq!(engine_a.stats(), engine_b.stats());
     }

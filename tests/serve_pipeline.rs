@@ -2,18 +2,17 @@
 //!
 //! With one producer `serve_pipeline` enqueues the streams it is given
 //! back to back, so its admission loop sees exactly their concatenation
-//! and must cut it into the bursts `replay_batched` plans (both flush on
-//! client repeat or at `burst_cap`) — whatever the queue depth, and
-//! however the hand-off groups requests between the two threads. With
-//! several producers the interleaving is free, but every request must
-//! still be served exactly once and each client's own order must
-//! survive.
+//! and must answer it as `replay_serial` does, request for request —
+//! whatever the queue depth, and however the hand-off groups requests
+//! between the two threads. With several producers the interleaving is
+//! free, but every request must still be served exactly once and each
+//! client's own order must survive.
 
 use aelite_alloc::{validate_allocation, Allocation};
 use aelite_online::ChurnEngine;
 use aelite_serve::{
-    merge_population, replay_batched, replay_serial, serve_pipeline, warm_up, PipelineConfig,
-    ReplayReport, TimedRequest,
+    merge_population, replay_serial, serve_pipeline, warm_up, PipelineConfig, ReplayReport,
+    TimedRequest,
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{client_population, ChurnParams};
@@ -38,46 +37,18 @@ fn per_client(timed: &[TimedRequest]) -> Vec<Vec<TimedRequest>> {
     streams
 }
 
-/// `serve_pipeline` with one producer ≡ `replay_batched` over the
-/// concatenated streams: counts, counter deltas and every grant.
-/// Returns the batched report both agreed on.
-fn assert_pipeline_equals_batched(
-    spec: &SystemSpec,
-    stream: &[TimedRequest],
-    streams: &[Vec<TimedRequest>],
-    burst_cap: usize,
-    queue_depth: usize,
-) -> ReplayReport {
-    let what = format!("burst_cap {burst_cap}, queue_depth {queue_depth}");
-    let concat: Vec<TimedRequest> = streams.iter().flatten().cloned().collect();
-    let (mut e1, mut a1) = warmed(spec, stream);
-    let batched = replay_batched(spec, &mut e1, &mut a1, &concat, burst_cap);
-
-    let (mut e2, mut a2) = warmed(spec, stream);
-    let cfg = PipelineConfig {
-        producers: 1,
-        burst_cap,
-        queue_depth,
-    };
-    let piped = serve_pipeline(spec, &mut e2, &mut a2, streams, &cfg);
-
-    assert_eq!(piped.latency.count(), concat.len() as u64, "{what}");
-    assert_eq!(piped.replay.requests, batched.requests, "{what}: requests");
-    assert_eq!(piped.replay.bursts, batched.bursts, "{what}: bursts");
-    assert_eq!(piped.replay.admitted, batched.admitted, "{what}: admitted");
-    assert_eq!(piped.replay.refused, batched.refused, "{what}: refused");
-    assert_eq!(piped.replay.stats, batched.stats, "{what}: stats");
-    for c in spec.connections() {
-        assert_eq!(a1.grant(c.id), a2.grant(c.id), "{what}: {} grant", c.id);
-    }
-    batched
+/// Something is open, and what is open is a valid allocation.
+fn assert_valid_end_state(spec: &SystemSpec, alloc: &Allocation) {
+    let open: Vec<_> = alloc.grants().map(|g| g.conn).collect();
+    assert!(!open.is_empty());
+    let live = spec.restricted_to_connections(&open);
+    validate_allocation(&live, alloc).expect("pipeline end state is a valid allocation");
 }
 
-#[test]
-fn one_producer_pipeline_equals_batched_replay_at_every_queue_shape() {
-    // 32-slot tables held 95% open with one switch per ~20 events: some
-    // opens are refused and some switches roll back, so the verdicts are
-    // not all `Ok` and a misplaced burst boundary would show.
+/// The 32-slot platform held 95% open with one switch per ~20 events:
+/// some opens are refused and some switches roll back, so the verdicts
+/// are not all `Ok` and a request served out of order would show.
+fn contended() -> (SystemSpec, Vec<TimedRequest>) {
     let spec = WorkloadBuilder::mesh(4, 4, 2)
         .connections(240)
         .slot_table_size(32)
@@ -91,6 +62,47 @@ fn one_producer_pipeline_equals_batched_replay_at_every_queue_shape() {
         ..ChurnParams::steady(90)
     };
     let stream = merge_population(client_population(&spec, CLIENTS, &churn, 99));
+    (spec, stream)
+}
+
+/// `serve_pipeline` with one producer ≡ `replay_serial` over the
+/// concatenated streams: counts, counter deltas and every grant.
+/// Returns the serial report both agreed on.
+fn assert_pipeline_equals_serial(
+    spec: &SystemSpec,
+    stream: &[TimedRequest],
+    streams: &[Vec<TimedRequest>],
+    burst_cap: usize,
+    queue_depth: usize,
+) -> ReplayReport {
+    let what = format!("burst_cap {burst_cap}, queue_depth {queue_depth}");
+    let concat: Vec<TimedRequest> = streams.iter().flatten().cloned().collect();
+    let (mut e1, mut a1) = warmed(spec, stream);
+    let serial = replay_serial(spec, &mut e1, &mut a1, &concat);
+
+    let (mut e2, mut a2) = warmed(spec, stream);
+    let cfg = PipelineConfig {
+        producers: 1,
+        burst_cap,
+        queue_depth,
+    };
+    let piped = serve_pipeline(spec, &mut e2, &mut a2, streams, &cfg);
+
+    assert_eq!(piped.latency.count(), concat.len() as u64, "{what}");
+    assert_eq!(piped.replay.requests, serial.requests, "{what}: requests");
+    assert_eq!(piped.replay.bursts, piped.replay.requests, "{what}: bursts");
+    assert_eq!(piped.replay.admitted, serial.admitted, "{what}: admitted");
+    assert_eq!(piped.replay.refused, serial.refused, "{what}: refused");
+    assert_eq!(piped.replay.stats, serial.stats, "{what}: stats");
+    for c in spec.connections() {
+        assert_eq!(a1.grant(c.id), a2.grant(c.id), "{what}: {} grant", c.id);
+    }
+    serial
+}
+
+#[test]
+fn one_producer_pipeline_equals_serial_replay_at_every_queue_shape() {
+    let (spec, stream) = contended();
     let timed = &stream[WARMUP..];
 
     // Per-client streams of uneven length, plus the stream shapes a
@@ -101,26 +113,24 @@ fn one_producer_pipeline_equals_batched_replay_at_every_queue_shape() {
     streams.insert(6, Vec::new());
     streams.push(tail);
     assert!(streams.iter().any(|s| s.len() % 64 != 0 && s.len() > 64));
-    let narrow = assert_pipeline_equals_batched(&spec, &stream, &streams, 64, 1024);
-    assert!(narrow.stats.refused_opens > 0, "nothing refused");
-    assert!(
-        narrow.stats.refused_switches > 0 && narrow.stats.rolled_back_opens > 0,
-        "no switch rolled back"
-    );
-
-    // The whole window as ONE arrival-ordered stream: bursts are dozens
-    // of requests wide here, so they straddle hand-off boundaries.
+    // The whole window as ONE arrival-ordered stream: consecutive
+    // requests come from different clients here, so every hand-off chunk
+    // mixes clients.
     let merged = [timed.to_vec()];
-    let wide = assert_pipeline_equals_batched(&spec, &stream, &merged, 64, 1024);
-    assert!(wide.bursts * 4 < wide.requests, "merged bursts not wide");
-
-    for (burst_cap, queue_depth) in [(64, 64), (3, 2), (1, 1), (64, 0)] {
-        assert_pipeline_equals_batched(&spec, &stream, &streams, burst_cap, queue_depth);
-        assert_pipeline_equals_batched(&spec, &stream, &merged, burst_cap, queue_depth);
+    for shape in [&streams[..], &merged[..]] {
+        let serial = assert_pipeline_equals_serial(&spec, &stream, shape, 64, 1024);
+        assert!(serial.stats.refused_opens > 0, "nothing refused");
+        assert!(
+            serial.stats.refused_switches > 0 && serial.stats.rolled_back_opens > 0,
+            "no switch rolled back"
+        );
+        for (burst_cap, queue_depth) in [(64, 64), (3, 2), (1, 1), (64, 0)] {
+            assert_pipeline_equals_serial(&spec, &stream, shape, burst_cap, queue_depth);
+        }
     }
     // No streams at all, and only empty ones.
-    assert_pipeline_equals_batched(&spec, &stream, &[], 64, 1024);
-    assert_pipeline_equals_batched(&spec, &stream, &[Vec::new(), Vec::new()], 64, 0);
+    assert_pipeline_equals_serial(&spec, &stream, &[], 64, 1024);
+    assert_pipeline_equals_serial(&spec, &stream, &[Vec::new(), Vec::new()], 64, 0);
 }
 
 #[test]
@@ -169,8 +179,35 @@ fn three_producers_serve_every_request_once_in_each_clients_order() {
             c.id
         );
     }
-    let open: Vec<_> = a2.grants().map(|g| g.conn).collect();
-    assert!(!open.is_empty());
-    let live = spec.restricted_to_connections(&open);
-    validate_allocation(&live, &a2).expect("pipeline end state is a valid allocation");
+    assert_valid_end_state(&spec, &a2);
+}
+
+#[test]
+fn three_contended_producers_serve_every_request_once_into_a_valid_end_state() {
+    // The refusing, rolling-back workload under a free interleaving: the
+    // verdicts now depend on the arrival order the threads produce, but
+    // the accounting and the tables may not.
+    let (spec, stream) = contended();
+    let timed = &stream[WARMUP..];
+    let (mut e1, mut a1) = warmed(&spec, &stream);
+    let serial = replay_serial(&spec, &mut e1, &mut a1, timed);
+    assert!(
+        serial.refused > 0 && serial.stats.rolled_back_opens > 0,
+        "workload is not contended"
+    );
+
+    let (mut engine, mut alloc) = warmed(&spec, &stream);
+    let cfg = PipelineConfig {
+        producers: 3,
+        burst_cap: 8,
+        queue_depth: 16,
+    };
+    let piped = serve_pipeline(&spec, &mut engine, &mut alloc, &per_client(timed), &cfg);
+
+    let r = &piped.replay;
+    assert_eq!(r.requests, timed.len() as u64);
+    assert_eq!(r.admitted + r.refused, r.requests);
+    assert_eq!(r.bursts, r.requests);
+    assert_eq!(piped.latency.count(), r.requests);
+    assert_valid_end_state(&spec, &alloc);
 }

@@ -19,7 +19,7 @@ use aelite_serve::{
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{client_population, client_population_grouped, ChurnParams};
-use aelite_spec::generate::{regional_workload, WorkloadBuilder};
+use aelite_spec::generate::WorkloadBuilder;
 use aelite_spec::ids::LinkId;
 
 const BURST_CAP: usize = 32;
@@ -33,7 +33,11 @@ fn bench_like_scenario() -> (SystemSpec, ShardConfig, Vec<TimedRequest>) {
         max_paths: 2,
         ..ShardConfig::tiled(2, 2)
     };
-    let spec = regional_workload(4, 4, 2, 120, 77, 2, 2);
+    let spec = WorkloadBuilder::mesh(4, 4, 2)
+        .connections(120)
+        .tiles(2, 2)
+        .seed(77)
+        .build();
     let map = ShardMap::build(&spec, &cfg);
     // Group clients by their connections' home shard (cross-shard conns
     // get their own group) so each client's pool stays shard-coherent.
