@@ -78,12 +78,6 @@ impl Allocation {
         self.table_size
     }
 
-    /// Releases the grant of `conn`, freeing its slots; `false` if it
-    /// held none. Used by the reconfiguration flow.
-    pub(crate) fn release_grant(&mut self, conn: aelite_spec::ids::ConnId) -> bool {
-        self.take_grant(conn).is_some()
-    }
-
     /// Releases the grant of `conn` and returns it — the O(Δ) teardown
     /// kernel of the online reconfiguration flow.
     ///
@@ -145,7 +139,7 @@ impl Allocation {
     /// reserved under one shift must never be torn down under another —
     /// two configs can share a table size yet differ in link pipeline
     /// depth (exactly the DSE grid's variation).
-    pub(crate) fn assert_same_platform(&self, spec: &SystemSpec) {
+    fn assert_same_platform(&self, spec: &SystemSpec) {
         assert_eq!(
             self.table_size,
             spec.config().slot_table_size,
@@ -160,7 +154,7 @@ impl Allocation {
 
     /// Grows the per-connection grant storage to cover `spec`'s ids
     /// (reconfiguration may introduce connections with larger ids).
-    pub(crate) fn grow_for(&mut self, spec: &SystemSpec) {
+    fn grow_for(&mut self, spec: &SystemSpec) {
         if self.grants.len() < spec.conn_id_bound() {
             self.grants.resize(spec.conn_id_bound(), None);
         }
@@ -459,7 +453,7 @@ impl std::error::Error for AllocError {}
 /// short-lived heap allocations per second. An `AllocScratch` owns all
 /// of those buffers plus a pool of recycled [`Grant`]s (returned by
 /// [`Allocation::take_grant`] on teardown), so the steady-state churn
-/// loop of [`Allocator::admit`] runs allocation-free: every buffer a
+/// loop of [`Allocator::admit_in_round`] runs allocation-free: every buffer a
 /// setup needs is one a previous teardown gave back.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
@@ -603,8 +597,8 @@ impl Allocator {
 
     /// The phase-salt retry sequence, with the default fallback when the
     /// configured list is empty — the single source of truth shared by
-    /// batch allocation, reconfiguration and online admission.
-    pub(crate) fn salts(&self) -> &[u32] {
+    /// batch allocation and [`admit_in_round`](Self::admit_in_round).
+    fn salts(&self) -> &[u32] {
         if self.phase_salts.is_empty() {
             &[13]
         } else {
@@ -705,42 +699,6 @@ impl Allocator {
         Ok(alloc)
     }
 
-    /// Admits a single ungranted connection into a live allocation — the
-    /// setup half of the online reconfiguration hot path.
-    ///
-    /// Semantically identical to
-    /// [`extend_with_cache`](Self::extend_with_cache) with a one-element
-    /// list, but shaped for sustained churn: no admission-order sort, no
-    /// per-call allocation (all working memory comes from `scratch`,
-    /// including recycled grant buffers), and the phase-salt retries run
-    /// inline. Existing grants are never touched (the paper's
-    /// undisturbed-service model); on failure the allocation is exactly
-    /// as it was.
-    ///
-    /// Equivalent to [`begin_round`](Self::begin_round) followed by one
-    /// [`admit_in_round`](Self::admit_in_round) — callers admitting a
-    /// whole burst hoist the round setup instead of paying it per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`AllocError`] if no phase salt finds a grant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` already holds a grant, or if `alloc`/`routes`
-    /// were built for a different table size / `max_paths` bound.
-    pub fn admit<R: RouteProvider + ?Sized>(
-        &self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        conn: ConnId,
-        routes: &mut R,
-        scratch: &mut AllocScratch,
-    ) -> Result<(), AllocError> {
-        let round = self.begin_round(spec, alloc, routes);
-        self.admit_in_round(&round, spec, alloc, conn, routes, scratch)
-    }
-
     /// Opens a batched admission round: validates once that `spec`,
     /// `alloc` and `routes` describe the same platform and grows the
     /// per-connection grant storage to cover `spec`'s ids, returning a
@@ -749,9 +707,9 @@ impl Allocator {
     /// Opening a round is O(1): the platform checks are a few integer
     /// comparisons and the grant-storage check reads
     /// [`SystemSpec::conn_id_bound`], which the spec caches. Opening one
-    /// per *request* (as [`admit`](Self::admit) does) therefore costs
-    /// next to nothing; the token exists so the per-request kernel can
-    /// skip the checks, not to amortise them over a burst.
+    /// per *request* therefore costs next to nothing; the token exists so
+    /// the per-request kernel can skip the checks, not to amortise them
+    /// over a burst.
     ///
     /// The token is only evidence that the checks ran; callers must keep
     /// using the same `spec`/`alloc`/`routes` triple for every
@@ -783,10 +741,20 @@ impl Allocator {
         }
     }
 
-    /// [`admit`](Self::admit) with the per-round validation already paid
-    /// by [`begin_round`](Self::begin_round): the per-request work is
-    /// exactly the salt-retried admission kernel, O(Δ) in the candidate
-    /// paths' slot words.
+    /// Admits a single ungranted connection into a live allocation — the
+    /// setup half of the online reconfiguration hot path, and the one
+    /// spelling of salt-retried admission
+    /// ([`extend_with_cache`](Self::extend_with_cache) is this per
+    /// connection in admission order).
+    ///
+    /// Shaped for sustained churn: the per-round validation is already
+    /// paid by [`begin_round`](Self::begin_round), there is no
+    /// admission-order sort and no per-call allocation (all working
+    /// memory comes from `scratch`, including recycled grant buffers),
+    /// and the phase-salt retries run inline — the per-request work is
+    /// exactly the admission kernel, O(Δ) in the candidate paths' slot
+    /// words. Existing grants are never touched (the paper's
+    /// undisturbed-service model).
     ///
     /// # Errors
     ///
@@ -827,7 +795,7 @@ impl Allocator {
         Err(last_err.expect("at least one salt attempted"))
     }
 
-    pub(crate) fn allocate_one<R: RouteProvider + ?Sized>(
+    fn allocate_one<R: RouteProvider + ?Sized>(
         &self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
@@ -1179,6 +1147,19 @@ mod tests {
         cover_with_gap(free, gap, size, &mut out).then_some(out)
     }
 
+    /// One connection through a round of its own.
+    fn admit_one(
+        allocator: &Allocator,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        conn: ConnId,
+        routes: &mut RouteCache,
+        scratch: &mut AllocScratch,
+    ) -> Result<(), AllocError> {
+        let round = allocator.begin_round(spec, alloc, routes);
+        allocator.admit_in_round(&round, spec, alloc, conn, routes, scratch)
+    }
+
     fn two_conn_spec() -> SystemSpec {
         let topo = Topology::mesh(2, 1, 1);
         let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
@@ -1405,9 +1386,15 @@ mod tests {
                 alloc.link_tables[east.index()].reserve(s, load).unwrap();
             }
             let mut routes = RouteCache::new(spec.topology(), allocator.max_paths);
-            allocator
-                .admit(&spec, &mut alloc, conn, &mut routes, &mut scratch)
-                .expect("plenty of capacity on either candidate");
+            admit_one(
+                &allocator,
+                &spec,
+                &mut alloc,
+                conn,
+                &mut routes,
+                &mut scratch,
+            )
+            .expect("plenty of capacity on either candidate");
             let grant = alloc.grant(conn).unwrap();
             let crosses_loaded = grant.links.contains(&east);
             assert_eq!(
@@ -1555,9 +1542,15 @@ mod tests {
         assert_eq!(scratch.pooled_grants(), 1);
 
         // Re-admission reuses the pooled buffers and disturbs nobody.
-        allocator
-            .admit(&spec, &mut alloc, victim, &mut routes, &mut scratch)
-            .expect("freed resources suffice");
+        admit_one(
+            &allocator,
+            &spec,
+            &mut alloc,
+            victim,
+            &mut routes,
+            &mut scratch,
+        )
+        .expect("freed resources suffice");
         assert_eq!(scratch.pooled_grants(), 0, "pooled grant was consumed");
         assert!(alloc.grant(victim).is_some());
         for g in others {
@@ -1574,10 +1567,12 @@ mod tests {
         let mut alloc = allocator.allocate(&spec).unwrap();
         let mut routes = RouteCache::new(spec.topology(), allocator.max_paths);
         let mut scratch = AllocScratch::new();
-        let _ = allocator.admit(
+        let conn = spec.connections()[0].id;
+        let _ = admit_one(
+            &allocator,
             &spec,
             &mut alloc,
-            spec.connections()[0].id,
+            conn,
             &mut routes,
             &mut scratch,
         );

@@ -94,7 +94,7 @@ impl SlotMask {
 
     /// The mask over bits of the last word that fall inside `size`.
     #[inline]
-    pub(crate) fn tail_mask(&self) -> u64 {
+    fn tail_mask(&self) -> u64 {
         let rem = self.size % 64;
         if rem == 0 {
             !0
@@ -231,20 +231,6 @@ impl SlotMask {
             let pos = (wi as u32 * 64 + shift) % size;
             *w &= other.read64_circular(pos);
         }
-    }
-
-    /// The backing word at index `wi` (bits past `size` are zero by the
-    /// mask invariant). Used by word-level scans that walk the mask and
-    /// its complement without going through per-slot probes.
-    #[inline]
-    pub(crate) fn word(&self, wi: usize) -> u64 {
-        self.words[wi]
-    }
-
-    /// The number of backing `u64` words.
-    #[inline]
-    pub(crate) fn word_count(&self) -> usize {
-        self.words.len()
     }
 
     /// Iterates over the set slots, ascending.

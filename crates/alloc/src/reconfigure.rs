@@ -26,7 +26,7 @@ use aelite_spec::ids::ConnId;
 /// Returns `false` if the connection held no grant (already released or
 /// never allocated) — an idempotent no-op.
 pub fn release(alloc: &mut Allocation, conn: ConnId) -> bool {
-    alloc.release_grant(conn)
+    alloc.take_grant(conn).is_some()
 }
 
 impl Allocator {
@@ -76,38 +76,19 @@ impl Allocator {
         new_conns: &[ConnId],
         routes: &mut R,
     ) -> Result<(), AllocError> {
-        alloc.assert_same_platform(spec);
-        assert_eq!(
-            routes.max_paths(),
-            self.max_paths,
-            "route cache was built for a different max_paths bound"
-        );
+        let round = self.begin_round(spec, alloc, routes);
         for &c in new_conns {
             assert!(
                 alloc.grant(c).is_none(),
                 "{c} already holds a grant; release it before re-allocating"
             );
         }
-        alloc.grow_for(spec);
 
         let mut order: Vec<ConnId> = new_conns.to_vec();
         crate::allocate::admission_order(spec, &mut order);
         let mut scratch = crate::allocate::AllocScratch::new();
         for conn in order {
-            let mut last_err = None;
-            let mut done = false;
-            for &salt in self.salts() {
-                match self.allocate_one(spec, alloc, conn, salt, routes, &mut scratch) {
-                    Ok(()) => {
-                        done = true;
-                        break;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if !done {
-                return Err(last_err.expect("at least one salt attempted"));
-            }
+            self.admit_in_round(&round, spec, alloc, conn, routes, &mut scratch)?;
         }
         Ok(())
     }

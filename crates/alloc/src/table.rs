@@ -105,40 +105,6 @@ impl SlotTable {
         prev
     }
 
-    /// Releases every slot owned by `conn`, returning how many there were.
-    ///
-    /// Sub-linear in the table size: walks the *reserved* slots through
-    /// the free mask's complement one word at a time (`trailing_zeros`
-    /// per reserved slot), so a lightly-loaded table costs O(reserved)
-    /// rather than O(size).
-    /// (Grant-based teardown — the online churn hot path — goes further:
-    /// [`Allocation::take_grant`](crate::allocate::Allocation::take_grant)
-    /// releases exactly the grant's own slots without any scan; this
-    /// method serves callers that hold no grant record.)
-    pub fn release_all(&mut self, conn: ConnId) -> u32 {
-        let mut n = 0;
-        let tail = self.free.tail_mask();
-        let last = self.free.word_count() - 1;
-        for wi in 0..=last {
-            // Reserved slots of this word (free-mask complement,
-            // with out-of-range bits masked off in the final word).
-            let mut reserved = !self.free.word(wi);
-            if wi == last {
-                reserved &= tail;
-            }
-            while reserved != 0 {
-                let s = wi as u32 * 64 + reserved.trailing_zeros();
-                reserved &= reserved - 1;
-                if self.owners[s as usize] == Some(conn) {
-                    self.owners[s as usize] = None;
-                    self.free.set(s);
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// Number of reserved slots.
     #[must_use]
     pub fn reserved_count(&self) -> u32 {
@@ -309,48 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn release_all_clears_only_that_connection() {
-        let mut t = SlotTable::new(8);
-        t.reserve(0, c(0)).unwrap();
-        t.reserve(1, c(1)).unwrap();
-        t.reserve(5, c(0)).unwrap();
-        assert_eq!(t.release_all(c(0)), 2);
-        assert_eq!(t.reserved_count(), 1);
-        assert_eq!(t.owner(1), Some(c(1)));
-    }
-
-    #[test]
-    fn release_all_word_scan_matches_owner_scan() {
-        // Pin the complement-word-scan teardown against the original
-        // probe-every-slot implementation across word-boundary sizes.
-        for size in [1u32, 7, 63, 64, 65, 100, 128, 130] {
-            let mut t = SlotTable::new(size);
-            for s in 0..size {
-                match (s * 7 + 3) % 5 {
-                    0 => t.reserve(s, c(0)).unwrap(),
-                    1 => t.reserve(s, c(1)).unwrap(),
-                    _ => {}
-                }
-            }
-            let mut reference = t.clone();
-            // The original implementation, inlined as the oracle.
-            let mut expect = 0;
-            for s in 0..size {
-                if reference.owner(s) == Some(c(0)) {
-                    reference.release(s);
-                    expect += 1;
-                }
-            }
-            assert_eq!(t.release_all(c(0)), expect, "size {size}");
-            assert_eq!(t, reference, "size {size}");
-            // Free mask stays in lock-step with the owner vector.
-            for s in 0..size {
-                assert_eq!(t.is_free(s), t.owner(s).is_none(), "size {size} slot {s}");
-            }
-        }
-    }
-
-    #[test]
     fn slots_of_returns_ascending() {
         let mut t = SlotTable::new(8);
         for s in [6, 1, 4] {
@@ -396,19 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn release_all_on_a_full_table_frees_only_the_named_owner() {
-        let mut t = SlotTable::new(8);
-        for s in 0..8 {
-            t.reserve(s, c(s)).unwrap();
-        }
-        assert_eq!(t.release_all(c(3)), 1);
-        assert_eq!(t.reserved_count(), 7);
-        assert!(t.is_free(3));
-        assert_eq!(t.release_all(c(3)), 0, "nothing left to release");
-        assert_eq!(t.reserved_count(), 7);
-    }
-
-    #[test]
     fn tables_compare_by_reservations_not_by_history() {
         let mut a = SlotTable::new(16);
         let mut b = SlotTable::new(16);
@@ -437,9 +348,8 @@ mod tests {
 
     #[test]
     fn probes_match_the_reservation_pattern_across_word_boundaries() {
-        // Mirror of release_all_word_scan_matches_owner_scan for the
-        // read side: slots_of, iter and the free mask against the
-        // pattern that filled the table.
+        // slots_of, iter and the free mask against the pattern that
+        // filled the table, across word-boundary sizes.
         for size in [1u32, 7, 63, 64, 65, 100, 128, 130] {
             let owner_of = |s: u32| match (s * 7 + 3) % 5 {
                 0 => Some(c(0)),

@@ -11,10 +11,10 @@
 //! 1. **Golden equivalence testing**: the optimized allocator must
 //!    produce bit-for-bit identical grants (`tests/golden_alloc.rs`
 //!    compares them across paper-workload seeds).
-//! 2. **Honest speedup measurement**: `alloc_throughput` and
-//!    `examples/bench_alloc.rs` time both implementations on the same
-//!    machine, so the recorded speedups in `BENCH_ALLOC.json` are
-//!    apples-to-apples wherever they are regenerated.
+//! 2. **Honest speedup measurement**: `examples/bench_alloc.rs` times
+//!    both implementations on the same machine, so the recorded
+//!    speedups in `BENCH_ALLOC.json` are apples-to-apples wherever they
+//!    are regenerated.
 //!
 //! Every algorithmic helper (`estimate_slots`, `pipeline_cycles`,
 //! `dimension_ordered`, `gaps`, the kernels, the route enumeration) is

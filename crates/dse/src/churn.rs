@@ -16,13 +16,12 @@
 //! admission counts are pure functions of the point's coordinates, but
 //! a wall-clock rate has no place in a byte-reproducible report.
 
-use crate::engine::admit_incrementally;
+use crate::engine::design;
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
-use aelite_alloc::Allocator;
+use aelite_alloc::{Allocator, RouteCache};
 use aelite_online::ChurnEngine;
 use aelite_spec::churn::{churn_trace, ChurnParams};
-use aelite_spec::generate::try_random_workload;
 use core::fmt;
 use std::time::Instant;
 
@@ -92,29 +91,13 @@ pub fn churn_table_header() -> String {
 /// points from a checked report).
 #[must_use]
 pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
-    let spec = try_random_workload(
-        point.topology(),
-        point.config(),
-        point.workload_params(),
-        point.seed(),
-    )
-    .unwrap_or_else(|e| panic!("{}: workload no longer draws: {e}", point.id()));
+    let spec = point.spec();
 
     // Reproduce the sweep's allocation, then drain it through the O(Δ)
     // teardown kernel: the trace starts from an empty, warmed engine.
-    let allocator = Allocator::new();
     let mut engine = ChurnEngine::new(&spec);
-    let mut alloc = match allocator.allocate(&spec) {
-        Ok(alloc) => alloc,
-        Err(_) => {
-            admit_incrementally(
-                &allocator,
-                &spec,
-                &mut aelite_alloc::RouteCache::new(spec.topology(), allocator.max_paths),
-            )
-            .0
-        }
-    };
+    let mut routes = RouteCache::new(spec.topology(), Allocator::new().max_paths);
+    let (mut alloc, _) = design(&spec, &mut routes);
     let pool: Vec<_> = alloc.grants().map(|g| g.conn).collect();
     for c in pool {
         engine.close(&mut alloc, c);
@@ -154,32 +137,14 @@ pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
 /// Panics if the report's front is empty (a gated report never is).
 #[must_use]
 pub fn churn_front(report: &DseReport, events: u32) -> Vec<ChurnPoint> {
-    assert!(
-        !report.pareto.is_empty(),
-        "cannot churn an empty Pareto front"
-    );
-    report
-        .pareto
-        .iter()
-        .map(|&i| churn_point(&report.points[i].point, events))
-        .collect()
+    report.map_front(|p| churn_point(p, events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
-    use crate::grid::{DseGrid, MeshDim, TrafficMix};
-
-    fn tiny_grid() -> DseGrid {
-        DseGrid {
-            label: "tiny".into(),
-            meshes: vec![MeshDim::new(2, 2, 1), MeshDim::new(2, 2, 2)],
-            slot_table_sizes: vec![32],
-            link_pipeline_depths: vec![0, 1],
-            mixes: vec![TrafficMix::Light],
-        }
-    }
+    use crate::grid::tests::tiny_grid;
 
     #[test]
     fn tiny_front_churns_with_high_admission() {

@@ -14,11 +14,10 @@
 
 use crate::grid::{DesignPoint, DseGrid};
 use crate::report::DseReport;
-use aelite_alloc::allocate::{admission_order, Allocation};
+use aelite_alloc::allocate::{admission_order, AllocScratch, Allocation};
 use aelite_alloc::{Allocator, RouteCache, RouteProvider};
 use aelite_dataflow::models::{predicted_flit_rate_per_us, wrapper_chain};
 use aelite_spec::app::SystemSpec;
-use aelite_spec::generate::try_random_workload;
 use aelite_spec::ids::ConnId;
 use aelite_synth::components::{link_stage_area_um2, ni_area_um2, FifoKind};
 use aelite_synth::power::component_power;
@@ -103,43 +102,31 @@ pub fn evaluate_point<R: RouteProvider + ?Sized>(
     point: &DesignPoint,
     routes: &mut R,
 ) -> PointResult {
-    let topo = point.topology();
     let cfg = point.config();
-    let params = point.workload_params();
     let seed = point.seed();
-    let requested = params.connections;
+    let requested = point.workload_params().connections;
 
-    let spec = match try_random_workload(topo.clone(), cfg, params, seed) {
-        Ok(spec) => spec,
-        Err(_) => {
-            // The platform cannot even carry the profile's draw budgets;
-            // price the bare platform and move on.
-            return PointResult {
-                point: *point,
-                seed,
-                outcome: PointOutcome::WorkloadInfeasible,
-                connections_requested: requested,
-                connections_granted: 0,
-                alloc_success_rate: 0.0,
-                worst_case_flit_latency_ns: 0.0,
-                mean_loaded_utilisation: 0.0,
-                peak_utilisation: 0.0,
-                guaranteed_throughput_gbytes: 0.0,
-                dataflow_flit_rate_per_us: dataflow_rate(point),
-                area_mm2: platform_area_um2(point, &vec![0u32; topo.ni_count()]) / 1.0e6,
-                power_mw: 0.0,
-            };
-        }
+    let Ok(spec) = point.try_spec() else {
+        // The platform cannot even carry the profile's draw budgets;
+        // price the bare platform and move on.
+        return PointResult {
+            point: *point,
+            seed,
+            outcome: PointOutcome::WorkloadInfeasible,
+            connections_requested: requested,
+            connections_granted: 0,
+            alloc_success_rate: 0.0,
+            worst_case_flit_latency_ns: 0.0,
+            mean_loaded_utilisation: 0.0,
+            peak_utilisation: 0.0,
+            guaranteed_throughput_gbytes: 0.0,
+            dataflow_flit_rate_per_us: dataflow_rate(point),
+            area_mm2: platform_area_um2(point, &vec![0; point.mesh.ni_count() as usize]) / 1.0e6,
+            power_mw: 0.0,
+        };
     };
 
-    let allocator = Allocator::new();
-    let (alloc, granted) = match allocator.allocate_with_cache(&spec, routes) {
-        Ok(alloc) => {
-            let granted = alloc.grants().count() as u32;
-            (alloc, granted)
-        }
-        Err(_) => admit_incrementally(&allocator, &spec, routes),
-    };
+    let (alloc, granted) = design(&spec, routes);
 
     let mut worst_ns = 0.0f64;
     let mut throughput_bytes = 0u64;
@@ -152,7 +139,7 @@ pub fn evaluate_point<R: RouteProvider + ?Sized>(
 
     // NIs are provisioned for the connections the spec *asked* of them,
     // granted or not — hardware is sized before allocation runs.
-    let mut conns_per_ni = vec![0u32; topo.ni_count()];
+    let mut conns_per_ni = vec![0u32; spec.topology().ni_count()];
     for c in spec.connections() {
         conns_per_ni[spec.ip_ni(c.src).index()] += 1;
         conns_per_ni[spec.ip_ni(c.dst).index()] += 1;
@@ -181,27 +168,32 @@ pub fn evaluate_point<R: RouteProvider + ?Sized>(
     }
 }
 
-/// Admission fallback when the all-or-nothing batch allocation fails:
-/// serve connections hardest-first (the batch flow's own order), one
-/// [`Allocator::extend_with_cache`] call each, keeping every success.
-/// Returns the partial allocation and the number of grants.
-pub(crate) fn admit_incrementally<R: RouteProvider + ?Sized>(
-    allocator: &Allocator,
+/// The allocation every stage designs for a drawn workload, and how many
+/// connections it grants: the default [`Allocator`]'s batch flow, else —
+/// when that all-or-nothing flow fails — hardest-first one-at-a-time
+/// admission keeping every success. The sweep prices this allocation;
+/// the validation and churn replays rebuild it through the same call.
+pub(crate) fn design<R: RouteProvider + ?Sized>(
     spec: &SystemSpec,
     routes: &mut R,
 ) -> (Allocation, u32) {
-    let mut order: Vec<ConnId> = spec.connections().iter().map(|c| c.id).collect();
-    admission_order(spec, &mut order);
-    let mut alloc = Allocation::empty_for(spec);
-    let mut granted = 0u32;
-    for conn in order {
-        if allocator
-            .extend_with_cache(spec, &mut alloc, &[conn], routes)
-            .is_ok()
-        {
-            granted += 1;
+    let allocator = Allocator::new();
+    let alloc = match allocator.allocate_with_cache(spec, routes) {
+        Ok(alloc) => alloc,
+        Err(_) => {
+            let mut order: Vec<ConnId> = spec.connections().iter().map(|c| c.id).collect();
+            admission_order(spec, &mut order);
+            let mut alloc = Allocation::empty_for(spec);
+            let round = allocator.begin_round(spec, &mut alloc, routes);
+            let mut scratch = AllocScratch::new();
+            for c in order {
+                // A refusal leaves `alloc` as it was; the count below sees it.
+                let _ = allocator.admit_in_round(&round, spec, &mut alloc, c, routes, &mut scratch);
+            }
+            alloc
         }
-    }
+    };
+    let granted = alloc.grants().count() as u32;
     (alloc, granted)
 }
 
@@ -363,5 +355,33 @@ mod tests {
         if r.outcome == PointOutcome::Partial {
             assert!(r.connections_granted < r.connections_requested);
         }
+    }
+
+    #[test]
+    fn design_rebuilds_the_grants_the_sweep_reported_for_a_partial_point() {
+        // `mesh4x4n4_t128_p1_paper`: the smallest Partial point of the
+        // committed full-grid report (262 of 266 connections).
+        let p = DesignPoint {
+            mesh: MeshDim::new(4, 4, 4),
+            slot_table_size: 128,
+            link_pipeline_stages: 1,
+            mix: TrafficMix::Paper,
+        };
+        let mut routes = RouteCache::new(&p.topology(), Allocator::new().max_paths);
+        let r = evaluate_point(&p, &mut routes);
+        assert_eq!(r.outcome, PointOutcome::Partial);
+        assert_eq!((r.connections_granted, r.connections_requested), (262, 266));
+        // What validation and churn replays do: redraw, redesign, cold cache.
+        let spec = p.spec();
+        let mut cold = RouteCache::new(spec.topology(), Allocator::new().max_paths);
+        let (alloc, granted) = design(&spec, &mut cold);
+        assert_eq!(granted, r.connections_granted);
+        assert_eq!(alloc.grants().count() as u32, granted);
+        // The refused connections are the design's only inconsistency.
+        let violations = aelite_alloc::validate::validate(&spec, &alloc).unwrap_err();
+        assert_eq!(violations.len() as u32, r.connections_requested - granted);
+        assert!(violations
+            .iter()
+            .all(|v| matches!(v, aelite_alloc::validate::Violation::MissingGrant { .. })));
     }
 }

@@ -16,7 +16,6 @@ use aelite_online::{ChurnEngine, FaultEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{churn_trace, ChurnOp, ChurnParams};
 use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario, ScenarioOp};
-use aelite_spec::generate::try_random_workload;
 use core::fmt;
 
 /// Churn events drawn per point's fault scenario.
@@ -161,13 +160,7 @@ pub fn replay_fault_scenario(
 /// points from a checked report).
 #[must_use]
 pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
-    let spec = try_random_workload(
-        point.topology(),
-        point.config(),
-        point.workload_params(),
-        point.seed(),
-    )
-    .unwrap_or_else(|e| panic!("{}: workload no longer draws: {e}", point.id()));
+    let spec = point.spec();
 
     let (engine, _alloc, admitted, events) = replay_fault_scenario(
         &spec,
@@ -202,32 +195,14 @@ pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
 /// Panics if the report's front is empty (a gated report never is).
 #[must_use]
 pub fn fault_front(report: &DseReport) -> Vec<FaultScenarioPoint> {
-    assert!(
-        !report.pareto.is_empty(),
-        "cannot run the fault scenario on an empty Pareto front"
-    );
-    report
-        .pareto
-        .iter()
-        .map(|&i| fault_point(&report.points[i].point))
-        .collect()
+    report.map_front(fault_point)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
-    use crate::grid::{DseGrid, MeshDim, TrafficMix};
-
-    fn tiny_grid() -> DseGrid {
-        DseGrid {
-            label: "tiny".into(),
-            meshes: vec![MeshDim::new(2, 2, 1), MeshDim::new(2, 2, 2)],
-            slot_table_sizes: vec![32],
-            link_pipeline_depths: vec![0, 1],
-            mixes: vec![TrafficMix::Light],
-        }
-    }
+    use crate::grid::tests::tiny_grid;
 
     #[test]
     fn tiny_front_fault_counts_close_and_are_deterministic() {

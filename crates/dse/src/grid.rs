@@ -8,8 +8,9 @@
 //! wall clocks or enumeration order — so a sweep's results are
 //! bit-for-bit reproducible regardless of how many workers evaluate it.
 
+use aelite_spec::app::SystemSpec;
 use aelite_spec::config::NocConfig;
-use aelite_spec::generate::WorkloadParams;
+use aelite_spec::generate::{try_random_workload, WorkloadError, WorkloadParams};
 use aelite_spec::topology::Topology;
 use core::fmt;
 
@@ -203,6 +204,25 @@ impl DesignPoint {
         }
     }
 
+    /// Draws the point's workload. Every stage that rebuilds a point
+    /// (sweep, validation, churn and fault replays) goes through here, so
+    /// they all see the same spec.
+    ///
+    /// # Errors
+    ///
+    /// [`WorkloadError`] when the platform cannot carry the mix's budgets.
+    pub fn try_spec(&self) -> Result<SystemSpec, WorkloadError> {
+        let (topology, config) = (self.topology(), self.config());
+        try_random_workload(topology, config, self.workload_params(), self.seed())
+    }
+
+    /// [`try_spec`](Self::try_spec) for a point taken from a checked
+    /// report, whose workload is known to draw.
+    pub(crate) fn spec(&self) -> SystemSpec {
+        self.try_spec()
+            .unwrap_or_else(|e| panic!("{}: workload no longer draws: {e}", self.id()))
+    }
+
     /// Whether this point is the paper's Section VII platform
     /// ([`PAPER_POINT_ID`]).
     #[must_use]
@@ -315,8 +335,19 @@ impl DseGrid {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The four-point grid the front-replay tests of this crate share.
+    pub(crate) fn tiny_grid() -> DseGrid {
+        DseGrid {
+            label: "tiny".into(),
+            meshes: vec![MeshDim::new(2, 2, 1), MeshDim::new(2, 2, 2)],
+            slot_table_sizes: vec![32],
+            link_pipeline_depths: vec![0, 1],
+            mixes: vec![TrafficMix::Light],
+        }
+    }
 
     #[test]
     fn full_grid_has_at_least_100_points_and_the_paper_platform() {

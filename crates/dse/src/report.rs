@@ -9,7 +9,7 @@
 
 use crate::engine::{PointOutcome, PointResult};
 use crate::fault::{fault_front, FaultScenarioPoint};
-use crate::grid::PAPER_POINT_ID;
+use crate::grid::{DesignPoint, PAPER_POINT_ID};
 use crate::pareto::{pareto_front, Candidate};
 use std::fmt::Write as _;
 
@@ -72,6 +72,21 @@ impl DseReport {
     /// functions of the front's coordinates.
     pub fn attach_fault_scenarios(&mut self) {
         self.fault = fault_front(self);
+    }
+
+    /// One `stage` verdict per Pareto-front point, in front order — the
+    /// body of the validation, churn and fault front replays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the front is empty (a gated report's never is).
+    pub(crate) fn map_front<T>(&self, stage: impl FnMut(&DesignPoint) -> T) -> Vec<T> {
+        assert!(
+            !self.pareto.is_empty(),
+            "cannot replay an empty Pareto front"
+        );
+        let front = self.pareto.iter().map(|&i| &self.points[i].point);
+        front.map(stage).collect()
     }
 
     /// Count of points with the given outcome.
@@ -483,24 +498,14 @@ pub fn check_report_text(json: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
-    use crate::grid::{DseGrid, MeshDim, TrafficMix};
-
-    fn tiny_grid() -> DseGrid {
-        DseGrid {
-            label: "tiny".into(),
-            meshes: vec![MeshDim::new(2, 2, 1)],
-            slot_table_sizes: vec![32, 64],
-            link_pipeline_depths: vec![0],
-            mixes: vec![TrafficMix::Light],
-        }
-    }
+    use crate::grid::tests::tiny_grid;
 
     #[test]
     fn tiny_sweep_report_is_consistent_and_serializes() {
         let mut report = run_sweep(&tiny_grid(), 2);
         report.attach_fault_scenarios();
         report.assert_gates();
-        assert_eq!(report.points.len(), 2);
+        assert_eq!(report.points.len(), 4);
         let json = report.to_json();
         assert!(json.contains(REPORT_SCHEMA));
         assert!(json.contains("\"fault_scenarios\": [\n    {"));
@@ -511,7 +516,7 @@ mod tests {
             json.matches('}').count(),
             "unbalanced JSON braces"
         );
-        assert!(report.summary_table().contains("2 points"));
+        assert!(report.summary_table().contains("4 points"));
         assert!(!report.pareto.is_empty());
         assert!(report.pareto_table().contains("mesh2x2n1"));
     }

@@ -17,13 +17,12 @@
 //!
 //! [`Simulator`]: aelite_sim::scheduler::Simulator
 
-use crate::engine::admit_incrementally;
+use crate::engine::design;
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
-use aelite_alloc::Allocator;
+use aelite_alloc::{Allocator, RouteCache};
 use aelite_noc::network::NetworkKind;
 use aelite_noc::turbo::build_turbo;
-use aelite_spec::generate::try_random_workload;
 use core::fmt;
 
 /// The simulated horizon of one validation replay, in cycles — enough
@@ -97,28 +96,11 @@ pub fn validation_table_header() -> String {
 /// bound.
 #[must_use]
 pub fn validate_point(point: &DesignPoint, duration_cycles: u64) -> ValidatedPoint {
-    let spec = try_random_workload(
-        point.topology(),
-        point.config(),
-        point.workload_params(),
-        point.seed(),
-    )
-    .unwrap_or_else(|e| panic!("{}: workload no longer draws: {e}", point.id()));
+    let spec = point.spec();
 
-    // Reproduce the sweep engine's allocation exactly: batch flow first,
-    // hardest-first incremental admission as the fallback.
-    let allocator = Allocator::new();
-    let alloc = match aelite_alloc::allocate(&spec) {
-        Ok(alloc) => alloc,
-        Err(_) => {
-            admit_incrementally(
-                &allocator,
-                &spec,
-                &mut aelite_alloc::RouteCache::new(spec.topology(), allocator.max_paths),
-            )
-            .0
-        }
-    };
+    // Reproduce the sweep engine's allocation exactly.
+    let mut routes = RouteCache::new(spec.topology(), Allocator::new().max_paths);
+    let (alloc, _) = design(&spec, &mut routes);
 
     let (kind, kind_tag) = match point.link_pipeline_stages {
         0 => (NetworkKind::Synchronous, "synchronous"),
@@ -179,32 +161,14 @@ pub fn validate_point(point: &DesignPoint, duration_cycles: u64) -> ValidatedPoi
 /// as [`validate_point`] on any bound violation.
 #[must_use]
 pub fn validate_front(report: &DseReport, duration_cycles: u64) -> Vec<ValidatedPoint> {
-    assert!(
-        !report.pareto.is_empty(),
-        "cannot validate an empty Pareto front"
-    );
-    report
-        .pareto
-        .iter()
-        .map(|&i| validate_point(&report.points[i].point, duration_cycles))
-        .collect()
+    report.map_front(|p| validate_point(p, duration_cycles))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::run_sweep;
-    use crate::grid::{DseGrid, MeshDim, TrafficMix};
-
-    fn tiny_grid() -> DseGrid {
-        DseGrid {
-            label: "tiny".into(),
-            meshes: vec![MeshDim::new(2, 2, 1), MeshDim::new(2, 2, 2)],
-            slot_table_sizes: vec![32],
-            link_pipeline_depths: vec![0, 1],
-            mixes: vec![TrafficMix::Light],
-        }
-    }
+    use crate::grid::tests::tiny_grid;
 
     #[test]
     fn tiny_front_validates_within_bounds() {

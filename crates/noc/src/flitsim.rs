@@ -36,7 +36,7 @@ impl Default for FlitSimConfig {
         FlitSimConfig {
             duration_cycles: 300_000,
             record_timestamps: false,
-            credit_return_cycles: 24,
+            credit_return_cycles: crate::network::CREDIT_RETURN_CYCLES,
         }
     }
 }

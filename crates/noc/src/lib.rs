@@ -17,7 +17,11 @@
 //!   mesochronous) from a spec and its allocation.
 //! * [`flitsim`] — the fast flit-level TDM simulator used for the paper's
 //!   200-connection experiment, validated against the cycle-accurate
-//!   models.
+//!   models. It is the only pattern-aware simulator (saturating and
+//!   bursty sources, byte-granular credits) and the engine behind
+//!   `AeliteSystem::simulate`; [`turbo`] is the word-granular, CBR-only,
+//!   bit-exact twin of the event-driven network. Folding one into the
+//!   other would move the paper's Section VII numbers, so both stay.
 //! * [`turbo`] — the compiled flit-synchronous execution engine: the same
 //!   cycle-accurate network lowered to flat state and enum dispatch,
 //!   bit-for-bit equivalent to the event-driven build and an order of

@@ -103,8 +103,8 @@ impl CycleNet {
     }
 }
 
-/// Cycles a credit takes from the destination NI back to the source; kept
-/// identical to [`FlitSimConfig::credit_return_cycles`]'s default so the
+/// Cycles a credit takes from the destination NI back to the source;
+/// also the default of [`FlitSimConfig::credit_return_cycles`], so the
 /// two simulators agree exactly.
 ///
 /// [`FlitSimConfig::credit_return_cycles`]: crate::flitsim::FlitSimConfig

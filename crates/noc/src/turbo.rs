@@ -30,11 +30,8 @@
 //!   exact delivery cycle and the per-word credit-return edges the
 //!   event-driven sink would produce;
 //! * clock-domain phases ([`NetworkKind::Mesochronous`]) fold into the
-//!   compiled schedule as femtosecond offsets — the degenerate
-//!   one-period hyperperiod of
-//!   [`EdgeCalendar`](aelite_sim::calendar::EdgeCalendar) — so
-//!   cross-domain credit visibility keeps its exact event-driven
-//!   timing.
+//!   compiled schedule as femtosecond offsets, so cross-domain credit
+//!   visibility keeps its exact event-driven timing.
 //!
 //! **Equivalence is the contract**: a [`TurboNet`] produces delivery
 //! logs bit-for-bit identical to the event-driven build of the same

@@ -82,6 +82,5 @@ pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause}
 pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
 pub use fault::{FaultEngine, FaultStats, RecoveryReport, DEFAULT_PERSISTENCE_NS};
 pub use shard::{
-    sharded_canonical_order, BoundaryPolicy, ShardClass, ShardConfig, ShardMap, ShardedAllocation,
-    ShardedEngine,
+    sharded_canonical_order, ShardClass, ShardConfig, ShardMap, ShardedAllocation, ShardedEngine,
 };

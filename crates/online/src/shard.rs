@@ -46,33 +46,20 @@ use core::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Who owns a link whose endpoints fall in two different regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundaryPolicy {
-    /// The lower-numbered adjacent region owns the link. Requests
-    /// confined to that region (including boundary-hugging detours) stay
-    /// intra-shard; the higher region's requests that touch the link are
-    /// cross-shard.
-    #[default]
-    LowerShard,
-    /// No shard owns boundary links: their slot tables stay in the hub,
-    /// and every request whose candidates touch one is cross-shard.
-    /// Stricter than [`LowerShard`](Self::LowerShard), useful when
-    /// boundary contention should be serialised through the hub.
-    Hub,
-}
-
-/// Shape of the shard partition: how the router grid is tiled, who owns
-/// boundary links, and how many candidate routes the per-shard engines
-/// (and the classification) enumerate per NI pair.
+/// Shape of the shard partition: how the router grid is tiled and how
+/// many candidate routes the per-shard engines (and the classification)
+/// enumerate per NI pair.
+///
+/// A link whose endpoints fall in two different regions belongs to the
+/// lower-numbered one: requests confined to that region (including
+/// boundary-hugging detours) stay intra-shard; the higher region's
+/// requests that touch the link are cross-shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Region tiles along the mesh X dimension.
     pub tiles_x: u32,
     /// Region tiles along the mesh Y dimension.
     pub tiles_y: u32,
-    /// Ownership of links crossing a tile boundary.
-    pub boundary: BoundaryPolicy,
     /// `max_paths` bound of the per-shard allocators **and** of the
     /// classification: both enumerate the same candidate list, which is
     /// what makes "every candidate link owned by shard k" a sound
@@ -98,15 +85,14 @@ impl ShardConfig {
         ShardConfig {
             tiles_x: 1,
             tiles_y: 1,
-            boundary: BoundaryPolicy::LowerShard,
             max_paths: Allocator::new().max_paths,
             steering: Steering::ShortestFirst,
         }
     }
 
     /// A `tiles_x` × `tiles_y` tiling of the router grid with the
-    /// default boundary policy and `max_paths` bound. Requires a mesh
-    /// topology when more than one tile is asked for.
+    /// default `max_paths` bound. Requires a mesh topology when more
+    /// than one tile is asked for.
     #[must_use]
     pub fn tiled(tiles_x: u32, tiles_y: u32) -> Self {
         ShardConfig {
@@ -140,8 +126,7 @@ pub enum ShardClass {
     Cross,
 }
 
-/// Owner sentinel for links held by the hub under
-/// [`BoundaryPolicy::Hub`] and for cross-shard connections.
+/// Home sentinel for cross-shard connections.
 const CROSS: u32 = u32::MAX;
 
 /// Minimum total requests in a parallel phase before `run_shards`
@@ -162,7 +147,7 @@ const PARALLEL_FLOOR: usize = 256;
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    /// Owner per link index; [`CROSS`] = hub-owned boundary link.
+    /// Owning shard per link index.
     link_owner: Vec<u32>,
     /// Home shard per connection index; [`CROSS`] = cross-shard.
     conn_home: Vec<u32>,
@@ -207,19 +192,10 @@ impl ShardMap {
                 Endpoint::Router(r, _) => region_of(r),
                 Endpoint::Ni(n) => region_of(topo.ni_router(n)),
             };
-            let (a, b) = (end_region(link.from), end_region(link.to));
-            let owner = if a == b {
-                a
-            } else {
-                match config.boundary {
-                    BoundaryPolicy::LowerShard => a.min(b),
-                    BoundaryPolicy::Hub => CROSS,
-                }
-            };
+            // A boundary link goes to the lower-numbered region.
+            let owner = end_region(link.from).min(end_region(link.to));
             link_owner[id.index()] = owner;
-            if owner != CROSS {
-                owned_links[owner as usize].push(id);
-            }
+            owned_links[owner as usize].push(id);
         }
 
         // Home every connection by the full candidate list the engines
@@ -238,7 +214,7 @@ impl ShardMap {
                 for l in &route.links {
                     links.push(*l);
                     let owner = link_owner[l.index()];
-                    if owner == CROSS || *home.get_or_insert(owner) != owner {
+                    if *home.get_or_insert(owner) != owner {
                         cross = true;
                     }
                 }
@@ -271,14 +247,11 @@ impl ShardMap {
         self.shards
     }
 
-    /// The shard owning `link`'s slot table, or `None` for a hub-owned
-    /// boundary link (only under [`BoundaryPolicy::Hub`]).
+    /// The shard owning `link`'s slot table, or `None` for a link the
+    /// map does not know.
     #[must_use]
     pub fn link_owner(&self, link: LinkId) -> Option<usize> {
-        match self.link_owner.get(link.index()) {
-            Some(&o) if o != CROSS => Some(o as usize),
-            _ => None,
-        }
+        self.link_owner.get(link.index()).map(|&o| o as usize)
     }
 
     /// The home shard of `conn`, or `None` if it is cross-shard (or
@@ -335,14 +308,13 @@ impl ShardMap {
 /// An [`Allocation`] partitioned along a [`ShardMap`]: one full
 /// platform-shaped part per shard holding the *real* slot tables of the
 /// links that shard owns (every other table empty), plus a hub part
-/// holding hub-owned boundary tables and the grants of cross-shard
-/// connections.
+/// holding the grants of cross-shard connections.
 ///
-/// Invariant: between bursts, each link's real table lives in exactly
-/// one part (its owner's, or the hub's), each granted connection's
-/// grant lives in its home part (cross grants in the hub), and the
-/// union of the parts — [`collapse`](Self::collapse) — is exactly the
-/// allocation a serial engine would have produced.
+/// Invariant: between bursts, each link's real table lives in its
+/// owner's part, each granted connection's grant lives in its home part
+/// (cross grants in the hub), and the union of the parts —
+/// [`collapse`](Self::collapse) — is exactly the allocation a serial
+/// engine would have produced.
 #[derive(Debug, Clone)]
 pub struct ShardedAllocation {
     parts: Vec<Allocation>,
@@ -432,8 +404,7 @@ impl ShardedAllocation {
         &self.parts[k]
     }
 
-    /// The hub partition (cross-shard grants, hub-owned boundary
-    /// tables).
+    /// The hub partition (cross-shard grants).
     #[must_use]
     pub fn hub(&self) -> &Allocation {
         &self.hub
@@ -452,7 +423,6 @@ impl ShardedAllocation {
             if let Some(k) = map.link_owner(l) {
                 self.parts[k].swap_link_table_with(&mut self.hub, l);
             }
-            // Hub-owned boundary tables already live in the hub.
         }
         for &c in conns {
             if let Some(k) = map.conn_home(c) {
@@ -891,32 +861,14 @@ mod tests {
         let topo = spec.topology();
         let map = ShardMap::build(&spec, &quad_config());
         assert_eq!(map.shards(), 4);
-        // Every link is owned (LowerShard leaves nothing to the hub),
-        // and NI links follow their router's quadrant.
+        // Every link is owned (nothing is left to the hub), and NI
+        // links follow their router's quadrant.
         let mut counts = [0usize; 4];
         for l in topo.links() {
-            let owner = map.link_owner(l).expect("LowerShard owns all links");
+            let owner = map.link_owner(l).expect("every link has an owner");
             counts[owner] += 1;
         }
         assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
-    }
-
-    #[test]
-    fn hub_policy_disowns_boundary_links() {
-        let spec = scaled_workload(4, 4, 2, 60, 7);
-        let map = ShardMap::build(
-            &spec,
-            &ShardConfig {
-                boundary: BoundaryPolicy::Hub,
-                ..quad_config()
-            },
-        );
-        let hub_links = spec
-            .topology()
-            .links()
-            .filter(|&l| map.link_owner(l).is_none())
-            .count();
-        assert!(hub_links > 0, "a 4x4 quadrant tiling has boundary links");
     }
 
     #[test]

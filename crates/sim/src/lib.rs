@@ -11,8 +11,6 @@
 //! * [`module`] — the [`module::Module`] trait implemented by every
 //!   clocked hardware model.
 //! * [`scheduler`] — the [`scheduler::Simulator`] event loop.
-//! * [`calendar`] — precomputed hyperperiod edge calendars replacing the
-//!   per-edge heap for strictly periodic domain sets.
 //! * [`bisync`] — the behavioural bi-synchronous FIFO used for every clock
 //!   domain crossing in aelite.
 //!
@@ -56,7 +54,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bisync;
-pub mod calendar;
 pub mod clock;
 pub mod module;
 pub mod scheduler;
@@ -64,9 +61,8 @@ pub mod signal;
 pub mod time;
 
 pub use bisync::{BisyncFifo, SharedBisync};
-pub use calendar::{CoincidenceGroup, EdgeCalendar};
 pub use clock::{ClockSpec, DomainId};
 pub use module::{EdgeContext, Module};
-pub use scheduler::{ModuleId, Simulator};
+pub use scheduler::Simulator;
 pub use signal::{SignalStore, Wire};
 pub use time::{Frequency, SimDuration, SimTime};

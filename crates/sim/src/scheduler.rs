@@ -39,25 +39,12 @@
 //! assert_eq!(sim.signals().read(out), 11);
 //! ```
 
-use crate::calendar::EdgeCalendar;
 use crate::clock::{ClockSpec, DomainId};
 use crate::module::{EdgeContext, Module};
 use crate::signal::{SignalStore, Wire};
 use crate::time::SimTime;
 use core::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Identifies a module registered with a [`Simulator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ModuleId(usize);
-
-impl ModuleId {
-    /// The raw registration index of this module.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
 
 struct DomainState<V> {
     spec: ClockSpec,
@@ -132,20 +119,14 @@ impl<V: Copy + Default> Simulator<V> {
     /// Panics if the simulation has already advanced past the domain's
     /// first edge: adding modules mid-flight would make their state lag
     /// their clock.
-    pub fn add_module(
-        &mut self,
-        domain: DomainId,
-        module: impl Module<Value = V> + 'static,
-    ) -> ModuleId {
+    pub fn add_module(&mut self, domain: DomainId, module: impl Module<Value = V> + 'static) {
         let state = &mut self.domains[domain.0];
         assert!(
             state.next_edge == 0,
             "cannot add module '{}' to {domain} after its clock started",
             module.name()
         );
-        let id = ModuleId(state.modules.len());
         state.modules.push(Box::new(module));
-        id
     }
 
     /// The current simulation time (time of the most recent edge).
@@ -209,30 +190,11 @@ impl<V: Copy + Default> Simulator<V> {
             due.push(d);
         }
 
-        self.fire_due(t, &due);
-
-        // Reschedule each due domain for its next edge.
-        for &d in &due {
-            let state = &self.domains[d];
-            self.queue
-                .push(Reverse((state.spec.edge(state.next_edge), d)));
-        }
-
-        let n = due.len() as u64;
-        self.due_scratch = due;
-        n
-    }
-
-    /// Runs every module of the `due` domains at instant `t`, commits
-    /// the buffered wire writes and advances each due domain's cycle
-    /// count. Shared by the heap path ([`step`](Self::step)) and the
-    /// calendar path — the two must stay behaviourally identical.
-    fn fire_due(&mut self, t: SimTime, due: &[usize]) {
         self.now = t;
 
         // Phase 1: run all modules of all due domains; reads see pre-edge
         // values, writes are buffered in the signal store.
-        for &d in due {
+        for &d in &due {
             let DomainState {
                 spec: _,
                 next_edge,
@@ -248,97 +210,18 @@ impl<V: Copy + Default> Simulator<V> {
         // Phase 2: commit all writes at once (register semantics).
         self.signals.commit();
 
-        for &d in due {
-            self.domains[d].next_edge += 1;
-        }
-        self.edges_processed += due.len() as u64;
-    }
-
-    /// Builds the [`EdgeCalendar`] of this simulator's clock domains, or
-    /// `None` when the domain set has no tractable hyperperiod (see
-    /// [`EdgeCalendar::build`]).
-    #[must_use]
-    pub fn edge_calendar(&self) -> Option<EdgeCalendar> {
-        let specs: Vec<ClockSpec> = self.domains.iter().map(|d| d.spec).collect();
-        EdgeCalendar::build(&specs)
-    }
-
-    /// Runs all edges with time ≤ `deadline`, discovering instants from
-    /// the precomputed `calendar` instead of the binary heap.
-    ///
-    /// Behaviourally identical to [`run_until`](Self::run_until) — the
-    /// calendar enumerates the same instants with the same coincidence
-    /// groups in the same domain order — but without any per-edge heap
-    /// traffic. The heap is resynchronised on return, so heap-driven and
-    /// calendar-driven runs may be freely interleaved.
-    ///
-    /// Returns the number of edges processed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calendar` was not built from this simulator's exact
-    /// domain set (use [`edge_calendar`](Self::edge_calendar)).
-    pub fn run_until_with_calendar(&mut self, deadline: SimTime, calendar: &EdgeCalendar) -> u64 {
-        assert!(
-            calendar.specs().len() == self.domains.len()
-                && calendar
-                    .specs()
-                    .iter()
-                    .zip(&self.domains)
-                    .all(|(s, d)| *s == d.spec),
-            "calendar does not match this simulator's clock domains"
-        );
-        if self.domains.is_empty() {
-            return 0;
-        }
-
-        // The global frontier: the earliest pending edge over all domains.
-        let t_next = self
-            .domains
-            .iter()
-            .map(|d| d.spec.edge(d.next_edge))
-            .min()
-            .expect("at least one domain");
-        if t_next > deadline {
-            return 0;
-        }
-        let (mut rev, mut g) = calendar
-            .position_of(t_next)
-            .expect("every pending edge lies on the calendar");
-
-        let mut due = std::mem::take(&mut self.due_scratch);
-        let mut processed = 0u64;
-        loop {
-            let t = calendar.instant(rev, g);
-            if t > deadline {
-                break;
-            }
-            let group = &calendar.groups()[g];
-            debug_assert!(group
-                .domains()
-                .iter()
-                .enumerate()
-                .all(|(i, &d)| self.domains[d].next_edge == calendar.domain_cycle(rev, g, i)));
-            due.clear();
-            due.extend_from_slice(group.domains());
-            self.fire_due(t, &due);
-            processed += due.len() as u64;
-
-            g += 1;
-            if g == calendar.groups().len() {
-                g = 0;
-                rev += 1;
-            }
-        }
-        self.due_scratch = due;
-
-        // Resynchronise the heap so step()/run_until keep working.
-        self.queue.clear();
-        for (d, state) in self.domains.iter().enumerate() {
+        // Reschedule each due domain for its next edge.
+        for &d in &due {
+            let state = &mut self.domains[d];
+            state.next_edge += 1;
             self.queue
                 .push(Reverse((state.spec.edge(state.next_edge), d)));
         }
-        processed
+
+        let n = due.len() as u64;
+        self.edges_processed += n;
+        self.due_scratch = due;
+        n
     }
 
     /// Runs until `domain` has completed `cycles` edges in total.
@@ -528,71 +411,6 @@ mod tests {
         let mut sim: Simulator<u32> = Simulator::new();
         assert_eq!(sim.step(), 0);
         assert_eq!(sim.run_until(SimTime::from_ns(100)), 0);
-        assert!(sim.edge_calendar().is_none());
-    }
-
-    /// Two counters on phase-shifted clocks, run with the heap and with
-    /// the calendar: identical wire values, edge counts and times — and
-    /// the two drive modes interleave freely.
-    #[test]
-    fn calendar_run_matches_heap_run() {
-        let build = || {
-            let mut sim: Simulator<u32> = Simulator::new();
-            let d0 = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
-            let d1 = sim.add_domain(
-                ClockSpec::new(Frequency::from_mhz(500)).with_phase(SimDuration::from_ps(700)),
-            );
-            let a = sim.add_wire("a");
-            let b = sim.add_wire("b");
-            sim.add_module(d0, Counter { out: a });
-            sim.add_module(d1, Counter { out: b });
-            (sim, a, b)
-        };
-
-        let (mut heap_sim, ha, hb) = build();
-        heap_sim.run_until(SimTime::from_ns(20));
-
-        let (mut cal_sim, ca, cb) = build();
-        let cal = cal_sim.edge_calendar().expect("periodic domains");
-        // Interleave: heap to 7 ns, calendar to 13 ns, heap to 20 ns.
-        cal_sim.run_until(SimTime::from_ns(7));
-        cal_sim.run_until_with_calendar(SimTime::from_ns(13), &cal);
-        cal_sim.run_until(SimTime::from_ns(20));
-
-        assert_eq!(heap_sim.now(), cal_sim.now());
-        assert_eq!(heap_sim.edges_processed(), cal_sim.edges_processed());
-        assert_eq!(heap_sim.signals().read(ha), cal_sim.signals().read(ca));
-        assert_eq!(heap_sim.signals().read(hb), cal_sim.signals().read(cb));
-    }
-
-    #[test]
-    fn calendar_run_before_first_edge_is_a_noop() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let clk = sim.add_domain(
-            ClockSpec::new(Frequency::from_mhz(500)).with_phase(SimDuration::from_ps(1_500)),
-        );
-        let out = sim.add_wire("count");
-        sim.add_module(clk, Counter { out });
-        let cal = sim.edge_calendar().unwrap();
-        assert_eq!(
-            sim.run_until_with_calendar(SimTime::from_ps(1_000), &cal),
-            0
-        );
-        assert_eq!(
-            sim.run_until_with_calendar(SimTime::from_ps(1_500), &cal),
-            1
-        );
-        assert_eq!(sim.signals().read(out), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_calendar_is_rejected() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let _ = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
-        let cal = crate::calendar::EdgeCalendar::build(&[ClockSpec::new(Frequency::from_mhz(250))])
-            .unwrap();
-        let _ = sim.run_until_with_calendar(SimTime::from_ns(10), &cal);
     }
 
     #[test]

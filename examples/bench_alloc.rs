@@ -2,8 +2,7 @@
 //! allocator against the current bitset + route-cache allocator and
 //! writes `BENCH_ALLOC.json`, the perf record future PRs track.
 //!
-//! Three configurations per workload (see the `alloc_throughput` bench
-//! for the same matrix under criterion):
+//! Three configurations per workload:
 //!
 //! * **seed** — the original allocator, preserved verbatim in
 //!   `aelite_baseline::alloc_ref`, measured live so the comparison is

@@ -124,16 +124,14 @@ proptest! {
 enum TableOp {
     Reserve(u32, u32),
     Release(u32),
-    ReleaseAll(u32),
 }
 
-/// Strategy: an arbitrary sequence of reserve/release/release_all ops.
+/// Strategy: an arbitrary sequence of reserve/release ops.
 fn table_ops() -> impl Strategy<Value = (u32, Vec<TableOp>)> {
     (1u32..=150).prop_flat_map(|size| {
         let op = prop_oneof![
             (0..size * 2, 0u32..6).prop_map(|(s, c)| TableOp::Reserve(s, c)),
             (0..size * 2).prop_map(TableOp::Release),
-            (0u32..6).prop_map(TableOp::ReleaseAll),
         ];
         (Just(size), proptest::collection::vec(op, 1..120))
     })
@@ -143,7 +141,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `SlotTable`'s free-slot bitset stays consistent with its owner
-    /// vector under arbitrary reserve/release/release_all sequences.
+    /// vector under arbitrary reserve/release sequences.
     #[test]
     fn slot_table_free_mask_stays_consistent((size, ops) in table_ops()) {
         let mut t = SlotTable::new(size);
@@ -154,9 +152,6 @@ proptest! {
                 }
                 TableOp::Release(slot) => {
                     let _ = t.release(slot);
-                }
-                TableOp::ReleaseAll(conn) => {
-                    let _ = t.release_all(ConnId::new(conn));
                 }
             }
             // The mask, the owner vector, and the derived counters must
