@@ -694,7 +694,8 @@ impl Allocator {
         admission_order(spec, &mut order);
 
         for &conn in promoted.iter().chain(order.iter()) {
-            self.allocate_one(spec, &mut alloc, conn, salt, routes, scratch)?;
+            self.allocate_one(spec, &mut alloc, conn, salt, routes, scratch)
+                .map_err(|refusal| refusal.error)?;
         }
         Ok(alloc)
     }
@@ -753,13 +754,15 @@ impl Allocator {
     /// memory comes from `scratch`, including recycled grant buffers),
     /// and the phase-salt retries run inline — the per-request work is
     /// exactly the admission kernel, O(Δ) in the candidate paths' slot
-    /// words. Existing grants are never touched (the paper's
-    /// undisturbed-service model).
+    /// words. A refusal no salt can change (no candidate got as far as
+    /// the phase-staggered spread, the only place the salt enters) is
+    /// decided by the first pass alone. Existing grants are never touched
+    /// (the paper's undisturbed-service model).
     ///
     /// # Errors
     ///
-    /// Returns the last [`AllocError`] if no phase salt finds a grant;
-    /// `alloc` is unchanged in that case.
+    /// Returns the [`AllocError`] of the last phase salt if none finds a
+    /// grant; `alloc` is unchanged in that case.
     ///
     /// # Panics
     ///
@@ -789,7 +792,14 @@ impl Allocator {
         for &salt in self.salts() {
             match self.allocate_one(spec, alloc, conn, salt, routes, scratch) {
                 Ok(()) => return Ok(()),
-                Err(e) => last_err = Some(e),
+                Err(refusal) => {
+                    last_err = Some(refusal.error);
+                    // Each pass is a pure function of unchanged state, so
+                    // a salt-independent pass is the last salt's pass too.
+                    if !refusal.salt_dependent {
+                        break;
+                    }
+                }
             }
         }
         Err(last_err.expect("at least one salt attempted"))
@@ -803,7 +813,7 @@ impl Allocator {
         salt: u32,
         routes: &mut R,
         scratch: &mut AllocScratch,
-    ) -> Result<(), AllocError> {
+    ) -> Result<(), Refusal> {
         let cfg = spec.config();
         let c = spec.connection(conn);
         let src_ni = spec.ip_ni(c.src);
@@ -815,6 +825,7 @@ impl Allocator {
 
         let mut best_available = 0u32;
         let mut best_latency_cycles = u64::MAX;
+        let mut salt_dependent = false;
         let latency_budget_cycles = (c.max_latency_ns as f64 / cfg.cycle_ns()).floor() as u64;
         let shift = cfg.slots_per_hop();
 
@@ -929,6 +940,7 @@ impl Allocator {
                 // No latency pressure: stagger the spread per connection so
                 // unrelated connections don't pile onto the same phase.
                 let phase = (conn.index() as u32).wrapping_mul(salt) % size;
+                salt_dependent = true;
                 work.copy_from(cand);
                 spread_selection(work, needed, size, phase, chosen);
             }
@@ -985,26 +997,39 @@ impl Allocator {
             return Ok(());
         }
 
-        if tried == 0 {
-            if let Some(link) = routes.blocking_fault(spec.topology(), src_ni, dst_ni) {
-                return Err(AllocError::LinkDown { conn, link });
+        let error = if tried == 0 {
+            match routes.blocking_fault(spec.topology(), src_ni, dst_ni) {
+                Some(link) => AllocError::LinkDown { conn, link },
+                None => AllocError::NoRoute { conn },
             }
-            return Err(AllocError::NoRoute { conn });
-        }
-        if best_available < needed {
-            Err(AllocError::InsufficientSlots {
+        } else if best_available < needed {
+            AllocError::InsufficientSlots {
                 conn,
                 needed,
                 best_available,
-            })
+            }
         } else {
-            Err(AllocError::LatencyUnmet {
+            AllocError::LatencyUnmet {
                 conn,
                 required_ns: c.max_latency_ns,
                 best_ns: (best_latency_cycles as f64 * cfg.cycle_ns()).ceil() as u64,
-            })
-        }
+            }
+        };
+        Err(Refusal {
+            error,
+            salt_dependent,
+        })
     }
+}
+
+/// One phase salt's refusal, and whether another salt could decide
+/// differently.
+struct Refusal {
+    error: AllocError,
+    /// Whether any candidate reached the phase-staggered spread — the
+    /// only place the salt enters a pass. When none did, every salt
+    /// refuses with this same error.
+    salt_dependent: bool,
 }
 
 impl Default for Allocator {

@@ -31,11 +31,14 @@
 //! *sequence* observed by callers is identical to an eager enumeration.
 //!
 //! Providers also carry a [`FaultMask`] of failed links (empty by
-//! default): under a non-empty mask every candidate traversing a down
-//! link is skipped, and installing a mask evicts resident entries that
-//! touch a newly-down link, so a stale path over a failed link can never
-//! be served. With an empty mask the lookup path is bit-for-bit the
-//! unmasked one.
+//! default). Faults *filter*, they never evict: under a non-empty mask
+//! every lookup skips the candidates traversing a down link, so a stale
+//! path over a failed link can never be served, and resident entries
+//! stay resident across [`set_faults`](RouteProvider::set_faults) — a
+//! fault costs no BFS/DFS re-run. Each entry caches which of its routes
+//! the current mask leaves healthy, recomputed only when the mask or the
+//! entry's route list changed since. With an empty mask the lookup path
+//! is bit-for-bit the unmasked one.
 
 use crate::path::{detour_candidates, initial_candidates, Path};
 use aelite_spec::ids::{LinkId, NiId};
@@ -50,6 +53,9 @@ use std::collections::HashMap;
 /// traversing a down link are skipped. The mask is a plain bitset: the
 /// recovery engine owns the authoritative copy and pushes snapshots into
 /// every provider that routes for it.
+///
+/// The last word is never zero ([`set_up`](Self::set_up) trims), so two
+/// masks with the same down links compare equal whatever their history.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultMask {
     words: Vec<u64>,
@@ -104,6 +110,9 @@ impl FaultMask {
         if was_down {
             self.words[w] &= !(1 << b);
             self.down -= 1;
+            while self.words.last() == Some(&0) {
+                self.words.pop();
+            }
         }
         was_down
     }
@@ -115,14 +124,24 @@ impl FaultMask {
     }
 }
 
-/// Position of the `i`-th route of `routes` not blocked by `faults`.
-fn nth_healthy(routes: &[CachedRoute], faults: &FaultMask, i: usize) -> Option<usize> {
-    routes
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| !faults.blocks(&r.links))
-        .nth(i)
-        .map(|(pos, _)| pos)
+/// The mask a provider filters through, with an epoch that moves
+/// whenever the mask's content does — what an [`Entry`] stamps its
+/// healthy view with. Epoch 0 is the empty mask providers start under.
+#[derive(Debug, Default)]
+struct InstalledMask {
+    mask: FaultMask,
+    epoch: u64,
+}
+
+impl InstalledMask {
+    fn install(&mut self, faults: &FaultMask) {
+        if self.mask != *faults {
+            // Field-wise, so the word buffer is reused: no allocation.
+            self.mask.words.clone_from(&faults.words);
+            self.mask.down = faults.down;
+            self.epoch += 1;
+        }
+    }
 }
 
 /// A candidate route with its precomputed link list.
@@ -156,6 +175,14 @@ enum EntryState {
 struct Entry {
     routes: Vec<CachedRoute>,
     state: EntryState,
+    /// The healthy view: positions in `routes` of the routes the mask of
+    /// epoch `view_epoch` does not block, computed over the first
+    /// `view_routes` routes. Stale — and recomputed on the next masked
+    /// lookup — when either stamp differs from the provider's epoch or
+    /// the current route count.
+    view: Vec<u32>,
+    view_epoch: u64,
+    view_routes: usize,
 }
 
 impl Entry {
@@ -219,6 +246,24 @@ impl Entry {
         self.routes.get(i)
     }
 
+    /// Brings the healthy view up to date with `faults` and the current
+    /// route list: one pass over routes × links when a stamp is stale,
+    /// nothing otherwise.
+    fn refresh_view(&mut self, faults: &InstalledMask) {
+        if self.view_epoch == faults.epoch && self.view_routes == self.routes.len() {
+            return;
+        }
+        self.view.clear();
+        self.view.extend(
+            (0u32..)
+                .zip(&self.routes)
+                .filter(|(_, r)| !faults.mask.blocks(&r.links))
+                .map(|(pos, _)| pos),
+        );
+        self.view_epoch = faults.epoch;
+        self.view_routes = self.routes.len();
+    }
+
     /// Serves the `i`-th candidate not blocked by `faults`, materializing
     /// the detour stage when the healthy prefix runs out. With an empty
     /// mask this is exactly [`candidate`](Self::candidate).
@@ -229,17 +274,19 @@ impl Entry {
         dst: NiId,
         max_paths: usize,
         i: usize,
-        faults: &FaultMask,
+        faults: &InstalledMask,
     ) -> Option<&CachedRoute> {
-        if faults.is_empty() {
+        if faults.mask.is_empty() {
             return self.candidate(topo, src, dst, max_paths, i);
         }
         self.ensure_initial(topo, src, dst, max_paths);
-        if nth_healthy(&self.routes, faults, i).is_none() && self.state == EntryState::Partial {
+        self.refresh_view(faults);
+        if i >= self.view.len() && self.state == EntryState::Partial {
             self.ensure_complete(topo, src, dst, max_paths);
+            self.refresh_view(faults);
         }
-        let pos = nth_healthy(&self.routes, faults, i)?;
-        Some(&self.routes[pos])
+        let pos = *self.view.get(i)?;
+        Some(&self.routes[pos as usize])
     }
 
     /// One blocking down link (the first on the shortest route) when the
@@ -252,31 +299,21 @@ impl Entry {
         src: NiId,
         dst: NiId,
         max_paths: usize,
-        faults: &FaultMask,
+        faults: &InstalledMask,
     ) -> Option<LinkId> {
-        if faults.is_empty() {
+        if faults.mask.is_empty() {
             return None;
         }
         self.ensure_complete(topo, src, dst, max_paths);
-        if self.routes.is_empty() || self.routes.iter().any(|r| !faults.blocks(&r.links)) {
+        self.refresh_view(faults);
+        if self.routes.is_empty() || !self.view.is_empty() {
             return None;
         }
         self.routes[0]
             .links
             .iter()
             .copied()
-            .find(|&l| faults.is_down(l))
-    }
-
-    /// Whether any materialized route traverses a link that is down in
-    /// `new` but was not in `old` — the eviction predicate of
-    /// [`RouteProvider::set_faults`].
-    fn touches_newly_down(&self, new: &FaultMask, old: &FaultMask) -> bool {
-        self.state != EntryState::Untouched
-            && self
-                .routes
-                .iter()
-                .any(|r| r.links.iter().any(|&l| new.is_down(l) && !old.is_down(l)))
+            .find(|&l| faults.mask.is_down(l))
     }
 }
 
@@ -366,11 +403,11 @@ pub trait RouteProvider: core::fmt::Debug + Send {
 
     /// Installs `faults` as the provider's link-fault mask. Subsequent
     /// [`candidate`](Self::candidate)/[`candidates`](Self::candidates)
-    /// calls skip every route traversing a down link, and resident
-    /// entries touching a **newly** down link are evicted — their memory
-    /// is released and [`resident_pairs`](Self::resident_pairs) drops
-    /// accordingly. Re-materialization is a pure function of the
-    /// topology, so eviction never changes a candidate sequence.
+    /// calls skip every route traversing a down link. Nothing is evicted:
+    /// the cost is a copy of the mask's words, resident entries stay
+    /// resident ([`resident_pairs`](Self::resident_pairs) never drops),
+    /// and every lookup answers exactly as a cold provider under the same
+    /// mask would, because the filter runs at lookup.
     fn set_faults(&mut self, faults: &FaultMask);
 
     /// When the (src, dst) pair is routable in the topology but **every**
@@ -414,7 +451,7 @@ pub struct RouteCache {
     max_paths: usize,
     shape: Shape,
     entries: HashMap<(u32, u32), Entry>,
-    faults: FaultMask,
+    faults: InstalledMask,
     /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
     /// results (the unmasked path returns the resident slice directly).
     healthy: Vec<CachedRoute>,
@@ -430,7 +467,7 @@ impl RouteCache {
             max_paths,
             shape: Shape::of(topo),
             entries: HashMap::new(),
-            faults: FaultMask::new(),
+            faults: InstalledMask::default(),
             healthy: Vec::new(),
         }
     }
@@ -470,10 +507,10 @@ impl RouteProvider for RouteCache {
         self.shape.check(topo, src, dst);
         let entry = self.entries.entry(Self::key(src, dst)).or_default();
         entry.ensure_complete(topo, src, dst, self.max_paths);
-        if self.faults.is_empty() {
+        if self.faults.mask.is_empty() {
             return &entry.routes;
         }
-        let faults = &self.faults;
+        let faults = &self.faults.mask;
         self.healthy.clear();
         self.healthy.extend(
             entry
@@ -490,14 +527,11 @@ impl RouteProvider for RouteCache {
     }
 
     fn faults(&self) -> &FaultMask {
-        &self.faults
+        &self.faults.mask
     }
 
     fn set_faults(&mut self, faults: &FaultMask) {
-        let old = &self.faults;
-        self.entries
-            .retain(|_, e| !e.touches_newly_down(faults, old));
-        self.faults = faults.clone();
+        self.faults.install(faults);
     }
 
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
@@ -522,7 +556,7 @@ pub struct DenseRouteCache {
     max_paths: usize,
     shape: Shape,
     entries: Vec<Entry>,
-    faults: FaultMask,
+    faults: InstalledMask,
     /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
     /// results (the unmasked path returns the resident slice directly).
     healthy: Vec<CachedRoute>,
@@ -538,7 +572,7 @@ impl DenseRouteCache {
             max_paths,
             shape,
             entries: vec![Entry::default(); shape.ni_count * shape.ni_count],
-            faults: FaultMask::new(),
+            faults: InstalledMask::default(),
             healthy: Vec::new(),
         }
     }
@@ -580,10 +614,10 @@ impl RouteProvider for DenseRouteCache {
         let max_paths = self.max_paths;
         let entry = &mut self.entries[idx];
         entry.ensure_complete(topo, src, dst, max_paths);
-        if self.faults.is_empty() {
+        if self.faults.mask.is_empty() {
             return &entry.routes;
         }
-        let faults = &self.faults;
+        let faults = &self.faults.mask;
         self.healthy.clear();
         self.healthy.extend(
             entry
@@ -600,17 +634,11 @@ impl RouteProvider for DenseRouteCache {
     }
 
     fn faults(&self) -> &FaultMask {
-        &self.faults
+        &self.faults.mask
     }
 
     fn set_faults(&mut self, faults: &FaultMask) {
-        let old = &self.faults;
-        for e in &mut self.entries {
-            if e.touches_newly_down(faults, old) {
-                *e = Entry::default();
-            }
-        }
-        self.faults = faults.clone();
+        self.faults.install(faults);
     }
 
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
@@ -839,40 +867,67 @@ mod tests {
     }
 
     #[test]
-    fn set_faults_evicts_resident_entries_touching_newly_down_links() {
+    fn fault_masks_with_the_same_down_links_compare_equal() {
+        // A link set down and raised again must leave no trace: the
+        // providers' "same mask re-installed" check relies on `==`.
+        let mut mask = FaultMask::new();
+        mask.set_down(LinkId::new(130));
+        mask.set_down(LinkId::new(3));
+        mask.set_up(LinkId::new(130));
+        let mut low = FaultMask::new();
+        low.set_down(LinkId::new(3));
+        assert_eq!(mask, low, "a raised high link leaves trailing words");
+        mask.set_up(LinkId::new(3));
+        assert_eq!(mask, FaultMask::new());
+    }
+
+    #[test]
+    fn set_faults_filters_resident_entries_and_never_evicts() {
         let topo = Topology::mesh(4, 4, 1);
         let (mut hashed, mut dense) = both_providers(&topo, 12);
-        // Touch two pairs: one through the failed link's router, one far away.
-        let (near_s, near_d) = (NiId::new(0), NiId::new(1));
+        // Two resident pairs: one over the link about to fail, one far away.
+        let (near_s, near_d) = (NiId::new(0), NiId::new(5));
         let (far_s, far_d) = (NiId::new(14), NiId::new(15));
         for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            let _ = p.candidates(&topo, near_s, near_d);
+            let full: Vec<Path> = p
+                .candidates(&topo, near_s, near_d)
+                .iter()
+                .map(|r| r.path.clone())
+                .collect();
             let _ = p.candidates(&topo, far_s, far_d);
             assert_eq!(p.resident_pairs(), 2);
 
-            let down = p.candidates(&topo, near_s, near_d)[0].links[0];
+            // Fail the first router-to-router link of the XY route.
+            let down = p.candidates(&topo, near_s, near_d)[0].links[1];
             let mut mask = FaultMask::new();
             mask.set_down(down);
             p.set_faults(&mask);
-            assert_eq!(
-                p.resident_pairs(),
-                1,
-                "the entry over the failed link is evicted, the bystander stays"
-            );
+            assert_eq!(p.resident_pairs(), 2, "a fault evicts nothing");
 
-            // Re-installing the same mask evicts nothing further (only
-            // *newly* down links evict), and the evicted pair re-resides
-            // on next touch with the same healthy answer as a cold cache.
-            p.set_faults(&mask);
-            assert_eq!(p.resident_pairs(), 1);
-            assert!(p.candidates(&topo, near_s, near_d).is_empty());
+            // The resident (stale) entry serves no route over the down
+            // link, by index and as a list, and still serves the rest.
+            let mut walked = 0;
+            while let Some(r) = p.candidate(&topo, near_s, near_d, walked) {
+                assert!(!r.links.contains(&down), "served a route over {down}");
+                walked += 1;
+            }
+            assert!(walked > 0 && walked < full.len());
+            assert_eq!(p.candidates(&topo, near_s, near_d).len(), walked);
+            assert!(p
+                .candidates(&topo, near_s, near_d)
+                .iter()
+                .all(|r| !r.links.contains(&down)));
             assert_eq!(p.resident_pairs(), 2);
 
-            // Raising the link back evicts nothing; the stale-filtered
-            // entry serves the full list again purely via the mask.
+            // Re-raising the link serves the full list again.
             p.set_faults(&FaultMask::new());
             assert_eq!(p.resident_pairs(), 2);
-            assert!(!p.candidates(&topo, near_s, near_d).is_empty());
+            let back: Vec<Path> = p
+                .candidates(&topo, near_s, near_d)
+                .iter()
+                .map(|r| r.path.clone())
+                .collect();
+            assert_eq!(back, full);
         }
     }
 

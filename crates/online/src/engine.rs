@@ -192,8 +192,8 @@ impl ChurnEngine {
 
     /// Installs `faults` as the route cache's fault mask: from now on
     /// no admission through this engine can be granted a route that
-    /// traverses a down link, and resident cached routes touching a
-    /// newly-down link are evicted (see [`RouteProvider::set_faults`]).
+    /// traverses a down link. Route lookups filter by the mask, so
+    /// cached routes stay resident (see [`RouteProvider::set_faults`]).
     ///
     /// The mask constrains *future* admissions only — grants already in
     /// an allocation are not inspected here. Walking the affected grants
@@ -1000,5 +1000,43 @@ mod tests {
         assert_eq!(engine_a.stats(), engine_b.stats(), "stats diverged");
         // The refused open really was refused with a matchable cause.
         assert_eq!(verdicts_a[3].unwrap_err().cause, RefusalCause::AlreadyOpen);
+    }
+
+    /// Faults filter, they never evict: over a merged churn + fault
+    /// replay the route cache only ever grows. (Lives here rather than
+    /// beside the fault engine's tests because `routes` is private to
+    /// this module.)
+    #[test]
+    fn fault_replay_never_shrinks_the_route_cache() {
+        use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario};
+        let spec = paper_workload(42);
+        let churn = churn_trace(
+            &spec,
+            &ChurnParams {
+                events: 600,
+                ..ChurnParams::steady(600)
+            },
+            21,
+        );
+        let faults = fault_trace(
+            spec.topology(),
+            &FaultParams {
+                events: 60,
+                rate_per_sec: 1.0e5,
+                ..FaultParams::sparse(60)
+            },
+            21,
+        );
+        let scenario = FaultScenario::merge(&churn, &faults);
+        let mut alloc = Allocation::empty_for(&spec);
+        let mut engine = crate::FaultEngine::new(&spec);
+        let mut resident = 0;
+        for e in &scenario.events {
+            engine.apply_event(&spec, &mut alloc, e);
+            let now = engine.engine().routes.resident_pairs();
+            assert!(now >= resident, "cache shrank {resident} -> {now} at {e:?}");
+            resident = now;
+        }
+        assert!(resident > 0 && engine.stats().affected > 0);
     }
 }

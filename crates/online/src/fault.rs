@@ -15,8 +15,8 @@
 //! 1. **mask** — the failed link enters the engine's
 //!    [`FaultMask`]; from that point no
 //!    admission path (serial, batched round, sharded two-phase commit)
-//!    can grant a route traversing it, and resident cached routes over
-//!    it are evicted;
+//!    can grant a route traversing it — route lookups filter by the
+//!    mask, so cached routes stay resident and nothing is re-enumerated;
 //! 2. **make-before-break** — each affected grant (hardest first, the
 //!    allocator's admission order) is re-admitted on a fault-free path
 //!    *while its old reservations are still held*, then the old slots
@@ -591,8 +591,9 @@ impl FaultEngine {
     }
 
     /// The failure-side sweep: installs the grown mask, collects the
-    /// grants routed over any of `newly_down`, and walks them down the
-    /// recovery ladder hardest-first.
+    /// grants routed over any of `newly_down` — the owners in those
+    /// links' own slot tables, so the sweep reads what failed, not every
+    /// grant — and walks them down the recovery ladder hardest-first.
     fn recover(
         &mut self,
         spec: &SystemSpec,
@@ -601,11 +602,19 @@ impl FaultEngine {
     ) -> RecoveryReport {
         self.engine.set_faults(&self.mask);
         self.order.clear();
-        self.order.extend(
+        for &l in newly_down {
+            let owners = alloc.link_table(l).iter().filter_map(|(_, owner)| owner);
+            self.order.extend(owners);
+        }
+        self.order.sort_unstable();
+        self.order.dedup();
+        debug_assert!(
             alloc
                 .grants()
                 .filter(|g| g.links.iter().any(|l| newly_down.contains(l)))
-                .map(|g| g.conn),
+                .map(|g| g.conn)
+                .eq(self.order.iter().copied()),
+            "slot-table owners out of step with the grants' link lists"
         );
         admission_order(spec, &mut self.order);
         let mut report = RecoveryReport {
@@ -632,7 +641,8 @@ impl FaultEngine {
     /// [`ChurnEngine::submit_batch`] over per-connection opens, whose
     /// canonical order is exactly the hardest-first cached-key sort of
     /// batch admission. Connections that still do not fit stay parked
-    /// for the next repair.
+    /// for the next repair; one still severed costs a single salt pass
+    /// over resident routes (the mask install re-enumerates nothing).
     fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
         self.engine.set_faults(&self.mask);
         let mut report = RecoveryReport::default();
