@@ -472,15 +472,6 @@ impl RouteCache {
         }
     }
 
-    /// How many (src, dst) pairs have been (at least partially) computed.
-    #[must_use]
-    pub fn cached_pairs(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.state != EntryState::Untouched)
-            .count()
-    }
-
     fn key(src: NiId, dst: NiId) -> (u32, u32) {
         (src.index() as u32, dst.index() as u32)
     }
@@ -523,7 +514,10 @@ impl RouteProvider for RouteCache {
     }
 
     fn resident_pairs(&self) -> usize {
-        self.cached_pairs()
+        self.entries
+            .values()
+            .filter(|e| e.state != EntryState::Untouched)
+            .count()
     }
 
     fn faults(&self) -> &FaultMask {
@@ -577,15 +571,6 @@ impl DenseRouteCache {
         }
     }
 
-    /// How many (src, dst) pairs have been (at least partially) computed.
-    #[must_use]
-    pub fn cached_pairs(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.state != EntryState::Untouched)
-            .count()
-    }
-
     fn pair_index(&self, src: NiId, dst: NiId) -> usize {
         src.index() * self.shape.ni_count + dst.index()
     }
@@ -630,7 +615,10 @@ impl RouteProvider for DenseRouteCache {
     }
 
     fn resident_pairs(&self) -> usize {
-        self.cached_pairs()
+        self.entries
+            .iter()
+            .filter(|e| e.state != EntryState::Untouched)
+            .count()
     }
 
     fn faults(&self) -> &FaultMask {
@@ -720,11 +708,11 @@ mod tests {
     fn second_lookup_is_memoized() {
         let topo = Topology::mesh(2, 2, 1);
         let mut cache = RouteCache::new(&topo, 4);
-        assert_eq!(cache.cached_pairs(), 0);
+        assert_eq!(cache.resident_pairs(), 0);
         let n = cache.candidates(&topo, NiId::new(0), NiId::new(2)).len();
-        assert_eq!(cache.cached_pairs(), 1);
+        assert_eq!(cache.resident_pairs(), 1);
         assert_eq!(cache.candidates(&topo, NiId::new(0), NiId::new(2)).len(), n);
-        assert_eq!(cache.cached_pairs(), 1);
+        assert_eq!(cache.resident_pairs(), 1);
     }
 
     #[test]

@@ -6,15 +6,9 @@
 //! kernels. This module preserves the implementation it replaced —
 //! per-slot `Vec<Option<ConnId>>` probing, clone-per-expansion path DFS,
 //! quadratic slot-selection kernels — with **identical decisions**, for
-//! two purposes:
-//!
-//! 1. **Golden equivalence testing**: the optimized allocator must
-//!    produce bit-for-bit identical grants (`tests/golden_alloc.rs`
-//!    compares them across paper-workload seeds).
-//! 2. **Honest speedup measurement**: `examples/bench_alloc.rs` times
-//!    both implementations on the same machine, so the recorded
-//!    speedups in `BENCH_ALLOC.json` are apples-to-apples wherever they
-//!    are regenerated.
+//! one purpose: golden equivalence testing. The optimized allocator must
+//! produce bit-for-bit identical grants (`tests/golden_alloc.rs`
+//! compares them across paper-workload seeds).
 //!
 //! Every algorithmic helper (`estimate_slots`, `pipeline_cycles`,
 //! `dimension_ordered`, `gaps`, the kernels, the route enumeration) is

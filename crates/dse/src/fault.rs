@@ -7,7 +7,7 @@
 //! scenario (a merged churn + fault trace, [`FaultScenario::merge`]) is
 //! seeded from the point, replayed through the [`FaultEngine`], and the
 //! resulting admission and displacement counts are committed to the
-//! report and gated by `dse_sweep --check`.
+//! report and gated by [`DseReport::assert_gates`].
 
 use crate::grid::DesignPoint;
 use crate::report::DseReport;

@@ -30,7 +30,7 @@
 //!   fault trace (failures, repairs, transient glitches); the resulting
 //!   deterministic admission/displacement counts are folded into
 //!   `DSE_REPORT.json` (schema `aelite-dse-report/2`) and gated by
-//!   `dse_sweep --check`.
+//!   [`DseReport::assert_gates`].
 //!
 //! [`ChurnEngine`]: aelite_online::ChurnEngine
 //! [`FaultEngine`]: aelite_online::FaultEngine
@@ -79,5 +79,5 @@ pub use engine::{evaluate_point, run_sweep, PointOutcome, PointResult};
 pub use fault::{fault_front, fault_point, FaultScenarioPoint};
 pub use grid::{DesignPoint, DseGrid, MeshDim, TrafficMix, PAPER_POINT_ID};
 pub use pareto::{dominates, pareto_front, Candidate};
-pub use report::{check_report_text, DseReport, REPORT_SCHEMA};
+pub use report::{DseReport, REPORT_SCHEMA};
 pub use validate::{validate_front, validate_point, ValidatedPoint, VALIDATE_DURATION_CYCLES};

@@ -444,56 +444,6 @@ impl DseReport {
     }
 }
 
-/// Checks a serialized report (e.g. the committed `DSE_REPORT.json`)
-/// against the schema and gates without re-running the sweep: schema
-/// tag, a non-empty Pareto front, and the paper platform allocating
-/// 100% of its connections.
-///
-/// # Errors
-///
-/// Returns a description of the first failed gate.
-pub fn check_report_text(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{REPORT_SCHEMA}\"")) {
-        return Err(format!("missing schema tag {REPORT_SCHEMA:?}"));
-    }
-    let Some(pareto_at) = json.find("\"pareto_front\": [") else {
-        return Err("missing pareto_front".into());
-    };
-    let after = &json[pareto_at + "\"pareto_front\": [".len()..];
-    if after.trim_start().starts_with(']') {
-        return Err("empty pareto_front".into());
-    }
-    let Some(fault_at) = json.find("\"fault_scenarios\": [") else {
-        return Err("missing fault_scenarios (schema 2 folds the fault verdicts in)".into());
-    };
-    let after = &json[fault_at + "\"fault_scenarios\": [".len()..];
-    if after.trim_start().starts_with(']') {
-        return Err("empty fault_scenarios — the front's fault verdicts must be committed".into());
-    }
-    let Some(paper_at) = json.find(&format!("\"id\": \"{PAPER_POINT_ID}\"")) else {
-        return Err(format!("missing paper platform point {PAPER_POINT_ID}"));
-    };
-    let tail = &json[paper_at..];
-    let scope = &tail[..tail.find('}').unwrap_or(tail.len())];
-    let Some(rate_at) = scope.find("\"alloc_success_rate\": ") else {
-        return Err("paper point has no alloc_success_rate".into());
-    };
-    let rate_txt: String = scope[rate_at + "\"alloc_success_rate\": ".len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    let rate: f64 = rate_txt
-        .parse()
-        .map_err(|e| format!("unparseable paper success rate {rate_txt:?}: {e}"))?;
-    if (rate - 1.0).abs() > 1e-9 {
-        return Err(format!(
-            "paper platform success rate {rate} != 1.0 — the Section VII workload must \
-             allocate completely"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,43 +469,5 @@ mod tests {
         assert!(report.summary_table().contains("4 points"));
         assert!(!report.pareto.is_empty());
         assert!(report.pareto_table().contains("mesh2x2n1"));
-    }
-
-    #[test]
-    fn check_report_text_accepts_a_gated_report_shape() {
-        // A minimal synthetic report exercising every gate path.
-        let good = format!(
-            "{{\n  \"schema\": \"{REPORT_SCHEMA}\",\n  \"pareto_front\": [\"x\"],\n  \
-             \"fault_scenarios\": [\n    {{\n      \"id\": \"x\",\n      \
-             \"affected\": 3\n    }}\n  ],\n  \
-             \"points\": [\n    {{\n      \"id\": \"{PAPER_POINT_ID}\",\n      \
-             \"alloc_success_rate\": 1.000\n    }}\n  ]\n}}\n"
-        );
-        assert_eq!(check_report_text(&good), Ok(()));
-
-        let bad_schema = good.replace(REPORT_SCHEMA, "aelite-dse-report/0");
-        assert!(check_report_text(&bad_schema).is_err());
-        let empty_front = good.replace("\"pareto_front\": [\"x\"]", "\"pareto_front\": []");
-        assert!(check_report_text(&empty_front).is_err());
-        let no_fault = good.replace("\"fault_scenarios\"", "\"fault_scenario\"");
-        assert!(check_report_text(&no_fault).unwrap_err().contains("fault"));
-        let empty_fault = {
-            let start = good.find("\"fault_scenarios\": [").unwrap();
-            let end = good[start..].find(']').unwrap() + start;
-            format!(
-                "{}{}",
-                &good[..start + "\"fault_scenarios\": [".len()],
-                &good[end..]
-            )
-        };
-        assert!(check_report_text(&empty_fault)
-            .unwrap_err()
-            .contains("empty"));
-        let partial_paper = good.replace("1.000", "0.950");
-        assert!(check_report_text(&partial_paper)
-            .unwrap_err()
-            .contains("0.95"));
-        let no_paper = good.replace("mesh4x3n4", "mesh9x9n1");
-        assert!(check_report_text(&no_paper).is_err());
     }
 }

@@ -134,9 +134,10 @@ impl CbrGen {
 /// network timing. The slot kernel makes one decision per owned slot
 /// and touches a handful of scalar fields per decision; parallel arrays
 /// keep those scalars densely packed instead of strided across a large
-/// per-connection struct — mega-mesh builds carry 10k–100k connections,
-/// where the AoS layout wasted most of every cache line on the cold
-/// queue/log/stats fields.
+/// per-connection struct — mega-mesh builds carry 10k–30k connections
+/// (`tests/mega_mesh_golden.rs` runs the 32×32/30k point), where the AoS
+/// layout wasted most of every cache line on the cold queue/log/stats
+/// fields.
 #[derive(Debug, Default)]
 struct ConnSoa {
     conn: Vec<ConnId>,
@@ -506,7 +507,7 @@ pub fn build_turbo(
 
     // Bucket connection indices by source and destination NI up front:
     // a single O(conns) pass replaces the old O(NIs × conns) rescan per
-    // NI, which dominated build time on mega-meshes (4096 NIs × 100k
+    // NI, which dominated build time on mega-meshes (4096 NIs × 30k
     // connections). Pushing in spec order keeps each bucket in spec
     // order, so the construction order below — source NIs outer, spec
     // connections inner — is unchanged and the public queue/log vectors

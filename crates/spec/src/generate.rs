@@ -122,12 +122,14 @@ impl WorkloadParams {
         }
     }
 
-    /// The mega-mesh profile for 16×16–32×32 platforms at 10k–100k
-    /// connections: same light bandwidths as [`scaled`](Self::scaled)
-    /// but with deadlines relaxed to 1000–10000 ns so that connections
-    /// crossing a large mesh (whose physical latency floor alone runs to
-    /// hundreds of ns) do not force slot-table-monopolising injection
-    /// gaps and get rejected by the feasibility filter.
+    /// The mega-mesh profile for 16×16–32×32 platforms at 10k–30k
+    /// connections (32×32/30k is the largest point drawn anywhere;
+    /// `tests/mega_mesh_golden.rs` pins it): same light bandwidths as
+    /// [`scaled`](Self::scaled) but with deadlines relaxed to
+    /// 1000–10000 ns so that connections crossing a large mesh (whose
+    /// physical latency floor alone runs to hundreds of ns) do not force
+    /// slot-table-monopolising injection gaps and get rejected by the
+    /// feasibility filter.
     #[must_use]
     pub fn mega() -> Self {
         WorkloadParams {
@@ -176,9 +178,10 @@ pub enum TrafficProfile {
 
 /// One entry point for every random workload in the repo: the paper's
 /// Section VII platform, the scaled benchmark meshes and the mega-mesh
-/// (16×16–32×32, 10k–100k connection) regime are all points in this
-/// builder's parameter space, so new configurations no longer need a new
-/// ad-hoc constructor signature.
+/// (16×16–32×32, 10k–30k connections, pinned by
+/// `tests/mega_mesh_golden.rs`) regime are all points in this builder's
+/// parameter space, so new configurations no longer need a new ad-hoc
+/// constructor signature.
 ///
 /// Construct with [`WorkloadBuilder::mesh`], adjust knobs, then call
 /// [`build`](Self::build) (panicking) or [`try_build`](Self::try_build)
@@ -437,8 +440,9 @@ pub fn paper_workload(seed: u64) -> SystemSpec {
 
 /// Generates a synthetic scaled-up workload on a `cols × rows` mesh with
 /// `nis_per_router` NIs per router and one IP per NI: the
-/// thousand-connection regime the allocator-throughput benchmarks track
-/// (`BENCH_ALLOC.json`), beyond the paper's 200-connection platform.
+/// thousand-connection regime beyond the paper's 200-connection
+/// platform that `tests/golden_alloc.rs` and `tests/turbo_golden.rs` pin
+/// the allocator and the turbo kernel on.
 ///
 /// The draw keeps the paper generator's feasibility rules but with a
 /// lighter per-connection profile (log-uniform 10–100 MB/s, 300–3000 ns
@@ -779,8 +783,8 @@ fn xy_links(topo: &Topology, a: NiId, b: NiId) -> Vec<usize> {
 impl SystemSpecBuilder {
     /// The NI an already-placed IP sits on (helper for the generator).
     fn spec_ni(&self, ip: IpId) -> NiId {
-        // The builder's mapping is private to `app.rs`; expose through a
-        // crate-internal accessor.
+        // The builder's mapping is private to `crates/spec/src/app.rs`;
+        // expose through a crate-internal accessor.
         self.mapping_for(ip)
     }
 }

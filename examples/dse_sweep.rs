@@ -8,7 +8,6 @@
 //! cargo run --release --example dse_sweep -- --reduced    # CI's 12-point grid
 //! cargo run --release --example dse_sweep -- --threads 4  # fixed worker count
 //! cargo run --release --example dse_sweep -- --out my.json
-//! cargo run --release --example dse_sweep -- --check      # gate an existing report
 //! cargo run --release --example dse_sweep -- --reduced --validate
 //! ```
 //!
@@ -18,9 +17,10 @@
 //! folds the fault scenario in: every Pareto-front point is replayed
 //! through the `FaultEngine` under a seeded merged churn + fault trace
 //! and its deterministic admission/displacement counts are committed as
-//! `fault_scenarios` (wall-clock rates stay out). `--check` verifies an
-//! already written report — CI uses it to gate the committed
-//! `DSE_REPORT.json` before regenerating its own reduced sweep.
+//! `fault_scenarios` (wall-clock rates stay out). The gates
+//! (`DseReport::assert_gates`) run on the fresh sweep before anything is
+//! written; CI regenerates the full grid and `git diff --exit-code`s the
+//! committed `DSE_REPORT.json` against it.
 //!
 //! `--validate` replays every Pareto-front point through the turbo
 //! cycle-accurate kernel (`aelite_noc::turbo`) and asserts the measured
@@ -38,7 +38,6 @@ use aelite_dse::churn::{churn_front, churn_table_header, CHURN_EVENTS_PER_POINT}
 use aelite_dse::engine::run_sweep;
 use aelite_dse::fault::fault_table_header;
 use aelite_dse::grid::DseGrid;
-use aelite_dse::report::check_report_text;
 use aelite_dse::validate::{validate_front, validation_table_header, VALIDATE_DURATION_CYCLES};
 use std::time::Instant;
 
@@ -47,7 +46,6 @@ fn main() {
     let mut grid = DseGrid::full();
     let mut threads = 0usize; // 0 = one worker per CPU
     let mut out = String::from("DSE_REPORT.json");
-    let mut check: Option<String> = None;
     let mut validate = false;
     let mut churn = false;
 
@@ -68,29 +66,9 @@ fn main() {
                 i += 1;
                 out = args.get(i).expect("--out needs a path").clone();
             }
-            "--check" => {
-                // Optional path operand; defaults to the committed report.
-                check = Some(match args.get(i + 1) {
-                    Some(p) if !p.starts_with("--") => {
-                        i += 1;
-                        p.clone()
-                    }
-                    _ => "DSE_REPORT.json".to_string(),
-                });
-            }
             other => panic!("unknown argument {other:?}"),
         }
         i += 1;
-    }
-
-    if let Some(path) = check {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        match check_report_text(&text) {
-            Ok(()) => println!("{path}: schema and gates OK"),
-            Err(e) => panic!("{path}: gate failed: {e}"),
-        }
-        return;
     }
 
     println!(
