@@ -52,7 +52,13 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    pub(crate) fn empty(spec: &SystemSpec) -> Self {
+    /// An allocation for `spec` with no grants: what a batch pass starts
+    /// from, and the starting point for incremental flows that admit
+    /// connections one at a time through [`Allocator::admit_in_round`]
+    /// (the online engines; a design-space sweep measuring how many
+    /// connections of an oversubscribed workload fit).
+    #[must_use]
+    pub fn empty_for(spec: &SystemSpec) -> Self {
         Allocation {
             table_size: spec.config().slot_table_size,
             slots_per_hop: spec.config().slots_per_hop(),
@@ -61,15 +67,6 @@ impl Allocation {
                 .collect(),
             grants: vec![None; spec.conn_id_bound()],
         }
-    }
-
-    /// An allocation for `spec` with no grants: the starting point for
-    /// incremental flows that admit connections one at a time through
-    /// [`Allocator::extend_with_cache`] (e.g. a design-space sweep
-    /// measuring how many connections of an oversubscribed workload fit).
-    #[must_use]
-    pub fn empty_for(spec: &SystemSpec) -> Self {
-        Allocation::empty(spec)
     }
 
     /// The NoC-wide slot-table size.
@@ -348,8 +345,8 @@ pub fn estimate_slots(spec: &SystemSpec, conn: ConnId) -> u32 {
 
 /// Sorts `conns` into the allocator's canonical hardest-first admission
 /// order: most estimated slots first, then tightest deadline, then id.
-/// Shared by the batch pass, the reconfiguration flow and the DSE
-/// engine's incremental admission, so "hardest first" means the same
+/// Shared by the batch pass, the online engine's use-case switch and the
+/// DSE engine's incremental admission, so "hardest first" means the same
 /// thing everywhere.
 pub fn admission_order(spec: &SystemSpec, conns: &mut [ConnId]) {
     conns.sort_by_cached_key(|&id| {
@@ -404,7 +401,7 @@ pub enum AllocError {
         best_ns: u64,
     },
     /// The pair is routable in the topology, but every candidate route
-    /// traverses a failed link of the provider's
+    /// traverses a failed link of the route cache's
     /// [`FaultMask`](crate::route_cache::FaultMask).
     LinkDown {
         /// The severed connection.
@@ -531,7 +528,7 @@ pub struct AdmissionRound {
 /// How an admission orders the candidate routes it tries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Steering {
-    /// The route provider's native order: dimension-ordered routes
+    /// The route cache's native order: dimension-ordered routes
     /// first, then detours — shortest paths get first pick. This is the
     /// historical behaviour and the byte-stable default.
     #[default]
@@ -541,7 +538,7 @@ pub enum Steering {
     /// [`free_count`](crate::SlotTable::free_count) over its links) and
     /// tried fullest-bottleneck-first, so admission biases away from
     /// near-full links and a single link failure displaces fewer grants.
-    /// Ties break on the provider's candidate index, keeping the order —
+    /// Ties break on the cache's candidate index, keeping the order —
     /// and therefore every grant — replay-deterministic.
     SpareCapacity,
 }
@@ -607,10 +604,10 @@ impl Allocator {
     }
 
     /// [`allocate`](Self::allocate) with a caller-supplied
-    /// [`RouteProvider`], so repeated allocations over the same topology
+    /// [`RouteCache`], so repeated allocations over the same topology
     /// (e.g. a design-space sweep, or re-allocation under churn) skip
-    /// route enumeration entirely after the first run. Grants are
-    /// bit-for-bit independent of the provider implementation.
+    /// route enumeration entirely after the first run. Grants do not
+    /// depend on what the cache already holds.
     ///
     /// # Errors
     ///
@@ -620,10 +617,10 @@ impl Allocator {
     ///
     /// Panics if `routes` was built with a different `max_paths` bound
     /// than this allocator uses (the cached candidate lists would differ).
-    pub fn allocate_with_cache<R: RouteProvider + ?Sized>(
+    pub fn allocate_with_cache(
         &self,
         spec: &SystemSpec,
-        routes: &mut R,
+        routes: &mut RouteCache,
     ) -> Result<Allocation, AllocError> {
         assert_eq!(
             routes.max_paths(),
@@ -663,15 +660,15 @@ impl Allocator {
         Err(last_err.expect("at least one pass attempted"))
     }
 
-    fn allocate_pass<R: RouteProvider + ?Sized>(
+    fn allocate_pass(
         &self,
         spec: &SystemSpec,
         salt: u32,
         promoted: &[ConnId],
-        routes: &mut R,
+        routes: &mut RouteCache,
         scratch: &mut AllocScratch,
     ) -> Result<Allocation, AllocError> {
-        let mut alloc = Allocation::empty(spec);
+        let mut alloc = Allocation::empty_for(spec);
 
         // Hardest connections first: the difficulty estimate is the slot
         // count the grant will end up with — the bandwidth minimum or, for
@@ -723,11 +720,11 @@ impl Allocator {
     /// size / per-hop shift / `max_paths` bound than `spec` and this
     /// allocator use.
     #[must_use]
-    pub fn begin_round<R: RouteProvider + ?Sized>(
+    pub fn begin_round(
         &self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
-        routes: &R,
+        routes: &RouteCache,
     ) -> AdmissionRound {
         alloc.assert_same_platform(spec);
         assert_eq!(
@@ -744,9 +741,8 @@ impl Allocator {
 
     /// Admits a single ungranted connection into a live allocation — the
     /// setup half of the online reconfiguration hot path, and the one
-    /// spelling of salt-retried admission
-    /// ([`extend_with_cache`](Self::extend_with_cache) is this per
-    /// connection in admission order).
+    /// spelling of salt-retried admission (a use-case switch is this per
+    /// connection in [`admission_order`]).
     ///
     /// Shaped for sustained churn: the per-round validation is already
     /// paid by [`begin_round`](Self::begin_round), there is no
@@ -767,13 +763,13 @@ impl Allocator {
     /// # Panics
     ///
     /// Panics if `conn` already holds a grant.
-    pub fn admit_in_round<R: RouteProvider + ?Sized>(
+    pub fn admit_in_round(
         &self,
         round: &AdmissionRound,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         conn: ConnId,
-        routes: &mut R,
+        routes: &mut RouteCache,
         scratch: &mut AllocScratch,
     ) -> Result<(), AllocError> {
         debug_assert_eq!(
@@ -805,13 +801,13 @@ impl Allocator {
         Err(last_err.expect("at least one salt attempted"))
     }
 
-    fn allocate_one<R: RouteProvider + ?Sized>(
+    fn allocate_one(
         &self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         conn: ConnId,
         salt: u32,
-        routes: &mut R,
+        routes: &mut RouteCache,
         scratch: &mut AllocScratch,
     ) -> Result<(), Refusal> {
         let cfg = spec.config();
@@ -848,7 +844,7 @@ impl Allocator {
 
         // Spare-capacity steering scores every (healthy) candidate by the
         // bottleneck free-slot count along its route and tries the widest
-        // bottleneck first; the provider's candidate index breaks ties,
+        // bottleneck first; the cache's candidate index breaks ties,
         // so the order — and every grant — stays replay-deterministic.
         // The default shortest-first mode skips this pass entirely and is
         // bit-for-bit the historical behaviour.
@@ -1406,7 +1402,7 @@ mod tests {
                 ..Allocator::new()
             },
         ] {
-            let mut alloc = Allocation::empty(&spec);
+            let mut alloc = Allocation::empty_for(&spec);
             for s in 0..alloc.table_size / 2 {
                 alloc.link_tables[east.index()].reserve(s, load).unwrap();
             }

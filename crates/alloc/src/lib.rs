@@ -8,13 +8,17 @@
 //! * [`path`] — source-route paths and minimal-hop route enumeration.
 //! * [`mask`] — word-level bitset kernels (rotate-and-AND, bit scans)
 //!   behind the allocator's hot path.
-//! * [`route_cache`] — the [`route_cache::RouteProvider`] API: memoized
-//!   route candidates per (src, dst) NI pair, with a lazy hashed default
-//!   cache (memory ∝ pairs routed) and a dense O(1)-lookup variant.
+//! * [`route_cache`] — [`route_cache::RouteCache`]: memoized, lazily
+//!   enumerated route candidates per (src, dst) NI pair (memory ∝ pairs
+//!   routed), filtered through a link-fault mask.
 //! * [`table`] — per-link slot tables, gap and worst-window arithmetic.
 //! * [`mod@allocate`] — the greedy hardest-first allocator.
 //! * [`validate`] — an independent checker that re-derives every guarantee.
-//! * [`reconfigure`] — runtime release/extend without disturbing anyone.
+//!
+//! Run-time reconfiguration — releasing grants and admitting new
+//! connections into a live allocation without disturbing anyone — is
+//! `aelite-online`'s `ChurnEngine`, over [`Allocation::take_grant`] and
+//! [`Allocator::admit_in_round`].
 //!
 //! # Examples
 //!
@@ -36,7 +40,6 @@
 pub mod allocate;
 pub mod mask;
 pub mod path;
-pub mod reconfigure;
 pub mod route_cache;
 pub mod table;
 pub mod validate;
@@ -47,9 +50,6 @@ pub use allocate::{
 };
 pub use mask::SlotMask;
 pub use path::{dimension_ordered, route_candidates, Path, PathError};
-pub use reconfigure::release;
-pub use route_cache::{
-    CachedRoute, DenseRouteCache, FaultMask, RouteCache, RouteEntry, RouteProvider,
-};
+pub use route_cache::{CachedRoute, FaultMask, RouteCache, RouteProvider};
 pub use table::{gaps, worst_window, SlotTable};
 pub use validate::{validate as validate_allocation, Violation};

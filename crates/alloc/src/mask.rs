@@ -112,13 +112,6 @@ impl SlotMask {
         *self.words.last_mut().expect("non-empty") &= tail;
     }
 
-    /// Clears every slot.
-    pub fn clear_all(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
-    }
-
     /// Copies the contents of `other` into `self`.
     ///
     /// # Panics

@@ -6,31 +6,27 @@
 //! destination NI) pair over and over: once per rip-up retry, once per
 //! phase salt, and again for every connection sharing the pair, and the
 //! answer never changes because candidate routes depend only on the
-//! topology. A route provider computes each pair's candidates — and each
+//! topology. [`RouteCache`] computes each pair's candidates — and each
 //! path's link list — at most once.
 //!
-//! The allocator is written against the [`RouteProvider`] trait, with two
-//! implementations that return bit-for-bit identical candidate sequences:
+//! The cache is *hashed*: its memory is proportional to the pairs
+//! actually routed. On a 32×32 mesh with 4 NIs per router there are
+//! 4096² ≈ 16.8M ordered pairs; a 30k-connection workload touches at most
+//! 30k of them, so a dense table would waste three orders of magnitude of
+//! memory.
 //!
-//! * [`RouteCache`] — the default: a *hashed* cache whose memory is
-//!   proportional to the pairs actually routed. On a 32×32 mesh with
-//!   4 NIs per router there are 4096² ≈ 16.8M ordered pairs; a 100k-
-//!   connection workload touches at most 100k of them, so a dense table
-//!   would waste three orders of magnitude of memory.
-//! * [`DenseRouteCache`] — a flat `ni_count × ni_count` vector with O(1)
-//!   unhashed lookup, the right trade on small platforms where N² is a
-//!   few thousand entries and the allocator's inner loop dominates.
-//!
-//! On top of memoization both providers materialize candidates *lazily*,
-//! in the two stages [`route_candidates`](crate::path::route_candidates)
+//! On top of memoization the cache materializes candidates *lazily*, in
+//! the two stages [`route_candidates`](crate::path::route_candidates)
 //! already has: the dimension-ordered XY/YX routes are computed on first
 //! touch, and the DFS detour enumeration runs only if a caller actually
 //! walks past them. The allocator commits to the first feasible
 //! candidate, which under light contention is almost always XY or YX, so
 //! most pairs never pay for the DFS at all — while the candidate
-//! *sequence* observed by callers is identical to an eager enumeration.
+//! *sequence* observed by callers is identical to the eager enumeration
+//! (pinned against it pair by pair in `tests/mega_mesh_golden.rs` and
+//! under arbitrary mask sequences in `tests/proptest_fault_filter.rs`).
 //!
-//! Providers also carry a [`FaultMask`] of failed links (empty by
+//! The cache also carries a [`FaultMask`] of failed links (empty by
 //! default). Faults *filter*, they never evict: under a non-empty mask
 //! every lookup skips the candidates traversing a down link, so a stale
 //! path over a failed link can never be served, and resident entries
@@ -48,11 +44,11 @@ use std::collections::HashMap;
 /// A set of failed (down) links, indexed by link id — the routing side of
 /// the fault model.
 ///
-/// Installed into a [`RouteProvider`] via
+/// Installed into a [`RouteCache`] via
 /// [`set_faults`](RouteProvider::set_faults), after which candidates
 /// traversing a down link are skipped. The mask is a plain bitset: the
 /// recovery engine owns the authoritative copy and pushes snapshots into
-/// every provider that routes for it.
+/// every cache that routes for it.
 ///
 /// The last word is never zero ([`set_up`](Self::set_up) trims), so two
 /// masks with the same down links compare equal whatever their history.
@@ -124,9 +120,9 @@ impl FaultMask {
     }
 }
 
-/// The mask a provider filters through, with an epoch that moves
+/// The mask a cache filters through, with an epoch that moves
 /// whenever the mask's content does — what an [`Entry`] stamps its
-/// healthy view with. Epoch 0 is the empty mask providers start under.
+/// healthy view with. Epoch 0 is the empty mask a cache starts under.
 #[derive(Debug, Default)]
 struct InstalledMask {
     mask: FaultMask,
@@ -154,11 +150,6 @@ pub struct CachedRoute {
     pub links: Vec<LinkId>,
 }
 
-/// The entry type route providers hand out — candidate routes with their
-/// link lists. Alias of [`CachedRoute`], named from the caller's side of
-/// the [`RouteProvider`] API.
-pub type RouteEntry = CachedRoute;
-
 /// How much of a pair's candidate list has been materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum EntryState {
@@ -171,14 +162,14 @@ enum EntryState {
     Complete,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Entry {
     routes: Vec<CachedRoute>,
     state: EntryState,
     /// The healthy view: positions in `routes` of the routes the mask of
     /// epoch `view_epoch` does not block, computed over the first
     /// `view_routes` routes. Stale — and recomputed on the next masked
-    /// lookup — when either stamp differs from the provider's epoch or
+    /// lookup — when either stamp differs from the cache's epoch or
     /// the current route count.
     view: Vec<u32>,
     view_epoch: u64,
@@ -317,7 +308,7 @@ impl Entry {
     }
 }
 
-/// Shape snapshot of the topology a provider was built for, used to
+/// Shape snapshot of the topology a cache was built for, used to
 /// reject lookups against a different platform.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
@@ -335,10 +326,10 @@ impl Shape {
         }
     }
 
-    /// Cached routes are only valid for the topology the provider was
+    /// Cached routes are only valid for the topology the cache was
     /// built for; reject anything whose shape (NI/router/link counts)
     /// differs. A distinct topology with identical counts cannot be
-    /// detected — it is the caller's contract to keep one provider per
+    /// detected — it is the caller's contract to keep one cache per
     /// topology.
     fn check(&self, topo: &Topology, src: NiId, dst: NiId) {
         assert!(
@@ -354,33 +345,40 @@ impl Shape {
     }
 }
 
-/// Memoized route enumeration per (source NI, destination NI) pair.
+/// The lookup surface of [`RouteCache`], its one implementor.
 ///
-/// The allocator and every flow above it (reconfiguration, online churn,
-/// DSE) are generic over this trait; any implementation must return, for
-/// a given topology and `max_paths` bound, exactly the candidate sequence
-/// of [`route_candidates`](crate::path::route_candidates) — grants are
-/// then bit-for-bit independent of which provider served the routes.
+/// It is a trait rather than inherent methods only because the frozen
+/// `benchmark/src/api.rs` imports it by name to call them; it goes with
+/// the next benchmark PR (ROADMAP item 5(d)).
 ///
-/// Implementations are reusable across every pass, salt, and
-/// reconfiguration step that shares a topology and `max_paths` bound.
+/// For a given topology and `max_paths` bound, lookups return exactly the
+/// candidate sequence of
+/// [`route_candidates`](crate::path::route_candidates), minus the routes
+/// the installed [`FaultMask`] blocks. A cache is reusable across every
+/// pass, salt and reconfiguration step that shares a topology and
+/// `max_paths` bound.
 pub trait RouteProvider: core::fmt::Debug + Send {
-    /// The `max_paths` bound this provider enumerates up to.
+    /// The `max_paths` bound this cache enumerates up to.
     fn max_paths(&self) -> usize;
 
     /// The `i`-th candidate route from `src` to `dst` (shortest first), or
-    /// `None` when fewer than `i + 1` candidates exist. Implementations
-    /// materialize the expensive detour stage only when `i` walks past
-    /// the XY/YX routes. Under a non-empty [fault mask](Self::faults)
+    /// `None` when fewer than `i + 1` candidates exist. The expensive
+    /// detour stage is materialized only when `i` walks past the XY/YX
+    /// routes. Under a non-empty [fault mask](Self::faults)
     /// only candidates traversing no down link are counted and served.
     ///
     /// # Panics
     ///
-    /// Panics if `topo`'s shape differs from the topology the provider
-    /// was created for, or `src`/`dst` lie outside it (the provider must
+    /// Panics if `topo`'s shape differs from the topology the cache
+    /// was created for, or `src`/`dst` lie outside it (the cache must
     /// be rebuilt when the topology changes).
-    fn candidate(&mut self, topo: &Topology, src: NiId, dst: NiId, i: usize)
-        -> Option<&RouteEntry>;
+    fn candidate(
+        &mut self,
+        topo: &Topology,
+        src: NiId,
+        dst: NiId,
+        i: usize,
+    ) -> Option<&CachedRoute>;
 
     /// The full candidate list from `src` to `dst`, shortest first,
     /// computing and memoizing it on first use. Under a non-empty
@@ -389,9 +387,9 @@ pub trait RouteProvider: core::fmt::Debug + Send {
     ///
     /// # Panics
     ///
-    /// Panics if `topo`'s shape differs from the topology the provider
+    /// Panics if `topo`'s shape differs from the topology the cache
     /// was created for, or `src`/`dst` lie outside it.
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry];
+    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[CachedRoute];
 
     /// How many (src, dst) pairs are resident — i.e. have been (at least
     /// partially) computed and are holding memory.
@@ -401,12 +399,12 @@ pub trait RouteProvider: core::fmt::Debug + Send {
     /// (empty unless [`set_faults`](Self::set_faults) installed one).
     fn faults(&self) -> &FaultMask;
 
-    /// Installs `faults` as the provider's link-fault mask. Subsequent
+    /// Installs `faults` as the cache's link-fault mask. Subsequent
     /// [`candidate`](Self::candidate)/[`candidates`](Self::candidates)
     /// calls skip every route traversing a down link. Nothing is evicted:
     /// the cost is a copy of the mask's words, resident entries stay
     /// resident ([`resident_pairs`](Self::resident_pairs) never drops),
-    /// and every lookup answers exactly as a cold provider under the same
+    /// and every lookup answers exactly as a cold cache under the same
     /// mask would, because the filter runs at lookup.
     fn set_faults(&mut self, faults: &FaultMask);
 
@@ -422,14 +420,11 @@ pub trait RouteProvider: core::fmt::Debug + Send {
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId>;
 }
 
-/// The default route provider: a lazily-populated *hashed* cache whose
-/// resident memory is proportional to the pairs actually routed, not to
-/// `ni_count²`.
-///
-/// This is what every flow constructs unless a caller opts into
-/// [`DenseRouteCache`]: on mega-meshes (16×16–32×32, thousands of NIs)
-/// the ordered-pair space is tens of millions while real workloads route
-/// tens of thousands of pairs, and churn micro-bursts touch only a
+/// The route cache every flow routes through: lazily populated and
+/// *hashed*, so resident memory is proportional to the pairs actually
+/// routed, not to `ni_count²`. On mega-meshes (16×16–32×32, thousands of
+/// NIs) the ordered-pair space is tens of millions while real workloads
+/// route tens of thousands of pairs, and churn micro-bursts touch only a
 /// handful.
 ///
 /// # Examples
@@ -488,13 +483,13 @@ impl RouteProvider for RouteCache {
         src: NiId,
         dst: NiId,
         i: usize,
-    ) -> Option<&RouteEntry> {
+    ) -> Option<&CachedRoute> {
         self.shape.check(topo, src, dst);
         let entry = self.entries.entry(Self::key(src, dst)).or_default();
         entry.healthy_candidate(topo, src, dst, self.max_paths, i, &self.faults)
     }
 
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry] {
+    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[CachedRoute] {
         self.shape.check(topo, src, dst);
         let entry = self.entries.entry(Self::key(src, dst)).or_default();
         entry.ensure_complete(topo, src, dst, self.max_paths);
@@ -535,130 +530,37 @@ impl RouteProvider for RouteCache {
     }
 }
 
-/// A route provider backed by a flat `ni_count × ni_count` entry vector:
-/// O(1) unhashed lookup at the price of dense N² memory.
-///
-/// The right trade on small platforms (the paper's 4×3/48-NI mesh has
-/// 2304 pairs) where the allocator's inner loop dominates and the table
-/// is a few hundred KiB. On mega-meshes prefer [`RouteCache`], whose
-/// memory tracks the pairs actually routed.
-///
-/// Candidate sequences are bit-for-bit identical to [`RouteCache`]'s, so
-/// allocations (and their grants) do not depend on the provider choice.
-#[derive(Debug)]
-pub struct DenseRouteCache {
-    max_paths: usize,
-    shape: Shape,
-    entries: Vec<Entry>,
-    faults: InstalledMask,
-    /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
-    /// results (the unmasked path returns the resident slice directly).
-    healthy: Vec<CachedRoute>,
-}
-
-impl DenseRouteCache {
-    /// Creates an empty dense cache for `topo`, eagerly allocating
-    /// `ni_count²` (untouched) entries.
-    #[must_use]
-    pub fn new(topo: &Topology, max_paths: usize) -> Self {
-        let shape = Shape::of(topo);
-        DenseRouteCache {
-            max_paths,
-            shape,
-            entries: vec![Entry::default(); shape.ni_count * shape.ni_count],
-            faults: InstalledMask::default(),
-            healthy: Vec::new(),
-        }
-    }
-
-    fn pair_index(&self, src: NiId, dst: NiId) -> usize {
-        src.index() * self.shape.ni_count + dst.index()
-    }
-}
-
-impl RouteProvider for DenseRouteCache {
-    fn max_paths(&self) -> usize {
-        self.max_paths
-    }
-
-    fn candidate(
-        &mut self,
-        topo: &Topology,
-        src: NiId,
-        dst: NiId,
-        i: usize,
-    ) -> Option<&RouteEntry> {
-        self.shape.check(topo, src, dst);
-        let idx = self.pair_index(src, dst);
-        self.entries[idx].healthy_candidate(topo, src, dst, self.max_paths, i, &self.faults)
-    }
-
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry] {
-        self.shape.check(topo, src, dst);
-        let idx = self.pair_index(src, dst);
-        let max_paths = self.max_paths;
-        let entry = &mut self.entries[idx];
-        entry.ensure_complete(topo, src, dst, max_paths);
-        if self.faults.mask.is_empty() {
-            return &entry.routes;
-        }
-        let faults = &self.faults.mask;
-        self.healthy.clear();
-        self.healthy.extend(
-            entry
-                .routes
-                .iter()
-                .filter(|r| !faults.blocks(&r.links))
-                .cloned(),
-        );
-        &self.healthy
-    }
-
-    fn resident_pairs(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.state != EntryState::Untouched)
-            .count()
-    }
-
-    fn faults(&self) -> &FaultMask {
-        &self.faults.mask
-    }
-
-    fn set_faults(&mut self, faults: &FaultMask) {
-        self.faults.install(faults);
-    }
-
-    fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
-        self.shape.check(topo, src, dst);
-        let idx = self.pair_index(src, dst);
-        self.entries[idx].blocking_fault(topo, src, dst, self.max_paths, &self.faults)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::path::route_candidates;
 
+    fn paths(routes: &[CachedRoute]) -> Vec<Path> {
+        routes.iter().map(|r| r.path.clone()).collect()
+    }
+
+    /// Every candidate `candidate(i)` serves, in index order.
+    fn walk(cache: &mut RouteCache, topo: &Topology, s: NiId, d: NiId) -> Vec<Path> {
+        let mut walked = Vec::new();
+        while let Some(r) = cache.candidate(topo, s, d, walked.len()) {
+            walked.push(r.path.clone());
+        }
+        walked
+    }
+
     #[test]
     fn cache_returns_same_routes_as_direct_enumeration() {
         let topo = Topology::mesh(3, 3, 2);
         let mut cache = RouteCache::new(&topo, 8);
-        let mut dense = DenseRouteCache::new(&topo, 8);
         for src in 0..topo.ni_count() as u32 {
             for dst in 0..topo.ni_count() as u32 {
                 let (s, d) = (NiId::new(src), NiId::new(dst));
                 let direct = route_candidates(&topo, s, d, 8);
-                for (name, cached) in [
-                    ("hashed", cache.candidates(&topo, s, d)),
-                    ("dense", dense.candidates(&topo, s, d)),
-                ] {
-                    assert_eq!(cached.len(), direct.len(), "{name} {s}->{d}");
-                    for (c, p) in cached.iter().zip(&direct) {
-                        assert_eq!(&c.path, p, "{name} {s}->{d}");
-                        assert_eq!(c.links, p.links(&topo).unwrap(), "{name} {s}->{d}");
-                    }
+                let cached = cache.candidates(&topo, s, d);
+                assert_eq!(cached.len(), direct.len(), "{s}->{d}");
+                for (c, p) in cached.iter().zip(&direct) {
+                    assert_eq!(&c.path, p, "{s}->{d}");
+                    assert_eq!(c.links, p.links(&topo).unwrap(), "{s}->{d}");
                 }
             }
         }
@@ -667,24 +569,13 @@ mod tests {
     #[test]
     fn lazy_indexing_matches_eager_enumeration() {
         // Walking candidates one index at a time — including past the
-        // XY/YX prefix — yields exactly the eager list, in order, for
-        // both providers.
+        // XY/YX prefix — yields exactly the eager list, in order.
         let topo = Topology::mesh(4, 3, 2);
         for (src, dst) in [(0u32, 21u32), (2, 3), (5, 5), (0, 23)] {
             let (s, d) = (NiId::new(src), NiId::new(dst));
             let direct = route_candidates(&topo, s, d, 12);
-            let mut hashed = RouteCache::new(&topo, 12);
-            let mut dense = DenseRouteCache::new(&topo, 12);
-            let providers: [&mut dyn RouteProvider; 2] = [&mut hashed, &mut dense];
-            for p in providers {
-                let mut walked = Vec::new();
-                let mut i = 0;
-                while let Some(r) = p.candidate(&topo, s, d, i) {
-                    walked.push(r.path.clone());
-                    i += 1;
-                }
-                assert_eq!(walked, direct, "{s}->{d}");
-            }
+            let mut cache = RouteCache::new(&topo, 12);
+            assert_eq!(walk(&mut cache, &topo, s, d), direct, "{s}->{d}");
         }
     }
 
@@ -719,8 +610,7 @@ mod tests {
     fn hashed_cache_resident_pairs_track_touched_pairs_only() {
         // The regression the lazy cache exists for: routing a handful of
         // pairs on a big platform must not allocate entries for the N²
-        // pair space (the old dense-by-default cache allocated all
-        // 1024² = 1M entries up front here).
+        // pair space (1024² = 1M ordered pairs here).
         let topo = Topology::mesh(16, 16, 4);
         let mut cache = RouteCache::new(&topo, 12);
         assert_eq!(cache.resident_pairs(), 0, "construction is allocation-free");
@@ -732,25 +622,6 @@ mod tests {
         }
         assert_eq!(cache.resident_pairs(), distinct.len());
         assert!(cache.resident_pairs() <= pairs.len());
-    }
-
-    #[test]
-    fn dense_cache_is_eager_in_pair_space() {
-        // The documented trade of the dense provider: entry storage is
-        // allocated up front for every ordered pair.
-        let topo = Topology::mesh(2, 2, 2);
-        let dense = DenseRouteCache::new(&topo, 4);
-        assert_eq!(dense.entries.len(), 64); // 8 NIs → 64 ordered pairs
-        assert_eq!(dense.resident_pairs(), 0); // ...but none computed yet
-    }
-
-    /// Every (provider, mask) combination used by the fault tests: both
-    /// providers must behave identically under a mask.
-    fn both_providers(topo: &Topology, max_paths: usize) -> (RouteCache, DenseRouteCache) {
-        (
-            RouteCache::new(topo, max_paths),
-            DenseRouteCache::new(topo, max_paths),
-        )
     }
 
     #[test]
@@ -775,89 +646,63 @@ mod tests {
     #[test]
     fn masked_candidates_skip_routes_over_down_links() {
         let topo = Topology::mesh(3, 3, 1);
-        let (mut hashed, mut dense) = both_providers(&topo, 12);
+        let mut cache = RouteCache::new(&topo, 12);
         let (s, d) = (NiId::new(0), NiId::new(8)); // corner to corner
-        let all: Vec<Path> = hashed
-            .candidates(&topo, s, d)
-            .iter()
-            .map(|r| r.path.clone())
-            .collect();
-        assert!(all.len() > 2, "diagonal pair has detours");
+        let eager = route_candidates(&topo, s, d, 12);
+        assert_eq!(paths(cache.candidates(&topo, s, d)), eager);
+        assert!(eager.len() > 2, "diagonal pair has detours");
 
         // Fail the first link after the NI ingress of the XY route.
-        let down = hashed.candidates(&topo, s, d)[0].links[1];
+        let down = eager[0].links(&topo).unwrap()[1];
         let mut mask = FaultMask::new();
         mask.set_down(down);
-        hashed.set_faults(&mask);
-        dense.set_faults(&mask);
+        cache.set_faults(&mask);
 
-        let expected: Vec<Path> = {
-            let mut v = all.clone();
-            let mut probe = RouteCache::new(&topo, 12);
-            let keep: Vec<bool> = probe
-                .candidates(&topo, s, d)
-                .iter()
-                .map(|r| !r.links.contains(&down))
-                .collect();
-            let mut it = keep.iter();
-            v.retain(|_| *it.next().unwrap());
-            v
-        };
-        assert!(!expected.is_empty() && expected.len() < all.len());
+        let expected: Vec<Path> = eager
+            .iter()
+            .filter(|p| !p.links(&topo).unwrap().contains(&down))
+            .cloned()
+            .collect();
+        assert!(!expected.is_empty() && expected.len() < eager.len());
 
-        for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            // candidates() filters...
-            let filtered: Vec<Path> = p
-                .candidates(&topo, s, d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
-            assert_eq!(filtered, expected);
-            // ...and candidate(i) serves exactly the healthy sequence.
-            let mut walked = Vec::new();
-            let mut i = 0;
-            while let Some(r) = p.candidate(&topo, s, d, i) {
-                assert!(!r.links.contains(&down), "served a route over a down link");
-                walked.push(r.path.clone());
-                i += 1;
-            }
-            assert_eq!(walked, expected);
-            assert!(p.blocking_fault(&topo, s, d).is_none(), "detours survive");
-        }
+        // candidates() filters, and candidate(i) serves exactly the
+        // healthy sequence.
+        assert_eq!(paths(cache.candidates(&topo, s, d)), expected);
+        assert_eq!(walk(&mut cache, &topo, s, d), expected);
+        assert!(
+            cache.blocking_fault(&topo, s, d).is_none(),
+            "detours survive"
+        );
 
         // Clearing the mask restores the unmasked sequence bit-for-bit.
-        hashed.set_faults(&FaultMask::new());
-        let back: Vec<Path> = hashed
-            .candidates(&topo, s, d)
-            .iter()
-            .map(|r| r.path.clone())
-            .collect();
-        assert_eq!(back, all);
+        cache.set_faults(&FaultMask::new());
+        assert_eq!(paths(cache.candidates(&topo, s, d)), eager);
     }
 
     #[test]
     fn blocking_fault_reported_when_every_route_is_severed() {
         let topo = Topology::mesh(3, 1, 1);
-        let (mut hashed, mut dense) = both_providers(&topo, 12);
+        let mut cache = RouteCache::new(&topo, 12);
         let (s, d) = (NiId::new(0), NiId::new(2));
         // On a 1-row mesh every route shares the single eastbound chain;
         // failing the NI ingress link severs the pair outright.
         let ingress = topo.ni_ingress_link(s);
         let mut mask = FaultMask::new();
         mask.set_down(ingress);
-        for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            assert!(p.blocking_fault(&topo, s, d).is_none(), "mask not set yet");
-            p.set_faults(&mask);
-            assert!(p.candidate(&topo, s, d, 0).is_none());
-            assert!(p.candidates(&topo, s, d).is_empty());
-            assert_eq!(p.blocking_fault(&topo, s, d), Some(ingress));
-        }
+        assert!(
+            cache.blocking_fault(&topo, s, d).is_none(),
+            "mask not set yet"
+        );
+        cache.set_faults(&mask);
+        assert!(cache.candidate(&topo, s, d, 0).is_none());
+        assert!(cache.candidates(&topo, s, d).is_empty());
+        assert_eq!(cache.blocking_fault(&topo, s, d), Some(ingress));
     }
 
     #[test]
     fn fault_masks_with_the_same_down_links_compare_equal() {
         // A link set down and raised again must leave no trace: the
-        // providers' "same mask re-installed" check relies on `==`.
+        // cache's "same mask re-installed" check relies on `==`.
         let mut mask = FaultMask::new();
         mask.set_down(LinkId::new(130));
         mask.set_down(LinkId::new(3));
@@ -872,51 +717,40 @@ mod tests {
     #[test]
     fn set_faults_filters_resident_entries_and_never_evicts() {
         let topo = Topology::mesh(4, 4, 1);
-        let (mut hashed, mut dense) = both_providers(&topo, 12);
+        let mut cache = RouteCache::new(&topo, 12);
         // Two resident pairs: one over the link about to fail, one far away.
         let (near_s, near_d) = (NiId::new(0), NiId::new(5));
         let (far_s, far_d) = (NiId::new(14), NiId::new(15));
-        for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            let full: Vec<Path> = p
-                .candidates(&topo, near_s, near_d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
-            let _ = p.candidates(&topo, far_s, far_d);
-            assert_eq!(p.resident_pairs(), 2);
+        let full = paths(cache.candidates(&topo, near_s, near_d));
+        let _ = cache.candidates(&topo, far_s, far_d);
+        assert_eq!(cache.resident_pairs(), 2);
 
-            // Fail the first router-to-router link of the XY route.
-            let down = p.candidates(&topo, near_s, near_d)[0].links[1];
-            let mut mask = FaultMask::new();
-            mask.set_down(down);
-            p.set_faults(&mask);
-            assert_eq!(p.resident_pairs(), 2, "a fault evicts nothing");
+        // Fail the first router-to-router link of the XY route.
+        let down = cache.candidates(&topo, near_s, near_d)[0].links[1];
+        let mut mask = FaultMask::new();
+        mask.set_down(down);
+        cache.set_faults(&mask);
+        assert_eq!(cache.resident_pairs(), 2, "a fault evicts nothing");
 
-            // The resident (stale) entry serves no route over the down
-            // link, by index and as a list, and still serves the rest.
-            let mut walked = 0;
-            while let Some(r) = p.candidate(&topo, near_s, near_d, walked) {
-                assert!(!r.links.contains(&down), "served a route over {down}");
-                walked += 1;
-            }
-            assert!(walked > 0 && walked < full.len());
-            assert_eq!(p.candidates(&topo, near_s, near_d).len(), walked);
-            assert!(p
-                .candidates(&topo, near_s, near_d)
-                .iter()
-                .all(|r| !r.links.contains(&down)));
-            assert_eq!(p.resident_pairs(), 2);
-
-            // Re-raising the link serves the full list again.
-            p.set_faults(&FaultMask::new());
-            assert_eq!(p.resident_pairs(), 2);
-            let back: Vec<Path> = p
-                .candidates(&topo, near_s, near_d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
-            assert_eq!(back, full);
+        // The resident (stale) entry serves no route over the down
+        // link, by index and as a list, and still serves the rest.
+        let mut walked = 0;
+        while let Some(r) = cache.candidate(&topo, near_s, near_d, walked) {
+            assert!(!r.links.contains(&down), "served a route over {down}");
+            walked += 1;
         }
+        assert!(walked > 0 && walked < full.len());
+        assert_eq!(cache.candidates(&topo, near_s, near_d).len(), walked);
+        assert!(cache
+            .candidates(&topo, near_s, near_d)
+            .iter()
+            .all(|r| !r.links.contains(&down)));
+        assert_eq!(cache.resident_pairs(), 2);
+
+        // Re-raising the link serves the full list again.
+        cache.set_faults(&FaultMask::new());
+        assert_eq!(cache.resident_pairs(), 2);
+        assert_eq!(paths(cache.candidates(&topo, near_s, near_d)), full);
     }
 
     #[test]
@@ -937,15 +771,6 @@ mod tests {
         let a = Topology::mesh(4, 4, 1);
         let b = Topology::mesh(2, 8, 1);
         let mut cache = RouteCache::new(&a, 4);
-        let _ = cache.candidates(&b, NiId::new(0), NiId::new(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "topology shape changed")]
-    fn dense_rejects_changed_shape_too() {
-        let a = Topology::mesh(4, 4, 1);
-        let b = Topology::mesh(2, 8, 1);
-        let mut cache = DenseRouteCache::new(&a, 4);
         let _ = cache.candidates(&b, NiId::new(0), NiId::new(5));
     }
 }

@@ -11,7 +11,7 @@ use aelite_alloc::validate::{validate, Violation};
 use aelite_analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
 use aelite_analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_noc::flitsim::{FlitSim, FlitSimConfig, TrafficReport};
-use aelite_noc::network::{build_network, CycleNet, NetworkKind};
+use aelite_online::{AdmissionError, ChurnEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{AppId, ConnId};
 use aelite_spec::traffic::Bandwidth;
@@ -24,6 +24,9 @@ pub enum DesignError {
     InvalidConfig(String),
     /// The allocator could not satisfy every contract.
     Allocation(AllocError),
+    /// A reconfiguration's additions could not all be admitted; the
+    /// system is as it was before the call.
+    Admission(AdmissionError),
     /// The allocator produced an allocation the independent validator
     /// rejects — an internal error worth surfacing loudly.
     Validation(Vec<Violation>),
@@ -34,6 +37,7 @@ impl fmt::Display for DesignError {
         match self {
             DesignError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             DesignError::Allocation(e) => write!(f, "allocation failed: {e}"),
+            DesignError::Admission(e) => write!(f, "reconfiguration refused: {e}"),
             DesignError::Validation(v) => {
                 write!(f, "allocation failed validation ({} violations)", v.len())
             }
@@ -217,19 +221,9 @@ impl AeliteSystem {
         }
     }
 
-    /// Builds the cycle-accurate network for this system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` is inconsistent with the configuration's
-    /// `link_pipeline_stages` (see [`aelite_noc::network::build_network`]).
-    #[must_use]
-    pub fn cycle_accurate(&self, kind: NetworkKind, with_traffic: bool) -> CycleNet {
-        build_network(&self.spec, &self.allocation, kind, with_traffic)
-    }
-
-    /// Reconfigures the live system to `new_spec`: connections that
-    /// disappeared are released, new ones allocated into the freed
+    /// Reconfigures the live system to `new_spec` as one use-case switch
+    /// ([`ChurnEngine::switch`]): connections that disappeared are
+    /// released, new ones admitted hardest-first into the freed
     /// resources, and — the undisrupted-QoS property of the Æthereal flow
     /// the paper builds on (\[16\]) — **every kept connection's grant is
     /// left untouched**, so its timing is bit-identical across the
@@ -240,10 +234,11 @@ impl AeliteSystem {
     ///
     /// # Errors
     ///
-    /// Returns a [`DesignError`] if the new connections cannot be
-    /// allocated (the system is left with the removed connections
-    /// released and any partially added grants in place — inspect and
-    /// release to roll back) or the final allocation fails validation.
+    /// Returns a [`DesignError`] if the new connections cannot all be
+    /// admitted or the resulting allocation fails validation. The switch
+    /// runs on a copy that is committed only on success, so after an
+    /// error the system — spec, grants and link tables — is exactly as it
+    /// was before the call.
     ///
     /// # Panics
     ///
@@ -266,12 +261,13 @@ impl AeliteSystem {
         }
         let released: Vec<ConnId> = old_ids.difference(&new_ids).copied().collect();
         let added: Vec<ConnId> = new_ids.difference(&old_ids).copied().collect();
-        for &c in &released {
-            aelite_alloc::reconfigure::release(&mut self.allocation, c);
-        }
-        Allocator::new().extend(&new_spec, &mut self.allocation, &added)?;
-        validate(&new_spec, &self.allocation).map_err(DesignError::Validation)?;
+        let mut next = self.allocation.clone();
+        ChurnEngine::new(&new_spec)
+            .switch(&new_spec, &mut next, &released, &added)
+            .map_err(DesignError::Admission)?;
+        validate(&new_spec, &next).map_err(DesignError::Validation)?;
         self.spec = new_spec;
+        self.allocation = next;
         Ok(ReconfigReport { released, added })
     }
 }
@@ -334,7 +330,13 @@ pub fn measured_services_be(report: &aelite_baseline::BeReport) -> Vec<MeasuredS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aelite_alloc::Grant;
+    use aelite_online::RefusalCause;
+    use aelite_spec::app::SystemSpecBuilder;
+    use aelite_spec::config::NocConfig;
     use aelite_spec::generate::paper_workload;
+    use aelite_spec::ids::NiId;
+    use aelite_spec::topology::Topology;
 
     fn quick() -> SimOptions {
         SimOptions {
@@ -448,6 +450,92 @@ mod tests {
             },
         );
         assert!(app2.service.all_ok());
+    }
+
+    #[test]
+    fn reconfiguration_leaves_bystander_grants_bit_identical() {
+        // One call that both releases (application 2) and adds
+        // (application 3): every grant of the kept applications is the
+        // same value afterwards — undisrupted QoS at the slot level.
+        let full = paper_workload(42);
+        let before_apps = [AppId::new(0), AppId::new(1), AppId::new(2)];
+        let after_apps = [AppId::new(0), AppId::new(1), AppId::new(3)];
+        let mut system = AeliteSystem::design(full.restricted_to(&before_apps)).unwrap();
+        let kept: Vec<Grant> = system
+            .allocation()
+            .grants()
+            .filter(|g| full.connection(g.conn).app != AppId::new(2))
+            .cloned()
+            .collect();
+        assert_eq!(kept.len(), 100);
+
+        let report = system.reconfigure(full.restricted_to(&after_apps)).unwrap();
+        assert_eq!((report.released.len(), report.added.len()), (50, 50));
+        for g in &kept {
+            assert_eq!(
+                system.allocation().grant(g.conn),
+                Some(g),
+                "{} moved",
+                g.conn
+            );
+        }
+        assert_eq!(system.allocation().grants().count(), 150);
+    }
+
+    #[test]
+    fn failed_reconfiguration_leaves_the_system_unchanged() {
+        // A 2-router platform whose one link carries ~1.33 GB/s: the new
+        // use case drops `leaving` and adds two 800 MB/s flows, of which
+        // only the first fits beside the 400 MB/s resident.
+        let topo = Topology::mesh(2, 1, 1);
+        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
+        let app = b.add_app("app");
+        let s = b.add_ip_at(NiId::new(0));
+        let d = b.add_ip_at(NiId::new(1));
+        let resident = b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(400), 10_000);
+        let leaving = b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(100), 10_000);
+        let h1 = b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(800), 10_000);
+        let h2 = b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(800), 10_000);
+        let full = b.build();
+
+        let mut system =
+            AeliteSystem::design(full.restricted_to_connections(&[resident, leaving])).unwrap();
+        let before = system.clone();
+
+        let err = system
+            .reconfigure(full.restricted_to_connections(&[resident, h1, h2]))
+            .expect_err("two 800 MB/s flows cannot share the link with the resident");
+
+        assert_eq!(system.spec().connections(), before.spec().connections());
+        for c in [resident, leaving, h1, h2] {
+            assert_eq!(
+                system.allocation().grant(c),
+                before.allocation().grant(c),
+                "grant of {c} changed"
+            );
+        }
+        for l in full.topology().links() {
+            assert_eq!(
+                system.allocation().link_table(l),
+                before.allocation().link_table(l),
+                "table of {l} changed"
+            );
+        }
+        assert!(system.simulate(quick()).service.all_ok());
+
+        // The refusal is the engine's, structured: the first heavy flow
+        // was admitted and rolled back, the second found too few slots.
+        match err {
+            DesignError::Admission(e) => {
+                assert_eq!(e.rolled_back, 1);
+                assert!(
+                    matches!(e.cause, RefusalCause::NoSlots { needed, free } if needed > free),
+                    "{e}"
+                );
+            }
+            other => panic!("expected an admission refusal, got {other:?}"),
+        }
+        assert!(err.to_string().contains("reconfiguration refused"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::grid::{DesignPoint, DseGrid};
 use crate::report::DseReport;
 use aelite_alloc::allocate::{admission_order, AllocScratch, Allocation};
-use aelite_alloc::{Allocator, RouteCache, RouteProvider};
+use aelite_alloc::{Allocator, RouteCache};
 use aelite_dataflow::models::{predicted_flit_rate_per_us, wrapper_chain};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
@@ -98,10 +98,7 @@ pub struct PointResult {
 /// `max_paths` bound than this point's platform and the default
 /// [`Allocator`] use.
 #[must_use]
-pub fn evaluate_point<R: RouteProvider + ?Sized>(
-    point: &DesignPoint,
-    routes: &mut R,
-) -> PointResult {
+pub fn evaluate_point(point: &DesignPoint, routes: &mut RouteCache) -> PointResult {
     let cfg = point.config();
     let seed = point.seed();
     let requested = point.workload_params().connections;
@@ -173,10 +170,7 @@ pub fn evaluate_point<R: RouteProvider + ?Sized>(
 /// when that all-or-nothing flow fails — hardest-first one-at-a-time
 /// admission keeping every success. The sweep prices this allocation;
 /// the validation and churn replays rebuild it through the same call.
-pub(crate) fn design<R: RouteProvider + ?Sized>(
-    spec: &SystemSpec,
-    routes: &mut R,
-) -> (Allocation, u32) {
+pub(crate) fn design(spec: &SystemSpec, routes: &mut RouteCache) -> (Allocation, u32) {
     let allocator = Allocator::new();
     let alloc = match allocator.allocate_with_cache(spec, routes) {
         Ok(alloc) => alloc,

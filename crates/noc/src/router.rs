@@ -86,18 +86,6 @@ impl Router {
     pub fn forwarded_count(&self, port: Port) -> u64 {
         self.forwarded[port.index()]
     }
-
-    /// The number of input ports.
-    #[must_use]
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// The number of output ports.
-    #[must_use]
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
 }
 
 impl Module for Router {

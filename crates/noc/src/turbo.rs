@@ -393,6 +393,14 @@ impl TurboNet {
         self.horizon_cycles + 1
     }
 
+    /// Position of `conn` in the compiled per-connection arrays.
+    fn index_of(&self, conn: ConnId) -> usize {
+        match self.conn_index.get(conn.index()) {
+            Some(&i) if i != u32::MAX => i as usize,
+            _ => panic!("{conn} not built"),
+        }
+    }
+
     /// The message queue of `conn`.
     ///
     /// # Panics
@@ -400,12 +408,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn queue(&self, conn: ConnId) -> &MessageQueue {
-        &self
-            .queues
-            .iter()
-            .find(|(c, _)| *c == conn)
-            .unwrap_or_else(|| panic!("{conn} not built"))
-            .1
+        &self.conns.queue[self.index_of(conn)]
     }
 
     /// The delivery log of `conn`.
@@ -415,12 +418,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn log(&self, conn: ConnId) -> &DeliveryLog {
-        &self
-            .logs
-            .iter()
-            .find(|(c, _)| *c == conn)
-            .unwrap_or_else(|| panic!("{conn} not built"))
-            .1
+        &self.conns.log[self.index_of(conn)]
     }
 
     /// Delivery cycles of `conn`, in arrival order.
@@ -437,7 +435,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn latency(&self, conn: ConnId) -> ConnLatency {
-        self.conns.stats[self.conn_index[conn.index()] as usize]
+        self.conns.stats[self.index_of(conn)]
     }
 }
 
@@ -697,6 +695,35 @@ mod tests {
         turbo.run_cycles(2_000);
         assert_eq!(turbo.delivery_cycles(conn).len(), 1);
         assert_eq!(turbo.next_cycle(), 2_001);
+    }
+
+    #[test]
+    fn accessors_return_the_handles_of_the_public_vectors() {
+        let spec = two_ni_spec(0);
+        let alloc = allocate(&spec).unwrap();
+        let turbo = build_turbo(&spec, &alloc, NetworkKind::Synchronous, false);
+        assert_eq!(turbo.queues.len(), 2);
+        for (c, queue) in &turbo.queues {
+            assert!(Rc::ptr_eq(queue, turbo.queue(*c)), "queue of {c}");
+        }
+        assert_eq!(turbo.logs.len(), 2);
+        for (c, log) in &turbo.logs {
+            assert!(Rc::ptr_eq(log, turbo.log(*c)), "log of {c}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "c0 not built")]
+    fn accessor_of_a_connection_outside_the_build_panics_by_name() {
+        // c0 lies inside the id bound of the restricted view but was
+        // left out of it.
+        let spec = two_ni_spec(0);
+        let (c0, c1) = (spec.connections()[0].id, spec.connections()[1].id);
+        let view = spec.restricted_to_connections(&[c1]);
+        let alloc = allocate(&view).unwrap();
+        let turbo = build_turbo(&view, &alloc, NetworkKind::Synchronous, false);
+        assert!(turbo.log(c1).borrow().is_empty());
+        let _ = turbo.log(c0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub enum RefusalCause {
     /// An open named a connection that already holds a grant.
     AlreadyOpen,
     /// The pair is routable in the topology, but every candidate route
-    /// traverses a failed link of the provider's fault mask.
+    /// traverses a failed link of the route cache's fault mask.
     LinkDown {
         /// One blocking down link (the first on the shortest route).
         link: LinkId,

@@ -835,22 +835,27 @@ mod tests {
         assert_eq!(engine.stats().switches, 1);
     }
 
-    #[test]
-    fn failed_switch_rolls_back_its_opens() {
-        // A 2-router platform where one heavy connection fills the link,
-        // so a switch opening two more must fail and roll back.
-        let topo = Topology::mesh(2, 1, 1);
-        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
-        let a0 = b.add_app("resident");
-        let a1 = b.add_app("heavy");
+    /// A 2-router platform (one ~1.33 GB/s link each way) with the given
+    /// NI0 → NI1 flows in one application; returns the ids in order.
+    fn one_link_spec(mbytes_per_sec: &[u64]) -> (SystemSpec, Vec<ConnId>) {
+        let mut b = SystemSpecBuilder::new(Topology::mesh(2, 1, 1), NocConfig::paper_default());
+        let app = b.add_app("app");
         let s = b.add_ip_at(NiId::new(0));
         let d = b.add_ip_at(NiId::new(1));
-        let resident = b.add_connection(a0, s, d, Bandwidth::from_mbytes_per_sec(400), 10_000);
-        let h1 = b.add_connection(a1, s, d, Bandwidth::from_mbytes_per_sec(800), 10_000);
-        let h2 = b.add_connection(a1, s, d, Bandwidth::from_mbytes_per_sec(800), 10_000);
-        let spec = b.build();
+        let ids = mbytes_per_sec
+            .iter()
+            .map(|&mb| b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(mb), 10_000))
+            .collect();
+        (b.build(), ids)
+    }
 
-        let uc1 = spec.restricted_to(&[AppId::new(0)]);
+    #[test]
+    fn failed_switch_rolls_back_its_opens() {
+        // One heavy connection fills the link beside the resident, so a
+        // switch opening two must fail and roll back.
+        let (spec, ids) = one_link_spec(&[400, 800, 800]);
+        let (resident, h1, h2) = (ids[0], ids[1], ids[2]);
+        let uc1 = spec.restricted_to_connections(&[resident]);
         let mut alloc = allocate(&uc1).unwrap();
         let before = alloc.grant(resident).unwrap().clone();
         let mut engine = ChurnEngine::new(&spec);
@@ -870,6 +875,110 @@ mod tests {
         assert_eq!(engine.stats().rolled_back_opens, 1);
         assert!(err.to_string().contains("rolled back"), "{err}");
         validate_allocation(&uc1, &alloc).expect("rollback left a valid state");
+    }
+
+    #[test]
+    fn close_frees_exactly_the_grants_slots_and_is_idempotent() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let before = alloc.clone();
+        let mut engine = ChurnEngine::new(&spec);
+        let conn = spec.connections()[0].id;
+        assert!(engine.close(&mut alloc, conn));
+        assert!(alloc.grant(conn).is_none());
+        // Every table entry the grant held is free, every other entry
+        // still has the owner it had.
+        for l in spec.topology().links() {
+            let (now, then) = (alloc.link_table(l), before.link_table(l));
+            for slot in 0..now.size() {
+                let expected = then.owner(slot).filter(|&o| o != conn);
+                assert_eq!(now.owner(slot), expected, "slot {slot} of {l}");
+            }
+        }
+        assert!(!engine.close(&mut alloc, conn), "second close is a no-op");
+        assert!(alloc
+            .grants()
+            .eq(before.grants().filter(|g| g.conn != conn)));
+    }
+
+    #[test]
+    fn open_into_a_grown_spec_admits_an_id_past_the_old_bound() {
+        // The allocation was sized for a one-connection spec; a late
+        // arrival makes the spec grow, and its id lies past the grant
+        // storage the allocation was built with.
+        let (spec2, ids) = one_link_spec(&[100, 80]);
+        let base = spec2.restricted_to_connections(&ids[..1]);
+        assert!(ids[1].index() >= base.conn_id_bound());
+        let mut alloc = allocate(&base).unwrap();
+        let before = alloc.grant(ids[0]).unwrap().clone();
+
+        let mut engine = ChurnEngine::new(&base);
+        engine
+            .open(&spec2, &mut alloc, ids[1])
+            .expect("capacity available");
+        assert_eq!(alloc.grant(ids[0]), Some(&before), "existing grant moved");
+        assert!(alloc.grant(ids[1]).is_some());
+        validate_allocation(&spec2, &alloc).expect("extended allocation validates");
+    }
+
+    #[test]
+    fn open_that_cannot_fit_is_a_structured_slot_shortage() {
+        // 1.2 GB/s fills the link almost completely, so 400 MB/s more
+        // cannot fit afterwards.
+        let (spec, ids) = one_link_spec(&[1_200, 400]);
+        let mut alloc = Allocation::empty_for(&spec);
+        let mut engine = ChurnEngine::new(&spec);
+        engine.open(&spec, &mut alloc, ids[0]).expect("fits alone");
+        let before = alloc.clone();
+
+        let err = engine
+            .open(&spec, &mut alloc, ids[1])
+            .expect_err("the link is full");
+        assert_eq!((err.conn, err.rolled_back), (ids[1], 0));
+        assert!(
+            matches!(err.cause, RefusalCause::NoSlots { needed, free } if needed > free),
+            "expected a structured slot shortage, got {:?}",
+            err.cause
+        );
+        assert!(
+            alloc.grants().eq(before.grants()),
+            "a refusal moved a grant"
+        );
+        for l in spec.topology().links() {
+            assert_eq!(alloc.link_table(l), before.link_table(l), "table of {l}");
+        }
+        assert_eq!(engine.stats().refused_opens, 1);
+    }
+
+    #[test]
+    fn switch_opening_a_granted_connection_is_refused_already_open() {
+        // Opening a connection that holds a grant is a refusal, not a
+        // panic, inside a switch too — and the rollback must take back
+        // only what this switch opened, never the grant already held.
+        let (spec, ids) = one_link_spec(&[100, 100, 100]);
+        let (held, leaving, fresh) = (ids[0], ids[1], ids[2]);
+        let mut alloc = allocate(&spec.restricted_to_connections(&[held, leaving])).unwrap();
+        let held_grant = alloc.grant(held).unwrap().clone();
+        let mut engine = ChurnEngine::new(&spec);
+
+        // Equal contracts tie on everything but the id, so admission
+        // order is id order: `held` is refused before `fresh` is tried.
+        let err = engine
+            .switch(&spec, &mut alloc, &[leaving], &[fresh, held])
+            .expect_err("held is already open");
+        assert_eq!((err.conn, err.cause), (held, RefusalCause::AlreadyOpen));
+        assert_eq!(alloc.grant(held), Some(&held_grant), "held grant touched");
+        assert!(alloc.grant(fresh).is_none(), "the switch was refused whole");
+        assert!(alloc.grant(leaving).is_none(), "the close set stays closed");
+
+        // Named twice in one open set, the second open finds the first:
+        // the rollback undoes exactly that one admission.
+        let err = engine
+            .switch(&spec, &mut alloc, &[held], &[fresh, held, held])
+            .expect_err("the second open of held finds the first");
+        assert_eq!((err.cause, err.rolled_back), (RefusalCause::AlreadyOpen, 1));
+        assert_eq!(alloc.grants().count(), 0, "closed, re-opened, rolled back");
+        assert_eq!(engine.stats().refused_switches, 2);
     }
 
     #[test]

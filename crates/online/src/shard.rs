@@ -12,7 +12,7 @@
 //! can be admitted on that shard's thread with *no coordination at
 //! all*, because the admission kernel only ever reads and writes the
 //! slot tables of its candidate routes' links ([`ShardMap`] classifies
-//! by the same [`RouteProvider`] candidate enumeration the engines use, so
+//! by the same [`RouteCache`] candidate enumeration the engines use, so
 //! the claim is structural, not probabilistic). Everything else —
 //! routes spanning regions, use-case switches naming connections homed
 //! on different shards, unknown connection ids — is **cross-shard** and

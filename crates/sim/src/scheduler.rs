@@ -97,16 +97,6 @@ impl<V: Copy + Default> Simulator<V> {
         id
     }
 
-    /// The clock specification of `domain`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domain` does not belong to this simulator.
-    #[must_use]
-    pub fn domain_spec(&self, domain: DomainId) -> ClockSpec {
-        self.domains[domain.0].spec
-    }
-
     /// Allocates a wire carrying `V::default()` until first driven.
     pub fn add_wire(&mut self, name: impl Into<String>) -> Wire<V> {
         self.signals.add_wire(name)
@@ -145,12 +135,6 @@ impl<V: Copy + Default> Simulator<V> {
     #[must_use]
     pub fn signals(&self) -> &SignalStore<V> {
         &self.signals
-    }
-
-    /// Mutable access to the wire store, for test setup (`poke`).
-    #[must_use]
-    pub fn signals_mut(&mut self) -> &mut SignalStore<V> {
-        &mut self.signals
     }
 
     /// Runs all edges with time ≤ `deadline`.

@@ -4,29 +4,29 @@
 //! completely and contention-free, the lazy hashed [`RouteCache`]'s
 //! memory must track the pairs actually routed, not the `ni_count²`
 //! pair space, and the turbo kernel must deliver on every connection
-//! with no flit later than the allocator's analytical bound. At 16×16 —
-//! the largest size whose pair space the eager [`DenseRouteCache`] can
-//! still afford — the two providers must also yield **bit-for-bit
-//! identical grants**: the allocator's decisions derive solely from the
-//! free-mask kernels and the candidate sequence, and both providers
-//! enumerate the same candidates in the same order.
+//! with no flit later than the allocator's analytical bound. At 16×16
+//! the cache the allocation left behind — most entries still at the
+//! XY/YX stage — must also serve, for **every routed pair**, exactly the
+//! candidate sequence the eager enumerator [`route_candidates`] yields,
+//! with and without a fault mask: the allocator's decisions derive
+//! solely from the free-mask kernels and that sequence.
 
 use aelite_alloc::allocate::{Allocation, Allocator};
-use aelite_alloc::{DenseRouteCache, RouteCache, RouteProvider};
+use aelite_alloc::{route_candidates, FaultMask, Path, RouteCache, RouteProvider};
 use aelite_noc::network::NetworkKind;
 use aelite_noc::turbo::build_turbo;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::WorkloadBuilder;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Simulated horizon of the delivery pin — long enough for the slowest
 /// connection of the mega-profile to deliver at every size.
 const TURBO_CYCLES: u64 = 2_000;
 
 /// Draws the `n`×`n` regional workload (2×2-router tiles, seed 1),
-/// allocates it through the lazy provider and checks everything that
-/// must hold at every size.
-fn pin_mega_mesh(n: u32, connections: u32) -> (SystemSpec, Allocation) {
+/// allocates it and checks everything that must hold at every size.
+/// Returns the route cache as the allocation left it.
+fn pin_mega_mesh(n: u32, connections: u32) -> (SystemSpec, Allocation, RouteCache) {
     let spec = WorkloadBuilder::mesh(n, n, 4)
         .mega_traffic()
         .connections(connections)
@@ -86,25 +86,74 @@ fn pin_mega_mesh(n: u32, connections: u32) -> (SystemSpec, Allocation) {
             lat.max_cycles
         );
     }
-    (spec, alloc)
+    (spec, alloc, lazy)
 }
 
 #[test]
-fn grants_identical_under_lazy_and_dense_route_providers_at_16x16_10k() {
-    let (spec, a_lazy) = pin_mega_mesh(16, 10_000);
-    let allocator = Allocator::new();
-    let mut dense = DenseRouteCache::new(spec.topology(), allocator.max_paths);
-    let a_dense = allocator
-        .allocate_with_cache(&spec, &mut dense)
-        .expect("16x16/10k regional workload allocates (dense provider)");
-    for c in spec.connections() {
-        assert_eq!(
-            a_lazy.grant(c.id).expect("granted"),
-            a_dense.grant(c.id).expect("granted"),
-            "grant of {} diverged between route providers",
-            c.id
-        );
+fn route_cache_serves_the_eager_enumeration_for_every_routed_pair_at_16x16_10k() {
+    let (spec, _, mut cache) = pin_mega_mesh(16, 10_000);
+    let topo = spec.topology();
+    let max_paths = Allocator::new().max_paths;
+    let pairs: BTreeSet<_> = spec
+        .connections()
+        .iter()
+        .map(|c| (spec.ip_ni(c.src), spec.ip_ni(c.dst)))
+        .collect();
+    assert_eq!(pairs.len(), 6_991);
+    assert_eq!(cache.resident_pairs(), pairs.len());
+
+    // Eight or nine links spread over the platform, as the benchmark's
+    // `alloc.route_cache.set_faults` row draws them — and the same draw
+    // shifted by half a step.
+    let step = topo.link_count() / 8;
+    let spread = |offset: usize| {
+        let mut mask = FaultMask::new();
+        for l in topo.links().skip(offset).step_by(step) {
+            mask.set_down(l);
+        }
+        mask
+    };
+
+    // Under a mask first, so healthy views are built over entries the
+    // allocation left partial and rebuilt when a walk completes them;
+    // under a second mask, so every view is stale by epoch alone; then
+    // with the mask lifted.
+    let (mut filtered, mut severed) = (0, 0);
+    for faults in &[spread(0), spread(step / 2), FaultMask::new()] {
+        cache.set_faults(faults);
+        for &(s, d) in &pairs {
+            let eager = route_candidates(topo, s, d, max_paths);
+            let links = |p: &Path| p.links(topo).expect("valid");
+            let healthy: Vec<&Path> = eager.iter().filter(|p| !faults.blocks(&links(p))).collect();
+            let mut i = 0;
+            while let Some(route) = cache.candidate(topo, s, d, i) {
+                assert_eq!(
+                    Some(&&route.path),
+                    healthy.get(i),
+                    "candidate {i} of {s}->{d}"
+                );
+                assert_eq!(route.links, links(&route.path), "links of {i} of {s}->{d}");
+                i += 1;
+            }
+            assert_eq!(i, healthy.len(), "{s}->{d} serves every healthy route");
+            let blocking = match (eager.first(), healthy.first()) {
+                (Some(shortest), None) => links(shortest).into_iter().find(|&l| faults.is_down(l)),
+                _ => None,
+            };
+            assert_eq!(cache.blocking_fault(topo, s, d), blocking, "{s}->{d}");
+            filtered += usize::from(healthy.len() < eager.len());
+            severed += usize::from(healthy.is_empty());
+        }
     }
+    assert!(
+        filtered > severed,
+        "the mask must thin some pairs without severing them"
+    );
+    assert_eq!(
+        cache.resident_pairs(),
+        pairs.len(),
+        "walking evicts and adds nothing"
+    );
 }
 
 #[test]
