@@ -28,7 +28,7 @@ use aelite_sim::signal::Wire;
 use aelite_sim::time::{Frequency, SimDuration, SimTime};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
-use aelite_spec::topology::Endpoint;
+use aelite_spec::topology::{Endpoint, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,6 +57,9 @@ pub struct CycleNet {
     pub logs: Vec<(ConnId, DeliveryLog)>,
     /// Nominal clock of the NoC.
     pub frequency: Frequency,
+    /// `ConnId::index() -> (index into queues, index into logs)`;
+    /// `u32::MAX` marks a connection outside the build.
+    conn_index: Vec<(u32, u32)>,
 }
 
 impl CycleNet {
@@ -66,6 +69,14 @@ impl CycleNet {
         self.sim.run_until(deadline);
     }
 
+    /// Positions of `conn` in `queues` and `logs`.
+    fn index_of(&self, conn: ConnId) -> (usize, usize) {
+        match self.conn_index.get(conn.index()) {
+            Some(&(q, l)) if q != u32::MAX => (q as usize, l as usize),
+            _ => panic!("{conn} not built"),
+        }
+    }
+
     /// The message queue of `conn`.
     ///
     /// # Panics
@@ -73,12 +84,7 @@ impl CycleNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn queue(&self, conn: ConnId) -> &MessageQueue {
-        &self
-            .queues
-            .iter()
-            .find(|(c, _)| *c == conn)
-            .unwrap_or_else(|| panic!("{conn} not built"))
-            .1
+        &self.queues[self.index_of(conn).0].1
     }
 
     /// The delivery log of `conn`.
@@ -88,18 +94,13 @@ impl CycleNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn log(&self, conn: ConnId) -> &DeliveryLog {
-        &self
-            .logs
-            .iter()
-            .find(|(c, _)| *c == conn)
-            .unwrap_or_else(|| panic!("{conn} not built"))
-            .1
+        &self.logs[self.index_of(conn).1].1
     }
 
     /// Delivery cycles of `conn`, in arrival order.
     #[must_use]
     pub fn delivery_cycles(&self, conn: ConnId) -> Vec<u64> {
-        self.log(conn).borrow().iter().map(|d| d.cycle).collect()
+        self.log(conn).borrow().cycles().collect()
     }
 }
 
@@ -125,16 +126,24 @@ pub(crate) fn cbr_traffic_params(
     (words, interval)
 }
 
-/// The per-element phase draws of a mesochronous build, in femtoseconds
-/// below half a period: one draw per router, then one per NI, from a
-/// `phase_seed`-seeded stream. Shared by [`build_network`] and the
-/// turbo kernel so both engines see identical clock phases.
-pub(crate) fn meso_phase_draws_fs(phase_seed: u64, elements: usize, period_fs: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(phase_seed);
-    let half = period_fs / 2;
-    (0..elements)
-        .map(|_| rng.gen_range(0..half.max(1)))
-        .collect()
+/// The clock phase of every element of a `kind` build on `topo`, in
+/// femtoseconds: one per router, then one per NI. Synchronous builds run
+/// every element at phase 0; mesochronous ones draw each phase below half
+/// a period from a `phase_seed`-seeded stream. Shared by
+/// [`build_network`] and the turbo kernel so both engines see identical
+/// clock phases.
+pub(crate) fn clock_phases_fs(kind: NetworkKind, topo: &Topology, period_fs: u64) -> Vec<u64> {
+    let elements = topo.router_count() + topo.ni_count();
+    match kind {
+        NetworkKind::Synchronous => vec![0; elements],
+        NetworkKind::Mesochronous { phase_seed } => {
+            let mut rng = StdRng::seed_from_u64(phase_seed);
+            let half = period_fs / 2;
+            (0..elements)
+                .map(|_| rng.gen_range(0..half.max(1)))
+                .collect()
+        }
+    }
 }
 
 /// Builds the cycle-accurate network for `spec` under `alloc`.
@@ -169,27 +178,23 @@ pub fn build_network(
     }
 
     let f = Frequency::from_mhz(cfg.frequency_mhz);
+    let period_fs = f.period().as_fs();
     let mut sim: Simulator<LinkWord> = Simulator::new();
 
     // Clock domains.
+    let phases_fs = clock_phases_fs(kind, topo, period_fs);
+    let ni_phase_fs = &phases_fs[topo.router_count()..];
     let (router_domains, ni_domains): (Vec<DomainId>, Vec<DomainId>) = match kind {
         NetworkKind::Synchronous => {
             let clk = sim.add_domain(ClockSpec::new(f));
             (vec![clk; topo.router_count()], vec![clk; topo.ni_count()])
         }
-        NetworkKind::Mesochronous { phase_seed } => {
-            let draws = meso_phase_draws_fs(
-                phase_seed,
-                topo.router_count() + topo.ni_count(),
-                f.period().as_fs(),
-            );
-            let mut draws = draws.into_iter();
-            let mut draw = |sim: &mut Simulator<LinkWord>| {
-                let phase = SimDuration::from_fs(draws.next().expect("sized draw list"));
-                sim.add_domain(ClockSpec::new(f).with_phase(phase))
-            };
-            let routers = (0..topo.router_count()).map(|_| draw(&mut sim)).collect();
-            let nis = (0..topo.ni_count()).map(|_| draw(&mut sim)).collect();
+        NetworkKind::Mesochronous { .. } => {
+            let mut routers: Vec<DomainId> = phases_fs
+                .iter()
+                .map(|&p| sim.add_domain(ClockSpec::new(f).with_phase(SimDuration::from_fs(p))))
+                .collect();
+            let nis = routers.split_off(topo.router_count());
             (routers, nis)
         }
     };
@@ -266,6 +271,7 @@ pub fn build_network(
     let credit_delay = f.period() * CREDIT_RETURN_CYCLES;
     let mut queues: Vec<(ConnId, MessageQueue)> = Vec::new();
     let mut logs: Vec<(ConnId, DeliveryLog)> = Vec::new();
+    let mut conn_index: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); spec.conn_id_bound()];
     // Build credit channels once per connection; shared by src and dst NI.
     let mut credit: Vec<Option<crate::ni::CreditChannel>> = vec![None; spec.conn_id_bound()];
     for c in spec.connections() {
@@ -284,6 +290,7 @@ pub fn build_network(
                 .grant(c.id)
                 .unwrap_or_else(|| panic!("{} has no grant", c.id));
             let queue = message_queue();
+            conn_index[c.id.index()].0 = queues.len() as u32;
             queues.push((c.id, std::rc::Rc::clone(&queue)));
             if with_traffic {
                 let (words, interval) = cbr_traffic_params(c, cfg);
@@ -326,7 +333,8 @@ pub fn build_network(
             if spec.ip_ni(c.dst) != ni {
                 continue;
             }
-            let log = delivery_log();
+            let log = delivery_log(c.id, ni_phase_fs[ni.index()], period_fs);
+            conn_index[c.id.index()].1 = logs.len() as u32;
             logs.push((c.id, std::rc::Rc::clone(&log)));
             sink_conns.push(SinkConn {
                 conn: c.id,
@@ -352,6 +360,7 @@ pub fn build_network(
         queues,
         logs,
         frequency: f,
+        conn_index,
     }
 }
 
@@ -477,6 +486,21 @@ mod tests {
             let n = net.delivery_cycles(c.id).len();
             assert!(n > 10, "{}: only {n} deliveries", c.id);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "c0 not built")]
+    fn accessor_of_a_connection_outside_the_build_panics_by_name() {
+        // c0 lies inside the id bound of the restricted view but was
+        // left out of it.
+        let spec = two_ni_spec(0);
+        let (c0, c1) = (spec.connections()[0].id, spec.connections()[1].id);
+        let view = spec.restricted_to_connections(&[c1]);
+        let alloc = allocate(&view).unwrap();
+        let net = build_network(&view, &alloc, NetworkKind::Synchronous, false);
+        assert!(std::rc::Rc::ptr_eq(net.queue(c1), &net.queues[0].1));
+        assert!(std::rc::Rc::ptr_eq(net.log(c1), &net.logs[0].1));
+        let _ = net.log(c0);
     }
 
     #[test]

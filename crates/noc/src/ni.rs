@@ -57,13 +57,125 @@ pub struct FlitDelivery {
     pub time: SimTime,
 }
 
-/// The shared log of deliveries at a destination NI.
-pub type DeliveryLog = Rc<RefCell<Vec<FlitDelivery>>>;
+/// The flits one connection delivered at its destination NI, in arrival
+/// order.
+///
+/// A record's connection is the log's, and its time is a function of its
+/// cycle and the destination NI's clock, so the log keeps the connection
+/// and the clock once and stores only `(tag, cycle)` per flit — 16 bytes
+/// instead of a 32-byte [`FlitDelivery`]. Records are materialised on
+/// read; two logs are equal when they read back the same records.
+#[derive(Debug)]
+pub struct FlitLog {
+    conn: ConnId,
+    phase_fs: u64,
+    period_fs: u64,
+    flits: Vec<(u64, u64)>,
+}
 
-/// Creates an empty delivery log.
+impl FlitLog {
+    /// Appends `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` belongs to another connection or if `d.time` is not
+    /// the instant of edge `d.cycle` on this log's clock: the log could
+    /// not read it back.
+    pub fn push(&mut self, d: FlitDelivery) {
+        assert_eq!(
+            d.conn, self.conn,
+            "a flit of {} logged as {}",
+            d.conn, self.conn
+        );
+        assert_eq!(
+            d.time,
+            self.time_of(d.cycle),
+            "{}: cycle {} delivered off the log's clock",
+            self.conn,
+            d.cycle
+        );
+        self.record(d.tag, d.cycle);
+    }
+
+    /// Appends the flit tagged `tag` delivered at `cycle`, timed by this
+    /// log's clock.
+    pub(crate) fn record(&mut self, tag: u64, cycle: u64) {
+        self.flits.push((tag, cycle));
+    }
+
+    fn time_of(&self, cycle: u64) -> SimTime {
+        SimTime::from_fs(self.phase_fs + cycle * self.period_fs)
+    }
+
+    fn delivery(&self, (tag, cycle): (u64, u64)) -> FlitDelivery {
+        FlitDelivery {
+            conn: self.conn,
+            tag,
+            cycle,
+            time: self.time_of(cycle),
+        }
+    }
+
+    /// The `i`-th delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn get(&self, i: usize) -> FlitDelivery {
+        self.delivery(self.flits[i])
+    }
+
+    /// Every delivery, in arrival order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = FlitDelivery> + '_ {
+        self.flits.iter().map(|&f| self.delivery(f))
+    }
+
+    /// Destination cycles of every delivery, in arrival order.
+    pub(crate) fn cycles(&self) -> impl Iterator<Item = u64> + '_ {
+        self.flits.iter().map(|&(_, cycle)| cycle)
+    }
+
+    /// Number of deliveries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.flits.len()
+    }
+
+    /// Whether nothing was delivered.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.flits.is_empty()
+    }
+
+    /// Every delivery, materialised.
+    #[must_use]
+    pub fn to_vec(&self) -> Vec<FlitDelivery> {
+        self.iter().collect()
+    }
+}
+
+impl PartialEq for FlitLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for FlitLog {}
+
+/// The shared log of one connection's deliveries at its destination NI.
+pub type DeliveryLog = Rc<RefCell<FlitLog>>;
+
+/// Creates an empty delivery log of `conn`, timed by a destination-NI
+/// clock with its first edge at `phase_fs` and a period of `period_fs`.
 #[must_use]
-pub fn delivery_log() -> DeliveryLog {
-    Rc::new(RefCell::new(Vec::new()))
+pub fn delivery_log(conn: ConnId, phase_fs: u64, period_fs: u64) -> DeliveryLog {
+    Rc::new(RefCell::new(FlitLog {
+        conn,
+        phase_fs,
+        period_fs,
+        flits: Vec::new(),
+    }))
 }
 
 /// Credit return channel: payload-word counts flowing back from a
@@ -277,7 +389,7 @@ impl Module for NiSource {
 pub struct SinkConn {
     /// The connection id this queue serves.
     pub conn: ConnId,
-    /// Shared delivery log (may be shared across connections).
+    /// This connection's delivery log, timed by this NI's clock.
     pub log: DeliveryLog,
     /// Credit return channel to the source NI.
     pub credits_out: CreditChannel,
@@ -523,10 +635,11 @@ mod tests {
 
     fn direct_bench(slots: Vec<u32>, credit: u32, drain_interval: u32) -> Bench {
         let mut sim: Simulator<LinkWord> = Simulator::new();
-        let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
+        let f = Frequency::from_mhz(500);
+        let clk = sim.add_domain(ClockSpec::new(f));
         let wire = sim.add_wire("ni2ni");
         let queue = message_queue();
-        let log = delivery_log();
+        let log = delivery_log(ConnId::new(0), 0, f.period().as_fs());
         let credits = credit_channel("cr", SimDuration::ZERO);
         let src = NiSource::new(
             "src",
@@ -571,7 +684,7 @@ mod tests {
         assert_eq!(log.len(), 1);
         // Slot 2 starts at cycle 6; header at 6, eop data at cycle 8,
         // sink samples it at cycle 9.
-        assert_eq!(log[0].cycle, 9);
+        assert_eq!(log.get(0).cycle, 9);
     }
 
     #[test]
@@ -586,9 +699,9 @@ mod tests {
         let log = b.log.borrow();
         assert_eq!(log.len(), 3);
         // Slots 1, 5, 9(=1 mod 8): cycles 3,15,27 -> eop sampled +3.
-        assert_eq!(log[0].cycle, 6);
-        assert_eq!(log[1].cycle, 18);
-        assert_eq!(log[2].cycle, 30);
+        assert_eq!(log.get(0).cycle, 6);
+        assert_eq!(log.get(1).cycle, 18);
+        assert_eq!(log.get(2).cycle, 30);
     }
 
     #[test]
@@ -655,6 +768,58 @@ mod tests {
                 source_conn(1, vec![1], q, cr, 4),
             ],
         );
+    }
+
+    /// 500 MHz: one cycle is 2 ns.
+    const PERIOD_FS: u64 = 2_000_000;
+
+    fn delivery(conn: u32, tag: u64, cycle: u64, time_fs: u64) -> FlitDelivery {
+        FlitDelivery {
+            conn: ConnId::new(conn),
+            tag,
+            cycle,
+            time: SimTime::from_fs(time_fs),
+        }
+    }
+
+    #[test]
+    fn flit_log_reads_back_what_it_recorded_on_a_phased_clock() {
+        let phase_fs = 777_000;
+        let log = delivery_log(ConnId::new(3), phase_fs, PERIOD_FS);
+        let pushed = [
+            delivery(3, 0x100, 9, phase_fs + 9 * PERIOD_FS),
+            delivery(3, 0x102, 21, phase_fs + 21 * PERIOD_FS),
+            delivery(3, 0x200, 33, phase_fs + 33 * PERIOD_FS),
+        ];
+        for d in pushed {
+            log.borrow_mut().push(d);
+        }
+        let log = log.borrow();
+        assert_eq!(log.len(), 3);
+        assert!(!log.is_empty());
+        for (i, d) in pushed.iter().enumerate() {
+            let got = log.get(i);
+            assert_eq!(
+                (got.conn, got.tag, got.cycle, got.time.as_fs()),
+                (d.conn, d.tag, d.cycle, d.time.as_fs())
+            );
+        }
+        assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
+        assert_eq!(log.to_vec(), pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "off the log's clock")]
+    fn flit_log_refuses_a_time_off_its_clock() {
+        let log = delivery_log(ConnId::new(0), 500, PERIOD_FS);
+        log.borrow_mut().push(delivery(0, 0, 4, 4 * PERIOD_FS));
+    }
+
+    #[test]
+    #[should_panic(expected = "a flit of c1 logged as c0")]
+    fn flit_log_refuses_another_connections_flit() {
+        let log = delivery_log(ConnId::new(0), 0, PERIOD_FS);
+        log.borrow_mut().push(delivery(1, 0, 4, 4 * PERIOD_FS));
     }
 
     #[test]

@@ -31,12 +31,19 @@
 //!   event-driven sink would produce;
 //! * clock-domain phases ([`NetworkKind::Mesochronous`]) fold into the
 //!   compiled schedule as femtosecond offsets, so cross-domain credit
-//!   visibility keeps its exact event-driven timing.
+//!   visibility keeps its exact event-driven timing;
+//! * deliveries stream: a flit's destination cycle is known when it is
+//!   injected, so it goes to its connection's [`FlitLog`] right then,
+//!   and only the few flits whose destination edge lies past the run's
+//!   deadline wait in flight. A log stores 16 bytes per flit — tag and
+//!   cycle; connection and absolute time come from the log itself.
 //!
 //! **Equivalence is the contract**: a [`TurboNet`] produces delivery
 //! logs bit-for-bit identical to the event-driven build of the same
 //! spec/allocation/kind — the same [`FlitDelivery`] records including
-//! destination cycle *and* absolute time — pinned by
+//! destination cycle *and* absolute time, which both engines read off
+//! the destination NI's clock and the event-driven sink asserts on every
+//! flit it logs — pinned by
 //! `tests/turbo_golden.rs` on the paper platform and on 4×4/8×8 scaled
 //! meshes in both clocking modes. The event-driven simulator stays the
 //! golden reference; the turbo kernel is what makes simulation cheap
@@ -45,11 +52,13 @@
 //!
 //! [`Module`]: aelite_sim::module::Module
 //! [`DseGrid`]: ../../aelite_dse/grid/struct.DseGrid.html
+//! [`FlitLog`]: crate::ni::FlitLog
+//! [`FlitDelivery`]: crate::ni::FlitDelivery
 
 use crate::network::{NetworkKind, CREDIT_RETURN_CYCLES};
-use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitDelivery, Message, MessageQueue};
+use crate::ni::{delivery_log, message_queue, DeliveryLog, Message, MessageQueue};
 use aelite_alloc::allocate::Allocation;
-use aelite_sim::time::{Frequency, SimTime};
+use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
 use std::collections::VecDeque;
@@ -142,6 +151,9 @@ impl CbrGen {
 struct ConnSoa {
     conn: Vec<ConnId>,
     queue: Vec<MessageQueue>,
+    /// Delivered flits, timed by the destination NI's clock. A flit is
+    /// written here when it is injected, if its destination edge falls
+    /// within the run being simulated.
     log: Vec<DeliveryLog>,
     cbr: Vec<Option<CbrGen>>,
     /// Cycles from the injection slot-start to the destination NI
@@ -156,7 +168,9 @@ struct ConnSoa {
     /// Scheduled credit returns `(visible-at fs, words)`, chronological —
     /// the compiled form of the credit bi-synchronous FIFO.
     credit_sched: Vec<VecDeque<(u64, u32)>>,
-    /// In-flight flits, in injection order.
+    /// Injected flits whose destination edge lies past the deadline of
+    /// the run that injected them, in injection order — at most the few
+    /// a connection has between its source and destination NI.
     in_network: Vec<VecDeque<PendingDelivery>>,
     /// The message being packetised, with words remaining.
     current_msg: Vec<Option<(Message, u32)>>,
@@ -180,11 +194,12 @@ impl ConnSoa {
         head_delay: u64,
         src_phase_fs: u64,
         dst_phase_fs: u64,
+        period_fs: u64,
         credits: i64,
     ) {
         self.conn.push(conn);
         self.queue.push(queue);
-        self.log.push(delivery_log());
+        self.log.push(delivery_log(conn, dst_phase_fs, period_fs));
         self.cbr.push(cbr);
         self.head_delay.push(head_delay);
         self.src_phase_fs.push(src_phase_fs);
@@ -195,6 +210,16 @@ impl ConnSoa {
         self.current_msg.push(None);
         self.ready_floor.push(0);
         self.stats.push(ConnLatency::default());
+    }
+
+    /// Logs connection `i`'s flit `d` and counts its latency.
+    fn deliver(&mut self, i: usize, d: PendingDelivery) {
+        self.log[i].borrow_mut().record(d.tag, d.eop_cycle);
+        let latency = d.eop_cycle - d.ready;
+        let stats = &mut self.stats[i];
+        stats.flits += 1;
+        stats.min_cycles = stats.min_cycles.min(latency);
+        stats.max_cycles = stats.max_cycles.max(latency);
     }
 }
 
@@ -258,6 +283,19 @@ impl TurboNet {
         } = self;
         let (period_fs, slot_cycles, table_size) = (*period_fs, *slot_cycles, *table_size);
         let (payload_capacity, mesochronous) = (*payload_capacity, *mesochronous);
+
+        // Flits an earlier run left in flight that land by this deadline
+        // are logged first: every flit injected below comes after them.
+        for i in 0..conns.len() {
+            let dst_phase_fs = conns.dst_phase_fs[i];
+            while let Some(&d) = conns.in_network[i].front() {
+                if dst_phase_fs + d.eop_cycle * period_fs > deadline_fs {
+                    break;
+                }
+                conns.in_network[i].pop_front();
+                conns.deliver(i, d);
+            }
+        }
 
         // Slot loop: one decision per source NI per TDM slot — exactly
         // the instants at which the cycle-accurate NiSource can act.
@@ -331,16 +369,26 @@ impl TurboNet {
                 // the slot start, and each payload word's credit returns
                 // one destination edge after that word lands.
                 let head_delay = conns.head_delay[i];
+                let dst_phase_fs = conns.dst_phase_fs[i];
                 let eop_cycle = c0 + head_delay + u64::from(send_words);
-                let ready = msg.ready_cycle.max(conns.ready_floor[i]);
-                conns.ready_floor[i] = c0 + slot_cycles;
-                conns.in_network[i].push_back(PendingDelivery {
+                let flit = PendingDelivery {
                     eop_cycle,
                     tag: crate::ni::flit_base_tag(msg.seq, msg.words, remaining),
-                    ready,
-                });
+                    ready: msg.ready_cycle.max(conns.ready_floor[i]),
+                };
+                conns.ready_floor[i] = c0 + slot_cycles;
+                // A connection's EoP cycles rise strictly in injection
+                // order (slot starts are `slot_cycles` apart and a flit
+                // is shorter than a slot), so a flit landing within the
+                // run with nothing ahead of it in flight is logged now.
+                if conns.in_network[i].is_empty()
+                    && dst_phase_fs + eop_cycle * period_fs <= deadline_fs
+                {
+                    conns.deliver(i, flit);
+                } else {
+                    conns.in_network[i].push_back(flit);
+                }
                 let credit_delay_fs = period_fs * CREDIT_RETURN_CYCLES;
-                let dst_phase_fs = conns.dst_phase_fs[i];
                 for k in 1..=u64::from(send_words) {
                     let drain_edge = c0 + head_delay + k + 1;
                     conns.credit_sched[i]
@@ -349,27 +397,7 @@ impl TurboNet {
             }
         }
 
-        // Flush every delivery whose destination edge lies within the
-        // run, in order, into the public logs.
         for i in 0..conns.len() {
-            let dst_phase_fs = conns.dst_phase_fs[i];
-            while let Some(&d) = conns.in_network[i].front() {
-                if dst_phase_fs + d.eop_cycle * period_fs > deadline_fs {
-                    break;
-                }
-                conns.in_network[i].pop_front();
-                conns.log[i].borrow_mut().push(FlitDelivery {
-                    conn: conns.conn[i],
-                    tag: d.tag,
-                    cycle: d.eop_cycle,
-                    time: SimTime::from_fs(dst_phase_fs + d.eop_cycle * period_fs),
-                });
-                let latency = d.eop_cycle - d.ready;
-                let stats = &mut conns.stats[i];
-                stats.flits += 1;
-                stats.min_cycles = stats.min_cycles.min(latency);
-                stats.max_cycles = stats.max_cycles.max(latency);
-            }
             // Settle CBR arrivals to this run's final source edge, so
             // the shared queue handles hold exactly what the event
             // engine's queues would.
@@ -424,7 +452,7 @@ impl TurboNet {
     /// Delivery cycles of `conn`, in arrival order.
     #[must_use]
     pub fn delivery_cycles(&self, conn: ConnId) -> Vec<u64> {
-        self.log(conn).borrow().iter().map(|d| d.cycle).collect()
+        self.log(conn).borrow().cycles().collect()
     }
 
     /// Measured per-flit latency statistics of `conn` (see
@@ -490,15 +518,8 @@ pub fn build_turbo(
     // Clock-domain phases from the same draw stream as `build_network`
     // (routers first, then NIs); compiled routers need no clock, so
     // only the NI portion of the draws is kept.
-    let ni_phase: Vec<u64> = match kind {
-        NetworkKind::Synchronous => vec![0; topo.ni_count()],
-        NetworkKind::Mesochronous { phase_seed } => crate::network::meso_phase_draws_fs(
-            phase_seed,
-            topo.router_count() + topo.ni_count(),
-            period_fs,
-        )
-        .split_off(topo.router_count()),
-    };
+    let ni_phase =
+        crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
     let mesochronous = matches!(kind, NetworkKind::Mesochronous { .. });
     let slot_cycles = u64::from(cfg.slot_cycles());
     let payload_capacity = cfg.payload_words_per_flit();
@@ -579,6 +600,7 @@ pub fn build_turbo(
                 head_delay,
                 ni_phase[ni.index()],
                 ni_phase[spec.ip_ni(c.dst).index()],
+                period_fs,
                 i64::from(cfg.ni_buffer_words),
             );
         }
@@ -779,6 +801,102 @@ mod tests {
         }
         for c in spec.connections() {
             assert_eq!(*event.log(c.id).borrow(), *stepped.log(c.id).borrow());
+        }
+    }
+
+    /// Checks what `run_cycles(cycles)` left in flight: only flits landing
+    /// past the deadline, no more per connection than its slots can
+    /// inject between source and destination NI, in a buffer that never
+    /// held more than that.
+    fn assert_in_flight_bounded(turbo: &TurboNet, cycles: u64) {
+        let deadline_fs = turbo.period_fs * cycles;
+        let conns = &turbo.conns;
+        for i in 0..conns.len() {
+            let in_flight = &conns.in_network[i];
+            let bound = (conns.head_delay[i] + u64::from(turbo.payload_capacity))
+                .div_ceil(turbo.slot_cycles)
+                + 1;
+            for d in in_flight {
+                assert!(
+                    conns.dst_phase_fs[i] + d.eop_cycle * turbo.period_fs > deadline_fs,
+                    "{}: cycle {} is within the run to {cycles} but still in flight",
+                    conns.conn[i],
+                    d.eop_cycle
+                );
+            }
+            assert!(
+                in_flight.len() as u64 <= bound,
+                "{}: {} flits in flight, bound {bound}",
+                conns.conn[i],
+                in_flight.len()
+            );
+            // The buffer grows by doubling from 4 and never shrinks, so a
+            // capacity within twice the bound shows it never held more.
+            assert!(
+                in_flight.capacity() as u64 <= (2 * bound).max(4),
+                "{}: in-flight buffer grew to {} slots, bound {bound}",
+                conns.conn[i],
+                in_flight.capacity()
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_leaves_only_the_flits_landing_past_its_deadline_in_flight() {
+        let sync = aelite_spec::generate::paper_workload(42);
+        let meso = sync.with_link_pipeline_stages(1, 1);
+        for (spec, kind) in [
+            (&sync, NetworkKind::Synchronous),
+            (&meso, NetworkKind::Mesochronous { phase_seed: 7 }),
+        ] {
+            let alloc = allocate(spec).unwrap();
+            let mut turbo = build_turbo(spec, &alloc, kind, true);
+            turbo.run_cycles(3_000);
+            assert!(turbo.conns.stats.iter().all(|s| s.flits > 0));
+            assert_in_flight_bounded(&turbo, 3_000);
+        }
+    }
+
+    #[test]
+    fn stepped_runs_cutting_through_in_flight_flits_match_oneshot_and_event() {
+        let spec = two_ni_spec(0);
+        let alloc = allocate(&spec).unwrap();
+        let horizon = 3_000;
+        let mut oneshot = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+        oneshot.run_cycles(horizon);
+        let mut event = build_network(&spec, &alloc, NetworkKind::Synchronous, true);
+        event.run_cycles(horizon);
+        // One cycle before, at and after the EoP edge of each
+        // connection's first flits, and one cycle before a mid-run EoP
+        // edge: each deadline leaves a flit injected but not yet
+        // delivered, or delivers it on the boundary. The last cut is
+        // followed by a long run, which must not queue behind it.
+        let mut deadlines: Vec<u64> = spec
+            .connections()
+            .iter()
+            .flat_map(|c| {
+                let eops = oneshot.delivery_cycles(c.id);
+                let mid = eops[eops.len() / 2];
+                eops.into_iter()
+                    .take(4)
+                    .flat_map(|eop| [eop - 1, eop, eop + 1])
+                    .chain([mid - 1])
+            })
+            .collect();
+        deadlines.sort_unstable();
+        deadlines.dedup();
+        let mut stepped = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+        let mut cut_through = false;
+        for &deadline in deadlines.iter().chain([&horizon]) {
+            stepped.run_cycles(deadline);
+            assert_in_flight_bounded(&stepped, deadline);
+            cut_through |= stepped.conns.in_network.iter().any(|q| !q.is_empty());
+        }
+        assert!(cut_through, "no deadline left a flit in flight");
+        for c in spec.connections() {
+            assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
+            assert_eq!(*event.log(c.id).borrow(), *stepped.log(c.id).borrow());
+            assert_eq!(oneshot.latency(c.id), stepped.latency(c.id));
         }
     }
 

@@ -43,7 +43,10 @@ fn delivery_logs(
 ) -> Vec<Vec<FlitDelivery>> {
     let mut net = build_turbo(spec, alloc, NetworkKind::Synchronous, true);
     net.run_cycles(HORIZON_CYCLES);
-    conns.iter().map(|&c| net.log(c).borrow().clone()).collect()
+    conns
+        .iter()
+        .map(|&c| net.log(c).borrow().to_vec())
+        .collect()
 }
 
 /// The view of `spec` restricted to the currently granted connections.

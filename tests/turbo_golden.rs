@@ -4,6 +4,13 @@
 //! time) identical — on the paper platform and on scaled meshes, in
 //! both clocking organisations.
 //!
+//! Neither engine stores a flit's absolute time: a delivery log keeps
+//! its connection and the destination NI's clock once, and derives each
+//! record's time from that clock and the flit's cycle. The time clause
+//! stays a real check because the event-driven sink logs through
+//! `FlitLog::push`, which asserts that the time the simulator sampled
+//! the flit at is exactly the one the log will read back.
+//!
 //! This is the contract that lets the DSE `--validate` stage and the
 //! throughput benchmarks trust the turbo engine: the event-driven
 //! `aelite_sim::scheduler::Simulator` build stays the golden reference,
