@@ -107,7 +107,8 @@ pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
     let before = *engine.stats();
     let t0 = Instant::now();
     for e in &trace.events {
-        engine.apply(&spec, &mut alloc, &e.op);
+        // Refusals are counted in the engine's stats.
+        let _ = engine.submit(&spec, &mut alloc, e.op.clone());
     }
     let elapsed = t0.elapsed().as_secs_f64();
     let stats = *engine.stats();

@@ -5,14 +5,14 @@
 //! clock and therefore stays out of the byte-reproducible report — every
 //! number here is a pure function of the point's coordinates: the
 //! scenario (a merged churn + fault trace, [`FaultScenario::merge`]) is
-//! seeded from the point, replayed through the [`FaultEngine`], and the
+//! seeded from the point, replayed through the [`ChurnEngine`], and the
 //! resulting admission and displacement counts are committed to the
 //! report and gated by [`DseReport::assert_gates`].
 
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
 use aelite_alloc::{Allocation, Allocator, Steering};
-use aelite_online::{ChurnEngine, FaultEngine};
+use aelite_online::ChurnEngine;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{churn_trace, ChurnOp, ChurnParams};
 use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario, ScenarioOp};
@@ -116,15 +116,15 @@ pub fn replay_fault_scenario(
     churn_events: u32,
     fault_events: u32,
     seed: u64,
-) -> (FaultEngine, Allocation, u32, u32) {
+) -> (ChurnEngine, Allocation, u32, u32) {
     let mut alloc = Allocation::empty_for(spec);
-    let mut engine = FaultEngine::with_engine(ChurnEngine::with_allocator(
+    let mut engine = ChurnEngine::with_allocator(
         spec,
         Allocator {
             steering,
             ..Allocator::new()
         },
-    ));
+    );
     let mut admitted = 0u32;
     for c in spec.connections() {
         if engine.apply(spec, &mut alloc, &ScenarioOp::Churn(ChurnOp::Open(c.id))) {
@@ -183,7 +183,7 @@ pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
         survived: s.survived(),
         dropped: s.dropped,
         restored: s.restored,
-        refused_link_down: engine.engine().stats().refused_link_down,
+        refused_link_down: s.refused_link_down,
     }
 }
 

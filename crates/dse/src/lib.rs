@@ -26,14 +26,13 @@
 //!   Poisson open/close/use-case-switch trace, reporting its admission
 //!   outcome and sustained churn rate alongside area and throughput.
 //! * [`fault`] — the robustness scenario: every Pareto-front point is
-//!   replayed through the [`FaultEngine`] under a seeded merged churn +
+//!   replayed through the same [`ChurnEngine`] under a seeded merged churn +
 //!   fault trace (failures, repairs, transient glitches); the resulting
 //!   deterministic admission/displacement counts are folded into
 //!   `DSE_REPORT.json` (schema `aelite-dse-report/2`) and gated by
 //!   [`DseReport::assert_gates`].
 //!
 //! [`ChurnEngine`]: aelite_online::ChurnEngine
-//! [`FaultEngine`]: aelite_online::FaultEngine
 //!
 //! Determinism is the design constraint throughout: every per-point
 //! quantity is a pure function of the point's coordinates, so the same

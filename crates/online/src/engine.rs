@@ -1,12 +1,16 @@
 //! The churn engine: streaming connection admission over a live
-//! allocation, one unified [`submit`](ChurnEngine::submit) entry point
-//! and a batched admission round for independent request bursts.
+//! allocation, one unified [`submit`](ChurnEngine::submit) entry point,
+//! a batched admission round for independent request bursts, and one
+//! [`apply`](ChurnEngine::apply) for churn and faults alike (the
+//! recovery ladder is the engine's second `impl` block, in
+//! [`fault`](crate::fault)).
 
 use crate::api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
+use crate::fault::FaultState;
 use aelite_alloc::{
     AdmissionRound, AllocScratch, Allocation, Allocator, FaultMask, RouteCache, RouteProvider,
 };
-use aelite_spec::churn::ChurnOp;
+use aelite_spec::fault::ScenarioOp;
 use aelite_spec::ids::ConnId;
 use aelite_spec::{Connection, SystemSpec};
 
@@ -34,7 +38,8 @@ fn contract(spec: &SystemSpec, conn: ConnId) -> Option<&Connection> {
 
 /// Counters of the work a [`ChurnEngine`] has performed, broken down by
 /// request kind so serving layers report refusal and rollback rates
-/// without re-deriving them from traces.
+/// without re-deriving them from traces — then the fault and repair
+/// events it serviced and what their recovery sweeps did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChurnStats {
     /// Individual connection setups that succeeded (including those
@@ -59,6 +64,32 @@ pub struct ChurnStats {
     /// above) whose cause was [`RefusalCause::LinkDown`] — admissions
     /// that failed *because of the fault mask*, not because of capacity.
     pub refused_link_down: u64,
+    /// Link failure events applied (no-op repeats not counted).
+    pub link_downs: u64,
+    /// Link repair events applied.
+    pub link_ups: u64,
+    /// Router failure events applied.
+    pub router_downs: u64,
+    /// Router repair events applied.
+    pub router_ups: u64,
+    /// Total grants affected across failure events.
+    pub affected: u64,
+    /// Total make-before-break re-routes.
+    pub make_before_break: u64,
+    /// Total break-then-make re-routes.
+    pub break_then_make: u64,
+    /// Total connections dropped (displaced) by failures.
+    pub dropped: u64,
+    /// Total displaced connections re-homed by repairs.
+    pub restored: u64,
+    /// Transient glitch events applied (sub-threshold and escalated).
+    pub glitches: u64,
+    /// Glitches at or past the persistence threshold: they ran the
+    /// recovery ladder like a permanent failure.
+    pub escalated: u64,
+    /// Glitches that self-cleared at expiry (no permanent fault landed
+    /// on them first).
+    pub glitch_expiries: u64,
 }
 
 impl ChurnStats {
@@ -75,6 +106,12 @@ impl ChurnStats {
         self.refused_opens + self.refused_closes + self.refused_switches
     }
 
+    /// Total affected connections that kept service through a failure.
+    #[must_use]
+    pub fn survived(&self) -> u64 {
+        self.make_before_break + self.break_then_make
+    }
+
     /// Every counter of `self` combined with the same counter of `other`
     /// — the one place besides the declaration that lists the fields.
     fn zip(&self, other: &ChurnStats, f: impl Fn(u64, u64) -> u64) -> ChurnStats {
@@ -87,6 +124,18 @@ impl ChurnStats {
             refused_switches: f(self.refused_switches, other.refused_switches),
             rolled_back_opens: f(self.rolled_back_opens, other.rolled_back_opens),
             refused_link_down: f(self.refused_link_down, other.refused_link_down),
+            link_downs: f(self.link_downs, other.link_downs),
+            link_ups: f(self.link_ups, other.link_ups),
+            router_downs: f(self.router_downs, other.router_downs),
+            router_ups: f(self.router_ups, other.router_ups),
+            affected: f(self.affected, other.affected),
+            make_before_break: f(self.make_before_break, other.make_before_break),
+            break_then_make: f(self.break_then_make, other.break_then_make),
+            dropped: f(self.dropped, other.dropped),
+            restored: f(self.restored, other.restored),
+            glitches: f(self.glitches, other.glitches),
+            escalated: f(self.escalated, other.escalated),
+            glitch_expiries: f(self.glitch_expiries, other.glitch_expiries),
         }
     }
 
@@ -129,9 +178,17 @@ impl ChurnStats {
 /// usage. The engine never moves an existing grant: every operation
 /// touches only the slots of the connections named in the request — the
 /// paper's undisturbed-reconfiguration model, structurally enforced.
+///
+/// The same engine services failures: [`apply`](Self::apply) takes any
+/// [`ScenarioOp`], and the fault mask ([`mask`](Self::mask)), glitch
+/// clock and displaced-connection ledger are engine state (recovery
+/// ladder: [`fault`](crate::fault)). Whichever entry point a churn
+/// request takes, the ledger stays exact.
 #[derive(Debug)]
 pub struct ChurnEngine {
     allocator: Allocator,
+    /// Candidate routes, filtered through the admission mask — of which
+    /// the cache holds the only copy.
     routes: RouteCache,
     scratch: AllocScratch,
     /// Reusable admission-order buffer for use-case switches.
@@ -140,7 +197,10 @@ pub struct ChurnEngine {
     opened: Vec<ConnId>,
     /// Reusable canonical-order buffer for batched rounds.
     batch_order: Vec<usize>,
-    stats: ChurnStats,
+    pub(crate) stats: ChurnStats,
+    /// Glitch clock, enforced mask and displaced ledger, private to the
+    /// [`fault`](crate::fault) half.
+    pub(crate) faults: FaultState,
 }
 
 /// How [`ChurnEngine::reroute`] moved a connection onto a fault-free
@@ -174,33 +234,40 @@ impl ChurnEngine {
             opened: Vec::new(),
             batch_order: Vec::new(),
             stats: ChurnStats::default(),
+            faults: FaultState::default(),
         }
     }
 
-    /// Work counters since the engine was created.
+    /// Work and fault-event counters since the engine was created.
     #[must_use]
     pub fn stats(&self) -> &ChurnStats {
         &self.stats
     }
 
-    /// The fault mask admissions are currently filtered against (empty
-    /// unless [`set_faults`](Self::set_faults) installed one).
+    /// The admission mask: **every** down link, permanent and glitched
+    /// alike — exactly what admission filters against.
     #[must_use]
-    pub fn faults(&self) -> &FaultMask {
+    pub fn mask(&self) -> &FaultMask {
         self.routes.faults()
     }
 
-    /// Installs `faults` as the route cache's fault mask: from now on
-    /// no admission through this engine can be granted a route that
-    /// traverses a down link. Route lookups filter by the mask, so
-    /// cached routes stay resident (see [`RouteProvider::set_faults`]).
-    ///
-    /// The mask constrains *future* admissions only — grants already in
-    /// an allocation are not inspected here. Walking the affected grants
-    /// and re-routing them is the recovery sweep of
-    /// [`FaultEngine`](crate::fault::FaultEngine).
+    /// Installs `faults` as the admission mask (route lookups filter by
+    /// it, so cached routes stay resident; see
+    /// [`RouteProvider::set_faults`]). It limits *future* admissions
+    /// only: nothing is displaced, no event is counted, and the rest of
+    /// the fault state is left as it is — for an engine admitting under
+    /// a fixed mask, such as a shard lane or its serial reference.
     pub fn set_faults(&mut self, faults: &FaultMask) {
         self.routes.set_faults(faults);
+    }
+
+    /// Edits the admission mask through [`set_faults`](Self::set_faults),
+    /// the one place it is written; returns what `edit` returned.
+    pub(crate) fn write_mask(&mut self, edit: impl FnOnce(&mut FaultMask) -> bool) -> bool {
+        let mut mask = self.mask().clone();
+        let changed = edit(&mut mask);
+        self.set_faults(&mask);
+        changed
     }
 
     /// Re-routes one live connection onto a path admissible under the
@@ -290,6 +357,29 @@ impl ChurnEngine {
     ) -> Result<AdmissionResponse, AdmissionError> {
         let round = self.allocator.begin_round(spec, alloc, &self.routes);
         self.submit_in_round(&round, spec, alloc, &request)
+    }
+
+    /// Applies one scenario operation (see [`aelite_spec::fault`]),
+    /// churn or fault, returning whether it was applied in full. A churn
+    /// op is serviced as by [`submit`](Self::submit): `false` for a
+    /// refused open or switch, `true` for a close of a closed connection
+    /// (the requested state holds). A fault op runs its event handler
+    /// ([`link_down`](Self::link_down) and kin) and returns `true`, or
+    /// `false`, changing nothing, if it names a link or router outside
+    /// `spec`'s topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics on platform mismatch, as [`submit`](Self::submit).
+    pub fn apply(&mut self, spec: &SystemSpec, alloc: &mut Allocation, op: &ScenarioOp) -> bool {
+        match op {
+            ScenarioOp::Churn(request) => {
+                let round = self.allocator.begin_round(spec, alloc, &self.routes);
+                let verdict = self.submit_in_round(&round, spec, alloc, request);
+                verdict.is_ok() || matches!(request, AdmissionRequest::Close(_))
+            }
+            ScenarioOp::Fault(fault) => self.apply_fault(spec, alloc, fault),
+        }
     }
 
     /// Services a burst of **independent** requests (no connection named
@@ -425,6 +515,7 @@ impl ChurnEngine {
     ) -> Result<(), AdmissionError> {
         match self.admit(round, spec, alloc, conn) {
             Ok(()) => {
+                self.settle(alloc, &[]);
                 self.stats.setups += 1;
                 Ok(())
             }
@@ -436,6 +527,8 @@ impl ChurnEngine {
     }
 
     fn close_one(&mut self, alloc: &mut Allocation, conn: ConnId) -> Verdict {
+        // A close settles `conn` whether or not it held a grant.
+        self.settle(alloc, core::slice::from_ref(&conn));
         match alloc.take_grant(conn) {
             Some(grant) => {
                 self.scratch.recycle(grant);
@@ -457,48 +550,52 @@ impl ChurnEngine {
         close_set: &[ConnId],
         open_set: &[ConnId],
     ) -> Verdict {
-        // A switch naming a connection `spec` does not contain is
-        // malformed, not unlucky: refuse it whole, close set untouched.
-        if let Some(&conn) = open_set.iter().find(|&&c| contract(spec, c).is_none()) {
-            self.stats.refused_switches += 1;
-            return Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
-        }
-        let mut closed = 0u64;
-        for &c in close_set {
-            if let Some(grant) = alloc.take_grant(c) {
-                self.scratch.recycle(grant);
-                closed += 1;
-            }
-        }
-
-        // Hardest-first admission, matching the batch allocator's order,
-        // in a buffer reused across switches.
-        self.order.clear();
-        self.order.extend_from_slice(open_set);
-        aelite_alloc::admission_order(spec, &mut self.order);
-        self.opened.clear();
-        for i in 0..self.order.len() {
-            let conn = self.order[i];
-            if let Err(cause) = self.admit(round, spec, alloc, conn) {
-                let rolled_back = self.opened.len() as u32;
-                for j in 0..self.opened.len() {
-                    let c = self.opened[j];
-                    let grant = alloc.take_grant(c).expect("opened this switch");
-                    self.scratch.recycle(grant);
-                }
-                self.stats.teardowns += closed;
+        let verdict = 'deltas: {
+            // A switch naming a connection `spec` does not contain is
+            // malformed, not unlucky: refuse it whole, close set untouched.
+            if let Some(&conn) = open_set.iter().find(|&&c| contract(spec, c).is_none()) {
                 self.stats.refused_switches += 1;
-                return Err(self.refusal(conn, cause, rolled_back));
+                break 'deltas Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
             }
-            self.opened.push(conn);
-        }
-        self.stats.teardowns += closed;
-        self.stats.setups += self.opened.len() as u64;
-        self.stats.switches += 1;
-        Ok(AdmissionResponse::Switched {
-            closed: closed as u32,
-            opened: self.opened.len() as u32,
-        })
+            let mut closed = 0u64;
+            for &c in close_set {
+                if let Some(grant) = alloc.take_grant(c) {
+                    self.scratch.recycle(grant);
+                    closed += 1;
+                }
+            }
+
+            // Hardest-first admission, matching the batch allocator's order,
+            // in a buffer reused across switches.
+            self.order.clear();
+            self.order.extend_from_slice(open_set);
+            aelite_alloc::admission_order(spec, &mut self.order);
+            self.opened.clear();
+            for i in 0..self.order.len() {
+                let conn = self.order[i];
+                if let Err(cause) = self.admit(round, spec, alloc, conn) {
+                    let rolled_back = self.opened.len() as u32;
+                    for j in 0..self.opened.len() {
+                        let c = self.opened[j];
+                        let grant = alloc.take_grant(c).expect("opened this switch");
+                        self.scratch.recycle(grant);
+                    }
+                    self.stats.teardowns += closed;
+                    self.stats.refused_switches += 1;
+                    break 'deltas Err(self.refusal(conn, cause, rolled_back));
+                }
+                self.opened.push(conn);
+            }
+            self.stats.teardowns += closed;
+            self.stats.setups += self.opened.len() as u64;
+            self.stats.switches += 1;
+            Ok(AdmissionResponse::Switched {
+                closed: closed as u32,
+                opened: self.opened.len() as u32,
+            })
+        };
+        self.settle(alloc, close_set);
+        verdict
     }
 
     /// Sets up `conn`: routes it and reserves TDM slots in `alloc`,
@@ -563,21 +660,6 @@ impl ChurnEngine {
     ) -> Result<AdmissionResponse, AdmissionError> {
         let round = self.allocator.begin_round(spec, alloc, &self.routes);
         self.switch_in_round(&round, spec, alloc, close_set, open_set)
-    }
-
-    /// Applies one trace operation (see [`aelite_spec::churn`]),
-    /// returning whether it was applied in full (an inadmissible open or
-    /// a rolled-back switch returns `false`; a close of an already
-    /// closed connection returns `true` — the requested state holds).
-    pub fn apply(&mut self, spec: &SystemSpec, alloc: &mut Allocation, op: &ChurnOp) -> bool {
-        match op {
-            ChurnOp::Open(c) => self.open(spec, alloc, *c).is_ok(),
-            ChurnOp::Close(c) => {
-                self.close(alloc, *c);
-                true
-            }
-            ChurnOp::Switch { close, open } => self.switch(spec, alloc, close, open).is_ok(),
-        }
     }
 }
 
@@ -997,7 +1079,7 @@ mod tests {
         );
         let mut applied = 0u64;
         for e in &trace.events {
-            if engine.apply(&spec, &mut alloc, &e.op) {
+            if engine.apply(&spec, &mut alloc, &ScenarioOp::Churn(e.op.clone())) {
                 applied += 1;
             }
         }
@@ -1112,37 +1194,17 @@ mod tests {
     }
 
     /// Faults filter, they never evict: over a merged churn + fault
-    /// replay the route cache only ever grows. (Lives here rather than
-    /// beside the fault engine's tests because `routes` is private to
-    /// this module.)
+    /// replay the route cache only ever grows.
     #[test]
     fn fault_replay_never_shrinks_the_route_cache() {
-        use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario};
         let spec = paper_workload(42);
-        let churn = churn_trace(
-            &spec,
-            &ChurnParams {
-                events: 600,
-                ..ChurnParams::steady(600)
-            },
-            21,
-        );
-        let faults = fault_trace(
-            spec.topology(),
-            &FaultParams {
-                events: 60,
-                rate_per_sec: 1.0e5,
-                ..FaultParams::sparse(60)
-            },
-            21,
-        );
-        let scenario = FaultScenario::merge(&churn, &faults);
+        let scenario = crate::fault::tests::merged_scenario(&spec);
         let mut alloc = Allocation::empty_for(&spec);
-        let mut engine = crate::FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         let mut resident = 0;
         for e in &scenario.events {
             engine.apply_event(&spec, &mut alloc, e);
-            let now = engine.engine().routes.resident_pairs();
+            let now = engine.routes.resident_pairs();
             assert!(now >= resident, "cache shrank {resident} -> {now} at {e:?}");
             resident = now;
         }

@@ -9,8 +9,8 @@
 //! cycle-level delivery behaviour is provably unchanged
 //! (`tests/fault_undisturbed.rs`).
 //!
-//! [`FaultEngine`] wraps a [`ChurnEngine`] and drives the recovery
-//! ladder on each event:
+//! This module is the second `impl` block of [`ChurnEngine`]: on each
+//! fault event [`ChurnEngine::apply`] drives the recovery ladder:
 //!
 //! 1. **mask** — the failed link enters the engine's
 //!    [`FaultMask`]; from that point no
@@ -27,13 +27,13 @@
 //!    connection is dropped with
 //!    [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown) (or a
 //!    capacity cause) and parked as *displaced*; when a repair event
-//!    restores routability ([`link_up`](FaultEngine::link_up) /
-//!    [`router_up`](FaultEngine::router_up)), displaced connections are
+//!    restores routability ([`link_up`](ChurnEngine::link_up) /
+//!    [`router_up`](ChurnEngine::router_up)), displaced connections are
 //!    re-homed.
 //!
-//! Each event yields a [`RecoveryReport`]; [`FaultStats`] accumulates
-//! them. Bystander grants are never touched on any rung — undisturbed
-//! service under failure is structural, not best-effort.
+//! Each event yields a [`RecoveryReport`], accumulated in the engine's
+//! [`ChurnStats`]. Bystander grants are never touched on any rung —
+//! undisturbed service under failure is structural, not best-effort.
 //!
 //! # Transient faults
 //!
@@ -50,16 +50,15 @@
 //! recovery ladder runs exactly as for a permanent failure, and when the
 //! glitch self-clears the capacity is restored like a repair. Glitch
 //! expiry is driven by the engine's clock
-//! ([`advance_to`](FaultEngine::advance_to) /
-//! [`apply_event`](FaultEngine::apply_event)).
+//! ([`advance_to`](ChurnEngine::advance_to) /
+//! [`apply_event`](ChurnEngine::apply_event)).
 
-use crate::api::{AdmissionError, AdmissionRequest, AdmissionResponse};
-use crate::engine::{ChurnEngine, RerouteOutcome};
+use crate::api::AdmissionRequest;
+use crate::engine::{ChurnEngine, ChurnStats, RerouteOutcome};
 use aelite_alloc::{admission_order, Allocation, FaultMask};
-use aelite_spec::fault::{FaultOp, ScenarioEvent, ScenarioOp};
+use aelite_spec::fault::{FaultOp, ScenarioEvent};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
 use aelite_spec::topology::{Endpoint, Topology};
-use aelite_spec::ChurnOp;
 use aelite_spec::SystemSpec;
 
 /// What one fault or repair event did to the live connections.
@@ -85,63 +84,6 @@ impl RecoveryReport {
     #[must_use]
     pub fn survived(&self) -> u32 {
         self.make_before_break + self.break_then_make
-    }
-
-    /// Accumulates `r` into `self` (used when one clock advance services
-    /// several expiries).
-    fn add(&mut self, r: &RecoveryReport) {
-        self.affected += r.affected;
-        self.make_before_break += r.make_before_break;
-        self.break_then_make += r.break_then_make;
-        self.dropped += r.dropped;
-        self.restored += r.restored;
-    }
-}
-
-/// Totals over every fault and repair event a [`FaultEngine`] serviced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Link failure events applied (no-op repeats not counted).
-    pub link_downs: u64,
-    /// Link repair events applied.
-    pub link_ups: u64,
-    /// Router failure events applied.
-    pub router_downs: u64,
-    /// Router repair events applied.
-    pub router_ups: u64,
-    /// Total grants affected across failure events.
-    pub affected: u64,
-    /// Total make-before-break re-routes.
-    pub make_before_break: u64,
-    /// Total break-then-make re-routes.
-    pub break_then_make: u64,
-    /// Total connections dropped (displaced) by failures.
-    pub dropped: u64,
-    /// Total displaced connections re-homed by repairs.
-    pub restored: u64,
-    /// Transient glitch events applied (sub-threshold and escalated).
-    pub glitches: u64,
-    /// Glitches at or past the persistence threshold: they ran the
-    /// recovery ladder like a permanent failure.
-    pub escalated: u64,
-    /// Glitches that self-cleared at expiry (no permanent fault landed
-    /// on them first).
-    pub glitch_expiries: u64,
-}
-
-impl FaultStats {
-    /// Total affected connections that kept service.
-    #[must_use]
-    pub fn survived(&self) -> u64 {
-        self.make_before_break + self.break_then_make
-    }
-
-    fn absorb(&mut self, r: &RecoveryReport) {
-        self.affected += u64::from(r.affected);
-        self.make_before_break += u64::from(r.make_before_break);
-        self.break_then_make += u64::from(r.break_then_make);
-        self.dropped += u64::from(r.dropped);
-        self.restored += u64::from(r.restored);
     }
 }
 
@@ -170,103 +112,30 @@ struct Glitch {
     escalated: bool,
 }
 
-/// A recovery engine: a [`ChurnEngine`] plus the fault mask it admits
-/// under, the displaced-connection ledger, and the event counters. See
-/// the [module docs](self) for the recovery ladder and the
-/// transient-fault model.
-///
-/// Ordinary churn flows through [`apply`](Self::apply) (or the wrapped
-/// engine's own API between events); fault events flow through
-/// [`link_down`](Self::link_down) / [`link_up`](Self::link_up) /
-/// [`router_down`](Self::router_down) / [`router_up`](Self::router_up) /
-/// [`link_glitch`](Self::link_glitch).
-/// The mask must only be changed through this engine — installing a
-/// different mask directly on the inner engine would desynchronise the
-/// displaced ledger.
-///
-/// Two masks are maintained: [`mask`](Self::mask) holds **every**
-/// currently-down link (permanent and glitched) and is what admission
-/// filters against; [`enforced`](Self::enforced) holds only the links
-/// whose standing grants were displaced (permanent faults and escalated
-/// glitches). A link in `mask` but not in `enforced` is a sub-threshold
-/// glitch: no new grant may cross it, but existing grants ride it out.
-#[derive(Debug)]
-pub struct FaultEngine {
-    engine: ChurnEngine,
-    mask: FaultMask,
+/// The fault half of a [`ChurnEngine`]'s state, its fields private to
+/// this module. (The admission mask is the route cache's.)
+#[derive(Debug, Default)]
+pub(crate) struct FaultState {
     /// Links no standing grant may traverse (recovery ran for them);
-    /// a subset of `mask`.
+    /// a subset of the admission mask.
     enforced: FaultMask,
     now_ns: u64,
-    /// Active transient glitches, unordered; expiry processing sorts by
-    /// `(expires_ns, link)` so clearance is deterministic.
+    /// Active transient glitches, at most one per link, unordered.
     glitches: Vec<Glitch>,
-    /// Scratch for expiry processing.
-    expired: Vec<Glitch>,
-    stats: FaultStats,
     /// Connections dropped by failures that the workload still holds
     /// open: candidates for re-homing on the next repair event.
     displaced: Vec<ConnId>,
-    /// Reusable affected-grant order buffer.
-    order: Vec<ConnId>,
-    /// Reusable re-home request/verdict buffers for the batched round.
-    requests: Vec<AdmissionRequest>,
-    verdicts: Vec<Result<AdmissionResponse, AdmissionError>>,
+    /// Reusable affected-grant order buffer of the recovery sweep.
+    affected: Vec<ConnId>,
 }
 
-impl FaultEngine {
-    /// A recovery engine for `spec`'s platform over a default
-    /// [`ChurnEngine`].
-    #[must_use]
-    pub fn new(spec: &SystemSpec) -> Self {
-        FaultEngine::with_engine(ChurnEngine::new(spec))
-    }
-
-    /// A recovery engine over a caller-configured churn engine (custom
-    /// allocator). Any fault mask already installed on `engine` becomes
-    /// the starting mask (treated as permanent).
-    #[must_use]
-    pub fn with_engine(engine: ChurnEngine) -> Self {
-        let mask = engine.faults().clone();
-        let enforced = mask.clone();
-        FaultEngine {
-            engine,
-            mask,
-            enforced,
-            now_ns: 0,
-            glitches: Vec::new(),
-            expired: Vec::new(),
-            stats: FaultStats::default(),
-            displaced: Vec::new(),
-            order: Vec::new(),
-            requests: Vec::new(),
-            verdicts: Vec::new(),
-        }
-    }
-
+impl ChurnEngine {
     /// The engine's clock: the timestamp of the latest
     /// [`advance_to`](Self::advance_to) (or
     /// [`apply_event`](Self::apply_event)).
     #[must_use]
     pub fn now_ns(&self) -> u64 {
-        self.now_ns
-    }
-
-    /// The wrapped churn engine (e.g. for its [`ChurnStats`] refusal
-    /// breakdown, where fault-caused refusals show up as
-    /// [`refused_link_down`](crate::ChurnStats::refused_link_down)).
-    ///
-    /// [`ChurnStats`]: crate::ChurnStats
-    #[must_use]
-    pub fn engine(&self) -> &ChurnEngine {
-        &self.engine
-    }
-
-    /// The current fault mask: **every** down link, permanent and
-    /// glitched alike. This is what admission filters against.
-    #[must_use]
-    pub fn mask(&self) -> &FaultMask {
-        &self.mask
+        self.faults.now_ns
     }
 
     /// The enforced mask: the links whose standing grants were
@@ -275,20 +144,51 @@ impl FaultEngine {
     /// sub-threshold glitch, i.e. a link in [`mask`](Self::mask) only.
     #[must_use]
     pub fn enforced(&self) -> &FaultMask {
-        &self.enforced
-    }
-
-    /// Event and recovery totals since the engine was created.
-    #[must_use]
-    pub fn stats(&self) -> &FaultStats {
-        &self.stats
+        &self.faults.enforced
     }
 
     /// Connections dropped by failures and not yet re-homed or closed
     /// by the workload, in drop order.
     #[must_use]
     pub fn displaced(&self) -> &[ConnId] {
-        &self.displaced
+        &self.faults.displaced
+    }
+
+    /// Keeps the displaced ledger exact after a churn request, whichever
+    /// entry point it took: a displaced connection leaves the ledger once
+    /// it holds a grant again or the request closes it (`closed` is the
+    /// request's close set). With nothing displaced this is one check.
+    pub(crate) fn settle(&mut self, alloc: &Allocation, closed: &[ConnId]) {
+        let ledger = &mut self.faults.displaced;
+        if !ledger.is_empty() {
+            ledger.retain(|c| alloc.grant(*c).is_none() && !closed.contains(c));
+        }
+    }
+
+    /// The fault side of [`apply`](Self::apply): `false`, and nothing
+    /// touched, when `fault` names a link or router outside `spec`'s
+    /// topology; otherwise runs its event handler and returns `true`.
+    pub(crate) fn apply_fault(
+        &mut self,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        fault: &FaultOp,
+    ) -> bool {
+        let topo = spec.topology();
+        let link = |l: LinkId| l.index() < topo.link_count();
+        let router = |r: RouterId| r.index() < topo.router_count();
+        match *fault {
+            FaultOp::LinkDown(l) if link(l) => self.link_down(spec, alloc, l),
+            FaultOp::LinkUp(l) if link(l) => self.link_up(spec, alloc, l),
+            FaultOp::RouterDown(r) if router(r) => self.router_down(spec, alloc, r),
+            FaultOp::RouterUp(r) if router(r) => self.router_up(spec, alloc, r),
+            FaultOp::LinkGlitch {
+                link: l,
+                duration_ns,
+            } if link(l) => self.link_glitch(spec, alloc, l, duration_ns),
+            _ => return false,
+        };
+        true
     }
 
     /// Services one link failure: masks `link`, then walks every grant
@@ -301,7 +201,9 @@ impl FaultEngine {
     ///
     /// # Panics
     ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
+    /// Panics on platform mismatch, as [`ChurnEngine::submit`], or if
+    /// `link` is not a link of `spec`'s topology
+    /// ([`apply`](Self::apply) refuses such an op instead).
     pub fn link_down(
         &mut self,
         spec: &SystemSpec,
@@ -378,7 +280,9 @@ impl FaultEngine {
     ///
     /// # Panics
     ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
+    /// Panics on platform mismatch, as [`ChurnEngine::submit`], or if an
+    /// escalating glitch names a link `spec` lacks (as in
+    /// [`link_down`](Self::link_down)).
     pub fn link_glitch(
         &mut self,
         spec: &SystemSpec,
@@ -386,41 +290,39 @@ impl FaultEngine {
         link: LinkId,
         duration_ns: u64,
     ) -> RecoveryReport {
-        let expires_ns = self.now_ns.saturating_add(duration_ns);
+        let expires_ns = self.faults.now_ns.saturating_add(duration_ns);
         let escalates = duration_ns >= DEFAULT_PERSISTENCE_NS;
-        if let Some(g) = self.glitches.iter_mut().find(|g| g.link == link) {
+        if let Some(g) = self.faults.glitches.iter_mut().find(|g| g.link == link) {
             // Repeat glitch on an active one: extend, maybe escalate.
             g.expires_ns = g.expires_ns.max(expires_ns);
             self.stats.glitches += 1;
             if escalates && !g.escalated {
                 g.escalated = true;
-                self.enforced.set_down(link);
+                self.faults.enforced.set_down(link);
                 self.stats.escalated += 1;
                 return self.recover(spec, alloc, &[link]);
             }
             return RecoveryReport::default();
         }
-        if self.enforced.is_down(link) {
+        if self.faults.enforced.is_down(link) {
             // Permanently down already; a glitch adds nothing.
             return RecoveryReport::default();
         }
         self.stats.glitches += 1;
-        self.mask.set_down(link);
-        self.glitches.push(Glitch {
+        self.write_mask(|mask| mask.set_down(link));
+        self.faults.glitches.push(Glitch {
             expires_ns,
             link,
             escalated: escalates,
         });
-        if escalates {
-            self.enforced.set_down(link);
-            self.stats.escalated += 1;
-            self.recover(spec, alloc, &[link])
-        } else {
+        if !escalates {
             // Mask-only: admission filtering sees the glitch, nothing
             // else moves.
-            self.engine.set_faults(&self.mask);
-            RecoveryReport::default()
+            return RecoveryReport::default();
         }
+        self.faults.enforced.set_down(link);
+        self.stats.escalated += 1;
+        self.recover(spec, alloc, &[link])
     }
 
     /// Advances the engine's clock to `t_ns`: glitches expiring at or
@@ -439,78 +341,29 @@ impl FaultEngine {
         t_ns: u64,
     ) -> RecoveryReport {
         let mut total = RecoveryReport::default();
-        if t_ns <= self.now_ns {
+        if t_ns <= self.faults.now_ns {
             return total;
         }
-        let expired = &mut self.expired;
-        expired.clear();
-        self.glitches.retain(|g| {
-            if g.expires_ns <= t_ns {
-                expired.push(*g);
-                false
-            } else {
-                true
-            }
-        });
-        expired.sort_unstable_by_key(|g| (g.expires_ns, g.link));
-        let mut expired = core::mem::take(&mut self.expired);
-        for g in &expired {
+        while let Some(i) = self
+            .faults
+            .glitches
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.expires_ns <= t_ns)
+            .min_by_key(|(_, g)| (g.expires_ns, g.link))
+            .map(|(i, _)| i)
+        {
+            let g = self.faults.glitches.swap_remove(i);
             self.stats.glitch_expiries += 1;
-            self.mask.set_up(g.link);
+            self.write_mask(|mask| mask.set_up(g.link));
+            // The sub-threshold lifecycle touches only the mask.
             if g.escalated {
-                self.enforced.set_up(g.link);
-                total.add(&self.rehome(spec, alloc));
-            } else {
-                // The sub-threshold lifecycle touches only the mask.
-                self.engine.set_faults(&self.mask);
+                self.faults.enforced.set_up(g.link);
+                total.restored += self.rehome(spec, alloc).restored;
             }
         }
-        expired.clear();
-        self.expired = expired;
-        self.now_ns = t_ns;
+        self.faults.now_ns = t_ns;
         total
-    }
-
-    /// Applies one scenario operation (see [`aelite_spec::fault`]):
-    /// churn ops delegate to the wrapped engine, fault ops to the
-    /// matching event handler. Returns whether the op was applied in
-    /// full (fault events always are; churn follows
-    /// [`ChurnEngine::apply`]).
-    ///
-    /// A churn close of a displaced connection settles it (the workload
-    /// no longer wants it open), and a successful churn re-open removes
-    /// it from the ledger — so replaying a merged [`FaultScenario`]
-    /// keeps the ledger exact.
-    ///
-    /// [`FaultScenario`]: aelite_spec::fault::FaultScenario
-    pub fn apply(&mut self, spec: &SystemSpec, alloc: &mut Allocation, op: &ScenarioOp) -> bool {
-        match op {
-            ScenarioOp::Churn(c) => {
-                let ok = self.engine.apply(spec, alloc, c);
-                if !self.displaced.is_empty() {
-                    let closed_by = |conn: ConnId| match c {
-                        ChurnOp::Close(x) => *x == conn,
-                        ChurnOp::Switch { close, .. } => close.contains(&conn),
-                        ChurnOp::Open(_) => false,
-                    };
-                    self.displaced
-                        .retain(|&c| alloc.grant(c).is_none() && !closed_by(c));
-                }
-                ok
-            }
-            ScenarioOp::Fault(f) => {
-                match *f {
-                    FaultOp::LinkDown(l) => self.link_down(spec, alloc, l),
-                    FaultOp::LinkUp(l) => self.link_up(spec, alloc, l),
-                    FaultOp::RouterDown(r) => self.router_down(spec, alloc, r),
-                    FaultOp::RouterUp(r) => self.router_up(spec, alloc, r),
-                    FaultOp::LinkGlitch { link, duration_ns } => {
-                        self.link_glitch(spec, alloc, link, duration_ns)
-                    }
-                };
-                true
-            }
-        }
     }
 
     /// Applies one *timestamped* scenario event: advances the clock to
@@ -534,8 +387,8 @@ impl FaultEngine {
     /// Removes and returns the active glitch on `link`, if any. The
     /// caller decides what happens to the masks.
     fn cancel_glitch(&mut self, link: LinkId) -> Option<Glitch> {
-        let i = self.glitches.iter().position(|g| g.link == link)?;
-        Some(self.glitches.remove(i))
+        let i = self.faults.glitches.iter().position(|g| g.link == link)?;
+        Some(self.faults.glitches.remove(i))
     }
 
     /// The failure event behind [`link_down`](Self::link_down) and
@@ -548,13 +401,13 @@ impl FaultEngine {
         spec: &SystemSpec,
         alloc: &mut Allocation,
         links: impl Iterator<Item = LinkId>,
-        events: fn(&mut FaultStats) -> &mut u64,
+        events: fn(&mut ChurnStats) -> &mut u64,
     ) -> RecoveryReport {
         let mut newly_down = Vec::new();
         for l in links {
             self.cancel_glitch(l);
-            if self.enforced.set_down(l) {
-                self.mask.set_down(l);
+            if self.faults.enforced.set_down(l) {
+                self.write_mask(|mask| mask.set_down(l));
                 newly_down.push(l);
             }
         }
@@ -574,13 +427,13 @@ impl FaultEngine {
         spec: &SystemSpec,
         alloc: &mut Allocation,
         links: impl Iterator<Item = LinkId>,
-        events: fn(&mut FaultStats) -> &mut u64,
+        events: fn(&mut ChurnStats) -> &mut u64,
     ) -> RecoveryReport {
         let mut repaired = false;
         for l in links {
             let had_glitch = self.cancel_glitch(l).is_some();
-            let was_enforced = self.enforced.set_up(l);
-            let was_masked = self.mask.set_up(l);
+            let was_enforced = self.faults.enforced.set_up(l);
+            let was_masked = self.write_mask(|mask| mask.set_up(l));
             repaired |= was_masked || was_enforced || had_glitch;
         }
         if !repaired {
@@ -590,84 +443,91 @@ impl FaultEngine {
         self.rehome(spec, alloc)
     }
 
-    /// The failure-side sweep: installs the grown mask, collects the
-    /// grants routed over any of `newly_down` — the owners in those
-    /// links' own slot tables, so the sweep reads what failed, not every
-    /// grant — and walks them down the recovery ladder hardest-first.
+    /// The failure-side sweep under the grown mask: collects the grants
+    /// routed over any of `newly_down` — the owners in those links' own
+    /// slot tables, so the sweep reads what failed, not every grant —
+    /// and walks them down the recovery ladder hardest-first.
     fn recover(
         &mut self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         newly_down: &[LinkId],
     ) -> RecoveryReport {
-        self.engine.set_faults(&self.mask);
-        self.order.clear();
+        let order = &mut self.faults.affected;
+        order.clear();
         for &l in newly_down {
-            let owners = alloc.link_table(l).iter().filter_map(|(_, owner)| owner);
-            self.order.extend(owners);
+            order.extend(alloc.link_table(l).iter().filter_map(|(_, owner)| owner));
         }
-        self.order.sort_unstable();
-        self.order.dedup();
+        order.sort_unstable();
+        order.dedup();
         debug_assert!(
             alloc
                 .grants()
                 .filter(|g| g.links.iter().any(|l| newly_down.contains(l)))
                 .map(|g| g.conn)
-                .eq(self.order.iter().copied()),
+                .eq(order.iter().copied()),
             "slot-table owners out of step with the grants' link lists"
         );
-        admission_order(spec, &mut self.order);
+        admission_order(spec, order);
         let mut report = RecoveryReport {
-            affected: self.order.len() as u32,
+            affected: order.len() as u32,
             ..RecoveryReport::default()
         };
-        for i in 0..self.order.len() {
-            let conn = self.order[i];
-            match self.engine.reroute(spec, alloc, conn) {
+        for i in 0..self.faults.affected.len() {
+            let conn = self.faults.affected[i];
+            match self.reroute(spec, alloc, conn) {
                 Ok(RerouteOutcome::MakeBeforeBreak) => report.make_before_break += 1,
                 Ok(RerouteOutcome::BreakThenMake) => report.break_then_make += 1,
                 Err(_) => {
                     report.dropped += 1;
-                    self.displaced.push(conn);
+                    self.faults.displaced.push(conn);
                 }
             }
         }
-        self.stats.absorb(&report);
+        let s = &mut self.stats;
+        s.affected += u64::from(report.affected);
+        s.make_before_break += u64::from(report.make_before_break);
+        s.break_then_make += u64::from(report.break_then_make);
+        s.dropped += u64::from(report.dropped);
         report
     }
 
-    /// The repair-side sweep: installs the shrunk mask and re-homes the
+    /// The repair-side sweep under the shrunk mask: re-homes the
     /// displaced ledger as **one** batched admission round —
     /// [`ChurnEngine::submit_batch`] over per-connection opens, whose
     /// canonical order is exactly the hardest-first cached-key sort of
     /// batch admission. Connections that still do not fit stay parked
     /// for the next repair; one still severed costs a single salt pass
-    /// over resident routes (the mask install re-enumerates nothing).
+    /// over resident routes (the mask install re-enumerated nothing).
     fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
-        self.engine.set_faults(&self.mask);
         let mut report = RecoveryReport::default();
-        if self.displaced.is_empty() {
+        if self.faults.displaced.is_empty() {
             return report;
         }
-        self.requests.clear();
-        self.requests
-            .extend(self.displaced.iter().map(|&c| AdmissionRequest::Open(c)));
-        self.engine
-            .submit_batch(spec, alloc, &self.requests, &mut self.verdicts);
-        report.restored = self.verdicts.iter().filter(|v| v.is_ok()).count() as u32;
-        self.displaced.retain(|&c| alloc.grant(c).is_none());
-        self.stats.absorb(&report);
+        // Out of the engine while the round runs, so the ledger is
+        // settled once here rather than after every request of it.
+        let mut displaced = core::mem::take(&mut self.faults.displaced);
+        let requests: Vec<_> = displaced
+            .iter()
+            .map(|&c| AdmissionRequest::Open(c))
+            .collect();
+        let mut verdicts = Vec::new();
+        self.submit_batch(spec, alloc, &requests, &mut verdicts);
+        report.restored = verdicts.iter().filter(|v| v.is_ok()).count() as u32;
+        displaced.retain(|&c| alloc.grant(c).is_none());
+        self.faults.displaced = displaced;
+        self.stats.restored += u64::from(report.restored);
         report
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aelite_alloc::{allocate, validate_allocation, Allocation};
-    use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario};
+    use aelite_spec::fault::{fault_trace, FaultParams, FaultScenario, ScenarioOp};
     use aelite_spec::generate::paper_workload;
-    use aelite_spec::{churn_trace, ChurnParams};
+    use aelite_spec::{churn_trace, ChurnOp, ChurnParams};
 
     /// No grant's route may traverse a down link — the core invariant.
     fn assert_no_grant_over_down_link(alloc: &Allocation, mask: &FaultMask) {
@@ -678,21 +538,24 @@ mod tests {
         }
     }
 
+    /// The most-loaded link of `alloc` and how many grants traverse it.
+    fn most_loaded_link(spec: &SystemSpec, alloc: &Allocation) -> (LinkId, u32) {
+        let mut load = vec![0u32; spec.topology().link_count()];
+        for l in alloc.grants().flat_map(|g| &g.links) {
+            load[l.index()] += 1;
+        }
+        let (victim, &count) = load.iter().enumerate().max_by_key(|(_, &c)| c).unwrap();
+        (LinkId::new(victim as u32), count)
+    }
+
     #[test]
     fn link_down_reroutes_every_affected_grant_on_a_healthy_platform() {
         let spec = paper_workload(42);
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         // Fail the most-loaded link so the sweep has real work.
-        let mut load = vec![0u32; spec.topology().link_count()];
-        for g in alloc.grants() {
-            for &l in &g.links {
-                load[l.index()] += 1;
-            }
-        }
-        let (victim, &count) = load.iter().enumerate().max_by_key(|(_, &c)| c).unwrap();
+        let (victim, count) = most_loaded_link(&spec, &alloc);
         assert!(count > 0, "paper workload loads some link");
-        let victim = aelite_spec::ids::LinkId::new(victim as u32);
 
         let before: Vec<_> = alloc
             .grants()
@@ -720,23 +583,9 @@ mod tests {
 
     #[test]
     fn severed_connection_is_dropped_then_restored_on_repair() {
-        // 3x1 path mesh: NI0's traffic has exactly one way out.
-        let topo = aelite_spec::Topology::mesh(3, 1, 1);
-        let ingress = topo.ni_ingress_link(aelite_spec::ids::NiId::new(0));
-        let mut b = aelite_spec::SystemSpecBuilder::new(topo, aelite_spec::NocConfig::default());
-        let app = b.add_app("a");
-        let s = b.add_ip_at(aelite_spec::ids::NiId::new(0));
-        let d = b.add_ip_at(aelite_spec::ids::NiId::new(2));
-        let conn = b.add_connection(
-            app,
-            s,
-            d,
-            aelite_spec::Bandwidth::from_mbytes_per_sec(100),
-            1_000_000,
-        );
-        let spec = b.build();
+        let (spec, ingress, conn) = severed_spec();
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
 
         let report = engine.link_down(&spec, &mut alloc, ingress);
         assert_eq!(report.affected, 1);
@@ -745,7 +594,7 @@ mod tests {
         assert!(alloc.grant(conn).is_none(), "no alternative path exists");
         assert_eq!(engine.displaced(), &[conn]);
         // The refusal was attributed to the fault, not to capacity.
-        assert_eq!(engine.engine().stats().refused_link_down, 1);
+        assert_eq!(engine.stats().refused_link_down, 1);
 
         let report = engine.link_up(&spec, &mut alloc, ingress);
         assert_eq!(report.restored, 1);
@@ -759,8 +608,8 @@ mod tests {
     fn router_down_takes_adjacent_links_in_one_sweep() {
         let spec = paper_workload(42);
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
-        let router = aelite_spec::ids::RouterId::new(5);
+        let mut engine = ChurnEngine::new(&spec);
+        let router = RouterId::new(5);
         let report = engine.router_down(&spec, &mut alloc, router);
         assert!(report.affected > 0, "a mid-mesh router carries traffic");
         assert_eq!(engine.stats().router_downs, 1);
@@ -779,7 +628,7 @@ mod tests {
 
     /// 3x1 path mesh with one corner-to-corner connection: NI0's
     /// traffic has exactly one way out (the ingress link).
-    fn severed_spec() -> (aelite_spec::SystemSpec, aelite_spec::ids::LinkId, ConnId) {
+    fn severed_spec() -> (SystemSpec, LinkId, ConnId) {
         let topo = aelite_spec::Topology::mesh(3, 1, 1);
         let ingress = topo.ni_ingress_link(aelite_spec::ids::NiId::new(0));
         let mut b = aelite_spec::SystemSpecBuilder::new(topo, aelite_spec::NocConfig::default());
@@ -800,12 +649,12 @@ mod tests {
     fn sub_threshold_glitch_masks_admission_but_displaces_nothing() {
         let spec = paper_workload(42);
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         let before: Vec<_> = alloc.grants().cloned().collect();
         let snapshot = |alloc: &Allocation| -> Vec<Vec<(bool, Option<ConnId>)>> {
             (0..spec.topology().link_count())
                 .map(|i| {
-                    let t = alloc.link_table(aelite_spec::ids::LinkId::new(i as u32));
+                    let t = alloc.link_table(LinkId::new(i as u32));
                     (0..t.size()).map(|s| (t.is_free(s), t.owner(s))).collect()
                 })
                 .collect()
@@ -813,14 +662,7 @@ mod tests {
         let tables = snapshot(&alloc);
 
         // Glitch the most-loaded link for less than the threshold.
-        let mut load = vec![0u32; spec.topology().link_count()];
-        for g in alloc.grants() {
-            for &l in &g.links {
-                load[l.index()] += 1;
-            }
-        }
-        let victim = load.iter().enumerate().max_by_key(|(_, &c)| c).unwrap().0;
-        let victim = aelite_spec::ids::LinkId::new(victim as u32);
+        let (victim, _) = most_loaded_link(&spec, &alloc);
         let short = DEFAULT_PERSISTENCE_NS - 1;
         let report = engine.link_glitch(&spec, &mut alloc, victim, short);
 
@@ -843,14 +685,11 @@ mod tests {
         );
 
         // Admission over the glitched link refuses while it is masked.
-        let (taken, conn) = {
-            let g = alloc
-                .grants()
-                .find(|g| g.links.contains(&victim))
-                .expect("victim carries traffic");
-            (g.clone(), g.conn)
-        };
-        let _ = taken;
+        let conn = alloc
+            .grants()
+            .find(|g| g.links.contains(&victim))
+            .expect("victim carries traffic")
+            .conn;
         // Close it through churn, then try to re-open: every candidate
         // may not cross victim, so the grant (if any) avoids it.
         engine.apply(&spec, &mut alloc, &ScenarioOp::Churn(ChurnOp::Close(conn)));
@@ -871,7 +710,7 @@ mod tests {
     fn threshold_crossing_glitch_escalates_like_link_down_then_self_repairs() {
         let (spec, ingress, conn) = severed_spec();
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         let long = DEFAULT_PERSISTENCE_NS * 3;
 
         let report = engine.link_glitch(&spec, &mut alloc, ingress, long);
@@ -896,7 +735,7 @@ mod tests {
     fn permanent_fault_on_glitched_link_escalates_it() {
         let (spec, ingress, conn) = severed_spec();
         let mut alloc = allocate(&spec).unwrap();
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         let short = DEFAULT_PERSISTENCE_NS / 2;
 
         // Sub-threshold glitch first: nothing displaced.
@@ -917,29 +756,23 @@ mod tests {
         assert_eq!(engine.stats().glitch_expiries, 0);
     }
 
+    /// A merged churn + fault scenario over `spec`: 600 steady churn
+    /// events and 60 sparse fault events at 1e5 faults/s, seed 21.
+    pub(crate) fn merged_scenario(spec: &SystemSpec) -> FaultScenario {
+        let churn = churn_trace(spec, &ChurnParams::steady(600), 21);
+        let faults = FaultParams {
+            rate_per_sec: 1.0e5,
+            ..FaultParams::sparse(60)
+        };
+        FaultScenario::merge(&churn, &fault_trace(spec.topology(), &faults, 21))
+    }
+
     #[test]
     fn scenario_replay_holds_the_no_down_link_invariant() {
         let spec = paper_workload(42);
-        let churn = churn_trace(
-            &spec,
-            &ChurnParams {
-                events: 600,
-                ..ChurnParams::steady(600)
-            },
-            21,
-        );
-        let faults = fault_trace(
-            spec.topology(),
-            &FaultParams {
-                events: 60,
-                rate_per_sec: 1.0e5,
-                ..FaultParams::sparse(60)
-            },
-            21,
-        );
-        let scenario = FaultScenario::merge(&churn, &faults);
+        let scenario = merged_scenario(&spec);
         let mut alloc = Allocation::empty_for(&spec);
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         for e in &scenario.events {
             engine.apply_event(&spec, &mut alloc, e);
             // Grants may ride out sub-threshold glitches (mask), never a
@@ -957,6 +790,59 @@ mod tests {
         if !open.is_empty() {
             validate_allocation(&spec.restricted_to_connections(&open), &alloc)
                 .expect("valid end state");
+        }
+    }
+
+    #[test]
+    fn fault_ops_outside_the_platform_are_refused_and_change_nothing() {
+        let spec = paper_workload(42);
+        let topo = spec.topology();
+        let mut alloc = allocate(&spec).unwrap();
+        let mut engine = ChurnEngine::new(&spec);
+        // Fault state worth keeping: a failed router, a clock past zero
+        // and a pending sub-threshold glitch.
+        engine.router_down(&spec, &mut alloc, RouterId::new(5));
+        engine.advance_to(&spec, &mut alloc, 1_000);
+        engine.link_glitch(
+            &spec,
+            &mut alloc,
+            LinkId::new(0),
+            DEFAULT_PERSISTENCE_NS - 1,
+        );
+        let before = alloc.clone();
+        let (mask, enforced) = (engine.mask().clone(), engine.enforced().clone());
+        let (ledger, now, stats) = (
+            engine.displaced().to_vec(),
+            engine.now_ns(),
+            *engine.stats(),
+        );
+
+        let link = LinkId::new(topo.link_count() as u32 + 5);
+        let router = RouterId::new(topo.router_count() as u32 + 5);
+        let glitch = |duration_ns| FaultOp::LinkGlitch { link, duration_ns };
+        for op in [
+            FaultOp::LinkDown(link),
+            FaultOp::LinkUp(link),
+            FaultOp::RouterDown(router),
+            FaultOp::RouterUp(router),
+            glitch(DEFAULT_PERSISTENCE_NS - 1),
+            glitch(DEFAULT_PERSISTENCE_NS),
+        ] {
+            assert!(
+                !engine.apply(&spec, &mut alloc, &ScenarioOp::Fault(op)),
+                "{op:?}"
+            );
+            assert_eq!(
+                (engine.mask(), engine.enforced()),
+                (&mask, &enforced),
+                "{op:?}"
+            );
+            assert_eq!(engine.displaced(), &ledger[..], "{op:?}");
+            assert_eq!((engine.now_ns(), *engine.stats()), (now, stats), "{op:?}");
+            assert!(alloc.grants().eq(before.grants()), "{op:?} moved a grant");
+            for l in topo.links() {
+                assert_eq!(alloc.link_table(l), before.link_table(l), "{op:?}: {l}");
+            }
         }
     }
 }

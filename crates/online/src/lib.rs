@@ -33,15 +33,15 @@
 //! * **bursts** of independent requests go through
 //!   [`ChurnEngine::submit_batch`]: one batched admission round per
 //!   burst, per-request rollback, verdicts identical to a serial
-//!   [`canonical_order`] application — what the fault engine's re-home,
-//!   the shard lanes and `aelite-serve`'s offline batched replay run on
-//!   (the live serving pipeline admits per request, on arrival);
-//! * **faults** — link and router failures are churn deltas too:
-//!   [`FaultEngine`] masks down links out of every admission path
-//!   ([`aelite_alloc::FaultMask`]), re-routes the affected grants down a
-//!   recovery ladder (make-before-break, break-then-make, structured
-//!   [`RefusalCause::LinkDown`] refusal) and re-homes displaced
-//!   connections on repair — bystanders bit-for-bit untouched
+//!   [`canonical_order`] application — what the fault re-home, the shard
+//!   lanes and `aelite-serve`'s offline batched replay run on (the live
+//!   serving pipeline admits per request, on arrival);
+//! * **faults** — link and router failures are churn deltas too, serviced
+//!   by the same engine ([`ChurnEngine::apply`]): its fault mask
+//!   ([`aelite_alloc::FaultMask`]) filters every admission path, affected
+//!   grants walk a recovery ladder (make-before-break, break-then-make,
+//!   structured [`RefusalCause::LinkDown`] refusal) and repairs re-home
+//!   displaced connections — bystanders bit-for-bit untouched
 //!   (`tests/fault_undisturbed.rs`).
 //!
 //! Churn workloads (Poisson arrivals, occupancy steering, use-case
@@ -50,8 +50,8 @@
 //! `online.engine.{serial_ns_per_req,open_ns,close_ns,switch_ns}` (335,
 //! 533, 232 and 1210 ns on the 8×8/64-slot/1000-connection
 //! `serve_uniform` stream — seed-1 medians, 2-vCPU Xeon @ 2.10 GHz),
-//! `online.shard.*` and `online.fault.*` for the two wrappers, and the
-//! serving layer's `serve.*` rows.
+//! `online.fault.*` for the recovery ladder, `online.shard.*` for the
+//! sharded wrapper, and the serving layer's `serve.*` rows.
 //!
 //! # Examples
 //!
@@ -83,7 +83,26 @@ pub mod shard;
 
 pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
 pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
-pub use fault::{FaultEngine, FaultStats, RecoveryReport, DEFAULT_PERSISTENCE_NS};
+pub use fault::{RecoveryReport, DEFAULT_PERSISTENCE_NS};
 pub use shard::{
     sharded_canonical_order, ShardClass, ShardConfig, ShardMap, ShardedAllocation, ShardedEngine,
 };
+
+/// A former name of [`ChurnEngine`], kept only for the frozen benchmark;
+/// released by ROADMAP 5(c).
+pub type FaultEngine = ChurnEngine;
+/// A former name of [`ChurnStats`], kept only for the frozen benchmark;
+/// released by ROADMAP 5(c).
+pub type FaultStats = ChurnStats;
+
+impl ChurnEngine {
+    /// Identity, kept only for the frozen benchmark; released by ROADMAP 5(c).
+    pub fn with_engine(self) -> Self {
+        self
+    }
+
+    /// Identity, kept only for the frozen benchmark; released by ROADMAP 5(c).
+    pub fn engine(&self) -> &Self {
+        self
+    }
+}

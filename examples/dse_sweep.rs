@@ -15,7 +15,7 @@
 //! JSON for any `--threads` value (workload seeds derive from point
 //! coordinates, never from the schedule). Schema `aelite-dse-report/2`
 //! folds the fault scenario in: every Pareto-front point is replayed
-//! through the `FaultEngine` under a seeded merged churn + fault trace
+//! through the `ChurnEngine` under a seeded merged churn + fault trace
 //! and its deterministic admission/displacement counts are committed as
 //! `fault_scenarios` (wall-clock rates stay out). The gates
 //! (`DseReport::assert_gates`) run on the fresh sweep before anything is

@@ -133,7 +133,7 @@ fn replay(profile: TrafficProfile, steering: Steering, what: &str) -> [u64; 15] 
         s.survived(),
         s.dropped,
         s.restored,
-        engine.engine().stats().refused_link_down,
+        s.refused_link_down,
     ]
 }
 

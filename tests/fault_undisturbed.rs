@@ -3,7 +3,7 @@
 //!
 //! The paper's contract — admitted connections are undisturbed by
 //! everything else, including reconfiguration — must extend to
-//! failures: the [`FaultEngine`] services a link or router going down
+//! failures: the [`ChurnEngine`] services a link or router going down
 //! as a churn delta, re-routing only the affected grants. These tests
 //! prove the contract **behaviourally**: every bystander's full turbo
 //! delivery log — conn, tag, destination cycle *and* absolute time of
@@ -24,8 +24,8 @@ use aelite_noc::network::NetworkKind;
 use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
 use aelite_online::{
-    sharded_canonical_order, AdmissionRequest, ChurnEngine, FaultEngine, ShardConfig,
-    ShardedAllocation, ShardedEngine, DEFAULT_PERSISTENCE_NS,
+    sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardConfig, ShardedAllocation,
+    ShardedEngine, DEFAULT_PERSISTENCE_NS,
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, scaled_workload};
@@ -93,7 +93,7 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
     let before = delivery_logs(&spec, &alloc, &bystanders);
 
     // Inject: the link goes down; the engine walks the recovery ladder.
-    let mut engine = FaultEngine::new(&spec);
+    let mut engine = ChurnEngine::new(&spec);
     let report = engine.link_down(&spec, &mut alloc, victim);
     assert_eq!(report.affected, affected);
     assert_eq!(report.survived() + report.dropped, report.affected);
@@ -158,7 +158,7 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
         .collect();
     let before = delivery_logs(&spec, &alloc, &everyone);
 
-    let mut engine = FaultEngine::new(&spec);
+    let mut engine = ChurnEngine::new(&spec);
     let duration_ns = DEFAULT_PERSISTENCE_NS - 1;
     let report = engine.link_glitch(&spec, &mut alloc, victim, duration_ns);
     assert_eq!(report.affected, 0, "a sub-threshold glitch displaced");
@@ -226,7 +226,7 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
         .collect();
     let before = delivery_logs(&spec, &alloc, &bystanders);
 
-    let mut engine = FaultEngine::new(&spec);
+    let mut engine = ChurnEngine::new(&spec);
     let report = engine.router_down(&spec, &mut alloc, router);
     assert!(report.affected > 0, "a mid-mesh router carries traffic");
     for g in alloc.grants() {

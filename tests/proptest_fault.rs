@@ -1,9 +1,10 @@
-//! Property-based tests of the fault-recovery engine: arbitrary
-//! interleavings of churn (open/close/switch), fault
-//! (link/router down/up), transient glitch and clock-advance operations
-//! never leave a granted route over an *enforced* down link, keep every
-//! slot table in lock-step with its owners, keep the displaced ledger
-//! exact (grantless connections only), and — after repairing every link
+//! Property-based tests of fault recovery in the churn engine: arbitrary
+//! interleavings of churn (open/close/switch, each through an entry
+//! point the script draws), fault (link/router down/up), transient
+//! glitch and clock-advance operations never leave a granted route over
+//! an *enforced* down link, keep every slot table in lock-step with its
+//! owners, keep the displaced ledger exact (grantless connections only),
+//! and — after closing every displaced connection, repairing every link
 //! and closing every survivor — leave the platform fully free. Two
 //! dedicated properties pin the transient-fault contract: a
 //! sub-threshold glitch leaves every slot table bit-for-bit unchanged
@@ -11,7 +12,7 @@
 //! displaces exactly what a permanent `LinkDown` would.
 
 use aelite_alloc::Allocation;
-use aelite_online::{FaultEngine, DEFAULT_PERSISTENCE_NS};
+use aelite_online::{ChurnEngine, DEFAULT_PERSISTENCE_NS};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::fault::{FaultOp, ScenarioOp};
 use aelite_spec::generate::{random_workload, WorkloadParams};
@@ -42,7 +43,7 @@ fn small_spec(seed: u64) -> SystemSpec {
 }
 
 /// The engine-wide invariants that must hold after *every* operation.
-fn assert_fault_invariants(spec: &SystemSpec, engine: &FaultEngine, alloc: &Allocation) {
+fn assert_fault_invariants(spec: &SystemSpec, engine: &ChurnEngine, alloc: &Allocation) {
     // The core contract: no granted route traverses an *enforced* down
     // link — through serial opens, switches, re-routes and re-homing
     // alike. (Grants may ride out sub-threshold glitches, which mask
@@ -92,17 +93,52 @@ fn assert_fault_invariants(spec: &SystemSpec, engine: &FaultEngine, alloc: &Allo
     assert_eq!(s.survived() + s.dropped, s.affected);
 }
 
+/// Services one churn request through the entry point `entry` draws:
+/// `apply`, `submit`, a one-request `submit_batch`, or the
+/// `open`/`close`/`switch` wrapper. Churn must keep the displaced ledger
+/// exact whichever one it takes.
+fn churn(
+    spec: &SystemSpec,
+    engine: &mut ChurnEngine,
+    alloc: &mut Allocation,
+    op: ChurnOp,
+    entry: u16,
+) {
+    match entry % 4 {
+        0 => {
+            engine.apply(spec, alloc, &ScenarioOp::Churn(op));
+        }
+        1 => {
+            let _ = engine.submit(spec, alloc, op);
+        }
+        2 => engine.submit_batch(spec, alloc, &[op], &mut Vec::new()),
+        _ => match op {
+            ChurnOp::Open(c) => {
+                let _ = engine.open(spec, alloc, c);
+            }
+            ChurnOp::Close(c) => {
+                engine.close(alloc, c);
+            }
+            ChurnOp::Switch { close, open } => {
+                let _ = engine.switch(spec, alloc, &close, &open);
+            }
+        },
+    }
+}
+
 /// One scripted operation, decoded from two proptest draws: mostly
 /// churn (as `tests/proptest_churn.rs`), with fault, repair, transient
-/// glitch and clock-advance events interleaved.
+/// glitch and clock-advance events interleaved. The high bits of `pick`
+/// choose the churn entry point.
 fn apply_step(
     spec: &SystemSpec,
-    engine: &mut FaultEngine,
+    engine: &mut ChurnEngine,
     alloc: &mut Allocation,
     kind: u8,
     pick: u16,
 ) {
     let topo = spec.topology();
+    let entry = pick >> 8;
     match kind % 14 {
         // Toggle a pseudo-random connection (the common single-op churn).
         0..=6 => {
@@ -113,7 +149,7 @@ fn apply_step(
             } else {
                 ChurnOp::Open(id)
             };
-            engine.apply(spec, alloc, &ScenarioOp::Churn(op));
+            churn(spec, engine, alloc, op, entry);
         }
         // Use-case switch: one app's granted set out, another's
         // grantless set in (refusals roll back — that's the engine's
@@ -132,11 +168,7 @@ fn apply_step(
                 .filter(|c| alloc.grant(c.id).is_none())
                 .map(|c| c.id)
                 .collect();
-            engine.apply(
-                spec,
-                alloc,
-                &ScenarioOp::Churn(ChurnOp::Switch { close, open }),
-            );
+            churn(spec, engine, alloc, ChurnOp::Switch { close, open }, entry);
         }
         // Fault and repair events on pseudo-random links and routers.
         8 | 9 => {
@@ -201,16 +233,20 @@ proptest! {
     ) {
         let spec = small_spec(seed);
         let mut alloc = Allocation::empty_for(&spec);
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         for &(kind, pick) in &script {
             apply_step(&spec, &mut engine, &mut alloc, kind, pick);
             assert_fault_invariants(&spec, &engine, &alloc);
         }
     }
 
-    /// Repairing every link and closing every survivor (and settling
-    /// every displaced connection) returns the platform to fully free:
-    /// empty mask, empty ledger, no leaked reservation anywhere.
+    /// Closing every displaced connection, repairing every link and
+    /// closing every survivor returns the platform to fully free: empty
+    /// mask, empty ledger, no leaked reservation anywhere. The parked
+    /// connections are closed *before* the repair, through whatever
+    /// entry point the step draws, so a close that failed to settle one
+    /// would let the repair re-home it into a table the drain expects
+    /// empty.
     #[test]
     fn repairing_and_draining_frees_every_slot(
         seed in 0u64..4,
@@ -218,26 +254,33 @@ proptest! {
     ) {
         let spec = small_spec(seed);
         let mut alloc = Allocation::empty_for(&spec);
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         for &(kind, pick) in &script {
             apply_step(&spec, &mut engine, &mut alloc, kind, pick);
+            assert_fault_invariants(&spec, &engine, &alloc);
         }
+
+        // Settle: the workload closes every displaced connection.
+        for (k, c) in engine.displaced().to_vec().into_iter().enumerate() {
+            churn(&spec, &mut engine, &mut alloc, ChurnOp::Close(c), k as u16);
+            assert_fault_invariants(&spec, &engine, &alloc);
+        }
+        prop_assert!(engine.displaced().is_empty(), "ledger not settled");
 
         // Repair the world: every down link comes back up (cancelling
         // any pending glitch on it).
         for li in 0..spec.topology().link_count() {
             engine.link_up(&spec, &mut alloc, LinkId::new(li as u32));
+            assert_fault_invariants(&spec, &engine, &alloc);
         }
         prop_assert!(engine.mask().is_empty());
 
-        // Drain: close every grant; a close of a displaced connection
-        // settles it out of the ledger.
+        // Drain: close every grant.
         let open: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
-        let parked: Vec<ConnId> = engine.displaced().to_vec();
-        for c in open.into_iter().chain(parked) {
-            engine.apply(&spec, &mut alloc, &ScenarioOp::Churn(ChurnOp::Close(c)));
+        for (k, c) in open.into_iter().enumerate() {
+            churn(&spec, &mut engine, &mut alloc, ChurnOp::Close(c), k as u16);
+            assert_fault_invariants(&spec, &engine, &alloc);
         }
-        prop_assert!(engine.displaced().is_empty(), "ledger not settled");
 
         for li in 0..spec.topology().link_count() {
             let table = alloc.link_table(LinkId::new(li as u32));
@@ -260,7 +303,7 @@ proptest! {
     ) {
         let spec = small_spec(seed);
         let mut alloc = Allocation::empty_for(&spec);
-        let mut engine = FaultEngine::new(&spec);
+        let mut engine = ChurnEngine::new(&spec);
         for &(kind, p) in &script {
             apply_step(&spec, &mut engine, &mut alloc, kind, p);
         }
@@ -297,9 +340,9 @@ proptest! {
     ) {
         let spec = small_spec(seed);
         let mut alloc_a = Allocation::empty_for(&spec);
-        let mut engine_a = FaultEngine::new(&spec);
+        let mut engine_a = ChurnEngine::new(&spec);
         let mut alloc_b = Allocation::empty_for(&spec);
-        let mut engine_b = FaultEngine::new(&spec);
+        let mut engine_b = ChurnEngine::new(&spec);
         for &(kind, p) in &script {
             apply_step(&spec, &mut engine_a, &mut alloc_a, kind, p);
             apply_step(&spec, &mut engine_b, &mut alloc_b, kind, p);
