@@ -178,62 +178,6 @@ impl Allocation {
         &self.link_tables[link.index()]
     }
 
-    /// Exchanges the reservation table of `link` with `other`'s — the
-    /// merge/split kernel of sharded admission: a shard partition hands
-    /// the link tables it owns to a hub allocation before a cross-shard
-    /// phase and takes them back after, in O(1) per link (a pointer-level
-    /// swap, no slot copying).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two allocations were built for different platforms
-    /// (slot-table size or per-hop shift) or `link` is out of range in
-    /// either.
-    pub fn swap_link_table_with(&mut self, other: &mut Allocation, link: LinkId) {
-        assert_eq!(
-            self.table_size, other.table_size,
-            "allocations disagree on the slot-table size"
-        );
-        assert_eq!(
-            self.slots_per_hop, other.slots_per_hop,
-            "allocations disagree on slots per hop"
-        );
-        core::mem::swap(
-            &mut self.link_tables[link.index()],
-            &mut other.link_tables[link.index()],
-        );
-    }
-
-    /// Exchanges the grant slot of `conn` with `other`'s, growing either
-    /// side's grant storage as needed — the companion of
-    /// [`swap_link_table_with`](Self::swap_link_table_with) for moving a
-    /// connection's grant between shard partitions without cloning it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two allocations were built for different platforms.
-    pub fn swap_grant_with(&mut self, other: &mut Allocation, conn: ConnId) {
-        assert_eq!(
-            self.table_size, other.table_size,
-            "allocations disagree on the slot-table size"
-        );
-        assert_eq!(
-            self.slots_per_hop, other.slots_per_hop,
-            "allocations disagree on slots per hop"
-        );
-        let need = conn.index() + 1;
-        if self.grants.len() < need {
-            self.grants.resize(need, None);
-        }
-        if other.grants.len() < need {
-            other.grants.resize(need, None);
-        }
-        core::mem::swap(
-            &mut self.grants[conn.index()],
-            &mut other.grants[conn.index()],
-        );
-    }
-
     /// Mean slot utilisation over all links that carry any traffic.
     #[must_use]
     pub fn mean_loaded_utilisation(&self) -> f64 {

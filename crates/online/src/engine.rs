@@ -148,12 +148,6 @@ impl ChurnStats {
     pub fn delta(&self, before: &ChurnStats) -> ChurnStats {
         self.zip(before, |after, before| after - before)
     }
-
-    /// Field-wise sum — how [`ShardedEngine`](crate::ShardedEngine)
-    /// totals its per-shard engines.
-    pub(crate) fn plus(&self, other: &ChurnStats) -> ChurnStats {
-        self.zip(other, |a, b| a + b)
-    }
 }
 
 /// A high-throughput online reconfiguration engine for one platform.
@@ -256,7 +250,8 @@ impl ChurnEngine {
     /// [`RouteProvider::set_faults`]). It limits *future* admissions
     /// only: nothing is displaced, no event is counted, and the rest of
     /// the fault state is left as it is — for an engine admitting under
-    /// a fixed mask, such as a shard lane or its serial reference.
+    /// a fixed mask, such as a [`ShardedEngine`](crate::ShardedEngine)
+    /// or the serial reference it is pinned against.
     pub fn set_faults(&mut self, faults: &FaultMask) {
         self.routes.set_faults(faults);
     }
@@ -424,9 +419,8 @@ impl ChurnEngine {
     /// (arrival indices into `requests`) in canonical order inside one
     /// admission round, handing each `(arrival_index, verdict)` to `sink`
     /// in application order. [`submit_batch`](Self::submit_batch) runs it
-    /// over a whole burst; every lane of
-    /// [`ShardedEngine`](crate::shard::ShardedEngine) runs it over its
-    /// own bucket against its own slot-table partition.
+    /// over a whole burst; [`ShardedEngine`](crate::shard::ShardedEngine)
+    /// runs it once per shard bucket of each burst, in shard order.
     pub(crate) fn apply_round(
         &mut self,
         spec: &SystemSpec,
@@ -713,10 +707,9 @@ pub(crate) fn canonical_order_of(
     };
     // Always cache the keys: `estimate_slots` walks the connection's
     // traffic contract, so one evaluation per element beats recomputing
-    // it on every comparison even for small opens segments — per-shard
-    // buckets in particular hit this path with a handful of opens per
-    // call, where per-comparison recomputation was measured at ~2x the
-    // whole admission cost of the bucket.
+    // it on every comparison, even for the handful of opens a small
+    // bucket holds (per-comparison recomputation was measured at ~2x the
+    // bucket's whole admission cost).
     out[opens_at..].sort_by_cached_key(|&i| key(i));
 }
 

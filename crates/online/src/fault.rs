@@ -14,8 +14,8 @@
 //!
 //! 1. **mask** — the failed link enters the engine's
 //!    [`FaultMask`]; from that point no
-//!    admission path (serial, batched round, sharded two-phase commit)
-//!    can grant a route traversing it — route lookups filter by the
+//!    admission path (serial, batched round, a sharded burst's per-shard
+//!    rounds) can grant a route traversing it — route lookups filter by the
 //!    mask, so cached routes stay resident and nothing is re-enumerated;
 //! 2. **make-before-break** — each affected grant (hardest first, the
 //!    allocator's admission order) is re-admitted on a fault-free path

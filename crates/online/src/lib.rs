@@ -33,9 +33,10 @@
 //! * **bursts** of independent requests go through
 //!   [`ChurnEngine::submit_batch`]: one batched admission round per
 //!   burst, per-request rollback, verdicts identical to a serial
-//!   [`canonical_order`] application — what the fault re-home, the shard
-//!   lanes and `aelite-serve`'s offline batched replay run on (the live
-//!   serving pipeline admits per request, on arrival);
+//!   [`canonical_order`] application — what the fault re-home, the
+//!   sharded engine's per-shard rounds and `aelite-serve`'s offline
+//!   batched replay run on (the live serving pipeline admits per
+//!   request, on arrival);
 //! * **faults** — link and router failures are churn deltas too, serviced
 //!   by the same engine ([`ChurnEngine::apply`]): its fault mask
 //!   ([`aelite_alloc::FaultMask`]) filters every admission path, affected
@@ -51,7 +52,8 @@
 //! 533, 232 and 1210 ns on the 8×8/64-slot/1000-connection
 //! `serve_uniform` stream — seed-1 medians, 2-vCPU Xeon @ 2.10 GHz),
 //! `online.fault.*` for the recovery ladder, `online.shard.*` for the
-//! sharded wrapper, and the serving layer's `serve.*` rows.
+//! shard-ordered replay ([`shard`]), and the serving layer's `serve.*`
+//! rows.
 //!
 //! # Examples
 //!
@@ -84,9 +86,10 @@ pub mod shard;
 pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
 pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
 pub use fault::{RecoveryReport, DEFAULT_PERSISTENCE_NS};
-pub use shard::{
-    sharded_canonical_order, ShardClass, ShardConfig, ShardMap, ShardedAllocation, ShardedEngine,
-};
+/// Kept only for two `aelite-serve` signatures the frozen benchmark
+/// calls; released by ROADMAP 5(c).
+pub use shard::ShardedAllocation;
+pub use shard::{sharded_canonical_order, ShardClass, ShardConfig, ShardMap, ShardedEngine};
 
 /// A former name of [`ChurnEngine`], kept only for the frozen benchmark;
 /// released by ROADMAP 5(c).

@@ -43,8 +43,9 @@
 //! seeds 1–5, sign mixed (0.93277→0.93325, 0.92985→0.93010,
 //! 0.93243→0.93236, 0.92863→0.92849, 0.92978→0.92999), while costing
 //! `online.engine.batched_vs_serial` 0.74–0.80. Batched rounds stay for
-//! what uses them: the engine's hardest-first fault re-home, the shard
-//! lanes ([`replay_sharded`]) and the offline benchmark rows.
+//! what uses them: the engine's hardest-first fault re-home, the
+//! sharded replay's per-shard rounds ([`replay_sharded`]) and the
+//! offline benchmark rows.
 //!
 //! Throughput and latency numbers are rows of the repository's
 //! `benchmark/` package: `serve_uniform` end to end and

@@ -136,8 +136,8 @@ pub fn replay_batched(
 }
 
 /// [`warm_up`] for the sharded engine: applies `stream[..warmup]` as
-/// single-request bursts (untimed, single-threaded) to bring every
-/// shard's engine and partition to steady state.
+/// single-request bursts (untimed) to bring the engine and allocation
+/// to steady state.
 pub fn warm_up_sharded(
     spec: &SystemSpec,
     engine: &mut ShardedEngine,
@@ -148,22 +148,25 @@ pub fn warm_up_sharded(
     let mut verdicts = Vec::with_capacity(1);
     for r in &stream[..warmup] {
         let burst = [r.request.clone()];
-        engine.submit_batch(spec, alloc, &burst, &mut verdicts, 1);
+        engine.submit_batch(spec, &mut alloc.0, &burst, &mut verdicts);
     }
 }
 
 /// Replays `stream` through [`ShardedEngine::replay_stream`]: plans
 /// shard-aware bursts (per-lane capacity `burst_cap`, see
-/// [`plan_bursts_sharded`]) and applies them with segment-scoped
-/// threading on up to `threads` workers. Planning, classification and
-/// request staging are all inside the timed window — the reported
-/// throughput is end to end.
+/// [`plan_bursts_sharded`]) and applies each shard by shard. Planning,
+/// classification and request staging are all inside the timed window
+/// — the reported throughput is end to end.
 ///
-/// Deterministic for any `threads`: per-connection request order is
-/// preserved by the shard lanes, so verdicts and end state are
-/// bit-identical to submitting each planned burst through
-/// [`ShardedEngine::submit_batch`], whatever the worker count (the
-/// thread-count invariance `tests/shard_replay.rs` pins).
+/// `threads` is ignored: the replay runs on the calling thread. The
+/// parameter stays because the frozen benchmark passes it (released by
+/// ROADMAP 5(c)); the parallel lanes it once sized were measured at
+/// 0.97–1.05× on two cores and removed. `alloc` is a
+/// [`ShardedAllocation`] for the same reason.
+///
+/// Deterministic: verdicts and end state are bit-identical to
+/// submitting each planned burst through [`ShardedEngine::submit_batch`]
+/// (pinned in `tests/shard_replay.rs`).
 ///
 /// # Panics
 ///
@@ -175,7 +178,7 @@ pub fn replay_sharded(
     alloc: &mut ShardedAllocation,
     stream: &[TimedRequest],
     burst_cap: usize,
-    threads: usize,
+    _threads: usize,
 ) -> ReplayReport {
     let before = engine.stats();
     let mut verdicts = Vec::new();
@@ -187,7 +190,7 @@ pub fn replay_sharded(
         ShardClass::Cross => lanes - 1,
     });
     let reqs: Vec<AdmissionRequest> = stream.iter().map(|r| r.request.clone()).collect();
-    engine.replay_stream(spec, alloc, &reqs, &bursts, threads, &mut verdicts);
+    engine.replay_stream(spec, &mut alloc.0, &reqs, &bursts, &mut verdicts);
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let admitted = verdicts.iter().filter(|v| v.is_ok()).count() as u64;
     ReplayReport::new(
@@ -389,6 +392,60 @@ mod tests {
         assert!(batched.bursts < batched.requests);
         for c in spec.connections() {
             assert_eq!(a1.grant(c.id), a2.grant(c.id), "{} diverged", c.id);
+        }
+    }
+
+    /// The serving wrappers over [`ShardedEngine`] report what the
+    /// engine did when driven by hand: single-request warm-up bursts,
+    /// then one `replay_stream` over the shard-aware plan.
+    #[test]
+    fn sharded_replay_reports_what_the_engine_replayed() {
+        use aelite_online::ShardConfig;
+        use aelite_spec::generate::WorkloadBuilder;
+
+        let spec = WorkloadBuilder::mesh(4, 4, 2)
+            .connections(120)
+            .seed(77)
+            .build();
+        let cfg = ShardConfig {
+            max_paths: 2,
+            ..ShardConfig::tiled(2, 2)
+        };
+        let stream = merge_population(client_population(&spec, 24, &ChurnParams::steady(80), 99));
+        let (warmup, cap) = (64, 32);
+
+        let mut engine = ShardedEngine::new(&spec, cfg);
+        let mut alloc = ShardedAllocation::empty_for(&spec, engine.map());
+        warm_up_sharded(&spec, &mut engine, &mut alloc, &stream, warmup);
+        let report = replay_sharded(&spec, &mut engine, &mut alloc, &stream[warmup..], cap, 2);
+
+        let mut by_hand = ShardedEngine::new(&spec, cfg);
+        let mut flat = Allocation::empty_for(&spec);
+        let mut verdicts = Vec::new();
+        for r in &stream[..warmup] {
+            let burst = core::slice::from_ref(&r.request);
+            by_hand.submit_batch(&spec, &mut flat, burst, &mut verdicts);
+        }
+        let before = by_hand.stats();
+        let timed = &stream[warmup..];
+        let map = by_hand.map();
+        let lanes = map.shards() + 1;
+        let bursts = plan_bursts_sharded(timed, cap, lanes, |r| match map.classify(r) {
+            ShardClass::Intra(k) => k,
+            ShardClass::Cross => lanes - 1,
+        });
+        let requests: Vec<AdmissionRequest> = timed.iter().map(|r| r.request.clone()).collect();
+        by_hand.replay_stream(&spec, &mut flat, &requests, &bursts, &mut verdicts);
+
+        let admitted = verdicts.iter().filter(|v| v.is_ok()).count() as u64;
+        assert_eq!(report.requests, timed.len() as u64);
+        assert_eq!(report.bursts, bursts.len() as u64);
+        assert_eq!(report.admitted, admitted);
+        assert_eq!(report.stats, by_hand.stats().delta(&before));
+        assert!(report.admitted > 0 && report.bursts < report.requests);
+        let end = alloc.collapse(engine.map());
+        for c in spec.connections() {
+            assert_eq!(end.grant(c.id), flat.grant(c.id), "{} diverged", c.id);
         }
     }
 

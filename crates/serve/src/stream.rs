@@ -69,10 +69,9 @@ pub fn plan_bursts(stream: &[TimedRequest], cap: usize) -> Vec<Range<usize>> {
 /// when the next request's client already appears in it, or when any
 /// single shard's bucket (per `shard_of`, e.g.
 /// [`ShardMap::classify`](aelite_online::ShardMap::classify) mapped to
-/// a lane index) would exceed `cap` requests. On a sharded engine each
-/// lane admits its bucket independently, so per-lane capping yields
-/// bursts up to `shards × cap` wide — wider fan-out per round — while
-/// keeping every lane's round bounded.
+/// a lane index) would exceed `cap` requests. The sharded engine admits
+/// each lane's bucket as one round, so per-lane capping bounds every
+/// round at `cap` while a burst may grow to `lanes × cap` requests.
 ///
 /// With one lane this is exactly [`plan_bursts`], which is defined as
 /// that call.

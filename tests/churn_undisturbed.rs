@@ -13,11 +13,11 @@
 //! event-driven cycle-accurate engine by `tests/turbo_golden.rs`, so the
 //! equivalence transitively covers the reference simulator too.
 
-use aelite_alloc::allocate;
+use aelite_alloc::{allocate, Allocation};
 use aelite_noc::network::NetworkKind;
 use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
-use aelite_online::{AdmissionRequest, ChurnEngine, ShardConfig, ShardedAllocation, ShardedEngine};
+use aelite_online::{AdmissionRequest, ChurnEngine, ShardConfig, ShardedEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, WorkloadBuilder};
 use aelite_spec::ids::{AppId, ConnId};
@@ -172,7 +172,7 @@ fn served_burst_leaves_untouched_connections_bit_identical() {
 
 #[test]
 fn sharded_burst_leaves_untouched_connections_bit_identical() {
-    // The sharded engine admits a burst across four shard threads; the
+    // The sharded engine admits a burst shard by shard; the
     // bystanders — every connection the burst never names — must keep a
     // bit-for-bit identical delivery log, exactly as on the serial path.
     let spec = WorkloadBuilder::mesh(4, 4, 2)
@@ -185,9 +185,9 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
         ..ShardConfig::tiled(2, 2)
     };
     let mut engine = ShardedEngine::new(&spec, cfg);
-    let mut alloc = ShardedAllocation::empty_for(&spec, engine.map());
+    let mut alloc = Allocation::empty_for(&spec);
 
-    // Build the pre-state through the engine itself: one wide parallel
+    // Build the pre-state through the engine itself: one wide sharded
     // burst opening every connection (refusals are fine — the admitted
     // set is what we protect).
     let opens: Vec<AdmissionRequest> = spec
@@ -196,7 +196,7 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
         .map(|c| AdmissionRequest::Open(c.id))
         .collect();
     let mut verdicts = Vec::new();
-    engine.submit_batch(&spec, &mut alloc, &opens, &mut verdicts, 4);
+    engine.submit_batch(&spec, &mut alloc, &opens, &mut verdicts);
     let admitted: Vec<ConnId> = spec
         .connections()
         .iter()
@@ -211,35 +211,30 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
         admitted.iter().partition(|c| c.index() % 5 == 1);
     assert!(!churned.is_empty() && persisting.len() > admitted.len() / 2);
 
-    let collapsed = alloc.collapse(engine.map());
     let view_before = spec.restricted_to_connections(&admitted);
-    let before = delivery_logs(&view_before, &collapsed, &persisting);
+    let before = delivery_logs(&view_before, &alloc, &persisting);
     let persisting_grants: Vec<_> = persisting
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
         .collect();
 
-    // The sharded burst: close the churn set in one parallel round,
+    // The sharded burst: close the churn set in one sharded round,
     // then re-admit it in another.
     let closes: Vec<AdmissionRequest> = churned
         .iter()
         .map(|&c| AdmissionRequest::Close(c))
         .collect();
-    engine.submit_batch(&spec, &mut alloc, &closes, &mut verdicts, 4);
+    engine.submit_batch(&spec, &mut alloc, &closes, &mut verdicts);
     assert!(verdicts.iter().all(|v| v.is_ok()), "closes cannot refuse");
 
-    let open_mid: Vec<ConnId> = alloc
-        .collapse(engine.map())
-        .grants()
-        .map(|g| g.conn)
-        .collect();
+    let open_mid: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_mid = spec.restricted_to_connections(&open_mid);
-    let mid = delivery_logs(&view_mid, &alloc.collapse(engine.map()), &persisting);
+    let mid = delivery_logs(&view_mid, &alloc, &persisting);
     assert_eq!(before, mid, "a sharded close burst disturbed a bystander");
 
     let reopens: Vec<AdmissionRequest> =
         churned.iter().map(|&c| AdmissionRequest::Open(c)).collect();
-    engine.submit_batch(&spec, &mut alloc, &reopens, &mut verdicts, 4);
+    engine.submit_batch(&spec, &mut alloc, &reopens, &mut verdicts);
 
     // Structural: untouched grants are bit-identical through both rounds.
     for g in &persisting_grants {
@@ -247,10 +242,9 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
     }
 
     // Behavioural: bystander delivery logs bit-for-bit unchanged.
-    let collapsed_after = alloc.collapse(engine.map());
-    let open_after: Vec<ConnId> = collapsed_after.grants().map(|g| g.conn).collect();
+    let open_after: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_after = spec.restricted_to_connections(&open_after);
-    let after = delivery_logs(&view_after, &collapsed_after, &persisting);
+    let after = delivery_logs(&view_after, &alloc, &persisting);
     assert_eq!(before, after, "a sharded burst disturbed a bystander");
 
     let flits: usize = before.iter().map(Vec::len).sum();

@@ -14,18 +14,17 @@
 //! the equivalence transitively covers the reference simulator.
 //!
 //! The last test is the sharded side of the same story: with a
-//! boundary link down, the parallel sharded engine stays bit-identical
-//! to the plain serial engine in [`sharded_canonical_order`] at every
-//! thread count — the fault mask only removes candidates, it never
-//! perturbs the commit order.
+//! boundary link down, the sharded engine stays bit-identical to the
+//! plain serial engine in [`sharded_canonical_order`] — the fault mask
+//! only removes candidates, it never perturbs the commit order.
 
 use aelite_alloc::{allocate, Allocation, Allocator, FaultMask, Steering};
 use aelite_noc::network::NetworkKind;
 use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
 use aelite_online::{
-    sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardConfig, ShardedAllocation,
-    ShardedEngine, DEFAULT_PERSISTENCE_NS,
+    sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardConfig, ShardedEngine,
+    DEFAULT_PERSISTENCE_NS,
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, scaled_workload};
@@ -262,13 +261,13 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
     );
 }
 
-// With a shard-boundary link down, the parallel sharded engine must
-// stay bit-identical — verdicts, slot tables, owners, counters — to
-// one plain engine applying the same bursts serially in
-// `sharded_canonical_order`, at every thread count. The mask only
-// removes route candidates; it never perturbs the commit order. The
-// same holds under spare-capacity steering: candidate *ordering* is
-// part of the per-shard allocators and the serial reference alike.
+// With a shard-boundary link down, the sharded engine must stay
+// bit-identical — verdicts, slot tables, owners, counters — to one
+// plain engine applying the same bursts serially in
+// `sharded_canonical_order`. The mask only removes route candidates; it
+// never perturbs the commit order. The same holds under spare-capacity
+// steering: candidate *ordering* is part of the sharded engine's
+// allocator and the serial reference's alike.
 fn masked_sharded_matches_serial(steering: Steering) {
     let spec = scaled_workload(4, 4, 2, 60, 7);
     let cfg = ShardConfig {
@@ -283,8 +282,8 @@ fn masked_sharded_matches_serial(steering: Steering) {
         (x * 2 / cols, y * 2 / rows)
     };
     // A router-router link crossing the quadrant boundary: the hardest
-    // case, because cross-shard traffic admits through the hub's
-    // two-phase commit.
+    // case, because cross-shard traffic admits over it in the cross
+    // bucket.
     let boundary = topo
         .links()
         .find(|&l| {
@@ -298,15 +297,11 @@ fn masked_sharded_matches_serial(steering: Steering) {
     let mut mask = FaultMask::new();
     mask.set_down(boundary);
 
-    // Three independent sharded runs (1, 2, 4 threads) plus the serial
-    // reference, all admitting under the same mask.
-    let mut engines: Vec<ShardedEngine> = (0..3).map(|_| ShardedEngine::new(&spec, cfg)).collect();
-    let mut allocs: Vec<ShardedAllocation> = (0..3)
-        .map(|_| ShardedAllocation::empty_for(&spec, engines[0].map()))
-        .collect();
-    for e in &mut engines {
-        e.set_faults(&mask);
-    }
+    // The sharded run and the serial reference, both admitting under
+    // the same mask.
+    let mut engine = ShardedEngine::new(&spec, cfg);
+    let mut sharded = Allocation::empty_for(&spec);
+    engine.set_faults(&mask);
     let mut serial = ChurnEngine::with_allocator(
         &spec,
         Allocator {
@@ -328,44 +323,37 @@ fn masked_sharded_matches_serial(steering: Steering) {
         .collect();
 
     let mut order = Vec::new();
-    let mut verdicts: Vec<Vec<_>> = vec![Vec::new(); 3];
+    let mut verdicts = Vec::new();
     for requests in [&opens, &churn] {
-        for (t, threads) in [1usize, 2, 4].into_iter().enumerate() {
-            engines[t].submit_batch(&spec, &mut allocs[t], requests, &mut verdicts[t], threads);
-        }
-        assert_eq!(verdicts[0], verdicts[1], "2 threads diverged");
-        assert_eq!(verdicts[0], verdicts[2], "4 threads diverged");
+        engine.submit_batch(&spec, &mut sharded, requests, &mut verdicts);
 
-        sharded_canonical_order(&spec, engines[0].map(), requests, &mut order);
+        sharded_canonical_order(&spec, engine.map(), requests, &mut order);
         assert_eq!(order.len(), requests.len());
         let mut reference = vec![None; requests.len()];
         for &i in &order {
             reference[i] = Some(serial.submit(&spec, &mut flat, requests[i].clone()));
         }
-        for (i, v) in verdicts[0].iter().enumerate() {
+        for (i, v) in verdicts.iter().enumerate() {
             assert_eq!(Some(v), reference[i].as_ref(), "verdict {i} diverged");
         }
     }
 
-    // Identical end state across all four runs, and no granted route —
-    // intra-shard or hub-committed — traverses the down link.
-    for t in 0..3 {
-        let collapsed = allocs[t].collapse(engines[t].map());
-        for li in 0..topo.link_count() {
-            let link = LinkId::new(li as u32);
-            let (ta, tb) = (flat.link_table(link), collapsed.link_table(link));
-            for s in 0..ta.size() {
-                assert_eq!(ta.is_free(s), tb.is_free(s), "run {t} link {li} slot {s}");
-                assert_eq!(ta.owner(s), tb.owner(s), "run {t} link {li} slot {s}");
-            }
+    // Identical end state, and no granted route — intra-shard or
+    // cross-shard — traverses the down link.
+    for li in 0..topo.link_count() {
+        let link = LinkId::new(li as u32);
+        let (ta, tb) = (flat.link_table(link), sharded.link_table(link));
+        for s in 0..ta.size() {
+            assert_eq!(ta.is_free(s), tb.is_free(s), "link {li} slot {s}");
+            assert_eq!(ta.owner(s), tb.owner(s), "link {li} slot {s}");
         }
-        for &c in &all {
-            assert_eq!(flat.grant(c), collapsed.grant(c), "run {t}: {c} grant");
-        }
-        assert_eq!(engines[t].stats(), *serial.stats(), "run {t} stats");
-        for g in collapsed.grants() {
-            assert!(!g.links.contains(&boundary), "{} over the fault", g.conn);
-        }
+    }
+    for &c in &all {
+        assert_eq!(flat.grant(c), sharded.grant(c), "{c} grant");
+    }
+    assert_eq!(engine.stats(), *serial.stats(), "stats");
+    for g in sharded.grants() {
+        assert!(!g.links.contains(&boundary), "{} over the fault", g.conn);
     }
     assert!(
         flat.grants().count() > all.len() / 2,

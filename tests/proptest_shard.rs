@@ -1,13 +1,13 @@
-//! Property-based tests of sharded parallel admission: classification
-//! is total and stable, a one-shard config is bit-identical to the
-//! plain [`ChurnEngine`], and the shard-parallel end state — slot
-//! tables, owners, verdicts and counters in lock-step — equals the
-//! sharded-canonical serial reference whatever the thread count.
+//! Property-based tests of sharded admission: classification is total
+//! and stable, a one-shard config is bit-identical to the plain
+//! [`ChurnEngine`], and the sharded end state — slot tables, owners,
+//! verdicts and counters in lock-step — equals the sharded-canonical
+//! serial reference.
 
 use aelite_alloc::{Allocation, Allocator};
 use aelite_online::{
     sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardClass, ShardConfig, ShardMap,
-    ShardedAllocation, ShardedEngine,
+    ShardedEngine,
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::scaled_workload;
@@ -96,7 +96,7 @@ proptest! {
                 );
             }
         }
-        // The classification invariant the parallelism rests on: an
+        // The classification invariant the shard order rests on: an
         // intra-homed connection's every candidate link is owned by its
         // home shard (spot-checked structurally via the map accessors).
         for c in spec.connections() {
@@ -120,7 +120,7 @@ proptest! {
         let cfg = ShardConfig::single();
         let mut sharded = ShardedEngine::new(&spec, cfg);
         let mut plain = ChurnEngine::new(&spec);
-        let mut parts = ShardedAllocation::empty_for(&spec, sharded.map());
+        let mut mine = Allocation::empty_for(&spec);
         let mut flat = Allocation::empty_for(&spec);
 
         let (mut va, mut vb) = (Vec::new(), Vec::new());
@@ -129,30 +129,28 @@ proptest! {
                 .iter()
                 .map(|&(kind, pick)| decode_request(&spec, kind, pick))
                 .collect();
-            sharded.submit_batch(&spec, &mut parts, &requests, &mut va, 2);
+            sharded.submit_batch(&spec, &mut mine, &requests, &mut va);
             plain.submit_batch(&spec, &mut flat, &requests, &mut vb);
             prop_assert_eq!(&va, &vb);
-            assert_tables_identical(&spec, &parts.collapse(sharded.map()), &flat);
+            assert_tables_identical(&spec, &mine, &flat);
             prop_assert_eq!(&sharded.stats(), plain.stats());
         }
     }
 
-    /// The tentpole equivalence: shard-parallel `submit_batch` over a
-    /// quadrant tiling ≡ serially submitting the same requests through
-    /// one plain engine (same `max_paths` bound) in
-    /// [`sharded_canonical_order`] — verdicts, slot tables, owners and
-    /// counters all in lock-step, at every thread count.
+    /// The sharded equivalence: `submit_batch` over a quadrant tiling ≡
+    /// serially submitting the same requests through one plain engine
+    /// (same `max_paths` bound) in [`sharded_canonical_order`] —
+    /// verdicts, slot tables, owners and counters all in lock-step.
     #[test]
-    fn shard_parallel_equals_sharded_canonical_serial(
+    fn sharded_equals_sharded_canonical_serial(
         seed in 0u64..4,
-        threads in 1usize..5,
         bursts in proptest::collection::vec(
             proptest::collection::vec((0u8..8, 0u16..1024), 1..12), 1..4),
     ) {
         let spec = quad_spec(seed);
         let cfg = quad_config();
         let mut sharded = ShardedEngine::new(&spec, cfg);
-        let mut parts = ShardedAllocation::empty_for(&spec, sharded.map());
+        let mut mine = Allocation::empty_for(&spec);
         // The serial reference shares the allocator's route bound, so
         // both sides enumerate identical candidates.
         let mut serial = ChurnEngine::with_allocator(
@@ -169,7 +167,7 @@ proptest! {
                 .map(|&(kind, pick)| decode_request(&spec, kind, pick))
                 .collect();
 
-            sharded.submit_batch(&spec, &mut parts, &requests, &mut va, threads);
+            sharded.submit_batch(&spec, &mut mine, &requests, &mut va);
 
             sharded_canonical_order(&spec, sharded.map(), &requests, &mut order);
             prop_assert_eq!(order.len(), requests.len());
@@ -180,47 +178,8 @@ proptest! {
             for (i, v) in va.iter().enumerate() {
                 prop_assert_eq!(Some(v), vb[i].as_ref(), "verdict {} diverged", i);
             }
-            assert_tables_identical(&spec, &parts.collapse(sharded.map()), &flat);
+            assert_tables_identical(&spec, &mine, &flat);
             prop_assert_eq!(&sharded.stats(), serial.stats());
         }
-    }
-
-    /// Thread-count invariance: the same burst sequence through clones
-    /// of one sharded engine at 1, 2 and 4 threads produces identical
-    /// verdicts and identical collapsed end states.
-    #[test]
-    fn outcomes_are_thread_count_invariant(
-        seed in 0u64..4,
-        bursts in proptest::collection::vec(
-            proptest::collection::vec((0u8..8, 0u16..1024), 1..12), 1..4),
-    ) {
-        let spec = quad_spec(seed);
-        let cfg = quad_config();
-        let mut engines: Vec<ShardedEngine> =
-            (0..3).map(|_| ShardedEngine::new(&spec, cfg)).collect();
-        let mut allocs: Vec<ShardedAllocation> = (0..3)
-            .map(|_| ShardedAllocation::empty_for(&spec, engines[0].map()))
-            .collect();
-        let mut verdicts: Vec<Vec<_>> = vec![Vec::new(); 3];
-
-        for burst in &bursts {
-            let requests: Vec<AdmissionRequest> = burst
-                .iter()
-                .map(|&(kind, pick)| decode_request(&spec, kind, pick))
-                .collect();
-            for (t, threads) in [1usize, 2, 4].into_iter().enumerate() {
-                engines[t].submit_batch(
-                    &spec, &mut allocs[t], &requests, &mut verdicts[t], threads,
-                );
-            }
-            prop_assert_eq!(&verdicts[0], &verdicts[1]);
-            prop_assert_eq!(&verdicts[0], &verdicts[2]);
-        }
-        let map = engines[0].map().clone();
-        let reference = allocs[0].collapse(&map);
-        assert_tables_identical(&spec, &reference, &allocs[1].collapse(&map));
-        assert_tables_identical(&spec, &reference, &allocs[2].collapse(&map));
-        prop_assert_eq!(engines[0].stats(), engines[1].stats());
-        prop_assert_eq!(engines[0].stats(), engines[2].stats());
     }
 }

@@ -1,22 +1,17 @@
-//! Deterministic sharded replay: a reduced `shard_regional` scenario —
-//! regional workload, shard-grouped client population, shard-aware
-//! burst planning — must produce bit-identical admission counts, slot
-//! tables and verdict streams at every thread count. This is the
-//! machine-independent half of the sharding record; the wall-clock half
-//! is the `online.shard.*` rows of `benchmark/`.
-//! And on uniform traffic, where most segments end in a cross-shard
-//! tail: `replay_stream` ≡ `submit_batch` per burst ≡ a plain engine in
-//! sharded-canonical order — the equivalence both functions document.
+//! Deterministic sharded replay. A reduced `shard_regional` scenario —
+//! regional workload, shard-grouped client population — keeps most
+//! requests intra-shard. And on uniform traffic, where most bursts carry
+//! a cross-shard request: `replay_stream` ≡ `submit_batch` per burst ≡ a
+//! plain engine in sharded-canonical order — the equivalence both
+//! functions document. The wall-clock half of the sharding record is the
+//! `online.shard.*` rows of `benchmark/`.
 
 use aelite_alloc::{Allocation, Allocator};
 use aelite_online::{
     sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardClass, ShardConfig, ShardMap,
-    ShardedAllocation, ShardedEngine,
+    ShardedEngine,
 };
-use aelite_serve::{
-    merge_population, plan_bursts_sharded, replay_sharded, warm_up, warm_up_sharded, ReplayReport,
-    TimedRequest,
-};
+use aelite_serve::{merge_population, plan_bursts_sharded, warm_up, TimedRequest};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{client_population, client_population_grouped, ChurnParams};
 use aelite_spec::generate::WorkloadBuilder;
@@ -47,72 +42,6 @@ fn bench_like_scenario() -> (SystemSpec, ShardConfig, Vec<TimedRequest>) {
     (spec, cfg, merge_population(population))
 }
 
-fn run(
-    spec: &SystemSpec,
-    cfg: ShardConfig,
-    stream: &[TimedRequest],
-    threads: usize,
-) -> (ReplayReport, ShardedEngine, ShardedAllocation) {
-    let mut engine = ShardedEngine::new(spec, cfg);
-    let mut alloc = ShardedAllocation::empty_for(spec, engine.map());
-    warm_up_sharded(spec, &mut engine, &mut alloc, stream, WARMUP);
-    let report = replay_sharded(
-        spec,
-        &mut engine,
-        &mut alloc,
-        &stream[WARMUP..],
-        BURST_CAP,
-        threads,
-    );
-    (report, engine, alloc)
-}
-
-#[test]
-fn replay_admission_counts_are_thread_count_invariant() {
-    let (spec, cfg, stream) = bench_like_scenario();
-    let (base, base_engine, base_alloc) = run(&spec, cfg, &stream, 1);
-    assert_eq!(base.requests, (stream.len() - WARMUP) as u64);
-    assert!(base.admitted > 0, "scenario admits nothing");
-    assert!(base.ops > 0, "scenario performs no slot operations");
-
-    let reference = base_alloc.collapse(base_engine.map());
-    for threads in [2usize, 4, 8] {
-        let (r, engine, alloc) = run(&spec, cfg, &stream, threads);
-        assert_eq!(r.requests, base.requests, "{threads} threads: requests");
-        assert_eq!(r.admitted, base.admitted, "{threads} threads: admitted");
-        assert_eq!(r.refused, base.refused, "{threads} threads: refused");
-        assert_eq!(r.ops, base.ops, "{threads} threads: ops");
-        assert_eq!(r.bursts, base.bursts, "{threads} threads: burst count");
-        assert_eq!(
-            engine.stats(),
-            base_engine.stats(),
-            "{threads} threads: stats"
-        );
-
-        let collapsed = alloc.collapse(engine.map());
-        for li in 0..spec.topology().link_count() {
-            let link = LinkId::new(li as u32);
-            let (ta, tb) = (reference.link_table(link), collapsed.link_table(link));
-            for s in 0..ta.size() {
-                assert_eq!(
-                    ta.is_free(s),
-                    tb.is_free(s),
-                    "{threads}t link {li} slot {s}"
-                );
-                assert_eq!(ta.owner(s), tb.owner(s), "{threads}t link {li} slot {s}");
-            }
-        }
-        for c in spec.connections() {
-            assert_eq!(
-                reference.grant(c.id),
-                collapsed.grant(c.id),
-                "{threads} threads: {} grant",
-                c.id
-            );
-        }
-    }
-}
-
 #[test]
 fn regional_population_is_mostly_intra_shard() {
     let (spec, cfg, stream) = bench_like_scenario();
@@ -125,8 +54,8 @@ fn regional_population_is_mostly_intra_shard() {
         }
     }
     // The regional generator keeps traffic inside its tile, so the
-    // overwhelming share of the stream must admit shard-locally — that
-    // is the parallelism the bench measures.
+    // overwhelming share of the stream must classify intra-shard — the
+    // traffic shape the `shard_regional` workload measures.
     assert!(
         intra >= 9 * (intra + cross) / 10,
         "only {intra}/{} requests intra-shard",
@@ -151,14 +80,14 @@ fn assert_same_state(spec: &SystemSpec, a: &Allocation, b: &Allocation, what: &s
 }
 
 /// Three ways to apply the same planned bursts must agree on every
-/// verdict, every slot and every counter: `replay_stream` (segments,
-/// 1 and 2 threads), `ShardedEngine::submit_batch` one burst at a time,
-/// and a plain `ChurnEngine` applying each burst serially in
+/// verdict, every slot and every counter: `replay_stream`,
+/// `ShardedEngine::submit_batch` one burst at a time, and a plain
+/// `ChurnEngine` applying each burst serially in
 /// `sharded_canonical_order`. Uniform traffic on the 2×2 tiling puts a
-/// large share of requests on the hub, so nearly every segment ends in
-/// a cross tail — the part of `replay_stream` the regional scenario
-/// above hardly reaches — and 32-slot tables held 95% open refuse about
-/// one request in ten, so the verdict streams are not all `Ok`.
+/// large share of requests in the cross bucket, so nearly every burst
+/// has one — the part of `replay_stream` the regional scenario above
+/// hardly reaches — and 32-slot tables held 95% open refuse about one
+/// request in ten, so the verdict streams are not all `Ok`.
 #[test]
 fn replay_stream_equals_submit_batch_per_burst_equals_plain_engine() {
     let cfg = ShardConfig {
@@ -221,8 +150,12 @@ fn replay_stream_equals_submit_batch_per_burst_equals_plain_engine() {
 
     let warmed = || {
         let mut engine = ShardedEngine::new(&spec, cfg);
-        let mut alloc = ShardedAllocation::empty_for(&spec, engine.map());
-        warm_up_sharded(&spec, &mut engine, &mut alloc, &stream, WARMUP);
+        let mut alloc = Allocation::empty_for(&spec);
+        let mut verdicts = Vec::new();
+        for r in &stream[..WARMUP] {
+            let burst = core::slice::from_ref(&r.request);
+            engine.submit_batch(&spec, &mut alloc, burst, &mut verdicts);
+        }
         (engine, alloc)
     };
     let mut verdicts = Vec::new();
@@ -231,7 +164,7 @@ fn replay_stream_equals_submit_batch_per_burst_equals_plain_engine() {
     let (mut engine, mut alloc) = warmed();
     let mut burstwise = Vec::with_capacity(requests.len());
     for b in &bursts {
-        engine.submit_batch(&spec, &mut alloc, &requests[b.clone()], &mut verdicts, 2);
+        engine.submit_batch(&spec, &mut alloc, &requests[b.clone()], &mut verdicts);
         burstwise.append(&mut verdicts);
     }
     assert_eq!(burstwise, expected, "submit_batch per burst: verdicts");
@@ -240,44 +173,12 @@ fn replay_stream_equals_submit_batch_per_burst_equals_plain_engine() {
         *plain.stats(),
         "submit_batch per burst: stats"
     );
-    assert_same_state(
-        &spec,
-        &alloc.collapse(engine.map()),
-        &flat,
-        "submit_batch per burst",
-    );
+    assert_same_state(&spec, &alloc, &flat, "submit_batch per burst");
 
-    for threads in [1usize, 2] {
-        // `replay_stream` over the whole plan.
-        let (mut engine, mut alloc) = warmed();
-        engine.replay_stream(
-            &spec,
-            &mut alloc,
-            &requests,
-            &bursts,
-            threads,
-            &mut verdicts,
-        );
-        assert_eq!(verdicts, expected, "replay_stream {threads}t: verdicts");
-        assert_eq!(
-            engine.stats(),
-            *plain.stats(),
-            "replay_stream {threads}t: stats"
-        );
-        let what = format!("replay_stream {threads}t");
-        assert_same_state(&spec, &alloc.collapse(engine.map()), &flat, &what);
-
-        // The serving entry point plans the same bursts and reports the
-        // same outcome.
-        let (report, engine, alloc) = run(&spec, cfg, &stream, threads);
-        assert_eq!(report.bursts, bursts.len() as u64, "{threads}t: bursts");
-        assert_eq!(report.admitted, admitted, "{threads}t: admitted");
-        assert_eq!(
-            engine.stats(),
-            *plain.stats(),
-            "replay_sharded {threads}t: stats"
-        );
-        let what = format!("replay_sharded {threads}t");
-        assert_same_state(&spec, &alloc.collapse(engine.map()), &flat, &what);
-    }
+    // `replay_stream` over the whole plan.
+    let (mut engine, mut alloc) = warmed();
+    engine.replay_stream(&spec, &mut alloc, &requests, &bursts, &mut verdicts);
+    assert_eq!(verdicts, expected, "replay_stream: verdicts");
+    assert_eq!(engine.stats(), *plain.stats(), "replay_stream: stats");
+    assert_same_state(&spec, &alloc, &flat, "replay_stream");
 }
