@@ -15,6 +15,22 @@
 //!   adding extra slots beyond the bandwidth minimum when needed (the
 //!   paper: reservations "do not have to correspond to the worst-case
 //!   requirements if this is not needed").
+//!
+//! # The admission kernel
+//!
+//! One admission asks, per candidate route, which injection slots are
+//! free on every link of the route, link `i` shifted by
+//! `i * slots_per_hop`. That is one fused path-intersection kernel,
+//! [`SlotMask::intersect_path`], over the route's link free masks: on
+//! tables of at most 64 slots the masks live inline in the
+//! [`SlotTable`]s, so each link costs one load, one circular rotate and
+//! one AND into a register, with the shift stepped by addition. The
+//! mask sizes are checked once per round by
+//! [`Allocator::begin_round`], and only by a `debug_assert!` in the
+//! kernel. The (src, dst) route entry is resolved once per admission
+//! (`RouteCache::pair`); spare-capacity steering scores candidates and
+//! the candidate walk tries them through that one handle and the same
+//! per-link free-mask view.
 
 use crate::mask::SlotMask;
 use crate::path::Path;
@@ -785,6 +801,8 @@ impl Allocator {
         } = scratch;
         let cand = cand.as_mut().expect("masks() sized the scratch");
         let work = work.as_mut().expect("masks() sized the scratch");
+        // The pair's route entry, resolved once for both passes below.
+        let mut pair = routes.pair(spec.topology(), src_ni, dst_ni);
 
         // Spare-capacity steering scores every (healthy) candidate by the
         // bottleneck free-slot count along its route and tries the widest
@@ -796,11 +814,9 @@ impl Allocator {
         if steered {
             route_order.clear();
             let mut i = 0usize;
-            while let Some(route) = routes.candidate(spec.topology(), src_ni, dst_ni, i) {
-                let bottleneck = route
-                    .links
-                    .iter()
-                    .map(|&l| alloc.link_tables[l.index()].free_count())
+            while let Some(route) = pair.candidate(i) {
+                let bottleneck = path_masks(&alloc.link_tables, &route.links)
+                    .map(SlotMask::count)
                     .min()
                     .unwrap_or(0);
                 route_order.push((bottleneck, i as u32));
@@ -809,7 +825,7 @@ impl Allocator {
             route_order.sort_unstable_by_key(|&(free, i)| (core::cmp::Reverse(free), i));
         }
 
-        // Candidates are pulled from the cache one index at a time, so the
+        // Candidates are pulled from the entry one index at a time, so the
         // expensive detour enumeration only runs for connections that
         // exhaust the dimension-ordered routes.
         let mut tried = 0usize;
@@ -822,20 +838,14 @@ impl Allocator {
             } else {
                 tried
             };
-            let Some(route) = routes.candidate(spec.topology(), src_ni, dst_ni, idx) else {
+            let Some(route) = pair.candidate(idx) else {
                 break;
             };
             tried += 1;
             let links = &route.links;
             // Injection slots whose shifted positions are free on every
-            // link: the circular-rotate-and-AND kernel, O(links × size/64).
-            cand.fill();
-            for (i, &l) in links.iter().enumerate() {
-                cand.and_rotated(
-                    alloc.link_tables[l.index()].free_mask(),
-                    (i as u32 * shift) % size,
-                );
-            }
+            // link: the fused path-intersection kernel.
+            cand.intersect_path(path_masks(&alloc.link_tables, links), shift);
             let free_count = cand.count();
             best_available = best_available.max(free_count);
             if free_count < needed {
@@ -938,7 +948,7 @@ impl Allocator {
         }
 
         let error = if tried == 0 {
-            match routes.blocking_fault(spec.topology(), src_ni, dst_ni) {
+            match pair.blocking_fault() {
                 Some(link) => AllocError::LinkDown { conn, link },
                 None => AllocError::NoRoute { conn },
             }
@@ -960,6 +970,15 @@ impl Allocator {
             salt_dependent,
         })
     }
+}
+
+/// The free masks of the tables of `links`, in traversal order: the
+/// operand of the fused path kernel and of steering's bottleneck score.
+fn path_masks<'a>(
+    tables: &'a [SlotTable],
+    links: &'a [LinkId],
+) -> impl Iterator<Item = &'a SlotMask> + 'a {
+    links.iter().map(|l| tables[l.index()].free_mask())
 }
 
 /// One phase salt's refusal, and whether another salt could decide

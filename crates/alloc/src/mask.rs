@@ -12,8 +12,16 @@
 //! linear-probing loops.
 //!
 //! A mask of `size` slots stores bit `s` of slot `s` in
-//! `words[s / 64] >> (s % 64)`. **Invariant:** bits at positions `>= size`
-//! in the last word are always zero; every mutating method maintains this.
+//! `words[s / 64] >> (s % 64)`, where `words` is one inline `u64` when
+//! `size <= 64` — no heap allocation, so a slot table's free mask is one
+//! load away from its link — and a boxed word slice otherwise. Every
+//! kernel reads and writes through one `words` / `words_mut` pair; only
+//! [`SlotMask::and_rotated`] and the fused path kernel
+//! [`SlotMask::intersect_path`] add a one-word register path.
+//! **Invariant:** bits at positions `>= size` of the last word — the
+//! inline word too — are always zero; every mutating method maintains
+//! this, and the one-word rotate masks its result to `size` bits to keep
+//! it.
 //!
 //! # Examples
 //!
@@ -34,6 +42,19 @@
 
 use core::fmt;
 
+/// The widest mask kept in the inline word.
+const INLINE_SLOTS: u32 = 64;
+
+/// Slot `s` of the result is slot `(s + shift) % size` of `word`, a
+/// one-word mask of `size <= 64` slots, for `shift < size`; `tail` is the
+/// mask's in-range bits, so the result keeps the storage invariant.
+#[inline]
+fn rotate_word(word: u64, shift: u32, size: u32, tail: u64) -> u64 {
+    // `wrapping_shl` turns the `size - 0 = 64` shift of a full-word mask
+    // into a shift by 0, which ORs `word` with itself.
+    ((word >> shift) | word.wrapping_shl(size - shift)) & tail
+}
+
 /// A fixed-size circular bitset over TDM slots (bit = slot is *set*).
 ///
 /// Used by [`SlotTable`](crate::table::SlotTable) to track free slots and
@@ -41,7 +62,10 @@ use core::fmt;
 #[derive(Clone, PartialEq, Eq)]
 pub struct SlotMask {
     size: u32,
-    words: Vec<u64>,
+    /// The whole mask when `size <= 64`, else zero.
+    inline: u64,
+    /// The words of a mask wider than 64 slots, else empty.
+    spill: Box<[u64]>,
 }
 
 impl SlotMask {
@@ -53,9 +77,35 @@ impl SlotMask {
     #[must_use]
     pub fn new_empty(size: u32) -> Self {
         assert!(size > 0, "slot mask must have at least one slot");
+        let spill = if size <= INLINE_SLOTS {
+            Box::default()
+        } else {
+            vec![0; size.div_ceil(64) as usize].into_boxed_slice()
+        };
         SlotMask {
             size,
-            words: vec![0; size.div_ceil(64) as usize],
+            inline: 0,
+            spill,
+        }
+    }
+
+    /// The mask's words: the inline word, or the spilled slice.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if self.size <= INLINE_SLOTS {
+            core::slice::from_ref(&self.inline)
+        } else {
+            &self.spill
+        }
+    }
+
+    /// Mutable [`words`](Self::words).
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.size <= INLINE_SLOTS {
+            core::slice::from_mut(&mut self.inline)
+        } else {
+            &mut self.spill
         }
     }
 
@@ -105,11 +155,10 @@ impl SlotMask {
 
     /// Sets every slot.
     pub fn fill(&mut self) {
-        for w in &mut self.words {
-            *w = !0;
-        }
         let tail = self.tail_mask();
-        *self.words.last_mut().expect("non-empty") &= tail;
+        let words = self.words_mut();
+        words.fill(!0);
+        *words.last_mut().expect("non-empty") &= tail;
     }
 
     /// Copies the contents of `other` into `self`.
@@ -119,7 +168,7 @@ impl SlotMask {
     /// Panics if the sizes differ.
     pub fn copy_from(&mut self, other: &SlotMask) {
         assert_eq!(self.size, other.size, "mask size mismatch");
-        self.words.copy_from_slice(&other.words);
+        self.words_mut().copy_from_slice(other.words());
     }
 
     /// Whether `slot` is set.
@@ -131,7 +180,7 @@ impl SlotMask {
     #[must_use]
     pub fn get(&self, slot: u32) -> bool {
         assert!(slot < self.size, "slot {slot} out of range");
-        self.words[(slot / 64) as usize] >> (slot % 64) & 1 == 1
+        self.words()[(slot / 64) as usize] >> (slot % 64) & 1 == 1
     }
 
     /// Sets `slot`.
@@ -142,7 +191,7 @@ impl SlotMask {
     #[inline]
     pub fn set(&mut self, slot: u32) {
         assert!(slot < self.size, "slot {slot} out of range");
-        self.words[(slot / 64) as usize] |= 1u64 << (slot % 64);
+        self.words_mut()[(slot / 64) as usize] |= 1u64 << (slot % 64);
     }
 
     /// Clears `slot`.
@@ -153,30 +202,31 @@ impl SlotMask {
     #[inline]
     pub fn clear(&mut self, slot: u32) {
         assert!(slot < self.size, "slot {slot} out of range");
-        self.words[(slot / 64) as usize] &= !(1u64 << (slot % 64));
+        self.words_mut()[(slot / 64) as usize] &= !(1u64 << (slot % 64));
     }
 
     /// The number of set slots.
     #[must_use]
     pub fn count(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
+        self.words().iter().map(|w| w.count_ones()).sum()
     }
 
     /// Whether no slot is set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words().iter().all(|&w| w == 0)
     }
 
     /// Reads 64 bits starting at bit position `pos` (linear, zero-padded
     /// past the last word).
     #[inline]
     fn read_linear64(&self, pos: u32) -> u64 {
+        let words = self.words();
         let wi = (pos / 64) as usize;
         let off = pos % 64;
-        let mut v = self.words.get(wi).copied().unwrap_or(0) >> off;
+        let mut v = words.get(wi).copied().unwrap_or(0) >> off;
         if off > 0 {
-            v |= self.words.get(wi + 1).copied().unwrap_or(0) << (64 - off);
+            v |= words.get(wi + 1).copied().unwrap_or(0) << (64 - off);
         }
         v
     }
@@ -205,30 +255,78 @@ impl SlotMask {
     /// This is the allocator's inner loop — "injection slot `s` works on
     /// a link `i` hops downstream iff the link is free in slot
     /// `s + i * slots_per_hop`" — executed in O(size / 64) word operations
-    /// instead of O(size) slot probes.
+    /// instead of O(size) slot probes; on a mask of at most 64 slots, one
+    /// circular rotate of the inline word.
     ///
     /// # Panics
     ///
     /// Panics if the sizes differ.
     pub fn and_rotated(&mut self, other: &SlotMask, shift: u32) {
         assert_eq!(self.size, other.size, "mask size mismatch");
-        let shift = shift % self.size;
-        if shift == 0 {
-            for (w, &o) in self.words.iter_mut().zip(&other.words) {
-                *w &= o;
-            }
+        let size = self.size;
+        let shift = shift % size;
+        if size <= INLINE_SLOTS {
+            self.inline &= rotate_word(other.inline, shift, size, self.tail_mask());
             return;
         }
-        let size = self.size;
-        for (wi, w) in self.words.iter_mut().enumerate() {
+        for (wi, w) in self.spill.iter_mut().enumerate() {
             let pos = (wi as u32 * 64 + shift) % size;
             *w &= other.read64_circular(pos);
         }
     }
 
+    /// The fused path-intersection kernel: sets `self` to the slots `s`
+    /// for which the `i`-th mask of `path` has slot `(s + i * step) % size`
+    /// set — the injection slots free on every link of a path whose link
+    /// `i` is used `i * step` slots after injection. Equal to
+    /// [`fill`](Self::fill) followed by one [`and_rotated`](Self::and_rotated)
+    /// per mask; on masks of at most 64 slots it runs as one pass that
+    /// keeps the running intersection in a register, steps the shift by
+    /// addition instead of a modulo, and writes `self` once.
+    ///
+    /// Every mask of `path` must have `self`'s size. The one-word path
+    /// checks that in debug builds only: the allocator's masks all come
+    /// from one allocation, whose table size
+    /// [`Allocator::begin_round`](crate::Allocator::begin_round) checked
+    /// against the spec.
+    pub fn intersect_path<'a>(&mut self, path: impl IntoIterator<Item = &'a SlotMask>, step: u32) {
+        let size = self.size;
+        let step = step % size;
+        let mut path = path.into_iter();
+        let Some(first) = path.next() else {
+            self.fill();
+            return;
+        };
+        debug_assert_eq!(first.size, size, "mask size mismatch");
+        if size > INLINE_SLOTS {
+            self.copy_from(first);
+            let mut shift = 0;
+            for m in path {
+                shift += step;
+                if shift >= size {
+                    shift -= size;
+                }
+                self.and_rotated(m, shift);
+            }
+            return;
+        }
+        let tail = self.tail_mask();
+        let mut acc = rotate_word(first.inline, 0, size, tail);
+        let mut shift = 0;
+        for m in path {
+            debug_assert_eq!(m.size, size, "mask size mismatch");
+            shift += step;
+            if shift >= size {
+                shift -= size;
+            }
+            acc &= rotate_word(m.inline, shift, size, tail);
+        }
+        self.inline = acc;
+    }
+
     /// Iterates over the set slots, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+        self.words().iter().enumerate().flat_map(|(wi, &word)| {
             let base = wi as u32 * 64;
             core::iter::successors(
                 (word != 0).then_some((word, base + word.trailing_zeros())),
@@ -252,25 +350,27 @@ impl SlotMask {
         if from >= self.size {
             return None;
         }
+        let words = self.words();
         let mut wi = (from / 64) as usize;
-        let mut w = self.words[wi] & (!0u64 << (from % 64));
+        let mut w = words[wi] & (!0u64 << (from % 64));
         loop {
             if w != 0 {
                 return Some(wi as u32 * 64 + w.trailing_zeros());
             }
             wi += 1;
-            if wi == self.words.len() {
+            if wi == words.len() {
                 return None;
             }
-            w = self.words[wi];
+            w = words[wi];
         }
     }
 
     /// The highest set slot `<= upto` (no wrap-around).
     fn prev_one_linear(&self, upto: u32) -> Option<u32> {
+        let words = self.words();
         let upto = upto.min(self.size - 1);
         let mut wi = (upto / 64) as usize;
-        let mut w = self.words[wi] & (!0u64 >> (63 - upto % 64));
+        let mut w = words[wi] & (!0u64 >> (63 - upto % 64));
         loop {
             if w != 0 {
                 return Some(wi as u32 * 64 + 63 - w.leading_zeros());
@@ -279,7 +379,7 @@ impl SlotMask {
                 return None;
             }
             wi -= 1;
-            w = self.words[wi];
+            w = words[wi];
         }
     }
 
@@ -387,7 +487,7 @@ mod tests {
 
     #[test]
     fn and_rotated_matches_reference() {
-        for size in [5u32, 8, 32, 64, 65, 100, 128, 190] {
+        for size in [1u32, 5, 8, 31, 32, 63, 64, 65, 100, 128, 190] {
             let mut a = SlotMask::new_empty(size);
             let mut b = SlotMask::new_empty(size);
             // Deterministic pseudo-random patterns.
@@ -409,6 +509,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A deterministic pseudo-random mask: slot `s` set iff the hash of
+    /// `(s, seed)` lands in the lower two thirds.
+    fn pattern(size: u32, seed: u32) -> SlotMask {
+        let mut m = SlotMask::new_empty(size);
+        for s in 0..size {
+            if !(s.wrapping_mul(2_654_435_761) ^ seed.wrapping_mul(40_503)).is_multiple_of(3) {
+                m.set(s);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn intersect_path_matches_and_rotated_fold_and_reference() {
+        for size in [1u32, 7, 31, 32, 63, 64, 65, 128, 190] {
+            let path: Vec<SlotMask> = (0..6).map(|i| pattern(size, i)).collect();
+            // Shifts of zero, whole multiples of the size, and past it.
+            let steps = [0, 1, 2, 3, size - 1, size, size + 1, 2 * size, 3 * size + 2];
+            for step in steps {
+                for len in 0..=path.len() {
+                    let links = &path[..len];
+                    let mut fold = SlotMask::new_full(size);
+                    for (i, m) in links.iter().enumerate() {
+                        fold.and_rotated(m, i as u32 * step);
+                    }
+                    let reference: Vec<u32> = (0..size)
+                        .filter(|&s| {
+                            links
+                                .iter()
+                                .enumerate()
+                                .all(|(i, m)| m.get((s + i as u32 * step) % size))
+                        })
+                        .collect();
+                    // Stale contents of the output must not leak through.
+                    let mut fused = pattern(size, 99);
+                    fused.intersect_path(links, step);
+                    let ctx = format!("size {size} step {step} links {len}");
+                    assert_eq!(fold.iter_ones().collect::<Vec<_>>(), reference, "{ctx}");
+                    assert_eq!(fused, fold, "{ctx}");
+                    assert_eq!(fused.count(), reference.len() as u32, "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_masks_clone_compare_and_print_by_slots() {
+        for size in [1u32, 32, 64] {
+            let a = pattern(size, 5);
+            let b = a.clone();
+            assert_eq!(a, b, "size {size}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            // Flipping the last slot and back: unequal, then equal again.
+            let mut c = b.clone();
+            let last = size - 1;
+            let flip = |m: &mut SlotMask| {
+                if m.get(last) {
+                    m.clear(last);
+                } else {
+                    m.set(last);
+                }
+            };
+            flip(&mut c);
+            assert_ne!(a, c, "size {size}");
+            flip(&mut c);
+            assert_eq!(a, c, "size {size}: same slots, same mask");
+            // Same slots, different period: unequal.
+            assert_ne!(SlotMask::new_empty(size), SlotMask::new_empty(size + 1));
+        }
+        let m = SlotMask::from_slots(32, &[0, 31]);
+        assert_eq!(format!("{m:?}"), "SlotMask(32; [0, 31])");
+        assert_eq!(format!("{:?}", m.clone()), format!("{m:?}"));
+        let full = SlotMask::new_full(64);
+        assert_eq!(full.count(), 64);
+        assert_eq!(full.clone(), full);
     }
 
     #[test]

@@ -35,10 +35,22 @@
 //! the current mask leaves healthy, recomputed only when the mask or the
 //! entry's route list changed since. With an empty mask the lookup path
 //! is bit-for-bit the unmasked one.
+//!
+//! An admission resolves its pair **once**: `RouteCache::pair` checks
+//! the topology, hashes the key and returns a `PairRoutes` handle over
+//! the pair's entry, through which the spare-capacity scoring pass and
+//! the candidate walk both index — no further hash lookup however many
+//! candidates a refusal walks. The key hash is a single folded multiply,
+//! not the standard library's SipHash: keys are NI
+//! indices of the platform being allocated, not attacker-chosen input, so
+//! resistance to hash flooding buys nothing, and SipHash's rounds cost
+//! more than the rest of a warm lookup. Entries are never iterated in
+//! hash order, so the hash cannot change any decision.
 
 use crate::path::{detour_candidates, initial_candidates, Path};
 use aelite_spec::ids::{LinkId, NiId};
 use aelite_spec::topology::Topology;
+use core::hash::{BuildHasherDefault, Hasher};
 use std::collections::HashMap;
 
 /// A set of failed (down) links, indexed by link id — the routing side of
@@ -308,6 +320,67 @@ impl Entry {
     }
 }
 
+/// The route-cache key hasher: one 64×64→128-bit multiply by an odd
+/// constant, folded by XOR of its halves, so the low bits the table
+/// indexes by and the high bits it tags with both depend on every key
+/// bit. Not flood-resistant, and not meant to be: see the module docs.
+#[derive(Debug, Default, Clone, Copy)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let full = u128::from(self.0 ^ word) * u128::from(K);
+        self.0 = full as u64 ^ (full >> 64) as u64;
+    }
+}
+
+/// One (src, dst) pair's candidates, resolved by [`RouteCache::pair`]:
+/// every lookup through the handle indexes the pair's entry directly,
+/// with the same answers as [`RouteProvider::candidate`] and
+/// [`RouteProvider::blocking_fault`] for that pair.
+#[derive(Debug)]
+pub(crate) struct PairRoutes<'a> {
+    entry: &'a mut Entry,
+    faults: &'a InstalledMask,
+    topo: &'a Topology,
+    src: NiId,
+    dst: NiId,
+    max_paths: usize,
+}
+
+impl PairRoutes<'_> {
+    /// The `i`-th candidate route of the pair not blocked by the fault
+    /// mask (see [`RouteProvider::candidate`]).
+    pub(crate) fn candidate(&mut self, i: usize) -> Option<&CachedRoute> {
+        self.entry.healthy_candidate(
+            self.topo,
+            self.src,
+            self.dst,
+            self.max_paths,
+            i,
+            self.faults,
+        )
+    }
+
+    /// One down link severing the pair, if the fault mask blocks every
+    /// candidate (see [`RouteProvider::blocking_fault`]).
+    pub(crate) fn blocking_fault(&mut self) -> Option<LinkId> {
+        self.entry
+            .blocking_fault(self.topo, self.src, self.dst, self.max_paths, self.faults)
+    }
+}
+
 /// Shape snapshot of the topology a cache was built for, used to
 /// reject lookups against a different platform.
 #[derive(Debug, Clone, Copy)]
@@ -445,7 +518,7 @@ pub trait RouteProvider: core::fmt::Debug + Send {
 pub struct RouteCache {
     max_paths: usize,
     shape: Shape,
-    entries: HashMap<(u32, u32), Entry>,
+    entries: HashMap<u64, Entry, BuildHasherDefault<PairHasher>>,
     faults: InstalledMask,
     /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
     /// results (the unmasked path returns the resident slice directly).
@@ -461,14 +534,38 @@ impl RouteCache {
         RouteCache {
             max_paths,
             shape: Shape::of(topo),
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             faults: InstalledMask::default(),
             healthy: Vec::new(),
         }
     }
 
-    fn key(src: NiId, dst: NiId) -> (u32, u32) {
-        (src.index() as u32, dst.index() as u32)
+    fn key(src: NiId, dst: NiId) -> u64 {
+        (src.index() as u64) << 32 | dst.index() as u64
+    }
+
+    /// Resolves the (src, dst) pair once — shape check and hash lookup —
+    /// and returns a handle whose lookups index the pair's entry
+    /// directly. What one admission walks candidates through.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RouteProvider::candidate`] on a foreign topology.
+    pub(crate) fn pair<'a>(
+        &'a mut self,
+        topo: &'a Topology,
+        src: NiId,
+        dst: NiId,
+    ) -> PairRoutes<'a> {
+        self.shape.check(topo, src, dst);
+        PairRoutes {
+            entry: self.entries.entry(Self::key(src, dst)).or_default(),
+            faults: &self.faults,
+            topo,
+            src,
+            dst,
+            max_paths: self.max_paths,
+        }
     }
 }
 
@@ -524,9 +621,7 @@ impl RouteProvider for RouteCache {
     }
 
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
-        self.shape.check(topo, src, dst);
-        let entry = self.entries.entry(Self::key(src, dst)).or_default();
-        entry.blocking_fault(topo, src, dst, self.max_paths, &self.faults)
+        self.pair(topo, src, dst).blocking_fault()
     }
 }
 
@@ -593,6 +688,45 @@ mod tests {
         // Walking past them forces the DFS stage.
         assert!(cache.candidate(&topo, s, d, 2).is_some());
         assert_eq!(cache.entries[&key].state, EntryState::Complete);
+    }
+
+    #[test]
+    fn pair_handle_serves_the_provider_sequence() {
+        // Through the handle, unmasked and masked: the same walk as
+        // `candidate(i)`, the same laziness, the same severing verdict.
+        let topo = Topology::mesh(4, 4, 1);
+        let (s, d) = (NiId::new(0), NiId::new(15));
+        let mut cache = RouteCache::new(&topo, 12);
+        let mut pair = cache.pair(&topo, s, d);
+        assert!(pair.candidate(0).is_some() && pair.candidate(1).is_some());
+        assert_eq!(
+            cache.entries[&RouteCache::key(s, d)].state,
+            EntryState::Partial
+        );
+        let down = route_candidates(&topo, s, d, 12)[0].links(&topo).unwrap()[1];
+        for faults in [FaultMask::new(), {
+            let mut m = FaultMask::new();
+            m.set_down(down);
+            m
+        }] {
+            cache.set_faults(&faults);
+            let walked = walk(&mut cache, &topo, s, d);
+            let mut pair = cache.pair(&topo, s, d);
+            let mut via_pair = Vec::new();
+            while let Some(r) = pair.candidate(via_pair.len()) {
+                via_pair.push(r.path.clone());
+            }
+            assert_eq!(via_pair, walked);
+            assert_eq!(pair.blocking_fault(), None);
+        }
+        let ingress = topo.ni_ingress_link(s);
+        let mut severed = FaultMask::new();
+        severed.set_down(ingress);
+        cache.set_faults(&severed);
+        let mut pair = cache.pair(&topo, s, d);
+        assert!(pair.candidate(0).is_none());
+        assert_eq!(pair.blocking_fault(), Some(ingress));
+        assert_eq!(cache.resident_pairs(), 1);
     }
 
     #[test]

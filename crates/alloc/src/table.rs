@@ -141,8 +141,21 @@ impl SlotTable {
         (0..).zip(self.owners.iter().copied())
     }
 
+    /// `slot` modulo the table size. A grant's probe of link `i` is its
+    /// injection slot plus `i * slots_per_hop`, almost always below twice
+    /// the size, so that case is one compare-and-subtract; only the rest
+    /// pays a division.
+    #[inline]
     fn wrap(&self, slot: u32) -> usize {
-        (slot as usize) % self.owners.len()
+        let size = self.size();
+        let i = if slot < size {
+            slot
+        } else if slot - size < size {
+            slot - size
+        } else {
+            slot % size
+        };
+        i as usize
     }
 }
 
@@ -263,6 +276,24 @@ mod tests {
         t.reserve(6, c(0)).unwrap(); // = slot 2
         assert_eq!(t.owner(2), Some(c(0)));
         assert!(!t.is_free(6));
+    }
+
+    #[test]
+    fn reserve_and_release_wrap_far_past_twice_the_size() {
+        // Slots >= 2 * size take the division fallback of `wrap`.
+        for size in [1u32, 4, 32, 64, 65] {
+            let mut t = SlotTable::new(size);
+            for k in [2u32, 3, 7, 1000] {
+                let slot = k * size + size / 2;
+                t.reserve(slot, c(k)).unwrap();
+                assert_eq!(t.owner(size / 2), Some(c(k)), "size {size} slot {slot}");
+                assert!(!t.free_mask().get(size / 2));
+                assert_eq!(t.reserve(slot - size, c(0)), Err(c(k)));
+                assert_eq!(t.release(slot + size), Some(c(k)));
+                assert!(t.is_free(slot));
+            }
+            assert_eq!(t.free_count(), size);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use aelite_alloc::{
 };
 use aelite_spec::fault::ScenarioOp;
 use aelite_spec::ids::ConnId;
-use aelite_spec::{Connection, SystemSpec};
+use aelite_spec::SystemSpec;
 
 /// The answer to one request.
 pub(crate) type Verdict = Result<AdmissionResponse, AdmissionError>;
@@ -26,14 +26,6 @@ pub(crate) fn placeholder() -> Verdict {
         cause: RefusalCause::UnknownConn,
         rolled_back: 0,
     })
-}
-
-/// `spec`'s contract for `conn`, or `None` if `spec` does not contain it
-/// (an id past its bound, or one a restricted view left out).
-fn contract(spec: &SystemSpec, conn: ConnId) -> Option<&Connection> {
-    let conns = spec.connections();
-    let i = conns.binary_search_by_key(&conn, |c| c.id).ok()?;
-    Some(&conns[i])
 }
 
 /// Counters of the work a [`ChurnEngine`] has performed, broken down by
@@ -485,7 +477,7 @@ impl ChurnEngine {
         if alloc.grant(conn).is_some() {
             return Err(RefusalCause::AlreadyOpen);
         }
-        if contract(spec, conn).is_none() {
+        if spec.find_connection(conn).is_none() {
             return Err(RefusalCause::UnknownConn);
         }
         self.allocator
@@ -547,7 +539,10 @@ impl ChurnEngine {
         let verdict = 'deltas: {
             // A switch naming a connection `spec` does not contain is
             // malformed, not unlucky: refuse it whole, close set untouched.
-            if let Some(&conn) = open_set.iter().find(|&&c| contract(spec, c).is_none()) {
+            if let Some(&conn) = open_set
+                .iter()
+                .find(|&&c| spec.find_connection(c).is_none())
+            {
                 self.stats.refused_switches += 1;
                 break 'deltas Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
             }
@@ -695,7 +690,7 @@ pub(crate) fn canonical_order_of(
         let AdmissionRequest::Open(c) = requests[i] else {
             unreachable!("opens segment holds only opens")
         };
-        match contract(spec, c) {
+        match spec.find_connection(c) {
             Some(known) => (
                 core::cmp::Reverse(aelite_alloc::estimate_slots(spec, c)),
                 known.max_latency_ns,
@@ -854,6 +849,40 @@ mod tests {
                 assert!((0..now.size()).all(|s| now.owner(s) == then.owner(s)));
             }
         }
+    }
+
+    #[test]
+    fn every_id_of_a_restricted_view_is_judged_by_id_not_position() {
+        // Every third connection dropped: past the first gap, position
+        // `id.index()` of the view holds some other connection. Each id
+        // up to two past the bound is admitted or refused on capacity if
+        // the view contains it, and refused as unknown if not.
+        let spec = paper_workload(1);
+        let kept: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|id| id.index() % 3 != 2)
+            .collect();
+        let view = spec.restricted_to_connections(&kept);
+        let mut engine = ChurnEngine::new(&view);
+        let mut alloc = Allocation::empty_for(&view);
+        for i in 0..view.conn_id_bound() as u32 + 2 {
+            let id = ConnId::new(i);
+            let verdict = engine.submit(&view, &mut alloc, AdmissionRequest::Open(id));
+            let unknown = matches!(
+                verdict,
+                Err(AdmissionError {
+                    cause: RefusalCause::UnknownConn,
+                    ..
+                })
+            );
+            assert_eq!(unknown, !kept.contains(&id), "{id}: {verdict:?}");
+            if unknown {
+                assert!(alloc.grant(id).is_none());
+            }
+        }
+        assert!(engine.stats().setups > 0);
     }
 
     #[test]

@@ -117,7 +117,11 @@ impl SystemSpec {
         &self.apps
     }
 
-    /// All connections, indexable by [`ConnId::index`](crate::ids::ConnId).
+    /// All connections, in ascending id order. In a spec built by
+    /// [`SystemSpecBuilder`] position and [`ConnId::index`] coincide; in
+    /// a [`restricted_to`](Self::restricted_to) copy they do not (ids are
+    /// kept, positions close up), so look connections up by id with
+    /// [`find_connection`](Self::find_connection), not by indexing this.
     #[must_use]
     pub fn connections(&self) -> &[Connection] {
         &self.connections
@@ -125,20 +129,33 @@ impl SystemSpec {
 
     /// The connection with id `id`.
     ///
-    /// Connections keep their global ids even in specs produced by
-    /// [`restricted_to`](Self::restricted_to), so this performs a binary
-    /// search by id rather than a positional index.
-    ///
     /// # Panics
     ///
     /// Panics if `id` does not belong to this spec.
     #[must_use]
     pub fn connection(&self, id: ConnId) -> &Connection {
-        let i = self
-            .connections
-            .binary_search_by_key(&id, |c| c.id)
-            .unwrap_or_else(|_| panic!("{id} not in this spec"));
-        &self.connections[i]
+        self.find_connection(id)
+            .unwrap_or_else(|| panic!("{id} not in this spec"))
+    }
+
+    /// The connection with id `id`, or `None` if this spec does not
+    /// contain it (an id past [`conn_id_bound`](Self::conn_id_bound), or
+    /// one a restricted view left out).
+    ///
+    /// O(1) where position and id coincide — every built spec, and the
+    /// prefix of a restricted one — by probing `connections[id.index()]`
+    /// and checking its id; a binary search by id otherwise, since
+    /// connections keep their global ids in
+    /// [`restricted_to`](Self::restricted_to) copies.
+    #[must_use]
+    pub fn find_connection(&self, id: ConnId) -> Option<&Connection> {
+        match self.connections.get(id.index()) {
+            Some(c) if c.id == id => Some(c),
+            _ => {
+                let i = self.connections.binary_search_by_key(&id, |c| c.id).ok()?;
+                Some(&self.connections[i])
+            }
+        }
     }
 
     /// The largest connection id plus one — the size needed for dense
@@ -483,6 +500,47 @@ mod tests {
         // Copies that keep the connection list keep the bound.
         assert_eq!(spec.at_frequency(400).conn_id_bound(), 3);
         assert_eq!(spec.with_link_pipeline_stages(1, 2).conn_id_bound(), 3);
+    }
+
+    #[test]
+    fn find_connection_matches_a_binary_search_on_dense_and_restricted_specs() {
+        let full = crate::generate::paper_workload(3);
+        let odd: Vec<ConnId> = full
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|id| id.index() % 3 != 1)
+            .collect();
+        let restricted = full.restricted_to_connections(&odd);
+        let apps = full.restricted_to(&[AppId::new(1)]);
+        for spec in [&full, &restricted, &apps] {
+            for i in 0..spec.conn_id_bound() as u32 + 2 {
+                let id = ConnId::new(i);
+                let searched = spec
+                    .connections()
+                    .binary_search_by_key(&id, |c| c.id)
+                    .ok()
+                    .map(|p| &spec.connections()[p]);
+                assert_eq!(spec.find_connection(id), searched, "{id}");
+                if let Some(c) = searched {
+                    assert_eq!(spec.connection(id), c);
+                }
+            }
+        }
+        // The restricted views really do move ids off their positions.
+        assert!(restricted
+            .connections()
+            .iter()
+            .enumerate()
+            .any(|(p, c)| c.id.index() != p));
+        assert!(apps.connections()[0].id.index() != 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in this spec")]
+    fn connection_outside_a_restricted_spec_panics() {
+        let spec = tiny_spec().restricted_to(&[AppId::new(1)]);
+        let _ = spec.connection(ConnId::new(0));
     }
 
     #[test]

@@ -1,10 +1,17 @@
-//! Property: `SlotTable` is observationally a plain `slot → owner`
-//! vector. Any interleaving of `reserve` and `release` applied to a
-//! table and to a `Vec<Option<ConnId>>` model must return the same
-//! results op by op and leave both with the same owners, with the
-//! table's free mask, counters and `slots_of` in lock-step — the mask
-//! bookkeeping is an optimisation, never behaviour.
+//! Properties of the slot-table representation.
+//!
+//! `SlotTable` is observationally a plain `slot → owner` vector. Any
+//! interleaving of `reserve` and `release` applied to a table and to a
+//! `Vec<Option<ConnId>>` model must return the same results op by op and
+//! leave both with the same owners, with the table's free mask, counters
+//! and `slots_of` in lock-step — the mask bookkeeping is an optimisation,
+//! never behaviour.
+//!
+//! The allocator's fused path kernel (`SlotMask::intersect_path`) is a
+//! fold of `SlotMask::and_rotated`, which is the slot-by-slot definition —
+//! on inline one-word masks and spilled multi-word ones alike.
 
+use aelite_alloc::mask::SlotMask;
 use aelite_alloc::table::SlotTable;
 use aelite_spec::ids::ConnId;
 use proptest::prelude::*;
@@ -20,8 +27,9 @@ enum Op {
 fn decode(size: u32, raw: &[(u32, u8, u8)]) -> Vec<Op> {
     raw.iter()
         .map(|&(slot, conn, kind)| {
-            // Slots run past the period so the modulo wrap is exercised.
-            let slot = slot % (2 * size);
+            // Slots run to four periods, so both the compare-and-subtract
+            // wrap below twice the size and the division past it run.
+            let slot = slot % (4 * size);
             let conn = ConnId::new(u32::from(conn % 8));
             match kind % 3 {
                 // Bias towards reserve so tables actually fill up.
@@ -89,5 +97,64 @@ proptest! {
             }
         }
         prop_assert_eq!(&table, &rebuilt);
+    }
+}
+
+/// Mask sizes on both sides of every word boundary the storage has.
+const SIZES: [u32; 9] = [1, 7, 31, 32, 63, 64, 65, 128, 190];
+
+/// A mask of `size` slots whose slot `s` is bit `s` of `bits`.
+fn mask_from_bits(size: u32, bits: &[u64; 3]) -> SlotMask {
+    let slots: Vec<u32> = (0..size)
+        .filter(|&s| bits[(s / 64) as usize] >> (s % 64) & 1 == 1)
+        .collect();
+    SlotMask::from_slots(size, &slots)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn fused_path_kernel_is_a_fold_of_and_rotated_is_the_per_slot_definition(
+        size_pick in 0usize..SIZES.len(),
+        // Six draws per link (0 to 8 links): three words, each the OR of
+        // two draws (3/4 density, so intersections over several links
+        // stay non-empty).
+        raw in proptest::collection::vec(0u64..=u64::MAX, 0..=48),
+        step_kind in 0u32..4,
+        k in 0u32..5,
+        raw_step in 0u32..400,
+    ) {
+        let size = SIZES[size_pick];
+        // Shifts of 0, whole multiples of the size, past the size, and
+        // anything.
+        let step = match step_kind {
+            0 => 0,
+            1 => k * size,
+            2 => size + raw_step % size,
+            _ => raw_step,
+        };
+        let path: Vec<SlotMask> = raw
+            .chunks_exact(6)
+            .map(|w| mask_from_bits(size, &[w[0] | w[3], w[1] | w[4], w[2] | w[5]]))
+            .collect();
+
+        let mut fold = SlotMask::new_full(size);
+        for (i, m) in path.iter().enumerate() {
+            fold.and_rotated(m, i as u32 * step);
+        }
+        for s in 0..size {
+            let free_everywhere = path
+                .iter()
+                .enumerate()
+                .all(|(i, m)| m.get((s + i as u32 * step) % size));
+            prop_assert_eq!(fold.get(s), free_everywhere, "size {} step {} slot {}", size, step, s);
+        }
+
+        let mut fused = SlotMask::new_empty(size);
+        fused.intersect_path(&path, step);
+        prop_assert_eq!(&fused, &fold, "size {} step {} links {}", size, step, path.len());
+        prop_assert_eq!(fused.count(), fold.count());
+        prop_assert!(fused.iter_ones().all(|s| s < size));
     }
 }
