@@ -20,9 +20,23 @@
 //!
 //! * the per-cycle dynamic state that actually carries semantics — NI
 //!   slot tables, message queues, end-to-end credits — is lowered into
-//!   flat per-connection state stepped by a slot-synchronous kernel
-//!   (one decision per NI per TDM slot, exactly the instants at which
-//!   the cycle-accurate NI makes them);
+//!   flat per-connection state stepped by a connection-major kernel that
+//!   makes one decision per *owned slot the connection can use*: at a
+//!   slot start it owns, exactly where the cycle-accurate NI decides for
+//!   it, and only when that decision can send or must compute when the
+//!   next one could;
+//! * connection-major order is exact because connections share no
+//!   arbitration state: each TDM slot of a source NI has one owner, and
+//!   each connection has its own queue, credits and credit-return
+//!   schedule (the paper's composability argument). A decision that
+//!   cannot send changes nothing the next one observes, so the kernel
+//!   jumps to the first owned slot at or after the cycle at which one
+//!   could — the queue front's ready cycle or the traffic generator's
+//!   next push when idle, the edge at which enough credit is visible when
+//!   starved — and work is O(flits + wake-ups), not O(NIs × slots). A
+//!   wake is never put past the run's final source edge plus one: a
+//!   message pushed between runs is seen at the first owned slot after
+//!   the previous deadline;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -44,8 +58,9 @@
 //! destination cycle *and* absolute time, which both engines read off
 //! the destination NI's clock and the event-driven sink asserts on every
 //! flit it logs — pinned by
-//! `tests/turbo_golden.rs` on the paper platform and on 4×4/8×8 scaled
-//! meshes in both clocking modes. The event-driven simulator stays the
+//! `tests/turbo_golden.rs` on the paper platform, on 4×4/8×8 scaled
+//! meshes and on 8- and 128-slot tables in both clocking modes. The
+//! event-driven simulator stays the
 //! golden reference; the turbo kernel is what makes simulation cheap
 //! enough for the design-space exploration's `--validate` stage (see
 //! `aelite_dse` and [`DseGrid`]-driven sweeps).
@@ -56,7 +71,7 @@
 //! [`FlitDelivery`]: crate::ni::FlitDelivery
 
 use crate::network::{NetworkKind, CREDIT_RETURN_CYCLES};
-use crate::ni::{delivery_log, message_queue, DeliveryLog, Message, MessageQueue};
+use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitLog, Message, MessageQueue};
 use aelite_alloc::allocate::Allocation;
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
@@ -125,9 +140,9 @@ struct CbrGen {
 impl CbrGen {
     /// Pushes every message the event-driven `CbrSource` would have
     /// pushed at edges up to and including `cycle`.
-    fn advance(&mut self, cycle: u64, queue: &MessageQueue) {
+    fn advance(&mut self, cycle: u64, queue: &mut VecDeque<Message>) {
         while self.next_cycle <= cycle {
-            queue.borrow_mut().push_back(Message {
+            queue.push_back(Message {
                 seq: self.seq,
                 words: self.words_per_message,
                 ready_cycle: self.next_cycle,
@@ -139,14 +154,13 @@ impl CbrGen {
 }
 
 /// Compiled per-connection state in struct-of-arrays layout: the NI-
-/// resident dynamics (queue, credits, packetisation) plus the static
-/// network timing. The slot kernel makes one decision per owned slot
-/// and touches a handful of scalar fields per decision; parallel arrays
-/// keep those scalars densely packed instead of strided across a large
-/// per-connection struct — mega-mesh builds carry 10k–30k connections
-/// (`tests/mega_mesh_golden.rs` runs the 32×32/30k point), where the AoS
-/// layout wasted most of every cache line on the cold queue/log/stats
-/// fields.
+/// resident dynamics (queue, credits, packetisation, slot-table share)
+/// plus the static network timing. The kernel runs one connection at a
+/// time and makes one decision per owned slot the connection can use;
+/// parallel arrays keep the per-connection scalars densely packed
+/// instead of strided across a large per-connection struct — mega-mesh
+/// builds carry 10k–30k connections (`tests/mega_mesh_golden.rs` runs
+/// the 32×32/30k point).
 #[derive(Debug, Default)]
 struct ConnSoa {
     conn: Vec<ConnId>,
@@ -156,6 +170,16 @@ struct ConnSoa {
     /// within the run being simulated.
     log: Vec<DeliveryLog>,
     cbr: Vec<Option<CbrGen>>,
+    /// The source-NI slot-table entries this connection owns, ascending:
+    /// the only slot starts at which it can inject. No two connections of
+    /// one source NI share an entry, so its decisions depend on nothing
+    /// but its own state.
+    slots: Vec<Box<[u32]>>,
+    /// The next undecided cycle: the connection's next decision is at the
+    /// first owned slot start at or after it. Every owned slot start
+    /// before it has been decided or skipped as a decision that could not
+    /// have sent.
+    cursor: Vec<u64>,
     /// Cycles from the injection slot-start to the destination NI
     /// sampling the packet header.
     head_delay: Vec<u64>,
@@ -191,6 +215,7 @@ impl ConnSoa {
         conn: ConnId,
         queue: MessageQueue,
         cbr: Option<CbrGen>,
+        slots: Box<[u32]>,
         head_delay: u64,
         src_phase_fs: u64,
         dst_phase_fs: u64,
@@ -201,6 +226,8 @@ impl ConnSoa {
         self.queue.push(queue);
         self.log.push(delivery_log(conn, dst_phase_fs, period_fs));
         self.cbr.push(cbr);
+        self.slots.push(slots);
+        self.cursor.push(0);
         self.head_delay.push(head_delay);
         self.src_phase_fs.push(src_phase_fs);
         self.dst_phase_fs.push(dst_phase_fs);
@@ -212,28 +239,212 @@ impl ConnSoa {
         self.stats.push(ConnLatency::default());
     }
 
-    /// Logs connection `i`'s flit `d` and counts its latency.
-    fn deliver(&mut self, i: usize, d: PendingDelivery) {
-        self.log[i].borrow_mut().record(d.tag, d.eop_cycle);
-        let latency = d.eop_cycle - d.ready;
+    /// Runs connection `i` to `deadline_fs`: logs the flits earlier runs
+    /// left in flight that land by then, decides every owned slot start
+    /// up to the run's final source edge at which the connection can
+    /// send or must work out when it next could, and settles its traffic
+    /// generator to that edge. The queue and the log are borrowed once.
+    fn run(&mut self, i: usize, t: Timing, deadline_fs: u64) {
+        let mut log = self.log[i].borrow_mut();
         let stats = &mut self.stats[i];
-        stats.flits += 1;
-        stats.min_cycles = stats.min_cycles.min(latency);
-        stats.max_cycles = stats.max_cycles.max(latency);
+        let in_network = &mut self.in_network[i];
+        let dst_phase_fs = self.dst_phase_fs[i];
+
+        // Flits an earlier run left in flight that land by this deadline
+        // are logged first: every flit injected below comes after them.
+        while let Some(&d) = in_network.front() {
+            if dst_phase_fs + d.eop_cycle * t.period_fs > deadline_fs {
+                break;
+            }
+            in_network.pop_front();
+            deliver(&mut log, stats, d);
+        }
+
+        let src_phase_fs = self.src_phase_fs[i];
+        if src_phase_fs > deadline_fs {
+            return;
+        }
+        // The run's final source edge. A wake past it is put at `last + 1`,
+        // so the next run re-decides at the first owned slot after it and
+        // sees whatever was pushed into the queue in between.
+        let last = (deadline_fs - src_phase_fs) / t.period_fs;
+        let mut queue = self.queue[i].borrow_mut();
+        let cbr = &mut self.cbr[i];
+        let slots = &*self.slots[i];
+        let credits = &mut self.credits[i];
+        let credit_sched = &mut self.credit_sched[i];
+        let current_msg = &mut self.current_msg[i];
+        let ready_floor = &mut self.ready_floor[i];
+        let head_delay = self.head_delay[i];
+        let credit_delay_fs = t.period_fs * CREDIT_RETURN_CYCLES;
+        let jump =
+            |wake: Option<u64>| t.next_owned(slots, wake.map_or(last + 1, |w| w.min(last + 1)));
+
+        let mut next = t.next_owned(slots, self.cursor[i]);
+        while let Some(at) = next {
+            let c0 = t.slot_start(slots, at);
+            if c0 > last {
+                self.cursor[i] = c0;
+                break;
+            }
+            let now_fs = src_phase_fs + c0 * t.period_fs;
+
+            // Materialise CBR arrivals up to this edge (the event
+            // engine's CbrSource runs before the NiSource at every edge
+            // of their shared domain).
+            if let Some(g) = cbr {
+                g.advance(c0, &mut queue);
+            }
+
+            // Collect returned credits. The event engine pops at every
+            // edge; popping at decision points is equivalent because
+            // visibility is monotone and credits are only observed here.
+            while let Some(&(at_fs, words)) = credit_sched.front() {
+                if at_fs > now_fs {
+                    break;
+                }
+                credit_sched.pop_front();
+                *credits += i64::from(words);
+            }
+
+            // Fetch the next message if idle.
+            if current_msg.is_none() {
+                if let Some(&m) = queue.front().filter(|m| m.ready_cycle <= c0) {
+                    queue.pop_front();
+                    *current_msg = Some((m, m.words));
+                }
+            }
+
+            // A decision that cannot send changes nothing a later one
+            // observes, so the connection sleeps until one could: idle,
+            // until the queue front is ready or, with the queue empty,
+            // the generator's next push; starved, until the source edge
+            // at which enough credit has come back (otherwise the slot
+            // idles, paper Section IV-A).
+            let Some((msg, remaining)) = *current_msg else {
+                let wake = queue.front().map(|m| m.ready_cycle);
+                next = jump(wake.or(cbr.as_ref().map(|g| g.next_cycle)));
+                continue;
+            };
+            let send_words = remaining.min(t.payload_capacity);
+            let short = i64::from(send_words) - *credits;
+            if short > 0 {
+                next = jump(credit_wake(credit_sched, short, src_phase_fs, t.period_fs));
+                continue;
+            }
+            *credits -= i64::from(send_words);
+            let left = remaining - send_words;
+            *current_msg = if left > 0 { Some((msg, left)) } else { None };
+
+            assert!(
+                !t.mesochronous || send_words == t.payload_capacity,
+                "{}: partial flit on a mesochronous link (the link FSM forwards \
+                 whole flits; the event-driven reference underruns on this too)",
+                self.conn[i]
+            );
+
+            // The flit's network passage is fully static: the EoP word
+            // is sampled `head_delay + send_words` cycles after the slot
+            // start, and each payload word's credit returns one
+            // destination edge after that word lands.
+            let eop_cycle = c0 + head_delay + u64::from(send_words);
+            let flit = PendingDelivery {
+                eop_cycle,
+                tag: crate::ni::flit_base_tag(msg.seq, msg.words, remaining),
+                ready: msg.ready_cycle.max(*ready_floor),
+            };
+            *ready_floor = c0 + t.slot_cycles;
+            // A connection's EoP cycles rise strictly in injection order
+            // (slot starts are `slot_cycles` apart and a flit is shorter
+            // than a slot), so a flit landing within the run with nothing
+            // ahead of it in flight is logged now.
+            if in_network.is_empty() && dst_phase_fs + eop_cycle * t.period_fs <= deadline_fs {
+                deliver(&mut log, stats, flit);
+            } else {
+                in_network.push_back(flit);
+            }
+            for k in 1..=u64::from(send_words) {
+                let drain_edge = c0 + head_delay + k + 1;
+                credit_sched
+                    .push_back((dst_phase_fs + drain_edge * t.period_fs + credit_delay_fs, 1));
+            }
+            next = Some(t.following(slots, at));
+        }
+
+        // Settle CBR arrivals to this run's final source edge, so the
+        // shared queue handle holds exactly what the event engine's would.
+        if let Some(g) = cbr {
+            g.advance(last, &mut queue);
+        }
     }
 }
 
-/// Compiled source NI: its slot-owner table (indices into the global
-/// connection vector) and its private slot cursor. Each NI advances
-/// independently — their edges fall on different instants, so one run's
-/// deadline can cut between them, and a shared cursor would skip the
-/// slower NIs' boundary slots on resumed runs.
-#[derive(Debug)]
-struct SrcNi {
-    phase_fs: u64,
-    slot_owner: Vec<Option<u32>>,
-    /// The next slot-start cycle this NI will decide.
-    next_slot_cycle: u64,
+/// Logs flit `d` and counts its latency.
+fn deliver(log: &mut FlitLog, stats: &mut ConnLatency, d: PendingDelivery) {
+    log.record(d.tag, d.eop_cycle);
+    let latency = d.eop_cycle - d.ready;
+    stats.flits += 1;
+    stats.min_cycles = stats.min_cycles.min(latency);
+    stats.max_cycles = stats.max_cycles.max(latency);
+}
+
+/// The first source edge at which the returns scheduled in `sched`
+/// (chronological `(visible-at fs, words)`) cover a shortfall of `short`
+/// words, or `None` if they never do.
+fn credit_wake(
+    sched: &VecDeque<(u64, u32)>,
+    short: i64,
+    src_phase_fs: u64,
+    period_fs: u64,
+) -> Option<u64> {
+    let mut covered = 0;
+    sched.iter().find_map(|&(at_fs, words)| {
+        covered += i64::from(words);
+        (covered >= short).then(|| (at_fs - src_phase_fs).div_ceil(period_fs))
+    })
+}
+
+/// The network constants the kernel's slot arithmetic runs on.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    period_fs: u64,
+    slot_cycles: u64,
+    table_size: u64,
+    payload_capacity: u32,
+    mesochronous: bool,
+}
+
+impl Timing {
+    /// The first start of an owned slot at or after `cycle`, as
+    /// `(table revolution, index into slots)` — `None` for a connection
+    /// that owns no slot, which never injects.
+    fn next_owned(self, slots: &[u32], cycle: u64) -> Option<(u64, usize)> {
+        if slots.is_empty() {
+            return None;
+        }
+        let n = cycle.div_ceil(self.slot_cycles);
+        let (rev, pos) = (n / self.table_size, n % self.table_size);
+        let j = slots.partition_point(|&s| u64::from(s) < pos);
+        Some(if j < slots.len() {
+            (rev, j)
+        } else {
+            (rev + 1, 0)
+        })
+    }
+
+    /// The owned slot after `at`.
+    fn following(self, slots: &[u32], (rev, j): (u64, usize)) -> (u64, usize) {
+        if j + 1 < slots.len() {
+            (rev, j + 1)
+        } else {
+            (rev + 1, 0)
+        }
+    }
+
+    /// The start cycle of owned slot `at`.
+    fn slot_start(self, slots: &[u32], (rev, j): (u64, usize)) -> u64 {
+        (rev * self.table_size + u64::from(slots[j])) * self.slot_cycles
+    }
 }
 
 /// A compiled cycle-accurate network. Build with [`build_turbo`]; drive
@@ -247,15 +458,10 @@ pub struct TurboNet {
     pub logs: Vec<(ConnId, DeliveryLog)>,
     /// Nominal clock of the NoC.
     pub frequency: Frequency,
-    period_fs: u64,
-    slot_cycles: u64,
-    table_size: u64,
-    payload_capacity: u32,
-    mesochronous: bool,
+    timing: Timing,
     conns: ConnSoa,
     /// `ConnId::index() -> index into `conns``.
     conn_index: Vec<u32>,
-    src_nis: Vec<SrcNi>,
     /// The largest deadline (in cycles) simulated so far.
     horizon_cycles: u64,
 }
@@ -267,148 +473,16 @@ impl TurboNet {
     /// so repeated calls with increasing totals behave identically.
     pub fn run_cycles(&mut self, cycles: u64) {
         let deadline_fs = self
+            .timing
             .period_fs
             .checked_mul(cycles)
             .expect("deadline overflows femtoseconds");
         self.horizon_cycles = self.horizon_cycles.max(cycles);
-        let TurboNet {
-            period_fs,
-            slot_cycles,
-            table_size,
-            payload_capacity,
-            mesochronous,
-            conns,
-            src_nis,
-            ..
-        } = self;
-        let (period_fs, slot_cycles, table_size) = (*period_fs, *slot_cycles, *table_size);
-        let (payload_capacity, mesochronous) = (*payload_capacity, *mesochronous);
-
-        // Flits an earlier run left in flight that land by this deadline
-        // are logged first: every flit injected below comes after them.
-        for i in 0..conns.len() {
-            let dst_phase_fs = conns.dst_phase_fs[i];
-            while let Some(&d) = conns.in_network[i].front() {
-                if dst_phase_fs + d.eop_cycle * period_fs > deadline_fs {
-                    break;
-                }
-                conns.in_network[i].pop_front();
-                conns.deliver(i, d);
-            }
-        }
-
-        // Slot loop: one decision per source NI per TDM slot — exactly
-        // the instants at which the cycle-accurate NiSource can act.
-        // NI-major order is equivalent to the event engine's time-major
-        // order because source NIs share no state.
-        for ni in src_nis.iter_mut() {
-            while ni.phase_fs + ni.next_slot_cycle * period_fs <= deadline_fs {
-                let c0 = ni.next_slot_cycle;
-                ni.next_slot_cycle += slot_cycles;
-                let slot = ((c0 / slot_cycles) % table_size) as usize;
-                let Some(owner) = ni.slot_owner[slot] else {
-                    continue;
-                };
-                let i = owner as usize;
-                let now_fs = ni.phase_fs + c0 * period_fs;
-
-                // Materialise CBR arrivals up to this edge (the event
-                // engine's CbrSource runs before the NiSource at every
-                // edge of their shared domain).
-                if let Some(cbr) = &mut conns.cbr[i] {
-                    cbr.advance(c0, &conns.queue[i]);
-                }
-
-                // Collect returned credits. The event engine pops at
-                // every edge; popping at decision points is equivalent
-                // because visibility is monotone and credits are only
-                // observed here.
-                while let Some(&(at, words)) = conns.credit_sched[i].front() {
-                    if at > now_fs {
-                        break;
-                    }
-                    conns.credit_sched[i].pop_front();
-                    conns.credits[i] += i64::from(words);
-                }
-
-                // Fetch the next message if idle.
-                if conns.current_msg[i].is_none() {
-                    let msg = conns.queue[i]
-                        .borrow_mut()
-                        .front()
-                        .copied()
-                        .filter(|m| m.ready_cycle <= c0);
-                    if let Some(m) = msg {
-                        conns.queue[i].borrow_mut().pop_front();
-                        conns.current_msg[i] = Some((m, m.words));
-                    }
-                }
-                let Some((msg, remaining)) = conns.current_msg[i] else {
-                    continue;
-                };
-
-                // Flow control: only send what the destination can
-                // absorb; otherwise the slot idles (paper Section IV-A).
-                let send_words = remaining.min(payload_capacity);
-                if i64::from(send_words) > conns.credits[i] {
-                    continue;
-                }
-                conns.credits[i] -= i64::from(send_words);
-                let left = remaining - send_words;
-                conns.current_msg[i] = if left > 0 { Some((msg, left)) } else { None };
-
-                assert!(
-                    !mesochronous || send_words == payload_capacity,
-                    "{}: partial flit on a mesochronous link (the link FSM forwards \
-                     whole flits; the event-driven reference underruns on this too)",
-                    conns.conn[i]
-                );
-
-                // The flit's network passage is fully static: the EoP
-                // word is sampled `head_delay + send_words` cycles after
-                // the slot start, and each payload word's credit returns
-                // one destination edge after that word lands.
-                let head_delay = conns.head_delay[i];
-                let dst_phase_fs = conns.dst_phase_fs[i];
-                let eop_cycle = c0 + head_delay + u64::from(send_words);
-                let flit = PendingDelivery {
-                    eop_cycle,
-                    tag: crate::ni::flit_base_tag(msg.seq, msg.words, remaining),
-                    ready: msg.ready_cycle.max(conns.ready_floor[i]),
-                };
-                conns.ready_floor[i] = c0 + slot_cycles;
-                // A connection's EoP cycles rise strictly in injection
-                // order (slot starts are `slot_cycles` apart and a flit
-                // is shorter than a slot), so a flit landing within the
-                // run with nothing ahead of it in flight is logged now.
-                if conns.in_network[i].is_empty()
-                    && dst_phase_fs + eop_cycle * period_fs <= deadline_fs
-                {
-                    conns.deliver(i, flit);
-                } else {
-                    conns.in_network[i].push_back(flit);
-                }
-                let credit_delay_fs = period_fs * CREDIT_RETURN_CYCLES;
-                for k in 1..=u64::from(send_words) {
-                    let drain_edge = c0 + head_delay + k + 1;
-                    conns.credit_sched[i]
-                        .push_back((dst_phase_fs + drain_edge * period_fs + credit_delay_fs, 1));
-                }
-            }
-        }
-
-        for i in 0..conns.len() {
-            // Settle CBR arrivals to this run's final source edge, so
-            // the shared queue handles hold exactly what the event
-            // engine's queues would.
-            if let Some(cbr) = &mut conns.cbr[i] {
-                if conns.src_phase_fs[i] <= deadline_fs {
-                    cbr.advance(
-                        (deadline_fs - conns.src_phase_fs[i]) / period_fs,
-                        &conns.queue[i],
-                    );
-                }
-            }
+        // Connection by connection, each over its own owned slots: the
+        // event engine's time-major order gives the same result because
+        // connections share no state.
+        for i in 0..self.conns.len() {
+            self.conns.run(i, self.timing, deadline_fs);
         }
     }
 
@@ -543,12 +617,10 @@ pub fn build_turbo(
     let mut conns = ConnSoa::default();
     let mut conn_index: Vec<u32> = vec![u32::MAX; spec.conn_id_bound()];
     let mut queues: Vec<(ConnId, MessageQueue)> = Vec::new();
-    let mut src_nis: Vec<SrcNi> = Vec::new();
+    // The source NI's slot table: which entries its connections claimed.
+    let mut claimed = vec![false; cfg.slot_table_size as usize];
     for ni in topo.nis() {
-        if by_src[ni.index()].is_empty() {
-            continue;
-        }
-        let mut slot_owner = vec![None; cfg.slot_table_size as usize];
+        claimed.fill(false);
         for &ci in &by_src[ni.index()] {
             let c = &spec.connections()[ci];
             let grant = alloc
@@ -587,16 +659,16 @@ pub fn build_turbo(
                     "slot {s} out of range for {}",
                     c.id
                 );
-                assert!(
-                    slot_owner[s as usize].is_none(),
-                    "slot {s} claimed twice on one NI"
-                );
-                slot_owner[s as usize] = Some(idx);
+                assert!(!claimed[s as usize], "slot {s} claimed twice on one NI");
+                claimed[s as usize] = true;
             }
+            // Ascending and non-empty: validation computed the grant's
+            // latency bound over them, which refuses anything else.
             conns.push(
                 c.id,
                 queue,
                 cbr,
+                grant.inject_slots.clone().into_boxed_slice(),
                 head_delay,
                 ni_phase[ni.index()],
                 ni_phase[spec.ip_ni(c.dst).index()],
@@ -604,11 +676,6 @@ pub fn build_turbo(
                 i64::from(cfg.ni_buffer_words),
             );
         }
-        src_nis.push(SrcNi {
-            phase_fs: ni_phase[ni.index()],
-            slot_owner,
-            next_slot_cycle: 0,
-        });
     }
 
     // Destination-side log handles, in `build_network`'s order
@@ -626,14 +693,15 @@ pub fn build_turbo(
         queues,
         logs,
         frequency: f,
-        period_fs,
-        slot_cycles,
-        table_size: u64::from(cfg.slot_table_size),
-        payload_capacity,
-        mesochronous,
+        timing: Timing {
+            period_fs,
+            slot_cycles,
+            table_size: u64::from(cfg.slot_table_size),
+            payload_capacity,
+            mesochronous,
+        },
         conns,
         conn_index,
-        src_nis,
         horizon_cycles: 0,
     }
 }
@@ -649,17 +717,43 @@ mod tests {
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::Bandwidth;
 
-    fn two_ni_spec(stages: u32) -> SystemSpec {
+    /// Two NIs on a 2×1 mesh under `cfg`, with one connection each way
+    /// carrying `mbps[0]` and `mbps[1]` MB/s within `latency_ns`.
+    fn two_ni_spec_on(cfg: NocConfig, mbps: [u64; 2], latency_ns: u64) -> SystemSpec {
         let topo = Topology::mesh(2, 1, 1);
-        let mut cfg = NocConfig::paper_default();
-        cfg.link_pipeline_stages = stages;
         let mut b = SystemSpecBuilder::new(topo, cfg);
         let app = b.add_app("a");
         let s = b.add_ip_at(NiId::new(0));
         let d = b.add_ip_at(NiId::new(1));
-        b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(100), 800);
-        b.add_connection(app, d, s, Bandwidth::from_mbytes_per_sec(60), 800);
+        b.add_connection(
+            app,
+            s,
+            d,
+            Bandwidth::from_mbytes_per_sec(mbps[0]),
+            latency_ns,
+        );
+        b.add_connection(
+            app,
+            d,
+            s,
+            Bandwidth::from_mbytes_per_sec(mbps[1]),
+            latency_ns,
+        );
         b.build()
+    }
+
+    fn two_ni_spec(stages: u32) -> SystemSpec {
+        let mut cfg = NocConfig::paper_default();
+        cfg.link_pipeline_stages = stages;
+        two_ni_spec_on(cfg, [100, 60], 800)
+    }
+
+    /// The paper configuration on an 8-slot table.
+    fn eight_slot_config(stages: u32) -> NocConfig {
+        let mut cfg = NocConfig::paper_default();
+        cfg.link_pipeline_stages = stages;
+        cfg.slot_table_size = 8;
+        cfg
     }
 
     fn assert_logs_identical(
@@ -809,16 +903,16 @@ mod tests {
     /// inject between source and destination NI, in a buffer that never
     /// held more than that.
     fn assert_in_flight_bounded(turbo: &TurboNet, cycles: u64) {
-        let deadline_fs = turbo.period_fs * cycles;
+        let deadline_fs = turbo.timing.period_fs * cycles;
         let conns = &turbo.conns;
         for i in 0..conns.len() {
             let in_flight = &conns.in_network[i];
-            let bound = (conns.head_delay[i] + u64::from(turbo.payload_capacity))
-                .div_ceil(turbo.slot_cycles)
+            let bound = (conns.head_delay[i] + u64::from(turbo.timing.payload_capacity))
+                .div_ceil(turbo.timing.slot_cycles)
                 + 1;
             for d in in_flight {
                 assert!(
-                    conns.dst_phase_fs[i] + d.eop_cycle * turbo.period_fs > deadline_fs,
+                    conns.dst_phase_fs[i] + d.eop_cycle * turbo.timing.period_fs > deadline_fs,
                     "{}: cycle {} is within the run to {cycles} but still in flight",
                     conns.conn[i],
                     d.eop_cycle
@@ -939,5 +1033,300 @@ mod tests {
         let spec = two_ni_spec(1);
         let alloc = allocate(&spec).unwrap();
         let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, false);
+    }
+
+    #[test]
+    fn owned_slot_search_wraps_across_revolutions() {
+        let t = Timing {
+            period_fs: 2_000_000,
+            slot_cycles: 3,
+            table_size: 8,
+            payload_capacity: 2,
+            mesochronous: false,
+        };
+        let slots = [0, 7];
+        let start = |cycle| {
+            t.next_owned(&slots, cycle)
+                .map(|at| t.slot_start(&slots, at))
+        };
+        assert_eq!(start(0), Some(0));
+        assert_eq!(start(1), Some(21));
+        assert_eq!(start(21), Some(21));
+        assert_eq!(start(22), Some(24));
+        assert_eq!(start(24 * 5 + 1), Some(24 * 5 + 21));
+        let at = t.next_owned(&slots, 22).unwrap();
+        assert_eq!(t.slot_start(&slots, t.following(&slots, at)), 45);
+        assert_eq!(t.slot_start(&[3], t.following(&[3], (2, 0))), 24 * 3 + 9);
+        // A grant always owns a slot (validation computes its latency
+        // bound over them), but an empty list is a connection that never
+        // injects, not a panic.
+        assert_eq!(t.next_owned(&[], 5), None);
+    }
+
+    /// A two-NI platform whose destination buffers hold one flit
+    /// (`ni_buffer_words == flit_words`): after every 2-word flit a
+    /// connection waits for credit. `c0` owns most of an 8-slot table, so
+    /// the edge at which its credit returns is often a slot start it
+    /// owns.
+    fn credit_starved_spec(stages: u32) -> SystemSpec {
+        let mut cfg = eight_slot_config(stages);
+        cfg.ni_buffer_words = cfg.flit_words;
+        two_ni_spec_on(cfg, [1000, 300], 4000)
+    }
+
+    /// Runs an event and a turbo build of `spec` to each of `deadlines`
+    /// in turn, first pushing `feed(deadline, conn)` into both engines'
+    /// queue of every connection; after every run, each queue and each
+    /// delivery log must be identical, and `after(deadline, &turbo)` is
+    /// called. Returns the turbo build.
+    fn step_against_event(
+        spec: &SystemSpec,
+        kind: NetworkKind,
+        with_traffic: bool,
+        deadlines: &[u64],
+        feed: impl Fn(u64, ConnId) -> Vec<Message>,
+        mut after: impl FnMut(u64, &TurboNet),
+    ) -> TurboNet {
+        let alloc = allocate(spec).unwrap();
+        let mut event = build_network(spec, &alloc, kind, with_traffic);
+        let mut turbo = build_turbo(spec, &alloc, kind, with_traffic);
+        for &deadline in deadlines {
+            for c in spec.connections() {
+                for m in feed(deadline, c.id) {
+                    event.queue(c.id).borrow_mut().push_back(m);
+                    turbo.queue(c.id).borrow_mut().push_back(m);
+                }
+            }
+            event.run_cycles(deadline);
+            turbo.run_cycles(deadline);
+            for c in spec.connections() {
+                assert_eq!(
+                    *event.queue(c.id).borrow(),
+                    *turbo.queue(c.id).borrow(),
+                    "{}: queues diverge after the run to {deadline}",
+                    c.id
+                );
+                assert_eq!(
+                    *event.log(c.id).borrow(),
+                    *turbo.log(c.id).borrow(),
+                    "{}: delivery logs diverge after the run to {deadline}",
+                    c.id
+                );
+            }
+            after(deadline, &turbo);
+        }
+        turbo
+    }
+
+    /// Whether `conn` holds a message it lacked the credit to send at its
+    /// last decision.
+    fn starved(turbo: &TurboNet, conn: ConnId) -> bool {
+        let i = turbo.index_of(conn);
+        turbo.conns.current_msg[i].is_some_and(|(_, remaining)| {
+            i64::from(remaining.min(turbo.timing.payload_capacity)) > turbo.conns.credits[i]
+        })
+    }
+
+    /// Thirty back-to-back messages per connection, all ready at cycle 0;
+    /// whole flits only on mesochronous links.
+    fn back_to_back(mesochronous: bool) -> Vec<Message> {
+        (0..30)
+            .map(|seq| Message {
+                seq,
+                words: if mesochronous {
+                    2 + 2 * (seq % 3)
+                } else {
+                    1 + seq % 5
+                },
+                ready_cycle: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn credit_starved_connections_wake_on_the_edge_their_credit_returns() {
+        // Every deadline from 1 to 400 cuts the run once per cycle, so
+        // runs end inside credit waits, on the edge a credit becomes
+        // visible and on the slot start it is used at.
+        let deadlines: Vec<u64> = (1..=400).chain([700, 4_000]).collect();
+        for (stages, kind) in [
+            (0, NetworkKind::Synchronous),
+            (1, NetworkKind::Mesochronous { phase_seed: 3 }),
+            (1, NetworkKind::Mesochronous { phase_seed: 8 }),
+        ] {
+            let spec = credit_starved_spec(stages);
+            let meso = stages == 1;
+            let feed = |d, _| {
+                if d == 1 {
+                    back_to_back(meso)
+                } else {
+                    Vec::new()
+                }
+            };
+            let mut starved_cuts = 0;
+            let stepped = step_against_event(&spec, kind, false, &deadlines, feed, |_, turbo| {
+                starved_cuts += spec
+                    .connections()
+                    .iter()
+                    .filter(|c| starved(turbo, c.id))
+                    .count();
+            });
+            assert!(
+                starved_cuts > 50,
+                "{kind:?}: only {starved_cuts} cuts in a credit wait"
+            );
+
+            let alloc = allocate(&spec).unwrap();
+            let mut oneshot = build_turbo(&spec, &alloc, kind, false);
+            for c in spec.connections() {
+                oneshot.queue(c.id).borrow_mut().extend(back_to_back(meso));
+            }
+            oneshot.run_cycles(4_000);
+            let flits: u32 = back_to_back(meso).iter().map(|m| m.words.div_ceil(2)).sum();
+            for c in spec.connections() {
+                assert_eq!(stepped.log(c.id).borrow().len(), flits as usize);
+                assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
+                assert_eq!(oneshot.latency(c.id), stepped.latency(c.id));
+            }
+        }
+    }
+
+    #[test]
+    fn manual_messages_are_sent_when_ready_and_when_pushed_after_an_idle_run() {
+        // Ten messages ready in the future are pushed before the first
+        // run; every connection is idle with an empty queue after the run
+        // to 2 000, and after it messages already ready (cycle 0, the
+        // last deadline) and others ready later are pushed between runs.
+        let spec = two_ni_spec(0);
+        let deadlines = [100, 400, 2_000, 2_001, 2_700, 3_400, 3_401, 4_500, 6_500];
+        let feed = |d: u64, c: ConnId| {
+            let msg = |seq, ready_cycle| Message {
+                seq,
+                words: 1 + seq % 4,
+                ready_cycle,
+            };
+            match d {
+                100 => (0..10).map(|k| msg(k, 150 + 97 * u64::from(k))).collect(),
+                2_001 => vec![msg(10, 0), msg(11, 2_000)],
+                2_700 => vec![msg(12, 2_650 + 7 * c.index() as u64)],
+                3_401 => vec![msg(13, 3_400), msg(14, 4_000), msg(15, 3_500)],
+                _ => Vec::new(),
+            }
+        };
+        let idle = |d, turbo: &TurboNet| {
+            if d == 2_000 {
+                for c in spec.connections() {
+                    assert!(turbo.queue(c.id).borrow().is_empty());
+                    assert!(turbo.conns.current_msg[turbo.index_of(c.id)].is_none());
+                }
+            }
+        };
+        let turbo = step_against_event(
+            &spec,
+            NetworkKind::Synchronous,
+            false,
+            &deadlines,
+            feed,
+            idle,
+        );
+        for c in spec.connections() {
+            assert_eq!(
+                turbo.log(c.id).borrow().iter().map(|d| d.tag >> 8).max(),
+                Some(15),
+                "{}: not every message was sent",
+                c.id
+            );
+        }
+
+        // Messages whose ready cycle lies past the deadline they are
+        // pushed after leave a one-shot run unchanged.
+        let mut oneshot = build_turbo(
+            &spec,
+            &allocate(&spec).unwrap(),
+            NetworkKind::Synchronous,
+            false,
+        );
+        for c in spec.connections() {
+            for d in [100, 2_700] {
+                oneshot.queue(c.id).borrow_mut().extend(feed(d, c.id));
+            }
+        }
+        oneshot.run_cycles(6_500);
+        let mut stepped = build_turbo(
+            &spec,
+            &allocate(&spec).unwrap(),
+            NetworkKind::Synchronous,
+            false,
+        );
+        for d in [100, 400, 2_000, 2_600, 2_700, 6_500] {
+            for c in spec.connections() {
+                stepped.queue(c.id).borrow_mut().extend(feed(d, c.id));
+            }
+            stepped.run_cycles(d);
+        }
+        for c in spec.connections() {
+            assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
+        }
+    }
+
+    #[test]
+    fn a_message_pushed_between_cbr_pushes_is_sent_at_the_next_owned_slot() {
+        // One slot in 8 (a slot start every 24 cycles) for a 10 MB/s
+        // contract: a 16-byte message every 800 cycles, so most runs end
+        // idle with the generator's next push many owned slots ahead. A
+        // message offered by hand in between must not wait for it.
+        for (stages, kind) in [
+            (0, NetworkKind::Synchronous),
+            (1, NetworkKind::Mesochronous { phase_seed: 5 }),
+        ] {
+            let spec = two_ni_spec_on(eight_slot_config(stages), [10, 10], 4000);
+            let deadlines: Vec<u64> = (1..=60).map(|k| k * 53).collect();
+            let feed = |d: u64, _| {
+                if d.is_multiple_of(5) {
+                    vec![Message {
+                        seq: 1_000 + (d / 53) as u32,
+                        words: 2,
+                        ready_cycle: d - 53,
+                    }]
+                } else {
+                    Vec::new()
+                }
+            };
+            let mut idle_cuts = 0;
+            step_against_event(&spec, kind, true, &deadlines, feed, |_, turbo| {
+                let conns = &turbo.conns;
+                idle_cuts += (0..conns.len())
+                    .filter(|&i| {
+                        conns.queue[i].borrow().is_empty()
+                            && conns.current_msg[i].is_none()
+                            && conns.cbr[i].unwrap().next_cycle > conns.cursor[i]
+                    })
+                    .count();
+            });
+            assert!(idle_cuts > 50, "{kind:?}: only {idle_cuts} idle cuts");
+        }
+    }
+
+    #[test]
+    fn stepped_runs_leave_every_queue_as_the_event_engine_does() {
+        // The generator is settled lazily to each run's final source edge;
+        // what a caller reads from the queue handles between runs must be
+        // exactly the event engine's queue, pending messages included.
+        let sync = aelite_spec::generate::paper_workload(42);
+        let meso = sync.with_link_pipeline_stages(1, 1);
+        let deadlines = [1, 2, 3, 50, 333, 334, 1_000, 1_777, 2_500, 3_000];
+        for (spec, kind) in [
+            (&sync, NetworkKind::Synchronous),
+            (&meso, NetworkKind::Mesochronous { phase_seed: 7 }),
+        ] {
+            let stepped =
+                step_against_event(spec, kind, true, &deadlines, |_, _| Vec::new(), |_, _| {});
+            let mut oneshot = build_turbo(spec, &allocate(spec).unwrap(), kind, true);
+            oneshot.run_cycles(3_000);
+            for c in spec.connections() {
+                assert_eq!(*oneshot.queue(c.id).borrow(), *stepped.queue(c.id).borrow());
+                assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
+            }
+        }
     }
 }

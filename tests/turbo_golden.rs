@@ -1,8 +1,8 @@
 //! Golden equivalence: the compiled turbo kernel must reproduce the
 //! event-driven cycle-accurate simulator **bit for bit** — every
 //! `FlitDelivery` record (connection, tag, destination cycle, absolute
-//! time) identical — on the paper platform and on scaled meshes, in
-//! both clocking organisations.
+//! time) identical — on the paper platform, on scaled meshes and on
+//! 8- and 128-slot tables, in both clocking organisations.
 //!
 //! Neither engine stores a flit's absolute time: a delivery log keeps
 //! its connection and the destination NI's clock once, and derives each
@@ -20,7 +20,7 @@ use aelite_alloc::allocate;
 use aelite_noc::network::{build_network, NetworkKind};
 use aelite_noc::turbo::build_turbo;
 use aelite_spec::app::SystemSpec;
-use aelite_spec::generate::{paper_workload, scaled_workload};
+use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder};
 
 /// Runs both engines with CBR traffic for `cycles` and asserts every
 /// connection's delivery log identical; returns total flits compared.
@@ -39,6 +39,96 @@ fn assert_golden(spec: &SystemSpec, kind: NetworkKind, cycles: u64) -> u64 {
     }
     assert!(flits > 0, "nothing delivered in {cycles} cycles");
     flits
+}
+
+/// Runs the event engine once and the turbo kernel both in one run and
+/// in steps of `step` cycles to `cycles`, after checking that the
+/// allocation has every owned-slot shape whose next-slot search wraps
+/// across table revolutions: a connection owning a single slot, one
+/// owning slot 0 and one owning the last slot. All three logs of every
+/// connection must be identical.
+fn assert_golden_wrapping(spec: &SystemSpec, kind: NetworkKind, cycles: u64, step: u64) {
+    let alloc = allocate(spec).expect("workload allocates");
+    let size = spec.config().slot_table_size;
+    let slots: Vec<&[u32]> = spec
+        .connections()
+        .iter()
+        .map(|c| alloc.grant(c.id).expect("granted").inject_slots.as_slice())
+        .collect();
+    assert!(
+        slots.iter().any(|s| s.len() == 1),
+        "no single-slot connection"
+    );
+    assert!(slots.iter().any(|s| s.contains(&0)), "nobody owns slot 0");
+    assert!(
+        slots.iter().any(|s| s.contains(&(size - 1))),
+        "nobody owns slot {}",
+        size - 1
+    );
+
+    let mut event = build_network(spec, &alloc, kind, true);
+    let mut oneshot = build_turbo(spec, &alloc, kind, true);
+    let mut stepped = build_turbo(spec, &alloc, kind, true);
+    event.run_cycles(cycles);
+    oneshot.run_cycles(cycles);
+    for deadline in (1..cycles / step).map(|k| k * step).chain([cycles]) {
+        stepped.run_cycles(deadline);
+    }
+    let mut flits = 0;
+    for c in spec.connections() {
+        let ev = event.log(c.id).borrow();
+        assert_eq!(
+            *ev,
+            *oneshot.log(c.id).borrow(),
+            "{}: delivery logs diverge",
+            c.id
+        );
+        assert_eq!(
+            *ev,
+            *stepped.log(c.id).borrow(),
+            "{}: stepped logs diverge",
+            c.id
+        );
+        flits += ev.len();
+    }
+    assert!(flits > 1_000, "only {flits} flits in {cycles} cycles");
+}
+
+#[test]
+fn eight_slot_tables_golden() {
+    // One slot per connection; a slot start every 24 cycles.
+    let sync = WorkloadBuilder::mesh(3, 3, 2)
+        .slot_table_size(8)
+        .connections(40)
+        .build();
+    assert_golden_wrapping(&sync, NetworkKind::Synchronous, 6_000, 37);
+    let meso = sync.with_link_pipeline_stages(1, 2);
+    assert_golden_wrapping(
+        &meso,
+        NetworkKind::Mesochronous { phase_seed: 13 },
+        6_000,
+        37,
+    );
+}
+
+#[test]
+fn one_hundred_twenty_eight_slot_tables_golden() {
+    // 1-6 slots per connection out of 128: a revolution is 384 cycles,
+    // and the relaxed mega-mesh deadlines let one slot meet them.
+    let sync = WorkloadBuilder::mesh(3, 3, 2)
+        .mega_traffic()
+        .connections(60)
+        .bandwidth_mb(5, 60)
+        .slot_table_size(128)
+        .build();
+    assert_golden_wrapping(&sync, NetworkKind::Synchronous, 20_000, 571);
+    let meso = sync.with_link_pipeline_stages(1, 2);
+    assert_golden_wrapping(
+        &meso,
+        NetworkKind::Mesochronous { phase_seed: 29 },
+        20_000,
+        571,
+    );
 }
 
 #[test]
