@@ -20,7 +20,6 @@ fn main() {
     let opts = SimOptions {
         duration_cycles: DURATION,
         record_timestamps: true,
-        ..SimOptions::default()
     };
 
     // Full-system reference timelines.

@@ -11,7 +11,7 @@ use aelite_alloc::validate::{validate, Violation};
 use aelite_analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
 use aelite_analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_noc::flitsim::{FlitSim, FlitSimConfig, TrafficReport};
-use aelite_online::{AdmissionError, ChurnEngine};
+use aelite_online::{AdmissionError, AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{AppId, ConnId};
 use aelite_spec::traffic::Bandwidth;
@@ -53,6 +53,10 @@ impl From<AllocError> for DesignError {
     }
 }
 
+/// Accepted throughput shortfall fraction for CBR sources in
+/// [`AeliteSystem::simulate`]'s service verdicts.
+const THROUGHPUT_TOLERANCE: f64 = 0.05;
+
 /// Options for a guaranteed-service simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimOptions {
@@ -60,8 +64,6 @@ pub struct SimOptions {
     pub duration_cycles: u64,
     /// Record per-flit delivery timelines (needed for composability).
     pub record_timestamps: bool,
-    /// Accepted throughput shortfall fraction for CBR sources.
-    pub throughput_tolerance: f64,
 }
 
 impl Default for SimOptions {
@@ -69,7 +71,6 @@ impl Default for SimOptions {
         SimOptions {
             duration_cycles: 300_000,
             record_timestamps: false,
-            throughput_tolerance: 0.05,
         }
     }
 }
@@ -184,7 +185,6 @@ impl AeliteSystem {
         let report = FlitSim::new(spec, &self.allocation).run(FlitSimConfig {
             duration_cycles: opts.duration_cycles,
             record_timestamps: opts.record_timestamps,
-            ..FlitSimConfig::default()
         });
         let measured = measured_services(&report);
         let service = verify_service(
@@ -192,7 +192,7 @@ impl AeliteSystem {
             Some(&self.allocation),
             &measured,
             opts.duration_cycles,
-            opts.throughput_tolerance,
+            THROUGHPUT_TOLERANCE,
         );
         SimulationOutcome { report, service }
     }
@@ -222,12 +222,12 @@ impl AeliteSystem {
     }
 
     /// Reconfigures the live system to `new_spec` as one use-case switch
-    /// ([`ChurnEngine::switch`]): connections that disappeared are
-    /// released, new ones admitted hardest-first into the freed
-    /// resources, and — the undisrupted-QoS property of the Æthereal flow
-    /// the paper builds on (\[16\]) — **every kept connection's grant is
-    /// left untouched**, so its timing is bit-identical across the
-    /// reconfiguration.
+    /// ([`AdmissionRequest::Switch`] through [`ChurnEngine::submit`]):
+    /// connections that disappeared are released, new ones admitted
+    /// hardest-first into the freed resources, and — the undisrupted-QoS
+    /// property of the Æthereal flow the paper builds on (\[16\]) —
+    /// **every kept connection's grant is left untouched**, so its timing
+    /// is bit-identical across the reconfiguration.
     ///
     /// Connection ids must be stable across specs: a connection present
     /// in both is "kept" and must have the same endpoints and contract.
@@ -262,8 +262,12 @@ impl AeliteSystem {
         let released: Vec<ConnId> = old_ids.difference(&new_ids).copied().collect();
         let added: Vec<ConnId> = new_ids.difference(&old_ids).copied().collect();
         let mut next = self.allocation.clone();
+        let switch = AdmissionRequest::Switch {
+            close: released.clone(),
+            open: added.clone(),
+        };
         ChurnEngine::new(&new_spec)
-            .switch(&new_spec, &mut next, &released, &added)
+            .submit(&new_spec, &mut next, switch)
             .map_err(DesignError::Admission)?;
         validate(&new_spec, &next).map_err(DesignError::Validation)?;
         self.spec = new_spec;
@@ -419,7 +423,6 @@ mod tests {
         let opts = SimOptions {
             duration_cycles: 30_000,
             record_timestamps: true,
-            ..SimOptions::default()
         };
         let kept_apps = [AppId::new(0), AppId::new(1), AppId::new(3)];
         let before = system.simulate_apps(&kept_apps, opts);

@@ -20,7 +20,7 @@ use crate::engine::design;
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
 use aelite_alloc::{Allocator, RouteCache};
-use aelite_online::ChurnEngine;
+use aelite_online::{AdmissionRequest, ChurnEngine};
 use aelite_spec::churn::{churn_trace, ChurnParams};
 use core::fmt;
 use std::time::Instant;
@@ -98,10 +98,11 @@ pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
     let mut engine = ChurnEngine::new(&spec);
     let mut routes = RouteCache::new(spec.topology(), Allocator::new().max_paths);
     let (mut alloc, _) = design(&spec, &mut routes);
-    let pool: Vec<_> = alloc.grants().map(|g| g.conn).collect();
-    for c in pool {
-        engine.close(&mut alloc, c);
-    }
+    let drain: Vec<_> = alloc
+        .grants()
+        .map(|g| AdmissionRequest::Close(g.conn))
+        .collect();
+    engine.submit_batch(&spec, &mut alloc, &drain, &mut Vec::new());
 
     let trace = churn_trace(&spec, &ChurnParams::steady(events), point.seed());
     let before = *engine.stats();

@@ -12,6 +12,7 @@
 //! cross-crate integration tests: for identical scenarios, delivery
 //! cycles agree exactly.
 
+use crate::network::CREDIT_RETURN_CYCLES;
 use aelite_alloc::allocate::Allocation;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
@@ -26,9 +27,6 @@ pub struct FlitSimConfig {
     /// Record every delivery cycle per connection (needed for the
     /// composability equality check; costs memory).
     pub record_timestamps: bool,
-    /// Cycles between a flit's delivery and its credits reaching the
-    /// source NI (models Æthereal's piggybacked credit return).
-    pub credit_return_cycles: u64,
 }
 
 impl Default for FlitSimConfig {
@@ -36,7 +34,6 @@ impl Default for FlitSimConfig {
         FlitSimConfig {
             duration_cycles: 300_000,
             record_timestamps: false,
-            credit_return_cycles: crate::network::CREDIT_RETURN_CYCLES,
         }
     }
 }
@@ -319,7 +316,7 @@ impl<'a> FlitSim<'a> {
                     st.stats.timestamps.push(delivered);
                 }
                 st.credit_returns
-                    .push_back((delivered + cfg.credit_return_cycles, send));
+                    .push_back((delivered + CREDIT_RETURN_CYCLES, send));
             }
         }
 
@@ -450,7 +447,6 @@ mod tests {
         let cfg = FlitSimConfig {
             duration_cycles: 60_000,
             record_timestamps: true,
-            ..FlitSimConfig::default()
         };
         let full = FlitSim::new(&spec, &alloc).run(cfg);
         let only0 = spec.restricted_to(&[aelite_spec::ids::AppId::new(0)]);

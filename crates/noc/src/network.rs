@@ -104,11 +104,9 @@ impl CycleNet {
     }
 }
 
-/// Cycles a credit takes from the destination NI back to the source;
-/// also the default of [`FlitSimConfig::credit_return_cycles`], so the
-/// two simulators agree exactly.
-///
-/// [`FlitSimConfig::credit_return_cycles`]: crate::flitsim::FlitSimConfig
+/// Cycles a credit takes from the destination NI back to the source
+/// (Æthereal's piggybacked credit return); every simulator reads this
+/// one constant, so they agree exactly.
 pub const CREDIT_RETURN_CYCLES: u64 = 24;
 
 /// The CBR traffic-generator parameters derived from a connection's

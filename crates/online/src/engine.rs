@@ -1,9 +1,9 @@
 //! The churn engine: streaming connection admission over a live
-//! allocation, one unified [`submit`](ChurnEngine::submit) entry point,
-//! a batched admission round for independent request bursts, and one
-//! [`apply`](ChurnEngine::apply) for churn and faults alike (the
-//! recovery ladder is the engine's second `impl` block, in
-//! [`fault`](crate::fault)).
+//! allocation. Requests enter only through [`submit`](ChurnEngine::submit)
+//! or, as a batched admission round for independent bursts,
+//! [`submit_batch`](ChurnEngine::submit_batch); scenario ops, churn and
+//! faults alike, only through [`apply`](ChurnEngine::apply) (the recovery
+//! ladder is the engine's second `impl` block, in [`fault`](crate::fault)).
 
 use crate::api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
 use crate::fault::FaultState;
@@ -153,10 +153,11 @@ impl ChurnStats {
 /// open/close loop allocation-free.
 ///
 /// Every request is one [`AdmissionRequest`] serviced by
-/// [`submit`](Self::submit); [`open`](Self::open), [`close`](Self::close)
-/// and [`switch`](Self::switch) are thin wrappers over the same path, and
-/// [`submit_batch`](Self::submit_batch) applies a burst of independent
-/// requests as one admission round in a canonical order.
+/// [`submit`](Self::submit), and [`submit_batch`](Self::submit_batch)
+/// applies a burst of independent requests as one admission round in a
+/// canonical order. These, [`apply`](Self::apply) and
+/// [`apply_event`](Self::apply_event) are the only ways in, so every
+/// check they make covers every request and every fault.
 ///
 /// All specs passed to an engine must describe the same platform
 /// (topology and NoC config) it was created for; restricted use-case
@@ -276,8 +277,8 @@ impl ChurnEngine {
     ///
     /// # Errors
     ///
-    /// [`RefusalCause::UnknownConn`] if `conn` holds no grant; otherwise
-    /// the refusal of the final break-then-make attempt.
+    /// [`RefusalCause::UnknownConn`] if `conn` holds no grant (no counter
+    /// moves); otherwise the refusal of the final break-then-make attempt.
     ///
     /// # Panics
     ///
@@ -289,7 +290,7 @@ impl ChurnEngine {
         conn: ConnId,
     ) -> Result<RerouteOutcome, AdmissionError> {
         let Some(old) = alloc.detach_grant(conn) else {
-            self.stats.refused_closes += 1;
+            // No close was requested: nothing to book.
             return Err(self.refusal(conn, RefusalCause::UnknownConn, 0));
         };
         let round = self.allocator.begin_round(spec, alloc, &self.routes);
@@ -350,10 +351,11 @@ impl ChurnEngine {
     /// churn or fault, returning whether it was applied in full. A churn
     /// op is serviced as by [`submit`](Self::submit): `false` for a
     /// refused open or switch, `true` for a close of a closed connection
-    /// (the requested state holds). A fault op runs its event handler
-    /// ([`link_down`](Self::link_down) and kin) and returns `true`, or
-    /// `false`, changing nothing, if it names a link or router outside
-    /// `spec`'s topology.
+    /// (the requested state holds). A fault op runs the recovery ladder
+    /// (see [`fault`](crate::fault)) and returns `true`, or `false`,
+    /// changing nothing, if it names a link or router outside `spec`'s
+    /// topology. What an event did is the
+    /// [`delta`](ChurnStats::delta) of [`stats`](Self::stats) across it.
     ///
     /// # Panics
     ///
@@ -492,6 +494,9 @@ impl ChurnEngine {
             .map_err(RefusalCause::from)
     }
 
+    /// Sets up `conn`, leaving every existing grant untouched. O(Δ):
+    /// bitset kernels over the candidate paths' slot words, no
+    /// allocation in steady state.
     fn open_in_round(
         &mut self,
         round: &AdmissionRound,
@@ -512,6 +517,9 @@ impl ChurnEngine {
         }
     }
 
+    /// Tears down `conn`, freeing exactly its own `slots × links` table
+    /// entries (word-level free-mask deltas, no table rescans) and
+    /// recycling the grant's buffers for a later setup.
     fn close_one(&mut self, alloc: &mut Allocation, conn: ConnId) -> Verdict {
         // A close settles `conn` whether or not it held a grant.
         self.settle(alloc, core::slice::from_ref(&conn));
@@ -528,6 +536,9 @@ impl ChurnEngine {
         }
     }
 
+    /// Applies a use-case switch as one delta: tears down `close_set`,
+    /// then admits `open_set` hardest-first. On a refusal the opens this
+    /// switch made are closed again and the close set stays closed.
     fn switch_in_round(
         &mut self,
         round: &AdmissionRound,
@@ -585,70 +596,6 @@ impl ChurnEngine {
         };
         self.settle(alloc, close_set);
         verdict
-    }
-
-    /// Sets up `conn`: routes it and reserves TDM slots in `alloc`,
-    /// leaving every existing grant untouched. A thin wrapper over
-    /// [`submit`](Self::submit) with [`AdmissionRequest::Open`]. O(Δ):
-    /// bitset kernels over the candidate paths' slot words, no
-    /// allocation in steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`AdmissionError`] if no candidate path can satisfy
-    /// the connection's contract or it already holds a grant; `alloc` is
-    /// unchanged in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`submit`](Self::submit).
-    pub fn open(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        conn: ConnId,
-    ) -> Result<(), AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &self.routes);
-        self.open_in_round(&round, spec, alloc, conn)
-    }
-
-    /// Tears down `conn`, freeing exactly its own `slots × links` table
-    /// entries (word-level free-mask deltas, no table rescans) and
-    /// recycling the grant's buffers for a later setup. A thin wrapper
-    /// over the [`AdmissionRequest::Close`] path of
-    /// [`submit`](Self::submit); returns `false` if the connection held
-    /// no grant (reported in [`ChurnStats::refused_closes`]).
-    pub fn close(&mut self, alloc: &mut Allocation, conn: ConnId) -> bool {
-        self.close_one(alloc, conn).is_ok()
-    }
-
-    /// Applies a use-case switch as one delta: tears down `close_set`,
-    /// then admits `open_set` hardest-first. A thin wrapper over the
-    /// [`AdmissionRequest::Switch`] path of [`submit`](Self::submit)
-    /// taking slices, so callers with long-lived sets avoid building a
-    /// request value. Connections in neither set keep their grants
-    /// bit-for-bit — the undisturbed-service property is structural,
-    /// whether the switch succeeds or fails.
-    ///
-    /// # Errors
-    ///
-    /// If some connection of `open_set` cannot be admitted, every
-    /// connection this switch had already opened is closed again and the
-    /// [`AdmissionError`] reports the refusal cause and rollback count;
-    /// the close set remains closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`submit`](Self::submit).
-    pub fn switch(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        close_set: &[ConnId],
-        open_set: &[ConnId],
-    ) -> Result<AdmissionResponse, AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &self.routes);
-        self.switch_in_round(&round, spec, alloc, close_set, open_set)
     }
 }
 
@@ -719,6 +666,15 @@ mod tests {
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::Bandwidth;
     use aelite_spec::NocConfig;
+    use AdmissionRequest::{Close, Open};
+
+    /// A switch request over two id slices.
+    fn switch(close: &[ConnId], open: &[ConnId]) -> AdmissionRequest {
+        AdmissionRequest::Switch {
+            close: close.to_vec(),
+            open: open.to_vec(),
+        }
+    }
 
     #[test]
     fn open_close_roundtrip_keeps_allocation_valid() {
@@ -726,8 +682,10 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
         for c in spec.connections().iter().take(20) {
-            assert!(engine.close(&mut alloc, c.id));
-            engine.open(&spec, &mut alloc, c.id).expect("re-admits");
+            assert!(engine.submit(&spec, &mut alloc, Close(c.id)).is_ok());
+            engine
+                .submit(&spec, &mut alloc, Open(c.id))
+                .expect("re-admits");
         }
         assert_eq!(engine.stats().ops(), 40);
         assert_eq!(engine.stats().refusals(), 0);
@@ -786,7 +744,7 @@ mod tests {
         assert!(err.to_string().contains("already holds a grant"));
 
         // Close of a closed connection.
-        assert!(engine.close(&mut alloc, c));
+        assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
         let err = engine
             .submit(&spec, &mut alloc, AdmissionRequest::Close(c))
             .expect_err("already closed");
@@ -891,10 +849,34 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
         let c = spec.connections()[5].id;
-        assert!(engine.close(&mut alloc, c));
-        assert!(!engine.close(&mut alloc, c), "second close is a no-op");
+        assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
+        assert!(
+            engine.submit(&spec, &mut alloc, Close(c)).is_err(),
+            "second close is a no-op"
+        );
         assert_eq!(engine.stats().teardowns, 1);
         assert_eq!(engine.stats().refused_closes, 1);
+    }
+
+    #[test]
+    fn reroute_of_an_ungranted_connection_is_refused_and_books_nothing() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let mut engine = ChurnEngine::new(&spec);
+        let c = spec.connections()[5].id;
+        assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
+        let (before, snapshot) = (*engine.stats(), alloc.clone());
+
+        let err = engine
+            .reroute(&spec, &mut alloc, c)
+            .expect_err("nothing to re-route");
+        assert_eq!((err.conn, err.cause), (c, RefusalCause::UnknownConn));
+        // No close was requested, so no close was refused.
+        assert_eq!(engine.stats().delta(&before), ChurnStats::default());
+        assert!(alloc.grants().eq(snapshot.grants()));
+        for l in spec.topology().links() {
+            assert_eq!(alloc.link_table(l), snapshot.link_table(l), "table of {l}");
+        }
     }
 
     #[test]
@@ -915,7 +897,7 @@ mod tests {
         let open: Vec<_> = spec.app_connections(AppId::new(3)).map(|c| c.id).collect();
 
         let resp = engine
-            .switch(&spec, &mut alloc, &close, &open)
+            .submit(&spec, &mut alloc, switch(&close, &open))
             .expect("the paper workload's use cases co-exist");
         assert_eq!(
             resp,
@@ -965,7 +947,7 @@ mod tests {
         let mut engine = ChurnEngine::new(&spec);
 
         let err = engine
-            .switch(&spec, &mut alloc, &[], &[h1, h2])
+            .submit(&spec, &mut alloc, switch(&[], &[h1, h2]))
             .expect_err("two 800 MB/s flows cannot share one link with a resident");
         assert_eq!(err.rolled_back, 1, "first admission succeeded, then undone");
         assert!(
@@ -988,7 +970,7 @@ mod tests {
         let before = alloc.clone();
         let mut engine = ChurnEngine::new(&spec);
         let conn = spec.connections()[0].id;
-        assert!(engine.close(&mut alloc, conn));
+        assert!(engine.submit(&spec, &mut alloc, Close(conn)).is_ok());
         assert!(alloc.grant(conn).is_none());
         // Every table entry the grant held is free, every other entry
         // still has the owner it had.
@@ -999,7 +981,10 @@ mod tests {
                 assert_eq!(now.owner(slot), expected, "slot {slot} of {l}");
             }
         }
-        assert!(!engine.close(&mut alloc, conn), "second close is a no-op");
+        assert!(
+            engine.submit(&spec, &mut alloc, Close(conn)).is_err(),
+            "second close is a no-op"
+        );
         assert!(alloc
             .grants()
             .eq(before.grants().filter(|g| g.conn != conn)));
@@ -1018,7 +1003,7 @@ mod tests {
 
         let mut engine = ChurnEngine::new(&base);
         engine
-            .open(&spec2, &mut alloc, ids[1])
+            .submit(&spec2, &mut alloc, Open(ids[1]))
             .expect("capacity available");
         assert_eq!(alloc.grant(ids[0]), Some(&before), "existing grant moved");
         assert!(alloc.grant(ids[1]).is_some());
@@ -1032,11 +1017,13 @@ mod tests {
         let (spec, ids) = one_link_spec(&[1_200, 400]);
         let mut alloc = Allocation::empty_for(&spec);
         let mut engine = ChurnEngine::new(&spec);
-        engine.open(&spec, &mut alloc, ids[0]).expect("fits alone");
+        engine
+            .submit(&spec, &mut alloc, Open(ids[0]))
+            .expect("fits alone");
         let before = alloc.clone();
 
         let err = engine
-            .open(&spec, &mut alloc, ids[1])
+            .submit(&spec, &mut alloc, Open(ids[1]))
             .expect_err("the link is full");
         assert_eq!((err.conn, err.rolled_back), (ids[1], 0));
         assert!(
@@ -1068,7 +1055,7 @@ mod tests {
         // Equal contracts tie on everything but the id, so admission
         // order is id order: `held` is refused before `fresh` is tried.
         let err = engine
-            .switch(&spec, &mut alloc, &[leaving], &[fresh, held])
+            .submit(&spec, &mut alloc, switch(&[leaving], &[fresh, held]))
             .expect_err("held is already open");
         assert_eq!((err.conn, err.cause), (held, RefusalCause::AlreadyOpen));
         assert_eq!(alloc.grant(held), Some(&held_grant), "held grant touched");
@@ -1078,7 +1065,7 @@ mod tests {
         // Named twice in one open set, the second open finds the first:
         // the rollback undoes exactly that one admission.
         let err = engine
-            .switch(&spec, &mut alloc, &[held], &[fresh, held, held])
+            .submit(&spec, &mut alloc, switch(&[held], &[fresh, held, held]))
             .expect_err("the second open of held finds the first");
         assert_eq!((err.cause, err.rolled_back), (RefusalCause::AlreadyOpen, 1));
         assert_eq!(alloc.grants().count(), 0, "closed, re-opened, rolled back");
@@ -1172,7 +1159,7 @@ mod tests {
         let mut prep = allocate(&spec).unwrap();
         let warm = |engine: &mut ChurnEngine, alloc: &mut Allocation| {
             for &c in &ids[..10] {
-                assert!(engine.close(alloc, c));
+                assert!(engine.submit(&spec, alloc, Close(c)).is_ok());
             }
         };
         warm(&mut engine_a, &mut prep);

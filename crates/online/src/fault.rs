@@ -27,13 +27,15 @@
 //!    connection is dropped with
 //!    [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown) (or a
 //!    capacity cause) and parked as *displaced*; when a repair event
-//!    restores routability ([`link_up`](ChurnEngine::link_up) /
-//!    [`router_up`](ChurnEngine::router_up)), displaced connections are
-//!    re-homed.
+//!    restores routability ([`FaultOp::LinkUp`] / [`FaultOp::RouterUp`]),
+//!    displaced connections are re-homed.
 //!
-//! Each event yields a [`RecoveryReport`], accumulated in the engine's
-//! [`ChurnStats`]. Bystander grants are never touched on any rung —
-//! undisturbed service under failure is structural, not best-effort.
+//! Every rung is booked once, in the engine's [`ChurnStats`]; what one
+//! event did is the [`delta`](ChurnStats::delta) of
+//! [`stats`](ChurnEngine::stats) across it. A fault op naming a link or
+//! router outside the platform is refused before any of this runs.
+//! Bystander grants are never touched on any rung — undisturbed service
+//! under failure is structural, not best-effort.
 //!
 //! # Transient faults
 //!
@@ -60,32 +62,6 @@ use aelite_spec::fault::{FaultOp, ScenarioEvent};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
 use aelite_spec::topology::{Endpoint, Topology};
 use aelite_spec::SystemSpec;
-
-/// What one fault or repair event did to the live connections.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Grants whose route traversed a newly failed link.
-    pub affected: u32,
-    /// Affected connections re-routed with the old reservations still
-    /// held — capacity handed over as one delta.
-    pub make_before_break: u32,
-    /// Affected connections re-routed only after their old slots were
-    /// released (the replacement reuses them).
-    pub break_then_make: u32,
-    /// Affected connections with no admissible fault-free path: dropped
-    /// and parked as displaced.
-    pub dropped: u32,
-    /// Previously displaced connections re-homed by this repair event.
-    pub restored: u32,
-}
-
-impl RecoveryReport {
-    /// Affected connections that kept service through the event.
-    #[must_use]
-    pub fn survived(&self) -> u32 {
-        self.make_before_break + self.break_then_make
-    }
-}
 
 /// The links adjacent to `router` — router-router links on either side
 /// and the NI links of its concentrated NIs.
@@ -165,9 +141,11 @@ impl ChurnEngine {
         }
     }
 
-    /// The fault side of [`apply`](Self::apply): `false`, and nothing
-    /// touched, when `fault` names a link or router outside `spec`'s
-    /// topology; otherwise runs its event handler and returns `true`.
+    /// The fault side of [`apply`](Self::apply), and the only way a fault
+    /// reaches the recovery ladder: `false`, and nothing touched, when
+    /// `fault` names a link or router outside `spec`'s topology;
+    /// otherwise runs its event handler and returns `true`. A router
+    /// event takes every adjacent link together, in **one** sweep.
     pub(crate) fn apply_fault(
         &mut self,
         spec: &SystemSpec,
@@ -177,91 +155,29 @@ impl ChurnEngine {
         let topo = spec.topology();
         let link = |l: LinkId| l.index() < topo.link_count();
         let router = |r: RouterId| r.index() < topo.router_count();
+        let one = core::iter::once;
         match *fault {
-            FaultOp::LinkDown(l) if link(l) => self.link_down(spec, alloc, l),
-            FaultOp::LinkUp(l) if link(l) => self.link_up(spec, alloc, l),
-            FaultOp::RouterDown(r) if router(r) => self.router_down(spec, alloc, r),
-            FaultOp::RouterUp(r) if router(r) => self.router_up(spec, alloc, r),
+            FaultOp::LinkDown(l) if link(l) => {
+                self.links_down(spec, alloc, one(l), |s| &mut s.link_downs);
+            }
+            FaultOp::LinkUp(l) if link(l) => {
+                self.links_up(spec, alloc, one(l), |s| &mut s.link_ups);
+            }
+            FaultOp::RouterDown(r) if router(r) => {
+                let links = router_links(topo, r);
+                self.links_down(spec, alloc, links, |s| &mut s.router_downs);
+            }
+            FaultOp::RouterUp(r) if router(r) => {
+                let links = router_links(topo, r);
+                self.links_up(spec, alloc, links, |s| &mut s.router_ups);
+            }
             FaultOp::LinkGlitch {
                 link: l,
                 duration_ns,
-            } if link(l) => self.link_glitch(spec, alloc, l, duration_ns),
+            } if link(l) => self.glitch(spec, alloc, l, duration_ns),
             _ => return false,
-        };
+        }
         true
-    }
-
-    /// Services one link failure: masks `link`, then walks every grant
-    /// routed over it down the recovery ladder (make-before-break,
-    /// break-then-make, drop-and-park), hardest connection first. A
-    /// repeat failure of an already-down link is a no-op; a permanent
-    /// failure of a *glitched* link escalates it (the glitch will not
-    /// self-clear any more, and if it was sub-threshold its grants are
-    /// displaced now).
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`], or if
-    /// `link` is not a link of `spec`'s topology
-    /// ([`apply`](Self::apply) refuses such an op instead).
-    pub fn link_down(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        link: LinkId,
-    ) -> RecoveryReport {
-        self.links_down(spec, alloc, core::iter::once(link), |s| &mut s.link_downs)
-    }
-
-    /// Services one link repair: unmasks `link` (clearing any glitch on
-    /// it) and re-homes displaced connections that now fit. A repair of
-    /// a link that is not down is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
-    pub fn link_up(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        link: LinkId,
-    ) -> RecoveryReport {
-        self.links_up(spec, alloc, core::iter::once(link), |s| &mut s.link_ups)
-    }
-
-    /// Services a whole-router failure: every adjacent link still up
-    /// goes down together, then **one** recovery sweep re-routes the
-    /// grants touching any of them. A router whose links are all
-    /// already down is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
-    pub fn router_down(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        router: RouterId,
-    ) -> RecoveryReport {
-        let links = router_links(spec.topology(), router);
-        self.links_down(spec, alloc, links, |s| &mut s.router_downs)
-    }
-
-    /// Services a whole-router repair: every adjacent link currently
-    /// down comes back up together, then displaced connections are
-    /// re-homed. A router with no adjacent down link is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`].
-    pub fn router_up(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        router: RouterId,
-    ) -> RecoveryReport {
-        let links = router_links(spec.topology(), router);
-        self.links_up(spec, alloc, links, |s| &mut s.router_ups)
     }
 
     /// Services one transient glitch: `link` is down for `duration_ns`
@@ -272,24 +188,18 @@ impl ChurnEngine {
     /// admissions over the link refuse, standing grants keep their
     /// slots, zero connections are displaced and every slot table is
     /// bit-for-bit unchanged. At or past the threshold the glitch
-    /// *escalates* — the recovery ladder runs exactly as for
-    /// [`link_down`](Self::link_down), and the expiry restores capacity
-    /// like a repair. A glitch on an already (permanently) down link is
-    /// a no-op; a glitch on an already-glitched link extends the expiry
+    /// *escalates* — the recovery ladder runs exactly as for a
+    /// [`FaultOp::LinkDown`], and the expiry restores capacity like a
+    /// repair. A glitch on an already (permanently) down link is a
+    /// no-op; a glitch on an already-glitched link extends the expiry
     /// and may escalate it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`ChurnEngine::submit`], or if an
-    /// escalating glitch names a link `spec` lacks (as in
-    /// [`link_down`](Self::link_down)).
-    pub fn link_glitch(
+    fn glitch(
         &mut self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         link: LinkId,
         duration_ns: u64,
-    ) -> RecoveryReport {
+    ) {
         let expires_ns = self.faults.now_ns.saturating_add(duration_ns);
         let escalates = duration_ns >= DEFAULT_PERSISTENCE_NS;
         if let Some(g) = self.faults.glitches.iter_mut().find(|g| g.link == link) {
@@ -300,13 +210,13 @@ impl ChurnEngine {
                 g.escalated = true;
                 self.faults.enforced.set_down(link);
                 self.stats.escalated += 1;
-                return self.recover(spec, alloc, &[link]);
+                self.recover(spec, alloc, &[link]);
             }
-            return RecoveryReport::default();
+            return;
         }
         if self.faults.enforced.is_down(link) {
             // Permanently down already; a glitch adds nothing.
-            return RecoveryReport::default();
+            return;
         }
         self.stats.glitches += 1;
         self.write_mask(|mask| mask.set_down(link));
@@ -315,34 +225,27 @@ impl ChurnEngine {
             link,
             escalated: escalates,
         });
-        if !escalates {
-            // Mask-only: admission filtering sees the glitch, nothing
-            // else moves.
-            return RecoveryReport::default();
+        if escalates {
+            self.faults.enforced.set_down(link);
+            self.stats.escalated += 1;
+            self.recover(spec, alloc, &[link]);
         }
-        self.faults.enforced.set_down(link);
-        self.stats.escalated += 1;
-        self.recover(spec, alloc, &[link])
+        // Otherwise mask-only: admission filtering sees the glitch,
+        // nothing else moves.
     }
 
     /// Advances the engine's clock to `t_ns`: glitches expiring at or
     /// before `t_ns` self-clear in deterministic `(expiry, link)` order
     /// — sub-threshold glitches just leave the mask; escalated ones
-    /// restore capacity like a repair. Returns the accumulated report; a
-    /// clock that does not move (`t_ns <= now`) is a no-op.
+    /// restore capacity like a repair. A clock that does not move
+    /// (`t_ns <= now`) is a no-op.
     ///
     /// # Panics
     ///
     /// Panics on platform mismatch, as [`ChurnEngine::submit`].
-    pub fn advance_to(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        t_ns: u64,
-    ) -> RecoveryReport {
-        let mut total = RecoveryReport::default();
+    pub fn advance_to(&mut self, spec: &SystemSpec, alloc: &mut Allocation, t_ns: u64) {
         if t_ns <= self.faults.now_ns {
-            return total;
+            return;
         }
         while let Some(i) = self
             .faults
@@ -359,11 +262,10 @@ impl ChurnEngine {
             // The sub-threshold lifecycle touches only the mask.
             if g.escalated {
                 self.faults.enforced.set_up(g.link);
-                total.restored += self.rehome(spec, alloc).restored;
+                self.rehome(spec, alloc);
             }
         }
         self.faults.now_ns = t_ns;
-        total
     }
 
     /// Applies one *timestamped* scenario event: advances the clock to
@@ -391,18 +293,19 @@ impl ChurnEngine {
         Some(self.faults.glitches.remove(i))
     }
 
-    /// The failure event behind [`link_down`](Self::link_down) and
-    /// [`router_down`](Self::router_down), which differ only in the
-    /// counter `events` picks: a permanent failure subsumes any glitch
-    /// on a link and enforces one that was only glitch-masked so far;
-    /// the links newly taken down share **one** recovery sweep.
+    /// A link or router failure, which differ only in the counter
+    /// `events` picks: a permanent failure subsumes any glitch on a link
+    /// and enforces one that was only glitch-masked so far (a
+    /// sub-threshold glitch's grants are displaced now); the links newly
+    /// taken down share **one** recovery sweep. Links already down are
+    /// skipped, so a repeat failure is a no-op.
     fn links_down(
         &mut self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         links: impl Iterator<Item = LinkId>,
         events: fn(&mut ChurnStats) -> &mut u64,
-    ) -> RecoveryReport {
+    ) {
         let mut newly_down = Vec::new();
         for l in links {
             self.cancel_glitch(l);
@@ -411,24 +314,22 @@ impl ChurnEngine {
                 newly_down.push(l);
             }
         }
-        if newly_down.is_empty() {
-            return RecoveryReport::default();
+        if !newly_down.is_empty() {
+            *events(&mut self.stats) += 1;
+            self.recover(spec, alloc, &newly_down);
         }
-        *events(&mut self.stats) += 1;
-        self.recover(spec, alloc, &newly_down)
     }
 
-    /// The repair event behind [`link_up`](Self::link_up) and
-    /// [`router_up`](Self::router_up): every link leaves both masks
-    /// (clearing any glitch on it), then the displaced ledger is
-    /// re-homed.
+    /// A link or router repair: every link leaves both masks (clearing
+    /// any glitch on it), then the displaced ledger is re-homed. A repair
+    /// of links none of which is down is a no-op.
     fn links_up(
         &mut self,
         spec: &SystemSpec,
         alloc: &mut Allocation,
         links: impl Iterator<Item = LinkId>,
         events: fn(&mut ChurnStats) -> &mut u64,
-    ) -> RecoveryReport {
+    ) {
         let mut repaired = false;
         for l in links {
             let had_glitch = self.cancel_glitch(l).is_some();
@@ -436,23 +337,17 @@ impl ChurnEngine {
             let was_masked = self.write_mask(|mask| mask.set_up(l));
             repaired |= was_masked || was_enforced || had_glitch;
         }
-        if !repaired {
-            return RecoveryReport::default();
+        if repaired {
+            *events(&mut self.stats) += 1;
+            self.rehome(spec, alloc);
         }
-        *events(&mut self.stats) += 1;
-        self.rehome(spec, alloc)
     }
 
     /// The failure-side sweep under the grown mask: collects the grants
     /// routed over any of `newly_down` — the owners in those links' own
     /// slot tables, so the sweep reads what failed, not every grant —
     /// and walks them down the recovery ladder hardest-first.
-    fn recover(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        newly_down: &[LinkId],
-    ) -> RecoveryReport {
+    fn recover(&mut self, spec: &SystemSpec, alloc: &mut Allocation, newly_down: &[LinkId]) {
         let order = &mut self.faults.affected;
         order.clear();
         for &l in newly_down {
@@ -469,27 +364,18 @@ impl ChurnEngine {
             "slot-table owners out of step with the grants' link lists"
         );
         admission_order(spec, order);
-        let mut report = RecoveryReport {
-            affected: order.len() as u32,
-            ..RecoveryReport::default()
-        };
+        self.stats.affected += order.len() as u64;
         for i in 0..self.faults.affected.len() {
             let conn = self.faults.affected[i];
             match self.reroute(spec, alloc, conn) {
-                Ok(RerouteOutcome::MakeBeforeBreak) => report.make_before_break += 1,
-                Ok(RerouteOutcome::BreakThenMake) => report.break_then_make += 1,
+                Ok(RerouteOutcome::MakeBeforeBreak) => self.stats.make_before_break += 1,
+                Ok(RerouteOutcome::BreakThenMake) => self.stats.break_then_make += 1,
                 Err(_) => {
-                    report.dropped += 1;
+                    self.stats.dropped += 1;
                     self.faults.displaced.push(conn);
                 }
             }
         }
-        let s = &mut self.stats;
-        s.affected += u64::from(report.affected);
-        s.make_before_break += u64::from(report.make_before_break);
-        s.break_then_make += u64::from(report.break_then_make);
-        s.dropped += u64::from(report.dropped);
-        report
     }
 
     /// The repair-side sweep under the shrunk mask: re-homes the
@@ -499,10 +385,9 @@ impl ChurnEngine {
     /// batch admission. Connections that still do not fit stay parked
     /// for the next repair; one still severed costs a single salt pass
     /// over resident routes (the mask install re-enumerated nothing).
-    fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) -> RecoveryReport {
-        let mut report = RecoveryReport::default();
+    fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) {
         if self.faults.displaced.is_empty() {
-            return report;
+            return;
         }
         // Out of the engine while the round runs, so the ledger is
         // settled once here rather than after every request of it.
@@ -513,11 +398,9 @@ impl ChurnEngine {
             .collect();
         let mut verdicts = Vec::new();
         self.submit_batch(spec, alloc, &requests, &mut verdicts);
-        report.restored = verdicts.iter().filter(|v| v.is_ok()).count() as u32;
+        self.stats.restored += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
         displaced.retain(|&c| alloc.grant(c).is_none());
         self.faults.displaced = displaced;
-        self.stats.restored += u64::from(report.restored);
-        report
     }
 }
 
@@ -529,6 +412,19 @@ pub(crate) mod tests {
     use aelite_spec::generate::paper_workload;
     use aelite_spec::{churn_trace, ChurnOp, ChurnParams};
 
+    /// Applies `op` (which must name a link or router of `spec`) and
+    /// returns what it did: the engine's stats delta across it.
+    fn fault(
+        engine: &mut ChurnEngine,
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        op: FaultOp,
+    ) -> ChurnStats {
+        let before = *engine.stats();
+        assert!(engine.apply(spec, alloc, &ScenarioOp::Fault(op)), "{op:?}");
+        engine.stats().delta(&before)
+    }
+
     /// No grant's route may traverse a down link — the core invariant.
     fn assert_no_grant_over_down_link(alloc: &Allocation, mask: &FaultMask) {
         for g in alloc.grants() {
@@ -539,8 +435,8 @@ pub(crate) mod tests {
     }
 
     /// The most-loaded link of `alloc` and how many grants traverse it.
-    fn most_loaded_link(spec: &SystemSpec, alloc: &Allocation) -> (LinkId, u32) {
-        let mut load = vec![0u32; spec.topology().link_count()];
+    fn most_loaded_link(spec: &SystemSpec, alloc: &Allocation) -> (LinkId, u64) {
+        let mut load = vec![0u64; spec.topology().link_count()];
         for l in alloc.grants().flat_map(|g| &g.links) {
             load[l.index()] += 1;
         }
@@ -562,7 +458,8 @@ pub(crate) mod tests {
             .filter(|g| !g.links.contains(&victim))
             .map(|g| (*g).clone())
             .collect();
-        let report = engine.link_down(&spec, &mut alloc, victim);
+        let down = FaultOp::LinkDown(victim);
+        let report = fault(&mut engine, &spec, &mut alloc, down);
         assert_eq!(report.affected, count);
         assert_eq!(report.survived() + report.dropped, report.affected);
         assert_no_grant_over_down_link(&alloc, engine.mask());
@@ -572,8 +469,8 @@ pub(crate) mod tests {
         }
         // Repeat failure is a no-op.
         assert_eq!(
-            engine.link_down(&spec, &mut alloc, victim),
-            RecoveryReport::default()
+            fault(&mut engine, &spec, &mut alloc, down),
+            ChurnStats::default()
         );
         assert_eq!(engine.stats().link_downs, 1);
         let open: Vec<_> = alloc.grants().map(|g| g.conn).collect();
@@ -587,7 +484,7 @@ pub(crate) mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
 
-        let report = engine.link_down(&spec, &mut alloc, ingress);
+        let report = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkDown(ingress));
         assert_eq!(report.affected, 1);
         assert_eq!(report.dropped, 1);
         assert_eq!(report.survived(), 0);
@@ -596,7 +493,7 @@ pub(crate) mod tests {
         // The refusal was attributed to the fault, not to capacity.
         assert_eq!(engine.stats().refused_link_down, 1);
 
-        let report = engine.link_up(&spec, &mut alloc, ingress);
+        let report = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkUp(ingress));
         assert_eq!(report.restored, 1);
         assert!(alloc.grant(conn).is_some(), "re-homed on repair");
         assert!(engine.displaced().is_empty());
@@ -610,7 +507,7 @@ pub(crate) mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
         let router = RouterId::new(5);
-        let report = engine.router_down(&spec, &mut alloc, router);
+        let report = fault(&mut engine, &spec, &mut alloc, FaultOp::RouterDown(router));
         assert!(report.affected > 0, "a mid-mesh router carries traffic");
         assert_eq!(engine.stats().router_downs, 1);
         assert_no_grant_over_down_link(&alloc, engine.mask());
@@ -621,7 +518,7 @@ pub(crate) mod tests {
         }
         assert_eq!(engine.mask().down_count(), links.len());
         // Repair raises them all and counts once.
-        engine.router_up(&spec, &mut alloc, router);
+        fault(&mut engine, &spec, &mut alloc, FaultOp::RouterUp(router));
         assert!(engine.mask().is_empty());
         assert_eq!(engine.stats().router_ups, 1);
     }
@@ -664,11 +561,19 @@ pub(crate) mod tests {
         // Glitch the most-loaded link for less than the threshold.
         let (victim, _) = most_loaded_link(&spec, &alloc);
         let short = DEFAULT_PERSISTENCE_NS - 1;
-        let report = engine.link_glitch(&spec, &mut alloc, victim, short);
+        let glitch = FaultOp::LinkGlitch {
+            link: victim,
+            duration_ns: short,
+        };
+        let report = fault(&mut engine, &spec, &mut alloc, glitch);
 
         // Zero displacement, zero recovery activity, everything still
         // granted over the glitched link — only the mask moved.
-        assert_eq!(report, RecoveryReport::default());
+        let counted = ChurnStats {
+            glitches: 1,
+            ..ChurnStats::default()
+        };
+        assert_eq!(report, counted);
         assert!(engine.mask().is_down(victim));
         assert!(!engine.enforced().is_down(victim));
         assert!(engine.displaced().is_empty());
@@ -713,7 +618,11 @@ pub(crate) mod tests {
         let mut engine = ChurnEngine::new(&spec);
         let long = DEFAULT_PERSISTENCE_NS * 3;
 
-        let report = engine.link_glitch(&spec, &mut alloc, ingress, long);
+        let glitch = FaultOp::LinkGlitch {
+            link: ingress,
+            duration_ns: long,
+        };
+        let report = fault(&mut engine, &spec, &mut alloc, glitch);
         // Exactly the permanent-fault ladder: affected, dropped, parked.
         assert_eq!(report.affected, 1);
         assert_eq!(report.dropped, 1);
@@ -739,12 +648,16 @@ pub(crate) mod tests {
         let short = DEFAULT_PERSISTENCE_NS / 2;
 
         // Sub-threshold glitch first: nothing displaced.
-        engine.link_glitch(&spec, &mut alloc, ingress, short);
+        let glitch = FaultOp::LinkGlitch {
+            link: ingress,
+            duration_ns: short,
+        };
+        fault(&mut engine, &spec, &mut alloc, glitch);
         assert!(alloc.grant(conn).is_some());
 
         // A permanent failure lands on the glitched link: the grant is
         // displaced *now*, and the glitch will not self-clear.
-        let report = engine.link_down(&spec, &mut alloc, ingress);
+        let report = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkDown(ingress));
         assert_eq!(report.affected, 1);
         assert_eq!(report.dropped, 1);
         assert_eq!(engine.displaced(), &[conn]);
@@ -793,6 +706,8 @@ pub(crate) mod tests {
         }
     }
 
+    /// `apply` and `apply_event` are every public path a fault can take:
+    /// both refuse a foreign op of every kind.
     #[test]
     fn fault_ops_outside_the_platform_are_refused_and_change_nothing() {
         let spec = paper_workload(42);
@@ -801,14 +716,18 @@ pub(crate) mod tests {
         let mut engine = ChurnEngine::new(&spec);
         // Fault state worth keeping: a failed router, a clock past zero
         // and a pending sub-threshold glitch.
-        engine.router_down(&spec, &mut alloc, RouterId::new(5));
-        engine.advance_to(&spec, &mut alloc, 1_000);
-        engine.link_glitch(
+        fault(
+            &mut engine,
             &spec,
             &mut alloc,
-            LinkId::new(0),
-            DEFAULT_PERSISTENCE_NS - 1,
+            FaultOp::RouterDown(RouterId::new(5)),
         );
+        engine.advance_to(&spec, &mut alloc, 1_000);
+        let pending = FaultOp::LinkGlitch {
+            link: LinkId::new(0),
+            duration_ns: DEFAULT_PERSISTENCE_NS - 1,
+        };
+        fault(&mut engine, &spec, &mut alloc, pending);
         let before = alloc.clone();
         let (mask, enforced) = (engine.mask().clone(), engine.enforced().clone());
         let (ledger, now, stats) = (
@@ -820,18 +739,29 @@ pub(crate) mod tests {
         let link = LinkId::new(topo.link_count() as u32 + 5);
         let router = RouterId::new(topo.router_count() as u32 + 5);
         let glitch = |duration_ns| FaultOp::LinkGlitch { link, duration_ns };
-        for op in [
+        let ops = [
             FaultOp::LinkDown(link),
             FaultOp::LinkUp(link),
             FaultOp::RouterDown(router),
             FaultOp::RouterUp(router),
             glitch(DEFAULT_PERSISTENCE_NS - 1),
             glitch(DEFAULT_PERSISTENCE_NS),
-        ] {
-            assert!(
-                !engine.apply(&spec, &mut alloc, &ScenarioOp::Fault(op)),
-                "{op:?}"
-            );
+        ];
+        // Both doors a fault can take: `apply`, and `apply_event` at the
+        // engine's own clock (so the clock half has nothing to do).
+        for (op, timestamped) in ops.iter().flat_map(|&op| [(op, false), (op, true)]) {
+            let scenario = ScenarioOp::Fault(op);
+            let applied = if timestamped {
+                let event = ScenarioEvent {
+                    at_ns: now,
+                    op: scenario,
+                };
+                engine.apply_event(&spec, &mut alloc, &event)
+            } else {
+                engine.apply(&spec, &mut alloc, &scenario)
+            };
+            let op = (op, timestamped);
+            assert!(!applied, "{op:?}");
             assert_eq!(
                 (engine.mask(), engine.enforced()),
                 (&mask, &enforced),

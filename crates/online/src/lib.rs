@@ -8,12 +8,14 @@
 //! ([`Allocation::take_grant`](aelite_alloc::Allocation::take_grant) /
 //! [`Allocator::admit_in_round`](aelite_alloc::Allocator::admit_in_round));
 //! this crate is the one reconfiguration path over them —
-//! `aelite_core::AeliteSystem::reconfigure` is a [`ChurnEngine::switch`]
-//! — and a **hot path** behind one unified admission API: every
-//! operation is an [`AdmissionRequest`] serviced by
-//! [`ChurnEngine::submit`], answered with an [`AdmissionResponse`] or a
-//! structured [`AdmissionError`], with cost proportional to the delta,
-//! not the platform —
+//! `aelite_core::AeliteSystem::reconfigure` is an
+//! [`AdmissionRequest::Switch`] — and a **hot path** behind one unified
+//! admission API: every operation is an [`AdmissionRequest`] serviced by
+//! [`ChurnEngine::submit`] (or a burst of them by
+//! [`ChurnEngine::submit_batch`]) or a scenario op applied by
+//! [`ChurnEngine::apply`] — there is no other way in — answered with an
+//! [`AdmissionResponse`] or a structured [`AdmissionError`], with cost
+//! proportional to the delta, not the platform —
 //!
 //! * **teardown** frees exactly the torn-down grant's `slots × links`
 //!   table entries through word-level free-mask updates
@@ -85,7 +87,7 @@ pub mod shard;
 
 pub use api::{AdmissionError, AdmissionRequest, AdmissionResponse, RefusalCause};
 pub use engine::{canonical_order, ChurnEngine, ChurnStats, RerouteOutcome};
-pub use fault::{RecoveryReport, DEFAULT_PERSISTENCE_NS};
+pub use fault::DEFAULT_PERSISTENCE_NS;
 /// Kept only for two `aelite-serve` signatures the frozen benchmark
 /// calls; released by ROADMAP 5(c).
 pub use shard::ShardedAllocation;

@@ -46,7 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SimOptions {
         duration_cycles: 192_000,
         record_timestamps: true,
-        ..SimOptions::default()
     };
 
     // Baseline: the greedy app behaves (offers its contracted rate).

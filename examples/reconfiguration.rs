@@ -82,7 +82,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SimOptions {
         duration_cycles: 60_000,
         record_timestamps: true,
-        ..SimOptions::default()
     };
     let resident = AppId::new(0);
     let before = system.simulate_apps(&[resident], opts);

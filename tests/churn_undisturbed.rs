@@ -22,6 +22,8 @@ use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, WorkloadBuilder};
 use aelite_spec::ids::{AppId, ConnId};
 
+use AdmissionRequest::{Close, Open};
+
 const HORIZON_CYCLES: u64 = 20_000;
 
 /// Runs `spec` under `alloc` for the common horizon and returns the
@@ -66,8 +68,12 @@ fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
     let mut engine = ChurnEngine::new(&spec);
     let close: Vec<ConnId> = spec.app_connections(AppId::new(2)).map(|c| c.id).collect();
     let open: Vec<ConnId> = spec.app_connections(AppId::new(3)).map(|c| c.id).collect();
+    let switch = AdmissionRequest::Switch {
+        close,
+        open: open.clone(),
+    };
     engine
-        .switch(&spec, &mut alloc, &close, &open)
+        .submit(&spec, &mut alloc, switch)
         .expect("the freed resources carry app 3");
 
     // Structural check first: the persisting grants are bit-identical.
@@ -83,7 +89,7 @@ fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
     // And tearing the incoming app down again (back to just the
     // persisting applications) still changes nothing.
     for &c in &open {
-        assert!(engine.close(&mut alloc, c));
+        assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
     }
     let uc_persist = spec.restricted_to(&[AppId::new(0), AppId::new(1)]);
     let alone = delivery_logs(&uc_persist, &alloc, &persisting);
@@ -124,7 +130,7 @@ fn served_burst_leaves_untouched_connections_bit_identical() {
     assert!(!to_open.is_empty() && !to_close.is_empty());
     assert!(persisting.len() > all.len() / 2);
     for &c in &to_open {
-        assert!(engine.close(&mut alloc, c));
+        assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
     }
 
     let open_now: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
@@ -269,11 +275,12 @@ fn repeated_open_close_cycles_leave_service_bit_identical() {
     let mut engine = ChurnEngine::new(&spec);
     for round in 0..5 {
         for &c in &churned {
-            assert!(engine.close(&mut alloc, c), "round {round}: {c} open");
+            let closed = engine.submit(&spec, &mut alloc, Close(c));
+            assert!(closed.is_ok(), "round {round}: {c} open");
         }
         for &c in &churned {
             engine
-                .open(&spec, &mut alloc, c)
+                .submit(&spec, &mut alloc, Open(c))
                 .unwrap_or_else(|e| panic!("round {round}: {c} rejected: {e}"));
         }
     }

@@ -23,10 +23,11 @@ use aelite_noc::network::NetworkKind;
 use aelite_noc::ni::FlitDelivery;
 use aelite_noc::turbo::build_turbo;
 use aelite_online::{
-    sharded_canonical_order, AdmissionRequest, ChurnEngine, ShardConfig, ShardedEngine,
+    sharded_canonical_order, AdmissionRequest, ChurnEngine, ChurnStats, ShardConfig, ShardedEngine,
     DEFAULT_PERSISTENCE_NS,
 };
 use aelite_spec::app::SystemSpec;
+use aelite_spec::fault::{FaultOp, ScenarioOp};
 use aelite_spec::generate::{paper_workload, scaled_workload};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
 use aelite_spec::topology::Endpoint;
@@ -48,6 +49,19 @@ fn delivery_logs(
         .collect()
 }
 
+/// Applies `op` (which must name a link or router of `spec`) and returns
+/// what it did: the engine's stats delta across it.
+fn fault(
+    engine: &mut ChurnEngine,
+    spec: &SystemSpec,
+    alloc: &mut Allocation,
+    op: FaultOp,
+) -> ChurnStats {
+    let before = *engine.stats();
+    assert!(engine.apply(spec, alloc, &ScenarioOp::Fault(op)), "{op:?}");
+    engine.stats().delta(&before)
+}
+
 /// The view of `spec` restricted to the currently granted connections.
 fn open_view(spec: &SystemSpec, alloc: &Allocation) -> SystemSpec {
     let open: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
@@ -55,8 +69,8 @@ fn open_view(spec: &SystemSpec, alloc: &Allocation) -> SystemSpec {
 }
 
 /// The most-loaded link of `alloc` and how many grants traverse it.
-fn most_loaded_link(spec: &SystemSpec, alloc: &Allocation) -> (LinkId, u32) {
-    let mut load = vec![0u32; spec.topology().link_count()];
+fn most_loaded_link(spec: &SystemSpec, alloc: &Allocation) -> (LinkId, u64) {
+    let mut load = vec![0u64; spec.topology().link_count()];
     for g in alloc.grants() {
         for &l in &g.links {
             load[l.index()] += 1;
@@ -93,7 +107,7 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
 
     // Inject: the link goes down; the engine walks the recovery ladder.
     let mut engine = ChurnEngine::new(&spec);
-    let report = engine.link_down(&spec, &mut alloc, victim);
+    let report = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkDown(victim));
     assert_eq!(report.affected, affected);
     assert_eq!(report.survived() + report.dropped, report.affected);
     for g in alloc.grants() {
@@ -114,7 +128,7 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
     assert_eq!(before, during, "recovery disturbed a bystander");
 
     // Repair: the link comes back; displaced connections are re-homed.
-    let repair = engine.link_up(&spec, &mut alloc, victim);
+    let repair = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkUp(victim));
     assert_eq!(
         repair.restored as usize + engine.displaced().len(),
         report.dropped as usize,
@@ -159,7 +173,11 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
 
     let mut engine = ChurnEngine::new(&spec);
     let duration_ns = DEFAULT_PERSISTENCE_NS - 1;
-    let report = engine.link_glitch(&spec, &mut alloc, victim, duration_ns);
+    let glitch = FaultOp::LinkGlitch {
+        link: victim,
+        duration_ns,
+    };
+    let report = fault(&mut engine, &spec, &mut alloc, glitch);
     assert_eq!(report.affected, 0, "a sub-threshold glitch displaced");
     assert_eq!(engine.stats().affected, 0);
     assert!(engine.mask().is_down(victim), "glitch must mask admission");
@@ -226,7 +244,7 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
     let before = delivery_logs(&spec, &alloc, &bystanders);
 
     let mut engine = ChurnEngine::new(&spec);
-    let report = engine.router_down(&spec, &mut alloc, router);
+    let report = fault(&mut engine, &spec, &mut alloc, FaultOp::RouterDown(router));
     assert!(report.affected > 0, "a mid-mesh router carries traffic");
     for g in alloc.grants() {
         assert!(
@@ -241,7 +259,7 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
     let during = delivery_logs(&open_view(&spec, &alloc), &alloc, &bystanders);
     assert_eq!(before, during, "router recovery disturbed a bystander");
 
-    engine.router_up(&spec, &mut alloc, router);
+    fault(&mut engine, &spec, &mut alloc, FaultOp::RouterUp(router));
     assert!(engine.mask().is_empty());
     for g in &bystander_grants {
         assert_eq!(

@@ -61,7 +61,6 @@ fn flit_level_timelines(spec: &SystemSpec, duration: u64) -> Vec<(u32, Vec<u64>)
     let report = FlitSim::new(spec, &alloc).run(FlitSimConfig {
         duration_cycles: duration,
         record_timestamps: true,
-        ..FlitSimConfig::default()
     });
     timelines(&report)
         .into_iter()
@@ -165,7 +164,6 @@ fn assert_three_way(spec: &SystemSpec, kind: NetworkKind, flit_duration: u64, cy
     let flit_report = FlitSim::new(spec, &alloc).run(FlitSimConfig {
         duration_cycles: flit_duration,
         record_timestamps: true,
-        ..FlitSimConfig::default()
     });
 
     // Saturate the cycle-level engines by pre-filling every queue with
@@ -267,7 +265,6 @@ fn equivalence_holds_under_saturating_sources() {
     let flit_report = FlitSim::new(&s, &alloc).run(FlitSimConfig {
         duration_cycles: 6_000,
         record_timestamps: true,
-        ..FlitSimConfig::default()
     });
 
     // The cycle net has no saturating generator; emulate by pre-filling

@@ -6,13 +6,14 @@
 //! set also admits).
 
 use aelite_alloc::{allocate, validate_allocation, Allocation};
-use aelite_online::ChurnEngine;
+use aelite_online::{AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{random_workload, WorkloadParams};
 use aelite_spec::ids::{AppId, ConnId, LinkId};
 use aelite_spec::topology::Topology;
 use aelite_spec::NocConfig;
 use proptest::prelude::*;
+use AdmissionRequest::{Close, Open};
 
 /// A small but genuinely shared platform: 2×2 mesh, 2 NIs per router,
 /// 3 applications, 14 connections.
@@ -90,9 +91,9 @@ fn apply_step(
             let pos = pick as usize % n;
             let id = spec.connections()[pos].id;
             if open[pos] {
-                assert!(engine.close(alloc, id));
+                assert!(engine.submit(spec, alloc, Close(id)).is_ok());
                 open[pos] = false;
-            } else if engine.open(spec, alloc, id).is_ok() {
+            } else if engine.submit(spec, alloc, Open(id)).is_ok() {
                 open[pos] = true;
             }
         }
@@ -116,7 +117,11 @@ fn apply_step(
                 .filter(|(pos, c)| c.app == incoming && !open[*pos])
                 .map(|(_, c)| c.id)
                 .collect();
-            let ok = engine.switch(spec, alloc, &close, &adds).is_ok();
+            let switch = AdmissionRequest::Switch {
+                close: close.clone(),
+                open: adds.clone(),
+            };
+            let ok = engine.submit(spec, alloc, switch).is_ok();
             for (pos, c) in spec.connections().iter().enumerate() {
                 if close.contains(&c.id) {
                     open[pos] = false;
@@ -193,7 +198,7 @@ proptest! {
         }
         for (pos, c) in spec.connections().iter().enumerate() {
             if open[pos] {
-                prop_assert!(engine.close(&mut alloc, c.id));
+                prop_assert!(engine.submit(&spec, &mut alloc, Close(c.id)).is_ok());
             }
         }
         for li in 0..spec.topology().link_count() {

@@ -1,6 +1,7 @@
 //! Property-based tests of fault recovery in the churn engine: arbitrary
 //! interleavings of churn (open/close/switch, each through an entry
-//! point the script draws), fault (link/router down/up), transient
+//! point the script draws), fault (link/router down/up, through
+//! `apply`), transient
 //! glitch and clock-advance operations never leave a granted route over
 //! an *enforced* down link, keep every slot table in lock-step with its
 //! owners, keep the displaced ledger exact (grantless connections only),
@@ -14,7 +15,7 @@
 use aelite_alloc::Allocation;
 use aelite_online::{ChurnEngine, DEFAULT_PERSISTENCE_NS};
 use aelite_spec::app::SystemSpec;
-use aelite_spec::fault::{FaultOp, ScenarioOp};
+use aelite_spec::fault::{FaultOp, ScenarioEvent, ScenarioOp};
 use aelite_spec::generate::{random_workload, WorkloadParams};
 use aelite_spec::ids::{AppId, ConnId, LinkId, RouterId};
 use aelite_spec::{ChurnOp, NocConfig, Topology};
@@ -94,9 +95,9 @@ fn assert_fault_invariants(spec: &SystemSpec, engine: &ChurnEngine, alloc: &Allo
 }
 
 /// Services one churn request through the entry point `entry` draws:
-/// `apply`, `submit`, a one-request `submit_batch`, or the
-/// `open`/`close`/`switch` wrapper. Churn must keep the displaced ledger
-/// exact whichever one it takes.
+/// `apply`, `submit`, a one-request `submit_batch`, or `apply_event` at
+/// the engine's own clock — every way a request can enter. Churn must
+/// keep the displaced ledger exact whichever one it takes.
 fn churn(
     spec: &SystemSpec,
     engine: &mut ChurnEngine,
@@ -112,18 +113,19 @@ fn churn(
             let _ = engine.submit(spec, alloc, op);
         }
         2 => engine.submit_batch(spec, alloc, &[op], &mut Vec::new()),
-        _ => match op {
-            ChurnOp::Open(c) => {
-                let _ = engine.open(spec, alloc, c);
-            }
-            ChurnOp::Close(c) => {
-                engine.close(alloc, c);
-            }
-            ChurnOp::Switch { close, open } => {
-                let _ = engine.switch(spec, alloc, &close, &open);
-            }
-        },
+        _ => {
+            let event = ScenarioEvent {
+                at_ns: engine.now_ns(),
+                op: ScenarioOp::Churn(op),
+            };
+            engine.apply_event(spec, alloc, &event);
+        }
     }
+}
+
+/// Applies one fault op, which names a link or router of `spec`.
+fn fault(spec: &SystemSpec, engine: &mut ChurnEngine, alloc: &mut Allocation, op: FaultOp) {
+    assert!(engine.apply(spec, alloc, &ScenarioOp::Fault(op)), "{op:?}");
 }
 
 /// One scripted operation, decoded from two proptest draws: mostly
@@ -178,7 +180,7 @@ fn apply_step(
             } else {
                 FaultOp::LinkUp(link)
             };
-            engine.apply(spec, alloc, &ScenarioOp::Fault(op));
+            fault(spec, engine, alloc, op);
         }
         10 | 11 => {
             let router = RouterId::new(u32::from(pick) % topo.router_count() as u32);
@@ -187,7 +189,7 @@ fn apply_step(
             } else {
                 FaultOp::RouterUp(router)
             };
-            engine.apply(spec, alloc, &ScenarioOp::Fault(op));
+            fault(spec, engine, alloc, op);
         }
         // A transient glitch whose duration straddles the persistence
         // threshold (sub-threshold glitches mask admission only;
@@ -195,10 +197,11 @@ fn apply_step(
         12 => {
             let link = LinkId::new(u32::from(pick) % topo.link_count() as u32);
             let duration_ns = (u64::from(pick) * 37) % (2 * DEFAULT_PERSISTENCE_NS) + 1;
-            engine.apply(
+            fault(
                 spec,
+                engine,
                 alloc,
-                &ScenarioOp::Fault(FaultOp::LinkGlitch { link, duration_ns }),
+                FaultOp::LinkGlitch { link, duration_ns },
             );
         }
         // Advance the scenario clock: pending glitches expire.
@@ -270,7 +273,7 @@ proptest! {
         // Repair the world: every down link comes back up (cancelling
         // any pending glitch on it).
         for li in 0..spec.topology().link_count() {
-            engine.link_up(&spec, &mut alloc, LinkId::new(li as u32));
+            fault(&spec, &mut engine, &mut alloc, FaultOp::LinkUp(LinkId::new(li as u32)));
             assert_fault_invariants(&spec, &engine, &alloc);
         }
         prop_assert!(engine.mask().is_empty());
@@ -317,7 +320,7 @@ proptest! {
 
         let link = LinkId::new(u32::from(pick) % spec.topology().link_count() as u32);
         let duration_ns = 1 + u64::from(pick) % (DEFAULT_PERSISTENCE_NS - 1);
-        engine.link_glitch(&spec, &mut alloc, link, duration_ns);
+        fault(&spec, &mut engine, &mut alloc, FaultOp::LinkGlitch { link, duration_ns });
         prop_assert_eq!(&table_snapshot(&spec, &alloc), &tables, "glitch moved a slot");
         prop_assert_eq!(engine.displaced(), &ledger[..], "glitch touched the ledger");
         prop_assert_eq!(engine.stats().affected, affected, "glitch displaced a grant");
@@ -356,8 +359,8 @@ proptest! {
         // the self-repair contrast below only applies to a fresh glitch.
         let was_down = engine_a.enforced().is_down(link);
         let duration_ns = DEFAULT_PERSISTENCE_NS + u64::from(pick);
-        engine_a.link_glitch(&spec, &mut alloc_a, link, duration_ns);
-        engine_b.link_down(&spec, &mut alloc_b, link);
+        fault(&spec, &mut engine_a, &mut alloc_a, FaultOp::LinkGlitch { link, duration_ns });
+        fault(&spec, &mut engine_b, &mut alloc_b, FaultOp::LinkDown(link));
 
         prop_assert_eq!(table_snapshot(&spec, &alloc_a), table_snapshot(&spec, &alloc_b));
         prop_assert_eq!(engine_a.displaced(), engine_b.displaced());

@@ -19,7 +19,7 @@ use aelite_serve::{
 };
 use aelite_spec::app::SystemSpec;
 use aelite_spec::churn::{client_population, ChurnOp, ChurnParams};
-use aelite_spec::fault::ScenarioOp;
+use aelite_spec::fault::{FaultOp, ScenarioOp};
 use aelite_spec::generate::{random_workload, WorkloadParams};
 use aelite_spec::ids::{AppId, ConnId, LinkId};
 use aelite_spec::topology::Topology;
@@ -192,7 +192,9 @@ proptest! {
 
         // A: the engine's recovery ladder. B: the same ladder by hand —
         // mask, affected grants hardest-first, reroute each.
-        let down = engine_a.link_down(&spec, &mut alloc_a, link);
+        let before = *engine_a.stats();
+        prop_assert!(engine_a.apply(&spec, &mut alloc_a, &ScenarioOp::Fault(FaultOp::LinkDown(link))));
+        let down = engine_a.stats().delta(&before);
         let mut mask = FaultMask::new();
         mask.set_down(link);
         engine_b.set_faults(&mask);
@@ -211,13 +213,15 @@ proptest! {
 
         // A: the repair's batched re-home. B: the displaced opens
         // submitted serially in canonical order.
-        let up = engine_a.link_up(&spec, &mut alloc_a, link);
+        let before = *engine_a.stats();
+        prop_assert!(engine_a.apply(&spec, &mut alloc_a, &ScenarioOp::Fault(FaultOp::LinkUp(link))));
+        let up = engine_a.stats().delta(&before);
         mask.set_up(link);
         engine_b.set_faults(&mask);
         let requests: Vec<AdmissionRequest> =
             displaced.iter().map(|&c| AdmissionRequest::Open(c)).collect();
         canonical_order(&spec, &requests, &mut order);
-        let mut restored = 0u32;
+        let mut restored = 0u64;
         for &i in &order {
             if engine_b.submit(&spec, &mut alloc_b, requests[i].clone()).is_ok() {
                 restored += 1;
