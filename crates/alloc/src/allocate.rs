@@ -326,6 +326,72 @@ pub fn pipeline_cycles(cfg: &aelite_spec::NocConfig, n_links: usize) -> u64 {
     n_links as u64 * u64::from(cfg.slots_per_hop()) * u64::from(cfg.flit_words)
 }
 
+/// The maximum number of reserved slots inside any circular window of
+/// `window` slots (a window covers slots `[s, s + window)`).
+///
+/// One two-pointer sweep over the slots and their wrap into the next
+/// revolution: the busiest window starts at a reserved slot, and its end
+/// only moves forward as the start does. O(slots).
+///
+/// # Panics
+///
+/// Panics if `slots` is not strictly ascending within `size`.
+#[must_use]
+pub fn max_slots_in_window(slots: &[u32], size: u32, window: u32) -> u32 {
+    assert!(
+        slots.windows(2).all(|w| w[0] < w[1]),
+        "slots must be strictly ascending"
+    );
+    let Some(&last) = slots.last() else {
+        return 0;
+    };
+    assert!(last < size, "slot out of table range");
+    // Full revolutions hold every slot; the remainder is swept.
+    let (revs, window) = (window / size, window % size);
+    let n = slots.len();
+    let unrolled = |k: usize| slots[k % n] + if k < n { 0 } else { size };
+    let (mut best, mut end) = (0, 0);
+    for (start, &s) in slots.iter().enumerate() {
+        while end < start + n && unrolled(end) < s + window {
+            end += 1;
+        }
+        best = best.max(end - start);
+    }
+    revs * n as u32 + best as u32
+}
+
+/// The destination-buffer size (in words) that guarantees credits never
+/// throttle `conn` below its reserved rate, for a given credit-return
+/// delay in cycles.
+///
+/// A credit spends `round_trip = pipeline + credit_return` cycles away
+/// from the source. The source injects one flit (of `payload` words) in
+/// every reserved slot, so in the worst case it must be able to spend
+/// credits for every reserved slot inside any round-trip-sized window of
+/// the TDM table, plus the flit in flight at the window boundary.
+///
+/// # Panics
+///
+/// Panics if `conn` has no grant in `alloc`.
+#[must_use]
+pub fn required_buffer_words(
+    spec: &SystemSpec,
+    alloc: &Allocation,
+    conn: ConnId,
+    credit_return_cycles: u64,
+) -> u32 {
+    let cfg = spec.config();
+    let grant = alloc.grant(conn).expect("connection has no grant");
+    let round_trip = pipeline_cycles(cfg, grant.links.len()) + credit_return_cycles;
+    // Window in slots, rounded up, plus one slot for the flit injected at
+    // the window's leading edge.
+    let window = u32::try_from(round_trip.div_ceil(u64::from(cfg.slot_cycles())))
+        .expect("window fits u32")
+        + 1;
+    let in_flight = max_slots_in_window(&grant.inject_slots, cfg.slot_table_size, window);
+    in_flight * cfg.payload_words_per_flit()
+}
+
 /// The number of flits a message of `bytes` occupies under the
 /// conservative one-header-word-per-flit model.
 #[must_use]

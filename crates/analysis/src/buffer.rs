@@ -6,82 +6,21 @@
 //! because the source runs out of credits while they are still in flight.
 //! This module computes the buffer that guarantees credits never stall a
 //! connection using its full reservation — the analytical companion to
-//! the simulators' credit models.
+//! the simulators' credit models ([`required_buffer_words`] gives the
+//! worst-window argument).
 //!
-//! A credit spends `round_trip = pipeline + credit_return` cycles away
-//! from the source. The source injects one flit (of `payload` words) in
-//! every reserved slot, so in the worst case it must be able to spend
-//! credits for every reserved slot inside any round-trip-sized window of
-//! the TDM table, plus the flit in flight at the window boundary.
+//! The analysis is more than advice: it decides the turbo kernel's
+//! credit path. `aelite_noc::turbo::build_turbo` books no credits for a
+//! connection whose [`required_buffer_words`] fits the configured
+//! `ni_buffer_words`, because its credit check can never fail (the
+//! soundness argument is in that module's documentation). Both
+//! functions therefore live in `aelite_alloc::allocate`, below the
+//! simulators, and are re-exported here unchanged: there is one analysis.
 
-use aelite_alloc::allocate::{pipeline_cycles, Allocation};
+use aelite_alloc::allocate::Allocation;
+pub use aelite_alloc::allocate::{max_slots_in_window, required_buffer_words};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
-
-/// The maximum number of reserved slots inside any circular window of
-/// `window` slots (a window covers slots `[s, s + window)`).
-///
-/// # Panics
-///
-/// Panics if `slots` is not strictly ascending within `size`.
-#[must_use]
-pub fn max_slots_in_window(slots: &[u32], size: u32, window: u32) -> u32 {
-    for w in slots.windows(2) {
-        assert!(w[0] < w[1], "slots must be strictly ascending");
-    }
-    if let Some(&last) = slots.last() {
-        assert!(last < size, "slot out of table range");
-    }
-    if slots.is_empty() || window == 0 {
-        return 0;
-    }
-    if window >= size {
-        // Full revolutions plus the remainder window.
-        let revs = window / size;
-        return revs * slots.len() as u32 + max_slots_in_window(slots, size, window % size);
-    }
-    let n = slots.len();
-    let mut best = 0u32;
-    for (i, &start) in slots.iter().enumerate() {
-        // Count reserved slots in [start, start + window), circularly.
-        let mut count = 0u32;
-        for k in 0..n {
-            let s = slots[(i + k) % n];
-            let dist = (s + size - start) % size;
-            if dist < window {
-                count += 1;
-            }
-        }
-        best = best.max(count);
-    }
-    best
-}
-
-/// The destination-buffer size (in words) that guarantees credits never
-/// throttle `conn` below its reserved rate, for a given credit-return
-/// delay in cycles.
-///
-/// # Panics
-///
-/// Panics if `conn` has no grant in `alloc`.
-#[must_use]
-pub fn required_buffer_words(
-    spec: &SystemSpec,
-    alloc: &Allocation,
-    conn: ConnId,
-    credit_return_cycles: u64,
-) -> u32 {
-    let cfg = spec.config();
-    let grant = alloc.grant(conn).expect("connection has no grant");
-    let round_trip = pipeline_cycles(cfg, grant.links.len()) + credit_return_cycles;
-    // Window in slots, rounded up, plus one slot for the flit injected at
-    // the window's leading edge.
-    let window = u32::try_from(round_trip.div_ceil(u64::from(cfg.slot_cycles())))
-        .expect("window fits u32")
-        + 1;
-    let in_flight = max_slots_in_window(&grant.inject_slots, cfg.slot_table_size, window);
-    in_flight * cfg.payload_words_per_flit()
-}
 
 /// Checks every connection of a designed system against a buffer size,
 /// returning the connections whose reservations could stall.
@@ -139,22 +78,24 @@ mod tests {
 
     #[test]
     fn paper_default_buffer_covers_most_connections() {
-        // With the paper-default 24-word buffers and 24-cycle credit
-        // return, the bulk of the workload cannot stall; heavy (many-
-        // slot) connections may need more — which is exactly what this
-        // analysis is for.
-        let spec = paper_workload(42);
-        let alloc = allocate(&spec).unwrap();
-        let short = undersized_connections(&spec, &alloc, spec.config().ni_buffer_words, 24);
-        assert!(
-            short.len() < 60,
-            "unexpectedly many undersized connections: {}",
-            short.len()
-        );
-        // And the analysis is self-consistent: sizing each connection at
-        // its own requirement clears it.
-        for (conn, need) in short {
-            assert!(required_buffer_words(&spec, &alloc, conn, 24) == need);
+        // Undersized connections at 24, 12 and 8 words under the
+        // simulators' 24-cycle credit return. The paper-default 24 words
+        // cover every connection in both clockings; mesochronous paths are
+        // twice as long in cycles, so smaller buffers leave more short.
+        let sync = paper_workload(42);
+        let meso = sync.with_link_pipeline_stages(1, 1);
+        for (spec, counts) in [(&sync, [0, 0, 3]), (&meso, [0, 2, 13])] {
+            let alloc = allocate(spec).unwrap();
+            let undersized = |words| undersized_connections(spec, &alloc, words, 24);
+            let found = [24, 12, 8].map(|words| undersized(words).len());
+            let stages = spec.config().link_pipeline_stages;
+            assert_eq!(found, counts, "{stages} link pipeline stages");
+            // The analysis is self-consistent: sizing each connection at
+            // its own requirement clears it.
+            for (conn, need) in undersized(8) {
+                assert!(need > 8);
+                assert!(!undersized(need).iter().any(|&(c, _)| c == conn));
+            }
         }
     }
 

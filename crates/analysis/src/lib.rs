@@ -5,7 +5,8 @@
 //! * [`stats`] — latency summaries, percentiles and histograms (the
 //!   paper's distribution arguments).
 //! * [`buffer`] — end-to-end flow-control buffer sizing (credits must
-//!   cover the round trip or reservations stall).
+//!   cover the round trip or reservations stall); the turbo kernel books
+//!   no credits for the connections it clears.
 //! * [`mod@lr_server`] — latency-rate server parameters (ρ, Θ) per
 //!   connection, the abstraction the CompSOC line of work composes
 //!   system-level guarantees from.

@@ -27,7 +27,8 @@
 //!   next one could;
 //! * connection-major order is exact because connections share no
 //!   arbitration state: each TDM slot of a source NI has one owner, and
-//!   each connection has its own queue, credits and credit-return
+//!   each connection has its own queue and, unless the buffer analysis
+//!   proved they cannot bind (below), its own credits and credit-return
 //!   schedule (the paper's composability argument). A decision that
 //!   cannot send changes nothing the next one observes, so the kernel
 //!   jumps to the first owned slot at or after the cycle at which one
@@ -52,6 +53,36 @@
 //!   deadline wait in flight. A log stores 16 bytes per flit — tag and
 //!   cycle; connection and absolute time come from the log itself.
 //!
+//! **Credits that provably cannot bind are not booked.** End-to-end
+//! credits throttle a connection only if its destination buffer is
+//! smaller than the words it can have outstanding over one credit round
+//! trip, which is what [`required_buffer_words`] bounds. [`build_turbo`]
+//! marks a connection *credit-free* iff that bound, at
+//! [`CREDIT_RETURN_CYCLES`], fits `ni_buffer_words`; the kernel then
+//! skips its credit collection, its shortfall check and its per-word
+//! credit-return schedule. Credit-bound connections keep the exact
+//! credit path. The decision is sound, against the kernel's own
+//! constants, for a path of `L` links:
+//!
+//! * the credit of a flit's `k`-th payload word (`k ≤ payload`) injected
+//!   in the slot starting at source cycle `s` is visible at
+//!   `dst_phase + (s + head_delay + k + 1 + CREDIT_RETURN_CYCLES) · period`.
+//!   Both NI phases lie below half a period, so a decision at source
+//!   cycle `c` sees it once `c > s + head_delay + payload + 1 +
+//!   CREDIT_RETURN_CYCLES`;
+//! * `pipeline_cycles` is at least `head_delay + payload`: `3L` against
+//!   `3L − 2 + 2` synchronously and `6L` against `6L − 2 + 2`
+//!   mesochronously at the paper's 3-word flits. [`build_turbo`] checks
+//!   this per connection instead of assuming the flit size;
+//! * so every word whose credit is still out at a decision was injected
+//!   at most `R = pipeline + CREDIT_RETURN_CYCLES + 1` cycles earlier, in
+//!   one of the `⌊R / slot⌋ + 1` slots ending at the decision's own. A
+//!   slot is `flit_words ≥ 2` cycles, so that is at most
+//!   `⌈(R − 1) / slot⌉ + 1` slots: the analysis window. Its owned slots
+//!   carry at most `required_buffer_words` words, the flit about to be
+//!   sent included. That fits the buffer, so the credit check can never
+//!   fail and booking credits changes nothing a log or queue shows.
+//!
 //! **Equivalence is the contract**: a [`TurboNet`] produces delivery
 //! logs bit-for-bit identical to the event-driven build of the same
 //! spec/allocation/kind — the same [`FlitDelivery`] records including
@@ -72,7 +103,7 @@
 
 use crate::network::{NetworkKind, CREDIT_RETURN_CYCLES};
 use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitLog, Message, MessageQueue};
-use aelite_alloc::allocate::Allocation;
+use aelite_alloc::allocate::{pipeline_cycles, required_buffer_words, Allocation};
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
@@ -187,6 +218,11 @@ struct ConnSoa {
     src_phase_fs: Vec<u64>,
     /// Destination-NI clock phase, femtoseconds.
     dst_phase_fs: Vec<u64>,
+    /// Whether the buffer analysis proved that the connection's credit
+    /// check can never fail (see the module documentation): such a
+    /// connection books no credits, and `credits`/`credit_sched` stay
+    /// untouched.
+    credit_free: Vec<bool>,
     /// End-to-end credits, in payload words.
     credits: Vec<i64>,
     /// Scheduled credit returns `(visible-at fs, words)`, chronological —
@@ -220,6 +256,7 @@ impl ConnSoa {
         src_phase_fs: u64,
         dst_phase_fs: u64,
         period_fs: u64,
+        credit_free: bool,
         credits: i64,
     ) {
         self.conn.push(conn);
@@ -231,6 +268,7 @@ impl ConnSoa {
         self.head_delay.push(head_delay);
         self.src_phase_fs.push(src_phase_fs);
         self.dst_phase_fs.push(dst_phase_fs);
+        self.credit_free.push(credit_free);
         self.credits.push(credits);
         self.credit_sched.push(VecDeque::new());
         self.in_network.push(VecDeque::new());
@@ -271,6 +309,7 @@ impl ConnSoa {
         let mut queue = self.queue[i].borrow_mut();
         let cbr = &mut self.cbr[i];
         let slots = &*self.slots[i];
+        let booked = !self.credit_free[i];
         let credits = &mut self.credits[i];
         let credit_sched = &mut self.credit_sched[i];
         let current_msg = &mut self.current_msg[i];
@@ -287,8 +326,6 @@ impl ConnSoa {
                 self.cursor[i] = c0;
                 break;
             }
-            let now_fs = src_phase_fs + c0 * t.period_fs;
-
             // Materialise CBR arrivals up to this edge (the event
             // engine's CbrSource runs before the NiSource at every edge
             // of their shared domain).
@@ -299,12 +336,15 @@ impl ConnSoa {
             // Collect returned credits. The event engine pops at every
             // edge; popping at decision points is equivalent because
             // visibility is monotone and credits are only observed here.
-            while let Some(&(at_fs, words)) = credit_sched.front() {
-                if at_fs > now_fs {
-                    break;
+            if booked {
+                let now_fs = src_phase_fs + c0 * t.period_fs;
+                while let Some(&(at_fs, words)) = credit_sched.front() {
+                    if at_fs > now_fs {
+                        break;
+                    }
+                    credit_sched.pop_front();
+                    *credits += i64::from(words);
                 }
-                credit_sched.pop_front();
-                *credits += i64::from(words);
             }
 
             // Fetch the next message if idle.
@@ -327,12 +367,14 @@ impl ConnSoa {
                 continue;
             };
             let send_words = remaining.min(t.payload_capacity);
-            let short = i64::from(send_words) - *credits;
-            if short > 0 {
-                next = jump(credit_wake(credit_sched, short, src_phase_fs, t.period_fs));
-                continue;
+            if booked {
+                let short = i64::from(send_words) - *credits;
+                if short > 0 {
+                    next = jump(credit_wake(credit_sched, short, src_phase_fs, t.period_fs));
+                    continue;
+                }
+                *credits -= i64::from(send_words);
             }
-            *credits -= i64::from(send_words);
             let left = remaining - send_words;
             *current_msg = if left > 0 { Some((msg, left)) } else { None };
 
@@ -363,10 +405,12 @@ impl ConnSoa {
             } else {
                 in_network.push_back(flit);
             }
-            for k in 1..=u64::from(send_words) {
-                let drain_edge = c0 + head_delay + k + 1;
-                credit_sched
-                    .push_back((dst_phase_fs + drain_edge * t.period_fs + credit_delay_fs, 1));
+            if booked {
+                for k in 1..=u64::from(send_words) {
+                    let drain_edge = c0 + head_delay + k + 1;
+                    credit_sched
+                        .push_back((dst_phase_fs + drain_edge * t.period_fs + credit_delay_fs, 1));
+                }
             }
             next = Some(t.following(slots, at));
         }
@@ -662,6 +706,14 @@ pub fn build_turbo(
                 assert!(!claimed[s as usize], "slot {s} claimed twice on one NI");
                 claimed[s as usize] = true;
             }
+            // Credits that provably cannot bind are not booked: the
+            // analysis window covers the kernel's credit horizon when the
+            // allocator's pipeline model covers the head delay plus a
+            // flit (see the module documentation).
+            let credit_free = head_delay + u64::from(payload_capacity)
+                <= pipeline_cycles(cfg, grant.links.len())
+                && required_buffer_words(spec, alloc, c.id, CREDIT_RETURN_CYCLES)
+                    <= cfg.ni_buffer_words;
             // Ascending and non-empty: validation computed the grant's
             // latency bound over them, which refuses anything else.
             conns.push(
@@ -673,6 +725,7 @@ pub fn build_turbo(
                 ni_phase[ni.index()],
                 ni_phase[spec.ip_ni(c.dst).index()],
                 period_fs,
+                credit_free,
                 i64::from(cfg.ni_buffer_words),
             );
         }
@@ -1078,7 +1131,9 @@ mod tests {
     /// in turn, first pushing `feed(deadline, conn)` into both engines'
     /// queue of every connection; after every run, each queue and each
     /// delivery log must be identical, and `after(deadline, &turbo)` is
-    /// called. Returns the turbo build.
+    /// called. A second turbo build forced onto the booked credit path
+    /// for every connection must match too, whatever the buffer analysis
+    /// decided. Returns the default turbo build.
     fn step_against_event(
         spec: &SystemSpec,
         kind: NetworkKind,
@@ -1090,28 +1145,34 @@ mod tests {
         let alloc = allocate(spec).unwrap();
         let mut event = build_network(spec, &alloc, kind, with_traffic);
         let mut turbo = build_turbo(spec, &alloc, kind, with_traffic);
+        let mut booked = build_turbo(spec, &alloc, kind, with_traffic);
+        booked.conns.credit_free.fill(false);
         for &deadline in deadlines {
             for c in spec.connections() {
                 for m in feed(deadline, c.id) {
-                    event.queue(c.id).borrow_mut().push_back(m);
-                    turbo.queue(c.id).borrow_mut().push_back(m);
+                    for queue in [event.queue(c.id), turbo.queue(c.id), booked.queue(c.id)] {
+                        queue.borrow_mut().push_back(m);
+                    }
                 }
             }
             event.run_cycles(deadline);
             turbo.run_cycles(deadline);
+            booked.run_cycles(deadline);
             for c in spec.connections() {
-                assert_eq!(
-                    *event.queue(c.id).borrow(),
-                    *turbo.queue(c.id).borrow(),
-                    "{}: queues diverge after the run to {deadline}",
-                    c.id
-                );
-                assert_eq!(
-                    *event.log(c.id).borrow(),
-                    *turbo.log(c.id).borrow(),
-                    "{}: delivery logs diverge after the run to {deadline}",
-                    c.id
-                );
+                for (net, build) in [(&turbo, "default"), (&booked, "booked")] {
+                    assert_eq!(
+                        *event.queue(c.id).borrow(),
+                        *net.queue(c.id).borrow(),
+                        "{}: {build} queues diverge after the run to {deadline}",
+                        c.id
+                    );
+                    assert_eq!(
+                        *event.log(c.id).borrow(),
+                        *net.log(c.id).borrow(),
+                        "{}: {build} delivery logs diverge after the run to {deadline}",
+                        c.id
+                    );
+                }
             }
             after(deadline, &turbo);
         }
@@ -1327,6 +1388,68 @@ mod tests {
                 assert_eq!(*oneshot.queue(c.id).borrow(), *stepped.queue(c.id).borrow());
                 assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
             }
+        }
+    }
+
+    /// How many connections of a `kind` build of `spec` book no credits.
+    fn credit_free_count(spec: &SystemSpec, kind: NetworkKind) -> usize {
+        let turbo = build_turbo(spec, &allocate(spec).unwrap(), kind, false);
+        turbo.conns.credit_free.iter().filter(|&&free| free).count()
+    }
+
+    #[test]
+    fn the_buffer_analysis_decides_which_connections_book_credits() {
+        // One-flit buffers: both connections' credits bind.
+        for (stages, kind) in [
+            (0, NetworkKind::Synchronous),
+            (1, NetworkKind::Mesochronous { phase_seed: 3 }),
+        ] {
+            assert_eq!(credit_free_count(&credit_starved_spec(stages), kind), 0);
+        }
+        // The paper's 24-word buffers cover every connection.
+        let sync = aelite_spec::generate::paper_workload(42);
+        assert_eq!(sync.config().ni_buffer_words, 24);
+        assert_eq!(credit_free_count(&sync, NetworkKind::Synchronous), 200);
+        let meso = sync.with_link_pipeline_stages(1, 1);
+        let kind = NetworkKind::Mesochronous { phase_seed: 7 };
+        assert_eq!(credit_free_count(&meso, kind), 200);
+    }
+
+    #[test]
+    fn skipping_unbindable_credits_changes_nothing_observable() {
+        // The default build against one forced onto the booked credit path
+        // for every connection, run to the same deadlines in steps.
+        let paper = aelite_spec::generate::paper_workload(42);
+        let mesh8 = aelite_spec::generate::WorkloadBuilder::mesh(8, 8, 4)
+            .mega_traffic()
+            .connections(2_500)
+            .tiles(4, 4)
+            .seed(1)
+            .build();
+        for (spec, kind) in [
+            (paper.clone(), NetworkKind::Synchronous),
+            (
+                paper.with_link_pipeline_stages(1, 1),
+                NetworkKind::Mesochronous { phase_seed: 7 },
+            ),
+            (mesh8, NetworkKind::Synchronous),
+        ] {
+            let alloc = allocate(&spec).unwrap();
+            let mut free = build_turbo(&spec, &alloc, kind, true);
+            let mut booked = build_turbo(&spec, &alloc, kind, true);
+            booked.conns.credit_free.fill(false);
+            assert!(free.conns.credit_free.iter().all(|&f| f), "{kind:?}");
+            for deadline in [1, 97, 1_000, 1_001, 2_345, 4_000] {
+                free.run_cycles(deadline);
+                booked.run_cycles(deadline);
+                for c in spec.connections() {
+                    assert_eq!(*free.log(c.id).borrow(), *booked.log(c.id).borrow());
+                    assert_eq!(*free.queue(c.id).borrow(), *booked.queue(c.id).borrow());
+                    assert_eq!(free.latency(c.id), booked.latency(c.id));
+                }
+            }
+            assert!(booked.conns.credit_sched.iter().any(|s| !s.is_empty()));
+            assert!(free.conns.credit_sched.iter().all(VecDeque::is_empty));
         }
     }
 }

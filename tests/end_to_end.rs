@@ -146,17 +146,22 @@ fn ring_topology_full_flow() {
 
 #[test]
 fn buffer_sizing_analysis_predicts_throughput_stalls() {
-    // The analytical buffer requirement (credits must cover the round
-    // trip) is validated empirically: an undersized buffer throttles a
-    // saturating connection below its reservation; the computed size
-    // restores the full rate.
+    // The analytical buffer requirement β (credits must cover the round
+    // trip) checked on the exact credit model: the event-driven
+    // cycle-accurate network, with the turbo kernel pinned to it run by
+    // run. At β a saturating connection sends in every slot it owns;
+    // smaller buffers throttle it below its reservation.
     use aelite_alloc::allocate;
     use aelite_analysis::buffer::required_buffer_words;
-    use aelite_noc::flitsim::{FlitSim, FlitSimConfig};
+    use aelite_noc::network::{build_network, NetworkKind, CREDIT_RETURN_CYCLES};
+    use aelite_noc::ni::Message;
+    use aelite_noc::turbo::build_turbo;
     use aelite_spec::app::SystemSpecBuilder;
     use aelite_spec::ids::NiId;
     use aelite_spec::traffic::{Bandwidth, TrafficPattern};
 
+    // 100 revolutions of the 64-slot, 3-cycle-slot table.
+    const CYCLES: u64 = 100 * 64 * 3;
     let build = |buffer_words: u32| {
         let topo = Topology::mesh(2, 1, 1);
         let mut cfg = NocConfig::paper_default();
@@ -176,36 +181,46 @@ fn buffer_sizing_analysis_predicts_throughput_stalls() {
         );
         b.build()
     };
-    let run = |buffer_words: u32| -> (f64, f64, u32) {
+    // Flits delivered in `CYCLES` from a backlog of 4-word messages, all
+    // ready at cycle 0; the requirement β; the owned slots.
+    let run = |buffer_words: u32| -> (usize, u32, Vec<u32>) {
         let spec = build(buffer_words);
         let alloc = allocate(&spec).expect("allocates");
         let conn = spec.connections()[0].id;
-        let need = required_buffer_words(&spec, &alloc, conn, 24);
-        let report = FlitSim::new(&spec, &alloc).run(FlitSimConfig {
-            duration_cycles: 192_000,
-            ..FlitSimConfig::default()
+        let need = required_buffer_words(&spec, &alloc, conn, CREDIT_RETURN_CYCLES);
+        let mut event = build_network(&spec, &alloc, NetworkKind::Synchronous, false);
+        let mut turbo = build_turbo(&spec, &alloc, NetworkKind::Synchronous, false);
+        let backlog = (0..2_000).map(|seq| Message {
+            seq,
+            words: 4,
+            ready_cycle: 0,
         });
-        let achieved = report.per_conn[0].throughput_bytes_per_sec(500, 192_000);
-        let allocated = alloc.allocated_bandwidth(&spec, conn).bytes_per_sec() as f64;
-        (achieved, allocated, need)
+        event.queue(conn).borrow_mut().extend(backlog.clone());
+        turbo.queue(conn).borrow_mut().extend(backlog);
+        event.run_cycles(CYCLES);
+        turbo.run_cycles(CYCLES);
+        let log = event.log(conn).borrow();
+        assert_eq!(
+            *log,
+            *turbo.log(conn).borrow(),
+            "{buffer_words}-word buffer"
+        );
+        let slots = alloc.grant(conn).expect("granted").inject_slots.clone();
+        (log.len(), need, slots)
     };
 
-    // Tiny buffer: stalls.
-    let (starved, allocated, need) = run(4);
-    assert!(
-        starved < allocated * 0.9,
-        "4-word buffer should stall: {starved} vs {allocated}"
-    );
-    assert!(
-        need > 4,
-        "analysis must flag the 4-word buffer (needs {need})"
-    );
-    // Analytically-required buffer: full rate.
-    let (full, allocated, _) = run(need);
-    assert!(
-        full >= allocated * 0.98,
-        "sized buffer should sustain the reservation: {full} vs {allocated}"
-    );
+    let (_, need, slots) = run(NocConfig::paper_default().ni_buffer_words);
+    let (full, _, at_need) = run(need);
+    assert_eq!(at_need, slots, "the grant does not depend on the buffer");
+    assert_eq!((slots.len(), need), (15, 6));
+    // Every owned slot sends: 15 flits in each of the 100 revolutions.
+    assert_eq!(full, 15 * 100, "{slots:?}");
+    // Below β the rate falls short, down to one flit of credit per
+    // round trip at a one-flit buffer. β is tight here: β − 1 words
+    // already stalls, since two payload words per flit make a 5-word
+    // buffer hold the credit of only two flits, as a 4-word one does.
+    let flits: Vec<usize> = (3..need).map(|words| run(words).0).collect();
+    assert_eq!(flits, [500, 1000, 1000]);
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! Property-based tests of the core invariants (gap and worst-window
-//! arithmetic, header codec round-trips, bisync FIFO ordering, slot
+//! Property-based tests of the core invariants (gap, worst-window and
+//! busiest-window arithmetic, header codec round-trips, bisync FIFO ordering, slot
 //! table ≡ free mask, and allocate → validate → simulate composability),
 //! exercised over randomly generated workloads, slot sets, routes and
 //! clock phases.
 
+use aelite_alloc::allocate::max_slots_in_window;
 use aelite_alloc::mask::SlotMask;
 use aelite_alloc::table::{gaps, worst_window, SlotTable};
 use aelite_alloc::{allocate, validate_allocation};
@@ -55,6 +56,25 @@ proptest! {
             brute = brute.max(acc);
         }
         prop_assert_eq!(fast, brute);
+    }
+
+    /// The two-pointer `max_slots_in_window` matches a brute-force count
+    /// over every window start, for windows shorter and longer than a
+    /// revolution.
+    #[test]
+    fn max_slots_in_window_matches_brute_force(
+        (slots, size) in slot_sets(),
+        window in 0u32..200,
+    ) {
+        let brute = (0..size)
+            .map(|start| {
+                (start..start + window)
+                    .filter(|k| slots.binary_search(&(k % size)).is_ok())
+                    .count() as u32
+            })
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(max_slots_in_window(&slots, size, window), brute);
     }
 
     /// worst_window is monotone in the number of flits.

@@ -11,16 +11,25 @@
 //! `FlitLog::push`, which asserts that the time the simulator sampled
 //! the flit at is exactly the one the log will read back.
 //!
+//! Under CBR traffic every golden platform's buffers cover every
+//! connection, so the kernel books no credits there; the buffer sweep at
+//! the end drives saturating traffic through buffers small enough that
+//! credits bind, with credit-free and credit-bound connections side by
+//! side.
+//!
 //! This is the contract that lets the DSE `--validate` stage and the
 //! throughput benchmarks trust the turbo engine: the event-driven
 //! `aelite_sim::scheduler::Simulator` build stays the golden reference,
 //! and these tests are the pin holding the two together.
 
 use aelite_alloc::allocate;
-use aelite_noc::network::{build_network, NetworkKind};
+use aelite_alloc::allocate::required_buffer_words;
+use aelite_noc::network::{build_network, NetworkKind, CREDIT_RETURN_CYCLES};
+use aelite_noc::ni::Message;
 use aelite_noc::turbo::build_turbo;
 use aelite_spec::app::SystemSpec;
-use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder};
+use aelite_spec::config::NocConfig;
+use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder, WorkloadParams};
 
 /// Runs both engines with CBR traffic for `cycles` and asserts every
 /// connection's delivery log identical; returns total flits compared.
@@ -192,4 +201,108 @@ fn turbo_latency_stays_within_the_analytical_bound_on_the_paper_platform() {
             lat.max_cycles
         );
     }
+}
+
+/// Drives `spec(words)` for every `ni_buffer_words` from one flit to 40
+/// with a saturating backlog — 150 messages per connection, all ready at
+/// cycle 0, whole flits only — and asserts the event and turbo logs
+/// identical after runs to 217 and 400 cycles. Returns, per size, how many
+/// connections the buffer analysis clears of credit bookkeeping, and out
+/// of how many.
+fn sweep_buffers(spec: impl Fn(u32) -> SystemSpec, kind: NetworkKind) -> Vec<(usize, usize)> {
+    let backlog: Vec<Message> = (0..150)
+        .map(|seq| Message {
+            seq,
+            words: 2 + 2 * (seq % 3),
+            ready_cycle: 0,
+        })
+        .collect();
+    (3..=40)
+        .map(|words| {
+            let spec = spec(words);
+            assert_eq!(spec.config().ni_buffer_words, words);
+            let alloc = allocate(&spec).expect("workload allocates");
+            let mut event = build_network(&spec, &alloc, kind, false);
+            let mut turbo = build_turbo(&spec, &alloc, kind, false);
+            for c in spec.connections() {
+                for queue in [event.queue(c.id), turbo.queue(c.id)] {
+                    queue.borrow_mut().extend(backlog.iter().copied());
+                }
+            }
+            for deadline in [217, 400] {
+                event.run_cycles(deadline);
+                turbo.run_cycles(deadline);
+                for c in spec.connections() {
+                    assert_eq!(
+                        *event.log(c.id).borrow(),
+                        *turbo.log(c.id).borrow(),
+                        "{}: logs diverge at {words}-word buffers, run to {deadline}",
+                        c.id
+                    );
+                }
+            }
+            let free = spec
+                .connections()
+                .iter()
+                .filter(|c| {
+                    required_buffer_words(&spec, &alloc, c.id, CREDIT_RETURN_CYCLES) <= words
+                })
+                .count();
+            (free, spec.connections().len())
+        })
+        .collect()
+}
+
+/// Whether some buffer size left credit-free and credit-bound
+/// connections in one run.
+fn mixes(classes: &[(usize, usize)]) -> bool {
+    classes.iter().any(|&(free, all)| 0 < free && free < all)
+}
+
+/// The paper platform with `words`-word NI buffers.
+fn paper_with_buffers(words: u32) -> SystemSpec {
+    let mut cfg = NocConfig::paper_default();
+    cfg.ni_buffer_words = words;
+    WorkloadBuilder::mesh(4, 3, 4)
+        .params(WorkloadParams::paper())
+        .config(cfg)
+        .seed(42)
+        .build()
+}
+
+#[test]
+fn buffer_sweep_on_the_paper_platform_synchronous() {
+    assert_eq!(
+        paper_with_buffers(24).connections(),
+        paper_workload(42).connections()
+    );
+    let classes = sweep_buffers(paper_with_buffers, NetworkKind::Synchronous);
+    assert!(mixes(&classes), "{classes:?}");
+    assert_eq!(classes.last(), Some(&(200, 200)));
+}
+
+#[test]
+fn buffer_sweep_on_the_paper_platform_mesochronous() {
+    let meso = |words| paper_with_buffers(words).with_link_pipeline_stages(1, 1);
+    for phase_seed in [7, 41] {
+        let classes = sweep_buffers(meso, NetworkKind::Mesochronous { phase_seed });
+        assert!(mixes(&classes), "{classes:?}");
+    }
+}
+
+#[test]
+fn buffer_sweep_on_a_2x2_mesh_with_8_slot_tables() {
+    let mesh = |words| {
+        let mut cfg = NocConfig::paper_default();
+        cfg.slot_table_size = 8;
+        cfg.ni_buffer_words = words;
+        WorkloadBuilder::mesh(2, 2, 2)
+            .config(cfg)
+            .connections(10)
+            .bandwidth_mb(300, 900)
+            .seed(3)
+            .build()
+    };
+    let classes = sweep_buffers(mesh, NetworkKind::Synchronous);
+    assert!(mixes(&classes), "{classes:?}");
 }
