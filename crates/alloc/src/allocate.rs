@@ -38,6 +38,9 @@ use crate::route_cache::{RouteCache, RouteProvider};
 use crate::table::{worst_window, SlotTable};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{ConnId, LinkId};
+use aelite_spec::timing::{
+    deadline_cycles, latency_bound_cycles, max_injection_gap, pipeline_cycles, slot_estimate,
+};
 use core::fmt;
 
 /// The resources granted to one connection.
@@ -252,10 +255,8 @@ impl Allocation {
 
     fn window_latency_cycles(&self, spec: &SystemSpec, conn: ConnId, m: u32) -> u64 {
         let grant = self.grant(conn).expect("connection has no grant");
-        let cfg = spec.config();
         let window = worst_window(&grant.inject_slots, self.table_size, m);
-        let pipeline = pipeline_cycles(cfg, grant.path.link_count());
-        u64::from(window) * u64::from(cfg.slot_cycles()) + pipeline
+        latency_bound_cycles(spec.config(), window, grant.path.link_count())
     }
 
     /// Worst-case per-flit latency of `conn` in nanoseconds.
@@ -282,25 +283,18 @@ impl Allocation {
 }
 
 /// Estimates the slots a connection's grant will need: the larger of its
-/// bandwidth minimum and the count its per-flit deadline forces, assuming
-/// the shortest route.
+/// bandwidth minimum and the count its per-flit deadline forces over
+/// [`Topology::router_hops`](aelite_spec::Topology::router_hops) hops.
+/// On a mesh that is the shortest route. Off a mesh it counts one hop
+/// between distinct routers, which can be shorter than any real route,
+/// so there the estimate can fall below the slots a grant needs.
 #[must_use]
 pub fn estimate_slots(spec: &SystemSpec, conn: ConnId) -> u32 {
-    let cfg = spec.config();
-    let c = spec.connection(conn);
-    let topo = spec.topology();
-    let (src_ni, dst_ni) = (spec.ip_ni(c.src), spec.ip_ni(c.dst));
-    let (ra, rb) = (topo.ni_router(src_ni), topo.ni_router(dst_ni));
-    let hops = match (topo.coords(ra), topo.coords(rb)) {
-        (Some((xa, ya)), Some((xb, yb))) => xa.abs_diff(xb) + ya.abs_diff(yb),
-        _ => u32::from(ra != rb),
-    };
-    let pipeline = pipeline_cycles(cfg, hops as usize + 2);
-    let budget = (c.max_latency_ns as f64 / cfg.cycle_ns()).floor() as u64;
-    let wait = budget.saturating_sub(pipeline);
-    let gap = (wait / u64::from(cfg.slot_cycles())).max(1) as u32;
-    let lat_slots = cfg.slot_table_size.div_ceil(gap);
-    cfg.slots_for(c.bandwidth).max(lat_slots).max(1)
+    let (cfg, c) = (spec.config(), spec.connection(conn));
+    let hops = spec
+        .topology()
+        .router_hops(spec.ip_ni(c.src), spec.ip_ni(c.dst));
+    slot_estimate(cfg, c.bandwidth, c.max_latency_ns, hops as usize + 2)
 }
 
 /// Sorts `conns` into the allocator's canonical hardest-first admission
@@ -316,14 +310,6 @@ pub fn admission_order(spec: &SystemSpec, conns: &mut [ConnId]) {
             id,
         )
     });
-}
-
-/// The contention-free pipeline delay, in cycles, of a path with
-/// `n_links` links: each link plus its pipeline stages costs one slot of
-/// `flit_words` cycles (paper Sections IV–V).
-#[must_use]
-pub fn pipeline_cycles(cfg: &aelite_spec::NocConfig, n_links: usize) -> u64 {
-    n_links as u64 * u64::from(cfg.slots_per_hop()) * u64::from(cfg.flit_words)
 }
 
 /// The maximum number of reserved slots inside any circular window of
@@ -848,7 +834,7 @@ impl Allocator {
         let mut best_available = 0u32;
         let mut best_latency_cycles = u64::MAX;
         let mut salt_dependent = false;
-        let latency_budget_cycles = (c.max_latency_ns as f64 / cfg.cycle_ns()).floor() as u64;
+        let latency_budget_cycles = deadline_cycles(cfg, c.max_latency_ns);
         let shift = cfg.slots_per_hop();
 
         // Working memory from the caller's scratch, reused across
@@ -918,10 +904,9 @@ impl Allocator {
                 continue;
             }
 
-            let pipeline = pipeline_cycles(cfg, route.path.link_count());
-            let latency_of = |slots: &[u32]| {
-                u64::from(worst_window(slots, size, m)) * u64::from(cfg.slot_cycles()) + pipeline
-            };
+            let n_links = route.path.link_count();
+            let latency_of =
+                |slots: &[u32]| latency_bound_cycles(cfg, worst_window(slots, size, m), n_links);
             // Hypothetical best latency with *all* free slots taken, used
             // only when this path is rejected for latency.
             let latency_of_all = |all: &mut Vec<u32>| {
@@ -933,8 +918,7 @@ impl Allocator {
             // The deadline allows an injection gap of at most `allowed_gap`
             // slots on this path. Cover the table with that gap first (the
             // latency-critical part), then top up for bandwidth.
-            let wait_cycles = latency_budget_cycles.saturating_sub(pipeline);
-            let allowed_gap = (wait_cycles / u64::from(cfg.slot_cycles())) as u32;
+            let allowed_gap = max_injection_gap(cfg, latency_budget_cycles, n_links) as u32;
             if self.latency_aware && allowed_gap == 0 {
                 // Even an immediately-due slot would miss the deadline on
                 // this path; record the hypothetical best and move on.

@@ -13,14 +13,15 @@
 //!
 //! * **rate** `ρ = |T| · payload_bytes / (S · slot_cycles)` bytes/cycle;
 //! * **latency** `Θ = max_gap · slot_cycles + pipeline` cycles — the
-//!   worst-case time before the sustained-rate service begins.
+//!   worst-case time before the sustained-rate service begins, which is
+//!   the allocation's per-flit latency bound
+//!   (`Allocation::worst_case_latency_cycles`).
 //!
 //! The service guarantee: in any busy period starting at time `t0`, the
 //! bytes delivered by time `t` satisfy
 //! `delivered(t) ≥ ρ · max(0, t − t0 − Θ)`.
 
-use aelite_alloc::allocate::{pipeline_cycles, Allocation};
-use aelite_alloc::table::worst_window;
+use aelite_alloc::allocate::Allocation;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
 use core::fmt;
@@ -65,12 +66,9 @@ pub fn lr_server(spec: &SystemSpec, alloc: &Allocation, conn: ConnId) -> LrServe
     let slots = grant.inject_slots.len() as f64;
     let table_cycles = f64::from(cfg.slot_table_size) * f64::from(cfg.slot_cycles());
     let rate = slots * payload / table_cycles;
-    let gap = worst_window(&grant.inject_slots, cfg.slot_table_size, 1);
-    let theta =
-        u64::from(gap) * u64::from(cfg.slot_cycles()) + pipeline_cycles(cfg, grant.links.len());
     LrServer {
         rate_bytes_per_cycle: rate,
-        latency_cycles: theta,
+        latency_cycles: alloc.worst_case_latency_cycles(spec, conn),
     }
 }
 

@@ -19,9 +19,10 @@
 //! differences are pure queueing/arbitration effects.
 
 use aelite_spec::app::SystemSpec;
-use aelite_spec::ids::{ConnId, NiId, Port, RouterId};
+use aelite_spec::ids::{ConnId, Port, RouterId};
+use aelite_spec::path::dimension_ordered;
 use aelite_spec::topology::PortTarget;
-use aelite_spec::traffic::TrafficPattern;
+use aelite_spec::traffic::{message_arrivals, TrafficPattern};
 use std::collections::VecDeque;
 
 /// Configuration of a best-effort run.
@@ -173,8 +174,9 @@ impl<'a> BeSim<'a> {
             .connections()
             .iter()
             .map(|c| {
-                xy_route(topo, spec.ip_ni(c.src), spec.ip_ni(c.dst))
+                dimension_ordered(topo, spec.ip_ni(c.src), spec.ip_ni(c.dst), true)
                     .unwrap_or_else(|| panic!("no XY route for {}", c.id))
+                    .ports
             })
             .collect();
         BeSim { spec, routes }
@@ -190,7 +192,6 @@ impl<'a> BeSim<'a> {
         let tick_cycles = u64::from(ncfg.flit_words);
         let payload_bytes =
             u64::from(ncfg.payload_words_per_flit()) * u64::from(ncfg.data_width_bytes());
-        let cycles_per_sec = ncfg.frequency_mhz * 1_000_000;
 
         // Routers.
         let mut routers: Vec<BeRouter> = topo
@@ -212,24 +213,12 @@ impl<'a> BeSim<'a> {
         let mut sources: Vec<SourceConnState> = conns
             .iter()
             .map(|c| {
-                let interval = match c.pattern {
-                    TrafficPattern::ConstantRate => {
-                        u64::from(c.message_bytes) as f64 * cycles_per_sec as f64
-                            / c.bandwidth.bytes_per_sec() as f64
-                    }
-                    TrafficPattern::Saturating => 0.0,
-                    TrafficPattern::Bursty { period_ns, .. } => {
-                        f64::from(period_ns) * ncfg.frequency_mhz as f64 / 1_000.0
-                    }
-                };
+                let (message_bytes, interval_fp) = message_arrivals(c, ncfg.frequency_mhz);
                 SourceConnState {
                     backlog: VecDeque::new(),
                     next_arrival_fp: 0,
-                    interval_fp: (interval * 65_536.0) as u64,
-                    message_bytes: match c.pattern {
-                        TrafficPattern::Bursty { burst_bytes, .. } => u64::from(burst_bytes),
-                        _ => u64::from(c.message_bytes),
-                    },
+                    interval_fp,
+                    message_bytes,
                     saturating: c.pattern == TrafficPattern::Saturating,
                     ready_floor: 0,
                 }
@@ -465,35 +454,13 @@ fn release_owner(router: &mut BeRouter, input: usize) {
     }
 }
 
-/// Dimension-ordered route between two NIs (X first), as router output
-/// ports, ending with the destination NI port.
-fn xy_route(topo: &aelite_spec::topology::Topology, src: NiId, dst: NiId) -> Option<Vec<Port>> {
-    let (mut x, mut y) = topo.coords(topo.ni_router(src))?;
-    let (tx, ty) = topo.coords(topo.ni_router(dst))?;
-    let mut router = topo.ni_router(src);
-    let mut ports = Vec::new();
-    while x != tx || y != ty {
-        let (nx, ny) = if x != tx {
-            (if x < tx { x + 1 } else { x - 1 }, y)
-        } else {
-            (x, if y < ty { y + 1 } else { y - 1 })
-        };
-        let next = topo.router_at(nx, ny)?;
-        ports.push(topo.port_towards(router, PortTarget::Router(next))?);
-        router = next;
-        x = nx;
-        y = ny;
-    }
-    ports.push(topo.port_towards(router, PortTarget::Ni(dst))?);
-    Some(ports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aelite_spec::app::SystemSpecBuilder;
     use aelite_spec::config::NocConfig;
     use aelite_spec::generate::paper_workload;
+    use aelite_spec::ids::NiId;
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::Bandwidth;
 

@@ -6,17 +6,24 @@
 //! anywhere inside the network. This simulator exploits that to run the
 //! paper's 200-connection experiment (Section VII) quickly: it models NI
 //! state (message arrival, slot tables, end-to-end credits) exactly and
-//! replaces the network pipeline by its closed-form delay.
+//! replaces the network pipeline by its closed-form delay
+//! ([`aelite_spec::timing::pipeline_cycles`]).
 //!
-//! The abstraction is validated against the cycle-accurate models in the
-//! cross-crate integration tests: for identical scenarios, delivery
-//! cycles agree exactly.
+//! The abstraction is checked against the cycle-accurate models in
+//! `tests/flitsim_vs_cycle.rs`. Delivery cycles agree exactly only when
+//! both see the same arrivals: when every CBR interval is a whole number
+//! of cycles, or when the sources saturate. Otherwise they differ by
+//! arrival quantisation. This simulator steps a fractional 48.16
+//! fixed-point interval ([`aelite_spec::traffic::message_arrivals`]),
+//! while the cycle-accurate sources round it up to whole cycles
+//! (`cbr_traffic_params`).
 
 use crate::network::CREDIT_RETURN_CYCLES;
 use aelite_alloc::allocate::Allocation;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
-use aelite_spec::traffic::TrafficPattern;
+use aelite_spec::timing::pipeline_cycles;
+use aelite_spec::traffic::{message_arrivals, TrafficPattern};
 use std::collections::VecDeque;
 
 /// Configuration of a flit-level run.
@@ -116,9 +123,12 @@ impl TrafficReport {
 struct ConnState {
     /// Payload bytes one flit carries.
     payload_bytes: u64,
-    /// Delivery delay in slots (network pipeline).
-    delay_slots: u64,
-    pattern: Pattern,
+    /// Delivery delay in cycles (the network pipeline).
+    pipeline: u64,
+    /// The source always has data ready.
+    saturating: bool,
+    /// Bytes per message (per burst when bursty).
+    message_bytes: u64,
     /// Next message arrival in 48.16 fixed-point cycles (avoids drift).
     next_arrival_fp: u64,
     interval_fp: u64,
@@ -134,13 +144,6 @@ struct ConnState {
     /// paper's per-flit latency and the analytical bound).
     ready_floor: u64,
     stats: ConnStats,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pattern {
-    Cbr { message_bytes: u64 },
-    Saturating,
-    Bursty { burst_bytes: u64 },
 }
 
 /// The flit-level simulator.
@@ -197,8 +200,6 @@ impl<'a> FlitSim<'a> {
         let table = u64::from(ncfg.slot_table_size);
         let payload_bytes =
             u64::from(ncfg.payload_words_per_flit()) * u64::from(ncfg.data_width_bytes());
-        let shift = u64::from(ncfg.slots_per_hop());
-        let cycles_per_sec = ncfg.frequency_mhz * 1_000_000;
 
         // Per-slot injection lists and per-connection state.
         let mut slot_conns: Vec<Vec<usize>> = vec![Vec::new(); table as usize];
@@ -208,34 +209,14 @@ impl<'a> FlitSim<'a> {
             for &s in &grant.inject_slots {
                 slot_conns[s as usize].push(i);
             }
-            let (pattern, interval_cycles) = match c.pattern {
-                TrafficPattern::ConstantRate => {
-                    let msg = u64::from(c.message_bytes);
-                    // interval = message_bytes / (bw / f) cycles.
-                    let interval =
-                        msg as f64 * cycles_per_sec as f64 / c.bandwidth.bytes_per_sec() as f64;
-                    (Pattern::Cbr { message_bytes: msg }, interval)
-                }
-                TrafficPattern::Saturating => (Pattern::Saturating, 0.0),
-                TrafficPattern::Bursty {
-                    burst_bytes,
-                    period_ns,
-                } => {
-                    let cycles = f64::from(period_ns) * ncfg.frequency_mhz as f64 / 1_000.0;
-                    (
-                        Pattern::Bursty {
-                            burst_bytes: u64::from(burst_bytes),
-                        },
-                        cycles,
-                    )
-                }
-            };
+            let (message_bytes, interval_fp) = message_arrivals(c, ncfg.frequency_mhz);
             states.push(ConnState {
                 payload_bytes,
-                delay_slots: grant.links.len() as u64 * shift,
-                pattern,
+                pipeline: pipeline_cycles(ncfg, grant.links.len()),
+                saturating: c.pattern == TrafficPattern::Saturating,
+                message_bytes,
                 next_arrival_fp: 0,
-                interval_fp: (interval_cycles * 65_536.0) as u64,
+                interval_fp,
                 queue: VecDeque::new(),
                 credits: i64::from(ncfg.ni_buffer_words) * i64::from(ncfg.data_width_bytes()),
                 credit_returns: VecDeque::new(),
@@ -261,24 +242,15 @@ impl<'a> FlitSim<'a> {
                 }
 
                 // Offered load up to this cycle.
-                match st.pattern {
-                    Pattern::Cbr { message_bytes } => {
-                        while st.next_arrival_fp <= cycle << 16 {
-                            st.queue
-                                .push_back((st.next_arrival_fp >> 16, message_bytes));
-                            st.next_arrival_fp += st.interval_fp;
-                        }
+                if st.saturating {
+                    if st.queue.is_empty() {
+                        st.queue.push_back((cycle, u64::MAX / 2));
                     }
-                    Pattern::Saturating => {
-                        if st.queue.is_empty() {
-                            st.queue.push_back((cycle, u64::MAX / 2));
-                        }
-                    }
-                    Pattern::Bursty { burst_bytes } => {
-                        while st.next_arrival_fp <= cycle << 16 {
-                            st.queue.push_back((st.next_arrival_fp >> 16, burst_bytes));
-                            st.next_arrival_fp += st.interval_fp;
-                        }
+                } else {
+                    while st.next_arrival_fp <= cycle << 16 {
+                        st.queue
+                            .push_back((st.next_arrival_fp >> 16, st.message_bytes));
+                        st.next_arrival_fp += st.interval_fp;
                     }
                 }
 
@@ -300,7 +272,7 @@ impl<'a> FlitSim<'a> {
                     st.queue.pop_front();
                 }
 
-                let delivered = (t + st.delay_slots) * slot_cycles;
+                let delivered = t * slot_cycles + st.pipeline;
                 let ready = arrival.max(st.ready_floor);
                 st.ready_floor = (t + 1) * slot_cycles;
                 if delivered > cfg.duration_cycles {

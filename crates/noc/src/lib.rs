@@ -16,8 +16,10 @@
 //! * [`network`] — builders wiring a complete NoC (synchronous or
 //!   mesochronous) from a spec and its allocation.
 //! * [`flitsim`] — the fast flit-level TDM simulator used for the paper's
-//!   200-connection experiment, validated against the cycle-accurate
-//!   models. It is the only pattern-aware simulator (saturating and
+//!   200-connection experiment. It matches the cycle-accurate models
+//!   delivery for delivery when their arrivals agree (whole-cycle CBR
+//!   intervals or saturating sources); a fractional CBR interval is
+//!   quantised differently by the two. It is the only pattern-aware simulator (saturating and
 //!   bursty sources, byte-granular credits) and the engine behind
 //!   `AeliteSystem::simulate`; [`turbo`] is the word-granular, CBR-only,
 //!   bit-exact twin of the event-driven network. Folding one into the

@@ -144,6 +144,36 @@ pub(crate) fn clock_phases_fs(kind: NetworkKind, topo: &Topology, period_fs: u64
     }
 }
 
+/// Checks `kind` against `spec`'s link pipeline and lists the
+/// connections each NI sources and sinks, as indices into
+/// `spec.connections()` in spec order. [`build_network`] and
+/// [`build_turbo`](crate::turbo::build_turbo) both build the public
+/// queues (source side) and logs (sink side) NI by NI in this order, so
+/// the two engines' vectors line up entry for entry.
+///
+/// # Panics
+///
+/// Panics if `kind` is inconsistent with
+/// `spec.config().link_pipeline_stages` (see [`NetworkKind`]).
+pub(crate) fn build_order(spec: &SystemSpec, kind: NetworkKind) -> [Vec<Vec<usize>>; 2] {
+    let (stages, name) = match kind {
+        NetworkKind::Synchronous => (0, "synchronous"),
+        NetworkKind::Mesochronous { .. } => (1, "mesochronous"),
+    };
+    assert_eq!(
+        spec.config().link_pipeline_stages,
+        stages,
+        "{name} build requires link_pipeline_stages == {stages}"
+    );
+    let mut order: [Vec<Vec<usize>>; 2] =
+        std::array::from_fn(|_| vec![Vec::new(); spec.topology().ni_count()]);
+    for (ci, c) in spec.connections().iter().enumerate() {
+        order[0][spec.ip_ni(c.src).index()].push(ci);
+        order[1][spec.ip_ni(c.dst).index()].push(ci);
+    }
+    order
+}
+
 /// Builds the cycle-accurate network for `spec` under `alloc`.
 ///
 /// With `with_traffic`, every connection gets a constant-rate source
@@ -162,18 +192,9 @@ pub fn build_network(
     kind: NetworkKind,
     with_traffic: bool,
 ) -> CycleNet {
+    let [by_src, by_dst] = build_order(spec, kind);
     let cfg = spec.config();
     let topo = spec.topology();
-    match kind {
-        NetworkKind::Synchronous => assert_eq!(
-            cfg.link_pipeline_stages, 0,
-            "synchronous build requires link_pipeline_stages == 0"
-        ),
-        NetworkKind::Mesochronous { .. } => assert_eq!(
-            cfg.link_pipeline_stages, 1,
-            "mesochronous build requires link_pipeline_stages == 1"
-        ),
-    }
 
     let f = Frequency::from_mhz(cfg.frequency_mhz);
     let period_fs = f.period().as_fs();
@@ -280,10 +301,8 @@ pub fn build_network(
         let domain = ni_domains[ni.index()];
         // Source side.
         let mut src_conns = Vec::new();
-        for c in spec.connections() {
-            if spec.ip_ni(c.src) != ni {
-                continue;
-            }
+        for &ci in &by_src[ni.index()] {
+            let c = &spec.connections()[ci];
             let grant = alloc
                 .grant(c.id)
                 .unwrap_or_else(|| panic!("{} has no grant", c.id));
@@ -327,10 +346,8 @@ pub fn build_network(
 
         // Sink side.
         let mut sink_conns = Vec::new();
-        for c in spec.connections() {
-            if spec.ip_ni(c.dst) != ni {
-                continue;
-            }
+        for &ci in &by_dst[ni.index()] {
+            let c = &spec.connections()[ci];
             let log = delivery_log(c.id, ni_phase_fs[ni.index()], period_fs);
             conn_index[c.id.index()].1 = logs.len() as u32;
             logs.push((c.id, std::rc::Rc::clone(&log)));

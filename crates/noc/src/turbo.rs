@@ -101,12 +101,13 @@
 //! [`FlitLog`]: crate::ni::FlitLog
 //! [`FlitDelivery`]: crate::ni::FlitDelivery
 
-use crate::network::{NetworkKind, CREDIT_RETURN_CYCLES};
+use crate::network::{build_order, NetworkKind, CREDIT_RETURN_CYCLES};
 use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitLog, Message, MessageQueue};
-use aelite_alloc::allocate::{pipeline_cycles, required_buffer_words, Allocation};
+use aelite_alloc::allocate::{required_buffer_words, Allocation};
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
+use aelite_spec::timing::pipeline_cycles;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -609,18 +610,9 @@ pub fn build_turbo(
     kind: NetworkKind,
     with_traffic: bool,
 ) -> TurboNet {
+    let [by_src, by_dst] = build_order(spec, kind);
     let cfg = spec.config();
     let topo = spec.topology();
-    match kind {
-        NetworkKind::Synchronous => assert_eq!(
-            cfg.link_pipeline_stages, 0,
-            "synchronous build requires link_pipeline_stages == 0"
-        ),
-        NetworkKind::Mesochronous { .. } => assert_eq!(
-            cfg.link_pipeline_stages, 1,
-            "mesochronous build requires link_pipeline_stages == 1"
-        ),
-    }
     if let Err(violations) = aelite_alloc::validate_allocation(spec, alloc) {
         panic!(
             "allocation invalid for this spec ({} violation(s), first: {:?}) — \
@@ -641,20 +633,6 @@ pub fn build_turbo(
     let mesochronous = matches!(kind, NetworkKind::Mesochronous { .. });
     let slot_cycles = u64::from(cfg.slot_cycles());
     let payload_capacity = cfg.payload_words_per_flit();
-
-    // Bucket connection indices by source and destination NI up front:
-    // a single O(conns) pass replaces the old O(NIs × conns) rescan per
-    // NI, which dominated build time on mega-meshes (4096 NIs × 30k
-    // connections). Pushing in spec order keeps each bucket in spec
-    // order, so the construction order below — source NIs outer, spec
-    // connections inner — is unchanged and the public queue/log vectors
-    // still match the event engine's exactly.
-    let mut by_src: Vec<Vec<usize>> = vec![Vec::new(); topo.ni_count()];
-    let mut by_dst: Vec<Vec<usize>> = vec![Vec::new(); topo.ni_count()];
-    for (ci, c) in spec.connections().iter().enumerate() {
-        by_src[spec.ip_ni(c.src).index()].push(ci);
-        by_dst[spec.ip_ni(c.dst).index()].push(ci);
-    }
 
     // Per-connection compiled state, in `build_network`'s construction
     // order.
@@ -680,8 +658,7 @@ pub fn build_turbo(
             let head_delay = match kind {
                 NetworkKind::Synchronous => (links - 1) * ROUTER_PIPELINE_CYCLES + 1,
                 NetworkKind::Mesochronous { .. } => {
-                    links * slot_cycles * u64::from(cfg.slots_per_hop())
-                        - u64::from(payload_capacity)
+                    pipeline_cycles(cfg, grant.links.len()) - u64::from(payload_capacity)
                 }
             };
             let queue = message_queue();

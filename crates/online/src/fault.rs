@@ -60,18 +60,7 @@ use crate::engine::{ChurnEngine, ChurnStats, RerouteOutcome};
 use aelite_alloc::{admission_order, Allocation, FaultMask};
 use aelite_spec::fault::{FaultOp, ScenarioEvent};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
-use aelite_spec::topology::{Endpoint, Topology};
 use aelite_spec::SystemSpec;
-
-/// The links adjacent to `router` — router-router links on either side
-/// and the NI links of its concentrated NIs.
-fn router_links(topo: &Topology, router: RouterId) -> impl Iterator<Item = LinkId> + '_ {
-    topo.links().filter(move |&l| {
-        let link = topo.link(l);
-        let touches = |e: Endpoint| matches!(e, Endpoint::Router(r, _) if r == router);
-        touches(link.from) || touches(link.to)
-    })
-}
 
 /// The persistence threshold: glitches shorter than 10 µs are masked
 /// without displacing any grant.
@@ -164,11 +153,11 @@ impl ChurnEngine {
                 self.links_up(spec, alloc, one(l), |s| &mut s.link_ups);
             }
             FaultOp::RouterDown(r) if router(r) => {
-                let links = router_links(topo, r);
+                let links = topo.router_links(r);
                 self.links_down(spec, alloc, links, |s| &mut s.router_downs);
             }
             FaultOp::RouterUp(r) if router(r) => {
-                let links = router_links(topo, r);
+                let links = topo.router_links(r);
                 self.links_up(spec, alloc, links, |s| &mut s.router_ups);
             }
             FaultOp::LinkGlitch {
@@ -512,7 +501,7 @@ pub(crate) mod tests {
         assert_eq!(engine.stats().router_downs, 1);
         assert_no_grant_over_down_link(&alloc, engine.mask());
         // Every adjacent link is down, exactly once.
-        let links: Vec<_> = router_links(spec.topology(), router).collect();
+        let links: Vec<_> = spec.topology().router_links(router).collect();
         for &l in &links {
             assert!(engine.mask().is_down(l));
         }

@@ -129,13 +129,8 @@ impl ShardMap {
             if shards == 1 {
                 return 0;
             }
-            let (cols, rows) = topo
-                .mesh_dims()
-                .expect("multi-tile shard maps require a mesh topology");
-            let (x, y) = topo.coords(r).expect("mesh router has coordinates");
-            let tx = x * config.tiles_x / cols;
-            let ty = y * config.tiles_y / rows;
-            ty * config.tiles_x + tx
+            topo.tile_of(r, config.tiles_x, config.tiles_y)
+                .expect("multi-tile shard maps require a mesh topology")
         };
 
         let mut link_owner = vec![0u32; topo.link_count()];

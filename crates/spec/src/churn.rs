@@ -383,9 +383,7 @@ pub fn churn_trace(spec: &SystemSpec, params: &ChurnParams, seed: u64) -> ChurnT
     let mut t_ns = 0.0f64;
 
     for _ in 0..params.events {
-        // Poisson arrivals: exponential inter-arrival times.
-        let u: f64 = rng.gen();
-        t_ns += -(1.0 - u).max(f64::MIN_POSITIVE).ln() * mean_gap_ns;
+        t_ns += exponential_gap_ns(&mut rng, mean_gap_ns);
 
         let op = if rng.gen::<f64>() < params.switch_weight {
             draw_switch(spec, &mut state, &mut rng)
@@ -400,6 +398,21 @@ pub fn churn_trace(spec: &SystemSpec, params: &ChurnParams, seed: u64) -> ChurnT
         });
     }
     ChurnTrace { events }
+}
+
+/// One inter-arrival gap of a Poisson process with mean `mean_gap_ns`:
+/// exponential, from one uniform draw of `rng`.
+pub(crate) fn exponential_gap_ns(rng: &mut StdRng, mean_gap_ns: f64) -> f64 {
+    let u: f64 = rng.gen();
+    -(1.0 - u).max(f64::MIN_POSITIVE).ln() * mean_gap_ns
+}
+
+/// Linear steering of a population share `frac` towards `target`: the
+/// probability of the move that grows the share. At the target the mix
+/// is 50/50; a half-pool deficit pushes it to ~1 (and vice versa), never
+/// past `[0.05, 0.95]`.
+pub(crate) fn steer_towards(target: f64, frac: f64) -> f64 {
+    (0.5 + (target - frac)).clamp(0.05, 0.95)
 }
 
 /// A use-case switch: all open connections of one application out, all
@@ -458,9 +471,7 @@ fn draw_single(
 ) -> ChurnOp {
     let n = spec.connections().len();
     let open_frac = state.open.len() as f64 / n as f64;
-    // Linear steering: at the target the mix is 50/50; a half-pool
-    // deficit pushes the open probability to ~1 (and vice versa).
-    let p_open = (0.5 + (target_open - open_frac)).clamp(0.05, 0.95);
+    let p_open = steer_towards(target_open, open_frac);
     let do_open = if state.open.is_empty() {
         true
     } else if state.closed.is_empty() {

@@ -33,7 +33,7 @@
 //! adjacent links stay down (individual repairs of them are not drawn)
 //! until the router itself is repaired.
 
-use crate::churn::{ChurnOp, ChurnTrace};
+use crate::churn::{exponential_gap_ns, steer_towards, ChurnOp, ChurnTrace};
 use crate::ids::{LinkId, RouterId};
 use crate::topology::{Endpoint, Topology};
 use rand::rngs::StdRng;
@@ -307,13 +307,6 @@ impl DownSet {
     }
 }
 
-/// Whether `l` has `r` on either end (NI links adjacent to `r` count).
-fn adjacent(topo: &Topology, l: LinkId, r: RouterId) -> bool {
-    let link = topo.link(l);
-    let touches = |e: Endpoint| matches!(e, Endpoint::Router(rr, _) if rr == r);
-    touches(link.from) || touches(link.to)
-}
-
 /// The router a link is adjacent to that is currently down, if any.
 fn held_by_down_router(topo: &Topology, state: &DownSet, l: LinkId) -> bool {
     let link = topo.link(l);
@@ -359,13 +352,12 @@ pub fn fault_trace(topo: &Topology, params: &FaultParams, seed: u64) -> FaultTra
     let mut t_ns = 0.0f64;
 
     for _ in 0..params.events {
-        let u: f64 = rng.gen();
-        t_ns += -(1.0 - u).max(f64::MIN_POSITIVE).ln() * mean_gap_ns;
+        t_ns += exponential_gap_ns(&mut rng, mean_gap_ns);
 
-        // Linear steering towards the target degradation, exactly the
-        // churn generator's occupancy model.
+        // Steering towards the target degradation: the churn generator's
+        // occupancy model.
         let down_frac = state.down_links as f64 / topo.link_count() as f64;
-        let p_down = (0.5 + (params.target_down - down_frac)).clamp(0.05, 0.95);
+        let p_down = steer_towards(params.target_down, down_frac);
         let prefer_down = rng.gen::<f64>() < p_down;
         let router_event = rng.gen::<f64>() < params.router_weight;
         let glitch_event = rng.gen::<f64>() < params.glitch_weight;
@@ -426,9 +418,7 @@ fn draw_fault(
             .filter(|&r| {
                 if down {
                     !state.router_down[r.index()]
-                        && topo
-                            .links()
-                            .any(|l| adjacent(topo, l, r) && !state.link_down[l.index()])
+                        && topo.router_links(r).any(|l| !state.link_down[l.index()])
                 } else {
                     state.router_down[r.index()]
                 }
@@ -455,8 +445,8 @@ fn draw_fault(
 
     let apply_router = |state: &mut DownSet, r: RouterId, down: bool| {
         state.router_down[r.index()] = down;
-        for l in topo.links() {
-            if adjacent(topo, l, r) && state.link_down[l.index()] != down {
+        for l in topo.router_links(r) {
+            if state.link_down[l.index()] != down {
                 state.set_link(l, down);
             }
         }
@@ -535,19 +525,15 @@ mod tests {
                 FaultOp::RouterDown(r) => {
                     assert!(!state.router_down[r.index()], "{r} failed twice");
                     state.router_down[r.index()] = true;
-                    for l in topo.links() {
-                        if adjacent(&topo, l, r) {
-                            state.set_link(l, true);
-                        }
+                    for l in topo.router_links(r) {
+                        state.set_link(l, true);
                     }
                 }
                 FaultOp::RouterUp(r) => {
                     assert!(state.router_down[r.index()], "{r} repaired while up");
                     state.router_down[r.index()] = false;
-                    for l in topo.links() {
-                        if adjacent(&topo, l, r) {
-                            state.set_link(l, false);
-                        }
+                    for l in topo.router_links(r) {
+                        state.set_link(l, false);
                     }
                 }
                 FaultOp::LinkGlitch { link, duration_ns } => {
@@ -593,10 +579,8 @@ mod tests {
                 FaultOp::RouterDown(r) | FaultOp::RouterUp(r) => {
                     let down = matches!(e.op, FaultOp::RouterDown(_));
                     state.router_down[r.index()] = down;
-                    for l in topo.links() {
-                        if adjacent(&topo, l, r) {
-                            state.set_link(l, down);
-                        }
+                    for l in topo.router_links(r) {
+                        state.set_link(l, down);
                     }
                 }
                 FaultOp::LinkGlitch { .. } => {}

@@ -26,6 +26,8 @@
 use crate::app::{SystemSpec, SystemSpecBuilder};
 use crate::config::NocConfig;
 use crate::ids::{IpId, NiId};
+use crate::path::dimension_ordered_hops;
+use crate::timing::{latency_bound_cycles, slot_estimate};
 use crate::topology::Topology;
 use crate::traffic::Bandwidth;
 use core::fmt;
@@ -566,16 +568,12 @@ fn draw_workload(
     // Tile pools for the locality constraint: which tile each IP's
     // router falls in, and the IPs of each tile.
     let regional: Option<(Vec<Vec<IpId>>, Vec<usize>)> = locality.map(|(tx, ty)| {
-        let (cols, rows) = b
-            .topology()
-            .mesh_dims()
-            .expect("regional workloads require a mesh topology");
         let mut tile_ips: Vec<Vec<IpId>> = vec![Vec::new(); (tx * ty) as usize];
         let mut ip_tile = vec![0usize; ips.len()];
         for (i, &ip) in ips.iter().enumerate() {
             let r = b.topology().ni_router(b.spec_ni(ip));
-            let (x, y) = b.topology().coords(r).expect("mesh router has coordinates");
-            let t = (y * ty / rows * tx + x * tx / cols) as usize;
+            let t = b.topology().tile_of(r, tx, ty);
+            let t = t.expect("regional workloads require a mesh topology") as usize;
             ip_tile[i] = t;
             tile_ips[t].push(ip);
         }
@@ -620,6 +618,7 @@ fn draw_workload(
     // this budget keeps the workload allocatable (see module docs).
     let link_budget = (f64::from(config.slot_table_size) * params.ni_load_cap).floor() as i64;
     let mut link_left = vec![link_budget; b.topology().link_count()];
+    let mut links = Vec::new();
 
     for c in 0..params.connections {
         // Log-uniform bandwidth in [bw_min, bw_max] MB/s.
@@ -677,27 +676,19 @@ fn draw_workload(
                 continue; // keep all traffic on the network, as in the paper
             }
 
-            // Per-flit pipeline delay along the XY route: one slot per
-            // link (plus pipeline stages) across hops+2 links.
-            let n_links = u64::from(router_hops(b.topology(), sni, dni) + 2);
-            let pipeline_cycles =
-                n_links * u64::from(config.slots_per_hop()) * u64::from(config.flit_words);
+            // The shortest route's hops+2 links (the XY route's on a mesh).
+            let n_links = b.topology().router_hops(sni, dni) as usize + 2;
 
             // Latency requirement: drawn, then clamped so that at least a
             // 2-slot injection gap remains physically achievable.
-            let floor_cycles = pipeline_cycles + 2 * u64::from(config.slot_cycles());
+            let floor_cycles = latency_bound_cycles(&config, 2, n_links);
             let floor_ns = (floor_cycles as f64 * config.cycle_ns()).ceil() as u64;
             let drawn = rng.gen_range(params.lat_min_ns..=params.lat_max_ns);
             let lat = drawn.max(floor_ns);
 
             // Slots this connection will need: the bandwidth minimum, or
-            // more when the deadline forces a tighter injection gap
-            // (mirrors the allocator's latency-aware slot addition).
-            let budget_cycles = (lat as f64 / config.cycle_ns()).floor() as u64;
-            let wait_cycles = budget_cycles.saturating_sub(pipeline_cycles);
-            let allowed_gap = (wait_cycles / u64::from(config.slot_cycles())).max(1) as u32;
-            let lat_slots = config.slot_table_size.div_ceil(allowed_gap);
-            let est = i64::from(config.slots_for(bw).max(lat_slots).max(1));
+            // more when the deadline forces a tighter injection gap.
+            let est = i64::from(slot_estimate(&config, bw, lat, n_links));
 
             // Reject draws whose deadline would monopolise the table: a
             // connection may claim at most a quarter of the slots. Tight
@@ -707,13 +698,20 @@ fn draw_workload(
                 continue;
             }
 
-            // Budget check along the XY route.
-            let links = xy_links(b.topology(), sni, dni);
-            if links.iter().any(|&l| link_left[l] < est) {
+            // Budget check along the XY route's links; off a mesh there
+            // are no router hops to walk, which leaves the NI links.
+            let topo = b.topology();
+            links.clear();
+            links.push(topo.ni_ingress_link(sni));
+            dimension_ordered_hops(topo, sni, dni, true, |router, port| {
+                links.push(topo.out_link(router, port).expect("a port has a link"));
+            });
+            links.push(topo.ni_egress_link(dni));
+            if links.iter().any(|l| link_left[l.index()] < est) {
                 continue;
             }
-            for &l in &links {
-                link_left[l] -= est;
+            for l in &links {
+                link_left[l.index()] -= est;
             }
             accepted = Some((src, dst, bw, lat));
             break;
@@ -734,50 +732,6 @@ fn draw_workload(
         );
     }
     Ok(b.build())
-}
-
-/// Router-to-router hop count between the routers of two NIs (Manhattan on
-/// meshes, 1 for distinct routers otherwise).
-fn router_hops(topo: &Topology, a: NiId, b: NiId) -> u32 {
-    let (ra, rb) = (topo.ni_router(a), topo.ni_router(b));
-    match (topo.coords(ra), topo.coords(rb)) {
-        (Some((xa, ya)), Some((xb, yb))) => xa.abs_diff(xb) + ya.abs_diff(yb),
-        _ => u32::from(ra != rb),
-    }
-}
-
-/// The link indices of the XY route from `a` to `b`: NI ingress, one link
-/// per router hop, and the egress into `b`. Falls back to just the NI
-/// links on non-mesh topologies.
-fn xy_links(topo: &Topology, a: NiId, b: NiId) -> Vec<usize> {
-    use crate::topology::PortTarget;
-    let mut links = vec![topo.ni_ingress_link(a).index()];
-    let mut router = topo.ni_router(a);
-    let goal = topo.ni_router(b);
-    if let (Some((mut x, mut y)), Some((tx, ty))) = (topo.coords(router), topo.coords(goal)) {
-        while x != tx {
-            let nx = if x < tx { x + 1 } else { x - 1 };
-            let next = topo.router_at(nx, y).expect("mesh neighbour");
-            let port = topo
-                .port_towards(router, PortTarget::Router(next))
-                .expect("mesh port");
-            links.push(topo.out_link(router, port).expect("mesh link").index());
-            router = next;
-            x = nx;
-        }
-        while y != ty {
-            let ny = if y < ty { y + 1 } else { y - 1 };
-            let next = topo.router_at(x, ny).expect("mesh neighbour");
-            let port = topo
-                .port_towards(router, PortTarget::Router(next))
-                .expect("mesh port");
-            links.push(topo.out_link(router, port).expect("mesh link").index());
-            router = next;
-            y = ny;
-        }
-    }
-    links.push(topo.ni_egress_link(b).index());
-    links
 }
 
 impl SystemSpecBuilder {

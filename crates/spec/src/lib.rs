@@ -5,7 +5,11 @@
 //! * [`ids`] — typed identifiers for routers, NIs, IPs, links, connections
 //!   and applications.
 //! * [`topology`] — (concentrated) meshes and arbitrary topologies of
-//!   routers, NIs and directed links.
+//!   routers, NIs and directed links, with their hop counts.
+//! * [`path`] — source-route paths and the dimension-ordered (XY/YX)
+//!   route.
+//! * [`timing`] — the one timing model: pipeline delay, worst-case
+//!   latency bound and the slots a deadline forces.
 //! * [`traffic`] — bandwidth units and offered-load patterns.
 //! * [`config`] — the NoC-wide geometry: data width, frequency, 3-word
 //!   flits, TDM slot-table size.
@@ -41,6 +45,8 @@ pub mod config;
 pub mod fault;
 pub mod generate;
 pub mod ids;
+pub mod path;
+pub mod timing;
 pub mod topology;
 pub mod traffic;
 

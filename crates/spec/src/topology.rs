@@ -322,6 +322,40 @@ impl Topology {
             .map(|(i, _)| NiId::new(i as u32))
     }
 
+    /// The links adjacent to `router`, in link order: router-router links
+    /// on either side and the links of its concentrated NIs.
+    #[inline]
+    pub fn router_links(&self, router: RouterId) -> impl Iterator<Item = LinkId> + '_ {
+        let touches = move |e: Endpoint| matches!(e, Endpoint::Router(r, _) if r == router);
+        self.links().filter(move |&l| {
+            let link = self.link(l);
+            touches(link.from) || touches(link.to)
+        })
+    }
+
+    /// Router-to-router hops between the routers of two NIs on a shortest
+    /// route: the Manhattan distance on a mesh. Off a mesh it is 1
+    /// between distinct routers (0 on one router), which can undercount
+    /// every real route.
+    #[inline]
+    #[must_use]
+    pub fn router_hops(&self, a: NiId, b: NiId) -> u32 {
+        let (ra, rb) = (self.ni_router(a), self.ni_router(b));
+        match (self.coords(ra), self.coords(rb)) {
+            (Some((xa, ya)), Some((xb, yb))) => xa.abs_diff(xb) + ya.abs_diff(yb),
+            _ => u32::from(ra != rb),
+        }
+    }
+
+    /// The tile `router` falls in when the mesh is cut into a `tiles_x` ×
+    /// `tiles_y` grid of regions numbered row-major, if this is a mesh.
+    /// Regional workloads and the shard map agree on regions through it.
+    #[must_use]
+    pub fn tile_of(&self, router: RouterId, tiles_x: u32, tiles_y: u32) -> Option<u32> {
+        let ((cols, rows), (x, y)) = (self.mesh_dims()?, self.coords(router)?);
+        Some(y * tiles_y / rows * tiles_x + x * tiles_x / cols)
+    }
+
     /// Mesh coordinates of `router` (column, row), if this topology was
     /// built as a mesh.
     #[must_use]

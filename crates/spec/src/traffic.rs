@@ -1,5 +1,6 @@
 //! Bandwidth, service requirements and traffic patterns.
 
+use crate::app::Connection;
 use core::fmt;
 
 /// A sustained bandwidth in bytes per second.
@@ -87,7 +88,7 @@ impl core::iter::Sum for Bandwidth {
 /// How an IP core offers traffic on a connection during simulation.
 ///
 /// The service *contract* (bandwidth/latency) lives on the
-/// [`Connection`](crate::app::Connection); the pattern describes the offered
+/// [`Connection`]; the pattern describes the offered
 /// load used to exercise that contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TrafficPattern {
@@ -119,6 +120,32 @@ impl fmt::Display for TrafficPattern {
             } => write!(f, "bursty({burst_bytes} B / {period_ns} ns)"),
         }
     }
+}
+
+/// How the simulators replay the offered load of `c` at
+/// `frequency_mhz`: the bytes of one message (a whole burst for
+/// [`TrafficPattern::Bursty`]) and the interval between message arrivals
+/// in 48.16 fixed-point cycles, so a fractional interval does not drift.
+/// The interval is 0 for [`TrafficPattern::Saturating`], whose source is
+/// never empty.
+#[must_use]
+pub fn message_arrivals(c: &Connection, frequency_mhz: u64) -> (u64, u64) {
+    let interval_cycles = match c.pattern {
+        // message_bytes / (bw / f) cycles.
+        TrafficPattern::ConstantRate => {
+            let cycles_per_sec = (frequency_mhz * 1_000_000) as f64;
+            f64::from(c.message_bytes) * cycles_per_sec / c.bandwidth.bytes_per_sec() as f64
+        }
+        TrafficPattern::Saturating => 0.0,
+        TrafficPattern::Bursty { period_ns, .. } => {
+            f64::from(period_ns) * frequency_mhz as f64 / 1_000.0
+        }
+    };
+    let bytes = match c.pattern {
+        TrafficPattern::Bursty { burst_bytes, .. } => burst_bytes,
+        _ => c.message_bytes,
+    };
+    (u64::from(bytes), (interval_cycles * 65_536.0) as u64)
 }
 
 #[cfg(test)]

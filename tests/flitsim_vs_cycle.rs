@@ -1,9 +1,12 @@
-//! Cross-validation of the three simulators: the fast flit-level
-//! simulator must predict *exactly* the delivery cycles the
-//! cycle-accurate network produces — and the compiled turbo kernel must
-//! reproduce the event-driven build bit for bit — for both the
-//! synchronous and the mesochronous organisation, from the 2×2 mesh up
-//! to the 4×4/8×8 `scaled_workload` platforms.
+//! Cross-validation of the three simulators: on scenarios whose arrivals
+//! both generators quantise alike — CBR intervals that are whole cycles,
+//! or saturating sources — the fast flit-level simulator must predict
+//! *exactly* the delivery cycles the cycle-accurate network produces,
+//! and the compiled turbo kernel must reproduce the event-driven build
+//! bit for bit, for both the synchronous and the mesochronous
+//! organisation, from the 2×2 mesh up to the 4×4/8×8 `scaled_workload`
+//! platforms. A fractional CBR interval is not such a scenario: flitsim
+//! steps it in 48.16 fixed point, the cycle engines round it up.
 //!
 //! This is the test that justifies running the 200-connection experiment
 //! at flit level (see the `aelite_noc::flitsim` module docs), and
