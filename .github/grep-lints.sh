@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's two grep lints, in one place: the CI `lint` job runs
+# The repository's three grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -28,3 +28,34 @@ if [ -n "$hits" ]; then
   echo "::error::a compatibility shim kept for benchmark/ has a caller outside it"
   exit 1
 fi
+
+# A `pub fn` is public because something outside its crate calls it.
+# Every `pub fn` / `pub const fn` under `crates/*/src` must have a
+# whole-word match in some `.rs` file outside that crate's `src/`;
+# otherwise make it `pub(crate)`, move it under `#[cfg(test)]`, or delete
+# it. The name-based search undercounts (a same-named function elsewhere
+# hides an uncalled one), never overcounts. Exceptions, with the reason:
+allow=(
+  expand                            # doctest on aelite_dataflow::sdf::SdfGraph
+  maximum_cycle_mean                # doctests on HsdfGraph and SdfGraph
+  repetition_vector                 # doctest on aelite_dataflow::sdf::SdfGraph
+  pareto_front                      # its own doctest in aelite_dse::pareto
+  pop_port                          # doctest on aelite_noc::phit::RouteBits
+  as_mhz_f64                        # doctest on aelite_sim::time::Frequency
+  add_ni                            # doctest on aelite_spec::topology::TopologyBuilder
+  add_router                        # doctest on aelite_spec::topology::TopologyBuilder
+  connect_routers                   # doctest on aelite_spec::topology::TopologyBuilder
+  raw_link_bandwidth                # doctest on aelite_spec::config::NocConfig
+  lr_server                         # ROADMAP 2(b)/13(b) give it a caller or delete it
+  first_conformance_violation       # ROADMAP 2(b)/13(b) give it a caller or delete it
+  undersized_connections            # ROADMAP 13(a) decides the buffer analysis
+  worst_case_message_latency_cycles # ROADMAP 9(b) measures the bound against it
+)
+for dir in crates/*/src; do
+  for name in $(git grep -hoE 'pub (const )?fn [A-Za-z_][A-Za-z0-9_]*' -- "$dir" | sed -E 's/.* fn //' | sort -u); do
+    git grep -qw "$name" -- '*.rs' ":!$dir" && continue
+    case " ${allow[*]} " in *" $name "*) continue ;; esac
+    echo "::error::\`$name\` in $dir is \`pub\` but nothing outside its crate names it: make it pub(crate), #[cfg(test)], or delete it"
+    exit 1
+  done
+done

@@ -242,15 +242,18 @@ impl Allocation {
     }
 
     /// Worst-case latency for a whole `message_bytes` message of `conn`
-    /// (wait for the worst window of consecutive slots plus the pipeline).
+    /// (wait for the worst window of consecutive slots plus the pipeline),
+    /// with the message cut into flits under the conservative
+    /// one-header-word-per-flit model.
     ///
     /// # Panics
     ///
     /// Panics if `conn` has no grant.
     #[must_use]
     pub fn worst_case_message_latency_cycles(&self, spec: &SystemSpec, conn: ConnId) -> u64 {
-        let m = flits_per_message(spec, spec.connection(conn).message_bytes);
-        self.window_latency_cycles(spec, conn, m)
+        let payload = spec.config().payload_words_per_flit() * spec.config().data_width_bytes();
+        let flits = spec.connection(conn).message_bytes.div_ceil(payload).max(1);
+        self.window_latency_cycles(spec, conn, flits)
     }
 
     fn window_latency_cycles(&self, spec: &SystemSpec, conn: ConnId, m: u32) -> u64 {
@@ -376,14 +379,6 @@ pub fn required_buffer_words(
         + 1;
     let in_flight = max_slots_in_window(&grant.inject_slots, cfg.slot_table_size, window);
     in_flight * cfg.payload_words_per_flit()
-}
-
-/// The number of flits a message of `bytes` occupies under the
-/// conservative one-header-word-per-flit model.
-#[must_use]
-pub fn flits_per_message(spec: &SystemSpec, bytes: u32) -> u32 {
-    let payload = spec.config().payload_words_per_flit() * spec.config().data_width_bytes();
-    bytes.div_ceil(payload).max(1)
 }
 
 /// Why allocation failed.
@@ -514,12 +509,6 @@ impl AllocScratch {
             grant.path.ports.clear();
             self.spare.push(grant);
         }
-    }
-
-    /// How many recycled grants are pooled (for tests and diagnostics).
-    #[must_use]
-    pub fn pooled_grants(&self) -> usize {
-        self.spare.len()
     }
 }
 
@@ -1169,6 +1158,13 @@ mod tests {
     use aelite_spec::topology::{Endpoint, Topology};
     use aelite_spec::traffic::Bandwidth;
 
+    impl AllocScratch {
+        /// How many recycled grants are pooled.
+        fn pooled_grants(&self) -> usize {
+            self.spare.len()
+        }
+    }
+
     /// Old-signature adapters for the kernel pin tests.
     fn spread(avail: &mut SlotMask, needed: u32, size: u32, phase: u32) -> Vec<u32> {
         let mut out = Vec::new();
@@ -1610,16 +1606,6 @@ mod tests {
             &mut routes,
             &mut scratch,
         );
-    }
-
-    #[test]
-    fn flits_per_message_rounds_up() {
-        let spec = two_conn_spec();
-        // Payload per flit = 2 words * 4 bytes = 8 bytes.
-        assert_eq!(flits_per_message(&spec, 1), 1);
-        assert_eq!(flits_per_message(&spec, 8), 1);
-        assert_eq!(flits_per_message(&spec, 9), 2);
-        assert_eq!(flits_per_message(&spec, 64), 8);
     }
 
     #[test]

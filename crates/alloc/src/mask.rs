@@ -166,7 +166,7 @@ impl SlotMask {
     /// # Panics
     ///
     /// Panics if the sizes differ.
-    pub fn copy_from(&mut self, other: &SlotMask) {
+    pub(crate) fn copy_from(&mut self, other: &SlotMask) {
         assert_eq!(self.size, other.size, "mask size mismatch");
         self.words_mut().copy_from_slice(other.words());
     }
@@ -431,7 +431,7 @@ impl SlotMask {
     /// The largest forward circular distance between consecutive set
     /// slots (a single set slot yields `size`), or `None` if empty.
     #[must_use]
-    pub fn max_circular_gap(&self) -> Option<u32> {
+    pub(crate) fn max_circular_gap(&self) -> Option<u32> {
         let first = self.first_one()?;
         let mut prev = first;
         let mut max = 0;

@@ -42,4 +42,4 @@ pub use lr_server::{first_conformance_violation, lr_server, LrServer};
 pub use service::{
     minimum_satisfying_frequency, verify_service, ConnVerdict, MeasuredService, ServiceReport,
 };
-pub use stats::{percentile_sorted, Histogram, Summary};
+pub use stats::{Histogram, Summary};

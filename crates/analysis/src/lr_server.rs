@@ -38,7 +38,7 @@ pub struct LrServer {
 impl LrServer {
     /// The minimum bytes delivered `elapsed` cycles into a busy period.
     #[must_use]
-    pub fn service_bound_bytes(&self, elapsed: u64) -> f64 {
+    pub(crate) fn service_bound_bytes(&self, elapsed: u64) -> f64 {
         self.rate_bytes_per_cycle * elapsed.saturating_sub(self.latency_cycles) as f64
     }
 }

@@ -76,7 +76,7 @@ impl fmt::Display for Summary {
 ///
 /// Panics if `sorted` is empty or `p` is outside `0..=100`.
 #[must_use]
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty sample");
     assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
     if p == 0.0 {
@@ -136,12 +136,6 @@ impl Histogram {
         }
     }
 
-    /// The count per bin.
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// `(bin_low, bin_high, count)` rows for printing.
     pub fn rows(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
@@ -167,6 +161,13 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        /// The count per bin.
+        fn bins(&self) -> &[u64] {
+            &self.bins
+        }
+    }
 
     #[test]
     fn summary_of_known_samples() {

@@ -1,4 +1,6 @@
-//! Whole-system silicon cost estimation.
+//! Whole-system silicon cost estimation, compiled for the tests only:
+//! no product code asks for a cost, so this module is the check that the
+//! synthesis models compose into the Æthereal-family cost structure.
 //!
 //! Combines the synthesis models over the *actual* designed system:
 //! per-router areas from the real arities in the topology, link pipeline
@@ -16,27 +18,25 @@ use core::fmt;
 
 /// A whole-system cost estimate (cell area, 90 nm, pre-layout).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SystemCost {
+struct SystemCost {
     /// All routers.
-    pub routers_um2: f64,
+    routers_um2: f64,
     /// All mesochronous link pipeline stages (zero for synchronous).
-    pub link_stages_um2: f64,
+    link_stages_um2: f64,
     /// All network interfaces (buffers dominate).
-    pub nis_um2: f64,
+    nis_um2: f64,
     /// Estimated NoC power at the operating point, mW (always-on clocks).
-    pub power_mw: f64,
+    power_mw: f64,
 }
 
 impl SystemCost {
     /// Total cell area in µm².
-    #[must_use]
-    pub fn total_um2(&self) -> f64 {
+    fn total_um2(&self) -> f64 {
         self.routers_um2 + self.link_stages_um2 + self.nis_um2
     }
 
     /// Total cell area in mm².
-    #[must_use]
-    pub fn total_mm2(&self) -> f64 {
+    fn total_mm2(&self) -> f64 {
         self.total_um2() / 1e6
     }
 }
@@ -61,8 +61,7 @@ impl fmt::Display for SystemCost {
 /// their real arities; NI areas use the per-NI connection counts of the
 /// specification; link stages are included per `link_pipeline_stages`.
 /// Power uses the measured per-link slot occupancy of the allocation.
-#[must_use]
-pub fn estimate_cost(system: &AeliteSystem, fifo: FifoKind) -> SystemCost {
+fn estimate_cost(system: &AeliteSystem, fifo: FifoKind) -> SystemCost {
     let spec = system.spec();
     let cfg = spec.config();
     let topo = spec.topology();
@@ -125,55 +124,13 @@ pub fn estimate_cost(system: &AeliteSystem, fifo: FifoKind) -> SystemCost {
     }
 }
 
-/// The power saved by the paper's future-work sleep modes, at per-port
-/// gating granularity (see the A1 ablation), in milliwatts.
-#[must_use]
-pub fn sleep_mode_saving_mw(system: &AeliteSystem) -> f64 {
-    let spec = system.spec();
-    let cfg = spec.config();
-    let topo = spec.topology();
-    let f_mhz = cfg.frequency_mhz as f64;
-    let mut saving = 0.0;
-    for r in topo.routers() {
-        let arity = topo.arity(r) as u32;
-        let p = RouterParams {
-            arity_in: arity,
-            arity_out: arity,
-            width_bits: cfg.data_width_bits,
-        };
-        let area = synthesize(&p, f_mhz).area_um2;
-        let port_area = area / f64::from(arity);
-        for port in 0..arity {
-            if let Some(link) = topo.out_link(r, Port(port as u8)) {
-                let util = system.allocation().link_table(link).utilisation();
-                let on = router_power(port_area, f_mhz, util, SleepMode::AlwaysOn);
-                let gated = router_power(
-                    port_area,
-                    f_mhz,
-                    util,
-                    SleepMode::ClockGated {
-                        wake_overhead: 0.05,
-                    },
-                );
-                saving += on.total_mw() - gated.total_mw();
-            }
-        }
-    }
-    saving
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aelite_core_test_helpers::paper_system;
+    use aelite_spec::generate::paper_workload;
 
-    mod aelite_core_test_helpers {
-        use crate::system::AeliteSystem;
-        use aelite_spec::generate::paper_workload;
-
-        pub fn paper_system() -> AeliteSystem {
-            AeliteSystem::design(paper_workload(42)).expect("designs")
-        }
+    fn paper_system() -> AeliteSystem {
+        AeliteSystem::design(paper_workload(42)).expect("designs")
     }
 
     #[test]
@@ -215,15 +172,6 @@ mod tests {
         assert!(cost.link_stages_um2 > 0.0, "{cost}");
         // 24 links x ~2.5 kum2.
         assert!(cost.link_stages_um2 > 20_000.0);
-    }
-
-    #[test]
-    fn sleep_saving_positive_on_paper_platform() {
-        let system = paper_system();
-        let saving = sleep_mode_saving_mw(&system);
-        assert!(saving > 10.0, "saving {saving} mW");
-        let cost = estimate_cost(&system, FifoKind::Custom);
-        assert!(saving < cost.power_mw);
     }
 
     #[test]

@@ -28,10 +28,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cost;
 pub mod system;
 
-pub use cost::{estimate_cost, sleep_mode_saving_mw, SystemCost};
 pub use system::{
     measured_services, measured_services_be, timelines, AeliteSystem, DesignError, ReconfigReport,
     SimOptions, SimulationOutcome,
@@ -46,3 +44,6 @@ pub use aelite_noc as noc;
 pub use aelite_sim as sim;
 pub use aelite_spec as spec;
 pub use aelite_synth as synth;
+
+#[cfg(test)]
+mod cost;

@@ -117,19 +117,10 @@ impl AeliteSystem {
     /// a contract cannot be satisfied, or (internal error) the produced
     /// allocation fails validation.
     pub fn design(spec: SystemSpec) -> Result<Self, DesignError> {
-        Self::design_with(spec, &Allocator::new())
-    }
-
-    /// [`Self::design`] with a custom allocator configuration.
-    ///
-    /// # Errors
-    ///
-    /// See [`design`](Self::design).
-    pub fn design_with(spec: SystemSpec, allocator: &Allocator) -> Result<Self, DesignError> {
         spec.config()
             .validate()
             .map_err(DesignError::InvalidConfig)?;
-        let allocation = allocator.allocate(&spec)?;
+        let allocation = Allocator::new().allocate(&spec)?;
         validate(&spec, &allocation).map_err(DesignError::Validation)?;
         Ok(AeliteSystem { spec, allocation })
     }

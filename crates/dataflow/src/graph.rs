@@ -42,6 +42,8 @@ impl fmt::Display for ActorId {
 
 #[derive(Debug, Clone)]
 struct Actor {
+    /// Shown by `Debug`; read back only by the tests.
+    #[cfg_attr(not(test), allow(dead_code))]
     name: String,
     /// Execution time per firing, in arbitrary consistent time units.
     exec_time: f64,
@@ -129,24 +131,6 @@ impl HsdfGraph {
         assert!(capacity > 0, "channel capacity must be non-zero");
         self.add_edge(from, to, 0);
         self.add_edge(to, from, capacity);
-    }
-
-    /// Number of actors.
-    #[must_use]
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// Number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// The name of `actor`.
-    #[must_use]
-    pub fn actor_name(&self, actor: ActorId) -> &str {
-        &self.actors[actor.0].name
     }
 
     /// The maximum cycle mean (time units per token), or `None` for an
@@ -247,6 +231,23 @@ impl HsdfGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HsdfGraph {
+        /// Number of actors.
+        pub(crate) fn actor_count(&self) -> usize {
+            self.actors.len()
+        }
+
+        /// Number of edges.
+        pub(crate) fn edge_count(&self) -> usize {
+            self.edges.len()
+        }
+
+        /// The name of `actor`.
+        pub(crate) fn actor_name(&self, actor: ActorId) -> &str {
+            &self.actors[actor.0].name
+        }
+    }
 
     #[test]
     fn self_loop_mcm_is_exec_over_tokens() {

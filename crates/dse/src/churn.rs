@@ -90,7 +90,7 @@ pub fn churn_table_header() -> String {
 /// Panics if the point's workload can no longer be drawn (callers pass
 /// points from a checked report).
 #[must_use]
-pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
+pub(crate) fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
     let spec = point.spec();
 
     // Reproduce the sweep's allocation, then drain it through the O(Δ)
@@ -131,7 +131,7 @@ pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
     }
 }
 
-/// Replays every point of `report`'s Pareto front (see [`churn_point`]);
+/// Replays every point of `report`'s Pareto front (see `churn_point`);
 /// returns one verdict row per point, in front order.
 ///
 /// # Panics

@@ -98,7 +98,7 @@ pub struct PointResult {
 /// `max_paths` bound than this point's platform and the default
 /// [`Allocator`] use.
 #[must_use]
-pub fn evaluate_point(point: &DesignPoint, routes: &mut RouteCache) -> PointResult {
+pub(crate) fn evaluate_point(point: &DesignPoint, routes: &mut RouteCache) -> PointResult {
     let cfg = point.config();
     let seed = point.seed();
     let requested = point.workload_params().connections;

@@ -94,7 +94,7 @@ pub fn fault_table_header() -> String {
 }
 
 /// Replays a seeded merged churn + fault scenario over `spec`: the one
-/// populate → merge → replay → settle sequence behind [`fault_point`]
+/// populate → merge → replay → settle sequence behind `fault_point`
 /// and the steering pin of `tests/fault_recovery_golden.rs`.
 ///
 /// The platform is populated from empty through the engine itself
@@ -159,7 +159,7 @@ pub fn replay_fault_scenario(
 /// Panics if the point's workload can no longer be drawn (callers pass
 /// points from a checked report).
 #[must_use]
-pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
+pub(crate) fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
     let spec = point.spec();
 
     let (engine, _alloc, admitted, events) = replay_fault_scenario(
@@ -194,7 +194,7 @@ pub fn fault_point(point: &DesignPoint) -> FaultScenarioPoint {
 ///
 /// Panics if the report's front is empty (a gated report never is).
 #[must_use]
-pub fn fault_front(report: &DseReport) -> Vec<FaultScenarioPoint> {
+pub(crate) fn fault_front(report: &DseReport) -> Vec<FaultScenarioPoint> {
     report.map_front(fault_point)
 }
 

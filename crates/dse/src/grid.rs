@@ -163,7 +163,7 @@ impl DesignPoint {
     /// The workload parameters of the point's [`TrafficMix`], scaled to
     /// its platform.
     #[must_use]
-    pub fn workload_params(&self) -> WorkloadParams {
+    pub(crate) fn workload_params(&self) -> WorkloadParams {
         let ni = self.mesh.ni_count();
         match self.mix {
             // The paper drew 200 connections over 70 IPs on 48 NIs; keep
@@ -211,7 +211,7 @@ impl DesignPoint {
     /// # Errors
     ///
     /// [`WorkloadError`] when the platform cannot carry the mix's budgets.
-    pub fn try_spec(&self) -> Result<SystemSpec, WorkloadError> {
+    pub(crate) fn try_spec(&self) -> Result<SystemSpec, WorkloadError> {
         let (topology, config) = (self.topology(), self.config());
         try_random_workload(topology, config, self.workload_params(), self.seed())
     }
@@ -226,7 +226,7 @@ impl DesignPoint {
     /// Whether this point is the paper's Section VII platform
     /// ([`PAPER_POINT_ID`]).
     #[must_use]
-    pub fn is_paper_platform(&self) -> bool {
+    pub(crate) fn is_paper_platform(&self) -> bool {
         self.id() == PAPER_POINT_ID
     }
 }

@@ -74,9 +74,9 @@ pub mod pareto;
 pub mod report;
 pub mod validate;
 
-pub use engine::{evaluate_point, run_sweep, PointOutcome, PointResult};
-pub use fault::{fault_front, fault_point, FaultScenarioPoint};
+pub use engine::{run_sweep, PointOutcome, PointResult};
+pub use fault::FaultScenarioPoint;
 pub use grid::{DesignPoint, DseGrid, MeshDim, TrafficMix, PAPER_POINT_ID};
-pub use pareto::{dominates, pareto_front, Candidate};
+pub use pareto::{pareto_front, Candidate};
 pub use report::{DseReport, REPORT_SCHEMA};
-pub use validate::{validate_front, validate_point, ValidatedPoint, VALIDATE_DURATION_CYCLES};
+pub use validate::{validate_front, ValidatedPoint, VALIDATE_DURATION_CYCLES};

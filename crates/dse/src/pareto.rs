@@ -21,7 +21,7 @@ pub struct Candidate {
 /// Whether `a` Pareto-dominates `b`: no worse on both objectives and
 /// strictly better on at least one.
 #[must_use]
-pub fn dominates(a: Candidate, b: Candidate) -> bool {
+pub(crate) fn dominates(a: Candidate, b: Candidate) -> bool {
     a.cost <= b.cost && a.value >= b.value && (a.cost < b.cost || a.value > b.value)
 }
 

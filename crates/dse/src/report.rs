@@ -97,7 +97,7 @@ impl DseReport {
 
     /// Connection-weighted success rate over the whole sweep.
     #[must_use]
-    pub fn overall_connection_success_rate(&self) -> f64 {
+    pub(crate) fn overall_connection_success_rate(&self) -> f64 {
         let requested: u64 = self
             .points
             .iter()

@@ -95,7 +95,7 @@ pub fn validation_table_header() -> String {
 /// verdict this stage exists for — if any measured latency exceeds its
 /// bound.
 #[must_use]
-pub fn validate_point(point: &DesignPoint, duration_cycles: u64) -> ValidatedPoint {
+pub(crate) fn validate_point(point: &DesignPoint, duration_cycles: u64) -> ValidatedPoint {
     let spec = point.spec();
 
     // Reproduce the sweep engine's allocation exactly.
@@ -152,13 +152,12 @@ pub fn validate_point(point: &DesignPoint, duration_cycles: u64) -> ValidatedPoi
 }
 
 /// Replays every point of `report`'s Pareto front (see
-/// [`validate_point`]); returns one verdict row per point, in front
-/// order.
+/// `validate_point`); returns one verdict row per point, in front order.
 ///
 /// # Panics
 ///
 /// Panics if the report's front is empty (a gated report never is), or
-/// as [`validate_point`] on any bound violation.
+/// as `validate_point` does on any bound violation.
 #[must_use]
 pub fn validate_front(report: &DseReport, duration_cycles: u64) -> Vec<ValidatedPoint> {
     report.map_front(|p| validate_point(p, duration_cycles))

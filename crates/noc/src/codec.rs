@@ -2,10 +2,21 @@
 //!
 //! The simulator operates on the logical [`crate::phit::Header`]
 //! for clarity, but the paper's router is a real circuit whose header must
-//! fit the data word. This module defines that layout, proves (by
-//! round-trip tests, including property-based ones) that every header the
-//! models produce is encodable, and lets the synthesis model reason about
-//! field widths.
+//! fit the data word. This module defines that layout and lets the
+//! synthesis model reason about field widths.
+//!
+//! What the round-trip tests (property-based ones included) prove is
+//! narrower than "every header is encodable": a header of at most
+//! [`route_capacity_hops`] hops with a connection index below 256 packs
+//! and unpacks losslessly, and any other header is refused with a
+//! [`CodecError`]. Nothing checks that the headers the models build
+//! fit. The NI puts the global connection id in the header, and the
+//! allocator does not bound route length by the word. A probe of the
+//! 8×8 mesh with 1 000 uniform connections (`MESH8_UNIFORM`, seed 1,
+//! default 32-bit configuration) found paths through 14 routers, 85 of
+//! 1 000 grants over the 8-hop capacity, and 744 connection ids above
+//! 255. ROADMAP item 16 filters such routes and moves the connection
+//! field to a per-NI queue index.
 //!
 //! ## Layout (for a `w`-bit data word)
 //!
@@ -77,9 +88,11 @@ impl std::error::Error for CodecError {}
 ///
 /// The physical field is `width_bits - 8` bits (3 bits per hop); this
 /// simulator models word contents in a `u64`, so the modelled capacity is
-/// additionally capped at 18 hops (56 route bits + 8 conn bits = 64).
-/// Real paths in the evaluated topologies never exceed 10 hops, so the
-/// cap is never binding in practice.
+/// additionally capped at 18 hops, the whole hops that fit the 56 route
+/// bits below the connection byte. That cap binds only for words of 65
+/// bits and wider. The width-derived capacity does bind: it is 8 hops at
+/// the default 32 bits, and allocated paths reach 14 routers on an 8×8
+/// mesh (see the [module docs](self)).
 #[must_use]
 pub fn route_capacity_hops(width_bits: u32) -> usize {
     ((width_bits.saturating_sub(8) / 3) as usize).min(18)
@@ -87,9 +100,13 @@ pub fn route_capacity_hops(width_bits: u32) -> usize {
 
 /// Packs `header` into the raw bits of a `width_bits`-wide data word.
 ///
-/// Only the low `width_bits` of the returned value are meaningful (wider
-/// configurations would use a wider return type in RTL; 64 bits suffice
-/// for every route the models build — see [`MAX_ROUTE_HOPS`]).
+/// Only the low `width_bits` of the returned value are meaningful. Words
+/// wider than 64 bits would need a wider return type in RTL; this model
+/// keeps the connection byte at bit 56 and caps routes at 18 hops (see
+/// [`route_capacity_hops`]). That is fewer than the
+/// [`MAX_ROUTE_HOPS`] a [`RouteBits`] holds, so a long route can fail to
+/// pack at any width, and at the default 32 bits any route over 8 hops
+/// fails.
 ///
 /// # Errors
 ///

@@ -82,16 +82,6 @@ impl ConnStats {
     pub fn mean_latency(&self) -> Option<f64> {
         (self.flits > 0).then(|| self.latency_sum as f64 / self.flits as f64)
     }
-
-    /// Achieved throughput in bytes per second at `frequency_mhz`, over
-    /// `duration_cycles`.
-    #[must_use]
-    pub fn throughput_bytes_per_sec(&self, frequency_mhz: u64, duration_cycles: u64) -> f64 {
-        if duration_cycles == 0 {
-            return 0.0;
-        }
-        self.bytes as f64 * frequency_mhz as f64 * 1e6 / duration_cycles as f64
-    }
 }
 
 /// The results of one flit-level run.
@@ -308,6 +298,17 @@ mod tests {
     use aelite_spec::generate::paper_workload;
     use aelite_spec::ids::NiId;
     use aelite_spec::traffic::Bandwidth;
+
+    impl ConnStats {
+        /// Achieved throughput in bytes per second at `frequency_mhz`, over
+        /// `duration_cycles`.
+        fn throughput_bytes_per_sec(&self, frequency_mhz: u64, duration_cycles: u64) -> f64 {
+            if duration_cycles == 0 {
+                return 0.0;
+            }
+            self.bytes as f64 * frequency_mhz as f64 * 1e6 / duration_cycles as f64
+        }
+    }
 
     fn small_spec(pattern: TrafficPattern, bw_mb: u64) -> SystemSpec {
         let topo = aelite_spec::topology::Topology::mesh(2, 1, 1);

@@ -5,7 +5,7 @@
 //!
 //! * [`phit`] — link words with explicit `valid`/`eop` sideband.
 //! * [`codec`] — the physical header layout (route + connection id) and
-//!   proof-of-packability.
+//!   its round trips; whether built headers fit is ROADMAP item 16.
 //! * [`router`] — the 3-stage, arbiter-less GS-only router (Section IV).
 //! * [`meso`] — the mesochronous link pipeline stage: bi-synchronous FIFO
 //!   plus flit-cycle re-aligning FSM (Section V, Fig 3).
@@ -28,8 +28,8 @@
 //!   cycle-accurate network lowered to flat state and enum dispatch,
 //!   bit-for-bit equivalent to the event-driven build and an order of
 //!   magnitude faster.
-//! * [`testbench`] — scripted drivers and probes for building validation
-//!   scenarios.
+//! * [`testbench`] — scripted wire drivers and recorders, shared by the
+//!   router and link-stage unit tests and `tests/proptest_hardware.rs`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -95,8 +95,6 @@ pub struct MesoFsm {
     flit_words: u32,
     /// Whether the FSM decided to forward during the current flit cycle.
     forwarding: bool,
-    /// Flits forwarded so far (statistics).
-    flits_forwarded: u64,
 }
 
 impl MesoFsm {
@@ -120,14 +118,7 @@ impl MesoFsm {
             output,
             flit_words,
             forwarding: false,
-            flits_forwarded: 0,
         }
-    }
-
-    /// Flits forwarded so far.
-    #[must_use]
-    pub fn flits_forwarded(&self) -> u64 {
-        self.flits_forwarded
     }
 }
 
@@ -145,9 +136,6 @@ impl Module for MesoFsm {
             // Fire if the FIFO holds at least one word (valid high) at the
             // start of a flit cycle.
             self.forwarding = self.fifo.with(|f| f.front_visible(now).is_some());
-            if self.forwarding {
-                self.flits_forwarded += 1;
-            }
         }
         if self.forwarding {
             let word = self.fifo.with(|f| f.pop_visible(now)).unwrap_or_else(|| {
@@ -167,58 +155,19 @@ impl Module for MesoFsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phit::RouteBits;
+    use crate::testbench::{self, record_log, Feeder, Recorder};
     use aelite_sim::clock::ClockSpec;
     use aelite_sim::scheduler::Simulator;
     use aelite_sim::time::{Frequency, SimTime};
-    use aelite_spec::ids::{ConnId, Port};
-    use std::cell::RefCell;
+    use aelite_spec::ids::Port;
     use std::rc::Rc;
 
-    struct Feeder {
-        out: Wire<LinkWord>,
-        script: Vec<LinkWord>,
-        at: usize,
-    }
-    impl Module for Feeder {
-        type Value = LinkWord;
-        fn name(&self) -> &str {
-            "feeder"
-        }
-        fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
-            let w = self.script.get(self.at).copied().unwrap_or_default();
-            ctx.write(self.out, w);
-            self.at += 1;
-        }
-    }
-
-    struct Probe {
-        input: Wire<LinkWord>,
-        log: Rc<RefCell<Vec<(u64, LinkWord)>>>,
-    }
-    impl Module for Probe {
-        type Value = LinkWord;
-        fn name(&self) -> &str {
-            "probe"
-        }
-        fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
-            let w = ctx.read(self.input);
-            if w.valid {
-                self.log.borrow_mut().push((ctx.cycle(), w));
-            }
-        }
-    }
-
     fn flit(tag: u64) -> Vec<LinkWord> {
-        vec![
-            LinkWord::head(RouteBits::from_ports(&[Port(0)]), ConnId::new(0)),
-            LinkWord::data(tag, false),
-            LinkWord::data(tag + 1, true),
-        ]
+        testbench::flit(&[Port(0)], 0, tag)
     }
 
     /// Sender at phase 0, receiver at `skew_ps`; returns (cycle, word)
-    /// pairs seen by a receiver-domain probe after the FSM.
+    /// pairs seen by a receiver-domain recorder after the FSM.
     fn run_with_skew(skew_ps: u64, script: Vec<LinkWord>) -> Vec<(u64, LinkWord)> {
         let f = Frequency::from_mhz(500); // 2000 ps period
         let mut sim: Simulator<LinkWord> = Simulator::new();
@@ -227,24 +176,11 @@ mod tests {
         let link_in = sim.add_wire("link_in");
         let link_out = sim.add_wire("link_out");
         let fifo = meso_fifo("stage", f.period()); // 1-cycle synchroniser
-        sim.add_module(
-            tx,
-            Feeder {
-                out: link_in,
-                script,
-                at: 0,
-            },
-        );
+        sim.add_module(tx, Feeder::new(link_in, script));
         sim.add_module(tx, MesoWriter::new("wr", link_in, fifo.clone()));
         sim.add_module(rx, MesoFsm::new("fsm", fifo, link_out, 3));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.add_module(
-            rx,
-            Probe {
-                input: link_out,
-                log: Rc::clone(&log),
-            },
-        );
+        let log = record_log();
+        sim.add_module(rx, Recorder::new(link_out, Rc::clone(&log)));
         sim.run_until(SimTime::from_ns(200));
         let result = log.borrow().clone();
         result
@@ -257,7 +193,7 @@ mod tests {
             assert_eq!(log.len(), 3, "skew {skew}: {log:?}");
             // Words occupy three consecutive receiver cycles; the FSM
             // drives them starting at a flit-cycle boundary, which the
-            // probe (one register later) sees at cycle 1 mod 3.
+            // recorder (one register later) sees at cycle 1 mod 3.
             assert_eq!(log[0].0 % 3, 1, "skew {skew}: unaligned start {log:?}");
             assert_eq!(log[1].0, log[0].0 + 1);
             assert_eq!(log[2].0, log[0].0 + 2);
@@ -318,14 +254,7 @@ mod tests {
         for i in 0..20 {
             script.extend(flit(i * 10));
         }
-        sim.add_module(
-            tx,
-            Feeder {
-                out: link_in,
-                script,
-                at: 0,
-            },
-        );
+        sim.add_module(tx, Feeder::new(link_in, script));
         sim.add_module(tx, MesoWriter::new("wr", link_in, fifo.clone()));
         sim.add_module(rx, MesoFsm::new("fsm", fifo.clone(), link_out, 3));
         sim.run_until(SimTime::from_ns(400));
@@ -350,26 +279,13 @@ mod tests {
         let w2 = sim.add_wire("w2");
         let f0 = meso_fifo("s0", f.period());
         let f1 = meso_fifo("s1", f.period());
-        sim.add_module(
-            tx,
-            Feeder {
-                out: w0,
-                script: flit(5),
-                at: 0,
-            },
-        );
+        sim.add_module(tx, Feeder::new(w0, flit(5)));
         sim.add_module(tx, MesoWriter::new("wr0", w0, f0.clone()));
         sim.add_module(mid, MesoFsm::new("fsm0", f0, w1, 3));
         sim.add_module(mid, MesoWriter::new("wr1", w1, f1.clone()));
         sim.add_module(rx, MesoFsm::new("fsm1", f1, w2, 3));
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.add_module(
-            rx,
-            Probe {
-                input: w2,
-                log: Rc::clone(&log),
-            },
-        );
+        let log = record_log();
+        sim.add_module(rx, Recorder::new(w2, Rc::clone(&log)));
         sim.run_until(SimTime::from_ns(200));
         let log = log.borrow();
         assert_eq!(log.len(), 3);
@@ -382,9 +298,7 @@ mod tests {
         let mut sim: Simulator<LinkWord> = Simulator::new();
         let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
         let out = sim.add_wire("o");
-        let fsm = MesoFsm::new("fsm", fifo.clone(), out, 3);
-        assert_eq!(fsm.flits_forwarded(), 0);
-        sim.add_module(clk, fsm);
+        sim.add_module(clk, MesoFsm::new("fsm", fifo.clone(), out, 3));
         sim.run_until(SimTime::from_ns(20));
         // No input -> still zero flits, wire stays idle.
         assert!(!sim.signals().read(out).valid);

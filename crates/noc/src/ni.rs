@@ -40,7 +40,7 @@ pub type MessageQueue = Rc<RefCell<VecDeque<Message>>>;
 
 /// Creates an empty message queue.
 #[must_use]
-pub fn message_queue() -> MessageQueue {
+pub(crate) fn message_queue() -> MessageQueue {
     Rc::new(RefCell::new(VecDeque::new()))
 }
 
@@ -169,7 +169,7 @@ pub type DeliveryLog = Rc<RefCell<FlitLog>>;
 /// Creates an empty delivery log of `conn`, timed by a destination-NI
 /// clock with its first edge at `phase_fs` and a period of `period_fs`.
 #[must_use]
-pub fn delivery_log(conn: ConnId, phase_fs: u64, period_fs: u64) -> DeliveryLog {
+pub(crate) fn delivery_log(conn: ConnId, phase_fs: u64, period_fs: u64) -> DeliveryLog {
     Rc::new(RefCell::new(FlitLog {
         conn,
         phase_fs,
@@ -186,7 +186,7 @@ pub type CreditChannel = SharedBisync<u32>;
 ///
 /// Capacity is generous: credits are small counters, not buffered data.
 #[must_use]
-pub fn credit_channel(name: impl Into<String>, return_delay: SimDuration) -> CreditChannel {
+pub(crate) fn credit_channel(name: impl Into<String>, return_delay: SimDuration) -> CreditChannel {
     SharedBisync::new(BisyncFifo::new(name, 4096, return_delay))
 }
 
@@ -221,7 +221,6 @@ struct SourceState {
     credits: i64,
     /// Words left of the message currently being sent.
     current_msg: Option<(Message, u32)>,
-    flits_sent: u64,
     words_sent: u64,
 }
 
@@ -271,7 +270,6 @@ impl NiSource {
             .map(|c| SourceState {
                 credits: i64::from(c.initial_credit),
                 current_msg: None,
-                flits_sent: 0,
                 words_sent: 0,
             })
             .collect();
@@ -285,12 +283,6 @@ impl NiSource {
             slot_owner,
             pending: VecDeque::new(),
         }
-    }
-
-    /// Flits sent so far on the `i`-th connection.
-    #[must_use]
-    pub fn flits_sent(&self, i: usize) -> u64 {
-        self.state[i].flits_sent
     }
 
     /// Current credit (payload words) of the `i`-th connection.
@@ -363,7 +355,6 @@ impl Module for NiSource {
             return;
         }
         st.credits -= i64::from(send_words);
-        st.flits_sent += 1;
         st.words_sent += u64::from(send_words);
         let left = remaining - send_words;
         st.current_msg = if left > 0 { Some((msg, left)) } else { None };
@@ -403,7 +394,6 @@ struct SinkState {
     /// Words buffered, waiting for the consumer.
     buffered: VecDeque<u64>,
     next_drain: u64,
-    flits_received: u64,
     current_tag: Option<u64>,
     words_in_flit: u32,
 }
@@ -429,7 +419,6 @@ impl NiSink {
             .map(|_| SinkState {
                 buffered: VecDeque::new(),
                 next_drain: 0,
-                flits_received: 0,
                 current_tag: None,
                 words_in_flit: 0,
             })
@@ -441,12 +430,6 @@ impl NiSink {
             state,
             active: None,
         }
-    }
-
-    /// Flits received so far for the `i`-th connection.
-    #[must_use]
-    pub fn flits_received(&self, i: usize) -> u64 {
-        self.state[i].flits_received
     }
 
     fn conn_index(&self, conn: ConnId) -> usize {
@@ -514,7 +497,6 @@ impl Module for NiSink {
                 st.buffered.push_back(tag);
                 st.words_in_flit += 1;
                 if word.eop {
-                    st.flits_received += 1;
                     let first = st.current_tag.take().unwrap_or(tag);
                     self.conns[i].log.borrow_mut().push(FlitDelivery {
                         conn: self.conns[i].conn,

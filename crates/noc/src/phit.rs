@@ -87,7 +87,7 @@ impl RouteBits {
 
     /// The raw shifted bit pattern (for the codec).
     #[must_use]
-    pub fn raw_bits(&self) -> u64 {
+    pub(crate) fn raw_bits(&self) -> u64 {
         self.bits
     }
 }

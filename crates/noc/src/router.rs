@@ -40,8 +40,6 @@ pub struct Router {
     hpu_reg: Vec<(LinkWord, Option<Port>)>,
     /// HPU state: the latched output port per input, valid until EoP.
     port_latch: Vec<Option<Port>>,
-    /// Statistics: words forwarded per output port.
-    forwarded: Vec<u64>,
 }
 
 impl Router {
@@ -65,7 +63,6 @@ impl Router {
             outputs.len()
         );
         let n_in = inputs.len();
-        let n_out = outputs.len();
         Router {
             name: name.into(),
             inputs,
@@ -73,18 +70,7 @@ impl Router {
             in_reg: vec![LinkWord::idle(); n_in],
             hpu_reg: vec![(LinkWord::idle(), None); n_in],
             port_latch: vec![None; n_in],
-            forwarded: vec![0; n_out],
         }
-    }
-
-    /// Words forwarded so far through output `port`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    #[must_use]
-    pub fn forwarded_count(&self, port: Port) -> u64 {
-        self.forwarded[port.index()]
     }
 }
 
@@ -115,7 +101,6 @@ impl Module for Router {
                 }
                 driven[port.index()] = Some(input);
                 ctx.write(self.outputs[port.index()], *word);
-                self.forwarded[port.index()] += 1;
             }
         }
         for (o, d) in driven.iter().enumerate() {
@@ -158,65 +143,19 @@ impl Module for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phit::RouteBits;
+    use crate::testbench::{flit, record_log, Feeder, RecordLog, Recorder};
     use aelite_sim::clock::ClockSpec;
     use aelite_sim::scheduler::Simulator;
     use aelite_sim::time::{Frequency, SimTime};
     use aelite_spec::ids::ConnId;
-
-    /// Drives a scripted word sequence onto a wire.
-    struct Feeder {
-        out: Wire<LinkWord>,
-        script: Vec<LinkWord>,
-        at: usize,
-    }
-    impl Module for Feeder {
-        type Value = LinkWord;
-        fn name(&self) -> &str {
-            "feeder"
-        }
-        fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
-            let w = self.script.get(self.at).copied().unwrap_or_default();
-            ctx.write(self.out, w);
-            self.at += 1;
-        }
-    }
-
-    /// A shared log of `(cycle, word)` observations.
-    type ProbeLog = std::rc::Rc<std::cell::RefCell<Vec<(u64, LinkWord)>>>;
-
-    /// Records everything appearing on a wire.
-    struct Probe {
-        input: Wire<LinkWord>,
-        log: ProbeLog,
-    }
-    impl Module for Probe {
-        type Value = LinkWord;
-        fn name(&self) -> &str {
-            "probe"
-        }
-        fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
-            let w = ctx.read(self.input);
-            if w.valid {
-                self.log.borrow_mut().push((ctx.cycle(), w));
-            }
-        }
-    }
-
-    fn flit(route: &[Port], conn: u32, tag: u64) -> Vec<LinkWord> {
-        vec![
-            LinkWord::head(RouteBits::from_ports(route), ConnId::new(conn)),
-            LinkWord::data(tag, false),
-            LinkWord::data(tag + 1, true),
-        ]
-    }
+    use std::rc::Rc;
 
     struct Bench {
         sim: Simulator<LinkWord>,
-        logs: Vec<ProbeLog>,
+        logs: Vec<RecordLog>,
     }
 
-    /// One router with `n_in` scripted inputs and probes on all outputs.
+    /// One router with `n_in` scripted inputs and recorders on all outputs.
     fn bench(n_in: usize, n_out: usize, scripts: Vec<Vec<LinkWord>>) -> Bench {
         let mut sim: Simulator<LinkWord> = Simulator::new();
         let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
@@ -225,20 +164,13 @@ mod tests {
             .map(|o| sim.add_wire(format!("out{o}")))
             .collect();
         for (i, script) in scripts.into_iter().enumerate() {
-            sim.add_module(
-                clk,
-                Feeder {
-                    out: ins[i],
-                    script,
-                    at: 0,
-                },
-            );
+            sim.add_module(clk, Feeder::new(ins[i], script));
         }
         let mut logs = Vec::new();
         for &o in &outs {
-            let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            logs.push(std::rc::Rc::clone(&log));
-            sim.add_module(clk, Probe { input: o, log });
+            let log = record_log();
+            logs.push(Rc::clone(&log));
+            sim.add_module(clk, Recorder::new(o, log));
         }
         sim.add_module(clk, Router::new("R0", ins, outs));
         Bench { sim, logs }
@@ -248,14 +180,14 @@ mod tests {
     fn forwards_flit_in_three_cycles() {
         // Feeder writes the header at edge 0 (visible after edge 0). The
         // router samples it at edge 1, decodes at 2, drives output at 3;
-        // the probe sees it at edge 4: 3 router cycles after presentation.
+        // the recorder sees it at edge 4: 3 router cycles after presentation.
         let mut b = bench(1, 2, vec![flit(&[Port(1)], 0, 100)]);
         b.sim.run_until(SimTime::from_ns(40));
         let log0 = b.logs[0].borrow();
         assert!(log0.is_empty(), "flit leaked to port 0: {log0:?}");
         let log1 = b.logs[1].borrow();
         assert_eq!(log1.len(), 3, "{log1:?}");
-        assert_eq!(log1[0].0, 4); // header seen at probe edge 4 = in(1)+3
+        assert_eq!(log1[0].0, 4); // header seen at recorder edge 4 = in(1)+3
         assert_eq!(log1[1].0, 5);
         assert_eq!(log1[2].0, 6);
         assert!(log1[2].1.eop);
@@ -326,24 +258,10 @@ mod tests {
         let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
         let input = sim.add_wire("in");
         let out = sim.add_wire("out");
-        sim.add_module(
-            clk,
-            Feeder {
-                out: input,
-                script: flit(&[Port(0)], 0, 0),
-                at: 0,
-            },
-        );
-        // Keep a handle by boxing the router ourselves is not possible via
-        // add_module; count via a probe instead.
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        sim.add_module(
-            clk,
-            Probe {
-                input: out,
-                log: std::rc::Rc::clone(&log),
-            },
-        );
+        sim.add_module(clk, Feeder::new(input, flit(&[Port(0)], 0, 0)));
+        // The simulator owns the router, so count its words on the wire.
+        let log = record_log();
+        sim.add_module(clk, Recorder::new(out, Rc::clone(&log)));
         sim.add_module(clk, Router::new("R", vec![input], vec![out]));
         sim.run_until(SimTime::from_ns(40));
         assert_eq!(log.borrow().len(), 3);

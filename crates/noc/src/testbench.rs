@@ -1,9 +1,10 @@
-//! Testbench building blocks: scripted drivers and probes.
+//! Testbench building blocks: scripted drivers and recorders.
 //!
-//! Reusable [`Module`]s for unit tests, examples and validation
-//! experiments: a [`Feeder`] plays a scripted word sequence onto a wire,
-//! a [`Probe`] records everything valid that appears on one, and
-//! [`flit`] builds a canonical 3-word flit.
+//! Reusable [`Module`]s for the wire-level tests of the router, the
+//! mesochronous link stage and `tests/proptest_hardware.rs`: a [`Feeder`]
+//! plays a scripted word sequence onto a wire, a [`Recorder`] records
+//! everything valid that appears on one, and [`flit`] builds a canonical
+//! 3-word flit.
 
 use crate::phit::{LinkWord, RouteBits};
 use aelite_sim::module::{EdgeContext, Module};
@@ -58,35 +59,35 @@ impl Module for Feeder {
     }
 }
 
-/// A `(cycle, word)` record captured by a [`Probe`].
-pub type ProbeLog = Rc<RefCell<Vec<(u64, LinkWord)>>>;
+/// The `(cycle, word)` records captured by a [`Recorder`].
+pub type RecordLog = Rc<RefCell<Vec<(u64, LinkWord)>>>;
 
-/// Creates an empty probe log.
+/// Creates an empty record log.
 #[must_use]
-pub fn probe_log() -> ProbeLog {
+pub fn record_log() -> RecordLog {
     Rc::new(RefCell::new(Vec::new()))
 }
 
 /// Records every valid word appearing on a wire, with its local cycle.
 #[derive(Debug)]
-pub struct Probe {
+pub struct Recorder {
     input: Wire<LinkWord>,
-    log: ProbeLog,
+    log: RecordLog,
 }
 
-impl Probe {
-    /// Creates a probe on `input` appending to `log`.
+impl Recorder {
+    /// Creates a recorder on `input` appending to `log`.
     #[must_use]
-    pub fn new(input: Wire<LinkWord>, log: ProbeLog) -> Self {
-        Probe { input, log }
+    pub fn new(input: Wire<LinkWord>, log: RecordLog) -> Self {
+        Recorder { input, log }
     }
 }
 
-impl Module for Probe {
+impl Module for Recorder {
     type Value = LinkWord;
 
     fn name(&self) -> &str {
-        "probe"
+        "recorder"
     }
 
     fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
@@ -109,13 +110,13 @@ mod tests {
         let mut sim: Simulator<LinkWord> = Simulator::new();
         let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
         let wire = sim.add_wire("w");
-        let log = probe_log();
+        let log = record_log();
         sim.add_module(clk, Feeder::new(wire, flit(&[Port(0)], 3, 7)));
-        sim.add_module(clk, Probe::new(wire, Rc::clone(&log)));
+        sim.add_module(clk, Recorder::new(wire, Rc::clone(&log)));
         sim.run_until(SimTime::from_ns(40));
         let log = log.borrow();
         assert_eq!(log.len(), 3, "{log:?}");
-        // Probe samples one cycle after the feeder drives.
+        // The recorder samples one cycle after the feeder drives.
         assert_eq!(log[0].0, 1);
         assert!(log[0].1.is_head());
         assert!(log[2].1.eop);

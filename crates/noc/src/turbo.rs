@@ -531,15 +531,6 @@ impl TurboNet {
         }
     }
 
-    /// The cycle index the engine will simulate next. After
-    /// `run_cycles(c)` this is `c + 1`: the deadline is inclusive, so
-    /// cycle `c`'s phase-zero edges have already run — exactly the edge
-    /// count of the event-driven engine under the same deadline.
-    #[must_use]
-    pub fn next_cycle(&self) -> u64 {
-        self.horizon_cycles + 1
-    }
-
     /// Position of `conn` in the compiled per-connection arrays.
     fn index_of(&self, conn: ConnId) -> usize {
         match self.conn_index.get(conn.index()) {
@@ -746,6 +737,16 @@ mod tests {
     use aelite_spec::ids::NiId;
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::Bandwidth;
+
+    impl TurboNet {
+        /// The cycle index the engine will simulate next. After
+        /// `run_cycles(c)` this is `c + 1`: the deadline is inclusive, so
+        /// cycle `c`'s phase-zero edges have already run — exactly the edge
+        /// count of the event-driven engine under the same deadline.
+        fn next_cycle(&self) -> u64 {
+            self.horizon_cycles + 1
+        }
+    }
 
     /// Two NIs on a 2×1 mesh under `cfg`, with one connection each way
     /// carrying `mbps[0]` and `mbps[1]` MB/s within `latency_ns`.

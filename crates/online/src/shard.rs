@@ -76,7 +76,7 @@ impl ShardConfig {
 
     /// Number of shards this tiling produces.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         (self.tiles_x * self.tiles_y) as usize
     }
 }
@@ -100,16 +100,15 @@ pub enum ShardClass {
 /// Home sentinel for cross-shard connections.
 const CROSS: u32 = u32::MAX;
 
-/// The static partition: per-link owners and per-connection homes. A
-/// connection's **home** is the shard that owns every link of every
-/// candidate route between its NIs (under the map's `max_paths` bound),
-/// or none (cross-shard) if no single shard does. Classification is
-/// total and stable (`tests/proptest_shard.rs`).
+/// The static partition: per-connection homes. A link's slot table is
+/// owned by the region of its ends, a boundary link by the
+/// lower-numbered one. A connection's **home** is the shard that owns
+/// every link of every candidate route between its NIs (under the map's
+/// `max_paths` bound), or none (cross-shard) if no single shard does.
+/// Classification is total and stable (`tests/proptest_shard.rs`).
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     shards: usize,
-    /// Owning shard per link index.
-    link_owner: Vec<u32>,
     /// Home shard per connection index; [`CROSS`] = cross-shard.
     conn_home: Vec<u32>,
 }
@@ -133,16 +132,15 @@ impl ShardMap {
                 .expect("multi-tile shard maps require a mesh topology")
         };
 
-        let mut link_owner = vec![0u32; topo.link_count()];
-        for id in topo.links() {
-            let link = topo.link(id);
-            let end_region = |e: Endpoint| match e {
-                Endpoint::Router(r, _) => region_of(r),
-                Endpoint::Ni(n) => region_of(topo.ni_router(n)),
-            };
-            // A boundary link goes to the lower-numbered region.
-            link_owner[id.index()] = end_region(link.from).min(end_region(link.to));
-        }
+        let end_region = |e: Endpoint| match e {
+            Endpoint::Router(r, _) => region_of(r),
+            Endpoint::Ni(n) => region_of(topo.ni_router(n)),
+        };
+        // A boundary link goes to the lower-numbered region.
+        let link_owner = |l: LinkId| {
+            let link = topo.link(l);
+            end_region(link.from).min(end_region(link.to))
+        };
 
         // Home every connection by the full candidate list the engine
         // will enumerate: identical max_paths bound, identical cache.
@@ -153,7 +151,7 @@ impl ShardMap {
             let mut owners = candidates
                 .iter()
                 .flat_map(|r| &r.links)
-                .map(|l| link_owner[l.index()]);
+                .map(|&l| link_owner(l));
             // Feasible specs have at least one candidate per pair; a pair
             // with none can only fail at admission time, so home it on 0.
             let home = owners.next().unwrap_or(0);
@@ -162,24 +160,13 @@ impl ShardMap {
             }
         }
 
-        ShardMap {
-            shards,
-            link_owner,
-            conn_home,
-        }
+        ShardMap { shards, conn_home }
     }
 
     /// Number of shards (regions) in the partition.
     #[must_use]
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// The shard owning `link`'s slot table, or `None` for a link the
-    /// map does not know.
-    #[must_use]
-    pub fn link_owner(&self, link: LinkId) -> Option<usize> {
-        self.link_owner.get(link.index()).map(|&o| o as usize)
     }
 
     /// The home shard of `conn`, or `None` if it is cross-shard (or
@@ -407,9 +394,6 @@ mod tests {
         let spec = scaled_workload(4, 4, 2, 60, 7);
         let map = ShardMap::build(&spec, &ShardConfig::single());
         assert_eq!(map.shards(), 1);
-        for l in spec.topology().links() {
-            assert_eq!(map.link_owner(l), Some(0));
-        }
         for c in spec.connections() {
             assert_eq!(map.conn_home(c.id), Some(0));
         }
@@ -421,14 +405,37 @@ mod tests {
         let topo = spec.topology();
         let map = ShardMap::build(&spec, &quad_config());
         assert_eq!(map.shards(), 4);
-        // Every link is owned, and NI links follow their router's
-        // quadrant.
-        let mut counts = [0usize; 4];
-        for l in topo.links() {
-            let owner = map.link_owner(l).expect("every link has an owner");
-            counts[owner] += 1;
+        // Restate the partition here: a link belongs to its ends'
+        // quadrant (an NI to its router's), a boundary link to the lower
+        // one; a connection is homed iff one quadrant owns every link of
+        // every candidate route.
+        let quadrant = |e: Endpoint| {
+            let r = match e {
+                Endpoint::Router(r, _) => r,
+                Endpoint::Ni(n) => topo.ni_router(n),
+            };
+            topo.tile_of(r, 2, 2).expect("mesh") as usize
+        };
+        let mut routes = RouteCache::new(topo, 2);
+        let mut homed = [0usize; 4];
+        for c in spec.connections() {
+            let owners: Vec<usize> = routes
+                .candidates(topo, spec.ip_ni(c.src), spec.ip_ni(c.dst))
+                .iter()
+                .flat_map(|r| &r.links)
+                .map(|&l| quadrant(topo.link(l).from).min(quadrant(topo.link(l).to)))
+                .collect();
+            let expect = owners[1..]
+                .iter()
+                .all(|&o| o == owners[0])
+                .then_some(owners[0]);
+            assert_eq!(map.conn_home(c.id), expect, "{}", c.id);
+            if let Some(k) = expect {
+                homed[k] += 1;
+            }
         }
-        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+        // Every quadrant is home to some connection.
+        assert!(homed.iter().all(|&c| c > 0), "{homed:?}");
     }
 
     #[test]

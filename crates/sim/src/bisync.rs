@@ -143,21 +143,6 @@ impl<T> BisyncFifo<T> {
         self.max_occupancy = self.max_occupancy.max(self.queue.len());
     }
 
-    /// Writes `item` if space is available, returning `item` back on a full
-    /// FIFO instead of panicking. Used by models (such as the best-effort
-    /// baseline) where full FIFOs are legitimate back-pressure.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(item)` if the FIFO is at capacity.
-    pub fn try_push(&mut self, now: SimTime, item: T) -> Result<(), T> {
-        if self.queue.len() >= self.capacity {
-            return Err(item);
-        }
-        self.push(now, item);
-        Ok(())
-    }
-
     /// The oldest word, if it has crossed the synchroniser by read-clock
     /// time `now`.
     #[must_use]
@@ -175,15 +160,6 @@ impl<T> BisyncFifo<T> {
         } else {
             None
         }
-    }
-
-    /// The number of words visible to the reader at `now`.
-    #[must_use]
-    pub fn visible_len(&self, now: SimTime) -> usize {
-        self.queue
-            .iter()
-            .take_while(|e| e.visible_at <= now)
-            .count()
     }
 }
 
@@ -230,6 +206,26 @@ impl<T> Clone for SharedBisync<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> BisyncFifo<T> {
+        /// Writes `item` if space is available, returning `item` back on a full
+        /// FIFO instead of panicking.
+        fn try_push(&mut self, now: SimTime, item: T) -> Result<(), T> {
+            if self.queue.len() >= self.capacity {
+                return Err(item);
+            }
+            self.push(now, item);
+            Ok(())
+        }
+
+        /// The number of words visible to the reader at `now`.
+        fn visible_len(&self, now: SimTime) -> usize {
+            self.queue
+                .iter()
+                .take_while(|e| e.visible_at <= now)
+                .count()
+        }
+    }
 
     fn fifo() -> BisyncFifo<u32> {
         BisyncFifo::new("t", 4, SimDuration::from_ps(2_000))

@@ -133,21 +133,6 @@ impl ClockSpec {
             Some(since) => since / self.period + 1,
         }
     }
-
-    /// The phase difference of `other`'s edges relative to `self`'s edges,
-    /// normalised into `[0, period)`.
-    ///
-    /// Only meaningful for mesochronous pairs (equal periods); returns
-    /// `None` when the periods differ.
-    #[must_use]
-    pub fn skew_to(&self, other: &ClockSpec) -> Option<SimDuration> {
-        if self.period != other.period {
-            return None;
-        }
-        let p = self.period.as_fs();
-        let diff = (other.phase.as_fs() + p - self.phase.as_fs()) % p;
-        Some(SimDuration::from_fs(diff))
-    }
 }
 
 impl fmt::Display for ClockSpec {
@@ -225,22 +210,6 @@ mod tests {
         assert_eq!(clk.edges_at_or_before(SimTime::from_ps(500)), 1);
         assert_eq!(clk.edges_at_or_before(SimTime::from_ps(2_499)), 1);
         assert_eq!(clk.edges_at_or_before(SimTime::from_ps(2_500)), 2);
-    }
-
-    #[test]
-    fn skew_between_mesochronous_clocks() {
-        let a = ClockSpec::new(mhz(500));
-        let b = ClockSpec::new(mhz(500)).with_phase(SimDuration::from_ps(700));
-        assert_eq!(a.skew_to(&b), Some(SimDuration::from_ps(700)));
-        assert_eq!(b.skew_to(&a), Some(SimDuration::from_ps(1_300)));
-        assert_eq!(a.skew_to(&a), Some(SimDuration::ZERO));
-    }
-
-    #[test]
-    fn skew_is_none_for_plesiochronous_clocks() {
-        let a = ClockSpec::new(mhz(500));
-        let b = ClockSpec::new(mhz(500)).with_ppm(500);
-        assert_eq!(a.skew_to(&b), None);
     }
 
     #[test]

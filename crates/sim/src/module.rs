@@ -100,7 +100,8 @@ mod tests {
         let mut store: SignalStore<u32> = SignalStore::new();
         let input = store.add_wire("in");
         let output = store.add_wire("out");
-        store.poke(input, 5);
+        store.write(input, 5);
+        store.commit();
 
         let mut module = Passthrough { input, output };
         let mut ctx = EdgeContext::new(&mut store, SimTime::from_ns(1), 3);

@@ -207,19 +207,6 @@ impl<V: Copy + Default> Simulator<V> {
         self.due_scratch = due;
         n
     }
-
-    /// Runs until `domain` has completed `cycles` edges in total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `domain` does not belong to this simulator.
-    pub fn run_domain_cycles(&mut self, domain: DomainId, cycles: u64) {
-        while self.domains[domain.0].next_edge < cycles {
-            if self.step() == 0 {
-                break;
-            }
-        }
-    }
 }
 
 impl<V: Copy + Default> Default for Simulator<V> {
@@ -350,16 +337,6 @@ mod tests {
         // Sampler edges at 1, 3, 5 ns see counts committed at 0, 2, 4 ns.
         let seen: Vec<u32> = log.borrow().iter().map(|&(_, v)| v).collect();
         assert_eq!(seen, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn run_domain_cycles_stops_at_requested_count() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
-        let out = sim.add_wire("count");
-        sim.add_module(clk, Counter { out });
-        sim.run_domain_cycles(clk, 10);
-        assert_eq!(sim.signals().read(out), 10);
     }
 
     #[test]

@@ -153,12 +153,6 @@ impl<V: Copy + Default> SignalStore<V> {
         }
         self.dirty.clear();
     }
-
-    /// Forces a committed value onto a wire, bypassing the two-phase
-    /// protocol. Intended for test setup and reset sequences only.
-    pub fn poke(&mut self, wire: Wire<V>, value: V) {
-        self.current[wire.index] = value;
-    }
 }
 
 impl<V: Copy + Default> Default for SignalStore<V> {
@@ -245,14 +239,6 @@ mod tests {
         assert_eq!(s.read(a), 10);
         assert_eq!(s.read(b), 20);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn poke_bypasses_two_phase() {
-        let mut s: SignalStore<u32> = SignalStore::new();
-        let w = s.add_wire("w");
-        s.poke(w, 9);
-        assert_eq!(s.read(w), 9);
     }
 
     #[test]

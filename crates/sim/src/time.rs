@@ -89,12 +89,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant expressed in (truncated) picoseconds.
-    #[must_use]
-    pub const fn as_ps(self) -> u64 {
-        self.0 / FS_PER_PS
-    }
-
     /// This instant expressed in (possibly fractional) nanoseconds.
     #[must_use]
     pub fn as_ns_f64(self) -> f64 {
@@ -103,7 +97,7 @@ impl SimTime {
 
     /// The span from `earlier` to `self`, or `None` if `earlier` is later.
     #[must_use]
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
+    pub(crate) const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         if self.0 >= earlier.0 {
             Some(SimDuration(self.0 - earlier.0))
         } else {
@@ -304,23 +298,6 @@ impl Frequency {
         Frequency { khz: mhz * 1_000 }
     }
 
-    /// Creates a frequency from kilohertz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `khz` is zero.
-    #[must_use]
-    pub const fn from_khz(khz: u64) -> Self {
-        assert!(khz > 0, "frequency must be non-zero");
-        Frequency { khz }
-    }
-
-    /// The frequency in kilohertz.
-    #[must_use]
-    pub const fn as_khz(self) -> u64 {
-        self.khz
-    }
-
     /// The frequency in megahertz as a float (may be fractional).
     #[must_use]
     pub fn as_mhz_f64(self) -> f64 {
@@ -338,19 +315,22 @@ impl Frequency {
         SimDuration((1_000_000_000_000u64 + self.khz / 2) / self.khz)
     }
 
-    /// A frequency offset by `ppm` parts per million (positive = faster).
+    /// A frequency offset by `ppm` parts per million (positive = faster),
+    /// as [`ClockSpec::with_ppm`](crate::clock::ClockSpec::with_ppm)
+    /// applies it.
     ///
     /// # Examples
     ///
     /// ```
+    /// use aelite_sim::clock::ClockSpec;
     /// use aelite_sim::time::Frequency;
     ///
     /// let nominal = Frequency::from_mhz(500);
-    /// let fast = nominal.offset_ppm(200);
+    /// let fast = ClockSpec::new(nominal).with_ppm(200);
     /// assert!(fast.period() < nominal.period());
     /// ```
     #[must_use]
-    pub fn offset_ppm(self, ppm: i64) -> Frequency {
+    pub(crate) fn offset_ppm(self, ppm: i64) -> Frequency {
         let delta = (i128::from(self.khz) * i128::from(ppm)) / 1_000_000;
         let khz = i128::from(self.khz) + delta;
         assert!(khz > 0, "ppm offset drove frequency non-positive");

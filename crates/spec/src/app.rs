@@ -234,12 +234,6 @@ impl SystemSpec {
         copy
     }
 
-    /// Total contracted bandwidth entering the NoC.
-    #[must_use]
-    pub fn total_bandwidth(&self) -> Bandwidth {
-        self.connections.iter().map(|c| c.bandwidth).sum()
-    }
-
     /// A copy of this spec at a different operating frequency — used by
     /// the frequency sweeps of the evaluation (requirements, topology and
     /// mapping are unchanged; slot bandwidths scale with the clock).
@@ -432,6 +426,13 @@ impl SystemSpecBuilder {
 mod tests {
     use super::*;
     use crate::ids::NiId;
+
+    impl SystemSpec {
+        /// Total contracted bandwidth entering the NoC.
+        fn total_bandwidth(&self) -> Bandwidth {
+            self.connections.iter().map(|c| c.bandwidth).sum()
+        }
+    }
 
     fn tiny_spec() -> SystemSpec {
         let topo = Topology::mesh(2, 1, 2);

@@ -136,14 +136,6 @@ impl NocConfig {
         Bandwidth::from_bytes_per_sec(bytes_per_rev * revs_per_sec)
     }
 
-    /// Maximum payload bandwidth of a whole link (all slots reserved).
-    #[must_use]
-    pub fn link_payload_bandwidth(&self) -> Bandwidth {
-        Bandwidth::from_bytes_per_sec(
-            self.slot_payload_bandwidth().bytes_per_sec() * u64::from(self.slot_table_size),
-        )
-    }
-
     /// The minimum number of slots delivering at least `required`
     /// bandwidth.
     ///
@@ -246,15 +238,6 @@ mod tests {
         // 2 payload words * 4 bytes = 8 bytes per revolution of 192 cycles.
         // 500e6 / 192 = 2,604,166 revs/s * 8 B = 20,833,328 B/s.
         assert_eq!(cfg.slot_payload_bandwidth().bytes_per_sec(), 20_833_328);
-    }
-
-    #[test]
-    fn link_payload_bandwidth_is_slots_times_slot() {
-        let cfg = NocConfig::paper_default();
-        assert_eq!(
-            cfg.link_payload_bandwidth().bytes_per_sec(),
-            cfg.slot_payload_bandwidth().bytes_per_sec() * 64
-        );
     }
 
     #[test]

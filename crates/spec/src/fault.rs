@@ -116,16 +116,6 @@ impl FaultParams {
             glitch_max_ns: 40_000,
         }
     }
-
-    /// `self` with transient glitches disabled: every event is a
-    /// permanent fault or repair, exactly the pre-glitch model.
-    #[must_use]
-    pub fn permanent_only(self) -> Self {
-        FaultParams {
-            glitch_weight: 0.0,
-            ..self
-        }
-    }
 }
 
 impl Default for FaultParams {
@@ -267,12 +257,6 @@ impl FaultScenario {
             .iter()
             .filter(|e| matches!(e.op, ScenarioOp::Fault(_)))
             .count() as u64
-    }
-
-    /// Number of churn-side events.
-    #[must_use]
-    pub fn churn_ops(&self) -> u64 {
-        self.len() as u64 - self.fault_ops()
     }
 }
 
@@ -557,7 +541,10 @@ mod tests {
     #[test]
     fn permanent_only_draws_no_glitches() {
         let topo = Topology::mesh(4, 4, 2);
-        let params = FaultParams::sparse(600).permanent_only();
+        let params = FaultParams {
+            glitch_weight: 0.0,
+            ..FaultParams::sparse(600)
+        };
         let trace = fault_trace(&topo, &params, 11);
         assert_eq!(trace.glitches(), 0);
         assert_eq!(trace.failures() + trace.repairs(), trace.len() as u64);
@@ -599,7 +586,6 @@ mod tests {
         let faults = fault_trace(spec.topology(), &FaultParams::sparse(40), 7);
         let scenario = FaultScenario::merge(&churn, &faults);
         assert_eq!(scenario.len(), churn.len() + faults.len());
-        assert_eq!(scenario.churn_ops(), churn.len() as u64);
         assert_eq!(scenario.fault_ops(), faults.len() as u64);
         let mut prev = 0u64;
         for e in &scenario.events {

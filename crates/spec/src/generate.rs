@@ -186,8 +186,7 @@ pub enum TrafficProfile {
 /// constructor signature.
 ///
 /// Construct with [`WorkloadBuilder::mesh`], adjust knobs, then call
-/// [`build`](Self::build) (panicking) or [`try_build`](Self::try_build)
-/// (error-reporting). The builder and [`try_random_workload`] share one
+/// [`build`](Self::build). The builder and [`try_random_workload`] share one
 /// generator core, so for equal parameters the random draw sequence —
 /// and therefore every pinned golden workload — is bit-identical.
 ///
@@ -370,37 +369,21 @@ impl WorkloadBuilder {
         (topo, params)
     }
 
-    /// Builds the workload, panicking on parameter errors or an
-    /// infeasible draw (use [`try_build`](Self::try_build) to observe
-    /// infeasibility as data).
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`try_build`](Self::try_build), or when the draw is
-    /// infeasible.
-    #[must_use]
-    pub fn build(self) -> SystemSpec {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the workload, reporting an infeasible draw as an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InfeasibleDraw`] as
-    /// [`try_random_workload`] — adversarial profiles concentrate load,
-    /// so they hit the per-link budget at connection counts a uniform
-    /// draw carries easily.
+    /// Builds the workload.
     ///
     /// # Panics
     ///
     /// Panics on parameter errors that no retry can fix (fewer than 2
-    /// IPs, zero connections/apps, invalid ranges); additionally if an
-    /// adversarial profile is combined with [`tiles`](Self::tiles), if
+    /// IPs, zero connections/apps, invalid ranges); if an adversarial
+    /// profile is combined with [`tiles`](Self::tiles), if
     /// [`TrafficProfile::Hotspot`] asks for zero spots or more spots than
     /// IPs, or if [`TrafficProfile::Transpose`] runs on a non-square
-    /// mesh.
-    pub fn try_build(self) -> Result<SystemSpec, WorkloadError> {
+    /// mesh; and on an infeasible draw, which [`try_random_workload`]
+    /// reports as [`WorkloadError::InfeasibleDraw`] — adversarial profiles
+    /// concentrate load, so they hit the per-link budget at connection
+    /// counts a uniform draw carries easily.
+    #[must_use]
+    pub fn build(self) -> SystemSpec {
         let (topo, params) = self.resolved();
         draw_workload(
             topo,
@@ -410,6 +393,7 @@ impl WorkloadBuilder {
             self.locality,
             self.profile,
         )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -516,7 +500,7 @@ pub fn try_random_workload(
 }
 
 /// The generator core behind [`try_random_workload`] and
-/// [`WorkloadBuilder::try_build`]. No rng draw depends on `locality` or
+/// [`WorkloadBuilder::build`]. No rng draw depends on `locality` or
 /// `profile` until a destination is picked, and [`TrafficProfile::Uniform`]
 /// without locality picks it with the plain uniform draw — so both entry
 /// points share one draw sequence; the adversarial profiles and tile

@@ -232,16 +232,6 @@ impl Topology {
         self.routers[router.index()].ports.len()
     }
 
-    /// The largest router arity in the topology.
-    #[must_use]
-    pub fn max_arity(&self) -> usize {
-        self.routers
-            .iter()
-            .map(|r| r.ports.len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// What `port` of `router` connects to, or `None` for an out-of-range
     /// port.
     #[must_use]
@@ -540,7 +530,6 @@ mod tests {
         assert_eq!(t.arity(t.router_at(1, 0).unwrap()), 7);
         // Centre: 4 neighbours + 4 NIs.
         assert_eq!(t.arity(t.router_at(1, 1).unwrap()), 8);
-        assert_eq!(t.max_arity(), 8);
     }
 
     #[test]

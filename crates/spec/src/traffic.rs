@@ -44,7 +44,7 @@ impl Bandwidth {
 
     /// The rate in decimal megabytes per second (may be fractional).
     #[must_use]
-    pub fn mbytes_per_sec_f64(self) -> f64 {
+    pub(crate) fn mbytes_per_sec_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
@@ -52,17 +52,6 @@ impl Bandwidth {
     #[must_use]
     pub const fn saturating_add(self, other: Bandwidth) -> Bandwidth {
         Bandwidth(self.0.saturating_add(other.0))
-    }
-
-    /// The fraction `self / capacity` as a float in `[0, ∞)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn utilisation_of(self, capacity: Bandwidth) -> f64 {
-        assert!(capacity.0 > 0, "capacity must be non-zero");
-        self.0 as f64 / capacity.0 as f64
     }
 }
 
@@ -169,19 +158,6 @@ mod tests {
         .into_iter()
         .sum();
         assert_eq!(total, Bandwidth::from_mbytes_per_sec(30));
-    }
-
-    #[test]
-    fn utilisation_fraction() {
-        let used = Bandwidth::from_mbytes_per_sec(500);
-        let cap = Bandwidth::from_mbytes_per_sec(2_000);
-        assert!((used.utilisation_of(cap) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn utilisation_of_zero_capacity_panics() {
-        let _ = Bandwidth::from_mbytes_per_sec(1).utilisation_of(Bandwidth::ZERO);
     }
 
     #[test]

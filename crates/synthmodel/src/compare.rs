@@ -34,7 +34,7 @@ pub struct PublishedRouter {
 /// Æthereal's combined GS+BE arity-5 router \[8\]: 0.13 mm², 500 MHz,
 /// 130 nm.
 #[must_use]
-pub fn aethereal_gs_be() -> PublishedRouter {
+pub(crate) fn aethereal_gs_be() -> PublishedRouter {
     PublishedRouter {
         name: "Aethereal GS+BE [8]",
         area_um2: 130_000.0,
@@ -48,7 +48,7 @@ pub fn aethereal_gs_be() -> PublishedRouter {
 /// The mesochronous router of Miro Panades et al. \[4\]: 0.082 mm² (as
 /// published; two service levels, no composability).
 #[must_use]
-pub fn panades_mesochronous() -> PublishedRouter {
+pub(crate) fn panades_mesochronous() -> PublishedRouter {
     PublishedRouter {
         name: "mesochronous router [4]",
         area_um2: 82_000.0,
@@ -62,7 +62,7 @@ pub fn panades_mesochronous() -> PublishedRouter {
 /// The asynchronous router of Beigne et al. \[7\]: 0.12 mm² scaled from
 /// 130 nm (the paper quotes the scaled value).
 #[must_use]
-pub fn beigne_asynchronous() -> PublishedRouter {
+pub(crate) fn beigne_asynchronous() -> PublishedRouter {
     PublishedRouter {
         name: "asynchronous router [7]",
         area_um2: 120_000.0,
@@ -76,13 +76,13 @@ pub fn beigne_asynchronous() -> PublishedRouter {
 impl PublishedRouter {
     /// Area scaled into `target` node.
     #[must_use]
-    pub fn area_in(&self, target: TechNode) -> f64 {
+    pub(crate) fn area_in(&self, target: TechNode) -> f64 {
         self.node.scale_area_um2(self.area_um2, target)
     }
 
     /// Frequency scaled into `target` node.
     #[must_use]
-    pub fn frequency_in(&self, target: TechNode) -> f64 {
+    pub(crate) fn frequency_in(&self, target: TechNode) -> f64 {
         self.node.scale_frequency_mhz(self.frequency_mhz, target)
     }
 }

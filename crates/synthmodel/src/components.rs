@@ -42,7 +42,7 @@ pub fn bisync_fifo_area_um2(kind: FifoKind, words: u32, width_bits: u32) -> f64 
 /// Cell area of the flit-cycle re-aligning FSM of a link pipeline stage
 /// (state counter + valid/accept control), µm² at 90 nm.
 #[must_use]
-pub fn meso_fsm_area_um2() -> f64 {
+pub(crate) fn meso_fsm_area_um2() -> f64 {
     200.0
 }
 

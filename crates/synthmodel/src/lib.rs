@@ -40,7 +40,7 @@ pub use components::{
 };
 pub use power::{component_power, router_power, PowerBreakdown, SleepMode};
 pub use router::{
-    aggregate_throughput_gbytes, router_base_area_um2, router_max_frequency_mhz, synthesize,
-    synthesize_at, synthesize_max, RouterParams, SynthResult,
+    aggregate_throughput_gbytes, router_max_frequency_mhz, synthesize, synthesize_max,
+    RouterParams, SynthResult,
 };
 pub use tech::{LayoutDerate, TechNode};

@@ -32,7 +32,6 @@
 //! effort curve is flat to ~74% of `f_max`, then rises quadratically to
 //! +26% at `f_max` — reproducing Fig 5's knee-and-saturate shape.
 
-use crate::tech::TechNode;
 use core::fmt;
 
 /// Router instantiation parameters (the only hardware parameters the
@@ -111,7 +110,7 @@ const EFFORT_KNEE: f64 = 0.74;
 
 /// Cell area at relaxed timing (the flat region of Fig 5), µm², 90 nm.
 #[must_use]
-pub fn router_base_area_um2(p: &RouterParams) -> f64 {
+pub(crate) fn router_base_area_um2(p: &RouterParams) -> f64 {
     let n_in = f64::from(p.arity_in);
     let n_out = f64::from(p.arity_out);
     let w = f64::from(p.width_bits);
@@ -185,20 +184,6 @@ pub fn aggregate_throughput_gbytes(p: &RouterParams, f_mhz: f64) -> f64 {
     let ports = f64::from(p.arity_in + p.arity_out);
     let bytes = f64::from(p.width_bits) / 8.0;
     ports * bytes * f_mhz * 1.0e6 / 1.0e9
-}
-
-/// Synthesises `p` in a different technology node: the 90 nm-calibrated
-/// model is evaluated at the frequency equivalent and the results scaled
-/// back (area quadratically, frequency linearly).
-#[must_use]
-pub fn synthesize_at(p: &RouterParams, target_mhz: f64, node: TechNode) -> SynthResult {
-    let target_90 = node.scale_frequency_mhz(target_mhz, TechNode::NM90);
-    let r90 = synthesize(p, target_90);
-    SynthResult {
-        achieved_mhz: TechNode::NM90.scale_frequency_mhz(r90.achieved_mhz, node),
-        area_um2: TechNode::NM90.scale_area_um2(r90.area_um2, node),
-        met_target: r90.met_target,
-    }
 }
 
 #[cfg(test)]

@@ -33,22 +33,16 @@ impl TechNode {
         TechNode { nm }
     }
 
-    /// Feature size in nanometres.
-    #[must_use]
-    pub const fn nanometres(self) -> u32 {
-        self.nm
-    }
-
     /// Scales an area from `self` to `target`: `area * (target/self)^2`.
     #[must_use]
-    pub fn scale_area_um2(self, area_um2: f64, target: TechNode) -> f64 {
+    pub(crate) fn scale_area_um2(self, area_um2: f64, target: TechNode) -> f64 {
         let r = f64::from(target.nm) / f64::from(self.nm);
         area_um2 * r * r
     }
 
     /// Scales a frequency from `self` to `target`: `f * (self/target)`.
     #[must_use]
-    pub fn scale_frequency_mhz(self, f_mhz: f64, target: TechNode) -> f64 {
+    pub(crate) fn scale_frequency_mhz(self, f_mhz: f64, target: TechNode) -> f64 {
         f_mhz * f64::from(self.nm) / f64::from(target.nm)
     }
 }

@@ -5,7 +5,7 @@
 
 use aelite_noc::meso::{meso_fifo, MesoFsm, MesoWriter, MESO_FIFO_WORDS};
 use aelite_noc::phit::LinkWord;
-use aelite_noc::testbench::{flit, probe_log, Feeder, Probe};
+use aelite_noc::testbench::{flit, record_log, Feeder, Recorder};
 use aelite_noc::wrapper::{token_channel, token_delivery_log, token_queue, AsyncNi, AsyncRouter};
 use aelite_sim::clock::ClockSpec;
 use aelite_sim::scheduler::Simulator;
@@ -47,15 +47,15 @@ proptest! {
         sim.add_module(tx, Feeder::new(pre, traffic_script(&gaps)));
         sim.add_module(tx, MesoWriter::new("wr", pre, fifo.clone()));
         sim.add_module(rx, MesoFsm::new("fsm", fifo.clone(), post, 3));
-        let log = probe_log();
-        sim.add_module(rx, Probe::new(post, std::rc::Rc::clone(&log)));
+        let log = record_log();
+        sim.add_module(rx, Recorder::new(post, std::rc::Rc::clone(&log)));
         sim.run_until(SimTime::from_ns(2_000));
 
         let log = log.borrow();
         prop_assert_eq!(log.len(), gaps.len() * 3, "every word arrives");
         for chunk in log.chunks(3) {
             // Words of one flit on consecutive cycles, starting at the
-            // cycle after a flit-cycle boundary (probe offset +1).
+            // cycle after a flit-cycle boundary (recorder offset +1).
             prop_assert_eq!(chunk[0].0 % 3, 1, "unaligned flit at {:?}", chunk);
             prop_assert_eq!(chunk[1].0, chunk[0].0 + 1);
             prop_assert_eq!(chunk[2].0, chunk[0].0 + 2);
