@@ -5,10 +5,12 @@
 //! population of concurrent clients churning their own connections
 //! against one live mesh:
 //!
-//! * [`aelite_spec::churn::client_population`] draws per-client request
-//!   streams over **disjoint** connection pools; [`merge_population`]
-//!   interleaves them into the arrival-ordered stream a front door would
-//!   see.
+//! * [`aelite_spec::churn::client_population`] sets up per-client
+//!   request streams over **disjoint** connection pools, drawing nothing
+//!   yet; [`merge_population`] draws them as it interleaves them into the
+//!   arrival-ordered stream a front door would see — a k-way merge that
+//!   pulls each client's next request on demand and writes each once
+//!   into a stream allocated at its exact length.
 //! * [`serve_pipeline`] is the executor: a hand-rolled producer/consumer
 //!   pipeline (no async runtime — `std::thread::scope`, an atomic client
 //!   cursor, and a bounded mpsc queue for backpressure) whose admission

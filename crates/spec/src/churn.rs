@@ -170,20 +170,27 @@ impl ChurnTrace {
     }
 }
 
-/// One simulated client's private request stream: a churn trace drawn
-/// over the client's own disjoint slice of the platform's connection
-/// pool (see [`client_population`]).
+/// One simulated client's private request stream: a churn draw over the
+/// client's own disjoint slice of the platform's connection pool (see
+/// [`client_population`]).
+///
+/// The draw has not started: no event exists until [`ClientTrace::draw`]
+/// is pulled, and the client holds its pool's ids only — no copy of the
+/// spec — so a population of many clients costs its pools, not its
+/// traces, until a consumer such as a front-door merge pulls the events
+/// one at a time.
 #[derive(Debug, Clone)]
 pub struct ClientTrace {
     /// The client's index in the population, in `0..clients`.
     pub client: u32,
-    /// The restricted view of the system this client's trace was drawn
-    /// over — its connection ids are the client's pool, unchanged from
-    /// the parent spec.
-    pub view: SystemSpec,
-    /// The client's request stream (stateful-consistent within the
-    /// client's pool, starting from all-closed).
-    pub trace: ChurnTrace,
+    /// The connections this client owns, in the parent spec's order.
+    pub pool: Vec<ConnId>,
+    /// The client's request stream, drawn on demand (stateful-consistent
+    /// within the client's pool, starting from all-closed). Yields
+    /// exactly the events [`churn_trace`] draws over the
+    /// [restricted view](SystemSpec::restricted_to_connections) of
+    /// `pool` with the client's seed.
+    pub draw: ChurnDraw,
 }
 
 /// Draws a population of `clients` independent request streams over
@@ -192,15 +199,16 @@ pub struct ClientTrace {
 ///
 /// The pool is split round-robin (client `k` owns the connections at
 /// positions `k, k + clients, …` of `spec.connections()`), each client's
-/// trace is drawn by [`churn_trace`] over the
+/// stream is the [`churn_trace`] draw over the
 /// [restricted view](SystemSpec::restricted_to_connections) of its pool
 /// with a per-client seed derived from `seed`, and `params` applies per
-/// client (`params.events` events *each*). Because restriction preserves
-/// connection ids and the pools are disjoint, any interleaving of the
-/// streams that preserves each client's own order is stateful-consistent
-/// over the whole platform — which is what lets a serving layer batch
-/// concurrent requests from distinct clients without cross-request
-/// conflicts.
+/// client (`params.events` events *each*). Because the pools keep
+/// connection ids and are disjoint, any interleaving of the streams that
+/// preserves each client's own order is stateful-consistent over the
+/// whole platform — which is what lets a serving layer batch concurrent
+/// requests from distinct clients without cross-request conflicts.
+///
+/// No event is drawn here: each [`ClientTrace::draw`] runs when pulled.
 ///
 /// Deterministic for a given `(spec, clients, params, seed)`.
 ///
@@ -236,7 +244,7 @@ pub fn client_population(
 ///
 /// Panics if `clients` is zero, exceeds the number of connections, or
 /// is smaller than the number of distinct groups (every group needs at
-/// least one client).
+/// least one client), or on any [`churn_trace`] parameter violation.
 #[must_use]
 pub fn client_population_grouped(
     spec: &SystemSpec,
@@ -252,10 +260,10 @@ pub fn client_population_grouped(
         "{clients} clients cannot share {} connections one-per-client",
         conns.len()
     );
-    let mut groups: std::collections::BTreeMap<u32, Vec<ConnId>> =
+    let mut groups: std::collections::BTreeMap<u32, Vec<(ConnId, AppId)>> =
         std::collections::BTreeMap::new();
     for c in conns {
-        groups.entry(group_of(c)).or_default().push(c.id);
+        groups.entry(group_of(c)).or_default().push((c.id, c.app));
     }
     let sizes: Vec<usize> = groups.values().map(Vec::len).collect();
     let total: usize = sizes.iter().sum();
@@ -293,14 +301,12 @@ pub fn client_population_grouped(
     let mut k = 0u32;
     for (pool, &members) in groups.values().zip(&share) {
         for j in 0..members {
-            let client_pool: Vec<ConnId> = pool.iter().skip(j).step_by(members).copied().collect();
-            let view = spec.restricted_to_connections(&client_pool);
+            let client_pool = pool.iter().skip(j).step_by(members).copied();
             let client_seed = seed ^ (u64::from(k)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let trace = churn_trace(&view, params, client_seed);
             population.push(ClientTrace {
                 client: k,
-                view,
-                trace,
+                pool: client_pool.clone().map(|(id, _)| id).collect(),
+                draw: ChurnDraw::new(client_pool, params, client_seed),
             });
             k += 1;
         }
@@ -311,8 +317,9 @@ pub fn client_population_grouped(
 /// Tracks which connections the trace currently holds open, with O(1)
 /// uniform sampling from either side (swap-remove lists plus a location
 /// index).
+#[derive(Debug, Clone)]
 struct OpenSet {
-    /// Positions (into `spec.connections()`) currently open.
+    /// Positions (into the drawn pool) currently open.
     open: Vec<usize>,
     /// Positions currently closed.
     closed: Vec<usize>,
@@ -353,7 +360,7 @@ impl OpenSet {
 
 /// Draws a churn trace over the connections of `spec`. Deterministic for
 /// a given `(params, seed)` pair; see the [module docs](self) for the
-/// model.
+/// model. This is the collected [`ChurnDraw`] over `spec.connections()`.
 ///
 /// # Panics
 ///
@@ -362,43 +369,171 @@ impl OpenSet {
 /// strictly positive.
 #[must_use]
 pub fn churn_trace(spec: &SystemSpec, params: &ChurnParams, seed: u64) -> ChurnTrace {
-    assert!(params.events > 0, "need at least one event");
-    assert!(
-        params.target_open > 0.0 && params.target_open <= 1.0,
-        "target_open must be in (0, 1]"
-    );
-    assert!(
-        (0.0..1.0).contains(&params.switch_weight),
-        "switch_weight must be in [0, 1)"
-    );
-    assert!(params.rate_per_sec > 0.0, "rate must be positive");
+    let pool = spec.connections().iter().map(|c| (c.id, c.app));
+    ChurnTrace {
+        events: ChurnDraw::new(pool, params, seed).collect(),
+    }
+}
 
-    let conns = spec.connections();
-    assert!(!conns.is_empty(), "spec has no connections to churn");
-    let n = conns.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut state = OpenSet::all_closed(n);
-    let mut events = Vec::with_capacity(params.events as usize);
-    let mean_gap_ns = 1.0e9 / params.rate_per_sec;
-    let mut t_ns = 0.0f64;
+/// A churn draw run on demand: an iterator yielding, one at a time, the
+/// events of [`churn_trace`] over a pool of `(ConnId, AppId)` pairs in
+/// spec order. It yields exactly `params.events` events, and holds the
+/// pool, the open set and the generator state — never the trace.
+#[derive(Debug, Clone)]
+pub struct ChurnDraw {
+    /// The pool's connection ids, in spec order.
+    conns: Vec<ConnId>,
+    /// For each position: the rank of its application among the pool's
+    /// applications in ascending id order, which is spec order (the spec
+    /// builder numbers applications as it adds them).
+    app_of: Vec<usize>,
+    /// Number of distinct applications in the pool.
+    apps: usize,
+    state: OpenSet,
+    rng: StdRng,
+    mean_gap_ns: f64,
+    t_ns: f64,
+    target_open: f64,
+    switch_weight: f64,
+    /// Events still to draw.
+    left: u32,
+}
 
-    for _ in 0..params.events {
-        t_ns += exponential_gap_ns(&mut rng, mean_gap_ns);
+impl ChurnDraw {
+    /// An unstarted draw over `pool`. Checks every parameter here, so a
+    /// bad profile panics where the draw is set up, not where it is run.
+    fn new(
+        pool: impl IntoIterator<Item = (ConnId, AppId)>,
+        params: &ChurnParams,
+        seed: u64,
+    ) -> Self {
+        assert!(params.events > 0, "need at least one event");
+        assert!(
+            params.target_open > 0.0 && params.target_open <= 1.0,
+            "target_open must be in (0, 1]"
+        );
+        assert!(
+            (0.0..1.0).contains(&params.switch_weight),
+            "switch_weight must be in [0, 1)"
+        );
+        assert!(params.rate_per_sec > 0.0, "rate must be positive");
 
-        let op = if rng.gen::<f64>() < params.switch_weight {
-            draw_switch(spec, &mut state, &mut rng)
+        let (conns, app_ids): (Vec<ConnId>, Vec<AppId>) = pool.into_iter().unzip();
+        assert!(!conns.is_empty(), "spec has no connections to churn");
+        let mut apps = app_ids.clone();
+        apps.sort_unstable();
+        apps.dedup();
+        let app_of = app_ids
+            .iter()
+            .map(|a| apps.binary_search(a).expect("own app"))
+            .collect();
+        ChurnDraw {
+            state: OpenSet::all_closed(conns.len()),
+            conns,
+            app_of,
+            apps: apps.len(),
+            rng: StdRng::seed_from_u64(seed),
+            mean_gap_ns: 1.0e9 / params.rate_per_sec,
+            t_ns: 0.0,
+            target_open: params.target_open,
+            switch_weight: params.switch_weight,
+            left: params.events,
+        }
+    }
+
+    /// A use-case switch: all open connections of one application out,
+    /// all closed connections of another in. `None` when no such pair of
+    /// applications exists yet (e.g. at trace start) — the caller falls
+    /// back to a single op.
+    fn draw_switch(&mut self) -> Option<ChurnOp> {
+        // Applications with at least one open / one closed connection.
+        let mut has_open = vec![false; self.apps];
+        let mut has_closed = vec![false; self.apps];
+        for (pos, &ai) in self.app_of.iter().enumerate() {
+            if self.state.loc[pos].0 {
+                has_open[ai] = true;
+            } else {
+                has_closed[ai] = true;
+            }
+        }
+        let rng = &mut self.rng;
+        let victims: Vec<usize> = (0..self.apps).filter(|&i| has_open[i]).collect();
+        if victims.is_empty() {
+            return None;
+        }
+        let victim = victims[rng.gen_range(0..victims.len())];
+        let incomings: Vec<usize> = (0..self.apps)
+            .filter(|&i| i != victim && has_closed[i])
+            .collect();
+        if incomings.is_empty() {
+            return None;
+        }
+        let incoming = incomings[rng.gen_range(0..incomings.len())];
+
+        // Pool order keeps the delta deterministic and ids ascending.
+        let mut close = Vec::new();
+        let mut open = Vec::new();
+        for (pos, (&id, &ai)) in self.conns.iter().zip(&self.app_of).enumerate() {
+            if ai == victim && self.state.loc[pos].0 {
+                close.push(id);
+                self.state.move_to(pos, false);
+            } else if ai == incoming && !self.state.loc[pos].0 {
+                open.push(id);
+                self.state.move_to(pos, true);
+            }
+        }
+        debug_assert!(!close.is_empty() && !open.is_empty());
+        Some(ChurnOp::Switch { close, open })
+    }
+
+    /// A single open or close, biased towards the target occupancy.
+    fn draw_single(&mut self) -> ChurnOp {
+        let state = &mut self.state;
+        let open_frac = state.open.len() as f64 / self.conns.len() as f64;
+        let p_open = steer_towards(self.target_open, open_frac);
+        let do_open = if state.open.is_empty() {
+            true
+        } else if state.closed.is_empty() {
+            false
+        } else {
+            self.rng.gen::<f64>() < p_open
+        };
+        if do_open {
+            let pos = state.closed[self.rng.gen_range(0..state.closed.len())];
+            state.move_to(pos, true);
+            ChurnOp::Open(self.conns[pos])
+        } else {
+            let pos = state.open[self.rng.gen_range(0..state.open.len())];
+            state.move_to(pos, false);
+            ChurnOp::Close(self.conns[pos])
+        }
+    }
+}
+
+impl Iterator for ChurnDraw {
+    type Item = ChurnEvent;
+
+    fn next(&mut self) -> Option<ChurnEvent> {
+        self.left = self.left.checked_sub(1)?;
+        self.t_ns += exponential_gap_ns(&mut self.rng, self.mean_gap_ns);
+        let op = if self.rng.gen::<f64>() < self.switch_weight {
+            self.draw_switch()
         } else {
             None
         }
-        .unwrap_or_else(|| draw_single(spec, &mut state, &mut rng, params.target_open));
-
-        events.push(ChurnEvent {
-            at_ns: t_ns as u64,
+        .unwrap_or_else(|| self.draw_single());
+        Some(ChurnEvent {
+            at_ns: self.t_ns as u64,
             op,
-        });
+        })
     }
-    ChurnTrace { events }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
+    }
 }
+
+impl ExactSizeIterator for ChurnDraw {}
 
 /// One inter-arrival gap of a Poisson process with mean `mean_gap_ns`:
 /// exponential, from one uniform draw of `rng`.
@@ -413,81 +548,6 @@ pub(crate) fn exponential_gap_ns(rng: &mut StdRng, mean_gap_ns: f64) -> f64 {
 /// past `[0.05, 0.95]`.
 pub(crate) fn steer_towards(target: f64, frac: f64) -> f64 {
     (0.5 + (target - frac)).clamp(0.05, 0.95)
-}
-
-/// A use-case switch: all open connections of one application out, all
-/// closed connections of another in. `None` when no such pair of
-/// applications exists yet (e.g. at trace start) — the caller falls back
-/// to a single op.
-fn draw_switch(spec: &SystemSpec, state: &mut OpenSet, rng: &mut StdRng) -> Option<ChurnOp> {
-    let conns = spec.connections();
-    let apps: Vec<AppId> = spec.apps().iter().map(|a| a.id).collect();
-    // Applications with at least one open / one closed connection.
-    let mut has_open = vec![false; apps.len()];
-    let mut has_closed = vec![false; apps.len()];
-    for (pos, c) in conns.iter().enumerate() {
-        let ai = apps.iter().position(|&a| a == c.app).expect("own app");
-        if state.loc[pos].0 {
-            has_open[ai] = true;
-        } else {
-            has_closed[ai] = true;
-        }
-    }
-    let victims: Vec<usize> = (0..apps.len()).filter(|&i| has_open[i]).collect();
-    if victims.is_empty() {
-        return None;
-    }
-    let victim = victims[rng.gen_range(0..victims.len())];
-    let incomings: Vec<usize> = (0..apps.len())
-        .filter(|&i| i != victim && has_closed[i])
-        .collect();
-    if incomings.is_empty() {
-        return None;
-    }
-    let incoming = incomings[rng.gen_range(0..incomings.len())];
-
-    // Spec order keeps the delta deterministic and ids ascending.
-    let mut close = Vec::new();
-    let mut open = Vec::new();
-    for (pos, c) in conns.iter().enumerate() {
-        if c.app == apps[victim] && state.loc[pos].0 {
-            close.push(c.id);
-            state.move_to(pos, false);
-        } else if c.app == apps[incoming] && !state.loc[pos].0 {
-            open.push(c.id);
-            state.move_to(pos, true);
-        }
-    }
-    debug_assert!(!close.is_empty() && !open.is_empty());
-    Some(ChurnOp::Switch { close, open })
-}
-
-/// A single open or close, biased towards the target occupancy.
-fn draw_single(
-    spec: &SystemSpec,
-    state: &mut OpenSet,
-    rng: &mut StdRng,
-    target_open: f64,
-) -> ChurnOp {
-    let n = spec.connections().len();
-    let open_frac = state.open.len() as f64 / n as f64;
-    let p_open = steer_towards(target_open, open_frac);
-    let do_open = if state.open.is_empty() {
-        true
-    } else if state.closed.is_empty() {
-        false
-    } else {
-        rng.gen::<f64>() < p_open
-    };
-    if do_open {
-        let pos = state.closed[rng.gen_range(0..state.closed.len())];
-        state.move_to(pos, true);
-        ChurnOp::Open(spec.connections()[pos].id)
-    } else {
-        let pos = state.open[rng.gen_range(0..state.open.len())];
-        state.move_to(pos, false);
-        ChurnOp::Close(spec.connections()[pos].id)
-    }
 }
 
 #[cfg(test)]
@@ -584,6 +644,11 @@ mod tests {
         }
     }
 
+    /// A client's whole stream, drawn from a copy of its unstarted draw.
+    fn events_of(ct: &ClientTrace) -> Vec<ChurnEvent> {
+        ct.draw.clone().collect()
+    }
+
     #[test]
     fn client_population_partitions_the_pool_disjointly() {
         let spec = paper_workload(42);
@@ -593,15 +658,15 @@ mod tests {
         // The pools are disjoint and cover every connection.
         let mut seen: HashSet<ConnId> = HashSet::new();
         for ct in &population {
-            for c in ct.view.connections() {
-                assert!(seen.insert(c.id), "{} owned by two clients", c.id);
+            for &c in &ct.pool {
+                assert!(seen.insert(c), "{c} owned by two clients");
             }
         }
         assert_eq!(seen.len(), spec.connections().len());
         // Each client's trace stays within its own pool.
         for ct in &population {
-            let pool: HashSet<ConnId> = ct.view.connections().iter().map(|c| c.id).collect();
-            for e in &ct.trace.events {
+            let pool: HashSet<ConnId> = ct.pool.iter().copied().collect();
+            for e in events_of(ct) {
                 let ids: Vec<ConnId> = match &e.op {
                     ChurnOp::Open(c) | ChurnOp::Close(c) => vec![*c],
                     ChurnOp::Switch { close, open } => close.iter().chain(open).copied().collect(),
@@ -617,16 +682,17 @@ mod tests {
         // stateful-consistent; check the sort-by-time merge.
         let spec = paper_workload(42);
         let population = client_population(&spec, 5, &ChurnParams::steady(400), 11);
+        let traces: Vec<Vec<ChurnEvent>> = population.iter().map(events_of).collect();
         let mut merged: Vec<(u64, u32, usize)> = Vec::new();
-        for ct in &population {
-            for (seq, e) in ct.trace.events.iter().enumerate() {
+        for (ct, trace) in population.iter().zip(&traces) {
+            for (seq, e) in trace.iter().enumerate() {
                 merged.push((e.at_ns, ct.client, seq));
             }
         }
         merged.sort_unstable();
         let mut open: HashSet<ConnId> = HashSet::new();
         for (_, client, seq) in merged {
-            match &population[client as usize].trace.events[seq].op {
+            match &traces[client as usize][seq].op {
                 ChurnOp::Open(c) => assert!(open.insert(*c), "{c} opened twice"),
                 ChurnOp::Close(c) => assert!(open.remove(c), "{c} closed while closed"),
                 ChurnOp::Switch { close, open: add } => {
@@ -649,10 +715,10 @@ mod tests {
         let b = client_population(&spec, 4, &params, 5);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.trace, y.trace);
+            assert_eq!(events_of(x), events_of(y));
         }
         let c = client_population(&spec, 4, &params, 6);
-        assert!(a.iter().zip(&c).any(|(x, y)| x.trace != y.trace));
+        assert!(a.iter().zip(&c).any(|(x, y)| events_of(x) != events_of(y)));
     }
 
     #[test]
@@ -675,16 +741,55 @@ mod tests {
                     .step_by(clients as usize)
                     .map(|c| c.id)
                     .collect();
-                let owned = |ct: &ClientTrace| -> Vec<ConnId> {
-                    ct.view.connections().iter().map(|c| c.id).collect()
-                };
-                assert_eq!(owned(p), pool);
-                assert_eq!(owned(g), pool);
+                assert_eq!(p.pool, pool);
+                assert_eq!(g.pool, pool);
                 let seed = 13 ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                assert_eq!(p.trace, churn_trace(&p.view, &params, seed));
-                assert_eq!(p.trace, g.trace, "client {k} of {clients}");
+                let view = spec.restricted_to_connections(&p.pool);
+                assert_eq!(events_of(p), churn_trace(&view, &params, seed).events);
+                assert_eq!(events_of(p), events_of(g), "client {k} of {clients}");
             }
         }
+    }
+
+    #[test]
+    fn several_group_population_draws_each_restricted_view() {
+        // With several groups too, every client's pool keeps spec order
+        // within one group, and its on-demand draw yields exactly what
+        // `churn_trace` draws over the spec restricted to that pool with
+        // the client's derived seed — switches included.
+        let spec = paper_workload(42);
+        let params = ChurnParams {
+            switch_weight: 0.05,
+            ..ChurnParams::steady(300)
+        };
+        let group_of = |c: &crate::app::Connection| (c.id.index() / 7) as u32 % 3;
+        let mut switches = 0;
+        for clients in [7u32, 20] {
+            let population = client_population_grouped(&spec, clients, &params, 13, group_of);
+            assert_eq!(population.len(), clients as usize);
+            for ct in &population {
+                assert!(ct.pool.windows(2).all(|w| w[0] < w[1]));
+                let group = group_of(spec.connection(ct.pool[0]));
+                assert!(ct
+                    .pool
+                    .iter()
+                    .all(|&c| group_of(spec.connection(c)) == group));
+                let seed = 13 ^ u64::from(ct.client).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let view = spec.restricted_to_connections(&ct.pool);
+                let trace = churn_trace(&view, &params, seed);
+                assert_eq!(
+                    events_of(ct),
+                    trace.events,
+                    "client {} of {clients}",
+                    ct.client
+                );
+                switches += trace.switches();
+            }
+        }
+        assert!(
+            switches > 0,
+            "no switch drawn: the application ranks went untested"
+        );
     }
 
     #[test]
@@ -704,5 +809,58 @@ mod tests {
             ..ChurnParams::default()
         };
         let _ = churn_trace(&spec, &params, 0);
+    }
+
+    // The population draws nothing up front, so each parameter check
+    // must fire where the population is set up, not where it is merged.
+
+    #[test]
+    #[should_panic(expected = "at least one event")]
+    fn population_with_zero_events_rejected() {
+        let params = ChurnParams {
+            events: 0,
+            ..ChurnParams::default()
+        };
+        let _ = client_population(&paper_workload(1), 3, &params, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "target_open must be in (0, 1]")]
+    fn population_with_zero_target_rejected() {
+        let params = ChurnParams {
+            target_open: 0.0,
+            ..ChurnParams::default()
+        };
+        let _ = client_population(&paper_workload(1), 3, &params, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "target_open must be in (0, 1]")]
+    fn population_with_target_over_one_rejected() {
+        let params = ChurnParams {
+            target_open: 1.5,
+            ..ChurnParams::default()
+        };
+        let _ = client_population(&paper_workload(1), 3, &params, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "switch_weight must be in [0, 1)")]
+    fn population_with_certain_switches_rejected() {
+        let params = ChurnParams {
+            switch_weight: 1.0,
+            ..ChurnParams::default()
+        };
+        let _ = client_population(&paper_workload(1), 3, &params, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rate must be positive")]
+    fn population_with_zero_rate_rejected() {
+        let params = ChurnParams {
+            rate_per_sec: 0.0,
+            ..ChurnParams::default()
+        };
+        let _ = client_population(&paper_workload(1), 3, &params, 0);
     }
 }
