@@ -192,8 +192,121 @@ pub fn validate(spec: &SystemSpec, alloc: &Allocation) -> Result<(), Vec<Violati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocate::allocate;
-    use aelite_spec::generate::paper_workload;
+    use crate::allocate::{allocate, Grant};
+    use aelite_spec::generate::{paper_workload, WorkloadBuilder};
+    use aelite_spec::ids::{NiId, Port};
+
+    /// One [`Violation::OrphanReservation`] per table entry held by a
+    /// connection of `gone`, in the validator's scan order: link, then
+    /// slot.
+    fn orphans_of(spec: &SystemSpec, alloc: &Allocation, gone: &[ConnId]) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for link in spec.topology().links() {
+            for (slot, owner) in alloc.link_table(link).iter() {
+                if let Some(conn) = owner.filter(|c| gone.contains(c)) {
+                    out.push(Violation::OrphanReservation { link, slot, conn });
+                }
+            }
+        }
+        out
+    }
+
+    /// Every `step`-th connection of `spec`, starting half a step in.
+    fn every(spec: &SystemSpec, step: usize) -> Vec<ConnId> {
+        spec.connections()
+            .iter()
+            .skip(step / 2)
+            .step_by(step)
+            .map(|c| c.id)
+            .collect()
+    }
+
+    /// The first `(link, slot)` entry the tables reserve for `conn`.
+    fn first_entry(spec: &SystemSpec, alloc: &Allocation, conn: ConnId) -> (LinkId, u32) {
+        spec.topology()
+            .links()
+            .find_map(|l| {
+                let slots = alloc.link_table(l).slots_of(conn);
+                slots.first().map(|&s| (l, s))
+            })
+            .expect("a granted connection holds a table entry")
+    }
+
+    /// Detaches the grants of `conns`: their reservations stay behind.
+    fn detach(alloc: &mut Allocation, conns: &[ConnId]) -> Vec<Grant> {
+        conns
+            .iter()
+            .map(|&c| alloc.detach_grant(c).expect("granted"))
+            .collect()
+    }
+
+    /// Breaks the port lists of five connections whose paths cross at
+    /// least two routers, picked in spec order, one way each: emptied,
+    /// last port dropped, a port appended, an unknown first port, and a
+    /// declared destination that the ports do not reach.
+    fn break_paths(spec: &SystemSpec, alloc: &mut Allocation) -> Vec<ConnId> {
+        let long: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|&c| alloc.grant(c).is_some_and(|g| g.path.ports.len() >= 2))
+            .collect();
+        assert!(long.len() >= 5, "too few multi-router paths");
+        let victims: Vec<ConnId> = (0..5).map(|k| long[k * long.len() / 5]).collect();
+        for (k, &c) in victims.iter().enumerate() {
+            let path = &mut alloc.grant_mut(c).unwrap().path;
+            match k {
+                0 => path.ports.clear(),
+                1 => drop(path.ports.pop()),
+                2 => path.ports.push(Port(0)),
+                3 => path.ports[0] = Port(u8::MAX),
+                _ => path.dst = NiId::new(u32::from(path.dst == NiId::new(0))),
+            }
+        }
+        victims
+    }
+
+    /// Frees one table entry of `conns[0]` and hands one of `conns[1]`
+    /// to `thief`. Returns the two entries.
+    fn steal(
+        spec: &SystemSpec,
+        alloc: &mut Allocation,
+        conns: [ConnId; 2],
+        thief: ConnId,
+    ) -> [(LinkId, u32); 2] {
+        let entries = conns.map(|c| first_entry(spec, alloc, c));
+        alloc.link_table_mut(entries[0].0).release(entries[0].1);
+        let (link, slot) = entries[1];
+        alloc.link_table_mut(link).release(slot);
+        alloc.link_table_mut(link).reserve(slot, thief).unwrap();
+        entries
+    }
+
+    /// Gives the later of the first two connections that share both NIs
+    /// the earlier one's route and slots, so both grants claim the same
+    /// entries. Returns `(earlier, later)`.
+    fn share_claim(spec: &SystemSpec, alloc: &mut Allocation) -> (ConnId, ConnId) {
+        let ends = |c: ConnId| {
+            let c = spec.connection(c);
+            (spec.ip_ni(c.src), spec.ip_ni(c.dst))
+        };
+        let ids: Vec<ConnId> = spec.connections().iter().map(|c| c.id).collect();
+        let (a, b) = ids
+            .iter()
+            .enumerate()
+            .find_map(|(i, &a)| {
+                ids[i + 1..]
+                    .iter()
+                    .find(|&&b| ends(a) == ends(b))
+                    .map(|&b| (a, b))
+            })
+            .expect("two connections share both NIs");
+        let donor = alloc.grant(a).unwrap().clone();
+        let grant = alloc.grant_mut(b).unwrap();
+        grant.path = donor.path;
+        grant.inject_slots = donor.inject_slots;
+        (a, b)
+    }
 
     #[test]
     fn paper_allocation_validates_clean() {
@@ -212,6 +325,192 @@ mod tests {
         assert!(err
             .iter()
             .any(|v| matches!(v, Violation::MissingGrant { .. })));
+    }
+
+    #[test]
+    fn detached_grant_is_missing_and_leaves_its_entries_orphaned() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let gone = every(&spec, 37);
+        let grants = detach(&mut alloc, &gone);
+        let mut expected: Vec<Violation> = gone
+            .iter()
+            .map(|&conn| Violation::MissingGrant { conn })
+            .collect();
+        expected.extend(orphans_of(&spec, &alloc, &gone));
+        let held: usize = grants
+            .iter()
+            .map(|g| g.inject_slots.len() * g.path.link_count())
+            .sum();
+        assert_eq!(expected.len(), gone.len() + held);
+        assert_eq!(validate(&spec, &alloc).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn connections_cut_from_the_spec_leave_only_orphans() {
+        let spec = paper_workload(1);
+        let alloc = allocate(&spec).unwrap();
+        let cut = every(&spec, 7);
+        let kept: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|c| !cut.contains(c))
+            .collect();
+        let view = spec.restricted_to_connections(&kept);
+        let err = validate(&view, &alloc).unwrap_err();
+        assert!(!err.is_empty());
+        assert_eq!(err, orphans_of(&spec, &alloc, &cut));
+    }
+
+    #[test]
+    fn allocation_for_another_draw_is_misrouted_short_and_late() {
+        // Two NIs: a connection of one draw often has the endpoints of
+        // the same-numbered connection of another, so all three checks
+        // after the path walk fire.
+        let draw = |seed| {
+            WorkloadBuilder::mesh(2, 1, 1)
+                .connections(20)
+                .seed(seed)
+                .build()
+        };
+        let alloc = allocate(&draw(1)).unwrap();
+        let spec = draw(2);
+        let err = validate(&spec, &alloc).unwrap_err();
+        let count = |f: fn(&Violation) -> bool| err.iter().filter(|v| f(v)).count();
+        assert_eq!(count(|v| matches!(v, Violation::WrongEndpoints { .. })), 6);
+        assert_eq!(count(|v| matches!(v, Violation::BandwidthShort { .. })), 7);
+        assert_eq!(count(|v| matches!(v, Violation::LatencyExceeded { .. })), 1);
+        for v in &err {
+            match *v {
+                Violation::WrongEndpoints { conn } => {
+                    let (c, p) = (spec.connection(conn), &alloc.grant(conn).unwrap().path);
+                    assert!((p.src, p.dst) != (spec.ip_ni(c.src), spec.ip_ni(c.dst)));
+                }
+                Violation::BandwidthShort {
+                    conn,
+                    granted,
+                    required,
+                } => {
+                    assert!(granted < required);
+                    assert_eq!(required, spec.connection(conn).bandwidth.bytes_per_sec());
+                }
+                Violation::LatencyExceeded {
+                    conn,
+                    bound_ns,
+                    required_ns,
+                } => {
+                    assert!(bound_ns > required_ns);
+                    assert_eq!(required_ns, spec.connection(conn).max_latency_ns);
+                }
+                Violation::OrphanReservation { .. } => {}
+                ref other => panic!("unexpected {other}"),
+            }
+        }
+        // A misrouted grant accounts for none of its entries.
+        let misrouted: Vec<ConnId> = err
+            .iter()
+            .filter_map(|v| match *v {
+                Violation::WrongEndpoints { conn } => Some(conn),
+                _ => None,
+            })
+            .collect();
+        let orphans: Vec<Violation> = err
+            .iter()
+            .filter(|v| matches!(v, Violation::OrphanReservation { .. }))
+            .cloned()
+            .collect();
+        assert_eq!(orphans, orphans_of(&spec, &alloc, &misrouted));
+        assert_eq!(err.len(), 14 + orphans.len());
+    }
+
+    #[test]
+    fn broken_port_lists_are_bad_paths_with_their_entries_orphaned() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let broken = break_paths(&spec, &mut alloc);
+        let err = validate(&spec, &alloc).unwrap_err();
+        let (bad, orphans) = err.split_at(broken.len());
+        for (v, &c) in bad.iter().zip(&broken) {
+            assert!(
+                matches!(v, Violation::BadPath { conn, .. } if *conn == c),
+                "{v}"
+            );
+        }
+        let errors: Vec<PathError> = bad
+            .iter()
+            .map(|v| match v {
+                Violation::BadPath { error, .. } => *error,
+                other => panic!("unexpected {other}"),
+            })
+            .collect();
+        assert_eq!(errors[0], PathError::Empty);
+        assert!(matches!(errors[1], PathError::EndsAtRouter { .. }));
+        assert!(matches!(errors[2], PathError::EntersNiMidway { .. }));
+        assert!(matches!(errors[3], PathError::NoSuchPort { port, .. } if port == Port(u8::MAX)));
+        assert!(matches!(errors[4], PathError::WrongDestination { .. }));
+        assert_eq!(orphans, orphans_of(&spec, &alloc, &broken));
+    }
+
+    #[test]
+    fn freed_and_stolen_entries_are_table_mismatches() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let picked = every(&spec, 61);
+        let (conns, thief) = ([picked[0], picked[1]], picked[2]);
+        let entries = steal(&spec, &mut alloc, conns, thief);
+        let mut expected: Vec<Violation> = conns
+            .iter()
+            .zip(entries)
+            .map(|(&conn, (link, slot))| Violation::TableMismatch { conn, link, slot })
+            .collect();
+        let (link, slot) = entries[1];
+        expected.push(Violation::OrphanReservation {
+            link,
+            slot,
+            conn: thief,
+        });
+        assert_eq!(validate(&spec, &alloc).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn the_later_of_two_claims_on_an_entry_wins() {
+        let spec = paper_workload(1);
+        let mut alloc = allocate(&spec).unwrap();
+        let (a, b) = share_claim(&spec, &mut alloc);
+        let err = validate(&spec, &alloc).unwrap_err();
+        // `b` now claims each of `a`'s entries, in its slot-major order;
+        // the tables still say `a` holds them ...
+        let donor = alloc.grant(a).unwrap();
+        let shift = spec.config().slots_per_hop();
+        let mut expected: Vec<Violation> = Vec::new();
+        for &s in &donor.inject_slots {
+            for (i, &link) in donor.links.iter().enumerate() {
+                let slot = (s + i as u32 * shift) % alloc.table_size();
+                expected.push(Violation::TableMismatch {
+                    conn: b,
+                    link,
+                    slot,
+                });
+            }
+        }
+        // ... so `a`'s entries are orphans (the later claim overwrote
+        // `a`'s), and so are the ones `b` really holds.
+        expected.extend(orphans_of(&spec, &alloc, &[a, b]));
+        let (contract, rest): (Vec<Violation>, Vec<Violation>) = err.into_iter().partition(|v| {
+            matches!(
+                v,
+                Violation::BandwidthShort { .. } | Violation::LatencyExceeded { .. }
+            )
+        });
+        assert_eq!(rest, expected);
+        for v in contract {
+            assert!(matches!(
+                v,
+                Violation::BandwidthShort { conn, .. } | Violation::LatencyExceeded { conn, .. }
+                    if conn == b
+            ));
+        }
     }
 
     #[test]

@@ -814,6 +814,18 @@ mod tests {
         assert!(!turbo.delivery_cycles(spec.connections()[0].id).is_empty());
     }
 
+    /// Compiling the routers away is licensed by the allocation being
+    /// contention-free; a grant detached with its reservations still in
+    /// the tables breaks that, and the build must refuse.
+    #[test]
+    #[should_panic(expected = "allocation invalid")]
+    fn build_turbo_refuses_an_invalid_allocation() {
+        let spec = two_ni_spec(0);
+        let mut alloc = allocate(&spec).unwrap();
+        alloc.detach_grant(spec.connections()[1].id).unwrap();
+        let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+    }
+
     #[test]
     fn mesochronous_turbo_matches_event_engine_bit_for_bit() {
         let spec = two_ni_spec(1);
