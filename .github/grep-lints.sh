@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's three grep lints, in one place: the CI `lint` job runs
+# The repository's four grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -59,3 +59,16 @@ for dir in crates/*/src; do
     exit 1
   done
 done
+
+# The validator is the independent check that licenses compiling the
+# routers away in the turbo kernel. It must re-derive every reservation
+# from each grant's path and slots and the tables' owner view, never
+# from the allocator's own bookkeeping: the grant's cached link list,
+# the free masks, the route cache or the mask kernels. Test code below
+# the first `#[cfg(test)]` may read them.
+hits=$(sed '/#\[cfg(test)\]/,$d' crates/alloc/src/validate.rs | grep -nE 'grant\.links|free_mask|route_cache|crate::mask' || true)
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "::error::crates/alloc/src/validate.rs reads allocator bookkeeping above its tests: re-derive it from grant.path and the owner view"
+  exit 1
+fi

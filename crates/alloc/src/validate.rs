@@ -11,6 +11,13 @@
 //!    invariant);
 //! 3. reserved slots deliver at least the contracted bandwidth;
 //! 4. the worst-case latency bound meets the contracted deadline.
+//!
+//! It reads only each grant's path and slots and the tables' owner view.
+//! The reservations the grants imply go into one dense owner table, an
+//! `Option<ConnId>` per `(link, slot)` of the platform; a later grant's
+//! claim on an entry overwrites an earlier one. One pass over the link
+//! tables then finds the orphans. The cost is O(links × slots + Σ slots
+//! × hops), with one table allocation and one path buffer per call.
 
 use crate::allocate::Allocation;
 use crate::path::PathError;
@@ -113,10 +120,12 @@ pub fn validate(spec: &SystemSpec, alloc: &Allocation) -> Result<(), Vec<Violati
     let mut violations = Vec::new();
     let topo = spec.topology();
     let size = alloc.table_size();
+    let shift = spec.config().slots_per_hop();
+    let entry = |link: LinkId, slot: u32| link.index() * size as usize + slot as usize;
 
     // Expected reservations, rebuilt from the grants: (link, slot) -> conn.
-    let mut expected: std::collections::HashMap<(usize, u32), ConnId> =
-        std::collections::HashMap::new();
+    let mut expected: Vec<Option<ConnId>> = vec![None; topo.link_count() * size as usize];
+    let mut links = Vec::new();
 
     for c in spec.connections() {
         let Some(grant) = alloc.grant(c.id) else {
@@ -124,24 +133,20 @@ pub fn validate(spec: &SystemSpec, alloc: &Allocation) -> Result<(), Vec<Violati
             continue;
         };
         // Path must be walkable...
-        let links = match grant.path.links(topo) {
-            Ok(l) => l,
-            Err(error) => {
-                violations.push(Violation::BadPath { conn: c.id, error });
-                continue;
-            }
-        };
+        if let Err(error) = grant.path.links_into(topo, &mut links) {
+            violations.push(Violation::BadPath { conn: c.id, error });
+            continue;
+        }
         // ... and connect exactly this connection's NIs.
         if grant.path.src != spec.ip_ni(c.src) || grant.path.dst != spec.ip_ni(c.dst) {
             violations.push(Violation::WrongEndpoints { conn: c.id });
             continue;
         }
         // Record the shifted reservations this grant implies.
-        let shift = spec.config().slots_per_hop();
         for &s in &grant.inject_slots {
             for (i, &l) in links.iter().enumerate() {
                 let slot = (s + i as u32 * shift) % size;
-                expected.insert((l.index(), slot), c.id);
+                expected[entry(l, slot)] = Some(c.id);
                 if alloc.link_table(l).owner(slot) != Some(c.id) {
                     violations.push(Violation::TableMismatch {
                         conn: c.id,
@@ -175,7 +180,7 @@ pub fn validate(spec: &SystemSpec, alloc: &Allocation) -> Result<(), Vec<Violati
     for link in topo.links() {
         for (slot, owner) in alloc.link_table(link).iter() {
             if let Some(conn) = owner {
-                if expected.get(&(link.index(), slot)) != Some(&conn) {
+                if expected[entry(link, slot)] != Some(conn) {
                     violations.push(Violation::OrphanReservation { link, slot, conn });
                 }
             }
@@ -193,7 +198,7 @@ pub fn validate(spec: &SystemSpec, alloc: &Allocation) -> Result<(), Vec<Violati
 mod tests {
     use super::*;
     use crate::allocate::{allocate, Grant};
-    use aelite_spec::generate::{paper_workload, WorkloadBuilder};
+    use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder};
     use aelite_spec::ids::{NiId, Port};
 
     /// One [`Violation::OrphanReservation`] per table entry held by a
@@ -306,6 +311,144 @@ mod tests {
         grant.path = donor.path;
         grant.inject_slots = donor.inject_slots;
         (a, b)
+    }
+
+    /// The reference validator: expected reservations in a hash map,
+    /// each path walked into a fresh `Vec`. [`validate`] must return the
+    /// same violations in the same order.
+    fn hashed_validate(spec: &SystemSpec, alloc: &Allocation) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        let topo = spec.topology();
+        let size = alloc.table_size();
+        let mut expected: std::collections::HashMap<(usize, u32), ConnId> =
+            std::collections::HashMap::new();
+        for c in spec.connections() {
+            let Some(grant) = alloc.grant(c.id) else {
+                violations.push(Violation::MissingGrant { conn: c.id });
+                continue;
+            };
+            let links = match grant.path.links(topo) {
+                Ok(l) => l,
+                Err(error) => {
+                    violations.push(Violation::BadPath { conn: c.id, error });
+                    continue;
+                }
+            };
+            if grant.path.src != spec.ip_ni(c.src) || grant.path.dst != spec.ip_ni(c.dst) {
+                violations.push(Violation::WrongEndpoints { conn: c.id });
+                continue;
+            }
+            let shift = spec.config().slots_per_hop();
+            for &s in &grant.inject_slots {
+                for (i, &l) in links.iter().enumerate() {
+                    let slot = (s + i as u32 * shift) % size;
+                    expected.insert((l.index(), slot), c.id);
+                    if alloc.link_table(l).owner(slot) != Some(c.id) {
+                        violations.push(Violation::TableMismatch {
+                            conn: c.id,
+                            link: l,
+                            slot,
+                        });
+                    }
+                }
+            }
+            let granted = alloc.allocated_bandwidth(spec, c.id).bytes_per_sec();
+            if granted < c.bandwidth.bytes_per_sec() {
+                violations.push(Violation::BandwidthShort {
+                    conn: c.id,
+                    granted,
+                    required: c.bandwidth.bytes_per_sec(),
+                });
+            }
+            let bound_ns = alloc.worst_case_latency_ns(spec, c.id).ceil() as u64;
+            if bound_ns > c.max_latency_ns {
+                violations.push(Violation::LatencyExceeded {
+                    conn: c.id,
+                    bound_ns,
+                    required_ns: c.max_latency_ns,
+                });
+            }
+        }
+        for link in topo.links() {
+            for (slot, owner) in alloc.link_table(link).iter() {
+                if let Some(conn) = owner {
+                    if expected.get(&(link.index(), slot)) != Some(&conn) {
+                        violations.push(Violation::OrphanReservation { link, slot, conn });
+                    }
+                }
+            }
+        }
+        violations
+    }
+
+    /// Checks `validate` against the oracle on `spec` (allocated) and on
+    /// every corruption above, and on the allocation checked against
+    /// `other`, a second draw on the same platform.
+    fn assert_matches_oracle(spec: &SystemSpec, other: &SystemSpec) {
+        let alloc = allocate(spec).unwrap();
+        let same = |label: &str, spec: &SystemSpec, alloc: &Allocation| {
+            let dense = validate(spec, alloc).err().unwrap_or_default();
+            assert_eq!(dense, hashed_validate(spec, alloc), "{label}");
+            dense.len()
+        };
+        assert_eq!(same("clean", spec, &alloc), 0);
+
+        let mut detached = alloc.clone();
+        detach(&mut detached, &every(spec, 37));
+        let mut broken = alloc.clone();
+        break_paths(spec, &mut broken);
+        let mut robbed = alloc.clone();
+        let picked = every(spec, 61);
+        steal(spec, &mut robbed, [picked[0], picked[1]], picked[2]);
+        let mut shared = alloc.clone();
+        share_claim(spec, &mut shared);
+        let cut = every(spec, 7);
+        let kept: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|c| !cut.contains(c))
+            .collect();
+        let view = spec.restricted_to_connections(&kept);
+        for (label, spec, alloc) in [
+            ("detached", spec, &detached),
+            ("broken paths", spec, &broken),
+            ("stolen entries", spec, &robbed),
+            ("shared claim", spec, &shared),
+            ("cut spec", &view, &alloc),
+            ("other draw", other, &alloc),
+        ] {
+            assert!(same(label, spec, alloc) > 0, "{label} must violate");
+        }
+    }
+
+    #[test]
+    fn dense_validator_matches_the_hashed_oracle() {
+        for seed in 1..=3 {
+            assert_matches_oracle(&paper_workload(seed), &paper_workload(seed + 10));
+        }
+        for seed in 1..=3 {
+            assert_matches_oracle(
+                &scaled_workload(8, 8, 4, 1_000, seed),
+                &scaled_workload(8, 8, 4, 1_000, seed + 10),
+            );
+        }
+        // Mesochronous links: two slots per hop.
+        assert_matches_oracle(
+            &scaled_workload(8, 8, 4, 1_000, 4).with_link_pipeline_stages(1, 2),
+            &scaled_workload(8, 8, 4, 1_000, 14).with_link_pipeline_stages(1, 2),
+        );
+        let mesh16 = |seed| {
+            WorkloadBuilder::mesh(16, 16, 4)
+                .mega_traffic()
+                .connections(3_000)
+                .tiles(8, 8)
+                .seed(seed)
+                .build()
+        };
+        for seed in 1..=2 {
+            assert_matches_oracle(&mesh16(seed), &mesh16(seed + 10));
+        }
     }
 
     #[test]

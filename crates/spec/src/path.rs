@@ -50,6 +50,19 @@ impl Path {
     /// `src` to `dst` in this topology.
     pub fn links(&self, topo: &Topology) -> Result<Vec<LinkId>, PathError> {
         let mut links = Vec::with_capacity(self.link_count());
+        self.links_into(topo, &mut links)?;
+        Ok(links)
+    }
+
+    /// [`links`](Self::links) written into `links`, which is cleared
+    /// first: a caller walking many paths reuses one buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`links`](Self::links); `links` then holds the links walked
+    /// before the fault.
+    pub fn links_into(&self, topo: &Topology, links: &mut Vec<LinkId>) -> Result<(), PathError> {
+        links.clear();
         links.push(topo.ni_ingress_link(self.src));
         let mut router = topo.ni_router(self.src);
         for (i, &port) in self.ports.iter().enumerate() {
@@ -83,7 +96,7 @@ impl Path {
         if self.ports.is_empty() {
             return Err(PathError::Empty);
         }
-        Ok(links)
+        Ok(())
     }
 
     /// The routers visited, in order.
