@@ -271,20 +271,33 @@ mod tests {
         victims
     }
 
-    /// Frees one table entry of `conns[0]` and hands one of `conns[1]`
-    /// to `thief`. Returns the two entries.
+    /// Frees one table entry of a connection and hands one of a second
+    /// to a third, the thief. Returns the two victims, their entries and
+    /// the thief.
     fn steal(
         spec: &SystemSpec,
         alloc: &mut Allocation,
-        conns: [ConnId; 2],
-        thief: ConnId,
-    ) -> [(LinkId, u32); 2] {
-        let entries = conns.map(|c| first_entry(spec, alloc, c));
+    ) -> ([ConnId; 2], [(LinkId, u32); 2], ConnId) {
+        let picked = every(spec, 61);
+        let (victims, thief) = ([picked[0], picked[1]], picked[2]);
+        let entries = victims.map(|c| first_entry(spec, alloc, c));
         alloc.link_table_mut(entries[0].0).release(entries[0].1);
         let (link, slot) = entries[1];
         alloc.link_table_mut(link).release(slot);
         alloc.link_table_mut(link).reserve(slot, thief).unwrap();
-        entries
+        (victims, entries, thief)
+    }
+
+    /// `spec` without every 7th connection, and the connections cut.
+    fn cut_spec(spec: &SystemSpec) -> (SystemSpec, Vec<ConnId>) {
+        let cut = every(spec, 7);
+        let kept: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .map(|c| c.id)
+            .filter(|c| !cut.contains(c))
+            .collect();
+        (spec.restricted_to_connections(&kept), cut)
     }
 
     /// Gives the later of the first two connections that share both NIs
@@ -398,18 +411,10 @@ mod tests {
         let mut broken = alloc.clone();
         break_paths(spec, &mut broken);
         let mut robbed = alloc.clone();
-        let picked = every(spec, 61);
-        steal(spec, &mut robbed, [picked[0], picked[1]], picked[2]);
+        steal(spec, &mut robbed);
         let mut shared = alloc.clone();
         share_claim(spec, &mut shared);
-        let cut = every(spec, 7);
-        let kept: Vec<ConnId> = spec
-            .connections()
-            .iter()
-            .map(|c| c.id)
-            .filter(|c| !cut.contains(c))
-            .collect();
-        let view = spec.restricted_to_connections(&kept);
+        let (view, _) = cut_spec(spec);
         for (label, spec, alloc) in [
             ("detached", spec, &detached),
             ("broken paths", spec, &broken),
@@ -493,14 +498,7 @@ mod tests {
     fn connections_cut_from_the_spec_leave_only_orphans() {
         let spec = paper_workload(1);
         let alloc = allocate(&spec).unwrap();
-        let cut = every(&spec, 7);
-        let kept: Vec<ConnId> = spec
-            .connections()
-            .iter()
-            .map(|c| c.id)
-            .filter(|c| !cut.contains(c))
-            .collect();
-        let view = spec.restricted_to_connections(&kept);
+        let (view, cut) = cut_spec(&spec);
         let err = validate(&view, &alloc).unwrap_err();
         assert!(!err.is_empty());
         assert_eq!(err, orphans_of(&spec, &alloc, &cut));
@@ -599,10 +597,8 @@ mod tests {
     fn freed_and_stolen_entries_are_table_mismatches() {
         let spec = paper_workload(1);
         let mut alloc = allocate(&spec).unwrap();
-        let picked = every(&spec, 61);
-        let (conns, thief) = ([picked[0], picked[1]], picked[2]);
-        let entries = steal(&spec, &mut alloc, conns, thief);
-        let mut expected: Vec<Violation> = conns
+        let (victims, entries, thief) = steal(&spec, &mut alloc);
+        let mut expected: Vec<Violation> = victims
             .iter()
             .zip(entries)
             .map(|(&conn, (link, slot))| Violation::TableMismatch { conn, link, slot })
