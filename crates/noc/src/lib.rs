@@ -31,6 +31,7 @@
 //! * [`testbench`] — scripted wire drivers and recorders, shared by the
 //!   router and link-stage unit tests and `tests/proptest_hardware.rs`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

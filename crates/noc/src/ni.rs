@@ -94,13 +94,13 @@ impl FlitLog {
             self.conn,
             d.cycle
         );
-        self.record(d.tag, d.cycle);
+        self.flits.push((d.tag, d.cycle));
     }
 
-    /// Appends the flit tagged `tag` delivered at `cycle`, timed by this
-    /// log's clock.
-    pub(crate) fn record(&mut self, tag: u64, cycle: u64) {
-        self.flits.push((tag, cycle));
+    /// The `(tag, cycle)` records themselves, for a writer that appends
+    /// flits timed by this log's clock.
+    pub(crate) fn flits_mut(&mut self) -> &mut Vec<(u64, u64)> {
+        &mut self.flits
     }
 
     fn time_of(&self, cycle: u64) -> SimTime {

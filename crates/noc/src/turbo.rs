@@ -14,8 +14,9 @@
 //! anywhere (Section IV; the event-driven router models *panic* if that
 //! invariant is ever violated, and [`build_turbo`] re-validates the
 //! allocation up front instead, in O(links × slots + Σ slots × hops):
-//! 4.3 ms of a 10.5 ms build at 16×16 and 10 000 connections on a
-//! 2-vCPU 2.1 GHz Xeon).
+//! 4.3 ms of a 10.5 ms one-thread build at 16×16 and 10 000 connections
+//! on a 2-vCPU 2.1 GHz Xeon, where a two-shard build runs it beside
+//! compiling the connections).
 //!
 //! [`build_turbo`] therefore *compiles* the built router/link/NI module
 //! graph:
@@ -40,6 +41,24 @@
 //!   wake is never put past the run's final source edge plus one: a
 //!   message pushed between runs is seen at the first owned slot after
 //!   the previous deadline;
+//! * the same composability lets disjoint sets of connections run at
+//!   once. [`build_turbo`] cuts the connections into contiguous *shards*
+//!   with near-equal owned-slot totals — one per 1024 connections,
+//!   rounded up, and at most one per core — and a run gives shard 0 to
+//!   the calling thread and every other shard to a scoped worker; a
+//!   worker's panic is re-raised with its own message. Between runs a
+//!   connection's messages and delivered flits live behind its
+//!   [`MessageQueue`] and [`DeliveryLog`] handles, as in the event
+//!   engine. A run moves them into the connection's shard, which owns
+//!   them while it runs, and back out at the end; a shard holds no `Rc`,
+//!   so it is `Send`. Before any worker starts, the calling thread
+//!   reserves each log for the run: the flits in flight, plus the fewer
+//!   of the owned slot starts left in the run and the flits the current
+//!   message, the queue and the generator can supply. Workers then never
+//!   grow a log, and every log lives in the calling thread's allocator
+//!   arena, not in that of a worker that has exited. A net of more than
+//!   one shard is also compiled on a worker, while the calling thread
+//!   validates the allocation;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -104,18 +123,24 @@
 //! [`FlitDelivery`]: crate::ni::FlitDelivery
 
 use crate::network::{build_order, NetworkKind, CREDIT_RETURN_CYCLES};
-use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitLog, Message, MessageQueue};
+use crate::ni::{delivery_log, message_queue, DeliveryLog, Message, MessageQueue};
 use aelite_alloc::allocate::{required_buffer_words, Allocation};
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
 use aelite_spec::timing::pipeline_cycles;
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::rc::Rc;
 
 /// Cycles a word spends in each router: the 3-stage pipeline of paper
 /// Section IV (input register, HPU, switch).
 const ROUTER_PIPELINE_CYCLES: u64 = 3;
+
+/// Connections per worker: a net is cut into one shard per this many
+/// connections, rounded up, but no more shards than the host has cores.
+/// A net of up to this many runs on the calling thread alone.
+const CONNS_PER_WORKER: usize = 1024;
 
 /// Measured per-flit latency of one connection, tracked by the turbo
 /// kernel (instrumentation only — it does not influence behaviour).
@@ -187,22 +212,46 @@ impl CbrGen {
     }
 }
 
-/// Compiled per-connection state in struct-of-arrays layout: the NI-
-/// resident dynamics (queue, credits, packetisation, slot-table share)
-/// plus the static network timing. The kernel runs one connection at a
-/// time and makes one decision per owned slot the connection can use;
-/// parallel arrays keep the per-connection scalars densely packed
-/// instead of strided across a large per-connection struct — mega-mesh
-/// builds carry 10k–30k connections (`tests/mega_mesh_golden.rs` runs
-/// the 32×32/30k point).
+/// One connection's compiled constants and initial credits, before
+/// `compile_shards` places it in a shard.
+#[derive(Debug)]
+struct ConnInit {
+    conn: ConnId,
+    cbr: Option<CbrGen>,
+    slots: Box<[u32]>,
+    head_delay: u64,
+    src_phase_fs: u64,
+    dst_phase_fs: u64,
+    credit_free: bool,
+    credits: i64,
+}
+
+/// One shard of the compiled per-connection state, in struct-of-arrays
+/// layout: the NI-resident dynamics (queue, credits, packetisation,
+/// slot-table share) plus the static network timing of a contiguous run
+/// of connections. The kernel runs one connection at a time and makes
+/// one decision per owned slot the connection can use; parallel arrays
+/// keep the per-connection scalars densely packed instead of strided
+/// across a large per-connection struct — mega-mesh builds carry
+/// 10k–30k connections (`tests/mega_mesh_golden.rs` runs the 32×32/30k
+/// point).
+///
+/// A shard holds no shared handle, so a worker thread can own it for a
+/// run: queues and flit buffers move in from the net's handles when a run
+/// starts and back out when it ends.
 #[derive(Debug, Default)]
 struct ConnSoa {
+    /// Compiled index of the shard's first connection.
+    first: usize,
     conn: Vec<ConnId>,
-    queue: Vec<MessageQueue>,
-    /// Delivered flits, timed by the destination NI's clock. A flit is
-    /// written here when it is injected, if its destination edge falls
-    /// within the run being simulated.
-    log: Vec<DeliveryLog>,
+    /// Messages offered to each connection, during a run; empty between
+    /// runs, when the queue handles hold them.
+    queue: Vec<VecDeque<Message>>,
+    /// Each connection's delivered flits as `(tag, destination cycle)`,
+    /// during a run; empty between runs, when the log handles hold them.
+    /// A flit is written here when it is injected, if its destination
+    /// edge falls within the run being simulated.
+    flits: Vec<Vec<(u64, u64)>>,
     cbr: Vec<Option<CbrGen>>,
     /// The source-NI slot-table entries this connection owns, ascending:
     /// the only slot starts at which it can inject. No two connections of
@@ -242,37 +291,28 @@ struct ConnSoa {
     stats: Vec<ConnLatency>,
 }
 
+// Workers own shards across threads: no `Rc` may creep back in.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ConnSoa>();
+};
+
 impl ConnSoa {
     fn len(&self) -> usize {
         self.conn.len()
     }
 
     /// Appends one connection's compiled state across every array.
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        conn: ConnId,
-        queue: MessageQueue,
-        cbr: Option<CbrGen>,
-        slots: Box<[u32]>,
-        head_delay: u64,
-        src_phase_fs: u64,
-        dst_phase_fs: u64,
-        period_fs: u64,
-        credit_free: bool,
-        credits: i64,
-    ) {
-        self.conn.push(conn);
-        self.queue.push(queue);
-        self.log.push(delivery_log(conn, dst_phase_fs, period_fs));
-        self.cbr.push(cbr);
-        self.slots.push(slots);
+    fn push(&mut self, c: ConnInit) {
+        self.conn.push(c.conn);
+        self.cbr.push(c.cbr);
+        self.slots.push(c.slots);
         self.cursor.push(0);
-        self.head_delay.push(head_delay);
-        self.src_phase_fs.push(src_phase_fs);
-        self.dst_phase_fs.push(dst_phase_fs);
-        self.credit_free.push(credit_free);
-        self.credits.push(credits);
+        self.head_delay.push(c.head_delay);
+        self.src_phase_fs.push(c.src_phase_fs);
+        self.dst_phase_fs.push(c.dst_phase_fs);
+        self.credit_free.push(c.credit_free);
+        self.credits.push(c.credits);
         self.credit_sched.push(VecDeque::new());
         self.in_network.push(VecDeque::new());
         self.current_msg.push(None);
@@ -280,13 +320,49 @@ impl ConnSoa {
         self.stats.push(ConnLatency::default());
     }
 
+    /// Runs every connection of the shard to `deadline_fs`.
+    fn run(&mut self, t: Timing, deadline_fs: u64) {
+        for i in 0..self.len() {
+            self.run_conn(i, t, deadline_fs);
+        }
+    }
+
+    /// An upper bound on the flits connection `i` logs in the run to
+    /// `deadline_fs`: those in flight, plus the fewer of the owned slot
+    /// starts left in the run and the flits its current message, queue
+    /// and traffic generator can supply by its final source edge.
+    fn flit_bound(&self, i: usize, t: Timing, deadline_fs: u64) -> usize {
+        let in_flight = self.in_network[i].len();
+        let src_phase_fs = self.src_phase_fs[i];
+        if src_phase_fs > deadline_fs {
+            return in_flight;
+        }
+        let last = (deadline_fs - src_phase_fs) / t.period_fs;
+        let sends = t.owned_starts(&self.slots[i], self.cursor[i], last);
+        // A message takes one flit per payload's worth of words, and at
+        // least one.
+        let flits = |words: u32| u64::from(words.div_ceil(t.payload_capacity).max(1));
+        let mut supply = self.current_msg[i].map_or(0, |(_, left)| flits(left));
+        if let Some(g) = self.cbr[i].filter(|g| g.next_cycle <= last) {
+            let pushes = (last - g.next_cycle) / g.interval_cycles + 1;
+            supply = supply.saturating_add(pushes.saturating_mul(flits(g.words_per_message)));
+        }
+        for m in &self.queue[i] {
+            if supply >= sends {
+                break;
+            }
+            supply += flits(m.words);
+        }
+        in_flight + sends.min(supply) as usize
+    }
+
     /// Runs connection `i` to `deadline_fs`: logs the flits earlier runs
     /// left in flight that land by then, decides every owned slot start
     /// up to the run's final source edge at which the connection can
     /// send or must work out when it next could, and settles its traffic
-    /// generator to that edge. The queue and the log are borrowed once.
-    fn run(&mut self, i: usize, t: Timing, deadline_fs: u64) {
-        let mut log = self.log[i].borrow_mut();
+    /// generator to that edge.
+    fn run_conn(&mut self, i: usize, t: Timing, deadline_fs: u64) {
+        let log = &mut self.flits[i];
         let stats = &mut self.stats[i];
         let in_network = &mut self.in_network[i];
         let dst_phase_fs = self.dst_phase_fs[i];
@@ -298,7 +374,7 @@ impl ConnSoa {
                 break;
             }
             in_network.pop_front();
-            deliver(&mut log, stats, d);
+            deliver(log, stats, d);
         }
 
         let src_phase_fs = self.src_phase_fs[i];
@@ -309,7 +385,7 @@ impl ConnSoa {
         // so the next run re-decides at the first owned slot after it and
         // sees whatever was pushed into the queue in between.
         let last = (deadline_fs - src_phase_fs) / t.period_fs;
-        let mut queue = self.queue[i].borrow_mut();
+        let queue = &mut self.queue[i];
         let cbr = &mut self.cbr[i];
         let slots = &*self.slots[i];
         let booked = !self.credit_free[i];
@@ -333,7 +409,7 @@ impl ConnSoa {
             // engine's CbrSource runs before the NiSource at every edge
             // of their shared domain).
             if let Some(g) = cbr {
-                g.advance(c0, &mut queue);
+                g.advance(c0, queue);
             }
 
             // Collect returned credits. The event engine pops at every
@@ -404,7 +480,7 @@ impl ConnSoa {
             // than a slot), so a flit landing within the run with nothing
             // ahead of it in flight is logged now.
             if in_network.is_empty() && dst_phase_fs + eop_cycle * t.period_fs <= deadline_fs {
-                deliver(&mut log, stats, flit);
+                deliver(log, stats, flit);
             } else {
                 in_network.push_back(flit);
             }
@@ -419,16 +495,16 @@ impl ConnSoa {
         }
 
         // Settle CBR arrivals to this run's final source edge, so the
-        // shared queue handle holds exactly what the event engine's would.
+        // queue handle holds exactly what the event engine's would.
         if let Some(g) = cbr {
-            g.advance(last, &mut queue);
+            g.advance(last, queue);
         }
     }
 }
 
 /// Logs flit `d` and counts its latency.
-fn deliver(log: &mut FlitLog, stats: &mut ConnLatency, d: PendingDelivery) {
-    log.record(d.tag, d.eop_cycle);
+fn deliver(log: &mut Vec<(u64, u64)>, stats: &mut ConnLatency, d: PendingDelivery) {
+    log.push((d.tag, d.eop_cycle));
     let latency = d.eop_cycle - d.ready;
     stats.flits += 1;
     stats.min_cycles = stats.min_cycles.min(latency);
@@ -492,6 +568,38 @@ impl Timing {
     fn slot_start(self, slots: &[u32], (rev, j): (u64, usize)) -> u64 {
         (rev * self.table_size + u64::from(slots[j])) * self.slot_cycles
     }
+
+    /// How many owned slots start at a cycle in `from..=last`.
+    fn owned_starts(self, slots: &[u32], from: u64, last: u64) -> u64 {
+        // Owned slots among the first `n` slots of the run.
+        let below = |n: u64| {
+            let part = slots.partition_point(|&s| u64::from(s) < n % self.table_size);
+            n / self.table_size * slots.len() as u64 + part as u64
+        };
+        below(last / self.slot_cycles + 1).saturating_sub(below(from.div_ceil(self.slot_cycles)))
+    }
+}
+
+/// Cuts connections owning `owned` slots each, in order, into at most
+/// `workers` contiguous runs with near-equal slot totals (run `k` ends
+/// once the slots so far reach `k / workers` of the total), and returns
+/// the run lengths. No run is empty unless `owned` is.
+fn shard_lengths(owned: &[usize], workers: usize) -> Vec<usize> {
+    let workers = workers.clamp(1, owned.len().max(1));
+    let total: usize = owned.iter().sum();
+    let mut lengths = vec![0];
+    let mut so_far = 0;
+    for &slots in owned {
+        so_far += slots;
+        *lengths.last_mut().expect("a run is open") += 1;
+        if lengths.len() < workers && so_far * workers >= total * lengths.len() {
+            lengths.push(0);
+        }
+    }
+    if lengths.len() > 1 && lengths.last() == Some(&0) {
+        lengths.pop();
+    }
+    lengths
 }
 
 /// A compiled cycle-accurate network. Build with [`build_turbo`]; drive
@@ -506,8 +614,12 @@ pub struct TurboNet {
     /// Nominal clock of the NoC.
     pub frequency: Frequency,
     timing: Timing,
-    conns: ConnSoa,
-    /// `ConnId::index() -> index into `conns``.
+    /// Every connection's queue and log handle, in compiled order.
+    handles: Vec<(MessageQueue, DeliveryLog)>,
+    /// The compiled connections, cut into contiguous shards in compiled
+    /// order; a run gives each its own thread.
+    shards: Vec<ConnSoa>,
+    /// `ConnId::index() ->` compiled index.
     conn_index: Vec<u32>,
     /// The largest deadline (in cycles) simulated so far.
     horizon_cycles: u64,
@@ -525,20 +637,80 @@ impl TurboNet {
             .checked_mul(cycles)
             .expect("deadline overflows femtoseconds");
         self.horizon_cycles = self.horizon_cycles.max(cycles);
-        // Connection by connection, each over its own owned slots: the
-        // event engine's time-major order gives the same result because
-        // connections share no state.
-        for i in 0..self.conns.len() {
-            self.conns.run(i, self.timing, deadline_fs);
+        self.check_in(deadline_fs);
+        self.run_shards(deadline_fs);
+        self.check_out();
+    }
+
+    /// Moves every connection's queued messages and logged flits from its
+    /// handles into its shard, and reserves each log for what the run to
+    /// `deadline_fs` can deliver, so that no worker grows a log.
+    fn check_in(&mut self, deadline_fs: u64) {
+        let t = self.timing;
+        for shard in &mut self.shards {
+            let handles = &self.handles[shard.first..][..shard.len()];
+            for (i, (queue, log)) in handles.iter().enumerate() {
+                shard.queue.push(std::mem::take(&mut *queue.borrow_mut()));
+                shard
+                    .flits
+                    .push(std::mem::take(log.borrow_mut().flits_mut()));
+                let bound = shard.flit_bound(i, t, deadline_fs);
+                shard.flits[i].reserve(bound);
+            }
         }
     }
 
-    /// Position of `conn` in the compiled per-connection arrays.
+    /// Runs every shard to `deadline_fs`, shard 0 on the calling thread
+    /// and each other on a worker of its own. Connections share no state
+    /// (see the module documentation), so neither the order nor the
+    /// overlap of the shards shows in any result.
+    fn run_shards(&mut self, deadline_fs: u64) {
+        let t = self.timing;
+        let (first, rest) = self.shards.split_first_mut().expect("a net has a shard");
+        if rest.is_empty() {
+            first.run(t, deadline_fs);
+            return;
+        }
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = rest
+                .iter_mut()
+                .map(|shard| scope.spawn(move || shard.run(t, deadline_fs)))
+                .collect();
+            first.run(t, deadline_fs);
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+    }
+
+    /// Moves every connection's queued messages and logged flits back from
+    /// its shard to its handles.
+    fn check_out(&mut self) {
+        for shard in &mut self.shards {
+            let handles = &self.handles[shard.first..][..shard.len()];
+            let moved = shard.queue.drain(..).zip(shard.flits.drain(..));
+            for ((queue, log), (messages, flits)) in handles.iter().zip(moved) {
+                *queue.borrow_mut() = messages;
+                *log.borrow_mut().flits_mut() = flits;
+            }
+        }
+    }
+
+    /// Compiled index of `conn`.
     fn index_of(&self, conn: ConnId) -> usize {
         match self.conn_index.get(conn.index()) {
             Some(&i) if i != u32::MAX => i as usize,
             _ => panic!("{conn} not built"),
         }
+    }
+
+    /// The shard holding the connection at compiled index `i`, and its
+    /// position there.
+    fn locate(&self, i: usize) -> (&ConnSoa, usize) {
+        let shard = &self.shards[self.shards.partition_point(|s| s.first <= i) - 1];
+        (shard, i - shard.first)
     }
 
     /// The message queue of `conn`.
@@ -548,7 +720,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn queue(&self, conn: ConnId) -> &MessageQueue {
-        &self.conns.queue[self.index_of(conn)]
+        &self.handles[self.index_of(conn)].0
     }
 
     /// The delivery log of `conn`.
@@ -558,7 +730,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn log(&self, conn: ConnId) -> &DeliveryLog {
-        &self.conns.log[self.index_of(conn)]
+        &self.handles[self.index_of(conn)].1
     }
 
     /// Delivery cycles of `conn`, in arrival order.
@@ -575,7 +747,8 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn latency(&self, conn: ConnId) -> ConnLatency {
-        self.conns.stats[self.index_of(conn)]
+        let (shard, i) = self.locate(self.index_of(conn));
+        shard.stats[i]
     }
 }
 
@@ -593,6 +766,14 @@ impl TurboNet {
 /// pass over the grants into a dense `(link, slot)` owner table and one
 /// over the link tables.
 ///
+/// The connections are cut into one shard per 1024 connections, rounded
+/// up, but no more shards than [`available_parallelism`] reports; each
+/// run of the net simulates its shards in parallel. A net of more than
+/// one shard is compiled on a worker while the calling thread validates
+/// the allocation.
+///
+/// [`available_parallelism`]: std::thread::available_parallelism
+///
 /// # Panics
 ///
 /// Panics if `kind` is inconsistent with
@@ -606,9 +787,99 @@ pub fn build_turbo(
     kind: NetworkKind,
     with_traffic: bool,
 ) -> TurboNet {
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let workers = cores.min(spec.connections().len().div_ceil(CONNS_PER_WORKER));
+    build_turbo_sharded(spec, alloc, kind, with_traffic, workers)
+}
+
+/// [`build_turbo`] with the connections cut into `workers` contiguous
+/// shards (at least one, at most one per connection) that own near-equal
+/// numbers of slots.
+pub(crate) fn build_turbo_sharded(
+    spec: &SystemSpec,
+    alloc: &Allocation,
+    kind: NetworkKind,
+    with_traffic: bool,
+    workers: usize,
+) -> TurboNet {
     let [by_src, by_dst] = build_order(spec, kind);
     let cfg = spec.config();
     let topo = spec.topology();
+    let f = Frequency::from_mhz(cfg.frequency_mhz);
+    let period_fs = f.period().as_fs();
+    // Clock-domain phases from the same draw stream as `build_network`
+    // (routers first, then NIs); compiled routers need no clock, so
+    // only the NI portion of the draws is kept.
+    let ni_phase =
+        crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
+
+    // A net big enough to shard is compiled on a worker while this thread
+    // makes the handles and re-validates the allocation. Validation is
+    // checked before the worker is joined, so an invalid allocation is
+    // refused as such even where compiling it panicked too.
+    let compile = || compile_shards(spec, alloc, kind, with_traffic, workers, &by_src, &ni_phase);
+    let (handles, queues, logs, conn_index, shards) = std::thread::scope(|scope| {
+        let compiled = (workers > 1).then(|| scope.spawn(compile));
+
+        // The queue and log handles in compiled order, which is
+        // `build_network`'s construction order of the sources (source NIs
+        // outer, spec connections inner).
+        let connections = spec.connections();
+        let mut handles: Vec<(MessageQueue, DeliveryLog)> = Vec::with_capacity(connections.len());
+        let mut queues: Vec<(ConnId, MessageQueue)> = Vec::with_capacity(connections.len());
+        let mut conn_index: Vec<u32> = vec![u32::MAX; spec.conn_id_bound()];
+        for ni in topo.nis() {
+            for &ci in &by_src[ni.index()] {
+                let c = &connections[ci];
+                conn_index[c.id.index()] = handles.len() as u32;
+                let queue = message_queue();
+                queues.push((c.id, Rc::clone(&queue)));
+                let dst_phase_fs = ni_phase[spec.ip_ni(c.dst).index()];
+                handles.push((queue, delivery_log(c.id, dst_phase_fs, period_fs)));
+            }
+        }
+        // Destination-side log handles, in `build_network`'s order
+        // (destination NIs outer, spec connections inner).
+        let mut logs: Vec<(ConnId, DeliveryLog)> = Vec::with_capacity(connections.len());
+        for ni in topo.nis() {
+            for &ci in &by_dst[ni.index()] {
+                let c = &connections[ci];
+                let log = Rc::clone(&handles[conn_index[c.id.index()] as usize].1);
+                logs.push((c.id, log));
+            }
+        }
+
+        check_allocation(spec, alloc);
+        let shards = match compiled {
+            Some(worker) => worker
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            None => compile(),
+        };
+        (handles, queues, logs, conn_index, shards)
+    });
+
+    TurboNet {
+        queues,
+        logs,
+        frequency: f,
+        timing: Timing {
+            period_fs,
+            slot_cycles: u64::from(cfg.slot_cycles()),
+            table_size: u64::from(cfg.slot_table_size),
+            payload_capacity: cfg.payload_words_per_flit(),
+            mesochronous: matches!(kind, NetworkKind::Mesochronous { .. }),
+        },
+        handles,
+        shards,
+        conn_index,
+        horizon_cycles: 0,
+    }
+}
+
+/// Panics unless `alloc` is valid for `spec`: the contention-free
+/// invariant that licenses compiling the routers away.
+fn check_allocation(spec: &SystemSpec, alloc: &Allocation) {
     if let Err(violations) = aelite_alloc::validate_allocation(spec, alloc) {
         panic!(
             "allocation invalid for this spec ({} violation(s), first: {:?}) — \
@@ -617,24 +888,41 @@ pub fn build_turbo(
             violations.first()
         );
     }
+}
 
-    let f = Frequency::from_mhz(cfg.frequency_mhz);
-    let period_fs = f.period().as_fs();
-
-    // Clock-domain phases from the same draw stream as `build_network`
-    // (routers first, then NIs); compiled routers need no clock, so
-    // only the NI portion of the draws is kept.
-    let ni_phase =
-        crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
-    let mesochronous = matches!(kind, NetworkKind::Mesochronous { .. });
-    let slot_cycles = u64::from(cfg.slot_cycles());
+/// Compiles every connection of `spec`, in `build_network`'s construction
+/// order (`by_src`: source NIs outer, spec connections inner), into
+/// `workers` shards.
+fn compile_shards(
+    spec: &SystemSpec,
+    alloc: &Allocation,
+    kind: NetworkKind,
+    with_traffic: bool,
+    workers: usize,
+    by_src: &[Vec<usize>],
+    ni_phase: &[u64],
+) -> Vec<ConnSoa> {
+    let cfg = spec.config();
+    let topo = spec.topology();
     let payload_capacity = cfg.payload_words_per_flit();
-
-    // Per-connection compiled state, in `build_network`'s construction
-    // order.
-    let mut conns = ConnSoa::default();
-    let mut conn_index: Vec<u32> = vec![u32::MAX; spec.conn_id_bound()];
-    let mut queues: Vec<(ConnId, MessageQueue)> = Vec::new();
+    let owned: Vec<usize> = topo
+        .nis()
+        .flat_map(|ni| &by_src[ni.index()])
+        .map(|&ci| {
+            let grant = alloc.grant(spec.connections()[ci].id);
+            grant.map_or(0, |g| g.inject_slots.len())
+        })
+        .collect();
+    let mut shards: Vec<ConnSoa> = Vec::with_capacity(workers);
+    let mut first = 0;
+    for len in shard_lengths(&owned, workers) {
+        shards.push(ConnSoa {
+            first,
+            ..ConnSoa::default()
+        });
+        first += len;
+    }
+    let mut compiled = 0;
     // The source NI's slot table: which entries its connections claimed.
     let mut claimed = vec![false; cfg.slot_table_size as usize];
     for ni in topo.nis() {
@@ -657,8 +945,6 @@ pub fn build_turbo(
                     pipeline_cycles(cfg, grant.links.len()) - u64::from(payload_capacity)
                 }
             };
-            let queue = message_queue();
-            queues.push((c.id, Rc::clone(&queue)));
             let cbr = with_traffic.then(|| {
                 let (words, interval) = crate::network::cbr_traffic_params(c, cfg);
                 CbrGen {
@@ -668,8 +954,6 @@ pub fn build_turbo(
                     seq: 0,
                 }
             });
-            let idx = conns.len() as u32;
-            conn_index[c.id.index()] = idx;
             for &s in &grant.inject_slots {
                 assert!(
                     s < cfg.slot_table_size,
@@ -689,47 +973,22 @@ pub fn build_turbo(
                     <= cfg.ni_buffer_words;
             // Ascending and non-empty: validation computed the grant's
             // latency bound over them, which refuses anything else.
-            conns.push(
-                c.id,
-                queue,
+            let init = ConnInit {
+                conn: c.id,
                 cbr,
-                grant.inject_slots.clone().into_boxed_slice(),
+                slots: grant.inject_slots.clone().into_boxed_slice(),
                 head_delay,
-                ni_phase[ni.index()],
-                ni_phase[spec.ip_ni(c.dst).index()],
-                period_fs,
+                src_phase_fs: ni_phase[ni.index()],
+                dst_phase_fs: ni_phase[spec.ip_ni(c.dst).index()],
                 credit_free,
-                i64::from(cfg.ni_buffer_words),
-            );
+                credits: i64::from(cfg.ni_buffer_words),
+            };
+            let shard = shards.iter_mut().rfind(|s| s.first <= compiled);
+            shard.expect("shards start at 0").push(init);
+            compiled += 1;
         }
     }
-
-    // Destination-side log handles, in `build_network`'s order
-    // (destination NIs outer, spec connections inner).
-    let mut logs: Vec<(ConnId, DeliveryLog)> = Vec::new();
-    for ni in topo.nis() {
-        for &ci in &by_dst[ni.index()] {
-            let c = &spec.connections()[ci];
-            let log = Rc::clone(&conns.log[conn_index[c.id.index()] as usize]);
-            logs.push((c.id, log));
-        }
-    }
-
-    TurboNet {
-        queues,
-        logs,
-        frequency: f,
-        timing: Timing {
-            period_fs,
-            slot_cycles,
-            table_size: u64::from(cfg.slot_table_size),
-            payload_capacity,
-            mesochronous,
-        },
-        conns,
-        conn_index,
-        horizon_cycles: 0,
-    }
+    shards
 }
 
 #[cfg(test)]
@@ -750,6 +1009,26 @@ mod tests {
         /// count of the event-driven engine under the same deadline.
         fn next_cycle(&self) -> u64 {
             self.horizon_cycles + 1
+        }
+
+        /// Every compiled connection, as its shard and its position there.
+        fn conns(&self) -> impl Iterator<Item = (&ConnSoa, usize)> {
+            self.shards
+                .iter()
+                .flat_map(|s| (0..s.len()).map(move |i| (s, i)))
+        }
+
+        /// The shard holding `conn`, and its position there.
+        fn state(&self, conn: ConnId) -> (&ConnSoa, usize) {
+            self.locate(self.index_of(conn))
+        }
+
+        /// Forces every connection onto the booked credit path, whatever
+        /// the buffer analysis decided.
+        fn book_every_credit(&mut self) {
+            for shard in &mut self.shards {
+                shard.credit_free.fill(false);
+            }
         }
     }
 
@@ -829,6 +1108,18 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         alloc.detach_grant(spec.connections()[1].id).unwrap();
         let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+    }
+
+    /// The same, where a worker compiles the connections while the
+    /// calling thread validates: compiling the detached connection
+    /// panics too, but the refusal names the allocation.
+    #[test]
+    #[should_panic(expected = "allocation invalid")]
+    fn a_sharded_build_refuses_an_invalid_allocation_as_invalid() {
+        let spec = two_ni_spec(0);
+        let mut alloc = allocate(&spec).unwrap();
+        alloc.detach_grant(spec.connections()[1].id).unwrap();
+        let _ = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, true, 2);
     }
 
     #[test]
@@ -952,8 +1243,7 @@ mod tests {
     /// held more than that.
     fn assert_in_flight_bounded(turbo: &TurboNet, cycles: u64) {
         let deadline_fs = turbo.timing.period_fs * cycles;
-        let conns = &turbo.conns;
-        for i in 0..conns.len() {
+        for (conns, i) in turbo.conns() {
             let in_flight = &conns.in_network[i];
             let bound = (conns.head_delay[i] + u64::from(turbo.timing.payload_capacity))
                 .div_ceil(turbo.timing.slot_cycles)
@@ -994,7 +1284,7 @@ mod tests {
             let alloc = allocate(spec).unwrap();
             let mut turbo = build_turbo(spec, &alloc, kind, true);
             turbo.run_cycles(3_000);
-            assert!(turbo.conns.stats.iter().all(|s| s.flits > 0));
+            assert!(turbo.conns().all(|(s, i)| s.stats[i].flits > 0));
             assert_in_flight_bounded(&turbo, 3_000);
         }
     }
@@ -1032,7 +1322,7 @@ mod tests {
         for &deadline in deadlines.iter().chain([&horizon]) {
             stepped.run_cycles(deadline);
             assert_in_flight_bounded(&stepped, deadline);
-            cut_through |= stepped.conns.in_network.iter().any(|q| !q.is_empty());
+            cut_through |= stepped.conns().any(|(s, i)| !s.in_network[i].is_empty());
         }
         assert!(cut_through, "no deadline left a flit in flight");
         for c in spec.connections() {
@@ -1141,7 +1431,7 @@ mod tests {
         let mut event = build_network(spec, &alloc, kind, with_traffic);
         let mut turbo = build_turbo(spec, &alloc, kind, with_traffic);
         let mut booked = build_turbo(spec, &alloc, kind, with_traffic);
-        booked.conns.credit_free.fill(false);
+        booked.book_every_credit();
         for &deadline in deadlines {
             for c in spec.connections() {
                 for m in feed(deadline, c.id) {
@@ -1177,9 +1467,9 @@ mod tests {
     /// Whether `conn` holds a message it lacked the credit to send at its
     /// last decision.
     fn starved(turbo: &TurboNet, conn: ConnId) -> bool {
-        let i = turbo.index_of(conn);
-        turbo.conns.current_msg[i].is_some_and(|(_, remaining)| {
-            i64::from(remaining.min(turbo.timing.payload_capacity)) > turbo.conns.credits[i]
+        let (s, i) = turbo.state(conn);
+        s.current_msg[i].is_some_and(|(_, remaining)| {
+            i64::from(remaining.min(turbo.timing.payload_capacity)) > s.credits[i]
         })
     }
 
@@ -1273,7 +1563,8 @@ mod tests {
             if d == 2_000 {
                 for c in spec.connections() {
                     assert!(turbo.queue(c.id).borrow().is_empty());
-                    assert!(turbo.conns.current_msg[turbo.index_of(c.id)].is_none());
+                    let (s, i) = turbo.state(c.id);
+                    assert!(s.current_msg[i].is_none());
                 }
             }
         };
@@ -1350,12 +1641,14 @@ mod tests {
             };
             let mut idle_cuts = 0;
             step_against_event(&spec, kind, true, &deadlines, feed, |_, turbo| {
-                let conns = &turbo.conns;
-                idle_cuts += (0..conns.len())
-                    .filter(|&i| {
-                        conns.queue[i].borrow().is_empty()
-                            && conns.current_msg[i].is_none()
-                            && conns.cbr[i].unwrap().next_cycle > conns.cursor[i]
+                idle_cuts += spec
+                    .connections()
+                    .iter()
+                    .filter(|c| {
+                        let (s, i) = turbo.state(c.id);
+                        turbo.queue(c.id).borrow().is_empty()
+                            && s.current_msg[i].is_none()
+                            && s.cbr[i].unwrap().next_cycle > s.cursor[i]
                     })
                     .count();
             });
@@ -1389,7 +1682,7 @@ mod tests {
     /// How many connections of a `kind` build of `spec` book no credits.
     fn credit_free_count(spec: &SystemSpec, kind: NetworkKind) -> usize {
         let turbo = build_turbo(spec, &allocate(spec).unwrap(), kind, false);
-        turbo.conns.credit_free.iter().filter(|&&free| free).count()
+        turbo.conns().filter(|&(s, i)| s.credit_free[i]).count()
     }
 
     #[test]
@@ -1432,8 +1725,8 @@ mod tests {
             let alloc = allocate(&spec).unwrap();
             let mut free = build_turbo(&spec, &alloc, kind, true);
             let mut booked = build_turbo(&spec, &alloc, kind, true);
-            booked.conns.credit_free.fill(false);
-            assert!(free.conns.credit_free.iter().all(|&f| f), "{kind:?}");
+            booked.book_every_credit();
+            assert!(free.conns().all(|(s, i)| s.credit_free[i]), "{kind:?}");
             for deadline in [1, 97, 1_000, 1_001, 2_345, 4_000] {
                 free.run_cycles(deadline);
                 booked.run_cycles(deadline);
@@ -1443,8 +1736,203 @@ mod tests {
                     assert_eq!(free.latency(c.id), booked.latency(c.id));
                 }
             }
-            assert!(booked.conns.credit_sched.iter().any(|s| !s.is_empty()));
-            assert!(free.conns.credit_sched.iter().all(VecDeque::is_empty));
+            assert!(booked.conns().any(|(s, i)| !s.credit_sched[i].is_empty()));
+            assert!(free.conns().all(|(s, i)| s.credit_sched[i].is_empty()));
         }
+    }
+
+    impl TurboNet {
+        /// [`TurboNet::run_cycles`], checking that the logs reserved
+        /// before the shards run are never grown by them.
+        fn run_cycles_within_reservation(&mut self, cycles: u64) {
+            let deadline_fs = self.timing.period_fs * cycles;
+            self.horizon_cycles = self.horizon_cycles.max(cycles);
+            self.check_in(deadline_fs);
+            let reserved = self.log_capacities();
+            self.run_shards(deadline_fs);
+            for ((shard, i), before) in self.conns().zip(reserved) {
+                assert_eq!(
+                    shard.flits[i].capacity(),
+                    before,
+                    "{}: log grew in the run to {cycles}",
+                    shard.conn[i]
+                );
+            }
+            self.check_out();
+        }
+
+        /// Every connection's log capacity while a run holds the logs.
+        fn log_capacities(&self) -> Vec<usize> {
+            self.conns().map(|(s, i)| s.flits[i].capacity()).collect()
+        }
+    }
+
+    /// The shard counts the equivalence pins force.
+    const WORKERS: [usize; 4] = [1, 2, 3, 7];
+
+    /// The paper platform and an 8×8 mesh, each in both clockings.
+    fn sharding_platforms() -> Vec<(SystemSpec, NetworkKind)> {
+        let paper = aelite_spec::generate::paper_workload(42);
+        let mesh8 = aelite_spec::generate::scaled_workload(8, 8, 4, 1000, 1);
+        vec![
+            (paper.clone(), NetworkKind::Synchronous),
+            (
+                paper.with_link_pipeline_stages(1, 1),
+                NetworkKind::Mesochronous { phase_seed: 7 },
+            ),
+            (mesh8.clone(), NetworkKind::Synchronous),
+            (
+                mesh8.with_link_pipeline_stages(1, 2),
+                NetworkKind::Mesochronous { phase_seed: 23 },
+            ),
+        ]
+    }
+
+    /// Asserts that every connection's log and queue in `net` read what
+    /// the event engine's do, and its latency what `reference`'s does.
+    fn assert_matches(
+        spec: &SystemSpec,
+        event: &crate::network::CycleNet,
+        reference: &TurboNet,
+        net: &TurboNet,
+        what: &str,
+    ) {
+        for c in spec.connections() {
+            assert_eq!(
+                *event.log(c.id).borrow(),
+                *net.log(c.id).borrow(),
+                "{}: delivery logs diverge {what}",
+                c.id
+            );
+            assert_eq!(
+                *event.queue(c.id).borrow(),
+                *net.queue(c.id).borrow(),
+                "{}: queues diverge {what}",
+                c.id
+            );
+            assert_eq!(
+                reference.latency(c.id),
+                net.latency(c.id),
+                "{}: latency diverges {what}",
+                c.id
+            );
+        }
+    }
+
+    #[test]
+    fn the_shard_count_changes_nothing() {
+        for (spec, kind) in sharding_platforms() {
+            let alloc = allocate(&spec).unwrap();
+            let build = |w| build_turbo_sharded(&spec, &alloc, kind, true, w);
+
+            // One run to the horizon.
+            let mut event = build_network(&spec, &alloc, kind, true);
+            event.run_cycles(2_000);
+            let mut oneshot: Vec<TurboNet> = WORKERS.iter().map(|&w| build(w)).collect();
+            for (net, w) in oneshot.iter_mut().zip(WORKERS) {
+                assert_eq!(net.shards.len(), w, "{kind:?}");
+                net.run_cycles_within_reservation(2_000);
+            }
+            for (net, w) in oneshot.iter().zip(WORKERS) {
+                let what = format!("with {w} shards, {kind:?}, one run");
+                assert_matches(&spec, &event, &oneshot[0], net, &what);
+            }
+
+            // Stepped runs, with messages offered by hand between them
+            // (whole flits, so that mesochronous links take them too).
+            let mut event = build_network(&spec, &alloc, kind, true);
+            let mut stepped: Vec<TurboNet> = WORKERS.iter().map(|&w| build(w)).collect();
+            for (k, deadline) in [1u64, 97, 1_000, 1_001, 2_000].into_iter().enumerate() {
+                for c in spec.connections().iter().step_by(7) {
+                    let m = Message {
+                        seq: 10_000 + k as u32,
+                        words: 4,
+                        ready_cycle: deadline.saturating_sub(40),
+                    };
+                    event.queue(c.id).borrow_mut().push_back(m);
+                    for net in &stepped {
+                        net.queue(c.id).borrow_mut().push_back(m);
+                    }
+                }
+                event.run_cycles(deadline);
+                for net in &mut stepped {
+                    net.run_cycles_within_reservation(deadline);
+                }
+                for (net, w) in stepped.iter().zip(WORKERS) {
+                    let what = format!("with {w} shards, {kind:?}, after the run to {deadline}");
+                    assert_matches(&spec, &event, &stepped[0], net, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shards_own_contiguous_runs_of_near_equal_slot_totals() {
+        let spec = aelite_spec::generate::scaled_workload(8, 8, 4, 1000, 1);
+        let alloc = allocate(&spec).unwrap();
+        for w in WORKERS {
+            let net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, w);
+            let owned: Vec<usize> = net
+                .shards
+                .iter()
+                .map(|s| s.slots.iter().map(|slots| slots.len()).sum())
+                .collect();
+            let total: usize = owned.iter().sum();
+            let widest = net.conns().map(|(s, i)| s.slots[i].len()).max().unwrap();
+            for (k, shard) in net.shards.iter().enumerate() {
+                let end = net.shards.get(k + 1).map_or(1000, |s| s.first);
+                assert_eq!(shard.first + shard.len(), end, "shard {k} of {w}");
+                assert!(
+                    owned[k].abs_diff(total / w) <= widest,
+                    "shard {k} of {w} owns {} of {total} slots",
+                    owned[k]
+                );
+            }
+        }
+        // Never more shards than connections.
+        let spec = two_ni_spec(0);
+        let alloc = allocate(&spec).unwrap();
+        let net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 7);
+        assert_eq!(net.shards.len(), 2);
+    }
+
+    #[test]
+    fn an_idle_net_reserves_no_log_over_a_long_horizon() {
+        // No generator and nothing queued: a bound that counted owned
+        // slot starts alone would reserve millions of flits here.
+        let spec = aelite_spec::generate::WorkloadBuilder::mesh(16, 16, 4)
+            .mega_traffic()
+            .connections(3_000)
+            .tiles(8, 8)
+            .seed(1)
+            .build();
+        let alloc = allocate(&spec).unwrap();
+        let mut net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 2);
+        net.check_in(net.timing.period_fs * 10_000_000);
+        assert!(net.log_capacities().iter().all(|&c| c == 0));
+        net.check_out();
+        net.run_cycles_within_reservation(10_000_000);
+        for c in spec.connections() {
+            assert_eq!(net.log(c.id).borrow_mut().flits_mut().capacity(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partial flit")]
+    fn a_partial_flit_on_a_mesochronous_link_panics_on_a_worker_with_its_message() {
+        // One odd-length message, offered to the connection of the second
+        // shard only: the worker, not the calling thread, panics.
+        let spec = two_ni_spec(1);
+        let alloc = allocate(&spec).unwrap();
+        let kind = NetworkKind::Mesochronous { phase_seed: 3 };
+        let mut net = build_turbo_sharded(&spec, &alloc, kind, false, 2);
+        assert_eq!(net.shards.len(), 2);
+        let conn = net.shards[1].conn[0];
+        net.queue(conn).borrow_mut().push_back(Message {
+            seq: 0,
+            words: 3,
+            ready_cycle: 0,
+        });
+        net.run_cycles(2_000);
     }
 }
