@@ -15,8 +15,8 @@
 //! invariant is ever violated, and [`build_turbo`] re-validates the
 //! allocation up front instead, in O(links × slots + Σ slots × hops):
 //! 4.3 ms of a 10.5 ms one-thread build at 16×16 and 10 000 connections
-//! on a 2-vCPU 2.1 GHz Xeon, where a two-shard build runs it beside
-//! compiling the connections).
+//! on a 2-vCPU 2.1 GHz Xeon, where a two-shard build runs it on a worker
+//! beside compiling the connections).
 //!
 //! [`build_turbo`] therefore *compiles* the built router/link/NI module
 //! graph:
@@ -57,8 +57,8 @@
 //!   message, the queue and the generator can supply. Workers then never
 //!   grow a log, and every log lives in the calling thread's allocator
 //!   arena, not in that of a worker that has exited. A net of more than
-//!   one shard is also compiled on a worker, while the calling thread
-//!   validates the allocation;
+//!   one shard also re-validates its allocation on a worker while the
+//!   calling thread compiles it;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -769,8 +769,8 @@ impl TurboNet {
 /// The connections are cut into one shard per 1024 connections, rounded
 /// up, but no more shards than [`available_parallelism`] reports; each
 /// run of the net simulates its shards in parallel. A net of more than
-/// one shard is compiled on a worker while the calling thread validates
-/// the allocation.
+/// one shard re-validates the allocation on a worker while the calling
+/// thread compiles it.
 ///
 /// [`available_parallelism`]: std::thread::available_parallelism
 ///
@@ -813,13 +813,14 @@ pub(crate) fn build_turbo_sharded(
     let ni_phase =
         crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
 
-    // A net big enough to shard is compiled on a worker while this thread
-    // makes the handles and re-validates the allocation. Validation is
-    // checked before the worker is joined, so an invalid allocation is
-    // refused as such even where compiling it panicked too.
-    let compile = || compile_shards(spec, alloc, kind, with_traffic, workers, &by_src, &ni_phase);
+    // A net big enough to shard re-validates the allocation on a worker
+    // while this thread compiles it and makes the handles. A compile
+    // error is only raised once validation passed, so an invalid
+    // allocation is refused as such.
+    let validate = || aelite_alloc::validate_allocation(spec, alloc);
     let (handles, queues, logs, conn_index, shards) = std::thread::scope(|scope| {
-        let compiled = (workers > 1).then(|| scope.spawn(compile));
+        let check = (workers > 1).then(|| scope.spawn(validate));
+        let shards = compile_shards(spec, alloc, kind, with_traffic, workers, &by_src, &ni_phase);
 
         // The queue and log handles in compiled order, which is
         // `build_network`'s construction order of the sources (source NIs
@@ -849,13 +850,21 @@ pub(crate) fn build_turbo_sharded(
             }
         }
 
-        check_allocation(spec, alloc);
-        let shards = match compiled {
+        let checked = match check {
             Some(worker) => worker
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            None => compile(),
+            None => validate(),
         };
+        if let Err(violations) = checked {
+            panic!(
+                "allocation invalid for this spec ({} violation(s), first: {:?}) — \
+                 the turbo kernel requires the contention-free invariant",
+                violations.len(),
+                violations.first()
+            );
+        }
+        let shards = shards.unwrap_or_else(|error| panic!("{error}"));
         (handles, queues, logs, conn_index, shards)
     });
 
@@ -877,22 +886,9 @@ pub(crate) fn build_turbo_sharded(
     }
 }
 
-/// Panics unless `alloc` is valid for `spec`: the contention-free
-/// invariant that licenses compiling the routers away.
-fn check_allocation(spec: &SystemSpec, alloc: &Allocation) {
-    if let Err(violations) = aelite_alloc::validate_allocation(spec, alloc) {
-        panic!(
-            "allocation invalid for this spec ({} violation(s), first: {:?}) — \
-             the turbo kernel requires the contention-free invariant",
-            violations.len(),
-            violations.first()
-        );
-    }
-}
-
 /// Compiles every connection of `spec`, in `build_network`'s construction
 /// order (`by_src`: source NIs outer, spec connections inner), into
-/// `workers` shards.
+/// `workers` shards, or says why `alloc` cannot be compiled.
 fn compile_shards(
     spec: &SystemSpec,
     alloc: &Allocation,
@@ -901,7 +897,7 @@ fn compile_shards(
     workers: usize,
     by_src: &[Vec<usize>],
     ni_phase: &[u64],
-) -> Vec<ConnSoa> {
+) -> Result<Vec<ConnSoa>, String> {
     let cfg = spec.config();
     let topo = spec.topology();
     let payload_capacity = cfg.payload_words_per_flit();
@@ -931,7 +927,7 @@ fn compile_shards(
             let c = &spec.connections()[ci];
             let grant = alloc
                 .grant(c.id)
-                .unwrap_or_else(|| panic!("{} has no grant", c.id));
+                .ok_or_else(|| format!("{} has no grant", c.id))?;
             let links = grant.links.len() as u64;
             // Static head timing: synchronously, each of the path's
             // routers holds a word for its 3 pipeline stages and the
@@ -955,12 +951,12 @@ fn compile_shards(
                 }
             });
             for &s in &grant.inject_slots {
-                assert!(
-                    s < cfg.slot_table_size,
-                    "slot {s} out of range for {}",
-                    c.id
-                );
-                assert!(!claimed[s as usize], "slot {s} claimed twice on one NI");
+                if s >= cfg.slot_table_size {
+                    return Err(format!("slot {s} out of range for {}", c.id));
+                }
+                if claimed[s as usize] {
+                    return Err(format!("slot {s} claimed twice on one NI"));
+                }
                 claimed[s as usize] = true;
             }
             // Credits that provably cannot bind are not booked: the
@@ -988,7 +984,7 @@ fn compile_shards(
             compiled += 1;
         }
     }
-    shards
+    Ok(shards)
 }
 
 #[cfg(test)]
@@ -1110,9 +1106,9 @@ mod tests {
         let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
     }
 
-    /// The same, where a worker compiles the connections while the
-    /// calling thread validates: compiling the detached connection
-    /// panics too, but the refusal names the allocation.
+    /// The same, where a worker validates while the calling thread
+    /// compiles: compiling the detached connection fails too, but the
+    /// refusal names the allocation.
     #[test]
     #[should_panic(expected = "allocation invalid")]
     fn a_sharded_build_refuses_an_invalid_allocation_as_invalid() {
