@@ -43,10 +43,12 @@
 //!   the previous deadline;
 //! * the same composability lets disjoint sets of connections run at
 //!   once. [`build_turbo`] cuts the connections into contiguous *shards*
-//!   with near-equal owned-slot totals — one per 1024 connections,
-//!   rounded up, and at most one per core — and a run gives shard 0 to
-//!   the calling thread and every other shard to a scoped worker; a
-//!   worker's panic is re-raised with its own message. Between runs a
+//!   with near-equal owned-slot totals — one per 128 connections,
+//!   rounded up, and at most one per core. A run that can deliver at
+//!   least 12 500 flits per shard gives shard 0 to the calling thread and
+//!   every other shard to a scoped worker; a shorter one runs them in
+//!   turn on the calling thread, which is faster than starting workers.
+//!   A worker's panic is re-raised with its own message. Between runs a
 //!   connection's messages and delivered flits live behind its
 //!   [`MessageQueue`] and [`DeliveryLog`] handles, as in the event
 //!   engine. A run moves them into the connection's shard, which owns
@@ -56,9 +58,9 @@
 //!   of the owned slot starts left in the run and the flits the current
 //!   message, the queue and the generator can supply. Workers then never
 //!   grow a log, and every log lives in the calling thread's allocator
-//!   arena, not in that of a worker that has exited. A net of more than
-//!   one shard also re-validates its allocation on a worker while the
-//!   calling thread compiles it;
+//!   arena, not in that of a worker that has exited. A sharded net of
+//!   more than 512 connections also re-validates its allocation on a
+//!   worker while the calling thread compiles it;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -132,15 +134,37 @@ use aelite_spec::timing::pipeline_cycles;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Cycles a word spends in each router: the 3-stage pipeline of paper
 /// Section IV (input register, HPU, switch).
 const ROUTER_PIPELINE_CYCLES: u64 = 3;
 
-/// Connections per worker: a net is cut into one shard per this many
+// When a thread pays for itself. Each figure below was measured on a
+// 2-vCPU 2.1 GHz Xeon, release build, one shard against two.
+
+/// Connections per shard: a net is cut into one shard per this many
 /// connections, rounded up, but no more shards than the host has cores.
-/// A net of up to this many runs on the calling thread alone.
-const CONNS_PER_WORKER: usize = 1024;
+/// A net of up to this many is one shard and never starts a thread. A
+/// 30 000-cycle run (the design-space validation horizon) with its build
+/// was 15 % slower on two shards at 100 connections, 5–9 % faster at 150,
+/// and 17 % faster in the median of 16 nets of 200–1 000 connections
+/// (from 32 % faster to 2 % slower).
+const CONNS_PER_WORKER: usize = 128;
+
+/// Flits a run must reserve per shard before the shards go to workers;
+/// a run that reserves fewer runs every shard on the calling thread.
+/// Two threads were slower than one on runs reserving up to 10 000–18 000
+/// flits and faster from 14 000–28 000, depending on the host's load and
+/// on whether the net had run before. Two shards need 25 000, the upper
+/// end, so a run kept on one thread loses at most about a tenth.
+const FLITS_PER_WORKER: usize = 12_500;
+
+/// Connections above which a sharded build validates its allocation on
+/// a worker while the calling thread compiles it. A worker made builds
+/// of 200–320 connections 2–34 % slower and builds of 1 000–2 500
+/// connections 18–27 % faster.
+const VALIDATE_ON_WORKER_CONNS: usize = 512;
 
 /// Measured per-flit latency of one connection, tracked by the turbo
 /// kernel (instrumentation only — it does not influence behaviour).
@@ -631,22 +655,34 @@ impl TurboNet {
     /// [`CycleNet::run_cycles`](crate::network::CycleNet::run_cycles),
     /// so repeated calls with increasing totals behave identically.
     pub fn run_cycles(&mut self, cycles: u64) {
+        self.run_with(cycles, |net, deadline_fs, reserved| {
+            net.run_shards(deadline_fs, reserved >= FLITS_PER_WORKER * net.shards.len());
+        });
+    }
+
+    /// Moves the net's queued messages and logged flits into its shards
+    /// for the run to `cycles`, lets `run` simulate the shards to the
+    /// run's deadline (in femtoseconds), given the flits reserved, and
+    /// moves them back.
+    fn run_with(&mut self, cycles: u64, run: impl FnOnce(&mut Self, u64, usize)) {
         let deadline_fs = self
             .timing
             .period_fs
             .checked_mul(cycles)
             .expect("deadline overflows femtoseconds");
         self.horizon_cycles = self.horizon_cycles.max(cycles);
-        self.check_in(deadline_fs);
-        self.run_shards(deadline_fs);
+        let reserved = self.check_in(deadline_fs);
+        run(self, deadline_fs, reserved);
         self.check_out();
     }
 
     /// Moves every connection's queued messages and logged flits from its
     /// handles into its shard, and reserves each log for what the run to
-    /// `deadline_fs` can deliver, so that no worker grows a log.
-    fn check_in(&mut self, deadline_fs: u64) {
+    /// `deadline_fs` can deliver, so that no worker grows a log. Returns
+    /// the flits reserved.
+    fn check_in(&mut self, deadline_fs: u64) -> usize {
         let t = self.timing;
+        let mut reserved = 0;
         for shard in &mut self.shards {
             let handles = &self.handles[shard.first..][..shard.len()];
             for (i, (queue, log)) in handles.iter().enumerate() {
@@ -656,21 +692,26 @@ impl TurboNet {
                     .push(std::mem::take(log.borrow_mut().flits_mut()));
                 let bound = shard.flit_bound(i, t, deadline_fs);
                 shard.flits[i].reserve(bound);
+                reserved += bound;
             }
         }
+        reserved
     }
 
-    /// Runs every shard to `deadline_fs`, shard 0 on the calling thread
-    /// and each other on a worker of its own. Connections share no state
-    /// (see the module documentation), so neither the order nor the
-    /// overlap of the shards shows in any result.
-    fn run_shards(&mut self, deadline_fs: u64) {
+    /// Runs every shard to `deadline_fs`: in order on the calling thread,
+    /// or, if `parallel`, shard 0 there and each other on a worker of its
+    /// own. Connections share no state (see the module documentation), so
+    /// neither the order nor the overlap of the shards shows in any
+    /// result.
+    fn run_shards(&mut self, deadline_fs: u64, parallel: bool) {
         let t = self.timing;
-        let (first, rest) = self.shards.split_first_mut().expect("a net has a shard");
-        if rest.is_empty() {
-            first.run(t, deadline_fs);
+        if !parallel || self.shards.len() == 1 {
+            for shard in &mut self.shards {
+                shard.run(t, deadline_fs);
+            }
             return;
         }
+        let (first, rest) = self.shards.split_first_mut().expect("a net has a shard");
         std::thread::scope(|scope| {
             let workers: Vec<_> = rest
                 .iter_mut()
@@ -766,11 +807,12 @@ impl TurboNet {
 /// pass over the grants into a dense `(link, slot)` owner table and one
 /// over the link tables.
 ///
-/// The connections are cut into one shard per 1024 connections, rounded
-/// up, but no more shards than [`available_parallelism`] reports; each
-/// run of the net simulates its shards in parallel. A net of more than
-/// one shard re-validates the allocation on a worker while the calling
-/// thread compiles it.
+/// The connections are cut into one shard per 128 connections, rounded
+/// up, but no more shards than [`available_parallelism`] reports; a run
+/// of the net that can deliver at least 12 500 flits per shard simulates
+/// its shards in parallel. A sharded net of more than 512 connections
+/// re-validates the allocation on a worker while the calling thread
+/// compiles it.
 ///
 /// [`available_parallelism`]: std::thread::available_parallelism
 ///
@@ -787,8 +829,15 @@ pub fn build_turbo(
     kind: NetworkKind,
     with_traffic: bool,
 ) -> TurboNet {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let workers = cores.min(spec.connections().len().div_ceil(CONNS_PER_WORKER));
+    // On Linux, asking for the core count reads the affinity mask and the
+    // cgroup quota, which costs a small net's build 10–15 %: ask once.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let mut workers = spec.connections().len().div_ceil(CONNS_PER_WORKER);
+    if workers > 1 {
+        let cores = *CORES
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        workers = workers.min(cores);
+    }
     build_turbo_sharded(spec, alloc, kind, with_traffic, workers)
 }
 
@@ -813,13 +862,14 @@ pub(crate) fn build_turbo_sharded(
     let ni_phase =
         crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
 
-    // A net big enough to shard re-validates the allocation on a worker
-    // while this thread compiles it and makes the handles. A compile
-    // error is only raised once validation passed, so an invalid
-    // allocation is refused as such.
+    // A large sharded net re-validates the allocation on a worker while
+    // this thread compiles it and makes the handles. Either way the
+    // shards are compiled first, so a compile error is only raised once
+    // validation passed, and an invalid allocation is refused as such.
     let validate = || aelite_alloc::validate_allocation(spec, alloc);
+    let on_worker = workers > 1 && spec.connections().len() > VALIDATE_ON_WORKER_CONNS;
     let (handles, queues, logs, conn_index, shards) = std::thread::scope(|scope| {
-        let check = (workers > 1).then(|| scope.spawn(validate));
+        let check = on_worker.then(|| scope.spawn(validate));
         let shards = compile_shards(spec, alloc, kind, with_traffic, workers, &by_src, &ni_phase);
 
         // The queue and log handles in compiled order, which is
@@ -888,7 +938,10 @@ pub(crate) fn build_turbo_sharded(
 
 /// Compiles every connection of `spec`, in `build_network`'s construction
 /// order (`by_src`: source NIs outer, spec connections inner), into
-/// `workers` shards, or says why `alloc` cannot be compiled.
+/// `workers` shards, or says why `alloc` cannot be compiled. The error is
+/// returned, not raised: the build compiles before validation has
+/// finished (on a worker, for a large net, so that the two overlap), and
+/// an allocation that fails both must be refused as invalid.
 fn compile_shards(
     spec: &SystemSpec,
     alloc: &Allocation,
@@ -1106,13 +1159,14 @@ mod tests {
         let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
     }
 
-    /// The same, where a worker validates while the calling thread
-    /// compiles: compiling the detached connection fails too, but the
-    /// refusal names the allocation.
+    /// The same, on a net large enough that a worker validates while the
+    /// calling thread compiles: compiling the detached connection fails
+    /// too, but the refusal names the allocation.
     #[test]
     #[should_panic(expected = "allocation invalid")]
     fn a_sharded_build_refuses_an_invalid_allocation_as_invalid() {
-        let spec = two_ni_spec(0);
+        let spec = aelite_spec::generate::scaled_workload(8, 8, 4, 1000, 1);
+        assert!(spec.connections().len() > VALIDATE_ON_WORKER_CONNS);
         let mut alloc = allocate(&spec).unwrap();
         alloc.detach_grant(spec.connections()[1].id).unwrap();
         let _ = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, true, 2);
@@ -1738,23 +1792,22 @@ mod tests {
     }
 
     impl TurboNet {
-        /// [`TurboNet::run_cycles`], checking that the logs reserved
-        /// before the shards run are never grown by them.
+        /// [`TurboNet::run_cycles`], with every shard but the first on a
+        /// worker however few flits the run reserves, checking that the
+        /// logs reserved before the shards run are never grown by them.
         fn run_cycles_within_reservation(&mut self, cycles: u64) {
-            let deadline_fs = self.timing.period_fs * cycles;
-            self.horizon_cycles = self.horizon_cycles.max(cycles);
-            self.check_in(deadline_fs);
-            let reserved = self.log_capacities();
-            self.run_shards(deadline_fs);
-            for ((shard, i), before) in self.conns().zip(reserved) {
-                assert_eq!(
-                    shard.flits[i].capacity(),
-                    before,
-                    "{}: log grew in the run to {cycles}",
-                    shard.conn[i]
-                );
-            }
-            self.check_out();
+            self.run_with(cycles, |net, deadline_fs, _| {
+                let reserved = net.log_capacities();
+                net.run_shards(deadline_fs, true);
+                for ((shard, i), before) in net.conns().zip(reserved) {
+                    assert_eq!(
+                        shard.flits[i].capacity(),
+                        before,
+                        "{}: log grew in the run to {cycles}",
+                        shard.conn[i]
+                    );
+                }
+            });
         }
 
         /// Every connection's log capacity while a run holds the logs.
@@ -1829,15 +1882,22 @@ mod tests {
                 assert_eq!(net.shards.len(), w, "{kind:?}");
                 net.run_cycles_within_reservation(2_000);
             }
+            // The public entry too, where the run's flit count decides
+            // whether the shards go to workers.
+            let mut public = build(2);
+            public.run_cycles(2_000);
             for (net, w) in oneshot.iter().zip(WORKERS) {
                 let what = format!("with {w} shards, {kind:?}, one run");
                 assert_matches(&spec, &event, &oneshot[0], net, &what);
             }
+            let what = format!("through run_cycles, {kind:?}, one run");
+            assert_matches(&spec, &event, &oneshot[0], &public, &what);
 
             // Stepped runs, with messages offered by hand between them
             // (whole flits, so that mesochronous links take them too).
             let mut event = build_network(&spec, &alloc, kind, true);
             let mut stepped: Vec<TurboNet> = WORKERS.iter().map(|&w| build(w)).collect();
+            let mut public = build(2);
             for (k, deadline) in [1u64, 97, 1_000, 1_001, 2_000].into_iter().enumerate() {
                 for c in spec.connections().iter().step_by(7) {
                     let m = Message {
@@ -1846,7 +1906,7 @@ mod tests {
                         ready_cycle: deadline.saturating_sub(40),
                     };
                     event.queue(c.id).borrow_mut().push_back(m);
-                    for net in &stepped {
+                    for net in stepped.iter().chain([&public]) {
                         net.queue(c.id).borrow_mut().push_back(m);
                     }
                 }
@@ -1854,10 +1914,13 @@ mod tests {
                 for net in &mut stepped {
                     net.run_cycles_within_reservation(deadline);
                 }
+                public.run_cycles(deadline);
                 for (net, w) in stepped.iter().zip(WORKERS) {
                     let what = format!("with {w} shards, {kind:?}, after the run to {deadline}");
                     assert_matches(&spec, &event, &stepped[0], net, &what);
                 }
+                let what = format!("through run_cycles, {kind:?}, after the run to {deadline}");
+                assert_matches(&spec, &event, &stepped[0], &public, &what);
             }
         }
     }
@@ -1929,6 +1992,9 @@ mod tests {
             words: 3,
             ready_cycle: 0,
         });
-        net.run_cycles(2_000);
+        // Too few flits for `run_cycles` to start a worker.
+        net.run_with(2_000, |net, deadline_fs, _| {
+            net.run_shards(deadline_fs, true);
+        });
     }
 }
