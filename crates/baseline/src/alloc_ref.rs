@@ -518,14 +518,16 @@ mod tests {
 
     #[test]
     fn seed_route_enumeration_matches_current() {
-        let topo = Topology::mesh(4, 3, 2);
-        for (s, d) in [(0u32, 21u32), (3, 4), (0, 23), (7, 7)] {
-            let (s, d) = (NiId::new(s), NiId::new(d));
-            assert_eq!(
-                route_candidates(&topo, s, d, 12),
-                aelite_alloc::route_candidates(&topo, s, d, 12),
-                "{s}->{d}"
-            );
+        for topo in [Topology::mesh(4, 3, 2), Topology::mesh(4, 4, 4)] {
+            for s in topo.nis() {
+                for d in topo.nis() {
+                    assert_eq!(
+                        route_candidates(&topo, s, d, 12),
+                        aelite_alloc::route_candidates(&topo, s, d, 12),
+                        "{s}->{d}"
+                    );
+                }
+            }
         }
     }
 }

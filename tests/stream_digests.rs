@@ -9,26 +9,13 @@
 //! of every merged request, so a change to the per-client draw, the pool
 //! split or the merge order that moves a single request changes it.
 
+mod common;
+
 use aelite_online::{AdmissionRequest, ShardConfig, ShardMap};
 use aelite_serve::{merge_population, TimedRequest};
 use aelite_spec::churn::{client_population, client_population_grouped, ChurnParams};
 use aelite_spec::generate::{TrafficProfile, WorkloadBuilder};
-
-/// FNV-1a over a stream of 64-bit words.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
+use common::Digest;
 
 /// Every request's time, client, kind and connection ids.
 fn stream_digest(stream: &[TimedRequest]) -> u64 {
