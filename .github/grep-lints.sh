@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's four grep lints, in one place: the CI `lint` job runs
+# The repository's five grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -72,3 +72,18 @@ if [ -n "$hits" ]; then
   echo "::error::crates/alloc/src/validate.rs reads allocator bookkeeping above its tests: re-derive it from grant.path and the owner view"
   exit 1
 fi
+
+# The timing model, the XY route, route search and the slot-selection
+# kernels are each defined once; a second definition is a twin that can
+# drift from the first. Each name must have exactly one `fn` definition
+# under crates/ and src/. `benchmark/` is not searched: its
+# `estimate_slots` is a frozen wrapper.
+for name in pipeline_cycles deadline_cycles max_injection_gap estimate_slots dimension_ordered \
+  worst_window gaps route_candidates bounded_paths spread_selection cover_with_gap best_gap_filler; do
+  n=$(git grep -hwE "fn $name" -- crates src | wc -l)
+  if [ "$n" -ne 1 ]; then
+    git grep -nwE "fn $name" -- crates src || true
+    echo "::error::\`$name\` has $n definitions under crates/ and src/: keep exactly one"
+    exit 1
+  fi
+done

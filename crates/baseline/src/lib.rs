@@ -7,10 +7,6 @@
 //! credit-based link-level flow control — precisely the machinery the
 //! aelite router removes.
 //!
-//! The crate also preserves the pre-optimization TDM allocator in
-//! [`alloc_ref`], used as the golden reference and performance baseline
-//! for `aelite-alloc`'s bitset/route-cache hot path.
-//!
 //! # Examples
 //!
 //! ```
@@ -29,8 +25,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod alloc_ref;
 pub mod sim;
 
-pub use alloc_ref::{allocate_seed, SeedAllocation};
 pub use sim::{BeConfig, BeConnStats, BeReport, BeSim};

@@ -3,41 +3,32 @@
 //!
 //! Each digest folds every grant's connection id, path ports, injection
 //! slots and link ids, in connection order, so a change that moves one
-//! port, slot or link of one grant changes it. The constants were
-//! recorded from the pre-optimization seed allocator, and checked here
-//! against it grant for grant. They are the contract that makes the
-//! hot-path rewrite a pure performance change: every kernel
-//! (rotate-and-AND candidate masks, nearest-bit spread selection,
-//! single-start gap cover, lazy route materialization) replicates the
-//! original's decisions exactly, including tie-breaking.
+//! port, slot or link of one grant changes it. The constants are the
+//! pre-optimization seed allocator's grants: they were recorded while it
+//! still existed, checked against it grant for grant, and outlive it.
+//! They are the contract that makes the hot-path rewrite a pure
+//! performance change: every kernel (rotate-and-AND candidate masks,
+//! nearest-bit spread selection, single-start gap cover, lazy route
+//! materialization) replicates the seed's decisions exactly, including
+//! tie-breaking.
 
 mod common;
 
 use aelite_alloc::route_candidates;
-use aelite_baseline::allocate_seed;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, scaled_workload, TrafficProfile, WorkloadBuilder};
 use aelite_spec::topology::Topology;
 use common::Digest;
 
-/// Allocates `spec`, checks that every connection is granted the same
-/// grant as the seed allocator gives it, and digests the grants.
+/// Allocates `spec`, checks that every connection is granted, and
+/// digests the grants.
 fn grant_digest(spec: &SystemSpec) -> u64 {
     let alloc = aelite_alloc::allocate(spec).expect("allocator succeeds");
-    let seed = allocate_seed(spec).expect("seed allocator succeeds");
     let mut d = Digest::new();
     for c in spec.connections() {
         let g = alloc
             .grant(c.id)
             .unwrap_or_else(|| panic!("{} is not granted", c.id));
-        let want = seed.grants[c.id.index()]
-            .as_ref()
-            .unwrap_or_else(|| panic!("seed allocator did not grant {}", c.id));
-        assert_eq!(
-            g, want,
-            "grant of {} diverged from the seed allocator",
-            c.id
-        );
         d.word(g.conn.index() as u64);
         d.word(g.path.ports.len() as u64);
         g.path.ports.iter().for_each(|p| d.word(u64::from(p.0)));
@@ -72,16 +63,33 @@ fn grants_match_seed_allocator_on_paper_workloads() {
 
 #[test]
 fn grants_match_seed_allocator_on_scaled_mesh() {
-    // One synthetic scaled platform keeps the equivalence honest beyond
-    // the paper's 4×3 mesh (different table pressure and path diversity).
-    let got = grant_digest(&scaled_workload(4, 4, 4, 300, 7));
-    assert_eq!(got, 0xe54b_ee34_e419_5957, "grant digest moved: {got:#x}");
+    // Two 4×4 platforms keep the equivalence honest beyond the paper's
+    // 4×3 mesh (different table pressure and path diversity). Hotspot
+    // traffic at 80% NI load puts two grants on DFS detours (routes
+    // longer than minimal); the paper and scaled specs hold one in 2 300.
+    let hotspot = WorkloadBuilder::mesh(4, 4, 4)
+        .connections(300)
+        .ni_load_cap(0.8)
+        .profile(TrafficProfile::Hotspot { spots: 4 })
+        .seed(3)
+        .build();
+    let got = [
+        grant_digest(&scaled_workload(4, 4, 4, 300, 7)),
+        grant_digest(&hotspot),
+    ];
+    assert_eq!(
+        got,
+        [0xe54b_ee34_e419_5957, 0xe94a_3544_cd87_8aad],
+        "grant digests moved: {got:#x?}"
+    );
 }
 
 #[test]
 fn grants_match_seed_allocator_on_8x8_mesh() {
     // 1 000 grants through up to 14 routers, 85 of them longer than the
-    // 8 hops a 32-bit header carries.
+    // 8 hops a 32-bit header carries, so a route filter on header
+    // capacity must move this digest: its own test makes that move one
+    // line.
     let spec = WorkloadBuilder::mesh(8, 8, 4)
         .connections(1000)
         .seed(1)
@@ -90,22 +98,10 @@ fn grants_match_seed_allocator_on_8x8_mesh() {
     assert_eq!(got, 0x9c5a_1c81_a3fe_0cb6, "grant digest moved: {got:#x}");
 }
 
-#[test]
-fn grants_match_seed_allocator_on_hotspot_detours() {
-    // Hotspot traffic at 80% NI load puts two grants on DFS detours
-    // (routes longer than minimal); the other specs hold one in 2 300.
-    let spec = WorkloadBuilder::mesh(4, 4, 4)
-        .connections(300)
-        .ni_load_cap(0.8)
-        .profile(TrafficProfile::Hotspot { spots: 4 })
-        .seed(3)
-        .build();
-    let got = grant_digest(&spec);
-    assert_eq!(got, 0xe94a_3544_cd87_8aad, "grant digest moved: {got:#x}");
-}
-
-/// Digests the 12 route candidates of every ordered NI pair of `topo`:
-/// each candidate's length and output ports.
+/// Digests the route candidates (up to 12) of every ordered NI pair of
+/// `topo`: each candidate's length and output ports. The constants were
+/// recorded while the seed allocator's own enumeration still existed and
+/// matched this one on every pair.
 fn route_digest(topo: &Topology) -> u64 {
     let mut d = Digest::new();
     for s in topo.nis() {
