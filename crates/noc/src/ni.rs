@@ -62,15 +62,18 @@ pub struct FlitDelivery {
 ///
 /// A record's connection is the log's, and its time is a function of its
 /// cycle and the destination NI's clock, so the log keeps the connection
-/// and the clock once and stores only `(tag, cycle)` per flit — 16 bytes
-/// instead of a 32-byte [`FlitDelivery`]. Records are materialised on
-/// read; two logs are equal when they read back the same records.
+/// and the clock once and stores only `(tag, cycle)` per flit, in 8 bytes
+/// instead of a 32-byte [`FlitDelivery`]: the low 32-bit words of both,
+/// with the high words in a side table that gains an entry only where
+/// they differ from the previous flit's, so every value reads back
+/// exactly. Records are materialised on read; two logs are equal when
+/// they read back the same records.
 #[derive(Debug)]
 pub struct FlitLog {
     conn: ConnId,
     phase_fs: u64,
     period_fs: u64,
-    flits: Vec<(u64, u64)>,
+    flits: FlitRecords,
 }
 
 impl FlitLog {
@@ -94,12 +97,12 @@ impl FlitLog {
             self.conn,
             d.cycle
         );
-        self.flits.push((d.tag, d.cycle));
+        self.flits.push(d.tag, d.cycle);
     }
 
     /// The `(tag, cycle)` records themselves, for a writer that appends
     /// flits timed by this log's clock.
-    pub(crate) fn flits_mut(&mut self) -> &mut Vec<(u64, u64)> {
+    pub(crate) fn flits_mut(&mut self) -> &mut FlitRecords {
         &mut self.flits
     }
 
@@ -123,17 +126,17 @@ impl FlitLog {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn get(&self, i: usize) -> FlitDelivery {
-        self.delivery(self.flits[i])
+        self.delivery(self.flits.get(i))
     }
 
     /// Every delivery, in arrival order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = FlitDelivery> + '_ {
-        self.flits.iter().map(|&f| self.delivery(f))
+        self.flits.iter().map(|f| self.delivery(f))
     }
 
     /// Destination cycles of every delivery, in arrival order.
     pub(crate) fn cycles(&self) -> impl Iterator<Item = u64> + '_ {
-        self.flits.iter().map(|&(_, cycle)| cycle)
+        self.flits.iter().map(|(_, cycle)| cycle)
     }
 
     /// Number of deliveries.
@@ -145,7 +148,7 @@ impl FlitLog {
     /// Whether nothing was delivered.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
+        self.flits.len() == 0
     }
 
     /// Every delivery, materialised.
@@ -163,6 +166,95 @@ impl PartialEq for FlitLog {
 
 impl Eq for FlitLog {}
 
+/// A log's `(tag, cycle)` records, 8 bytes each.
+///
+/// Each record keeps the low 32 bits of its tag and of its cycle. The high
+/// words sit in a side table of marks, `(first record, tag high word,
+/// cycle high word)`, each naming the high words of the records from its
+/// first up to the next mark's; records before the first mark have zero
+/// high words. A record gains a mark only when its high words differ from
+/// its predecessor's, so a run shorter than 2³² cycles whose sequence
+/// numbers stay below 2²⁴ has none, and every `u64` reads back exactly.
+#[derive(Debug, Default)]
+pub(crate) struct FlitRecords {
+    low: Vec<(u32, u32)>,
+    high: Vec<(usize, u32, u32)>,
+}
+
+impl FlitRecords {
+    /// Appends the record `(tag, cycle)`.
+    #[inline]
+    pub(crate) fn push(&mut self, tag: u64, cycle: u64) {
+        let high = (high_word(tag), high_word(cycle));
+        if high != self.high.last().map_or((0, 0), |&(_, t, c)| (t, c)) {
+            self.high.push((self.low.len(), high.0, high.1));
+        }
+        self.low.push((tag as u32, cycle as u32));
+    }
+
+    /// Reserves room for `additional` more records, so that pushing them
+    /// does not grow the record storage (a mark may still be added).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.low.reserve(additional);
+    }
+
+    /// Records the storage holds room for.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.low.capacity()
+    }
+
+    /// Heap bytes `(in use, held)` by the records and marks.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+        let bytes = |records: usize, marks: usize| {
+            records * std::mem::size_of::<(u32, u32)>()
+                + marks * std::mem::size_of::<(usize, u32, u32)>()
+        };
+        (
+            bytes(self.low.len(), self.high.len()),
+            bytes(self.low.capacity(), self.high.capacity()),
+        )
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.low.len()
+    }
+
+    /// The `i`-th record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub(crate) fn get(&self, i: usize) -> (u64, u64) {
+        let (tag, cycle) = self.low[i];
+        let marks = &self.high[..self.high.partition_point(|&(first, ..)| first <= i)];
+        let (t, c) = marks.last().map_or((0, 0), |&(_, t, c)| (t, c));
+        (join_words(t, tag), join_words(c, cycle))
+    }
+
+    /// Every record, in order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        let mut marks = self.high.iter().peekable();
+        let mut high = (0, 0);
+        self.low.iter().enumerate().map(move |(i, &(tag, cycle))| {
+            if let Some(&(_, t, c)) = marks.next_if(|&&(first, ..)| first == i) {
+                high = (t, c);
+            }
+            (join_words(high.0, tag), join_words(high.1, cycle))
+        })
+    }
+}
+
+fn high_word(x: u64) -> u32 {
+    (x >> 32) as u32
+}
+
+fn join_words(high: u32, low: u32) -> u64 {
+    u64::from(high) << 32 | u64::from(low)
+}
+
 /// The shared log of one connection's deliveries at its destination NI.
 pub type DeliveryLog = Rc<RefCell<FlitLog>>;
 
@@ -174,7 +266,7 @@ pub(crate) fn delivery_log(conn: ConnId, phase_fs: u64, period_fs: u64) -> Deliv
         conn,
         phase_fs,
         period_fs,
-        flits: Vec::new(),
+        flits: FlitRecords::default(),
     }))
 }
 
@@ -788,6 +880,60 @@ mod tests {
         }
         assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
         assert_eq!(log.to_vec(), pushed);
+    }
+
+    #[test]
+    fn flit_log_reads_back_high_words_that_change_back_and_forth() {
+        const HI: u64 = 1 << 32;
+        let phase_fs = 777_000;
+        let at = |cycle: u64| phase_fs + cycle * PERIOD_FS;
+        let log = delivery_log(ConnId::new(3), phase_fs, PERIOD_FS);
+        // (tag, cycle): high words (0, 0), (1, 0), (0, 0), (0, 1), (3, 1),
+        // (3, 1) again, (0, 5) and (0, 5) again.
+        let records = [
+            (0x100, 9),
+            (HI | 0x5ff, 10),
+            (0x101, 11),
+            (0x102, HI + 3),
+            ((3 * HI) | 0x700, HI + 4),
+            ((3 * HI) | 0x701, HI + u64::from(u32::MAX)),
+            (0x103, 5 * HI),
+            (0x104, 5 * HI + 1),
+        ];
+        let pushed: Vec<FlitDelivery> = records
+            .iter()
+            .map(|&(tag, cycle)| delivery(3, tag, cycle, at(cycle)))
+            .collect();
+        for &d in &pushed {
+            log.borrow_mut().push(d);
+        }
+        let log = log.borrow();
+        assert_eq!(log.len(), records.len());
+        for (i, d) in pushed.iter().enumerate() {
+            assert_eq!(log.get(i), *d, "record {i}");
+        }
+        assert_eq!(log.iter().collect::<Vec<_>>(), pushed);
+        assert_eq!(
+            log.cycles().collect::<Vec<_>>(),
+            records.map(|(_, cycle)| cycle)
+        );
+        // A mark only where the high words change: at five of eight records.
+        assert_eq!(log.flits.high.len(), 5);
+
+        // Logs are equal by what they read back, not by their low words.
+        let same = delivery_log(ConnId::new(3), phase_fs, PERIOD_FS);
+        let other = delivery_log(ConnId::new(3), phase_fs, PERIOD_FS);
+        for (i, &d) in pushed.iter().enumerate() {
+            same.borrow_mut().push(d);
+            let tag = if i == 4 {
+                d.tag & u64::from(u32::MAX)
+            } else {
+                d.tag
+            };
+            other.borrow_mut().push(FlitDelivery { tag, ..d });
+        }
+        assert_eq!(*log, *same.borrow());
+        assert_ne!(*log, *other.borrow());
     }
 
     #[test]

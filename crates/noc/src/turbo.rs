@@ -57,10 +57,12 @@
 //!   reserves each log for the run: the flits in flight, plus the fewer
 //!   of the owned slot starts left in the run and the flits the current
 //!   message, the queue and the generator can supply. Workers then never
-//!   grow a log, and every log lives in the calling thread's allocator
-//!   arena, not in that of a worker that has exited. A sharded net of
-//!   more than 512 connections also re-validates its allocation on a
-//!   worker while the calling thread compiles it;
+//!   grow a log's records, and every log lives in the calling thread's
+//!   allocator arena, not in that of a worker that has exited (only a
+//!   flit whose high words differ from its predecessor's adds a 16-byte
+//!   mark, which needs a run past 2³² cycles or a sequence number past
+//!   2²⁴). A sharded net of more than 512 connections also re-validates
+//!   its allocation on a worker while the calling thread compiles it;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -73,8 +75,10 @@
 //! * deliveries stream: a flit's destination cycle is known when it is
 //!   injected, so it goes to its connection's [`FlitLog`] right then,
 //!   and only the few flits whose destination edge lies past the run's
-//!   deadline wait in flight. A log stores 16 bytes per flit — tag and
-//!   cycle; connection and absolute time come from the log itself.
+//!   deadline wait in flight. A log stores 8 bytes per flit — the low
+//!   words of tag and cycle, their high words in a side table that grows
+//!   only where they change; connection and absolute time come from the
+//!   log itself.
 //!
 //! **Credits that provably cannot bind are not booked.** End-to-end
 //! credits throttle a connection only if its destination buffer is
@@ -125,7 +129,7 @@
 //! [`FlitDelivery`]: crate::ni::FlitDelivery
 
 use crate::network::{build_order, NetworkKind, CREDIT_RETURN_CYCLES};
-use crate::ni::{delivery_log, message_queue, DeliveryLog, Message, MessageQueue};
+use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitRecords, Message, MessageQueue};
 use aelite_alloc::allocate::{required_buffer_words, Allocation};
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
@@ -275,7 +279,7 @@ struct ConnSoa {
     /// during a run; empty between runs, when the log handles hold them.
     /// A flit is written here when it is injected, if its destination
     /// edge falls within the run being simulated.
-    flits: Vec<Vec<(u64, u64)>>,
+    flits: Vec<FlitRecords>,
     cbr: Vec<Option<CbrGen>>,
     /// The source-NI slot-table entries this connection owns, ascending:
     /// the only slot starts at which it can inject. No two connections of
@@ -527,8 +531,8 @@ impl ConnSoa {
 }
 
 /// Logs flit `d` and counts its latency.
-fn deliver(log: &mut Vec<(u64, u64)>, stats: &mut ConnLatency, d: PendingDelivery) {
-    log.push((d.tag, d.eop_cycle));
+fn deliver(log: &mut FlitRecords, stats: &mut ConnLatency, d: PendingDelivery) {
+    log.push(d.tag, d.eop_cycle);
     let latency = d.eop_cycle - d.ready;
     stats.flits += 1;
     stats.min_cycles = stats.min_cycles.min(latency);
@@ -678,8 +682,8 @@ impl TurboNet {
 
     /// Moves every connection's queued messages and logged flits from its
     /// handles into its shard, and reserves each log for what the run to
-    /// `deadline_fs` can deliver, so that no worker grows a log. Returns
-    /// the flits reserved.
+    /// `deadline_fs` can deliver, so that no worker grows a log's records.
+    /// Returns the flits reserved.
     fn check_in(&mut self, deadline_fs: u64) -> usize {
         let t = self.timing;
         let mut reserved = 0;
@@ -1044,7 +1048,9 @@ fn compile_shards(
 mod tests {
     use super::*;
     use crate::network::{build_network, NetworkKind};
+    use crate::ni::FlitDelivery;
     use aelite_alloc::allocate;
+    use aelite_sim::time::SimTime;
     use aelite_spec::app::SystemSpecBuilder;
     use aelite_spec::config::NocConfig;
     use aelite_spec::ids::NiId;
@@ -1974,6 +1980,98 @@ mod tests {
         for c in spec.connections() {
             assert_eq!(net.log(c.id).borrow_mut().flits_mut().capacity(), 0);
         }
+    }
+
+    #[test]
+    fn a_flit_landing_past_cycle_two_to_the_32_reads_back_exactly() {
+        let spec = two_ni_spec(0);
+        let alloc = allocate(&spec).unwrap();
+        let conn = spec.connections()[0].id;
+        let build = || build_turbo(&spec, &alloc, NetworkKind::Synchronous, false);
+        // The slot schedule repeats every table revolution, so a message
+        // ready a whole number of revolutions later lands that much later.
+        let t = build().timing;
+        let revolution = t.slot_cycles * t.table_size;
+        let shift = (1u64 << 32).div_ceil(revolution) * revolution;
+        // A sequence number past 2²⁴ puts the tag past 2³² too.
+        let early = Message {
+            seq: 3,
+            words: 2,
+            ready_cycle: 100,
+        };
+        let late = Message {
+            seq: (1 << 24) + 5,
+            ready_cycle: early.ready_cycle + shift,
+            ..early
+        };
+
+        let mut reference = build();
+        reference.queue(conn).borrow_mut().push_back(early);
+        reference.run_cycles(2_000);
+        let first = reference.log(conn).borrow().get(0);
+        let latency = reference.latency(conn);
+
+        // The idle kernel jumps from the early flit to the late one.
+        let mut net = build();
+        net.queue(conn).borrow_mut().extend([early, late]);
+        net.run_cycles(2_000 + shift);
+        let log = net.log(conn).borrow();
+        let cycle = first.cycle + shift;
+        assert_eq!(cycle >> 32, 1);
+        let landed = FlitDelivery {
+            tag: u64::from(late.seq) << 8,
+            cycle,
+            time: SimTime::from_fs(first.time.as_fs() + shift * t.period_fs),
+            ..first
+        };
+        assert_eq!(log.to_vec(), [first, landed]);
+        assert_eq!(net.delivery_cycles(conn), [first.cycle, cycle]);
+        assert_eq!(
+            net.latency(conn),
+            ConnLatency {
+                flits: 2,
+                ..latency
+            }
+        );
+    }
+
+    #[test]
+    fn the_quarter_size_benchmark_run_logs_eight_bytes_per_flit() {
+        // The benchmark's `turbo_mesh16` at a quarter of its size: an 8×8
+        // mesh with 2 500 regional connections on 4×4 tiles, 50 000 cycles.
+        let spec = aelite_spec::generate::WorkloadBuilder::mesh(8, 8, 4)
+            .mega_traffic()
+            .connections(2_500)
+            .slot_table_size(64)
+            .tiles(4, 4)
+            .seed(1)
+            .build();
+        let alloc = allocate(&spec).unwrap();
+        let mut net = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+        net.run_cycles(50_000);
+        let flits: u64 = spec
+            .connections()
+            .iter()
+            .map(|c| net.latency(c.id).flits)
+            .sum();
+        let logged: usize = net.logs.iter().map(|(_, log)| log.borrow().len()).sum();
+        assert_eq!((flits, logged as u64), (1_154_825, 1_154_825));
+        let (used, held) = net
+            .logs
+            .iter()
+            .map(|(_, log)| log.borrow_mut().flits_mut().heap_bytes())
+            .fold((0, 0), |(u, h), (du, dh)| (u + du, h + dh));
+        assert!(
+            used as u64 <= 8 * flits,
+            "{used} log bytes for {flits} flits"
+        );
+        // The run's reservation is an upper bound on what it delivers
+        // (here 0.7 % above it), not slack that a cut could trade for
+        // bytes per flit.
+        assert!(
+            100 * held as u64 <= 101 * used as u64,
+            "{held} log bytes held for {used} in use"
+        );
     }
 
     #[test]

@@ -265,7 +265,10 @@ impl ChurnEngine {
     /// the old one and the connection's capacity is handed over as one
     /// delta. If that fails (the old reservations may be exactly the
     /// capacity the replacement needs), falls back to break-then-make:
-    /// release the old slots first, then retry.
+    /// release the old slots first, then retry. A refusal for want of a
+    /// healthy route ([`RefusalCause::LinkDown`], [`RefusalCause::NoRoute`])
+    /// is not retried: the fault mask and the topology decide it, and
+    /// freeing slots changes neither.
     ///
     /// On refusal of both attempts the connection is left **closed** —
     /// its old grant is *not* restored, because the caller re-routes
@@ -278,7 +281,7 @@ impl ChurnEngine {
     /// # Errors
     ///
     /// [`RefusalCause::UnknownConn`] if `conn` holds no grant (no counter
-    /// moves); otherwise the refusal of the final break-then-make attempt.
+    /// moves); otherwise the refusal of the final attempt.
     ///
     /// # Panics
     ///
@@ -303,6 +306,13 @@ impl ChurnEngine {
         self.stats.teardowns += 1;
         let outcome = match made {
             Ok(()) => RerouteOutcome::MakeBeforeBreak,
+            // Whether a healthy route exists depends on the fault mask and
+            // the topology only: freeing the old slots cannot change it,
+            // so this refusal is the retry's, booked as the retry would.
+            Err(cause @ (RefusalCause::LinkDown { .. } | RefusalCause::NoRoute)) => {
+                self.stats.refused_opens += 1;
+                return Err(self.refusal(conn, cause, 0));
+            }
             Err(_) => match self.admit(&round, spec, alloc, conn) {
                 Ok(()) => RerouteOutcome::BreakThenMake,
                 Err(cause) => {
@@ -506,7 +516,7 @@ impl ChurnEngine {
     ) -> Result<(), AdmissionError> {
         match self.admit(round, spec, alloc, conn) {
             Ok(()) => {
-                self.settle(alloc, &[]);
+                self.faults.settle(alloc, &[conn]);
                 self.stats.setups += 1;
                 Ok(())
             }
@@ -522,7 +532,7 @@ impl ChurnEngine {
     /// recycling the grant's buffers for a later setup.
     fn close_one(&mut self, alloc: &mut Allocation, conn: ConnId) -> Verdict {
         // A close settles `conn` whether or not it held a grant.
-        self.settle(alloc, core::slice::from_ref(&conn));
+        self.faults.settle(alloc, &[conn]);
         match alloc.take_grant(conn) {
             Some(grant) => {
                 self.scratch.recycle(grant);
@@ -594,7 +604,10 @@ impl ChurnEngine {
                 opened: self.opened.len() as u32,
             })
         };
-        self.settle(alloc, close_set);
+        self.faults.settle(alloc, close_set);
+        if verdict.is_ok() {
+            self.faults.settle(alloc, &self.opened);
+        }
         verdict
     }
 }

@@ -88,8 +88,11 @@ pub(crate) struct FaultState {
     /// Active transient glitches, at most one per link, unordered.
     glitches: Vec<Glitch>,
     /// Connections dropped by failures that the workload still holds
-    /// open: candidates for re-homing on the next repair event.
+    /// open: candidates for re-homing on the next repair event. None of
+    /// them holds a grant.
     displaced: Vec<ConnId>,
+    /// Whether each connection, by index, is in `displaced`.
+    is_displaced: Vec<bool>,
     /// Reusable affected-grant order buffer of the recovery sweep.
     affected: Vec<ConnId>,
 }
@@ -118,18 +121,48 @@ impl ChurnEngine {
     pub fn displaced(&self) -> &[ConnId] {
         &self.faults.displaced
     }
+}
 
+impl FaultState {
     /// Keeps the displaced ledger exact after a churn request, whichever
     /// entry point it took: a displaced connection leaves the ledger once
-    /// it holds a grant again or the request closes it (`closed` is the
-    /// request's close set). With nothing displaced this is one check.
-    pub(crate) fn settle(&mut self, alloc: &Allocation, closed: &[ConnId]) {
-        let ledger = &mut self.faults.displaced;
-        if !ledger.is_empty() {
-            ledger.retain(|c| alloc.grant(*c).is_none() && !closed.contains(c));
+    /// it holds a grant again or the request closes it. A request changes
+    /// that only for its own connections, so `touched` is what it opened
+    /// or closed: an open's connection once admitted, a close's, a
+    /// switch's close set and, once it succeeded, its opened set. With
+    /// nothing displaced this is one check; otherwise O(touched) unless
+    /// one of them leaves the ledger.
+    pub(crate) fn settle(&mut self, alloc: &Allocation, touched: &[ConnId]) {
+        if self.displaced.is_empty() {
+            return;
         }
+        let mut left = false;
+        for c in touched {
+            if let Some(flag) = self.is_displaced.get_mut(c.index()) {
+                left |= core::mem::take(flag);
+            }
+        }
+        if left {
+            let is_displaced = &self.is_displaced;
+            self.displaced.retain(|c| is_displaced[c.index()]);
+        }
+        debug_assert!(
+            self.displaced.iter().all(|&c| alloc.grant(c).is_none()),
+            "a displaced connection holds a grant"
+        );
     }
 
+    /// Parks `conn`, just dropped by a failure, in the displaced ledger.
+    fn displace(&mut self, conn: ConnId) {
+        if self.is_displaced.len() <= conn.index() {
+            self.is_displaced.resize(conn.index() + 1, false);
+        }
+        self.is_displaced[conn.index()] = true;
+        self.displaced.push(conn);
+    }
+}
+
+impl ChurnEngine {
     /// The fault side of [`apply`](Self::apply), and the only way a fault
     /// reaches the recovery ladder: `false`, and nothing touched, when
     /// `fault` names a link or router outside `spec`'s topology;
@@ -361,7 +394,7 @@ impl ChurnEngine {
                 Ok(RerouteOutcome::BreakThenMake) => self.stats.break_then_make += 1,
                 Err(_) => {
                     self.stats.dropped += 1;
-                    self.faults.displaced.push(conn);
+                    self.faults.displace(conn);
                 }
             }
         }
@@ -388,7 +421,12 @@ impl ChurnEngine {
         let mut verdicts = Vec::new();
         self.submit_batch(spec, alloc, &requests, &mut verdicts);
         self.stats.restored += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
-        displaced.retain(|&c| alloc.grant(c).is_none());
+        let is_displaced = &mut self.faults.is_displaced;
+        displaced.retain(|&c| {
+            let parked = alloc.grant(c).is_none();
+            is_displaced[c.index()] = parked;
+            parked
+        });
         self.faults.displaced = displaced;
     }
 }
