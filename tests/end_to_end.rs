@@ -1,13 +1,17 @@
 //! End-to-end integration: the complete paper workflow on the Section VII
 //! platform, crossing every crate of the workspace.
 
+mod common;
+
 use aelite_analysis::service::verify_service;
 use aelite_baseline::{BeConfig, BeSim};
 use aelite_core::{measured_services_be, AeliteSystem, SimOptions};
-use aelite_spec::generate::{paper_workload, random_workload, WorkloadParams};
+use aelite_spec::app::SystemSpec;
+use aelite_spec::generate::{paper_workload, random_workload, scaled_workload, WorkloadParams};
 use aelite_spec::ids::AppId;
 use aelite_spec::topology::Topology;
 use aelite_spec::NocConfig;
+use common::Digest;
 
 const DURATION: u64 = 60_000;
 
@@ -51,6 +55,44 @@ fn paper_headline_be_interferes_and_violates() {
     assert!(
         !service.all_ok(),
         "best effort should violate tight contracts at 500 MHz"
+    );
+}
+
+/// Runs the best-effort baseline on `spec` for `duration_cycles` and
+/// folds every field of every connection's stats, in report order, into
+/// one digest.
+fn be_digest(spec: &SystemSpec, duration_cycles: u64) -> u64 {
+    let report = BeSim::new(spec).run(BeConfig {
+        duration_cycles,
+        ..BeConfig::default()
+    });
+    let mut d = Digest::new();
+    d.word(report.duration_cycles);
+    d.word(report.per_conn.len() as u64);
+    for s in &report.per_conn {
+        d.word(s.conn.index() as u64);
+        d.word(s.flits);
+        d.word(s.bytes);
+        d.word(s.min_latency);
+        d.word(s.max_latency);
+        d.word(s.latency_sum);
+    }
+    d.0
+}
+
+#[test]
+fn be_baseline_numbers_are_pinned() {
+    // The exact best-effort numbers behind the paper's GS-vs-BE and
+    // composability comparisons: a change to the wormhole model, its
+    // arbitration or its flow control moves a digest.
+    let got = [
+        be_digest(&paper_workload(42), 30_000),
+        be_digest(&scaled_workload(4, 4, 4, 300, 7), 30_000),
+    ];
+    assert_eq!(
+        got,
+        [0x70c4_d755_2f8c_7fdf, 0x8d27_9e28_64e1_b67d],
+        "BE digests moved: {got:#x?}"
     );
 }
 
