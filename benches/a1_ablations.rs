@@ -5,8 +5,8 @@
 //! Not a paper artefact: these quantify *why* the allocator and the
 //! configuration look the way they do, over 8 workload seeds.
 
+use aelite::report::{check, header, row};
 use aelite_alloc::allocate::Allocator;
-use aelite_bench::{check, header, row};
 use aelite_spec::generate::paper_workload;
 use aelite_spec::ids::Port;
 use aelite_synth::power::{router_power, SleepMode};

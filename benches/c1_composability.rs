@@ -4,10 +4,10 @@
 //! and the best-effort baseline demonstrably does *not* have this
 //! property.
 
+use aelite::report::{check, header, row};
 use aelite_analysis::composability::compare_timelines;
-use aelite_baseline::{BeConfig, BeSim};
-use aelite_bench::{check, header, row};
 use aelite_core::{timelines, AeliteSystem, SimOptions};
+use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 use aelite_spec::ids::AppId;
 

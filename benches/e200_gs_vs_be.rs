@@ -13,11 +13,11 @@
 //!    (paper: "more than 900 MHz") before every latency requirement is
 //!    observed to hold.
 
+use aelite::report::{check, header, row};
 use aelite_analysis::service::{minimum_satisfying_frequency, verify_service};
 use aelite_analysis::stats::Summary;
-use aelite_baseline::{BeConfig, BeSim};
-use aelite_bench::{check, header, row};
 use aelite_core::{measured_services_be, AeliteSystem, SimOptions};
+use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 
 const SEED: u64 = 42;

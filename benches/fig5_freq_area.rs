@@ -4,7 +4,7 @@
 //! Paper shape to reproduce: area < 0.015 mm² up to 650 MHz, a knee after
 //! ~750 MHz, saturation around 875 MHz at ~17.9 kµm².
 
-use aelite_bench::{check, header, row};
+use aelite::report::{check, header, row};
 use aelite_synth::router::{router_max_frequency_mhz, synthesize, RouterParams};
 
 fn main() {

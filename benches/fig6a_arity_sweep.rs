@@ -5,7 +5,7 @@
 //! Paper shape: area grows roughly linearly with arity (despite the
 //! multiplexer tree); maximum frequency declines with arity.
 
-use aelite_bench::{check, header, row};
+use aelite::report::{check, header, row};
 use aelite_synth::router::{router_max_frequency_mhz, synthesize_max, RouterParams};
 
 fn main() {

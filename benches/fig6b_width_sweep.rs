@@ -5,7 +5,7 @@
 //! Paper shape: "the area grows linearly with the word width while the
 //! operating frequency is reduced, also with a linear trend."
 
-use aelite_bench::{check, header, row};
+use aelite::report::{check, header, row};
 use aelite_synth::router::{router_max_frequency_mhz, synthesize_max, RouterParams};
 
 fn main() {

@@ -7,8 +7,8 @@
 //! skew, and the 4-word bi-synchronous FIFO sizing suffices (an overflow
 //! would panic the models).
 
+use aelite::report::{check, header, row};
 use aelite_alloc::allocate;
-use aelite_bench::{check, header, row};
 use aelite_noc::network::{build_network, NetworkKind};
 use aelite_noc::ni::Message;
 use aelite_spec::app::SystemSpecBuilder;

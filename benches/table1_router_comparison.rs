@@ -9,7 +9,7 @@
 //!   of \[7\] (0.12 mm² scaled), both limited to two service levels and
 //!   no composability.
 
-use aelite_bench::{check, header, row};
+use aelite::report::{check, header, row};
 use aelite_synth::compare::{comparison_table, GsBeComparison};
 use aelite_synth::components::{bisync_fifo_area_um2, router_with_links_area_um2, FifoKind};
 use aelite_synth::router::RouterParams;

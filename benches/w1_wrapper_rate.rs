@@ -3,7 +3,7 @@
 //! never deadlocks thanks to reset tokens, and the measured rate matches
 //! the dataflow-model prediction (the paper's footnote-1 analysis).
 
-use aelite_bench::{check, header, row};
+use aelite::report::{check, header, row};
 use aelite_dataflow::models::{predicted_flit_rate_per_us, wrapper_chain};
 use aelite_noc::phit::{LinkWord, RouteBits};
 use aelite_noc::wrapper::{token_channel, token_delivery_log, token_queue, AsyncNi, AsyncRouter};

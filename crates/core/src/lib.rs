@@ -35,15 +35,5 @@ pub use system::{
     SimOptions, SimulationOutcome,
 };
 
-// Re-export the component crates under one roof for convenience.
-pub use aelite_alloc as alloc;
-pub use aelite_analysis as analysis;
-pub use aelite_baseline as baseline;
-pub use aelite_dataflow as dataflow;
-pub use aelite_noc as noc;
-pub use aelite_sim as sim;
-pub use aelite_spec as spec;
-pub use aelite_synth as synth;
-
 #[cfg(test)]
 mod cost;

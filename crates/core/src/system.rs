@@ -308,7 +308,7 @@ pub fn timelines(report: &TrafficReport) -> Vec<Timeline> {
 
 /// Converts a best-effort report into simulator-independent measurements.
 #[must_use]
-pub fn measured_services_be(report: &aelite_baseline::BeReport) -> Vec<MeasuredService> {
+pub fn measured_services_be(report: &aelite_noc::baseline::BeReport) -> Vec<MeasuredService> {
     report
         .per_conn
         .iter()

@@ -1,8 +1,11 @@
-//! Flit-level simulator of an Æthereal-style best-effort (BE) network.
+//! Æthereal-style best-effort (BE) comparison network.
 //!
-//! The comparison baseline of the paper's Section VII: the same platform
-//! and workload as the aelite GS network, but with contention and
-//! arbitration instead of TDM reservations:
+//! The paper's Section VII compares aelite's guaranteed services against
+//! the combined GS+BE Æthereal running the same 200-connection workload
+//! with best-effort service only. This module is that baseline: a
+//! flit-level simulator of the same platform and workload as the aelite
+//! GS network, but with contention and arbitration instead of TDM
+//! reservations:
 //!
 //! * input-queued **wormhole** routers — a packet holds its output port
 //!   from header to tail;
@@ -17,6 +20,21 @@
 //! moves at most one flit per tick, and a router hop takes one tick —
 //! the same per-hop pipeline delay as the GS network, so latency
 //! differences are pure queueing/arbitration effects.
+//!
+//! # Examples
+//!
+//! ```
+//! use aelite_noc::baseline::{BeConfig, BeSim};
+//! use aelite_spec::generate::paper_workload;
+//!
+//! let spec = paper_workload(42);
+//! let report = BeSim::new(&spec).run(BeConfig {
+//!     duration_cycles: 30_000,
+//!     ..BeConfig::default()
+//! });
+//! // Delivered, but with interference-dependent latency.
+//! assert!(report.per_conn.iter().all(|c| c.flits > 0));
+//! ```
 
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{ConnId, Port, RouterId};
@@ -144,7 +162,7 @@ struct SourceConnState {
 /// # Examples
 ///
 /// ```
-/// use aelite_baseline::sim::{BeConfig, BeSim};
+/// use aelite_noc::baseline::{BeConfig, BeSim};
 /// use aelite_spec::generate::paper_workload;
 ///
 /// let spec = paper_workload(42);

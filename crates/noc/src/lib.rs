@@ -1,7 +1,8 @@
 //! # aelite-noc — hardware models of the aelite network on chip
 //!
-//! Cycle-accurate models of every component the paper describes, plus a
-//! fast flit-level simulator for large experiments:
+//! Cycle-accurate models of every component the paper describes, a fast
+//! flit-level simulator for large experiments, and the best-effort
+//! network the paper compares against:
 //!
 //! * [`phit`] — link words with explicit `valid`/`eop` sideband.
 //! * [`codec`] — the physical header layout (route + connection id) and
@@ -28,6 +29,9 @@
 //!   cycle-accurate network lowered to flat state and enum dispatch,
 //!   bit-for-bit equivalent to the event-driven build and an order of
 //!   magnitude faster.
+//! * [`baseline`] — the Æthereal-style best-effort wormhole network the
+//!   paper's Section VII compares against: round-robin arbitration and
+//!   link-level credits instead of TDM reservations.
 //! * [`testbench`] — scripted wire drivers and recorders, shared by the
 //!   router and link-stage unit tests and `tests/proptest_hardware.rs`.
 
@@ -35,6 +39,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod baseline;
 pub mod codec;
 pub mod flitsim;
 pub mod meso;

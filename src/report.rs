@@ -1,11 +1,9 @@
-//! # aelite-bench — evaluation harness utilities
+//! Table printing for the paper-figure reproduction checks.
 //!
-//! Shared helpers for the benchmark binaries that regenerate every figure
+//! Shared helpers for the bench binaries that regenerate every figure
 //! and table of the paper: one binary per experiment under `benches/`,
 //! named after it (`fig5_freq_area`, `table1_router_comparison`, …), each
 //! printing its table with `[PASS]`/`[FAIL]` verdict lines.
-
-#![warn(missing_docs)]
 
 use std::fmt::Display;
 

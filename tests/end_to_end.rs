@@ -4,8 +4,8 @@
 mod common;
 
 use aelite_analysis::service::verify_service;
-use aelite_baseline::{BeConfig, BeSim};
 use aelite_core::{measured_services_be, AeliteSystem, SimOptions};
+use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, random_workload, scaled_workload, WorkloadParams};
 use aelite_spec::ids::AppId;
