@@ -4,9 +4,9 @@
 //! and the best-effort baseline demonstrably does *not* have this
 //! property.
 
+use aelite::analysis::composability::compare_timelines;
 use aelite::report::{check, header, row};
-use aelite_analysis::composability::compare_timelines;
-use aelite_core::{timelines, AeliteSystem, SimOptions};
+use aelite::{timelines, AeliteSystem, SimOptions};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 use aelite_spec::ids::AppId;

@@ -13,10 +13,10 @@
 //!    (paper: "more than 900 MHz") before every latency requirement is
 //!    observed to hold.
 
+use aelite::analysis::service::{minimum_satisfying_frequency, verify_service};
+use aelite::analysis::stats::Summary;
 use aelite::report::{check, header, row};
-use aelite_analysis::service::{minimum_satisfying_frequency, verify_service};
-use aelite_analysis::stats::Summary;
-use aelite_core::{measured_services_be, AeliteSystem, SimOptions};
+use aelite::{measured_services_be, AeliteSystem, SimOptions};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 
@@ -112,7 +112,7 @@ fn main() {
 
     // Distribution histogram: the paper's "distribution of flit latencies
     // is much larger" — per-connection worst-case latency, GS vs BE.
-    use aelite_analysis::stats::Histogram;
+    use aelite::analysis::stats::Histogram;
     let mut gs_hist = Histogram::new(0.0, 1_500.0, 10);
     let mut be_hist = Histogram::new(0.0, 1_500.0, 10);
     gs_hist.record_all(gs_maxes.iter().copied());

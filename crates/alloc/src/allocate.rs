@@ -230,35 +230,17 @@ impl Allocation {
     /// latencies. A flit that becomes ready just after an injection slot
     /// waits at most one maximum inter-slot gap, then rides the
     /// contention-free pipeline: 3 cycles per router plus 3 for the NI
-    /// ingress link. Message-level (multi-flit) bounds are provided by
-    /// [`worst_case_message_latency_cycles`](Self::worst_case_message_latency_cycles).
+    /// ingress link. No message-level bound is derived from the slot set:
+    /// a message can find its queue still busy with the previous one, so
+    /// the worst window of consecutive slots does not bound it.
     ///
     /// # Panics
     ///
     /// Panics if `conn` has no grant.
     #[must_use]
     pub fn worst_case_latency_cycles(&self, spec: &SystemSpec, conn: ConnId) -> u64 {
-        self.window_latency_cycles(spec, conn, 1)
-    }
-
-    /// Worst-case latency for a whole `message_bytes` message of `conn`
-    /// (wait for the worst window of consecutive slots plus the pipeline),
-    /// with the message cut into flits under the conservative
-    /// one-header-word-per-flit model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` has no grant.
-    #[must_use]
-    pub fn worst_case_message_latency_cycles(&self, spec: &SystemSpec, conn: ConnId) -> u64 {
-        let payload = spec.config().payload_words_per_flit() * spec.config().data_width_bytes();
-        let flits = spec.connection(conn).message_bytes.div_ceil(payload).max(1);
-        self.window_latency_cycles(spec, conn, flits)
-    }
-
-    fn window_latency_cycles(&self, spec: &SystemSpec, conn: ConnId, m: u32) -> u64 {
         let grant = self.grant(conn).expect("connection has no grant");
-        let window = worst_window(&grant.inject_slots, self.table_size, m);
+        let window = worst_window(&grant.inject_slots, self.table_size);
         latency_bound_cycles(spec.config(), window, grant.path.link_count())
     }
 
@@ -832,8 +814,6 @@ impl Allocator {
         let dst_ni = spec.ip_ni(c.dst);
         let needed = cfg.slots_for(c.bandwidth).max(1);
         let size = alloc.table_size;
-        // The latency contract is per flit (see worst_case_latency_cycles).
-        let m = 1;
 
         let mut best_available = 0u32;
         let mut best_latency_cycles = u64::MAX;
@@ -909,8 +889,9 @@ impl Allocator {
             }
 
             let n_links = route.path.link_count();
+            // The latency contract is per flit (see worst_case_latency_cycles).
             let latency_of =
-                |slots: &[u32]| latency_bound_cycles(cfg, worst_window(slots, size, m), n_links);
+                |slots: &[u32]| latency_bound_cycles(cfg, worst_window(slots, size), n_links);
             // Hypothetical best latency with *all* free slots taken, used
             // only when this path is rejected for latency.
             let latency_of_all = |all: &mut Vec<u32>| {
@@ -1635,5 +1616,101 @@ mod tests {
             s.contains("c3") && s.contains('5') && s.contains('2'),
             "{s}"
         );
+    }
+
+    #[test]
+    fn window_count_basics() {
+        // Slots {0, 8, 16, 24} of 32.
+        let slots = [0, 8, 16, 24];
+        assert_eq!(max_slots_in_window(&slots, 32, 1), 1);
+        assert_eq!(max_slots_in_window(&slots, 32, 8), 1);
+        assert_eq!(max_slots_in_window(&slots, 32, 9), 2);
+        assert_eq!(max_slots_in_window(&slots, 32, 32), 4);
+        assert_eq!(max_slots_in_window(&slots, 32, 0), 0);
+        assert_eq!(max_slots_in_window(&[], 32, 10), 0);
+    }
+
+    #[test]
+    fn window_count_handles_clusters() {
+        // Clustered slots stress the worst window.
+        let slots = [0, 1, 2, 20];
+        assert_eq!(max_slots_in_window(&slots, 32, 3), 3);
+        assert_eq!(max_slots_in_window(&slots, 32, 4), 3);
+        // Wrapping window catches 20,0,1,2 within 15 slots.
+        assert_eq!(max_slots_in_window(&slots, 32, 15), 4);
+    }
+
+    #[test]
+    fn window_larger_than_table_multiplies() {
+        let slots = [0, 16];
+        assert_eq!(max_slots_in_window(&slots, 32, 64), 4);
+        // 81 consecutive slots starting at 0 catch 0,16,32,48,64,80.
+        assert_eq!(max_slots_in_window(&slots, 32, 64 + 17), 6);
+    }
+
+    #[test]
+    fn paper_default_buffer_covers_most_connections() {
+        // Undersized connections at 24, 12 and 8 words under the
+        // simulators' 24-cycle credit return. The paper-default 24 words
+        // cover every connection in both clockings; mesochronous paths are
+        // twice as long in cycles, so smaller buffers leave more short.
+        let sync = aelite_spec::generate::paper_workload(42);
+        let meso = sync.with_link_pipeline_stages(1, 1);
+        for (spec, counts) in [(&sync, [0, 0, 3]), (&meso, [0, 2, 13])] {
+            let alloc = allocate(spec).unwrap();
+            // Every connection whose reservation could stall on a
+            // `words`-word destination buffer, with the words it needs.
+            let undersized = |words| -> Vec<(ConnId, u32)> {
+                spec.connections()
+                    .iter()
+                    .map(|c| (c.id, required_buffer_words(spec, &alloc, c.id, 24)))
+                    .filter(|&(_, need)| need > words)
+                    .collect()
+            };
+            let found = [24, 12, 8].map(|words| undersized(words).len());
+            let stages = spec.config().link_pipeline_stages;
+            assert_eq!(found, counts, "{stages} link pipeline stages");
+            // The analysis is self-consistent: sizing each connection at
+            // its own requirement clears it.
+            for (conn, need) in undersized(8) {
+                assert!(need > 8);
+                assert!(!undersized(need).iter().any(|&(c, _)| c == conn));
+            }
+        }
+    }
+
+    #[test]
+    fn more_slots_need_more_buffer() {
+        let spec = aelite_spec::generate::paper_workload(1);
+        let alloc = allocate(&spec).unwrap();
+        // Find two connections with different slot counts.
+        let mut sized: Vec<(usize, u32)> = spec
+            .connections()
+            .iter()
+            .map(|c| {
+                (
+                    alloc.grant(c.id).unwrap().inject_slots.len(),
+                    required_buffer_words(&spec, &alloc, c.id, 24),
+                )
+            })
+            .collect();
+        sized.sort_unstable();
+        let (min_slots, min_need) = sized[0];
+        let (max_slots, max_need) = sized[sized.len() - 1];
+        assert!(max_slots > min_slots);
+        assert!(
+            max_need >= min_need,
+            "more slots must not need less buffer ({max_need} vs {min_need})"
+        );
+    }
+
+    #[test]
+    fn longer_credit_return_needs_more_buffer() {
+        let spec = aelite_spec::generate::paper_workload(1);
+        let alloc = allocate(&spec).unwrap();
+        let conn = spec.connections()[0].id;
+        let short = required_buffer_words(&spec, &alloc, conn, 6);
+        let long = required_buffer_words(&spec, &alloc, conn, 600);
+        assert!(long > short, "{long} vs {short}");
     }
 }

@@ -180,8 +180,8 @@ impl fmt::Display for SlotTable {
 ///
 /// `gaps(&[1, 4], 8)` is `[3, 5]`: slot 1→4 is 3 apart, and wrapping
 /// 4→1 is 5 apart. A connection waiting for its next slot waits at most
-/// `max(gaps) * slot_cycles` cycles — the quantity behind every latency
-/// bound in the analysis crate.
+/// `max(gaps) * slot_cycles` cycles — the quantity behind the per-flit
+/// latency bound, [`worst_window`].
 ///
 /// Returns an empty vector for fewer than one slot, and `[size]` for a
 /// single slot (a full revolution back to itself).
@@ -209,47 +209,26 @@ pub fn gaps(slots: &[u32], size: u32) -> Vec<u32> {
     out
 }
 
-/// The worst-case number of slots spanned by `m` consecutive reserved
-/// slots, over all starting positions — i.e. the worst wait-plus-
-/// serialisation window for an `m`-flit message.
-///
-/// For `m = 1` this is simply the maximum gap.
+/// The worst-case wait, in slots, for a flit that becomes ready just
+/// after one of `slots` until the next one: the largest gap of
+/// [`gaps`], computed without allocating.
 ///
 /// # Panics
 ///
-/// Panics if `m` is zero or `slots` is empty (no service at all), or the
-/// slots are invalid per [`gaps`].
+/// Panics if `slots` is empty (no service at all), or the slots are
+/// invalid per [`gaps`].
 #[must_use]
-pub fn worst_window(slots: &[u32], size: u32, m: u32) -> u32 {
-    assert!(m > 0, "window of zero flits");
+pub fn worst_window(slots: &[u32], size: u32) -> u32 {
     assert!(!slots.is_empty(), "connection has no slots");
     for w in slots.windows(2) {
         assert!(w[0] < w[1], "slots must be strictly ascending");
     }
-    assert!(*slots.last().unwrap() < size, "slot out of table range");
-    let n = slots.len();
-    let m = m as usize;
-    // A run of `rem` consecutive gaps starting at slot i telescopes to the
-    // slot-position difference slots[i + rem] - slots[i] (plus one table
-    // revolution when the run wraps), so the worst window is a single
-    // O(n) sliding pass instead of O(n × m) gap summing. When m >= n the
-    // message needs extra full revolutions: each adds `size`.
-    let full_revs = (m / n) as u32;
-    let rem = m % n;
-    if rem == 0 {
-        return full_revs * size;
-    }
-    let mut worst = 0;
-    for i in 0..n {
-        let j = i + rem;
-        let span = if j < n {
-            slots[j] - slots[i]
-        } else {
-            size - slots[i] + slots[j - n]
-        };
-        worst = worst.max(span);
-    }
-    full_revs * size + worst
+    let (first, last) = (slots[0], slots[slots.len() - 1]);
+    assert!(last < size, "slot out of table range");
+    // The wrap from the last slot back to the first; a single slot waits
+    // one full revolution.
+    let wrap = size - last + first;
+    slots.windows(2).map(|w| w[1] - w[0]).fold(wrap, u32::max)
 }
 
 #[cfg(test)]
@@ -427,30 +406,19 @@ mod tests {
 
     #[test]
     fn worst_window_single_flit_is_max_gap() {
-        assert_eq!(worst_window(&[1, 4], 8, 1), 5);
-        assert_eq!(worst_window(&[0, 2, 4, 6], 8, 1), 2);
-    }
-
-    #[test]
-    fn worst_window_multi_flit_sums_consecutive_gaps() {
-        // Gaps of [1,4] in 8: [3, 5]. Two flits: worst is 3+5 = 8.
-        assert_eq!(worst_window(&[1, 4], 8, 2), 8);
-        // Three flits: one full revolution (8) plus worst single gap (5).
-        assert_eq!(worst_window(&[1, 4], 8, 3), 13);
-        // Evenly spread: m flits take m gaps of 2.
-        assert_eq!(worst_window(&[0, 2, 4, 6], 8, 3), 6);
+        assert_eq!(worst_window(&[1, 4], 8), 5);
+        assert_eq!(worst_window(&[0, 2, 4, 6], 8), 2);
     }
 
     #[test]
     fn worst_window_single_slot_connection() {
         // One slot in 8: every flit costs a full revolution.
-        assert_eq!(worst_window(&[3], 8, 1), 8);
-        assert_eq!(worst_window(&[3], 8, 4), 32);
+        assert_eq!(worst_window(&[3], 8), 8);
     }
 
     #[test]
     #[should_panic(expected = "no slots")]
     fn worst_window_requires_slots() {
-        let _ = worst_window(&[], 8, 1);
+        let _ = worst_window(&[], 8);
     }
 }

@@ -8,7 +8,7 @@
 //! ([`Allocation::take_grant`](aelite_alloc::Allocation::take_grant) /
 //! [`Allocator::admit_in_round`](aelite_alloc::Allocator::admit_in_round));
 //! this crate is the one reconfiguration path over them —
-//! `aelite_core::AeliteSystem::reconfigure` is an
+//! the umbrella crate's `aelite::AeliteSystem::reconfigure` is an
 //! [`AdmissionRequest::Switch`] — and a **hot path** behind one unified
 //! admission API: every operation is an [`AdmissionRequest`] serviced by
 //! [`ChurnEngine::submit`] (or a burst of them by

@@ -118,12 +118,6 @@ impl NocConfig {
         self.flit_words
     }
 
-    /// Clock cycles for one full slot-table revolution.
-    #[must_use]
-    pub fn table_cycles(&self) -> u32 {
-        self.slot_table_size * self.flit_words
-    }
-
     /// Guaranteed payload bandwidth of a single reserved slot.
     ///
     /// One slot delivers [`payload_words_per_flit`](Self::payload_words_per_flit)
@@ -132,7 +126,8 @@ impl NocConfig {
     pub fn slot_payload_bandwidth(&self) -> Bandwidth {
         let bytes_per_rev =
             u64::from(self.payload_words_per_flit()) * u64::from(self.data_width_bytes());
-        let revs_per_sec = self.frequency_mhz * 1_000_000 / u64::from(self.table_cycles());
+        let table_cycles = self.slot_table_size * self.slot_cycles();
+        let revs_per_sec = self.frequency_mhz * 1_000_000 / u64::from(table_cycles);
         Bandwidth::from_bytes_per_sec(bytes_per_rev * revs_per_sec)
     }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example multimedia_soc`
 
-use aelite_core::{AeliteSystem, SimOptions};
+use aelite::{AeliteSystem, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::ids::IpId;

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example oversubscription`
 
-use aelite_analysis::composability::compare_timelines;
-use aelite_core::{measured_services, timelines, AeliteSystem, SimOptions};
+use aelite::analysis::composability::compare_timelines;
+use aelite::{measured_services, timelines, AeliteSystem, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::topology::Topology;

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use aelite_core::{AeliteSystem, SimOptions};
+use aelite::{AeliteSystem, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::topology::Topology;

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example reconfiguration`
 
-use aelite_core::{AeliteSystem, SimOptions};
+use aelite::{AeliteSystem, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::ids::AppId;

@@ -5,11 +5,10 @@
 //! result, and exposes guaranteed-service queries, simulation and
 //! verification — the workflow a user of the paper's design flow follows.
 
+use crate::analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
+use crate::analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_alloc::allocate::{AllocError, Allocation, Allocator};
 use aelite_alloc::validate::{validate, Violation};
-
-use aelite_analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
-use aelite_analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_noc::flitsim::{FlitSim, FlitSimConfig, TrafficReport};
 use aelite_online::{AdmissionError, AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
@@ -90,7 +89,7 @@ pub struct SimulationOutcome {
 /// # Examples
 ///
 /// ```
-/// use aelite_core::system::{AeliteSystem, SimOptions};
+/// use aelite::system::{AeliteSystem, SimOptions};
 /// use aelite_spec::generate::paper_workload;
 ///
 /// let system = AeliteSystem::design(paper_workload(42))?;
@@ -99,7 +98,7 @@ pub struct SimulationOutcome {
 ///     ..SimOptions::default()
 /// });
 /// assert!(outcome.service.all_ok());
-/// # Ok::<(), aelite_core::system::DesignError>(())
+/// # Ok::<(), aelite::system::DesignError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct AeliteSystem {

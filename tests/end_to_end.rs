@@ -3,8 +3,8 @@
 
 mod common;
 
-use aelite_analysis::service::verify_service;
-use aelite_core::{measured_services_be, AeliteSystem, SimOptions};
+use aelite::analysis::service::verify_service;
+use aelite::{measured_services_be, AeliteSystem, SimOptions};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, random_workload, scaled_workload, WorkloadParams};
@@ -194,7 +194,7 @@ fn buffer_sizing_analysis_predicts_throughput_stalls() {
     // run. At β a saturating connection sends in every slot it owns;
     // smaller buffers throttle it below its reservation.
     use aelite_alloc::allocate;
-    use aelite_analysis::buffer::required_buffer_words;
+    use aelite_alloc::allocate::required_buffer_words;
     use aelite_noc::network::{build_network, NetworkKind, CREDIT_RETURN_CYCLES};
     use aelite_noc::ni::Message;
     use aelite_noc::turbo::build_turbo;

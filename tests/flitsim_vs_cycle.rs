@@ -13,8 +13,8 @@
 //! that cross-pins analytical flitsim, event-driven simulation and the
 //! turbo engine on the same scenarios.
 
+use aelite::timelines;
 use aelite_alloc::allocate;
-use aelite_core::timelines;
 use aelite_noc::flitsim::{FlitSim, FlitSimConfig};
 use aelite_noc::network::{build_network, NetworkKind};
 use aelite_noc::turbo::build_turbo;
