@@ -12,11 +12,21 @@
 //! **Re-baselining** is one deliberate edit: on mismatch the test prints
 //! the fresh `GOLDEN` and `STEERING_DELTAS` tables in source form; paste
 //! them over the ones below and write the reason next to them.
+//!
+//! A second pin, [`END_STATE_DIGEST`], folds the whole end state of the
+//! same replays plus one 8×8 / 1 000-connection replay (every grant, the
+//! displaced ledger in order, every engine counter) into one FNV-1a
+//! digest, so a change meant to save work inside recovery can show that
+//! it changed no decision.
 
-use aelite_alloc::{validate_allocation, Steering};
+mod common;
+
+use aelite_alloc::{validate_allocation, Allocation, Steering};
 use aelite_dse::fault::replay_fault_scenario;
+use aelite_online::ChurnEngine;
 use aelite_spec::generate::{TrafficProfile, WorkloadBuilder};
 use aelite_spec::ids::ConnId;
+use common::Digest;
 use std::fmt::Write as _;
 
 const SEED: u64 = 11;
@@ -187,4 +197,96 @@ fn fault_recovery_counts_match_the_golden_table() {
     }
     report.push_str("];\n");
     panic!("{report}");
+}
+
+/// The digest of [`end_state_digest`] over every replay it folds.
+const END_STATE_DIGEST: u64 = 0xa70e_1413_17cc_72b6;
+
+/// Folds `engine`'s and `alloc`'s end state into `d`: every grant
+/// (connection, links, injection slots, each list length-prefixed, in
+/// connection order), the displaced ledger in order, and every engine
+/// counter in declaration order.
+fn fold_end_state(d: &mut Digest, engine: &ChurnEngine, alloc: &Allocation) {
+    let grants: Vec<_> = alloc.grants().collect();
+    d.word(grants.len() as u64);
+    for g in grants {
+        d.word(g.conn.index() as u64);
+        d.word(g.links.len() as u64);
+        for l in &g.links {
+            d.word(l.index() as u64);
+        }
+        d.word(g.inject_slots.len() as u64);
+        for &s in &g.inject_slots {
+            d.word(u64::from(s));
+        }
+    }
+    d.word(engine.displaced().len() as u64);
+    for c in engine.displaced() {
+        d.word(c.index() as u64);
+    }
+    let s = engine.stats();
+    for count in [
+        s.setups,
+        s.teardowns,
+        s.switches,
+        s.refused_opens,
+        s.refused_closes,
+        s.refused_switches,
+        s.rolled_back_opens,
+        s.refused_link_down,
+        s.link_downs,
+        s.link_ups,
+        s.router_downs,
+        s.router_ups,
+        s.affected,
+        s.make_before_break,
+        s.break_then_make,
+        s.dropped,
+        s.restored,
+        s.glitches,
+        s.escalated,
+        s.glitch_expiries,
+    ] {
+        d.word(count);
+    }
+}
+
+/// The end state of every pinned replay, folded in order: the four
+/// profiles above under both steering modes, then one 8×8 mesh with 4 NIs
+/// per router and 1 000 uniform connections on 64-slot tables (seed 1,
+/// 20 000 churn + 2 000 fault events, spare-capacity steering: the
+/// benchmark's `fault_storm` scenario on seed 1).
+fn end_state_digest() -> u64 {
+    let mut d = Digest::new();
+    for (_, profile) in PROFILES {
+        let spec = WorkloadBuilder::mesh(8, 8, 2)
+            .connections(200)
+            .apps(6)
+            .seed(SEED)
+            .profile(profile)
+            .build();
+        for (_, steering) in STEERINGS {
+            let (engine, alloc, _, _) =
+                replay_fault_scenario(&spec, steering, CHURN_EVENTS, FAULT_EVENTS, SEED);
+            fold_end_state(&mut d, &engine, &alloc);
+        }
+    }
+    let spec = WorkloadBuilder::mesh(8, 8, 4)
+        .connections(1000)
+        .slot_table_size(64)
+        .seed(1)
+        .build();
+    let (engine, alloc, _, _) =
+        replay_fault_scenario(&spec, Steering::SpareCapacity, 20_000, 2_000, 1);
+    fold_end_state(&mut d, &engine, &alloc);
+    d.0
+}
+
+#[test]
+fn fault_recovery_end_state_matches_its_digest() {
+    let got = end_state_digest();
+    assert_eq!(
+        got, END_STATE_DIGEST,
+        "fault-recovery end state moved: digest {got:#018x}"
+    );
 }
