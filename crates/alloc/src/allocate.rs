@@ -34,7 +34,7 @@
 
 use crate::mask::SlotMask;
 use crate::path::Path;
-use crate::route_cache::{RouteCache, RouteProvider};
+use crate::route_cache::{PairRoutes, RouteCache, RouteProvider};
 use crate::table::{worst_window, SlotTable};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{ConnId, LinkId};
@@ -467,7 +467,8 @@ pub struct AllocScratch {
     /// Free-slot list materialised only on failure paths.
     all_free: Vec<u32>,
     /// Candidate order under spare-capacity steering: `(bottleneck free
-    /// slots, candidate index)` pairs, rebuilt per admission.
+    /// slots, candidate index)` pairs, built only when an admission's
+    /// first (widest) candidate is refused.
     route_order: Vec<(u32, u32)>,
     /// Recycled grants whose buffers the next admission reuses.
     spare: Vec<Grant>,
@@ -538,6 +539,14 @@ pub enum Steering {
     /// near-full links and a single link failure displaces fewer grants.
     /// Ties break on the cache's candidate index, keeping the order —
     /// and therefore every grant — replay-deterministic.
+    ///
+    /// The first route tried is found without scoring every candidate:
+    /// all of them share the NI ingress and egress links, whose free
+    /// counts cap every bottleneck, so one pass in candidate order reads
+    /// only the links between them, drops a route once its running
+    /// minimum falls to the best so far, and stops when the best reaches
+    /// that cap. The full order is scored and sorted only if the first
+    /// route is refused; the tries then go on from its second entry.
     SpareCapacity,
 }
 
@@ -840,39 +849,52 @@ impl Allocator {
         // The pair's route entry, resolved once for both passes below.
         let mut pair = routes.pair(spec.topology(), src_ni, dst_ni);
 
-        // Spare-capacity steering scores every (healthy) candidate by the
-        // bottleneck free-slot count along its route and tries the widest
-        // bottleneck first; the cache's candidate index breaks ties,
-        // so the order — and every grant — stays replay-deterministic.
-        // The default shortest-first mode skips this pass entirely and is
-        // bit-for-bit the historical behaviour.
+        // Spare-capacity steering tries the (healthy) candidates widest
+        // bottleneck first — the fewest free slots over a route's links —
+        // and the cache's candidate index breaks ties, so the order, and
+        // every grant, stays replay-deterministic. The head of that order
+        // is found by a bounded scan; the full order is scored and sorted
+        // only once the head has been tried and refused. The default
+        // shortest-first mode skips both and is bit-for-bit the
+        // historical behaviour.
         let steered = self.steering == Steering::SpareCapacity;
-        if steered {
-            route_order.clear();
-            let mut i = 0usize;
-            while let Some(route) = pair.candidate(i) {
-                let bottleneck = path_masks(&alloc.link_tables, &route.links)
-                    .map(SlotMask::count)
-                    .min()
-                    .unwrap_or(0);
-                route_order.push((bottleneck, i as u32));
-                i += 1;
-            }
-            route_order.sort_unstable_by_key(|&(free, i)| (core::cmp::Reverse(free), i));
-        }
+        let widest = if steered {
+            widest_candidate(&mut pair, &alloc.link_tables)
+        } else {
+            None
+        };
 
         // Candidates are pulled from the entry one index at a time, so the
         // expensive detour enumeration only runs for connections that
         // exhaust the dimension-ordered routes.
         let mut tried = 0usize;
         loop {
-            let idx = if steered {
+            let idx = if !steered {
+                tried
+            } else if tried == 0 {
+                match widest {
+                    Some(i) => i,
+                    None => break,
+                }
+            } else {
+                if tried == 1 {
+                    route_order.clear();
+                    let mut i = 0u32;
+                    while let Some(route) = pair.candidate(i as usize) {
+                        route_order.push((bottleneck(&alloc.link_tables, &route.links), i));
+                        i += 1;
+                    }
+                    route_order.sort_unstable_by_key(|&(free, i)| (core::cmp::Reverse(free), i));
+                    debug_assert_eq!(
+                        route_order.first().map(|&(_, i)| i as usize),
+                        widest,
+                        "the bounded scan missed the head of the steering order"
+                    );
+                }
                 match route_order.get(tried) {
                     Some(&(_, i)) => i as usize,
                     None => break,
                 }
-            } else {
-                tried
             };
             let Some(route) = pair.candidate(idx) else {
                 break;
@@ -1008,12 +1030,61 @@ impl Allocator {
 }
 
 /// The free masks of the tables of `links`, in traversal order: the
-/// operand of the fused path kernel and of steering's bottleneck score.
+/// operand of the fused path kernel.
 fn path_masks<'a>(
     tables: &'a [SlotTable],
     links: &'a [LinkId],
 ) -> impl Iterator<Item = &'a SlotMask> + 'a {
     links.iter().map(|l| tables[l.index()].free_mask())
+}
+
+/// Spare-capacity steering's score of a route: the fewest free slots on
+/// any of its links.
+fn bottleneck(tables: &[SlotTable], links: &[LinkId]) -> u32 {
+    links
+        .iter()
+        .map(|l| tables[l.index()].free_count())
+        .min()
+        .unwrap_or(0)
+}
+
+/// The head of spare-capacity steering's order — the healthy candidate
+/// with the widest [`bottleneck`], the lowest index among equals — or
+/// `None` when no candidate is healthy. One pass in index order, reading
+/// only what can change the answer: every candidate shares the source
+/// NI's ingress link and the destination NI's egress link, so their free
+/// counts are a ceiling on every bottleneck and only the links between
+/// them are read; a route is dropped as soon as its running minimum
+/// falls to the best so far (a later index must beat it, not tie), and
+/// the pass ends once the best reaches the ceiling.
+fn widest_candidate(pair: &mut PairRoutes<'_>, tables: &[SlotTable]) -> Option<usize> {
+    let free = |l: LinkId| tables[l.index()].free_count();
+    let (ingress, egress) = {
+        let links = &pair.candidate(0)?.links;
+        (links[0], links[links.len() - 1])
+    };
+    let ceiling = free(ingress).min(free(egress));
+    let (mut best, mut best_at) = (0, 0);
+    let mut i = 0;
+    while let Some(route) = pair.candidate(i) {
+        let links = &route.links;
+        debug_assert!(links[0] == ingress && links[links.len() - 1] == egress);
+        let mut min = ceiling;
+        for &l in &links[1..links.len() - 1] {
+            min = min.min(free(l));
+            if i > 0 && min <= best {
+                break;
+            }
+        }
+        if i == 0 || min > best {
+            (best, best_at) = (min, i);
+            if best == ceiling {
+                break;
+            }
+        }
+        i += 1;
+    }
+    Some(best_at)
 }
 
 /// One phase salt's refusal, and whether another salt could decide
@@ -1148,6 +1219,7 @@ fn best_gap_filler(chosen: &[u32], avail: &SlotMask, size: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route_cache::FaultMask;
     use aelite_spec::app::SystemSpecBuilder;
     use aelite_spec::config::NocConfig;
     use aelite_spec::ids::NiId;
@@ -1431,6 +1503,162 @@ mod tests {
                 grant.links
             );
         }
+    }
+
+    /// SplitMix64: the seeded table states of the steering-scan tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Spare-capacity steering's full order for one pair, the reference
+    /// the bounded scan is checked against: every healthy candidate
+    /// scored and sorted widest bottleneck first, lowest index on ties.
+    fn full_order(pair: &mut PairRoutes<'_>, tables: &[SlotTable]) -> Vec<(u32, u32)> {
+        let mut order = Vec::new();
+        let mut i = 0u32;
+        while let Some(route) = pair.candidate(i as usize) {
+            order.push((bottleneck(tables, &route.links), i));
+            i += 1;
+        }
+        order.sort_unstable_by_key(|&(free, i)| (core::cmp::Reverse(free), i));
+        order
+    }
+
+    /// An 8×8 mesh, one NI per router, with one loose-deadline
+    /// connection per seeded NI pair.
+    fn mesh8_pairs_spec(pairs: usize, seed: u64) -> SystemSpec {
+        let topo = Topology::mesh(8, 8, 1);
+        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
+        let app = b.add_app("app");
+        let mut rng = seed;
+        for _ in 0..pairs {
+            let s = (splitmix(&mut rng) % 64) as u32;
+            let d = (s + 1 + (splitmix(&mut rng) % 63) as u32) % 64;
+            let (a, z) = (b.add_ip_at(NiId::new(s)), b.add_ip_at(NiId::new(d)));
+            b.add_connection(app, a, z, Bandwidth::from_mbytes_per_sec(60), 1_000_000);
+        }
+        b.build()
+    }
+
+    /// Reserves, on every link, a seeded number of seeded slots: one of
+    /// five coarse levels, so equal bottlenecks are common.
+    fn seeded_fill(alloc: &mut Allocation, seed: u64) {
+        let size = alloc.table_size;
+        let mut rng = seed;
+        let occupant = ConnId::new(u32::MAX - 1);
+        for table in &mut alloc.link_tables {
+            let taken = (splitmix(&mut rng) % 5) as u32 * size / 8;
+            while table.reserved_count() < taken {
+                let _ = table.reserve((splitmix(&mut rng) % u64::from(size)) as u32, occupant);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_steering_scan_picks_the_head_of_the_full_order() {
+        let spec = mesh8_pairs_spec(48, 3);
+        let topo = spec.topology();
+        let mut routes = RouteCache::new(topo, 12);
+        let (mut ties, mut detour_heads) = (0, 0);
+        for seed in 0..40 {
+            let mut alloc = Allocation::empty_for(&spec);
+            seeded_fill(&mut alloc, seed);
+            for c in spec.connections() {
+                let (s, d) = (spec.ip_ni(c.src), spec.ip_ni(c.dst));
+                let mut pair = routes.pair(topo, s, d);
+                let order = full_order(&mut pair, &alloc.link_tables);
+                let head = order.first().map(|&(_, i)| i as usize);
+                assert_eq!(widest_candidate(&mut pair, &alloc.link_tables), head);
+                ties += usize::from(order.len() > 1 && order[0].0 == order[1].0);
+                let links = &pair.candidate(0).unwrap().links;
+                let ceiling = bottleneck(&alloc.link_tables, &[links[0], links[links.len() - 1]]);
+                detour_heads += usize::from(order[0].1 >= 2 && order[0].0 == ceiling);
+            }
+        }
+        assert!(ties > 0 && detour_heads > 0, "{ties} ties, {detour_heads}");
+
+        // Built on purpose: a free platform but for the second mesh link
+        // of the XY and the YX route. Every route shares their first
+        // links, so only a detour that turns between them reaches the
+        // ceiling, and the scan must walk past both to find it.
+        let (s, d) = (NiId::new(2 * 8 + 2), NiId::new(5 * 8 + 5));
+        let mut alloc = Allocation::empty_for(&spec);
+        let mut pair = routes.pair(topo, s, d);
+        for i in 0..2 {
+            let second_hop = pair.candidate(i).unwrap().links[2];
+            alloc.link_tables[second_hop.index()]
+                .reserve(0, ConnId::new(7))
+                .unwrap();
+        }
+        let order = full_order(&mut pair, &alloc.link_tables);
+        let size = alloc.table_size;
+        assert_eq!(order[0].0, size, "some detour avoids both loaded links");
+        assert!(order[0].1 >= 2, "{order:?}");
+        assert_eq!(
+            widest_candidate(&mut pair, &alloc.link_tables),
+            Some(order[0].1 as usize)
+        );
+
+        // No healthy candidate: nothing to pick, and the admission is
+        // refused as severed.
+        let mut mask = FaultMask::new();
+        mask.set_down(topo.ni_ingress_link(s));
+        routes.set_faults(&mask);
+        let mut pair = routes.pair(topo, s, d);
+        assert_eq!(widest_candidate(&mut pair, &alloc.link_tables), None);
+        assert!(full_order(&mut pair, &alloc.link_tables).is_empty());
+    }
+
+    #[test]
+    fn steered_tries_after_a_refused_head_follow_the_full_order() {
+        // On crowded seeded tables a route's bottleneck says little about
+        // the slots free on all its links at once, so the widest route is
+        // often refused. The grant must then land on the first route of
+        // the full order that has room: for a loose deadline that is the
+        // first whose path intersection holds the needed slots.
+        let spec = mesh8_pairs_spec(48, 5);
+        let topo = spec.topology();
+        let shift = spec.config().slots_per_hop();
+        let steered = Allocator {
+            steering: Steering::SpareCapacity,
+            ..Allocator::new()
+        };
+        let mut routes = RouteCache::new(topo, 12);
+        let mut scratch = AllocScratch::new();
+        let (mut past_head, mut refused) = (0, 0);
+        for seed in 0..30 {
+            let mut filled = Allocation::empty_for(&spec);
+            seeded_fill(&mut filled, 100 + seed);
+            for c in spec.connections() {
+                let needed = spec.config().slots_for(c.bandwidth).max(1);
+                let (s, d) = (spec.ip_ni(c.src), spec.ip_ni(c.dst));
+                let mut pair = routes.pair(topo, s, d);
+                let order = full_order(&mut pair, &filled.link_tables);
+                let mut room = SlotMask::new_full(filled.table_size);
+                let want = order.iter().position(|&(_, i)| {
+                    let links = &pair.candidate(i as usize).unwrap().links;
+                    room.intersect_path(path_masks(&filled.link_tables, links), shift);
+                    room.count() >= needed
+                });
+                let want_links =
+                    want.map(|k| pair.candidate(order[k].1 as usize).unwrap().links.clone());
+                let mut alloc = filled.clone();
+                let got =
+                    steered.allocate_one(&spec, &mut alloc, c.id, 13, &mut routes, &mut scratch);
+                assert_eq!(got.is_ok(), want.is_some(), "{} on seed {seed}", c.id);
+                assert_eq!(alloc.grant(c.id).map(|g| g.links.clone()), want_links);
+                past_head += usize::from(want.is_some_and(|k| k > 0));
+                refused += usize::from(want.is_none());
+            }
+        }
+        assert!(
+            past_head > 0 && refused > 0,
+            "{past_head} past the head, {refused} refused"
+        );
     }
 
     #[test]

@@ -318,6 +318,37 @@ impl Entry {
             .copied()
             .find(|&l| faults.mask.is_down(l))
     }
+
+    /// Writes into `out` (cleared first) the first down link of every
+    /// candidate route, sorted and deduplicated, when the pair is severed
+    /// ([`blocking_fault`](Self::blocking_fault) is `Some`); leaves it
+    /// empty otherwise.
+    fn witness_links(
+        &mut self,
+        topo: &Topology,
+        src: NiId,
+        dst: NiId,
+        max_paths: usize,
+        faults: &InstalledMask,
+        out: &mut Vec<LinkId>,
+    ) {
+        out.clear();
+        if self
+            .blocking_fault(topo, src, dst, max_paths, faults)
+            .is_none()
+        {
+            return;
+        }
+        out.extend(self.routes.iter().map(|r| {
+            r.links
+                .iter()
+                .copied()
+                .find(|&l| faults.mask.is_down(l))
+                .expect("a severed pair's every route crosses a down link")
+        }));
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 /// The route-cache key hasher: one 64×64→128-bit multiply by an odd
@@ -551,6 +582,26 @@ impl RouteCache {
     /// # Panics
     ///
     /// Panics as [`RouteProvider::candidate`] on a foreign topology.
+    /// The *witnesses* of a severed (src, dst) pair: the first down link
+    /// of each of its candidate routes, sorted and deduplicated, written
+    /// into `out` (cleared first). `out` is left empty when the pair is
+    /// not severed — the mask is empty, some candidate is healthy, or no
+    /// route exists at all (see [`RouteProvider::blocking_fault`]).
+    ///
+    /// While every witness stays down, every candidate stays blocked, so
+    /// the pair stays severed whatever else the mask does: a caller that
+    /// keeps the witnesses of a refused pair need not ask again until one
+    /// of them is up.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`RouteProvider::candidate`] on a foreign topology.
+    pub fn witness_links(&mut self, topo: &Topology, src: NiId, dst: NiId, out: &mut Vec<LinkId>) {
+        self.shape.check(topo, src, dst);
+        let entry = self.entries.entry(Self::key(src, dst)).or_default();
+        entry.witness_links(topo, src, dst, self.max_paths, &self.faults, out);
+    }
+
     pub(crate) fn pair<'a>(
         &'a mut self,
         topo: &'a Topology,
@@ -830,6 +881,55 @@ mod tests {
         cache.set_faults(&mask);
         assert!(cache.candidate(&topo, s, d, 0).is_none());
         assert!(cache.candidates(&topo, s, d).is_empty());
+        assert_eq!(cache.blocking_fault(&topo, s, d), Some(ingress));
+    }
+
+    #[test]
+    fn witness_links_are_each_routes_first_down_link() {
+        let topo = Topology::mesh(3, 3, 1);
+        let mut cache = RouteCache::new(&topo, 12);
+        let (s, d) = (NiId::new(0), NiId::new(8)); // corner to corner
+        let eager = route_candidates(&topo, s, d, 12);
+        let mut out = vec![LinkId::new(99)];
+        cache.witness_links(&topo, s, d, &mut out);
+        assert!(out.is_empty(), "no mask: nothing severs the pair");
+
+        // The corner router has two mesh exits, the second links of the
+        // XY and YX routes; failing one leaves the pair routable.
+        let exit = |p: &Path| p.links(&topo).unwrap()[1];
+        let (xy, yx) = (exit(&eager[0]), exit(&eager[1]));
+        assert_ne!(xy, yx);
+        let mut mask = FaultMask::new();
+        mask.set_down(xy);
+        cache.set_faults(&mask);
+        cache.witness_links(&topo, s, d, &mut out);
+        assert!(out.is_empty(), "YX still runs");
+
+        // Failing both severs it: every route leaves by one of them, and
+        // both are listed once, in link order, whatever else is down.
+        mask.set_down(yx);
+        let egress = topo.ni_egress_link(d);
+        mask.set_down(egress);
+        cache.set_faults(&mask);
+        cache.witness_links(&topo, s, d, &mut out);
+        let mut want = vec![xy, yx];
+        want.sort_unstable();
+        assert_eq!(out, want);
+        for p in &eager {
+            let first_down = p
+                .links(&topo)
+                .unwrap()
+                .into_iter()
+                .find(|&l| mask.is_down(l));
+            assert!(out.contains(&first_down.unwrap()));
+        }
+
+        // With the ingress link down too, it comes first on every route.
+        let ingress = topo.ni_ingress_link(s);
+        mask.set_down(ingress);
+        cache.set_faults(&mask);
+        cache.witness_links(&topo, s, d, &mut out);
+        assert_eq!(out, [ingress]);
         assert_eq!(cache.blocking_fault(&topo, s, d), Some(ingress));
     }
 

@@ -82,6 +82,11 @@ pub struct ChurnStats {
     /// Glitches that self-cleared at expiry (no permanent fault landed
     /// on them first).
     pub glitch_expiries: u64,
+    /// Displaced connections a repair did not re-admit because every
+    /// witness link of their last [`RefusalCause::LinkDown`] refusal is
+    /// still down: each is booked as the refused open it would have been
+    /// (in `refused_opens` and `refused_link_down`) without being tried.
+    pub rehome_skipped: u64,
 }
 
 impl ChurnStats {
@@ -128,6 +133,7 @@ impl ChurnStats {
             glitches: f(self.glitches, other.glitches),
             escalated: f(self.escalated, other.escalated),
             glitch_expiries: f(self.glitch_expiries, other.glitch_expiries),
+            rehome_skipped: f(self.rehome_skipped, other.rehome_skipped),
         }
     }
 
@@ -176,7 +182,7 @@ pub struct ChurnEngine {
     allocator: Allocator,
     /// Candidate routes, filtered through the admission mask — of which
     /// the cache holds the only copy.
-    routes: RouteCache,
+    pub(crate) routes: RouteCache,
     scratch: AllocScratch,
     /// Reusable admission-order buffer for use-case switches.
     order: Vec<ConnId>,

@@ -25,10 +25,22 @@
 //!    are released first and the admission retried;
 //! 4. **structured refusal** — if no fault-free capacity exists the
 //!    connection is dropped with
-//!    [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown) (or a
+//!    [`RefusalCause::LinkDown`] (or a
 //!    capacity cause) and parked as *displaced*; when a repair event
 //!    restores routability ([`FaultOp::LinkUp`] / [`FaultOp::RouterUp`]),
-//!    displaced connections are re-homed.
+//!    displaced connections are re-homed. A connection parked after a
+//!    `LinkDown` refusal keeps its *witnesses*: the first down link of
+//!    each of its candidate routes
+//!    ([`RouteCache::witness_links`](aelite_alloc::RouteCache::witness_links)).
+//!    A repair retries only the connections with no witnesses or with a
+//!    witness up again under the current mask. The rest are still
+//!    severed — every candidate still crosses a down link — so their
+//!    retry would be refused `LinkDown` and change no slot; each is
+//!    booked as that refusal without being tried
+//!    ([`ChurnStats::rehome_skipped`]). The check reads the mask, not a
+//!    log of repairs, so a link that came back without a re-home (a
+//!    sub-threshold glitch's expiry, an outside
+//!    [`set_faults`](ChurnEngine::set_faults)) is seen at the next one.
 //!
 //! Every rung is booked once, in the engine's [`ChurnStats`]; what one
 //! event did is the [`delta`](ChurnStats::delta) of
@@ -44,7 +56,7 @@
 //! would be pure churn, so the engine holds a **persistence threshold**
 //! ([`DEFAULT_PERSISTENCE_NS`]): a [`FaultOp::LinkGlitch`] shorter than
 //! the threshold only *masks* admission — new opens over the link refuse
-//! with [`RefusalCause::LinkDown`](crate::RefusalCause::LinkDown), but every
+//! with [`RefusalCause::LinkDown`], but every
 //! standing grant keeps its slots, so a sub-threshold glitch displaces
 //! **zero** connections and leaves every slot table bit-for-bit
 //! unchanged. A glitch at or past the threshold (or a permanent
@@ -55,9 +67,9 @@
 //! ([`advance_to`](ChurnEngine::advance_to) /
 //! [`apply_event`](ChurnEngine::apply_event)).
 
-use crate::api::AdmissionRequest;
+use crate::api::{AdmissionRequest, RefusalCause};
 use crate::engine::{ChurnEngine, ChurnStats, RerouteOutcome};
-use aelite_alloc::{admission_order, Allocation, FaultMask};
+use aelite_alloc::{admission_order, Allocation, FaultMask, RouteProvider};
 use aelite_spec::fault::{FaultOp, ScenarioEvent};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
 use aelite_spec::SystemSpec;
@@ -93,6 +105,11 @@ pub(crate) struct FaultState {
     displaced: Vec<ConnId>,
     /// Whether each connection, by index, is in `displaced`.
     is_displaced: Vec<bool>,
+    /// The witness links of each displaced connection, by index: after a
+    /// `LinkDown` refusal the first down link of each of its candidate
+    /// routes, sorted; empty after any other refusal. Stale once the
+    /// connection leaves the ledger.
+    witnesses: Vec<Vec<LinkId>>,
     /// Reusable affected-grant order buffer of the recovery sweep.
     affected: Vec<ConnId>,
 }
@@ -153,12 +170,24 @@ impl FaultState {
     }
 
     /// Parks `conn`, just dropped by a failure, in the displaced ledger.
+    /// Its witnesses are the caller's to set.
     fn displace(&mut self, conn: ConnId) {
         if self.is_displaced.len() <= conn.index() {
             self.is_displaced.resize(conn.index() + 1, false);
+            self.witnesses.resize_with(conn.index() + 1, Vec::new);
         }
         self.is_displaced[conn.index()] = true;
         self.displaced.push(conn);
+    }
+
+    /// Whether re-admitting displaced `conn` is sure to be refused
+    /// `LinkDown` under `mask`: it has witnesses, all still down, and
+    /// `spec` contains it (else the refusal would be `UnknownConn`).
+    fn still_severed(&self, spec: &SystemSpec, conn: ConnId, mask: &FaultMask) -> bool {
+        let witnesses = &self.witnesses[conn.index()];
+        !witnesses.is_empty()
+            && witnesses.iter().all(|&l| mask.is_down(l))
+            && spec.find_connection(conn).is_some()
     }
 }
 
@@ -392,11 +421,29 @@ impl ChurnEngine {
             match self.reroute(spec, alloc, conn) {
                 Ok(RerouteOutcome::MakeBeforeBreak) => self.stats.make_before_break += 1,
                 Ok(RerouteOutcome::BreakThenMake) => self.stats.break_then_make += 1,
-                Err(_) => {
+                Err(refusal) => {
                     self.stats.dropped += 1;
                     self.faults.displace(conn);
+                    self.keep_witnesses(spec, conn, refusal.cause);
                 }
             }
+        }
+    }
+
+    /// Records the witnesses of `conn`, just refused with `cause` and
+    /// parked: after a `LinkDown` refusal the first down link of each of
+    /// its candidate routes under the current mask, after any other
+    /// refusal none (a capacity refusal can change with any release, so
+    /// it is always retried).
+    fn keep_witnesses(&mut self, spec: &SystemSpec, conn: ConnId, cause: RefusalCause) {
+        let witnesses = &mut self.faults.witnesses[conn.index()];
+        if matches!(cause, RefusalCause::LinkDown { .. }) {
+            let c = spec.connection(conn);
+            let (src, dst) = (spec.ip_ni(c.src), spec.ip_ni(c.dst));
+            self.routes
+                .witness_links(spec.topology(), src, dst, witnesses);
+        } else {
+            witnesses.clear();
         }
     }
 
@@ -405,8 +452,17 @@ impl ChurnEngine {
     /// [`ChurnEngine::submit_batch`] over per-connection opens, whose
     /// canonical order is exactly the hardest-first cached-key sort of
     /// batch admission. Connections that still do not fit stay parked
-    /// for the next repair; one still severed costs a single salt pass
-    /// over resident routes (the mask install re-enumerated nothing).
+    /// for the next repair.
+    ///
+    /// Only connections whose outcome can change are submitted: those
+    /// with no witnesses (parked for want of capacity) and those with a
+    /// witness link up under the current mask. A connection whose every
+    /// witness is still down has every candidate route blocked, so its
+    /// open would be refused `LinkDown` — a refusal that reserves no slot
+    /// and, as the canonical order ties on connection id before arrival,
+    /// moves no other request of the round. It is booked as that refusal
+    /// ([`ChurnStats::rehome_skipped`] counts it) and stays parked with
+    /// its witnesses; every refused retry records fresh ones.
     fn rehome(&mut self, spec: &SystemSpec, alloc: &mut Allocation) {
         if self.faults.displaced.is_empty() {
             return;
@@ -414,13 +470,36 @@ impl ChurnEngine {
         // Out of the engine while the round runs, so the ledger is
         // settled once here rather than after every request of it.
         let mut displaced = core::mem::take(&mut self.faults.displaced);
-        let requests: Vec<_> = displaced
-            .iter()
-            .map(|&c| AdmissionRequest::Open(c))
-            .collect();
+        let mut requests = Vec::with_capacity(displaced.len());
+        let mut skipped = 0u64;
+        for &c in &displaced {
+            if self.faults.still_severed(spec, c, self.routes.faults()) {
+                skipped += 1;
+                debug_assert!(
+                    {
+                        let conn = spec.connection(c);
+                        let (src, dst) = (spec.ip_ni(conn.src), spec.ip_ni(conn.dst));
+                        self.routes
+                            .blocking_fault(spec.topology(), src, dst)
+                            .is_some()
+                    },
+                    "{c} skipped by re-homing but routable"
+                );
+            } else {
+                requests.push(AdmissionRequest::Open(c));
+            }
+        }
+        self.stats.rehome_skipped += skipped;
+        self.stats.refused_opens += skipped;
+        self.stats.refused_link_down += skipped;
         let mut verdicts = Vec::new();
         self.submit_batch(spec, alloc, &requests, &mut verdicts);
         self.stats.restored += verdicts.iter().filter(|v| v.is_ok()).count() as u64;
+        for (request, verdict) in requests.iter().zip(&verdicts) {
+            if let (&AdmissionRequest::Open(c), Err(refusal)) = (request, verdict) {
+                self.keep_witnesses(spec, c, refusal.cause);
+            }
+        }
         let is_displaced = &mut self.faults.is_displaced;
         displaced.retain(|&c| {
             let parked = alloc.grant(c).is_none();
@@ -567,6 +646,92 @@ pub(crate) mod tests {
             1_000_000,
         );
         (b.build(), ingress, conn)
+    }
+
+    /// Downs and raises `link` again: a repair that runs a re-home.
+    fn blink(engine: &mut ChurnEngine, spec: &SystemSpec, alloc: &mut Allocation, link: LinkId) {
+        fault(engine, spec, alloc, FaultOp::LinkDown(link));
+        fault(engine, spec, alloc, FaultOp::LinkUp(link));
+    }
+
+    #[test]
+    fn severed_connection_stays_parked_untried_until_a_witness_returns() {
+        let (spec, ingress, conn) = severed_spec();
+        let mut alloc = allocate(&spec).unwrap();
+        let mut engine = ChurnEngine::new(&spec);
+        fault(&mut engine, &spec, &mut alloc, FaultOp::LinkDown(ingress));
+        assert_eq!(engine.displaced(), &[conn]);
+
+        // A repair of a link none of its routes needs: the re-home books
+        // the refusal the retry would get, without trying it.
+        let unrelated = spec
+            .topology()
+            .ni_ingress_link(aelite_spec::ids::NiId::new(1));
+        let before = *engine.stats();
+        blink(&mut engine, &spec, &mut alloc, unrelated);
+        let repair = engine.stats().delta(&before);
+        let skipped = ChurnStats {
+            link_downs: 1,
+            link_ups: 1,
+            refused_opens: 1,
+            refused_link_down: 1,
+            rehome_skipped: 1,
+            ..ChurnStats::default()
+        };
+        assert_eq!(repair, skipped);
+        assert_eq!(engine.displaced(), &[conn]);
+
+        // Its witness comes back: retried and restored.
+        let repair = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkUp(ingress));
+        assert_eq!((repair.restored, repair.rehome_skipped), (1, 0));
+        assert!(alloc.grant(conn).is_some());
+        assert!(engine.displaced().is_empty());
+    }
+
+    #[test]
+    fn witness_cleared_by_a_glitch_expiry_is_retried_at_the_next_repair() {
+        let (spec, ingress, conn) = severed_spec();
+        let mut alloc = allocate(&spec).unwrap();
+        let mut engine = ChurnEngine::new(&spec);
+        // A sub-threshold glitch masks the ingress link; then the next
+        // link of the only route fails for good, displacing the grant.
+        // Its witness is the ingress link, the first down one.
+        let short = DEFAULT_PERSISTENCE_NS - 1;
+        let glitch = FaultOp::LinkGlitch {
+            link: ingress,
+            duration_ns: short,
+        };
+        fault(&mut engine, &spec, &mut alloc, glitch);
+        let hop = alloc.grant(conn).unwrap().links[1];
+        fault(&mut engine, &spec, &mut alloc, FaultOp::LinkDown(hop));
+        assert_eq!(engine.displaced(), &[conn]);
+
+        // Repairing the hop leaves the witness down: not tried.
+        let repair = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkUp(hop));
+        assert_eq!((repair.restored, repair.rehome_skipped), (0, 1));
+
+        // The glitch expires: the mask clears, no re-home runs.
+        let before = *engine.stats();
+        engine.advance_to(&spec, &mut alloc, short + 1);
+        assert!(engine.mask().is_empty());
+        let expiry = ChurnStats {
+            glitch_expiries: 1,
+            ..ChurnStats::default()
+        };
+        assert_eq!(engine.stats().delta(&before), expiry);
+        assert_eq!(engine.displaced(), &[conn]);
+
+        // The next repair, of an unrelated link, reads the mask, sees
+        // the witness up and retries: restored.
+        let unrelated = spec
+            .topology()
+            .ni_ingress_link(aelite_spec::ids::NiId::new(1));
+        let before = *engine.stats();
+        blink(&mut engine, &spec, &mut alloc, unrelated);
+        let repair = engine.stats().delta(&before);
+        assert_eq!((repair.restored, repair.rehome_skipped), (1, 0));
+        assert!(alloc.grant(conn).is_some());
+        assert!(engine.displaced().is_empty());
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! the counts are the same on every machine: a mismatch means recovery
 //! behaviour changed.
 //!
+//! Beside the counts, [`REHOME_SKIPPED`] pins how many re-admissions
+//! each replay's repairs saved by leaving still-severed connections
+//! parked (`ChurnStats::rehome_skipped`).
+//!
 //! **Re-baselining** is one deliberate edit: on mismatch the test prints
-//! the fresh `GOLDEN` and `STEERING_DELTAS` tables in source form; paste
-//! them over the ones below and write the reason next to them.
+//! the fresh `GOLDEN`, `STEERING_DELTAS` and `REHOME_SKIPPED` tables in
+//! source form; paste them over the ones below and write the reason next
+//! to them.
 //!
 //! A second pin, [`END_STATE_DIGEST`], folds the whole end state of the
 //! same replays plus one 8×8 / 1 000-connection replay (every grant, the
@@ -90,8 +95,24 @@ const STEERING_DELTAS: [(&str, i64, i64); 4] = [
     ("bit_complement", -7, 0),
 ];
 
-/// One replay: its counts, after checking the end-state invariants.
-fn replay(profile: TrafficProfile, steering: Steering, what: &str) -> [u64; 15] {
+/// `(profile, steering, rehome_skipped)`, in `GOLDEN`'s row order: the
+/// parked connections repairs left parked untried because every witness
+/// link was still down. Each is also in that row's `refused_link_down`.
+#[rustfmt::skip]
+const REHOME_SKIPPED: [(&str, &str, u64); 8] = [
+    ("uniform", "shortest_first", 154),
+    ("uniform", "spare_capacity", 154),
+    ("hotspot4", "shortest_first", 138),
+    ("hotspot4", "spare_capacity", 138),
+    ("transpose", "shortest_first", 130),
+    ("transpose", "spare_capacity", 130),
+    ("bit_complement", "shortest_first", 159),
+    ("bit_complement", "spare_capacity", 159),
+];
+
+/// One replay: its counts and its `rehome_skipped`, after checking the
+/// end-state invariants.
+fn replay(profile: TrafficProfile, steering: Steering, what: &str) -> ([u64; 15], u64) {
     let spec = WorkloadBuilder::mesh(8, 8, 2)
         .connections(200)
         .apps(6)
@@ -128,7 +149,7 @@ fn replay(profile: TrafficProfile, steering: Steering, what: &str) -> [u64; 15] 
         s.affected,
         "{what}: recovery accounting does not close"
     );
-    [
+    let counts = [
         spec.connections().len() as u64,
         u64::from(admitted),
         u64::from(events),
@@ -144,20 +165,20 @@ fn replay(profile: TrafficProfile, steering: Steering, what: &str) -> [u64; 15] 
         s.dropped,
         s.restored,
         s.refused_link_down,
-    ]
+    ];
+    (counts, s.rehome_skipped)
 }
 
 #[test]
 fn fault_recovery_counts_match_the_golden_table() {
     let mut fresh: Vec<Row> = Vec::new();
+    let mut skipped: Vec<(&str, &str, u64)> = Vec::new();
     for (profile_name, profile) in PROFILES {
         for (steering_name, steering) in STEERINGS {
             let what = format!("{profile_name}/{steering_name}");
-            fresh.push((
-                profile_name,
-                steering_name,
-                replay(profile, steering, &what),
-            ));
+            let (counts, rehome_skipped) = replay(profile, steering, &what);
+            fresh.push((profile_name, steering_name, counts));
+            skipped.push((profile_name, steering_name, rehome_skipped));
         }
     }
     let col = |name: &str| COLUMNS.iter().position(|c| *c == name).unwrap();
@@ -171,7 +192,7 @@ fn fault_recovery_counts_match_the_golden_table() {
         })
         .collect();
 
-    if fresh == GOLDEN && deltas == STEERING_DELTAS {
+    if fresh == GOLDEN && deltas == STEERING_DELTAS && skipped == REHOME_SKIPPED {
         return;
     }
     let mut report = String::from("fault recovery moved off its golden counts:\n");
@@ -187,6 +208,16 @@ fn fault_recovery_counts_match_the_golden_table() {
             }
         }
     }
+    for (got, want) in skipped.iter().zip(&REHOME_SKIPPED) {
+        if got.2 != want.2 {
+            writeln!(
+                report,
+                "  {}/{}: rehome_skipped is {}, pinned {}",
+                got.0, got.1, got.2, want.2
+            )
+            .unwrap();
+        }
+    }
     report.push_str("\nfresh tables, if the change is deliberate:\n\nconst GOLDEN: [Row; 8] = [\n");
     for (profile, steering, counts) in &fresh {
         writeln!(report, "    ({profile:?}, {steering:?}, {counts:?}),").unwrap();
@@ -194,6 +225,10 @@ fn fault_recovery_counts_match_the_golden_table() {
     report.push_str("];\n\nconst STEERING_DELTAS: [(&str, i64, i64); 4] = [\n");
     for (profile, affected, dropped) in &deltas {
         writeln!(report, "    ({profile:?}, {affected}, {dropped}),").unwrap();
+    }
+    report.push_str("];\n\nconst REHOME_SKIPPED: [(&str, &str, u64); 8] = [\n");
+    for (profile, steering, count) in &skipped {
+        writeln!(report, "    ({profile:?}, {steering:?}, {count}),").unwrap();
     }
     report.push_str("];\n");
     panic!("{report}");
