@@ -105,13 +105,57 @@ pub(crate) struct FaultState {
     displaced: Vec<ConnId>,
     /// Whether each connection, by index, is in `displaced`.
     is_displaced: Vec<bool>,
-    /// The witness links of each displaced connection, by index: after a
-    /// `LinkDown` refusal the first down link of each of its candidate
-    /// routes, sorted; empty after any other refusal. Stale once the
-    /// connection leaves the ledger.
-    witnesses: Vec<Vec<LinkId>>,
+    /// The witness links of each displaced connection.
+    witnesses: Witnesses,
     /// Reusable affected-grant order buffer of the recovery sweep.
     affected: Vec<ConnId>,
+}
+
+/// The witness links of the displaced connections: after a `LinkDown`
+/// refusal the first down link of each of the connection's candidate
+/// routes, sorted; none after any other refusal. Stored back to back in
+/// one arena, so a parked connection costs a run and its links, not a
+/// vector of its own.
+#[derive(Debug, Default)]
+struct Witnesses {
+    /// Per connection index, `(start, len)` of its run in `links`; valid
+    /// while the connection is displaced.
+    runs: Vec<(u32, u32)>,
+    /// The runs, back to back. A run left behind by a connection that
+    /// left the ledger or was recorded again is dead until
+    /// [`compact`](Self::compact).
+    links: Vec<LinkId>,
+    /// Where a new run is written before it is appended, and the arena
+    /// the next compaction fills.
+    spare: Vec<LinkId>,
+}
+
+impl Witnesses {
+    fn of(&self, conn: ConnId) -> &[LinkId] {
+        let (start, len) = self.runs[conn.index()];
+        &self.links[start as usize..][..len as usize]
+    }
+
+    /// Makes `spare` the run of `conn`.
+    fn keep_spare(&mut self, conn: ConnId) {
+        if self.runs.len() <= conn.index() {
+            self.runs.resize(conn.index() + 1, (0, 0));
+        }
+        self.runs[conn.index()] = (self.links.len() as u32, self.spare.len() as u32);
+        self.links.extend_from_slice(&self.spare);
+    }
+
+    /// Drops every run but those of `live`, which keep their links.
+    fn compact(&mut self, live: &[ConnId]) {
+        self.spare.clear();
+        for &c in live {
+            let (start, len) = &mut self.runs[c.index()];
+            let run = &self.links[*start as usize..][..*len as usize];
+            *start = self.spare.len() as u32;
+            self.spare.extend_from_slice(run);
+        }
+        core::mem::swap(&mut self.links, &mut self.spare);
+    }
 }
 
 impl ChurnEngine {
@@ -174,7 +218,6 @@ impl FaultState {
     fn displace(&mut self, conn: ConnId) {
         if self.is_displaced.len() <= conn.index() {
             self.is_displaced.resize(conn.index() + 1, false);
-            self.witnesses.resize_with(conn.index() + 1, Vec::new);
         }
         self.is_displaced[conn.index()] = true;
         self.displaced.push(conn);
@@ -184,7 +227,7 @@ impl FaultState {
     /// `LinkDown` under `mask`: it has witnesses, all still down, and
     /// `spec` contains it (else the refusal would be `UnknownConn`).
     fn still_severed(&self, spec: &SystemSpec, conn: ConnId, mask: &FaultMask) -> bool {
-        let witnesses = &self.witnesses[conn.index()];
+        let witnesses = self.witnesses.of(conn);
         !witnesses.is_empty()
             && witnesses.iter().all(|&l| mask.is_down(l))
             && spec.find_connection(conn).is_some()
@@ -428,6 +471,9 @@ impl ChurnEngine {
                 }
             }
         }
+        // Drop the runs of connections that left the ledger since the
+        // last sweep, so the arena holds about one ledger's witnesses.
+        self.faults.witnesses.compact(&self.faults.displaced);
     }
 
     /// Records the witnesses of `conn`, just refused with `cause` and
@@ -436,15 +482,16 @@ impl ChurnEngine {
     /// refusal none (a capacity refusal can change with any release, so
     /// it is always retried).
     fn keep_witnesses(&mut self, spec: &SystemSpec, conn: ConnId, cause: RefusalCause) {
-        let witnesses = &mut self.faults.witnesses[conn.index()];
+        let witnesses = &mut self.faults.witnesses;
         if matches!(cause, RefusalCause::LinkDown { .. }) {
             let c = spec.connection(conn);
             let (src, dst) = (spec.ip_ni(c.src), spec.ip_ni(c.dst));
             self.routes
-                .witness_links(spec.topology(), src, dst, witnesses);
+                .witness_links(spec.topology(), src, dst, &mut witnesses.spare);
         } else {
-            witnesses.clear();
+            witnesses.spare.clear();
         }
+        witnesses.keep_spare(conn);
     }
 
     /// The repair-side sweep under the shrunk mask: re-homes the
@@ -506,6 +553,7 @@ impl ChurnEngine {
             is_displaced[c.index()] = parked;
             parked
         });
+        self.faults.witnesses.compact(&displaced);
         self.faults.displaced = displaced;
     }
 }
@@ -646,6 +694,25 @@ pub(crate) mod tests {
             1_000_000,
         );
         (b.build(), ingress, conn)
+    }
+
+    #[test]
+    fn witness_arena_compaction_keeps_live_runs_only() {
+        let link = |i: u32| LinkId::new(i);
+        let conn = |i: u32| ConnId::new(i);
+        let mut w = Witnesses::default();
+        for (c, run) in [(4, vec![link(1), link(7)]), (0, vec![]), (2, vec![link(3)])] {
+            w.spare = run;
+            w.keep_spare(conn(c));
+        }
+        // Connection 2 is recorded again; connection 4 leaves.
+        w.spare = vec![link(5), link(6)];
+        w.keep_spare(conn(2));
+        assert_eq!(w.links.len(), 5);
+        w.compact(&[conn(2), conn(0)]);
+        assert_eq!(w.of(conn(2)), [link(5), link(6)]);
+        assert!(w.of(conn(0)).is_empty());
+        assert_eq!(w.links, [link(5), link(6)], "dead runs dropped");
     }
 
     /// Downs and raises `link` again: a repair that runs a re-home.
