@@ -96,6 +96,49 @@ fn be_baseline_numbers_are_pinned() {
     );
 }
 
+/// Simulates `spec` through [`AeliteSystem::simulate`] for 60 000 cycles
+/// with timestamps and folds every connection's flits, bytes, min, max
+/// and summed latency and every delivery cycle, in spec order, into one
+/// digest.
+fn simulate_digest(spec: SystemSpec) -> u64 {
+    let system = AeliteSystem::design(spec).expect("designs");
+    let outcome = system.simulate(SimOptions {
+        duration_cycles: DURATION,
+        record_timestamps: true,
+    });
+    let mut d = Digest::new();
+    d.word(outcome.report.per_conn.len() as u64);
+    for s in &outcome.report.per_conn {
+        d.word(s.conn.index() as u64);
+        d.word(s.flits);
+        d.word(s.bytes);
+        d.word(s.min_latency);
+        d.word(s.max_latency);
+        d.word(s.latency_sum);
+        d.word(s.timestamps.len() as u64);
+        for &t in &s.timestamps {
+            d.word(t);
+        }
+    }
+    d.0
+}
+
+#[test]
+fn simulated_guaranteed_service_is_pinned() {
+    // The exact GS numbers behind every Section VII verdict: a change to
+    // the offered traffic, the slot decisions or the latency labelling
+    // moves a digest.
+    let got = [
+        simulate_digest(paper_workload(42)),
+        simulate_digest(scaled_workload(4, 4, 4, 300, 7)),
+    ];
+    assert_eq!(
+        got,
+        [0x425e_0b14_db43_cf34, 0xfd8b_81b6_3330_d9d7],
+        "GS digests moved: {got:#x?}"
+    );
+}
+
 #[test]
 fn multiple_seeds_design_and_verify() {
     for seed in [1u64, 13, 99] {
