@@ -71,13 +71,14 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
-# The timing model, the XY route, route search and the slot-selection
-# kernels are each defined once; a second definition is a twin that can
-# drift from the first. Each name must have exactly one `fn` definition
-# under crates/ and src/. `benchmark/` is not searched: its
-# `estimate_slots` is a frozen wrapper.
-for name in pipeline_cycles deadline_cycles max_injection_gap estimate_slots dimension_ordered \
-  worst_window gaps route_candidates bounded_paths spread_selection cover_with_gap best_gap_filler; do
+# The timing model, the traffic source model, the XY route, route search
+# and the slot-selection kernels are each defined once; a second
+# definition is a twin that can drift from the first. Each name must have
+# exactly one `fn` definition under crates/ and src/. `benchmark/` is not
+# searched: its `estimate_slots` is a frozen wrapper.
+for name in pipeline_cycles deadline_cycles max_injection_gap pop_arrival estimate_slots \
+  dimension_ordered worst_window gaps route_candidates bounded_paths spread_selection cover_with_gap \
+  best_gap_filler; do
   n=$(git grep -hwE "fn $name" -- crates src | wc -l)
   if [ "$n" -ne 1 ]; then
     git grep -nwE "fn $name" -- crates src || true

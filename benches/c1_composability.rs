@@ -6,7 +6,7 @@
 
 use aelite::analysis::composability::compare_timelines;
 use aelite::report::{check, header, row};
-use aelite::{timelines, AeliteSystem, SimOptions};
+use aelite::{AeliteSystem, SimOptions};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 use aelite_spec::ids::AppId;
@@ -24,7 +24,7 @@ fn main() {
 
     // Full-system reference timelines.
     let full = system.simulate(opts);
-    let reference = timelines(&full.report);
+    let reference = &full.timelines;
 
     header(
         "GS composability: isolated runs vs the full system",
@@ -33,7 +33,7 @@ fn main() {
     // Each application alone.
     for app in spec.apps() {
         let isolated = system.simulate_apps(&[app.id], opts);
-        let result = compare_timelines(&reference, &timelines(&isolated.report));
+        let result = compare_timelines(reference, &isolated.timelines);
         row(&[
             format!("{} alone", app.id),
             result.compared.to_string(),
@@ -49,7 +49,7 @@ fn main() {
     for pair in [[0u32, 1], [1, 2], [2, 3]] {
         let apps = [AppId::new(pair[0]), AppId::new(pair[1])];
         let partial = system.simulate_apps(&apps, opts);
-        let result = compare_timelines(&reference, &timelines(&partial.report));
+        let result = compare_timelines(reference, &partial.timelines);
         row(&[
             format!("A{} + A{}", pair[0], pair[1]),
             result.compared.to_string(),

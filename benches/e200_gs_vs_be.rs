@@ -11,7 +11,9 @@
 //!    significantly;
 //! 3. the BE network needs an operating frequency well above 500 MHz
 //!    (paper: "more than 900 MHz") before every latency requirement is
-//!    observed to hold.
+//!    observed to hold. The sweep runs to 8 000 MHz and the check
+//!    requires a found frequency; seed 42 first meets every contract at
+//!    6 000 MHz, a divergence from the paper that is not yet explained.
 
 use aelite::analysis::service::{minimum_satisfying_frequency, verify_service};
 use aelite::analysis::stats::Summary;
@@ -57,17 +59,15 @@ fn main() {
     // Per-connection mean/max comparison at 500 MHz.
     let cycle_ns = spec.config().cycle_ns();
     let gs_means: Vec<f64> = gs
-        .report
         .per_conn
         .iter()
-        .filter_map(|s| s.mean_latency())
+        .filter_map(|(_, s)| s.mean_cycles())
         .map(|c| c * cycle_ns)
         .collect();
     let gs_maxes: Vec<f64> = gs
-        .report
         .per_conn
         .iter()
-        .map(|s| s.max_latency as f64 * cycle_ns)
+        .map(|(_, s)| s.max_cycles as f64 * cycle_ns)
         .collect();
     let be_means: Vec<f64> = be500
         .per_conn
@@ -139,11 +139,10 @@ fn main() {
     // "For most connections, the average latency observed with BE service
     // is lower than with GS."
     let lower_avg = gs
-        .report
         .per_conn
         .iter()
         .zip(&be500.per_conn)
-        .filter(|(g, b)| b.mean_latency().unwrap_or(f64::MAX) < g.mean_latency().unwrap_or(0.0))
+        .filter(|((_, g), b)| b.mean_latency().unwrap_or(f64::MAX) < g.mean_cycles().unwrap_or(0.0))
         .count();
     check(
         "most connections have lower average latency under BE",
@@ -173,7 +172,9 @@ fn main() {
         "BE frequency sweep: violations per frequency",
         &["frequency (MHz)", "latency violations", "all ok"],
     );
-    let candidates = [500u64, 600, 700, 800, 900, 1000, 1100, 1200];
+    let candidates = [
+        500u64, 600, 700, 800, 900, 1000, 1100, 1200, 2000, 3000, 4000, 5000, 6000, 7000, 8000,
+    ];
     let mut reports = Vec::new();
     for &f in &candidates {
         let (_, service) = be_at(f);
@@ -185,6 +186,7 @@ fn main() {
         ]);
         reports.push((f, service));
     }
+    let max_swept = candidates[candidates.len() - 1];
     let min_f = minimum_satisfying_frequency(&candidates, |f| {
         reports
             .iter()
@@ -193,9 +195,12 @@ fn main() {
             .expect("swept")
     });
     check(
-        "BE needs a much higher frequency than GS's 500 MHz (paper: >900 MHz)",
-        min_f.is_none_or(|f| f > 700),
-        format!("minimum satisfying frequency: {min_f:?} MHz"),
+        "BE needs a much higher frequency than GS's 500 MHz",
+        min_f.is_some_and(|f| f > 700),
+        match min_f {
+            Some(f) => format!("minimum satisfying frequency: {f} MHz (paper: >900 MHz)"),
+            None => format!("no swept frequency up to {max_swept} MHz satisfies every contract"),
+        },
     );
     println!("\ne200_gs_vs_be: all reproduction checks passed");
 }

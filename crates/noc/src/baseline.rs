@@ -40,7 +40,7 @@ use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{ConnId, Port, RouterId};
 use aelite_spec::path::dimension_ordered;
 use aelite_spec::topology::PortTarget;
-use aelite_spec::traffic::{message_arrivals, TrafficPattern};
+use aelite_spec::traffic::MessageSource;
 use std::collections::VecDeque;
 
 /// Configuration of a best-effort run.
@@ -148,11 +148,9 @@ struct BeRouter {
 struct SourceConnState {
     /// Flits awaiting injection (already packetised).
     backlog: VecDeque<Flit>,
-    /// CBR generator state (48.16 fixed point cycles).
-    next_arrival_fp: u64,
-    interval_fp: u64,
-    message_bytes: u64,
-    saturating: bool,
+    /// The connection's offered load. A saturating source is kept eight
+    /// messages deep instead: the baseline has no slots to start it at.
+    source: MessageSource,
     /// Ready floor: a flit's latency starts when its predecessor left.
     ready_floor: u64,
 }
@@ -230,16 +228,10 @@ impl<'a> BeSim<'a> {
         let conns = spec.connections();
         let mut sources: Vec<SourceConnState> = conns
             .iter()
-            .map(|c| {
-                let (message_bytes, interval_fp) = message_arrivals(c, ncfg.frequency_mhz);
-                SourceConnState {
-                    backlog: VecDeque::new(),
-                    next_arrival_fp: 0,
-                    interval_fp,
-                    message_bytes,
-                    saturating: c.pattern == TrafficPattern::Saturating,
-                    ready_floor: 0,
-                }
+            .map(|c| SourceConnState {
+                backlog: VecDeque::new(),
+                source: MessageSource::new(c, ncfg, 0),
+                ready_floor: 0,
             })
             .collect();
         let mut ni_conns: Vec<Vec<usize>> = vec![Vec::new(); topo.ni_count()];
@@ -270,16 +262,14 @@ impl<'a> BeSim<'a> {
 
             // 1. Offer new traffic: packetise arrived messages.
             for (ci, src) in sources.iter_mut().enumerate() {
-                if src.saturating {
+                let bytes = u64::from(src.source.message_bytes());
+                if src.source.is_saturating() {
                     while src.backlog.len() < 8 {
-                        packetise(src, ci as u32, cycle, payload_bytes, src.message_bytes);
+                        packetise(src, ci as u32, cycle, payload_bytes, bytes);
                     }
                 } else {
-                    while src.next_arrival_fp <= cycle << 16 {
-                        let arrival = src.next_arrival_fp >> 16;
-                        let bytes = src.message_bytes;
-                        packetise(src, ci as u32, arrival, payload_bytes, bytes);
-                        src.next_arrival_fp += src.interval_fp;
+                    while let Some(arrival) = src.source.pop_arrival(cycle) {
+                        packetise(src, ci as u32, arrival.ready_cycle, payload_bytes, bytes);
                     }
                 }
             }
@@ -480,7 +470,7 @@ mod tests {
     use aelite_spec::generate::paper_workload;
     use aelite_spec::ids::NiId;
     use aelite_spec::topology::Topology;
-    use aelite_spec::traffic::Bandwidth;
+    use aelite_spec::traffic::{Bandwidth, TrafficPattern};
 
     fn one_conn_spec(bw_mb: u64) -> SystemSpec {
         let topo = Topology::mesh(2, 1, 1);

@@ -1,8 +1,8 @@
 //! # aelite-noc — hardware models of the aelite network on chip
 //!
-//! Cycle-accurate models of every component the paper describes, a fast
-//! flit-level simulator for large experiments, and the best-effort
-//! network the paper compares against:
+//! Cycle-accurate models of every component the paper describes, the
+//! compiled engine that simulates them fast enough for the paper's
+//! experiments, and the best-effort network the paper compares against:
 //!
 //! * [`phit`] — link words with explicit `valid`/`eop` sideband.
 //! * [`codec`] — the physical header layout (route + connection id) and
@@ -16,19 +16,13 @@
 //!   end-to-end flow control.
 //! * [`network`] — builders wiring a complete NoC (synchronous or
 //!   mesochronous) from a spec and its allocation.
-//! * [`flitsim`] — the fast flit-level TDM simulator used for the paper's
-//!   200-connection experiment. It matches the cycle-accurate models
-//!   delivery for delivery when their arrivals agree (whole-cycle CBR
-//!   intervals or saturating sources); a fractional CBR interval is
-//!   quantised differently by the two. It is the only pattern-aware simulator (saturating and
-//!   bursty sources, byte-granular credits) and the engine behind
-//!   `AeliteSystem::simulate`; [`turbo`] is the word-granular, CBR-only,
-//!   bit-exact twin of the event-driven network. Folding one into the
-//!   other would move the paper's Section VII numbers, so both stay.
 //! * [`turbo`] — the compiled flit-synchronous execution engine: the same
 //!   cycle-accurate network lowered to flat state and enum dispatch,
 //!   bit-for-bit equivalent to the event-driven build and an order of
-//!   magnitude faster.
+//!   magnitude faster; the engine behind `AeliteSystem::simulate`. Both
+//!   engines, and [`baseline`], offer the traffic of
+//!   [`MessageSource`](aelite_spec::traffic::MessageSource): every
+//!   pattern at exactly its contracted rate.
 //! * [`baseline`] — the Æthereal-style best-effort wormhole network the
 //!   paper's Section VII compares against: round-robin arbitration and
 //!   link-level credits instead of TDM reservations.
@@ -41,7 +35,6 @@
 
 pub mod baseline;
 pub mod codec;
-pub mod flitsim;
 pub mod meso;
 pub mod network;
 pub mod ni;

@@ -29,6 +29,7 @@ use aelite_sim::time::{Frequency, SimDuration, SimTime};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
 use aelite_spec::topology::{Endpoint, Topology};
+use aelite_spec::traffic::MessageSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,21 +110,6 @@ impl CycleNet {
 /// one constant, so they agree exactly.
 pub const CREDIT_RETURN_CYCLES: u64 = 24;
 
-/// The CBR traffic-generator parameters derived from a connection's
-/// contract: `(words per message, interval in cycles)`. Shared by
-/// [`build_network`] and the turbo kernel's compiled generators so the
-/// two engines can never diverge on arrival schedules.
-pub(crate) fn cbr_traffic_params(
-    c: &aelite_spec::app::Connection,
-    cfg: &aelite_spec::config::NocConfig,
-) -> (u32, u64) {
-    let words = c.message_bytes.div_ceil(cfg.data_width_bytes()).max(1);
-    let interval = (u64::from(c.message_bytes) * cfg.frequency_mhz * 1_000_000)
-        .div_ceil(c.bandwidth.bytes_per_sec().max(1))
-        .max(1);
-    (words, interval)
-}
-
 /// The clock phase of every element of a `kind` build on `topo`, in
 /// femtoseconds: one per router, then one per NI. Synchronous builds run
 /// every element at phase 0; mesochronous ones draw each phase below half
@@ -176,9 +162,10 @@ pub(crate) fn build_order(spec: &SystemSpec, kind: NetworkKind) -> [Vec<Vec<usiz
 
 /// Builds the cycle-accurate network for `spec` under `alloc`.
 ///
-/// With `with_traffic`, every connection gets a constant-rate source
-/// offering its contracted bandwidth (the paper's evaluation regime);
-/// otherwise the testbench drives the queues itself.
+/// With `with_traffic`, every connection gets a source replaying its
+/// [`MessageSource`]: its traffic pattern at exactly its contracted rate
+/// (the paper's evaluation regime); otherwise the testbench drives the
+/// queues itself.
 ///
 /// # Panics
 ///
@@ -310,15 +297,13 @@ pub fn build_network(
             conn_index[c.id.index()].0 = queues.len() as u32;
             queues.push((c.id, std::rc::Rc::clone(&queue)));
             if with_traffic {
-                let (words, interval) = cbr_traffic_params(c, cfg);
+                let first_slot = grant.inject_slots.first().copied().unwrap_or(0);
                 sim.add_module(
                     domain,
                     CbrSource::new(
                         format!("{}.cbr", c.id),
                         std::rc::Rc::clone(&queue),
-                        words,
-                        interval,
-                        0,
+                        MessageSource::new(c, cfg, first_slot),
                     ),
                 );
             }

@@ -19,6 +19,7 @@ use aelite_sim::module::{EdgeContext, Module};
 use aelite_sim::signal::Wire;
 use aelite_sim::time::{SimDuration, SimTime};
 use aelite_spec::ids::ConnId;
+use aelite_spec::traffic::{Arrival, MessageSource};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -30,8 +31,19 @@ pub struct Message {
     pub seq: u32,
     /// Payload length in words.
     pub words: u32,
-    /// The NI-domain cycle at which the message became available.
+    /// The NI-domain cycle from which the message may be sent and its
+    /// flits' latency is counted.
     pub ready_cycle: u64,
+}
+
+impl From<Arrival> for Message {
+    fn from(a: Arrival) -> Self {
+        Message {
+            seq: a.seq,
+            words: a.words,
+            ready_cycle: a.ready_cycle,
+        }
+    }
 }
 
 /// The shared handle through which an IP (or testbench) feeds messages to
@@ -604,47 +616,24 @@ impl Module for NiSink {
     }
 }
 
-/// A constant-bit-rate IP traffic source feeding a [`MessageQueue`].
-///
-/// Pushes a `words_per_message` message every `interval_cycles`, starting
-/// at `offset_cycles` — the paper's evaluation regime where IPs offer
-/// exactly their contracted load.
+/// An IP traffic source feeding a [`MessageQueue`]: pushes, at every
+/// edge, each message its [`MessageSource`] offers by then — the paper's
+/// evaluation regime where IPs offer exactly their contracted load.
 #[derive(Debug)]
 pub struct CbrSource {
     name: String,
     queue: MessageQueue,
-    words_per_message: u32,
-    interval_cycles: u64,
-    offset_cycles: u64,
-    seq: u32,
-    /// Stop after this many messages (u32::MAX = unbounded).
-    pub limit: u32,
+    source: MessageSource,
 }
 
 impl CbrSource {
-    /// Creates a CBR source.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval or message size is zero.
+    /// Creates a source replaying `source` into `queue`.
     #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        queue: MessageQueue,
-        words_per_message: u32,
-        interval_cycles: u64,
-        offset_cycles: u64,
-    ) -> Self {
-        assert!(interval_cycles > 0, "interval must be non-zero");
-        assert!(words_per_message > 0, "messages must carry data");
+    pub fn new(name: impl Into<String>, queue: MessageQueue, source: MessageSource) -> Self {
         CbrSource {
             name: name.into(),
             queue,
-            words_per_message,
-            interval_cycles,
-            offset_cycles,
-            seq: 0,
-            limit: u32::MAX,
+            source,
         }
     }
 }
@@ -658,16 +647,8 @@ impl Module for CbrSource {
 
     fn on_edge(&mut self, ctx: &mut EdgeContext<'_, LinkWord>) {
         let cycle = ctx.cycle();
-        if cycle >= self.offset_cycles
-            && (cycle - self.offset_cycles).is_multiple_of(self.interval_cycles)
-            && self.seq < self.limit
-        {
-            self.queue.borrow_mut().push_back(Message {
-                seq: self.seq,
-                words: self.words_per_message,
-                ready_cycle: cycle,
-            });
-            self.seq += 1;
+        while let Some(arrival) = self.source.pop_arrival(cycle) {
+            self.queue.borrow_mut().push_back(arrival.into());
         }
     }
 }
@@ -952,15 +933,36 @@ mod tests {
 
     #[test]
     fn cbr_source_pushes_on_schedule() {
+        // 16-byte messages at 300 MB/s and 500 MHz: one every 26⅔ cycles,
+        // visible at cycles 0, 27, 54 and 80 and labelled ready at 0, 26,
+        // 53 and 79 (the 48.16 interval is truncated, so the fourth
+        // instant falls just short of cycle 80).
+        let topo = aelite_spec::topology::Topology::mesh(2, 1, 1);
+        let mut b = aelite_spec::app::SystemSpecBuilder::new(
+            topo,
+            aelite_spec::config::NocConfig::paper_default(),
+        );
+        let app = b.add_app("a");
+        let s = b.add_ip_at(aelite_spec::ids::NiId::new(0));
+        let d = b.add_ip_at(aelite_spec::ids::NiId::new(1));
+        let bw = aelite_spec::traffic::Bandwidth::from_mbytes_per_sec(300);
+        b.add_connection(app, s, d, bw, 1_000);
+        let spec = b.build();
+        let source = MessageSource::new(&spec.connections()[0], spec.config(), 0);
+
         let mut sim: Simulator<LinkWord> = Simulator::new();
         let clk = sim.add_domain(ClockSpec::new(Frequency::from_mhz(500)));
         let q = message_queue();
-        sim.add_module(clk, CbrSource::new("cbr", Rc::clone(&q), 2, 10, 5));
-        sim.run_until(SimTime::from_ns(70)); // cycles 0..=35
+        sim.add_module(clk, CbrSource::new("cbr", Rc::clone(&q), source));
+        sim.run_until(SimTime::from_ns(52)); // cycles 0..=26
+        assert_eq!(q.borrow().len(), 1);
+        sim.run_until(SimTime::from_ns(54)); // and cycle 27
+        assert_eq!(q.borrow().len(), 2);
+        sim.run_until(SimTime::from_ns(160)); // to cycle 80
         let msgs: Vec<Message> = q.borrow().iter().copied().collect();
-        assert_eq!(msgs.len(), 4); // at cycles 5, 15, 25, 35
-        assert_eq!(msgs[0].ready_cycle, 5);
-        assert_eq!(msgs[3].ready_cycle, 35);
-        assert_eq!(msgs[1].seq, 1);
+        let ready: Vec<u64> = msgs.iter().map(|m| m.ready_cycle).collect();
+        assert_eq!(ready, [0, 26, 53, 79]);
+        assert!(msgs.iter().enumerate().all(|(k, m)| m.seq == k as u32));
+        assert!(msgs.iter().all(|m| m.words == 4));
     }
 }

@@ -135,6 +135,7 @@ use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
 use aelite_spec::timing::pipeline_cycles;
+use aelite_spec::traffic::MessageSource;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::rc::Rc;
@@ -170,32 +171,47 @@ const FLITS_PER_WORKER: usize = 12_500;
 /// connections 18–27 % faster.
 const VALIDATE_ON_WORKER_CONNS: usize = 512;
 
-/// Measured per-flit latency of one connection, tracked by the turbo
-/// kernel (instrumentation only — it does not influence behaviour).
+/// Measured delivery and per-flit latency of one connection, tracked by
+/// the turbo kernel (instrumentation only — it does not influence
+/// behaviour).
 ///
-/// A flit becomes *ready* at `max(message arrival, end of the previous
-/// flit's slot)` — the same per-flit definition as
-/// [`FlitSim`](crate::flitsim::FlitSim) and the analytical bound
+/// A flit becomes *ready* at `max(message ready cycle, end of the
+/// previous flit's slot)`, with messages labelled by [`MessageSource`] —
+/// the per-flit definition of the analytical bound
 /// [`worst_case_latency_cycles`](Allocation::worst_case_latency_cycles) —
 /// and its latency is the destination-NI delivery cycle minus that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnLatency {
     /// Flits delivered.
     pub flits: u64,
+    /// Payload words delivered.
+    pub words: u64,
     /// Minimum observed per-flit latency, in cycles (`u64::MAX` before
     /// any delivery).
     pub min_cycles: u64,
     /// Maximum observed per-flit latency, in cycles.
     pub max_cycles: u64,
+    /// Sum of the per-flit latencies, in cycles.
+    pub latency_sum: u64,
 }
 
 impl Default for ConnLatency {
     fn default() -> Self {
         ConnLatency {
             flits: 0,
+            words: 0,
             min_cycles: u64::MAX,
             max_cycles: 0,
+            latency_sum: 0,
         }
+    }
+}
+
+impl ConnLatency {
+    /// Mean per-flit latency in cycles, or `None` before any delivery.
+    #[must_use]
+    pub fn mean_cycles(&self) -> Option<f64> {
+        (self.flits > 0).then(|| self.latency_sum as f64 / self.flits as f64)
     }
 }
 
@@ -211,32 +227,12 @@ struct PendingDelivery {
     ready: u64,
 }
 
-/// The compiled constant-bit-rate generator of one connection
-/// (semantics of [`CbrSource`](crate::ni::CbrSource) with offset 0, as
-/// `build_network` instantiates it), advanced lazily to each
-/// observation point.
-#[derive(Debug, Clone, Copy)]
-struct CbrGen {
-    words_per_message: u32,
-    interval_cycles: u64,
-    /// The next cycle at which a message will be pushed.
-    next_cycle: u64,
-    seq: u32,
-}
-
-impl CbrGen {
-    /// Pushes every message the event-driven `CbrSource` would have
-    /// pushed at edges up to and including `cycle`.
-    fn advance(&mut self, cycle: u64, queue: &mut VecDeque<Message>) {
-        while self.next_cycle <= cycle {
-            queue.push_back(Message {
-                seq: self.seq,
-                words: self.words_per_message,
-                ready_cycle: self.next_cycle,
-            });
-            self.seq += 1;
-            self.next_cycle += self.interval_cycles;
-        }
+/// Queues every message `source` offers at edges up to and including
+/// `cycle` — what the event-driven [`CbrSource`](crate::ni::CbrSource)
+/// pushes edge by edge, advanced lazily to each observation point.
+fn offer(source: &mut MessageSource, cycle: u64, queue: &mut VecDeque<Message>) {
+    while let Some(arrival) = source.pop_arrival(cycle) {
+        queue.push_back(arrival.into());
     }
 }
 
@@ -245,7 +241,7 @@ impl CbrGen {
 #[derive(Debug)]
 struct ConnInit {
     conn: ConnId,
-    cbr: Option<CbrGen>,
+    source: Option<MessageSource>,
     slots: Box<[u32]>,
     head_delay: u64,
     src_phase_fs: u64,
@@ -280,7 +276,9 @@ struct ConnSoa {
     /// A flit is written here when it is injected, if its destination
     /// edge falls within the run being simulated.
     flits: Vec<FlitRecords>,
-    cbr: Vec<Option<CbrGen>>,
+    /// Each connection's traffic source, when the net was built with
+    /// traffic.
+    source: Vec<Option<MessageSource>>,
     /// The source-NI slot-table entries this connection owns, ascending:
     /// the only slot starts at which it can inject. No two connections of
     /// one source NI share an entry, so its decisions depend on nothing
@@ -333,7 +331,7 @@ impl ConnSoa {
     /// Appends one connection's compiled state across every array.
     fn push(&mut self, c: ConnInit) {
         self.conn.push(c.conn);
-        self.cbr.push(c.cbr);
+        self.source.push(c.source);
         self.slots.push(c.slots);
         self.cursor.push(0);
         self.head_delay.push(c.head_delay);
@@ -371,9 +369,9 @@ impl ConnSoa {
         // least one.
         let flits = |words: u32| u64::from(words.div_ceil(t.payload_capacity).max(1));
         let mut supply = self.current_msg[i].map_or(0, |(_, left)| flits(left));
-        if let Some(g) = self.cbr[i].filter(|g| g.next_cycle <= last) {
-            let pushes = (last - g.next_cycle) / g.interval_cycles + 1;
-            supply = supply.saturating_add(pushes.saturating_mul(flits(g.words_per_message)));
+        if let Some(source) = &self.source[i] {
+            let pushes = source.arrivals_by(last);
+            supply = supply.saturating_add(pushes.saturating_mul(flits(source.words())));
         }
         for m in &self.queue[i] {
             if supply >= sends {
@@ -393,16 +391,22 @@ impl ConnSoa {
         let log = &mut self.flits[i];
         let stats = &mut self.stats[i];
         let in_network = &mut self.in_network[i];
-        let dst_phase_fs = self.dst_phase_fs[i];
+        let head_delay = self.head_delay[i];
+        // The last destination cycle whose edge lies within the run. An EoP
+        // is never sampled at cycle 0, so 0 also stands for "none".
+        let last_dst = deadline_fs.saturating_sub(self.dst_phase_fs[i]) / t.period_fs;
 
         // Flits an earlier run left in flight that land by this deadline
         // are logged first: every flit injected below comes after them.
+        // A flit's EoP lands `head_delay` plus its word count after a slot
+        // start, and it carries fewer words than a slot has cycles.
         while let Some(&d) = in_network.front() {
-            if dst_phase_fs + d.eop_cycle * t.period_fs > deadline_fs {
+            if d.eop_cycle > last_dst {
                 break;
             }
             in_network.pop_front();
-            deliver(log, stats, d);
+            let words = (d.eop_cycle - head_delay) % t.slot_cycles;
+            deliver(log, stats, d, words as u32);
         }
 
         let src_phase_fs = self.src_phase_fs[i];
@@ -414,14 +418,14 @@ impl ConnSoa {
         // sees whatever was pushed into the queue in between.
         let last = (deadline_fs - src_phase_fs) / t.period_fs;
         let queue = &mut self.queue[i];
-        let cbr = &mut self.cbr[i];
+        let source = &mut self.source[i];
         let slots = &*self.slots[i];
         let booked = !self.credit_free[i];
         let credits = &mut self.credits[i];
         let credit_sched = &mut self.credit_sched[i];
         let current_msg = &mut self.current_msg[i];
         let ready_floor = &mut self.ready_floor[i];
-        let head_delay = self.head_delay[i];
+        let dst_phase_fs = self.dst_phase_fs[i];
         let credit_delay_fs = t.period_fs * CREDIT_RETURN_CYCLES;
         let jump =
             |wake: Option<u64>| t.next_owned(slots, wake.map_or(last + 1, |w| w.min(last + 1)));
@@ -433,11 +437,11 @@ impl ConnSoa {
                 self.cursor[i] = c0;
                 break;
             }
-            // Materialise CBR arrivals up to this edge (the event
-            // engine's CbrSource runs before the NiSource at every edge
-            // of their shared domain).
-            if let Some(g) = cbr {
-                g.advance(c0, queue);
+            // Materialise arrivals up to this edge (the event engine's
+            // CbrSource runs before the NiSource at every edge of their
+            // shared domain).
+            if let Some(source) = source {
+                offer(source, c0, queue);
             }
 
             // Collect returned credits. The event engine pops at every
@@ -470,7 +474,7 @@ impl ConnSoa {
             // idles, paper Section IV-A).
             let Some((msg, remaining)) = *current_msg else {
                 let wake = queue.front().map(|m| m.ready_cycle);
-                next = jump(wake.or(cbr.as_ref().map(|g| g.next_cycle)));
+                next = jump(wake.or(source.as_ref().and_then(MessageSource::next_cycle)));
                 continue;
             };
             let send_words = remaining.min(t.payload_capacity);
@@ -507,8 +511,8 @@ impl ConnSoa {
             // (slot starts are `slot_cycles` apart and a flit is shorter
             // than a slot), so a flit landing within the run with nothing
             // ahead of it in flight is logged now.
-            if in_network.is_empty() && dst_phase_fs + eop_cycle * t.period_fs <= deadline_fs {
-                deliver(log, stats, flit);
+            if in_network.is_empty() && eop_cycle <= last_dst {
+                deliver(log, stats, flit, send_words);
             } else {
                 in_network.push_back(flit);
             }
@@ -522,21 +526,23 @@ impl ConnSoa {
             next = Some(t.following(slots, at));
         }
 
-        // Settle CBR arrivals to this run's final source edge, so the
-        // queue handle holds exactly what the event engine's would.
-        if let Some(g) = cbr {
-            g.advance(last, queue);
+        // Settle arrivals to this run's final source edge, so the queue
+        // handle holds exactly what the event engine's would.
+        if let Some(source) = source {
+            offer(source, last, queue);
         }
     }
 }
 
-/// Logs flit `d` and counts its latency.
-fn deliver(log: &mut FlitRecords, stats: &mut ConnLatency, d: PendingDelivery) {
+/// Logs flit `d`, which carries `words` payload words, and counts it.
+fn deliver(log: &mut FlitRecords, stats: &mut ConnLatency, d: PendingDelivery, words: u32) {
     log.push(d.tag, d.eop_cycle);
     let latency = d.eop_cycle - d.ready;
     stats.flits += 1;
+    stats.words += u64::from(words);
     stats.min_cycles = stats.min_cycles.min(latency);
     stats.max_cycles = stats.max_cycles.max(latency);
+    stats.latency_sum += latency;
 }
 
 /// The first source edge at which the returns scheduled in `sched`
@@ -998,15 +1004,8 @@ fn compile_shards(
                     pipeline_cycles(cfg, grant.links.len()) - u64::from(payload_capacity)
                 }
             };
-            let cbr = with_traffic.then(|| {
-                let (words, interval) = crate::network::cbr_traffic_params(c, cfg);
-                CbrGen {
-                    words_per_message: words,
-                    interval_cycles: interval,
-                    next_cycle: 0,
-                    seq: 0,
-                }
-            });
+            let first_slot = grant.inject_slots.first().copied().unwrap_or(0);
+            let source = with_traffic.then(|| MessageSource::new(c, cfg, first_slot));
             for &s in &grant.inject_slots {
                 if s >= cfg.slot_table_size {
                     return Err(format!("slot {s} out of range for {}", c.id));
@@ -1028,7 +1027,7 @@ fn compile_shards(
             // latency bound over them, which refuses anything else.
             let init = ConnInit {
                 conn: c.id,
-                cbr,
+                source,
                 slots: grant.inject_slots.clone().into_boxed_slice(),
                 head_delay,
                 src_phase_fs: ni_phase[ni.index()],
@@ -1704,7 +1703,9 @@ mod tests {
                         let (s, i) = turbo.state(c.id);
                         turbo.queue(c.id).borrow().is_empty()
                             && s.current_msg[i].is_none()
-                            && s.cbr[i].unwrap().next_cycle > s.cursor[i]
+                            && s.source[i]
+                                .and_then(|g| g.next_cycle())
+                                .is_some_and(|next| next > s.cursor[i])
                     })
                     .count();
             });
@@ -2030,6 +2031,8 @@ mod tests {
             net.latency(conn),
             ConnLatency {
                 flits: 2,
+                words: 2 * latency.words,
+                latency_sum: 2 * latency.latency_sum,
                 ..latency
             }
         );
@@ -2055,7 +2058,9 @@ mod tests {
             .map(|c| net.latency(c.id).flits)
             .sum();
         let logged: usize = net.logs.iter().map(|(_, log)| log.borrow().len()).sum();
-        assert_eq!((flits, logged as u64), (1_154_825, 1_154_825));
+        // 1 154 825 while the sources rounded each CBR interval up to whole
+        // cycles; the fixed-point schedule offers the contracted rate.
+        assert_eq!((flits, logged as u64), (1_155_740, 1_155_740));
         let (used, held) = net
             .logs
             .iter()

@@ -2,8 +2,8 @@
 //! flit injected in TDM slot *s* crosses *n* links in `n · slots_per_hop`
 //! slots, contention-free. The pipeline delay, the worst-case latency
 //! bound and the slot count a deadline forces all derive from it; the
-//! generator, the allocator, the analysis and the flit-level simulator
-//! call these functions rather than spell the arithmetic again. Routes
+//! generator, the allocator, the analysis and the turbo kernel call
+//! these functions rather than spell the arithmetic again. Routes
 //! are measured in links: *h* router-to-router hops make `h + 2` links.
 
 use crate::config::NocConfig;

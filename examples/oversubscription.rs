@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example oversubscription`
 
 use aelite::analysis::composability::compare_timelines;
-use aelite::{measured_services, timelines, AeliteSystem, SimOptions};
+use aelite::{AeliteSystem, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::topology::Topology;
@@ -60,8 +60,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let victim = flooded.spec().connections()[1].id;
 
     // 1. The offender is clipped to its reservation.
-    let m = measured_services(&flood.report);
-    let greedy_bw = m[greedy.index()].bytes as f64 * 500e6 / 192_000.0;
+    let word_bytes = u64::from(flooded.spec().config().data_width_bytes());
+    let greedy_bytes = flood.per_conn[greedy.index()].1.words * word_bytes;
+    let greedy_bw = greedy_bytes as f64 * 500e6 / 192_000.0;
     let reserved = flooded.guaranteed_bandwidth(greedy).bytes_per_sec() as f64;
     println!(
         "greedy app: offered unbounded, delivered {:.1} MB/s (reservation {:.1} MB/s)",
@@ -74,13 +75,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The victim's timing is bit-identical either way.
-    let victim_timelines_base: Vec<_> = timelines(&base.report)
-        .into_iter()
+    let victim_timelines_base: Vec<_> = base
+        .timelines
+        .iter()
         .filter(|t| t.conn == victim)
+        .cloned()
         .collect();
-    let victim_timelines_flood: Vec<_> = timelines(&flood.report)
-        .into_iter()
+    let victim_timelines_flood: Vec<_> = flood
+        .timelines
+        .iter()
         .filter(|t| t.conn == victim)
+        .cloned()
         .collect();
     let cmp = compare_timelines(&victim_timelines_base, &victim_timelines_flood);
     println!("victim under flood: {cmp}");

@@ -112,12 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The resident application's delivery timeline never moved by a
     // single cycle through both reconfigurations.
     let after = system.simulate_apps(&[resident], opts);
-    for (b, a) in before.report.per_conn.iter().zip(&after.report.per_conn) {
-        assert_eq!(
-            b.timestamps, a.timestamps,
-            "{}: timing changed across reconfiguration",
-            b.conn
-        );
+    for (b, a) in before.timelines.iter().zip(&after.timelines) {
+        assert_eq!(b, a, "{}: timing changed across reconfiguration", b.conn);
     }
     println!("resident app: every flit delivery cycle identical across both swaps");
 

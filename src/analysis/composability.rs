@@ -7,15 +7,15 @@
 //! runs alone, with some other applications, or in the full system.
 //!
 //! This module compares such timelines in simulator-independent form, so
-//! the same checker serves the flit-level simulator, the cycle-accurate
-//! network and (to demonstrate the *failure* of composability) the
-//! best-effort baseline.
+//! the same checker serves the turbo kernel behind
+//! `AeliteSystem::simulate`, the event-driven network and (to
+//! demonstrate the *failure* of composability) the best-effort baseline.
 
 use aelite_spec::ids::ConnId;
 use core::fmt;
 
 /// One connection's delivery timeline: every delivery instant, in order,
-/// in any consistent unit (cycles for the flit simulator).
+/// in any consistent unit (destination-NI cycles for the GS simulators).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeline {
     /// The connection observed.

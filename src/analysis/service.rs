@@ -1,9 +1,9 @@
 //! Service verification: measured behaviour against contracts and bounds.
 //!
-//! Takes per-connection measurements (from any simulator — the flit-level
-//! GS simulator, the cycle-accurate network or the best-effort baseline)
-//! and checks them against the connections' contracts and, for GS runs,
-//! the analytical worst-case bounds.
+//! Takes per-connection measurements (from any simulator — the turbo
+//! kernel behind `AeliteSystem::simulate`, the event-driven network or
+//! the best-effort baseline) and checks them against the connections'
+//! contracts and, for GS runs, the analytical worst-case bounds.
 
 use aelite_alloc::allocate::Allocation;
 use aelite_spec::app::SystemSpec;

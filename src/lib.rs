@@ -44,8 +44,7 @@ pub mod report;
 pub mod system;
 
 pub use system::{
-    measured_services, measured_services_be, timelines, AeliteSystem, DesignError, ReconfigReport,
-    SimOptions, SimulationOutcome,
+    measured_services_be, AeliteSystem, DesignError, ReconfigReport, SimOptions, SimulationOutcome,
 };
 
 pub use aelite_alloc as alloc;

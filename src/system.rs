@@ -9,7 +9,8 @@ use crate::analysis::composability::{compare_timelines, ComposabilityResult, Tim
 use crate::analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_alloc::allocate::{AllocError, Allocation, Allocator};
 use aelite_alloc::validate::{validate, Violation};
-use aelite_noc::flitsim::{FlitSim, FlitSimConfig, TrafficReport};
+use aelite_noc::network::NetworkKind;
+use aelite_noc::turbo::{build_turbo, ConnLatency};
 use aelite_online::{AdmissionError, AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{AppId, ConnId};
@@ -77,8 +78,12 @@ impl Default for SimOptions {
 /// A simulation outcome: raw measurements plus the service verdicts.
 #[derive(Debug, Clone)]
 pub struct SimulationOutcome {
-    /// Raw per-connection measurements.
-    pub report: TrafficReport,
+    /// Every simulated connection's delivered flits and words and its
+    /// per-flit latency, in the simulated spec's connection order.
+    pub per_conn: Vec<(ConnId, ConnLatency)>,
+    /// Every simulated connection's delivery cycles, in the same order,
+    /// when the run recorded timestamps; empty otherwise.
+    pub timelines: Vec<Timeline>,
     /// Contract/bound verdicts.
     pub service: ServiceReport,
 }
@@ -156,35 +161,26 @@ impl AeliteSystem {
         self.allocation.worst_case_latency_ns(&self.spec, conn)
     }
 
-    /// Runs the flit-level simulator over the full system.
+    /// Simulates the full system in the turbo kernel, every connection
+    /// offering its traffic pattern at its contracted rate.
     #[must_use]
     pub fn simulate(&self, opts: SimOptions) -> SimulationOutcome {
-        self.simulate_spec(&self.spec, opts)
+        simulate_spec(&self.spec, &self.allocation, opts)
     }
 
-    /// Runs the flit-level simulator with only `apps` active, against the
-    /// full system's allocation — applications are developed and verified
-    /// in isolation (the paper's functional-scalability workflow).
+    /// Simulates only `apps`, on the full system's grants of their
+    /// connections — applications are developed and verified in
+    /// isolation (the paper's functional-scalability workflow).
     #[must_use]
     pub fn simulate_apps(&self, apps: &[AppId], opts: SimOptions) -> SimulationOutcome {
         let restricted = self.spec.restricted_to(apps);
-        self.simulate_spec(&restricted, opts)
-    }
-
-    fn simulate_spec(&self, spec: &SystemSpec, opts: SimOptions) -> SimulationOutcome {
-        let report = FlitSim::new(spec, &self.allocation).run(FlitSimConfig {
-            duration_cycles: opts.duration_cycles,
-            record_timestamps: opts.record_timestamps,
-        });
-        let measured = measured_services(&report);
-        let service = verify_service(
-            spec,
-            Some(&self.allocation),
-            &measured,
-            opts.duration_cycles,
-            THROUGHPUT_TOLERANCE,
-        );
-        SimulationOutcome { report, service }
+        let mut allocation = self.allocation.clone();
+        for c in self.spec.connections() {
+            if !apps.contains(&c.app) {
+                allocation.take_grant(c.id);
+            }
+        }
+        simulate_spec(&restricted, &allocation, opts)
     }
 
     /// Verifies composability: every application's delivery timelines are
@@ -196,12 +192,11 @@ impl AeliteSystem {
             ..opts
         };
         let full = self.simulate(opts);
-        let reference = timelines(&full.report);
         let mut divergent = Vec::new();
         let mut compared = 0;
         for app in self.spec.apps() {
             let isolated = self.simulate_apps(&[app.id], opts);
-            let result = compare_timelines(&reference, &timelines(&isolated.report));
+            let result = compare_timelines(&full.timelines, &isolated.timelines);
             compared += result.compared;
             divergent.extend(result.divergent);
         }
@@ -275,34 +270,57 @@ pub struct ReconfigReport {
     pub added: Vec<ConnId>,
 }
 
-/// Converts a flit-level report into simulator-independent measurements.
-#[must_use]
-pub fn measured_services(report: &TrafficReport) -> Vec<MeasuredService> {
-    report
-        .per_conn
+/// Runs `spec` under `allocation` in the turbo kernel for
+/// `opts.duration_cycles` and verifies every connection's contract and
+/// bound. A spec with link pipeline stages runs mesochronously.
+fn simulate_spec(
+    spec: &SystemSpec,
+    allocation: &Allocation,
+    opts: SimOptions,
+) -> SimulationOutcome {
+    let kind = match spec.config().link_pipeline_stages {
+        0 => NetworkKind::Synchronous,
+        _ => NetworkKind::Mesochronous { phase_seed: 0 },
+    };
+    let mut net = build_turbo(spec, allocation, kind, true);
+    net.run_cycles(opts.duration_cycles);
+    let conns = spec.connections();
+    let per_conn: Vec<(ConnId, ConnLatency)> =
+        conns.iter().map(|c| (c.id, net.latency(c.id))).collect();
+    let timelines = if opts.record_timestamps {
+        conns
+            .iter()
+            .map(|c| Timeline {
+                conn: c.id,
+                deliveries: net.delivery_cycles(c.id),
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let word_bytes = u64::from(spec.config().data_width_bytes());
+    let measured: Vec<MeasuredService> = per_conn
         .iter()
-        .map(|s| MeasuredService {
-            conn: s.conn,
-            bytes: s.bytes,
-            min_latency_cycles: if s.flits > 0 { s.min_latency } else { 0 },
-            mean_latency_cycles: s.mean_latency().unwrap_or(0.0),
-            max_latency_cycles: s.max_latency,
+        .map(|&(conn, l)| MeasuredService {
+            conn,
+            bytes: l.words * word_bytes,
+            min_latency_cycles: if l.flits > 0 { l.min_cycles } else { 0 },
+            mean_latency_cycles: l.mean_cycles().unwrap_or(0.0),
+            max_latency_cycles: l.max_cycles,
         })
-        .collect()
-}
-
-/// Extracts delivery timelines (requires the run to have recorded
-/// timestamps).
-#[must_use]
-pub fn timelines(report: &TrafficReport) -> Vec<Timeline> {
-    report
-        .per_conn
-        .iter()
-        .map(|s| Timeline {
-            conn: s.conn,
-            deliveries: s.timestamps.clone(),
-        })
-        .collect()
+        .collect();
+    let service = verify_service(
+        spec,
+        Some(allocation),
+        &measured,
+        opts.duration_cycles,
+        THROUGHPUT_TOLERANCE,
+    );
+    SimulationOutcome {
+        per_conn,
+        timelines,
+        service,
+    }
 }
 
 /// Converts a best-effort report into simulator-independent measurements.
@@ -331,6 +349,7 @@ mod tests {
     use aelite_spec::generate::paper_workload;
     use aelite_spec::ids::NiId;
     use aelite_spec::topology::Topology;
+    use aelite_spec::traffic::TrafficPattern;
 
     fn quick() -> SimOptions {
         SimOptions {
@@ -428,11 +447,11 @@ mod tests {
         assert_eq!(report.added.len(), 50);
         let after = system.simulate_apps(&kept_apps, opts);
 
-        for (b, d) in before.report.per_conn.iter().zip(&during.report.per_conn) {
-            assert_eq!(b.timestamps, d.timestamps, "{} moved during", b.conn);
+        for (b, d) in before.timelines.iter().zip(&during.timelines) {
+            assert_eq!(b, d, "{} moved during", b.conn);
         }
-        for (b, a) in before.report.per_conn.iter().zip(&after.report.per_conn) {
-            assert_eq!(b.timestamps, a.timestamps, "{} moved after", b.conn);
+        for (b, a) in before.timelines.iter().zip(&after.timelines) {
+            assert_eq!(b, a, "{} moved after", b.conn);
         }
         // And the re-added application still meets its contracts.
         let app2 = system.simulate_apps(
@@ -537,5 +556,139 @@ mod tests {
         let same = system.spec().clone();
         let report = system.reconfigure(same).unwrap();
         assert!(report.released.is_empty() && report.added.is_empty());
+    }
+
+    /// One connection across a 2x1 mesh offering `pattern` under a
+    /// `bw_mb` MB/s, `latency_ns` contract, in 16-byte messages.
+    fn one_conn_system(pattern: TrafficPattern, bw_mb: u64, latency_ns: u64) -> AeliteSystem {
+        let topo = Topology::mesh(2, 1, 1);
+        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
+        let app = b.add_app("a");
+        let s = b.add_ip_at(NiId::new(0));
+        let d = b.add_ip_at(NiId::new(1));
+        let bw = Bandwidth::from_mbytes_per_sec(bw_mb);
+        b.add_connection_with(app, s, d, bw, latency_ns, pattern, 16);
+        AeliteSystem::design(b.build()).unwrap()
+    }
+
+    /// 1 000 revolutions of the paper's slot table.
+    fn long() -> SimOptions {
+        SimOptions {
+            duration_cycles: 192_000,
+            ..SimOptions::default()
+        }
+    }
+
+    /// The rate the only connection of `system` achieved over `outcome`'s
+    /// `long()` run, in bytes per second at 500 MHz.
+    fn achieved(system: &AeliteSystem, outcome: &SimulationOutcome) -> f64 {
+        let word_bytes = u64::from(system.spec().config().data_width_bytes());
+        let bytes = outcome.per_conn[0].1.words * word_bytes;
+        bytes as f64 * 500e6 / long().duration_cycles as f64
+    }
+
+    #[test]
+    fn saturating_source_achieves_allocated_bandwidth() {
+        let system = one_conn_system(TrafficPattern::Saturating, 100, 1_000);
+        let conn = system.spec().connections()[0].id;
+        let achieved = achieved(&system, &system.simulate(long()));
+        let allocated = system.guaranteed_bandwidth(conn).bytes_per_sec() as f64;
+        assert!(
+            achieved >= allocated * 0.98,
+            "achieved {achieved} vs allocated {allocated}"
+        );
+    }
+
+    #[test]
+    fn cbr_source_achieves_contract() {
+        let system = one_conn_system(TrafficPattern::ConstantRate, 100, 1_000);
+        let achieved = achieved(&system, &system.simulate(long()));
+        assert!(
+            achieved >= 98e6,
+            "CBR at 100 MB/s delivered only {achieved} B/s"
+        );
+    }
+
+    #[test]
+    fn latency_stays_within_analytical_bound() {
+        let system = one_conn_system(TrafficPattern::ConstantRate, 50, 1_000);
+        let conn = system.spec().connections()[0].id;
+        let outcome = system.simulate(long());
+        let bound = system
+            .allocation()
+            .worst_case_latency_cycles(system.spec(), conn);
+        let stats = outcome.per_conn[0].1;
+        assert!(
+            stats.max_cycles <= bound,
+            "measured max {} exceeds bound {bound}",
+            stats.max_cycles
+        );
+        assert!(stats.min_cycles > 0);
+    }
+
+    #[test]
+    fn oversubscription_is_clipped_to_the_reservation() {
+        // An IP offering more than its contract only slows itself down
+        // (paper Section IV-A): delivery is capped by the reserved slots.
+        let system = one_conn_system(TrafficPattern::Saturating, 20, 2_000);
+        let conn = system.spec().connections()[0].id;
+        let achieved = achieved(&system, &system.simulate(long()));
+        let allocated = system.guaranteed_bandwidth(conn).bytes_per_sec() as f64;
+        assert!(
+            achieved <= allocated * 1.02,
+            "offender exceeded its reservation: {achieved} > {allocated}"
+        );
+    }
+
+    #[test]
+    fn paper_workload_meets_every_contract_at_500mhz() {
+        // The headline GS claim of Section VII: every one of the 200
+        // connections meets throughput and latency at 500 MHz.
+        let system = AeliteSystem::design(paper_workload(42)).unwrap();
+        let outcome = system.simulate(SimOptions {
+            duration_cycles: 200_000,
+            ..SimOptions::default()
+        });
+        assert_eq!(outcome.service.verdicts.len(), 200);
+        for v in &outcome.service.verdicts {
+            assert!(v.ok(), "{v}");
+        }
+    }
+
+    #[test]
+    fn composability_timestamps_identical_in_isolation() {
+        // Per-flit delivery times of app 0 are bit-identical whether the
+        // other three applications run or not — the paper's composability
+        // claim, checked at scale.
+        let system = AeliteSystem::design(paper_workload(7)).unwrap();
+        let opts = SimOptions {
+            duration_cycles: 60_000,
+            record_timestamps: true,
+        };
+        let full = system.simulate(opts);
+        let isolated = system.simulate_apps(&[AppId::new(0)], opts);
+        assert_eq!(isolated.timelines.len(), 50);
+        for t in &isolated.timelines {
+            let reference = full.timelines.iter().find(|r| r.conn == t.conn).unwrap();
+            assert!(!t.deliveries.is_empty(), "{} never delivered", t.conn);
+            assert_eq!(
+                reference, t,
+                "{} timing changed when other applications were removed",
+                t.conn
+            );
+        }
+    }
+
+    #[test]
+    fn bursty_pattern_does_not_reduce_worst_latency() {
+        let bursty = TrafficPattern::Bursty {
+            burst_bytes: 64,
+            period_ns: 1_280, // the same 50 MB/s average
+        };
+        let worst = |pattern| {
+            let system = one_conn_system(pattern, 50, 1_000);
+            system.simulate(long()).per_conn[0].1.max_cycles
+        };
+        assert!(worst(bursty) >= worst(TrafficPattern::ConstantRate));
     }
 }

@@ -107,17 +107,19 @@ fn simulate_digest(spec: SystemSpec) -> u64 {
         record_timestamps: true,
     });
     let mut d = Digest::new();
-    d.word(outcome.report.per_conn.len() as u64);
-    for s in &outcome.report.per_conn {
-        d.word(s.conn.index() as u64);
+    let word_bytes = u64::from(system.spec().config().data_width_bytes());
+    d.word(outcome.per_conn.len() as u64);
+    for ((conn, s), t) in outcome.per_conn.iter().zip(&outcome.timelines) {
+        assert_eq!(*conn, t.conn);
+        d.word(conn.index() as u64);
         d.word(s.flits);
-        d.word(s.bytes);
-        d.word(s.min_latency);
-        d.word(s.max_latency);
+        d.word(s.words * word_bytes);
+        d.word(s.min_cycles);
+        d.word(s.max_cycles);
         d.word(s.latency_sum);
-        d.word(s.timestamps.len() as u64);
-        for &t in &s.timestamps {
-            d.word(t);
+        d.word(t.deliveries.len() as u64);
+        for &cycle in &t.deliveries {
+            d.word(cycle);
         }
     }
     d.0

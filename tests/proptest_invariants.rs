@@ -10,8 +10,9 @@ use aelite_alloc::mask::SlotMask;
 use aelite_alloc::table::{gaps, worst_window, SlotTable};
 use aelite_alloc::{allocate, validate_allocation};
 use aelite_noc::codec::{pack_header, route_capacity_hops, unpack_header};
-use aelite_noc::flitsim::{FlitSim, FlitSimConfig};
+use aelite_noc::network::NetworkKind;
 use aelite_noc::phit::{Header, RouteBits};
+use aelite_noc::turbo::build_turbo;
 use aelite_sim::bisync::BisyncFifo;
 use aelite_sim::time::{SimDuration, SimTime};
 use aelite_spec::generate::{random_workload, WorkloadParams};
@@ -272,21 +273,19 @@ proptest! {
         let alloc = allocate(&spec).expect("generator guarantees allocatability headroom");
         validate_allocation(&spec, &alloc).expect("allocation must validate");
 
-        let report = FlitSim::new(&spec, &alloc).run(FlitSimConfig {
-            duration_cycles: 20_000,
-            ..FlitSimConfig::default()
-        });
+        let mut net = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
+        net.run_cycles(20_000);
         let cycle_ns = spec.config().cycle_ns();
         for c in spec.connections() {
-            let stats = report.conn(c.id);
+            let stats = net.latency(c.id);
             prop_assert!(stats.flits > 0, "{} never delivered", c.id);
             let bound = alloc.worst_case_latency_cycles(&spec, c.id);
             prop_assert!(
-                stats.max_latency <= bound,
+                stats.max_cycles <= bound,
                 "{}: measured {} > bound {}",
-                c.id, stats.max_latency, bound
+                c.id, stats.max_cycles, bound
             );
-            let max_ns = stats.max_latency as f64 * cycle_ns;
+            let max_ns = stats.max_cycles as f64 * cycle_ns;
             prop_assert!(max_ns <= c.max_latency_ns as f64);
         }
     }
