@@ -191,24 +191,17 @@ impl MessageSource {
                 f64::from(period_ns) * cfg.frequency_mhz as f64 / 1_000.0,
             ),
         };
-        let saturating = c.pattern == TrafficPattern::Saturating;
-        let next_fp = if saturating {
-            (u64::from(first_slot) * u64::from(cfg.slot_cycles())) << 16
+        let (words, interval_fp, next_fp) = if c.pattern == TrafficPattern::Saturating {
+            let first_slot_cycle = u64::from(first_slot) * u64::from(cfg.slot_cycles());
+            (u32::MAX, 0, first_slot_cycle << 16)
         } else {
-            0
+            let words = message_bytes.div_ceil(cfg.data_width_bytes()).max(1);
+            (words, ((interval_cycles * 65_536.0) as u64).max(1), 0)
         };
         MessageSource {
             message_bytes,
-            words: if saturating {
-                u32::MAX
-            } else {
-                message_bytes.div_ceil(cfg.data_width_bytes()).max(1)
-            },
-            interval_fp: if saturating {
-                0
-            } else {
-                ((interval_cycles * 65_536.0) as u64).max(1)
-            },
+            words,
+            interval_fp,
             next_fp,
             visible: next_fp.div_ceil(1 << 16),
             seq: 0,
