@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's five grep lints, in one place: the CI `lint` job runs
+# The repository's six grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -70,6 +70,21 @@ if [ -n "$hits" ]; then
   echo "::error::crates/alloc/src/validate.rs reads allocator bookkeeping above its tests: re-derive it from grant.path and the owner view"
   exit 1
 fi
+
+# Only the configuration image (`crates/noc/src/image.rs`) reads the
+# allocation: the event build and the turbo kernel both build from it, so
+# their queues, logs and per-connection state line up by construction.
+# A second walk of the grants in either builder could drift from it, so
+# their non-test parts name no grant lookup, no injection slots and no
+# buffer analysis.
+for f in crates/noc/src/network.rs crates/noc/src/turbo.rs; do
+  hits=$(sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'alloc\.grant\(|\.inject_slots|required_buffer_words' || true)
+  if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "::error::$f reads the allocation above its tests: lower it in crates/noc/src/image.rs instead"
+    exit 1
+  fi
+done
 
 # The timing model, the traffic source model, the XY route, route search
 # and the slot-selection kernels are each defined once; a second

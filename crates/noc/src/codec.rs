@@ -9,14 +9,14 @@
 //! narrower than "every header is encodable": a header of at most
 //! [`route_capacity_hops`] hops with a connection index below 256 packs
 //! and unpacks losslessly, and any other header is refused with a
-//! [`CodecError`]. Nothing checks that the headers the models build
-//! fit. The NI puts the global connection id in the header, and the
-//! allocator does not bound route length by the word. A probe of the
-//! 8×8 mesh with 1 000 uniform connections (`MESH8_UNIFORM`, seed 1,
-//! default 32-bit configuration) found paths through 14 routers, 85 of
-//! 1 000 grants over the 8-hop capacity, and 744 connection ids above
-//! 255. ROADMAP item 16 filters such routes and moves the connection
-//! field to a per-NI queue index.
+//! [`CodecError`]. Nothing refuses a built header that does not fit. The
+//! NI puts the global connection id in the header, and the allocator
+//! does not bound route length by the word. How many built routes
+//! exceed the word, how long the longest is and how many connections
+//! one NI sinks are pinned per spec, on the paper platform and the
+//! benchmark's meshes, by the `headers_of_the_paper_platform_and_the_benchmark_meshes`
+//! test in `crates/noc/src/image.rs`. ROADMAP item 16 filters such routes
+//! and moves the connection field to a per-NI queue index.
 //!
 //! ## Layout (for a `w`-bit data word)
 //!

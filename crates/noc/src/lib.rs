@@ -6,7 +6,11 @@
 //!
 //! * [`phit`] — link words with explicit `valid`/`eop` sideband.
 //! * [`codec`] — the physical header layout (route + connection id) and
-//!   its round trips; whether built headers fit is ROADMAP item 16.
+//!   its round trips; how many built headers fit is pinned by a test in
+//!   `crates/noc/src/image.rs`, the crate-private configuration image: an
+//!   allocation lowered once into the NI state that [`network`] and
+//!   [`turbo`] both build from (each source NI's slot table and each
+//!   connection's header, credits and traffic source).
 //! * [`router`] — the 3-stage, arbiter-less GS-only router (Section IV).
 //! * [`meso`] — the mesochronous link pipeline stage: bi-synchronous FIFO
 //!   plus flit-cycle re-aligning FSM (Section V, Fig 3).
@@ -35,6 +39,7 @@
 
 pub mod baseline;
 pub mod codec;
+mod image;
 pub mod meso;
 pub mod network;
 pub mod ni;

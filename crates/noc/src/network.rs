@@ -1,7 +1,8 @@
 //! Builders assembling a complete cycle-accurate aelite NoC.
 //!
 //! Given a [`SystemSpec`] and its [`Allocation`], [`build_network`] wires
-//! routers, link stages and NIs into one
+//! routers, link stages and NIs holding the allocation's configuration
+//! image (which the turbo engine compiles) into one
 //! [`aelite_sim::scheduler::Simulator`] and returns handles for
 //! driving traffic and observing deliveries.
 //!
@@ -15,10 +16,11 @@
 //!   phase, and every link carries a bi-synchronous-FIFO pipeline stage
 //!   (Section V; requires `link_pipeline_stages == 1`).
 
+use crate::image::{ConfigImage, ConnIndex};
 use crate::meso::{meso_fifo, MesoFsm, MesoWriter};
 use crate::ni::{
-    credit_channel, delivery_log, message_queue, CbrSource, DeliveryLog, MessageQueue, NiSink,
-    NiSource, SinkConn, SourceConn,
+    credit_channel, CbrSource, CreditChannel, DeliveryLog, MessageQueue, NiSink, NiSource,
+    SinkConn, SourceConn,
 };
 use crate::phit::LinkWord;
 use aelite_alloc::allocate::Allocation;
@@ -27,11 +29,11 @@ use aelite_sim::scheduler::Simulator;
 use aelite_sim::signal::Wire;
 use aelite_sim::time::{Frequency, SimDuration, SimTime};
 use aelite_spec::app::SystemSpec;
-use aelite_spec::ids::ConnId;
+use aelite_spec::ids::{ConnId, LinkId, Port};
 use aelite_spec::topology::{Endpoint, Topology};
-use aelite_spec::traffic::MessageSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::rc::Rc;
 
 /// The physical organisation of the built network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +60,7 @@ pub struct CycleNet {
     pub logs: Vec<(ConnId, DeliveryLog)>,
     /// Nominal clock of the NoC.
     pub frequency: Frequency,
-    /// `ConnId::index() -> (index into queues, index into logs)`;
-    /// `u32::MAX` marks a connection outside the build.
-    conn_index: Vec<(u32, u32)>,
+    index: ConnIndex,
 }
 
 impl CycleNet {
@@ -70,14 +70,6 @@ impl CycleNet {
         self.sim.run_until(deadline);
     }
 
-    /// Positions of `conn` in `queues` and `logs`.
-    fn index_of(&self, conn: ConnId) -> (usize, usize) {
-        match self.conn_index.get(conn.index()) {
-            Some(&(q, l)) if q != u32::MAX => (q as usize, l as usize),
-            _ => panic!("{conn} not built"),
-        }
-    }
-
     /// The message queue of `conn`.
     ///
     /// # Panics
@@ -85,7 +77,7 @@ impl CycleNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn queue(&self, conn: ConnId) -> &MessageQueue {
-        &self.queues[self.index_of(conn).0].1
+        &self.queues[self.index.of(conn).0].1
     }
 
     /// The delivery log of `conn`.
@@ -95,7 +87,7 @@ impl CycleNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn log(&self, conn: ConnId) -> &DeliveryLog {
-        &self.logs[self.index_of(conn).1].1
+        &self.logs[self.index.of(conn).1].1
     }
 
     /// Delivery cycles of `conn`, in arrival order.
@@ -130,48 +122,19 @@ pub(crate) fn clock_phases_fs(kind: NetworkKind, topo: &Topology, period_fs: u64
     }
 }
 
-/// Checks `kind` against `spec`'s link pipeline and lists the
-/// connections each NI sources and sinks, as indices into
-/// `spec.connections()` in spec order. [`build_network`] and
-/// [`build_turbo`](crate::turbo::build_turbo) both build the public
-/// queues (source side) and logs (sink side) NI by NI in this order, so
-/// the two engines' vectors line up entry for entry.
-///
-/// # Panics
-///
-/// Panics if `kind` is inconsistent with
-/// `spec.config().link_pipeline_stages` (see [`NetworkKind`]).
-pub(crate) fn build_order(spec: &SystemSpec, kind: NetworkKind) -> [Vec<Vec<usize>>; 2] {
-    let (stages, name) = match kind {
-        NetworkKind::Synchronous => (0, "synchronous"),
-        NetworkKind::Mesochronous { .. } => (1, "mesochronous"),
-    };
-    assert_eq!(
-        spec.config().link_pipeline_stages,
-        stages,
-        "{name} build requires link_pipeline_stages == {stages}"
-    );
-    let mut order: [Vec<Vec<usize>>; 2] =
-        std::array::from_fn(|_| vec![Vec::new(); spec.topology().ni_count()]);
-    for (ci, c) in spec.connections().iter().enumerate() {
-        order[0][spec.ip_ni(c.src).index()].push(ci);
-        order[1][spec.ip_ni(c.dst).index()].push(ci);
-    }
-    order
-}
-
 /// Builds the cycle-accurate network for `spec` under `alloc`.
 ///
 /// With `with_traffic`, every connection gets a source replaying its
-/// [`MessageSource`]: its traffic pattern at exactly its contracted rate
-/// (the paper's evaluation regime); otherwise the testbench drives the
-/// queues itself.
+/// [`MessageSource`](aelite_spec::traffic::MessageSource): its traffic
+/// pattern at exactly its contracted rate (the paper's evaluation
+/// regime); otherwise the testbench drives the queues itself.
 ///
 /// # Panics
 ///
 /// Panics if `kind` is inconsistent with
-/// `spec.config().link_pipeline_stages` (see [`NetworkKind`]), or if any
-/// connection lacks a grant.
+/// `spec.config().link_pipeline_stages` (see [`NetworkKind`]), if any
+/// connection lacks a grant, or if two connections claim one slot of
+/// their source NI.
 #[must_use]
 pub fn build_network(
     spec: &SystemSpec,
@@ -179,7 +142,7 @@ pub fn build_network(
     kind: NetworkKind,
     with_traffic: bool,
 ) -> CycleNet {
-    let [by_src, by_dst] = build_order(spec, kind);
+    let image = ConfigImage::new(spec, alloc, kind).unwrap_or_else(|error| panic!("{error}"));
     let cfg = spec.config();
     let topo = spec.topology();
 
@@ -212,31 +175,22 @@ pub fn build_network(
     let mut rx_wire: Vec<Wire<LinkWord>> = Vec::with_capacity(topo.link_count());
     for l in topo.links() {
         let tx = sim.add_wire(format!("{l}.tx"));
-        match kind {
-            NetworkKind::Synchronous => {
-                tx_wire.push(tx);
-                rx_wire.push(tx);
-            }
-            NetworkKind::Mesochronous { .. } => {
-                let rx = sim.add_wire(format!("{l}.rx"));
-                tx_wire.push(tx);
-                rx_wire.push(rx);
-            }
-        }
+        tx_wire.push(tx);
+        rx_wire.push(match kind {
+            NetworkKind::Synchronous => tx,
+            NetworkKind::Mesochronous { .. } => sim.add_wire(format!("{l}.rx")),
+        });
     }
 
     // Link pipeline stages.
+    let domain_of = |end: Endpoint| match end {
+        Endpoint::Router(r, _) => router_domains[r.index()],
+        Endpoint::Ni(n) => ni_domains[n.index()],
+    };
     if let NetworkKind::Mesochronous { .. } = kind {
         for l in topo.links() {
             let link = topo.link(l);
-            let sender_domain = match link.from {
-                Endpoint::Router(r, _) => router_domains[r.index()],
-                Endpoint::Ni(n) => ni_domains[n.index()],
-            };
-            let receiver_domain = match link.to {
-                Endpoint::Router(r, _) => router_domains[r.index()],
-                Endpoint::Ni(n) => ni_domains[n.index()],
-            };
+            let (sender_domain, receiver_domain) = (domain_of(link.from), domain_of(link.to));
             let fifo = meso_fifo(format!("{l}.fifo"), f.period());
             sim.add_module(
                 sender_domain,
@@ -251,21 +205,11 @@ pub fn build_network(
 
     // Routers.
     for r in topo.routers() {
-        let inputs: Vec<_> = (0..topo.arity(r))
-            .map(|p| {
-                rx_wire[topo
-                    .in_link(r, aelite_spec::ids::Port(p as u8))
-                    .expect("port")
-                    .index()]
-            })
-            .collect();
-        let outputs: Vec<_> = (0..topo.arity(r))
-            .map(|p| {
-                tx_wire[topo
-                    .out_link(r, aelite_spec::ids::Port(p as u8))
-                    .expect("port")
-                    .index()]
-            })
+        let ports = || (0..topo.arity(r)).map(|p| Port(p as u8));
+        let link = |l: Option<LinkId>| l.expect("port").index();
+        let inputs = ports().map(|p| rx_wire[link(topo.in_link(r, p))]).collect();
+        let outputs = ports()
+            .map(|p| tx_wire[link(topo.out_link(r, p))])
             .collect();
         sim.add_module(
             router_domains[r.index()],
@@ -273,83 +217,59 @@ pub fn build_network(
         );
     }
 
-    // NIs: group connections by source and destination NI.
+    // NIs, each with the connections it sources and sinks.
+    let (queues, logs, index) = image.handles(ni_phase_fs, period_fs);
     let credit_delay = f.period() * CREDIT_RETURN_CYCLES;
-    let mut queues: Vec<(ConnId, MessageQueue)> = Vec::new();
-    let mut logs: Vec<(ConnId, DeliveryLog)> = Vec::new();
-    let mut conn_index: Vec<(u32, u32)> = vec![(u32::MAX, u32::MAX); spec.conn_id_bound()];
-    // Build credit channels once per connection; shared by src and dst NI.
-    let mut credit: Vec<Option<crate::ni::CreditChannel>> = vec![None; spec.conn_id_bound()];
-    for c in spec.connections() {
-        credit[c.id.index()] = Some(credit_channel(format!("{}.credit", c.id), credit_delay));
-    }
-
-    for ni in topo.nis() {
+    let credits: Vec<CreditChannel> = (queues.iter())
+        .map(|(conn, _)| credit_channel(format!("{conn}.credit"), credit_delay))
+        .collect();
+    let mut conns = image.conns.into_iter().enumerate().peekable();
+    let per_ni = image.slot_tables.into_iter().zip(&image.sinks);
+    for (ni, (slot_table, sinks)) in topo.nis().zip(per_ni) {
         let domain = ni_domains[ni.index()];
-        // Source side.
-        let mut src_conns = Vec::new();
-        for &ci in &by_src[ni.index()] {
-            let c = &spec.connections()[ci];
-            let grant = alloc
-                .grant(c.id)
-                .unwrap_or_else(|| panic!("{} has no grant", c.id));
-            let queue = message_queue();
-            conn_index[c.id.index()].0 = queues.len() as u32;
-            queues.push((c.id, std::rc::Rc::clone(&queue)));
-            if with_traffic {
-                let first_slot = grant.inject_slots.first().copied().unwrap_or(0);
-                sim.add_module(
-                    domain,
-                    CbrSource::new(
-                        format!("{}.cbr", c.id),
-                        std::rc::Rc::clone(&queue),
-                        MessageSource::new(c, cfg, first_slot),
-                    ),
-                );
-            }
-            src_conns.push(SourceConn {
-                conn: c.id,
-                route: grant.path.ports.clone(),
-                inject_slots: grant.inject_slots.clone(),
-                queue,
-                credits_in: credit[c.id.index()].clone().expect("built above"),
-                initial_credit: cfg.ni_buffer_words,
-            });
-        }
-        if !src_conns.is_empty() {
+        let sources: Vec<SourceConn> = std::iter::from_fn(|| conns.next_if(|(_, c)| c.src == ni))
+            .map(|(i, c)| {
+                let queue = Rc::clone(&queues[i].1);
+                if with_traffic {
+                    let name = format!("{}.cbr", c.conn);
+                    let cbr = CbrSource::new(name, Rc::clone(&queue), c.source);
+                    sim.add_module(domain, cbr);
+                }
+                SourceConn {
+                    header: c.header,
+                    queue,
+                    credits_in: credits[i].clone(),
+                    initial_credit: c.credits,
+                }
+            })
+            .collect();
+        if !sources.is_empty() {
             sim.add_module(
                 domain,
                 NiSource::new(
                     format!("{ni}.src"),
                     tx_wire[topo.ni_ingress_link(ni).index()],
-                    cfg.slot_table_size,
+                    slot_table,
                     cfg.flit_words,
-                    src_conns,
+                    sources,
                 ),
             );
         }
-
-        // Sink side.
-        let mut sink_conns = Vec::new();
-        for &ci in &by_dst[ni.index()] {
-            let c = &spec.connections()[ci];
-            let log = delivery_log(c.id, ni_phase_fs[ni.index()], period_fs);
-            conn_index[c.id.index()].1 = logs.len() as u32;
-            logs.push((c.id, std::rc::Rc::clone(&log)));
-            sink_conns.push(SinkConn {
-                conn: c.id,
-                log,
-                credits_out: credit[c.id.index()].clone().expect("built above"),
+        let sinks: Vec<SinkConn> = (sinks.iter())
+            .map(|&i| SinkConn {
+                conn: queues[i].0,
+                log: Rc::clone(&logs[index.of(queues[i].0).1].1),
+                credits_out: credits[i].clone(),
                 drain_interval: 0,
-            });
-        }
-        if !sink_conns.is_empty() {
+            })
+            .collect();
+        if !sinks.is_empty() {
             sim.add_module(
                 domain,
                 NiSink::new(
                     format!("{ni}.sink"),
                     rx_wire[topo.ni_egress_link(ni).index()],
-                    sink_conns,
+                    sinks,
                 ),
             );
         }
@@ -360,7 +280,7 @@ pub fn build_network(
         queues,
         logs,
         frequency: f,
-        conn_index,
+        index,
     }
 }
 
@@ -501,6 +421,13 @@ mod tests {
         assert!(std::rc::Rc::ptr_eq(net.queue(c1), &net.queues[0].1));
         assert!(std::rc::Rc::ptr_eq(net.log(c1), &net.logs[0].1));
         let _ = net.log(c0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 0 claimed twice on one NI")]
+    fn build_network_refuses_a_double_claimed_allocation() {
+        let (spec, alloc) = crate::image::tests::double_claimed();
+        let _ = build_network(&spec, &alloc, NetworkKind::Synchronous, true);
     }
 
     #[test]

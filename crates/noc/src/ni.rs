@@ -13,7 +13,7 @@
 //! role, preserving the property that matters — credits arrive a bounded
 //! time after the consumer frees space.
 
-use crate::phit::{LinkWord, Payload, RouteBits};
+use crate::phit::{Header, LinkWord, Payload};
 use aelite_sim::bisync::{BisyncFifo, SharedBisync};
 use aelite_sim::module::{EdgeContext, Module};
 use aelite_sim::signal::Wire;
@@ -306,12 +306,9 @@ pub(crate) fn flit_base_tag(seq: u32, total_words: u32, remaining_words: u32) ->
 /// Per-connection source state inside an [`NiSource`].
 #[derive(Debug)]
 pub struct SourceConn {
-    /// The connection id (carried in headers).
-    pub conn: ConnId,
-    /// The full source route (as allocated).
-    pub route: Vec<aelite_spec::ids::Port>,
-    /// Slot-table entries owned by this connection.
-    pub inject_slots: Vec<u32>,
+    /// The header opening every packet: the full source route (as
+    /// allocated) and the connection id.
+    pub header: Header,
     /// Message queue filled by the IP.
     pub queue: MessageQueue,
     /// Credit return channel from the destination NI.
@@ -325,7 +322,6 @@ struct SourceState {
     credits: i64,
     /// Words left of the message currently being sent.
     current_msg: Option<(Message, u32)>,
-    words_sent: u64,
 }
 
 /// The sending half of an NI: slot table + packetisation + flow control.
@@ -333,66 +329,43 @@ struct SourceState {
 pub struct NiSource {
     name: String,
     output: Wire<LinkWord>,
-    table_size: u32,
     flit_words: u32,
     conns: Vec<SourceConn>,
     state: Vec<SourceState>,
-    /// Slot owner lookup: `slot -> index into conns`.
+    /// The slot table: `slot -> index into conns` of its owner.
     slot_owner: Vec<Option<usize>>,
     /// Words queued for the remaining cycles of the current slot.
     pending: VecDeque<LinkWord>,
 }
 
 impl NiSource {
-    /// Builds a source NI.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two connections claim the same slot (the allocation must
-    /// make NI-ingress slots exclusive) or a slot index is out of range.
+    /// Builds a source NI whose slot table gives each entry's owner as an
+    /// index into `conns`. The allocation makes each entry's owner
+    /// exclusive; the table encodes that by construction.
     #[must_use]
     pub fn new(
         name: impl Into<String>,
         output: Wire<LinkWord>,
-        table_size: u32,
+        slot_table: Vec<Option<usize>>,
         flit_words: u32,
         conns: Vec<SourceConn>,
     ) -> Self {
-        let mut slot_owner = vec![None; table_size as usize];
-        for (i, c) in conns.iter().enumerate() {
-            for &s in &c.inject_slots {
-                assert!(s < table_size, "slot {s} out of range for {}", c.conn);
-                assert!(
-                    slot_owner[s as usize].is_none(),
-                    "slot {s} claimed twice on one NI"
-                );
-                slot_owner[s as usize] = Some(i);
-            }
-        }
         let state = conns
             .iter()
             .map(|c| SourceState {
                 credits: i64::from(c.initial_credit),
                 current_msg: None,
-                words_sent: 0,
             })
             .collect();
         NiSource {
             name: name.into(),
             output,
-            table_size,
             flit_words,
             conns,
             state,
-            slot_owner,
+            slot_owner: slot_table,
             pending: VecDeque::new(),
         }
-    }
-
-    /// Current credit (payload words) of the `i`-th connection.
-    #[must_use]
-    pub fn credits(&self, i: usize) -> i64 {
-        self.state[i].credits
     }
 }
 
@@ -424,7 +397,7 @@ impl Module for NiSource {
             ctx.write(self.output, LinkWord::idle());
             return;
         }
-        let slot = ((cycle / u64::from(self.flit_words)) % u64::from(self.table_size)) as u32;
+        let slot = (cycle / u64::from(self.flit_words)) % self.slot_owner.len() as u64;
         let Some(ci) = self.slot_owner[slot as usize] else {
             ctx.write(self.output, LinkWord::idle());
             return;
@@ -459,13 +432,12 @@ impl Module for NiSource {
             return;
         }
         st.credits -= i64::from(send_words);
-        st.words_sent += u64::from(send_words);
         let left = remaining - send_words;
         st.current_msg = if left > 0 { Some((msg, left)) } else { None };
 
         // Emit the flit: header now, payload words on the next cycles.
-        let route = RouteBits::from_ports(&self.conns[ci].route);
-        ctx.write(self.output, LinkWord::head(route, self.conns[ci].conn));
+        let header = self.conns[ci].header;
+        ctx.write(self.output, LinkWord::head(header.route, header.conn));
         let base_tag = flit_base_tag(msg.seq, msg.words, remaining);
         for k in 0..send_words {
             let eop = k + 1 == send_words;
@@ -661,23 +633,29 @@ mod tests {
     use aelite_sim::time::{Frequency, SimTime};
     const S: u32 = 8;
 
-    fn source_conn(
-        conn: u32,
-        slots: Vec<u32>,
+    /// The only connection of a source NI, owning `slots` of its table.
+    fn sole_source(
+        slots: &[u32],
         queue: MessageQueue,
         credits_in: CreditChannel,
         credit: u32,
-    ) -> SourceConn {
-        SourceConn {
-            conn: ConnId::new(conn),
+    ) -> (Vec<Option<usize>>, Vec<SourceConn>) {
+        let mut table = vec![None; S as usize];
+        for &s in slots {
+            table[s as usize] = Some(0);
+        }
+        let conn = SourceConn {
             // Wired NI-to-NI in these tests: no router consumes hops, so
             // the route is empty.
-            route: vec![],
-            inject_slots: slots,
+            header: Header {
+                route: crate::phit::RouteBits::from_ports(&[]),
+                conn: ConnId::new(0),
+            },
             queue,
             credits_in,
             initial_credit: credit,
-        }
+        };
+        (table, vec![conn])
     }
 
     /// NI source wired straight into an NI sink (no router between) —
@@ -696,19 +674,8 @@ mod tests {
         let queue = message_queue();
         let log = delivery_log(ConnId::new(0), 0, f.period().as_fs());
         let credits = credit_channel("cr", SimDuration::ZERO);
-        let src = NiSource::new(
-            "src",
-            wire,
-            S,
-            3,
-            vec![source_conn(
-                0,
-                slots,
-                Rc::clone(&queue),
-                credits.clone(),
-                credit,
-            )],
-        );
+        let (table, conns) = sole_source(&slots, Rc::clone(&queue), credits.clone(), credit);
+        let src = NiSource::new("src", wire, table, 3, conns);
         // The sink sees packets whose single-hop route was consumed by a
         // router; emulate by building sources with an empty route.
         let sink = NiSink::new(
@@ -804,25 +771,6 @@ mod tests {
         b.sim.run_until(SimTime::from_ns(100));
         let log = b.log.borrow();
         assert_eq!(log.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "claimed twice")]
-    fn overlapping_slots_rejected() {
-        let mut sim: Simulator<LinkWord> = Simulator::new();
-        let wire = sim.add_wire("w");
-        let q = message_queue();
-        let cr = credit_channel("c", SimDuration::ZERO);
-        let _ = NiSource::new(
-            "src",
-            wire,
-            S,
-            3,
-            vec![
-                source_conn(0, vec![1], Rc::clone(&q), cr.clone(), 4),
-                source_conn(1, vec![1], q, cr, 4),
-            ],
-        );
     }
 
     /// 500 MHz: one cycle is 2 ns.

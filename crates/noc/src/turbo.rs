@@ -19,7 +19,8 @@
 //! beside compiling the connections).
 //!
 //! [`build_turbo`] therefore *compiles* the built router/link/NI module
-//! graph:
+//! graph, from the allocation's configuration image that
+//! [`build_network`](crate::network::build_network) wires into its NIs:
 //!
 //! * the per-cycle dynamic state that actually carries semantics — NI
 //!   slot tables, message queues, end-to-end credits — is lowered into
@@ -83,8 +84,8 @@
 //! **Credits that provably cannot bind are not booked.** End-to-end
 //! credits throttle a connection only if its destination buffer is
 //! smaller than the words it can have outstanding over one credit round
-//! trip, which is what [`required_buffer_words`] bounds. [`build_turbo`]
-//! marks a connection *credit-free* iff that bound, at
+//! trip, which is what the allocator's buffer analysis bounds. The
+//! configuration image marks a connection *credit-free* iff that bound, at
 //! [`CREDIT_RETURN_CYCLES`], fits `ni_buffer_words`; the kernel then
 //! skips its credit collection, its shortfall check and its per-word
 //! credit-return schedule. Credit-bound connections keep the exact
@@ -99,15 +100,15 @@
 //!   CREDIT_RETURN_CYCLES`;
 //! * `pipeline_cycles` is at least `head_delay + payload`: `3L` against
 //!   `3L − 2 + 2` synchronously and `6L` against `6L − 2 + 2`
-//!   mesochronously at the paper's 3-word flits. [`build_turbo`] checks
-//!   this per connection instead of assuming the flit size;
+//!   mesochronously at the paper's 3-word flits. The image checks this
+//!   per connection instead of assuming the flit size;
 //! * so every word whose credit is still out at a decision was injected
 //!   at most `R = pipeline + CREDIT_RETURN_CYCLES + 1` cycles earlier, in
 //!   one of the `⌊R / slot⌋ + 1` slots ending at the decision's own. A
 //!   slot is `flit_words ≥ 2` cycles, so that is at most
 //!   `⌈(R − 1) / slot⌉ + 1` slots: the analysis window. Its owned slots
-//!   carry at most `required_buffer_words` words, the flit about to be
-//!   sent included. That fits the buffer, so the credit check can never
+//!   carry at most the buffer analysis's bound, the flit about to be sent
+//!   included. That fits the buffer, so the credit check can never
 //!   fail and booking credits changes nothing a log or queue shows.
 //!
 //! **Equivalence is the contract**: a [`TurboNet`] produces delivery
@@ -128,22 +129,17 @@
 //! [`FlitLog`]: crate::ni::FlitLog
 //! [`FlitDelivery`]: crate::ni::FlitDelivery
 
-use crate::network::{build_order, NetworkKind, CREDIT_RETURN_CYCLES};
-use crate::ni::{delivery_log, message_queue, DeliveryLog, FlitRecords, Message, MessageQueue};
-use aelite_alloc::allocate::{required_buffer_words, Allocation};
+use crate::image::{ConfigImage, ConnImage, ConnIndex};
+use crate::network::{NetworkKind, CREDIT_RETURN_CYCLES};
+use crate::ni::{DeliveryLog, FlitRecords, Message, MessageQueue};
+use aelite_alloc::allocate::Allocation;
 use aelite_sim::time::Frequency;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::ConnId;
-use aelite_spec::timing::pipeline_cycles;
 use aelite_spec::traffic::MessageSource;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::rc::Rc;
 use std::sync::OnceLock;
-
-/// Cycles a word spends in each router: the 3-stage pipeline of paper
-/// Section IV (input register, HPU, switch).
-const ROUTER_PIPELINE_CYCLES: u64 = 3;
 
 // When a thread pays for itself. Each figure below was measured on a
 // 2-vCPU 2.1 GHz Xeon, release build, one shard against two.
@@ -236,20 +232,6 @@ fn offer(source: &mut MessageSource, cycle: u64, queue: &mut VecDeque<Message>) 
     }
 }
 
-/// One connection's compiled constants and initial credits, before
-/// `compile_shards` places it in a shard.
-#[derive(Debug)]
-struct ConnInit {
-    conn: ConnId,
-    source: Option<MessageSource>,
-    slots: Box<[u32]>,
-    head_delay: u64,
-    src_phase_fs: u64,
-    dst_phase_fs: u64,
-    credit_free: bool,
-    credits: i64,
-}
-
 /// One shard of the compiled per-connection state, in struct-of-arrays
 /// layout: the NI-resident dynamics (queue, credits, packetisation,
 /// slot-table share) plus the static network timing of a contiguous run
@@ -328,17 +310,18 @@ impl ConnSoa {
         self.conn.len()
     }
 
-    /// Appends one connection's compiled state across every array.
-    fn push(&mut self, c: ConnInit) {
+    /// Appends connection `c` across every array, its traffic source if
+    /// `with_traffic`, its NIs' clock phases from `ni_phase_fs`.
+    fn push(&mut self, c: ConnImage, with_traffic: bool, ni_phase_fs: &[u64]) {
         self.conn.push(c.conn);
-        self.source.push(c.source);
+        self.source.push(with_traffic.then_some(c.source));
         self.slots.push(c.slots);
         self.cursor.push(0);
         self.head_delay.push(c.head_delay);
-        self.src_phase_fs.push(c.src_phase_fs);
-        self.dst_phase_fs.push(c.dst_phase_fs);
+        self.src_phase_fs.push(ni_phase_fs[c.src.index()]);
+        self.dst_phase_fs.push(ni_phase_fs[c.dst.index()]);
         self.credit_free.push(c.credit_free);
-        self.credits.push(c.credits);
+        self.credits.push(i64::from(c.credits));
         self.credit_sched.push(VecDeque::new());
         self.in_network.push(VecDeque::new());
         self.current_msg.push(None);
@@ -648,13 +631,10 @@ pub struct TurboNet {
     /// Nominal clock of the NoC.
     pub frequency: Frequency,
     timing: Timing,
-    /// Every connection's queue and log handle, in compiled order.
-    handles: Vec<(MessageQueue, DeliveryLog)>,
-    /// The compiled connections, cut into contiguous shards in compiled
-    /// order; a run gives each its own thread.
+    /// The compiled connections, cut into contiguous shards in the order
+    /// of `queues`; a run gives each its own thread.
     shards: Vec<ConnSoa>,
-    /// `ConnId::index() ->` compiled index.
-    conn_index: Vec<u32>,
+    index: ConnIndex,
     /// The largest deadline (in cycles) simulated so far.
     horizon_cycles: u64,
 }
@@ -693,9 +673,10 @@ impl TurboNet {
     fn check_in(&mut self, deadline_fs: u64) -> usize {
         let t = self.timing;
         let mut reserved = 0;
+        let (queues, logs, index) = (&self.queues, &self.logs, &self.index);
         for shard in &mut self.shards {
-            let handles = &self.handles[shard.first..][..shard.len()];
-            for (i, (queue, log)) in handles.iter().enumerate() {
+            for (i, (conn, queue)) in queues[shard.first..][..shard.len()].iter().enumerate() {
+                let log = &logs[index.of(*conn).1].1;
                 shard.queue.push(std::mem::take(&mut *queue.borrow_mut()));
                 shard
                     .flits
@@ -740,20 +721,12 @@ impl TurboNet {
     /// its shard to its handles.
     fn check_out(&mut self) {
         for shard in &mut self.shards {
-            let handles = &self.handles[shard.first..][..shard.len()];
+            let queues = &self.queues[shard.first..];
             let moved = shard.queue.drain(..).zip(shard.flits.drain(..));
-            for ((queue, log), (messages, flits)) in handles.iter().zip(moved) {
+            for ((conn, queue), (messages, flits)) in queues.iter().zip(moved) {
                 *queue.borrow_mut() = messages;
-                *log.borrow_mut().flits_mut() = flits;
+                *self.logs[self.index.of(*conn).1].1.borrow_mut().flits_mut() = flits;
             }
-        }
-    }
-
-    /// Compiled index of `conn`.
-    fn index_of(&self, conn: ConnId) -> usize {
-        match self.conn_index.get(conn.index()) {
-            Some(&i) if i != u32::MAX => i as usize,
-            _ => panic!("{conn} not built"),
         }
     }
 
@@ -771,7 +744,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn queue(&self, conn: ConnId) -> &MessageQueue {
-        &self.handles[self.index_of(conn)].0
+        &self.queues[self.index.of(conn).0].1
     }
 
     /// The delivery log of `conn`.
@@ -781,7 +754,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn log(&self, conn: ConnId) -> &DeliveryLog {
-        &self.handles[self.index_of(conn)].1
+        &self.logs[self.index.of(conn).1].1
     }
 
     /// Delivery cycles of `conn`, in arrival order.
@@ -798,7 +771,7 @@ impl TurboNet {
     /// Panics if `conn` is not part of the built spec.
     #[must_use]
     pub fn latency(&self, conn: ConnId) -> ConnLatency {
-        let (shard, i) = self.locate(self.index_of(conn));
+        let (shard, i) = self.locate(self.index.of(conn).0);
         shard.stats[i]
     }
 }
@@ -861,7 +834,6 @@ pub(crate) fn build_turbo_sharded(
     with_traffic: bool,
     workers: usize,
 ) -> TurboNet {
-    let [by_src, by_dst] = build_order(spec, kind);
     let cfg = spec.config();
     let topo = spec.topology();
     let f = Frequency::from_mhz(cfg.frequency_mhz);
@@ -873,43 +845,20 @@ pub(crate) fn build_turbo_sharded(
         crate::network::clock_phases_fs(kind, topo, period_fs).split_off(topo.router_count());
 
     // A large sharded net re-validates the allocation on a worker while
-    // this thread compiles it and makes the handles. Either way the
-    // shards are compiled first, so a compile error is only raised once
-    // validation passed, and an invalid allocation is refused as such.
+    // this thread lowers and compiles it. Either way an image error is
+    // only raised once validation passed, so an invalid allocation is
+    // refused as such.
     let validate = || aelite_alloc::validate_allocation(spec, alloc);
     let on_worker = workers > 1 && spec.connections().len() > VALIDATE_ON_WORKER_CONNS;
-    let (handles, queues, logs, conn_index, shards) = std::thread::scope(|scope| {
+    let ((queues, logs, index), shards) = std::thread::scope(|scope| {
         let check = on_worker.then(|| scope.spawn(validate));
-        let shards = compile_shards(spec, alloc, kind, with_traffic, workers, &by_src, &ni_phase);
-
-        // The queue and log handles in compiled order, which is
-        // `build_network`'s construction order of the sources (source NIs
-        // outer, spec connections inner).
-        let connections = spec.connections();
-        let mut handles: Vec<(MessageQueue, DeliveryLog)> = Vec::with_capacity(connections.len());
-        let mut queues: Vec<(ConnId, MessageQueue)> = Vec::with_capacity(connections.len());
-        let mut conn_index: Vec<u32> = vec![u32::MAX; spec.conn_id_bound()];
-        for ni in topo.nis() {
-            for &ci in &by_src[ni.index()] {
-                let c = &connections[ci];
-                conn_index[c.id.index()] = handles.len() as u32;
-                let queue = message_queue();
-                queues.push((c.id, Rc::clone(&queue)));
-                let dst_phase_fs = ni_phase[spec.ip_ni(c.dst).index()];
-                handles.push((queue, delivery_log(c.id, dst_phase_fs, period_fs)));
-            }
-        }
-        // Destination-side log handles, in `build_network`'s order
-        // (destination NIs outer, spec connections inner).
-        let mut logs: Vec<(ConnId, DeliveryLog)> = Vec::with_capacity(connections.len());
-        for ni in topo.nis() {
-            for &ci in &by_dst[ni.index()] {
-                let c = &connections[ci];
-                let log = Rc::clone(&handles[conn_index[c.id.index()] as usize].1);
-                logs.push((c.id, log));
-            }
-        }
-
+        let compiled = ConfigImage::new(spec, alloc, kind).map(|image| {
+            let handles = image.handles(&ni_phase, period_fs);
+            (
+                handles,
+                compile_shards(image, with_traffic, workers, &ni_phase),
+            )
+        });
         let checked = match check {
             Some(worker) => worker
                 .join()
@@ -924,8 +873,7 @@ pub(crate) fn build_turbo_sharded(
                 violations.first()
             );
         }
-        let shards = shards.unwrap_or_else(|error| panic!("{error}"));
-        (handles, queues, logs, conn_index, shards)
+        compiled.unwrap_or_else(|error| panic!("{error}"))
     });
 
     TurboNet {
@@ -939,108 +887,36 @@ pub(crate) fn build_turbo_sharded(
             payload_capacity: cfg.payload_words_per_flit(),
             mesochronous: matches!(kind, NetworkKind::Mesochronous { .. }),
         },
-        handles,
         shards,
-        conn_index,
+        index,
         horizon_cycles: 0,
     }
 }
 
-/// Compiles every connection of `spec`, in `build_network`'s construction
-/// order (`by_src`: source NIs outer, spec connections inner), into
-/// `workers` shards, or says why `alloc` cannot be compiled. The error is
-/// returned, not raised: the build compiles before validation has
-/// finished (on a worker, for a large net, so that the two overlap), and
-/// an allocation that fails both must be refused as invalid.
+/// Compiles every connection of `image`, in its order, into `workers`
+/// shards, with its NIs' clock phases from `ni_phase_fs`.
 fn compile_shards(
-    spec: &SystemSpec,
-    alloc: &Allocation,
-    kind: NetworkKind,
+    image: ConfigImage,
     with_traffic: bool,
     workers: usize,
-    by_src: &[Vec<usize>],
-    ni_phase: &[u64],
-) -> Result<Vec<ConnSoa>, String> {
-    let cfg = spec.config();
-    let topo = spec.topology();
-    let payload_capacity = cfg.payload_words_per_flit();
-    let owned: Vec<usize> = topo
-        .nis()
-        .flat_map(|ni| &by_src[ni.index()])
-        .map(|&ci| {
-            let grant = alloc.grant(spec.connections()[ci].id);
-            grant.map_or(0, |g| g.inject_slots.len())
-        })
-        .collect();
-    let mut shards: Vec<ConnSoa> = Vec::with_capacity(workers);
+    ni_phase_fs: &[u64],
+) -> Vec<ConnSoa> {
+    let owned: Vec<usize> = image.conns.iter().map(|c| c.slots.len()).collect();
+    let mut conns = image.conns.into_iter();
     let mut first = 0;
-    for len in shard_lengths(&owned, workers) {
-        shards.push(ConnSoa {
-            first,
-            ..ConnSoa::default()
-        });
-        first += len;
-    }
-    let mut compiled = 0;
-    // The source NI's slot table: which entries its connections claimed.
-    let mut claimed = vec![false; cfg.slot_table_size as usize];
-    for ni in topo.nis() {
-        claimed.fill(false);
-        for &ci in &by_src[ni.index()] {
-            let c = &spec.connections()[ci];
-            let grant = alloc
-                .grant(c.id)
-                .ok_or_else(|| format!("{} has no grant", c.id))?;
-            let links = grant.links.len() as u64;
-            // Static head timing: synchronously, each of the path's
-            // routers holds a word for its 3 pipeline stages and the
-            // sink samples one edge after the last commit; each
-            // mesochronous link pipeline stage re-aligns the flit to
-            // the next receiver flit-cycle boundary, costing one extra
-            // TDM slot per link (paper Section V).
-            let head_delay = match kind {
-                NetworkKind::Synchronous => (links - 1) * ROUTER_PIPELINE_CYCLES + 1,
-                NetworkKind::Mesochronous { .. } => {
-                    pipeline_cycles(cfg, grant.links.len()) - u64::from(payload_capacity)
-                }
+    (shard_lengths(&owned, workers).into_iter())
+        .map(|len| {
+            let mut shard = ConnSoa {
+                first,
+                ..ConnSoa::default()
             };
-            let first_slot = grant.inject_slots.first().copied().unwrap_or(0);
-            let source = with_traffic.then(|| MessageSource::new(c, cfg, first_slot));
-            for &s in &grant.inject_slots {
-                if s >= cfg.slot_table_size {
-                    return Err(format!("slot {s} out of range for {}", c.id));
-                }
-                if claimed[s as usize] {
-                    return Err(format!("slot {s} claimed twice on one NI"));
-                }
-                claimed[s as usize] = true;
+            first += len;
+            for c in conns.by_ref().take(len) {
+                shard.push(c, with_traffic, ni_phase_fs);
             }
-            // Credits that provably cannot bind are not booked: the
-            // analysis window covers the kernel's credit horizon when the
-            // allocator's pipeline model covers the head delay plus a
-            // flit (see the module documentation).
-            let credit_free = head_delay + u64::from(payload_capacity)
-                <= pipeline_cycles(cfg, grant.links.len())
-                && required_buffer_words(spec, alloc, c.id, CREDIT_RETURN_CYCLES)
-                    <= cfg.ni_buffer_words;
-            // Ascending and non-empty: validation computed the grant's
-            // latency bound over them, which refuses anything else.
-            let init = ConnInit {
-                conn: c.id,
-                source,
-                slots: grant.inject_slots.clone().into_boxed_slice(),
-                head_delay,
-                src_phase_fs: ni_phase[ni.index()],
-                dst_phase_fs: ni_phase[spec.ip_ni(c.dst).index()],
-                credit_free,
-                credits: i64::from(cfg.ni_buffer_words),
-            };
-            let shard = shards.iter_mut().rfind(|s| s.first <= compiled);
-            shard.expect("shards start at 0").push(init);
-            compiled += 1;
-        }
-    }
-    Ok(shards)
+            shard
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1055,6 +931,7 @@ mod tests {
     use aelite_spec::ids::NiId;
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::Bandwidth;
+    use std::rc::Rc;
 
     impl TurboNet {
         /// The cycle index the engine will simulate next. After
@@ -1074,7 +951,7 @@ mod tests {
 
         /// The shard holding `conn`, and its position there.
         fn state(&self, conn: ConnId) -> (&ConnSoa, usize) {
-            self.locate(self.index_of(conn))
+            self.locate(self.index.of(conn).0)
         }
 
         /// Forces every connection onto the booked credit path, whatever
@@ -1175,6 +1052,15 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         alloc.detach_grant(spec.connections()[1].id).unwrap();
         let _ = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, true, 2);
+    }
+
+    /// Two connections out of one NI granted the same slots: the image
+    /// refuses the allocation too, but the refusal names validation.
+    #[test]
+    #[should_panic(expected = "allocation invalid")]
+    fn build_turbo_refuses_a_double_claimed_allocation() {
+        let (spec, alloc) = crate::image::tests::double_claimed();
+        let _ = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use aelite_noc::turbo::build_turbo;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::config::NocConfig;
 use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder, WorkloadParams};
+use aelite_spec::ids::ConnId;
 
 /// Runs both engines with CBR traffic for `cycles` and asserts every
 /// connection's delivery log identical; returns total flits compared.
@@ -180,6 +181,42 @@ fn scaled_8x8_synchronous_golden() {
 fn scaled_8x8_mesochronous_golden() {
     let spec = scaled_workload(8, 8, 4, 1000, 1).with_link_pipeline_stages(1, 2);
     assert_golden(&spec, NetworkKind::Mesochronous { phase_seed: 23 }, 2_000);
+}
+
+/// Both engines list the same connections in the same order in `queues`
+/// (source NIs outer, spec order inner) and in `logs` (destination NIs
+/// outer), so a caller may zip either vector across engines.
+#[test]
+fn both_engines_list_queues_and_logs_in_one_order() {
+    let paper = paper_workload(42);
+    let scaled = scaled_workload(4, 4, 4, 300, 7);
+    for (spec, kind) in [
+        (paper.clone(), NetworkKind::Synchronous),
+        (
+            paper.with_link_pipeline_stages(1, 1),
+            NetworkKind::Mesochronous { phase_seed: 7 },
+        ),
+        (scaled.clone(), NetworkKind::Synchronous),
+        (
+            scaled.with_link_pipeline_stages(1, 2),
+            NetworkKind::Mesochronous { phase_seed: 11 },
+        ),
+    ] {
+        let alloc = allocate(&spec).expect("allocates");
+        let event = build_network(&spec, &alloc, kind, false);
+        let turbo = build_turbo(&spec, &alloc, kind, false);
+        let (queues, logs) = (ids(&event.queues), ids(&event.logs));
+        assert_eq!(queues.len(), spec.connections().len(), "{kind:?}");
+        assert_eq!(logs.len(), spec.connections().len(), "{kind:?}");
+        assert_ne!(queues, logs, "{kind:?}: the pin must tell the orders apart");
+        assert_eq!(queues, ids(&turbo.queues), "{kind:?}");
+        assert_eq!(logs, ids(&turbo.logs), "{kind:?}");
+    }
+}
+
+/// The connections of a vector of handles, in its order.
+fn ids<H>(handles: &[(ConnId, H)]) -> Vec<ConnId> {
+    handles.iter().map(|(c, _)| *c).collect()
 }
 
 #[test]
