@@ -211,6 +211,50 @@ impl ConnLatency {
     }
 }
 
+/// Work the turbo kernel did, summed over its connections and runs: the
+/// count the kernel's cost follows, where wall-clock time on a shared
+/// host does not. Each shard counts its own, folded in once per
+/// connection per run, so no flit pays for an add.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounts {
+    /// Full decisions: owned slot starts within a run at which the
+    /// kernel offered the traffic source, collected credits and tried a
+    /// fetch before it sent or slept.
+    pub decisions: u64,
+    /// Flits injected.
+    pub sends: u64,
+    /// Decisions that found no message ready and slept until one could
+    /// be (or to the run's end).
+    pub idle_wakes: u64,
+    /// Decisions that held a message without the credit to send it and
+    /// slept until enough came back (or to the run's end).
+    pub credit_wakes: u64,
+    /// Searches for the first owned slot at or after a cycle, each three
+    /// `u64` divisions.
+    pub slot_searches: u64,
+}
+
+impl KernelCounts {
+    /// Every counter of `self` combined with the same counter of `other`
+    /// — the one place besides the declaration that lists the fields.
+    fn zip(&self, other: &KernelCounts, f: impl Fn(u64, u64) -> u64) -> KernelCounts {
+        KernelCounts {
+            decisions: f(self.decisions, other.decisions),
+            sends: f(self.sends, other.sends),
+            idle_wakes: f(self.idle_wakes, other.idle_wakes),
+            credit_wakes: f(self.credit_wakes, other.credit_wakes),
+            slot_searches: f(self.slot_searches, other.slot_searches),
+        }
+    }
+
+    /// Field-wise difference `self - before`: the work done since a
+    /// snapshot taken earlier from the same net.
+    #[must_use]
+    pub fn delta(&self, before: &KernelCounts) -> KernelCounts {
+        self.zip(before, |after, before| after - before)
+    }
+}
+
 /// A delivery already determined by an injection, waiting for the
 /// simulation frontier to reach its destination edge.
 #[derive(Debug, Clone, Copy)]
@@ -297,6 +341,8 @@ struct ConnSoa {
     /// End of the previous flit's slot (latency instrumentation).
     ready_floor: Vec<u64>,
     stats: Vec<ConnLatency>,
+    /// The work the shard's runs did.
+    counts: KernelCounts,
 }
 
 // Workers own shards across threads: no `Rc` may creep back in.
@@ -375,6 +421,9 @@ impl ConnSoa {
         let stats = &mut self.stats[i];
         let in_network = &mut self.in_network[i];
         let head_delay = self.head_delay[i];
+        // Every flit injected is either logged or in flight at the end,
+        // so the sends are counted from those, not flit by flit.
+        let sent_before = stats.flits + in_network.len() as u64;
         // The last destination cycle whose edge lies within the run. An EoP
         // is never sampled at cycle 0, so 0 also stands for "none".
         let last_dst = deadline_fs.saturating_sub(self.dst_phase_fs[i]) / t.period_fs;
@@ -412,6 +461,7 @@ impl ConnSoa {
         let credit_delay_fs = t.period_fs * CREDIT_RETURN_CYCLES;
         let jump =
             |wake: Option<u64>| t.next_owned(slots, wake.map_or(last + 1, |w| w.min(last + 1)));
+        let (mut idle_wakes, mut credit_wakes) = (0, 0);
 
         let mut next = t.next_owned(slots, self.cursor[i]);
         while let Some(at) = next {
@@ -458,6 +508,7 @@ impl ConnSoa {
             let Some((msg, remaining)) = *current_msg else {
                 let wake = queue.front().map(|m| m.ready_cycle);
                 next = jump(wake.or(source.as_ref().and_then(MessageSource::next_cycle)));
+                idle_wakes += 1;
                 continue;
             };
             let send_words = remaining.min(t.payload_capacity);
@@ -465,6 +516,7 @@ impl ConnSoa {
                 let short = i64::from(send_words) - *credits;
                 if short > 0 {
                     next = jump(credit_wake(credit_sched, short, src_phase_fs, t.period_fs));
+                    credit_wakes += 1;
                     continue;
                 }
                 *credits -= i64::from(send_words);
@@ -514,6 +566,14 @@ impl ConnSoa {
         if let Some(source) = source {
             offer(source, last, queue);
         }
+        let sends = stats.flits + in_network.len() as u64 - sent_before;
+        let counts = &mut self.counts;
+        counts.decisions += sends + idle_wakes + credit_wakes;
+        counts.sends += sends;
+        counts.idle_wakes += idle_wakes;
+        counts.credit_wakes += credit_wakes;
+        // One search where the run starts, and one per wake.
+        counts.slot_searches += u64::from(!slots.is_empty()) + idle_wakes + credit_wakes;
     }
 }
 
@@ -773,6 +833,16 @@ impl TurboNet {
     pub fn latency(&self, conn: ConnId) -> ConnLatency {
         let (shard, i) = self.locate(self.index.of(conn).0);
         shard.stats[i]
+    }
+
+    /// The work the kernel did in every run so far (see
+    /// [`KernelCounts`]). Connections share no state, so the counts do
+    /// not depend on how the net is cut into shards.
+    #[must_use]
+    pub fn counts(&self) -> KernelCounts {
+        (self.shards.iter()).fold(KernelCounts::default(), |sum, s| {
+            sum.zip(&s.counts, |a, b| a + b)
+        })
     }
 }
 
@@ -1435,11 +1505,28 @@ mod tests {
         // Every deadline from 1 to 400 cuts the run once per cycle, so
         // runs end inside credit waits, on the edge a credit becomes
         // visible and on the slot start it is used at.
+        // The one-shot run's work is pinned: every flit of these two
+        // connections waits for credit.
         let deadlines: Vec<u64> = (1..=400).chain([700, 4_000]).collect();
-        for (stages, kind) in [
-            (0, NetworkKind::Synchronous),
-            (1, NetworkKind::Mesochronous { phase_seed: 3 }),
-            (1, NetworkKind::Mesochronous { phase_seed: 8 }),
+        let counts = |decisions, sends, idle_wakes, credit_wakes, slot_searches| KernelCounts {
+            decisions,
+            sends,
+            idle_wakes,
+            credit_wakes,
+            slot_searches,
+        };
+        for (stages, kind, work) in [
+            (0, NetworkKind::Synchronous, counts(182, 108, 2, 72, 76)),
+            (
+                1,
+                NetworkKind::Mesochronous { phase_seed: 3 },
+                counts(240, 120, 2, 118, 122),
+            ),
+            (
+                1,
+                NetworkKind::Mesochronous { phase_seed: 8 },
+                counts(240, 120, 2, 118, 122),
+            ),
         ] {
             let spec = credit_starved_spec(stages);
             let meso = stages == 1;
@@ -1469,6 +1556,7 @@ mod tests {
                 oneshot.queue(c.id).borrow_mut().extend(back_to_back(meso));
             }
             oneshot.run_cycles(4_000);
+            assert_eq!(oneshot.counts(), work, "{kind:?}");
             let flits: u32 = back_to_back(meso).iter().map(|m| m.words.div_ceil(2)).sum();
             for c in spec.connections() {
                 assert_eq!(stepped.log(c.id).borrow().len(), flits as usize);
@@ -1731,7 +1819,8 @@ mod tests {
     }
 
     /// Asserts that every connection's log and queue in `net` read what
-    /// the event engine's do, and its latency what `reference`'s does.
+    /// the event engine's do, and its latency and the kernel's counts
+    /// what `reference`'s do.
     fn assert_matches(
         spec: &SystemSpec,
         event: &crate::network::CycleNet,
@@ -1759,6 +1848,7 @@ mod tests {
                 c.id
             );
         }
+        assert_eq!(reference.counts(), net.counts(), "counts diverge {what}");
     }
 
     #[test]
@@ -1947,6 +2037,17 @@ mod tests {
         // 1 154 825 while the sources rounded each CBR interval up to whole
         // cycles; the fixed-point schedule offers the contracted rate.
         assert_eq!((flits, logged as u64), (1_155_740, 1_155_740));
+        // The kernel's work, which tier-1 pins on every host.
+        assert_eq!(
+            net.counts(),
+            KernelCounts {
+                decisions: 1_276_157,
+                sends: 1_155_944,
+                idle_wakes: 120_213,
+                credit_wakes: 0,
+                slot_searches: 122_713,
+            }
+        );
         let (used, held) = net
             .logs
             .iter()

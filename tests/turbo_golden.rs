@@ -26,7 +26,7 @@ use aelite_alloc::allocate;
 use aelite_alloc::allocate::required_buffer_words;
 use aelite_noc::network::{build_network, NetworkKind, CREDIT_RETURN_CYCLES};
 use aelite_noc::ni::Message;
-use aelite_noc::turbo::build_turbo;
+use aelite_noc::turbo::{build_turbo, KernelCounts};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::config::NocConfig;
 use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder, WorkloadParams};
@@ -217,6 +217,55 @@ fn both_engines_list_queues_and_logs_in_one_order() {
 /// The connections of a vector of handles, in its order.
 fn ids<H>(handles: &[(ConnId, H)]) -> Vec<ConnId> {
     handles.iter().map(|(c, _)| *c).collect()
+}
+
+/// `KernelCounts` with its fields in declaration order.
+const fn counts(
+    decisions: u64,
+    sends: u64,
+    idle_wakes: u64,
+    credit_wakes: u64,
+    slot_searches: u64,
+) -> KernelCounts {
+    KernelCounts {
+        decisions,
+        sends,
+        idle_wakes,
+        credit_wakes,
+        slot_searches,
+    }
+}
+
+/// The kernel's work on the paper platform under CBR traffic, in both
+/// clockings: a 2 000-cycle run on the calling thread, then the delta of
+/// a run on to 30 000 cycles, whose flits go to a worker per core. A
+/// change that makes the kernel do more work fails here on any host; a
+/// pin moves only with its reason.
+#[test]
+fn the_kernel_counts_its_work_on_the_paper_platform() {
+    let paper = paper_workload(42);
+    for (spec, kind, first, rest) in [
+        (
+            paper.clone(),
+            NetworkKind::Synchronous,
+            counts(8_979, 8_416, 563, 0, 763),
+            counts(122_880, 114_882, 7_998, 0, 8_198),
+        ),
+        (
+            paper.with_link_pipeline_stages(1, 1),
+            NetworkKind::Mesochronous { phase_seed: 7 },
+            counts(9_028, 8_441, 587, 0, 787),
+            counts(123_216, 114_886, 8_330, 0, 8_530),
+        ),
+    ] {
+        let alloc = allocate(&spec).expect("allocates");
+        let mut turbo = build_turbo(&spec, &alloc, kind, true);
+        turbo.run_cycles(2_000);
+        let before = turbo.counts();
+        turbo.run_cycles(30_000);
+        let delta = turbo.counts().delta(&before);
+        assert_eq!((before, delta), (first, rest), "{kind:?}");
+    }
 }
 
 #[test]
