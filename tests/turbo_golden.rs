@@ -248,14 +248,14 @@ fn the_kernel_counts_its_work_on_the_paper_platform() {
         (
             paper.clone(),
             NetworkKind::Synchronous,
-            counts(8_979, 8_416, 563, 0, 763),
-            counts(122_880, 114_882, 7_998, 0, 8_198),
+            counts(1_674, 8_416, 563, 0, 314),
+            counts(22_473, 114_882, 7_998, 0, 1_977),
         ),
         (
             paper.with_link_pipeline_stages(1, 1),
             NetworkKind::Mesochronous { phase_seed: 7 },
-            counts(9_028, 8_441, 587, 0, 787),
-            counts(123_216, 114_886, 8_330, 0, 8_530),
+            counts(1_701, 8_441, 587, 0, 324),
+            counts(22_799, 114_886, 8_330, 0, 2_089),
         ),
     ] {
         let alloc = allocate(&spec).expect("allocates");
