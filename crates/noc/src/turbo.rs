@@ -426,13 +426,12 @@ impl ConnSoa {
     }
 
     /// Runs connection `i` to `deadline_fs`: logs the flits earlier runs
-    /// left in flight that land by then, decides at every owned slot
-    /// start up to the run's final source edge at which the connection
-    /// has no message in hand or must work out when it next could send,
-    /// streams each message's flits, and settles its traffic generator
-    /// to that edge. `BOOKED` is whether the connection books credits:
-    /// compiled apart, a credit-free connection's message loop holds none
-    /// of the credit path's state in registers.
+    /// left in flight that land by then, decides once per message and
+    /// per wake up to the run's final source edge, streams each message's
+    /// flits out at the owned slots after its decision, and settles its
+    /// traffic generator to that edge. `BOOKED` is whether the connection
+    /// books credits: compiled apart, a credit-free connection's message
+    /// loop holds none of the credit path's state in registers.
     fn run_conn<const BOOKED: bool>(&mut self, i: usize, t: Timing, deadline_fs: u64) {
         let log = &mut self.flits[i];
         // The latency statistics and the ready floor stay in locals for
