@@ -51,27 +51,34 @@
 //!   that read the queue, and to the run's final source edge when the
 //!   run ends;
 //! * the same composability lets disjoint sets of connections run at
-//!   once. [`build_turbo`] cuts the connections into contiguous *shards*
-//!   with near-equal owned-slot totals — one per 128 connections,
-//!   rounded up, and at most one per core. A run that can deliver at
-//!   least 12 500 flits per shard gives shard 0 to the calling thread and
-//!   every other shard to a scoped worker; a shorter one runs them in
-//!   turn on the calling thread, which is faster than starting workers.
-//!   A worker's panic is re-raised with its own message. Between runs a
-//!   connection's messages and delivered flits live behind its
+//!   once, in any order. [`build_turbo`] gives a net one thread per 128
+//!   connections, rounded up, and at most one per core, and cuts the
+//!   connections of a net with more than one thread into 16 contiguous
+//!   *shards* per thread with near-equal owned-slot totals. Between runs
+//!   a connection's messages and delivered flits live behind its
 //!   [`MessageQueue`] and [`DeliveryLog`] handles, as in the event
-//!   engine. A run moves them into the connection's shard, which owns
-//!   them while it runs, and back out at the end; a shard holds no `Rc`,
-//!   so it is `Send`. Before any worker starts, the calling thread
-//!   reserves each log for the run: the flits in flight, plus the fewer
-//!   of the owned slot starts left in the run and the flits the current
-//!   message, the queue and the generator can supply. Workers then never
-//!   grow a log's records, and every log lives in the calling thread's
-//!   allocator arena, not in that of a worker that has exited (only a
-//!   flit whose high words differ from its predecessor's adds a 16-byte
-//!   mark, which needs a run past 2³² cycles or a sequence number past
-//!   2²⁴). A sharded net of more than 512 connections also re-validates
-//!   its allocation on a worker while the calling thread compiles it;
+//!   engine; a shard holds no `Rc`, so it is `Send`. A run is a pipeline.
+//!   The calling thread *checks in* one shard at a time: it moves the
+//!   shard's messages and flits in from their handles and reserves each
+//!   log for the run (the flits in flight, plus the fewer of the owned
+//!   slot starts left in the run and the flits the current message, the
+//!   queue and the generator can supply). It then queues the shard. Once
+//!   the shards checked in reserve 12 500 flits per thread, workers
+//!   start; a shorter run keeps every shard on the calling thread, which
+//!   is faster than starting workers. Every thread claims the next
+//!   queued shard and runs it, the calling one too once every shard is
+//!   checked in, and the calling thread *checks out* each shard, moving
+//!   its messages and flits back to their handles, as soon as it has run.
+//!   So the workers start after one shard's check-in, and the slowest
+//!   thread finishes at most about a shard after the others. Workers
+//!   never grow a log's records, and every log lives in the calling
+//!   thread's allocator arena, not in that of a worker that has exited
+//!   (only a flit whose high words differ from its predecessor's adds a
+//!   16-byte mark, which needs a run past 2³² cycles or a sequence number
+//!   past 2²⁴). A worker's panic is re-raised with its own message. A net
+//!   of more than 512 connections on more than one thread also
+//!   re-validates its allocation on a worker while the calling thread
+//!   compiles it;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
@@ -147,32 +154,50 @@ use aelite_spec::ids::ConnId;
 use aelite_spec::traffic::MessageSource;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::OnceLock;
+use std::sync::mpsc::{self, SyncSender};
+use std::sync::{Mutex, OnceLock};
 
 // When a thread pays for itself. Each figure below was measured on a
-// 2-vCPU 2.1 GHz Xeon, release build, one shard against two.
+// 2-vCPU 2.1 GHz Xeon, release build, one thread against two.
 
-/// Connections per shard: a net is cut into one shard per this many
-/// connections, rounded up, but no more shards than the host has cores.
-/// A net of up to this many is one shard and never starts a thread. A
-/// 30 000-cycle run (the design-space validation horizon) with its build
-/// was 15 % slower on two shards at 100 connections, 5–9 % faster at 150,
-/// and 17 % faster in the median of 16 nets of 200–1 000 connections
-/// (from 32 % faster to 2 % slower).
+/// Connections per thread: a net runs on one thread per this many
+/// connections, rounded up, but on no more threads than the host has
+/// cores. A net of up to this many is one shard and never starts a
+/// thread. A 30 000-cycle run (the design-space validation horizon) with
+/// its build was 15 % slower on two threads at 100 connections, 5–9 %
+/// faster at 150, and 17 % faster in the median of 16 nets of 200–1 000
+/// connections (from 32 % faster to 2 % slower), each thread then
+/// running one shard. With 16 shards per thread and the run pipelined,
+/// two threads were still faster from 150 connections (7–27 %, three
+/// rounds on 4×4 meshes), so the crossover holds.
 const CONNS_PER_WORKER: usize = 128;
 
-/// Flits a run must reserve per shard before the shards go to workers;
-/// a run that reserves fewer runs every shard on the calling thread.
-/// Two threads were slower than one on runs reserving up to 10 000–18 000
-/// flits and faster from 14 000–28 000, depending on the host's load and
-/// on whether the net had run before. Two shards need 25 000, the upper
-/// end, so a run kept on one thread loses at most about a tenth.
+/// Shards per thread of a net that runs on more than one: threads claim
+/// shards one at a time, so the last to finish waits for at most a
+/// fraction of a thread's share, and a worker can start once the first
+/// shard, this fraction of a thread's connections, is checked in. On
+/// `turbo_mesh16` (two threads) 8, 16 and 32 shards per thread ran
+/// 10–30 % faster than 1 or 4, and 16 and 32 were alike.
+const SHARDS_PER_THREAD: usize = 16;
+
+/// Flits per thread that the shards a run has checked in must reserve
+/// before it starts workers; a run whose shards reserve fewer runs every
+/// shard on the calling thread. With one shard per thread, two threads
+/// were slower than one on runs reserving up to 10 000–18 000 flits and
+/// faster from 14 000–28 000, depending on the host's load and on whether
+/// the net had run before. With 16 shards per thread and the run
+/// pipelined, on fresh 8×8 nets of 1 000 connections, two threads were
+/// slower at 5 000 flits and faster from 10 000, each in two or three of
+/// three rounds. Two threads need 25 000, so a run kept on one thread
+/// loses at most about a tenth.
 const FLITS_PER_WORKER: usize = 12_500;
 
-/// Connections above which a sharded build validates its allocation on
-/// a worker while the calling thread compiles it. A worker made builds
-/// of 200–320 connections 2–34 % slower and builds of 1 000–2 500
-/// connections 18–27 % faster.
+/// Connections above which a build that runs on more than one thread
+/// validates its allocation on a worker while the calling thread
+/// compiles it. A worker made builds of 200–320 connections 2–34 %
+/// slower and builds of 1 000–2 500 connections 18–27 % faster. Runs do
+/// not enter a build, and cutting more shards adds only their count to
+/// its work, so the crossover holds.
 const VALIDATE_ON_WORKER_CONNS: usize = 512;
 
 /// Measured delivery and per-flit latency of one connection, tracked by
@@ -736,18 +761,18 @@ impl Timing {
 }
 
 /// Cuts connections owning `owned` slots each, in order, into at most
-/// `workers` contiguous runs with near-equal slot totals (run `k` ends
-/// once the slots so far reach `k / workers` of the total), and returns
+/// `shards` contiguous runs with near-equal slot totals (run `k` ends
+/// once the slots so far reach `k / shards` of the total), and returns
 /// the run lengths. No run is empty unless `owned` is.
-fn shard_lengths(owned: &[usize], workers: usize) -> Vec<usize> {
-    let workers = workers.clamp(1, owned.len().max(1));
+fn shard_lengths(owned: &[usize], shards: usize) -> Vec<usize> {
+    let shards = shards.clamp(1, owned.len().max(1));
     let total: usize = owned.iter().sum();
     let mut lengths = vec![0];
     let mut so_far = 0;
     for &slots in owned {
         so_far += slots;
         *lengths.last_mut().expect("a run is open") += 1;
-        if lengths.len() < workers && so_far * workers >= total * lengths.len() {
+        if lengths.len() < shards && so_far * shards >= total * lengths.len() {
             lengths.push(0);
         }
     }
@@ -755,6 +780,45 @@ fn shard_lengths(owned: &[usize], workers: usize) -> Vec<usize> {
         lengths.pop();
     }
     lengths
+}
+
+/// The net's queue and log handles, borrowed for a run, which moves each
+/// shard's queued messages and logged flits out of them and back.
+struct Handles<'a> {
+    queues: &'a [(ConnId, MessageQueue)],
+    logs: &'a [(ConnId, DeliveryLog)],
+    index: &'a ConnIndex,
+}
+
+impl Handles<'_> {
+    /// Moves the queued messages and logged flits of `shard`'s connections
+    /// from their handles into it, and reserves each log for what the run
+    /// to `deadline_fs` can deliver, so that running the shard grows no
+    /// log's records. Returns the flits reserved.
+    fn check_in(&self, shard: &mut ConnSoa, t: Timing, deadline_fs: u64) -> usize {
+        let mut reserved = 0;
+        for (i, (conn, queue)) in self.queues[shard.first..][..shard.len()].iter().enumerate() {
+            let log = &self.logs[self.index.of(*conn).1].1;
+            shard.queue.push(std::mem::take(&mut *queue.borrow_mut()));
+            shard
+                .flits
+                .push(std::mem::take(log.borrow_mut().flits_mut()));
+            let bound = shard.flit_bound(i, t, deadline_fs);
+            shard.flits[i].reserve(bound);
+            reserved += bound;
+        }
+        reserved
+    }
+
+    /// Moves the queued messages and logged flits of `shard`'s connections
+    /// back to their handles.
+    fn check_out(&self, shard: &mut ConnSoa) {
+        let moved = shard.queue.drain(..).zip(shard.flits.drain(..));
+        for ((conn, queue), (messages, flits)) in self.queues[shard.first..].iter().zip(moved) {
+            *queue.borrow_mut() = messages;
+            *self.logs[self.index.of(*conn).1].1.borrow_mut().flits_mut() = flits;
+        }
+    }
 }
 
 /// A compiled cycle-accurate network. Build with [`build_turbo`]; drive
@@ -770,8 +834,10 @@ pub struct TurboNet {
     pub frequency: Frequency,
     timing: Timing,
     /// The compiled connections, cut into contiguous shards in the order
-    /// of `queues`; a run gives each its own thread.
+    /// of `queues`; the threads of a run claim them one at a time.
     shards: Vec<ConnSoa>,
+    /// The threads a run may use, the calling one included.
+    threads: usize,
     index: ConnIndex,
     /// The largest deadline (in cycles) simulated so far.
     horizon_cycles: u64,
@@ -783,89 +849,96 @@ impl TurboNet {
     /// [`CycleNet::run_cycles`](crate::network::CycleNet::run_cycles),
     /// so repeated calls with increasing totals behave identically.
     pub fn run_cycles(&mut self, cycles: u64) {
-        self.run_with(cycles, |net, deadline_fs, reserved| {
-            net.run_shards(deadline_fs, reserved >= FLITS_PER_WORKER * net.shards.len());
+        let t = self.timing;
+        let deadline_fs = self.deadline_fs(cycles);
+        self.run_shards(deadline_fs, FLITS_PER_WORKER * self.threads, |shard| {
+            shard.run(t, deadline_fs);
         });
     }
 
-    /// Moves the net's queued messages and logged flits into its shards
-    /// for the run to `cycles`, lets `run` simulate the shards to the
-    /// run's deadline (in femtoseconds), given the flits reserved, and
-    /// moves them back.
-    fn run_with(&mut self, cycles: u64, run: impl FnOnce(&mut Self, u64, usize)) {
-        let deadline_fs = self
-            .timing
-            .period_fs
-            .checked_mul(cycles)
-            .expect("deadline overflows femtoseconds");
+    /// The deadline of the run to `cycles`, in femtoseconds, which
+    /// becomes the horizon if it lies past it.
+    fn deadline_fs(&mut self, cycles: u64) -> u64 {
         self.horizon_cycles = self.horizon_cycles.max(cycles);
-        let reserved = self.check_in(deadline_fs);
-        run(self, deadline_fs, reserved);
-        self.check_out();
+        (self.timing.period_fs)
+            .checked_mul(cycles)
+            .expect("deadline overflows femtoseconds")
     }
 
-    /// Moves every connection's queued messages and logged flits from its
-    /// handles into its shard, and reserves each log for what the run to
-    /// `deadline_fs` can deliver, so that no worker grows a log's records.
-    /// Returns the flits reserved.
-    fn check_in(&mut self, deadline_fs: u64) -> usize {
-        let t = self.timing;
-        let mut reserved = 0;
-        let (queues, logs, index) = (&self.queues, &self.logs, &self.index);
-        for shard in &mut self.shards {
-            for (i, (conn, queue)) in queues[shard.first..][..shard.len()].iter().enumerate() {
-                let log = &logs[index.of(*conn).1].1;
-                shard.queue.push(std::mem::take(&mut *queue.borrow_mut()));
-                shard
-                    .flits
-                    .push(std::mem::take(log.borrow_mut().flits_mut()));
-                let bound = shard.flit_bound(i, t, deadline_fs);
-                shard.flits[i].reserve(bound);
-                reserved += bound;
-            }
-        }
-        reserved
-    }
-
-    /// Runs every shard to `deadline_fs`: in order on the calling thread,
-    /// or, if `parallel`, shard 0 there and each other on a worker of its
-    /// own. Connections share no state (see the module documentation), so
-    /// neither the order nor the overlap of the shards shows in any
+    /// Runs every shard once with `run`, as a pipeline. The calling thread
+    /// checks the shards in one at a time, reserving each log for what the
+    /// run to `deadline_fs` can deliver, and queues each for a thread to
+    /// claim. Once the shards checked in reserve `spawn_at` flits it starts
+    /// workers, up to `threads` threads in all; each thread, the calling
+    /// one too once every shard is checked in, claims the next queued shard
+    /// and runs it. The calling thread checks each shard out as soon as it
+    /// has run. Connections share no state (see the module documentation),
+    /// so neither the order nor the overlap of the shards shows in any
     /// result.
-    fn run_shards(&mut self, deadline_fs: u64, parallel: bool) {
+    ///
+    /// The calling thread makes the run's allocations: the two channels
+    /// that hand shards over, bounded to the shard count so that no send
+    /// blocks, and each log's reservation, which no run outgrows. So no
+    /// log or queue buffer is grown on a worker. A worker's panic is
+    /// re-raised with its own payload once every other thread is done.
+    fn run_shards(&mut self, deadline_fs: u64, spawn_at: usize, run: impl Fn(&mut ConnSoa) + Sync) {
         let t = self.timing;
-        if !parallel || self.shards.len() == 1 {
-            for shard in &mut self.shards {
-                shard.run(t, deadline_fs);
-            }
-            return;
-        }
-        let (first, rest) = self.shards.split_first_mut().expect("a net has a shard");
+        let handles = Handles {
+            queues: &self.queues,
+            logs: &self.logs,
+            index: &self.index,
+        };
+        let workers = self.threads.min(self.shards.len()) - 1;
+        let (queue, claimable) = mpsc::sync_channel(self.shards.len());
+        let (ran, done) = mpsc::sync_channel(self.shards.len());
+        // A shard is run outside the lock, so no panic poisons it.
+        let claimable = Mutex::new(claimable);
+        let claim = || {
+            claimable
+                .lock()
+                .expect("no panic while claiming")
+                .recv()
+                .ok()
+        };
+        let run = &run;
         std::thread::scope(|scope| {
-            let workers: Vec<_> = rest
-                .iter_mut()
-                .map(|shard| scope.spawn(move || shard.run(t, deadline_fs)))
-                .collect();
-            first.run(t, deadline_fs);
-            for worker in workers {
+            // Owned by this closure: a panic here closes the queue, so the
+            // workers it started still end.
+            let (queue, ran) = (queue, ran);
+            let mut started = None;
+            let mut reserved = 0;
+            for shard in &mut self.shards {
+                reserved += handles.check_in(shard, t, deadline_fs);
+                queue.send(shard).expect("the queue holds every shard");
+                if started.is_none() && reserved >= spawn_at {
+                    // A worker claims shards until none is left, and hands
+                    // each back once it has run.
+                    let spawn = |ran: SyncSender<_>| {
+                        scope.spawn(move || {
+                            while let Some(shard) = claim() {
+                                run(shard);
+                                ran.send(shard).expect("the calling thread checks it out");
+                            }
+                        })
+                    };
+                    started = Some((0..workers).map(|_| spawn(ran.clone())).collect::<Vec<_>>());
+                }
+                done.try_iter().for_each(|shard| handles.check_out(shard));
+            }
+            drop((queue, ran));
+            while let Some(shard) = claim() {
+                run(shard);
+                handles.check_out(shard);
+                done.try_iter().for_each(|shard| handles.check_out(shard));
+            }
+            // Ends once every worker has exited, whether or not it panicked.
+            done.iter().for_each(|shard| handles.check_out(shard));
+            for worker in started.into_iter().flatten() {
                 if let Err(payload) = worker.join() {
                     std::panic::resume_unwind(payload);
                 }
             }
         });
-    }
-
-    /// Moves every connection's queued messages and logged flits back from
-    /// its shard to its handles.
-    fn check_out(&mut self) {
-        for shard in &mut self.shards {
-            let queues = &self.queues[shard.first..];
-            let moved = shard.queue.drain(..).zip(shard.flits.drain(..));
-            for ((conn, queue), (messages, flits)) in queues.iter().zip(moved) {
-                *queue.borrow_mut() = messages;
-                *self.logs[self.index.of(*conn).1].1.borrow_mut().flits_mut() = flits;
-            }
-        }
     }
 
     /// The shard holding the connection at compiled index `i`, and its
@@ -938,12 +1011,14 @@ impl TurboNet {
 /// pass over the grants into a dense `(link, slot)` owner table and one
 /// over the link tables.
 ///
-/// The connections are cut into one shard per 128 connections, rounded
-/// up, but no more shards than [`available_parallelism`] reports; a run
-/// of the net that can deliver at least 12 500 flits per shard simulates
-/// its shards in parallel. A sharded net of more than 512 connections
-/// re-validates the allocation on a worker while the calling thread
-/// compiles it.
+/// The net runs on one thread per 128 connections, rounded up, but on no
+/// more threads than [`available_parallelism`] reports. A net with more
+/// than one thread is cut into 16 shards per thread, which its threads
+/// claim one at a time, once a run has checked in shards that can deliver
+/// at least 12 500 flits per thread (see the module documentation); a
+/// net with one thread is one shard. A net of more than 512 connections
+/// on more than one thread re-validates the allocation on a worker while
+/// the calling thread compiles it.
 ///
 /// [`available_parallelism`]: std::thread::available_parallelism
 ///
@@ -963,24 +1038,30 @@ pub fn build_turbo(
     // On Linux, asking for the core count reads the affinity mask and the
     // cgroup quota, which costs a small net's build 10–15 %: ask once.
     static CORES: OnceLock<usize> = OnceLock::new();
-    let mut workers = spec.connections().len().div_ceil(CONNS_PER_WORKER);
-    if workers > 1 {
+    let mut threads = spec.connections().len().div_ceil(CONNS_PER_WORKER);
+    if threads > 1 {
         let cores = *CORES
             .get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
-        workers = workers.min(cores);
+        threads = threads.min(cores);
     }
-    build_turbo_sharded(spec, alloc, kind, with_traffic, workers)
+    let shards = if threads > 1 {
+        threads * SHARDS_PER_THREAD
+    } else {
+        1
+    };
+    build_turbo_sharded(spec, alloc, kind, with_traffic, shards, threads)
 }
 
-/// [`build_turbo`] with the connections cut into `workers` contiguous
+/// [`build_turbo`] with the connections cut into `shards` contiguous
 /// shards (at least one, at most one per connection) that own near-equal
-/// numbers of slots.
+/// numbers of slots, run on up to `threads` threads.
 pub(crate) fn build_turbo_sharded(
     spec: &SystemSpec,
     alloc: &Allocation,
     kind: NetworkKind,
     with_traffic: bool,
-    workers: usize,
+    shards: usize,
+    threads: usize,
 ) -> TurboNet {
     let cfg = spec.config();
     let topo = spec.topology();
@@ -997,14 +1078,15 @@ pub(crate) fn build_turbo_sharded(
     // only raised once validation passed, so an invalid allocation is
     // refused as such.
     let validate = || aelite_alloc::validate_allocation(spec, alloc);
-    let on_worker = workers > 1 && spec.connections().len() > VALIDATE_ON_WORKER_CONNS;
+    let threads = threads.max(1);
+    let on_worker = threads > 1 && spec.connections().len() > VALIDATE_ON_WORKER_CONNS;
     let ((queues, logs, index), shards) = std::thread::scope(|scope| {
         let check = on_worker.then(|| scope.spawn(validate));
         let compiled = ConfigImage::new(spec, alloc, kind).map(|image| {
             let handles = image.handles(&ni_phase, period_fs);
             (
                 handles,
-                compile_shards(image, with_traffic, workers, &ni_phase),
+                compile_shards(image, with_traffic, shards, &ni_phase),
             )
         });
         let checked = match check {
@@ -1036,23 +1118,24 @@ pub(crate) fn build_turbo_sharded(
             mesochronous: matches!(kind, NetworkKind::Mesochronous { .. }),
         },
         shards,
+        threads,
         index,
         horizon_cycles: 0,
     }
 }
 
-/// Compiles every connection of `image`, in its order, into `workers`
+/// Compiles every connection of `image`, in its order, into `shards`
 /// shards, with its NIs' clock phases from `ni_phase_fs`.
 fn compile_shards(
     image: ConfigImage,
     with_traffic: bool,
-    workers: usize,
+    shards: usize,
     ni_phase_fs: &[u64],
 ) -> Vec<ConnSoa> {
     let owned: Vec<usize> = image.conns.iter().map(|c| c.slots.len()).collect();
     let mut conns = image.conns.into_iter();
     let mut first = 0;
-    (shard_lengths(&owned, workers).into_iter())
+    (shard_lengths(&owned, shards).into_iter())
         .map(|len| {
             let mut shard = ConnSoa {
                 first,
@@ -1199,7 +1282,7 @@ mod tests {
         assert!(spec.connections().len() > VALIDATE_ON_WORKER_CONNS);
         let mut alloc = allocate(&spec).unwrap();
         alloc.detach_grant(spec.connections()[1].id).unwrap();
-        let _ = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, true, 2);
+        let _ = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, true, 2, 2);
     }
 
     /// Two connections out of one NI granted the same slots: the image
@@ -1940,14 +2023,16 @@ mod tests {
     }
 
     impl TurboNet {
-        /// [`TurboNet::run_cycles`], with every shard but the first on a
-        /// worker however few flits the run reserves, checking that the
-        /// logs reserved before the shards run are never grown by them.
+        /// [`TurboNet::run_cycles`], with workers started once the shards
+        /// checked in reserve [`SPAWN_AT`] flits, checking that running a
+        /// shard never grows the logs reserved for it.
         fn run_cycles_within_reservation(&mut self, cycles: u64) {
-            self.run_with(cycles, |net, deadline_fs, _| {
-                let reserved = net.log_capacities();
-                net.run_shards(deadline_fs, true);
-                for ((shard, i), before) in net.conns().zip(reserved) {
+            let t = self.timing;
+            let deadline_fs = self.deadline_fs(cycles);
+            self.run_shards(deadline_fs, SPAWN_AT, |shard| {
+                let reserved: Vec<usize> = shard.flits.iter().map(FlitRecords::capacity).collect();
+                shard.run(t, deadline_fs);
+                for (i, before) in reserved.into_iter().enumerate() {
                     assert_eq!(
                         shard.flits[i].capacity(),
                         before,
@@ -1958,14 +2043,36 @@ mod tests {
             });
         }
 
-        /// Every connection's log capacity while a run holds the logs.
-        fn log_capacities(&self) -> Vec<usize> {
-            self.conns().map(|(s, i)| s.flits[i].capacity()).collect()
+        /// The run to `cycles` with the kernel on workers alone: the
+        /// calling thread waits until a worker has claimed a shard, and
+        /// leaves each shard it claims itself unrun.
+        fn run_on_workers_alone(&mut self, cycles: u64) {
+            let t = self.timing;
+            let deadline_fs = self.deadline_fs(cycles);
+            let caller = std::thread::current().id();
+            let claimed = std::sync::atomic::AtomicBool::new(false);
+            self.run_shards(deadline_fs, 0, |shard| {
+                if std::thread::current().id() == caller {
+                    while !claimed.load(std::sync::atomic::Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    claimed.store(true, std::sync::atomic::Ordering::Release);
+                    shard.run(t, deadline_fs);
+                }
+            });
         }
     }
 
-    /// The shard counts the equivalence pins force.
-    const WORKERS: [usize; 4] = [1, 2, 3, 7];
+    /// Flits the equivalence pins' runs reserve before they start workers:
+    /// few, so that workers start after the first shard is checked in or
+    /// after several, and only the shortest runs keep every shard on the
+    /// calling thread.
+    const SPAWN_AT: usize = 1_000;
+
+    /// The `(shards, threads)` layouts the equivalence pins force: one
+    /// shard per thread, and more shards than threads.
+    const LAYOUTS: [(usize, usize); 6] = [(1, 1), (2, 2), (3, 2), (7, 3), (8, 2), (16, 2)];
 
     /// The paper platform and an 8×8 mesh, each in both clockings.
     fn sharding_platforms() -> Vec<(SystemSpec, NetworkKind)> {
@@ -2022,22 +2129,23 @@ mod tests {
     fn the_shard_count_changes_nothing() {
         for (spec, kind) in sharding_platforms() {
             let alloc = allocate(&spec).unwrap();
-            let build = |w| build_turbo_sharded(&spec, &alloc, kind, true, w);
+            let build =
+                |(shards, threads)| build_turbo_sharded(&spec, &alloc, kind, true, shards, threads);
 
             // One run to the horizon.
             let mut event = build_network(&spec, &alloc, kind, true);
             event.run_cycles(2_000);
-            let mut oneshot: Vec<TurboNet> = WORKERS.iter().map(|&w| build(w)).collect();
-            for (net, w) in oneshot.iter_mut().zip(WORKERS) {
+            let mut oneshot: Vec<TurboNet> = LAYOUTS.into_iter().map(build).collect();
+            for (net, (w, _)) in oneshot.iter_mut().zip(LAYOUTS) {
                 assert_eq!(net.shards.len(), w, "{kind:?}");
                 net.run_cycles_within_reservation(2_000);
             }
             // The public entry too, where the run's flit count decides
-            // whether the shards go to workers.
-            let mut public = build(2);
+            // whether workers start.
+            let mut public = build((16, 2));
             public.run_cycles(2_000);
-            for (net, w) in oneshot.iter().zip(WORKERS) {
-                let what = format!("with {w} shards, {kind:?}, one run");
+            for (net, w) in oneshot.iter().zip(LAYOUTS) {
+                let what = format!("with {w:?} shards and threads, {kind:?}, one run");
                 assert_matches(&spec, &event, &oneshot[0], net, &what);
             }
             let what = format!("through run_cycles, {kind:?}, one run");
@@ -2046,8 +2154,8 @@ mod tests {
             // Stepped runs, with messages offered by hand between them
             // (whole flits, so that mesochronous links take them too).
             let mut event = build_network(&spec, &alloc, kind, true);
-            let mut stepped: Vec<TurboNet> = WORKERS.iter().map(|&w| build(w)).collect();
-            let mut public = build(2);
+            let mut stepped: Vec<TurboNet> = LAYOUTS.into_iter().map(build).collect();
+            let mut public = build((16, 2));
             for (k, deadline) in [1u64, 97, 1_000, 1_001, 2_000].into_iter().enumerate() {
                 for c in spec.connections().iter().step_by(7) {
                     let m = Message {
@@ -2065,8 +2173,10 @@ mod tests {
                     net.run_cycles_within_reservation(deadline);
                 }
                 public.run_cycles(deadline);
-                for (net, w) in stepped.iter().zip(WORKERS) {
-                    let what = format!("with {w} shards, {kind:?}, after the run to {deadline}");
+                for (net, w) in stepped.iter().zip(LAYOUTS) {
+                    let what = format!(
+                        "with {w:?} shards and threads, {kind:?}, after the run to {deadline}"
+                    );
                     assert_matches(&spec, &event, &stepped[0], net, &what);
                 }
                 let what = format!("through run_cycles, {kind:?}, after the run to {deadline}");
@@ -2079,8 +2189,9 @@ mod tests {
     fn shards_own_contiguous_runs_of_near_equal_slot_totals() {
         let spec = aelite_spec::generate::scaled_workload(8, 8, 4, 1000, 1);
         let alloc = allocate(&spec).unwrap();
-        for w in WORKERS {
-            let net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, w);
+        for (w, threads) in LAYOUTS {
+            let net =
+                build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, w, threads);
             let owned: Vec<usize> = net
                 .shards
                 .iter()
@@ -2101,7 +2212,7 @@ mod tests {
         // Never more shards than connections.
         let spec = two_ni_spec(0);
         let alloc = allocate(&spec).unwrap();
-        let net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 7);
+        let net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 7, 2);
         assert_eq!(net.shards.len(), 2);
     }
 
@@ -2116,10 +2227,11 @@ mod tests {
             .seed(1)
             .build();
         let alloc = allocate(&spec).unwrap();
-        let mut net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 2);
-        net.check_in(net.timing.period_fs * 10_000_000);
-        assert!(net.log_capacities().iter().all(|&c| c == 0));
-        net.check_out();
+        let mut net = build_turbo_sharded(&spec, &alloc, NetworkKind::Synchronous, false, 8, 2);
+        let deadline_fs = net.deadline_fs(10_000_000);
+        net.run_shards(deadline_fs, 0, |shard| {
+            assert!(shard.flits.iter().all(|log| log.capacity() == 0));
+        });
         net.run_cycles_within_reservation(10_000_000);
         for c in spec.connections() {
             assert_eq!(net.log(c.id).borrow_mut().flits_mut().capacity(), 0);
@@ -2237,25 +2349,50 @@ mod tests {
         );
     }
 
+    /// A net of `shards` shards on two threads over `spec`, mesochronous,
+    /// with one odd-length message offered to every connection: whichever
+    /// shard runs panics on a partial flit.
+    fn partial_flit_net(spec: &SystemSpec, shards: usize) -> TurboNet {
+        let alloc = allocate(spec).unwrap();
+        let kind = NetworkKind::Mesochronous { phase_seed: 3 };
+        let net = build_turbo_sharded(spec, &alloc, kind, false, shards, 2);
+        assert_eq!(net.shards.len(), shards);
+        for (_, queue) in &net.queues {
+            queue.borrow_mut().push_back(Message {
+                seq: 0,
+                words: 3,
+                ready_cycle: 0,
+            });
+        }
+        net
+    }
+
     #[test]
     #[should_panic(expected = "partial flit")]
     fn a_partial_flit_on_a_mesochronous_link_panics_on_a_worker_with_its_message() {
-        // One odd-length message, offered to the connection of the second
-        // shard only: the worker, not the calling thread, panics.
-        let spec = two_ni_spec(1);
-        let alloc = allocate(&spec).unwrap();
-        let kind = NetworkKind::Mesochronous { phase_seed: 3 };
-        let mut net = build_turbo_sharded(&spec, &alloc, kind, false, 2);
-        assert_eq!(net.shards.len(), 2);
-        let conn = net.shards[1].conn[0];
-        net.queue(conn).borrow_mut().push_back(Message {
-            seq: 0,
-            words: 3,
-            ready_cycle: 0,
-        });
-        // Too few flits for `run_cycles` to start a worker.
-        net.run_with(2_000, |net, deadline_fs, _| {
-            net.run_shards(deadline_fs, true);
-        });
+        // Two shards on two threads, with the kernel run by the worker
+        // alone: the worker, not the calling thread, panics.
+        let mut net = partial_flit_net(&two_ni_spec(1), 2);
+        net.run_on_workers_alone(2_000);
+    }
+
+    #[test]
+    fn a_worker_panic_in_a_pipelined_run_is_re_raised_once_every_other_shard_is_checked_out() {
+        // Eight shards on two threads: the worker panics on the first
+        // shard it claims, and no other shard comes back from it. The
+        // calling thread checks the other seven out and re-raises the
+        // worker's panic instead of waiting for it.
+        let spec = aelite_spec::generate::paper_workload(42).with_link_pipeline_stages(1, 1);
+        let mut net = partial_flit_net(&spec, 8);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.run_on_workers_alone(2_000);
+        }));
+        let payload = run.expect_err("the worker's shard panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("partial flit"), "{message}");
+        let checked_in = net.shards.iter().filter(|s| !s.queue.is_empty()).count();
+        assert_eq!(checked_in, 1, "shards left checked in");
     }
 }
