@@ -69,16 +69,16 @@
 //!   queued shard and runs it, the calling one too once every shard is
 //!   checked in, and the calling thread *checks out* each shard, moving
 //!   its messages and flits back to their handles, as soon as it has run.
-//!   So the workers start after one shard's check-in, and the slowest
-//!   thread finishes at most about a shard after the others. Workers
-//!   never grow a log's records, and every log lives in the calling
-//!   thread's allocator arena, not in that of a worker that has exited
-//!   (only a flit whose high words differ from its predecessor's adds a
-//!   16-byte mark, which needs a run past 2³² cycles or a sequence number
-//!   past 2²⁴). A worker's panic is re-raised with its own message. A net
-//!   of more than 512 connections on more than one thread also
-//!   re-validates its allocation on a worker while the calling thread
-//!   compiles it;
+//!   So on a long run the workers start after one shard's check-in, and
+//!   the slowest thread finishes at most about a shard after the others.
+//!   Workers never grow a log's records, and every log lives in the
+//!   calling thread's allocator arena, not in that of a worker that has
+//!   exited (only a flit whose high words differ from its predecessor's
+//!   adds a 16-byte mark, which needs a run past 2³² cycles or a sequence
+//!   number past 2²⁴). A worker's panic is re-raised with its own
+//!   message. A net of more than 512 connections on more than one thread
+//!   also re-validates its allocation on a worker while the calling
+//!   thread compiles it;
 //! * the router pipeline registers and mesochronous link-stage FIFOs
 //!   are lowered into their static timing: per connection, a compiled
 //!   head-delay constant (3 cycles per router stage, one TDM slot per
