@@ -324,7 +324,7 @@ fn offer(source: &mut MessageSource, cycle: u64, queue: &mut VecDeque<Message>) 
 /// A shard holds no shared handle, so a worker thread can own it for a
 /// run: queues and flit buffers move in from the net's handles when a run
 /// starts and back out when it ends.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ConnSoa {
     /// Compiled index of the shard's first connection.
     first: usize,
@@ -389,6 +389,33 @@ const _: () = {
 impl ConnSoa {
     fn len(&self) -> usize {
         self.conn.len()
+    }
+
+    /// An empty shard whose first connection has compiled index `first`,
+    /// with room in every array for its `len` connections: arrays grown by
+    /// doubling would hold up to half their room unused, which a net cut
+    /// into many shards pays for in resident memory.
+    fn with_capacity(first: usize, len: usize) -> Self {
+        ConnSoa {
+            first,
+            conn: Vec::with_capacity(len),
+            queue: Vec::with_capacity(len),
+            flits: Vec::with_capacity(len),
+            source: Vec::with_capacity(len),
+            slots: Vec::with_capacity(len),
+            cursor: Vec::with_capacity(len),
+            head_delay: Vec::with_capacity(len),
+            src_phase_fs: Vec::with_capacity(len),
+            dst_phase_fs: Vec::with_capacity(len),
+            credit_free: Vec::with_capacity(len),
+            credits: Vec::with_capacity(len),
+            credit_sched: Vec::with_capacity(len),
+            in_network: Vec::with_capacity(len),
+            current_msg: Vec::with_capacity(len),
+            ready_floor: Vec::with_capacity(len),
+            stats: Vec::with_capacity(len),
+            counts: KernelCounts::default(),
+        }
     }
 
     /// Appends connection `c` across every array, its traffic source if
@@ -1137,10 +1164,7 @@ fn compile_shards(
     let mut first = 0;
     (shard_lengths(&owned, shards).into_iter())
         .map(|len| {
-            let mut shard = ConnSoa {
-                first,
-                ..ConnSoa::default()
-            };
+            let mut shard = ConnSoa::with_capacity(first, len);
             first += len;
             for c in conns.by_ref().take(len) {
                 shard.push(c, with_traffic, ni_phase_fs);
