@@ -11,9 +11,13 @@
 //! nearest-bit spread selection, single-start gap cover, lazy route
 //! materialization) replicates the seed's decisions exactly, including
 //! tie-breaking.
+//!
+//! One more digest pins what the guarantees read off those grants: every
+//! per-flit latency bound and destination-buffer size.
 
 mod common;
 
+use aelite_alloc::allocate::required_buffer_words;
 use aelite_alloc::route_candidates;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, scaled_workload, TrafficProfile, WorkloadBuilder};
@@ -140,4 +144,42 @@ fn optimized_allocation_still_validates() {
         aelite_alloc::validate_allocation(&spec, &alloc)
             .expect("optimized allocation passes the independent checker");
     }
+}
+
+/// Folds every granted connection's per-flit latency bound and its
+/// destination-buffer size, at credit-return delays of 6, 24 and 600
+/// cycles, into one digest: the two readings of a slot set that every
+/// guarantee rests on.
+fn bound_digest(spec: &SystemSpec) -> u64 {
+    let alloc = aelite_alloc::allocate(spec).expect("allocator succeeds");
+    let mut d = Digest::new();
+    for c in spec.connections() {
+        assert!(alloc.grant(c.id).is_some(), "{} is not granted", c.id);
+        d.word(alloc.worst_case_latency_cycles(spec, c.id));
+        for credit_return in [6, 24, 600] {
+            d.word(u64::from(required_buffer_words(
+                spec,
+                &alloc,
+                c.id,
+                credit_return,
+            )));
+        }
+    }
+    d.0
+}
+
+#[test]
+fn latency_bounds_and_buffer_sizes_are_pinned() {
+    // Paper seeds 0–2 and the benchmark's 8×8 draw.
+    let mesh8 = WorkloadBuilder::mesh(8, 8, 4)
+        .slot_table_size(64)
+        .seed(1)
+        .connections(1_000)
+        .build();
+    let mut d = Digest::new();
+    for seed in 0..=2 {
+        d.word(bound_digest(&paper_workload(seed)));
+    }
+    d.word(bound_digest(&mesh8));
+    assert_eq!(d.0, 0x94c7_d0d6_ec7f_449c, "bound digest moved: {:#x}", d.0);
 }
