@@ -38,9 +38,7 @@ fi
 # it. The name-based search undercounts (a same-named function elsewhere
 # hides an uncalled one), never overcounts. Exceptions, with the reason:
 allow=(
-  expand                            # doctest on aelite_dataflow::sdf::SdfGraph
-  maximum_cycle_mean                # doctests on HsdfGraph and SdfGraph
-  repetition_vector                 # doctest on aelite_dataflow::sdf::SdfGraph
+  maximum_cycle_mean                # doctest on aelite_dataflow::graph::HsdfGraph
   pareto_front                      # its own doctest in aelite_dse::pareto
   pop_port                          # doctest on aelite_noc::phit::RouteBits
   as_mhz_f64                        # doctest on aelite_sim::time::Frequency
@@ -86,13 +84,14 @@ for f in crates/noc/src/network.rs crates/noc/src/turbo.rs; do
   fi
 done
 
-# The timing model, the traffic source model, the XY route, route search
-# and the slot-selection kernels are each defined once; a second
-# definition is a twin that can drift from the first. Each name must have
-# exactly one `fn` definition under crates/ and src/. `benchmark/` is not
-# searched: its `estimate_slots` is a frozen wrapper.
+# The timing model, a slot set's service (its worst wait and busiest
+# window), the traffic source model, the XY route, route search and the
+# slot-selection kernels are each defined once; a second definition is a
+# twin that can drift from the first. Each name must have exactly one
+# `fn` definition under crates/ and src/. `benchmark/` is not searched:
+# its `estimate_slots` is a frozen wrapper.
 for name in pipeline_cycles deadline_cycles max_injection_gap pop_arrival estimate_slots \
-  dimension_ordered worst_window gaps route_candidates bounded_paths spread_selection cover_with_gap \
+  worst_wait max_service dimension_ordered route_candidates bounded_paths spread_selection cover_with_gap \
   best_gap_filler; do
   n=$(git grep -hwE "fn $name" -- crates src | wc -l)
   if [ "$n" -ne 1 ]; then

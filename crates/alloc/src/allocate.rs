@@ -35,11 +35,12 @@
 use crate::mask::SlotMask;
 use crate::path::Path;
 use crate::route_cache::{PairRoutes, RouteCache, RouteProvider};
-use crate::table::{worst_window, SlotTable};
+use crate::table::SlotTable;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{ConnId, LinkId};
 use aelite_spec::timing::{
     deadline_cycles, latency_bound_cycles, max_injection_gap, pipeline_cycles, slot_estimate,
+    SlotService,
 };
 use core::fmt;
 
@@ -228,7 +229,7 @@ impl Allocation {
     /// The connection's latency contract is interpreted per flit, matching
     /// the paper's Section VII, which reports distributions of *flit*
     /// latencies. A flit that becomes ready just after an injection slot
-    /// waits at most one maximum inter-slot gap, then rides the
+    /// waits at most [`SlotService::worst_wait`] slots, then rides the
     /// contention-free pipeline: 3 cycles per router plus 3 for the NI
     /// ingress link. No message-level bound is derived from the slot set:
     /// a message can find its queue still busy with the previous one, so
@@ -240,8 +241,8 @@ impl Allocation {
     #[must_use]
     pub fn worst_case_latency_cycles(&self, spec: &SystemSpec, conn: ConnId) -> u64 {
         let grant = self.grant(conn).expect("connection has no grant");
-        let window = worst_window(&grant.inject_slots, self.table_size);
-        latency_bound_cycles(spec.config(), window, grant.path.link_count())
+        let wait = SlotService::new(&grant.inject_slots, self.table_size).worst_wait();
+        latency_bound_cycles(spec.config(), wait, grant.path.link_count())
     }
 
     /// Worst-case per-flit latency of `conn` in nanoseconds.
@@ -312,40 +313,6 @@ pub fn admission_order(spec: &SystemSpec, conns: &mut [ConnId]) {
     });
 }
 
-/// The maximum number of reserved slots inside any circular window of
-/// `window` slots (a window covers slots `[s, s + window)`).
-///
-/// One two-pointer sweep over the slots and their wrap into the next
-/// revolution: the busiest window starts at a reserved slot, and its end
-/// only moves forward as the start does. O(slots).
-///
-/// # Panics
-///
-/// Panics if `slots` is not strictly ascending within `size`.
-#[must_use]
-pub fn max_slots_in_window(slots: &[u32], size: u32, window: u32) -> u32 {
-    assert!(
-        slots.windows(2).all(|w| w[0] < w[1]),
-        "slots must be strictly ascending"
-    );
-    let Some(&last) = slots.last() else {
-        return 0;
-    };
-    assert!(last < size, "slot out of table range");
-    // Full revolutions hold every slot; the remainder is swept.
-    let (revs, window) = (window / size, window % size);
-    let n = slots.len();
-    let unrolled = |k: usize| slots[k % n] + if k < n { 0 } else { size };
-    let (mut best, mut end) = (0, 0);
-    for (start, &s) in slots.iter().enumerate() {
-        while end < start + n && unrolled(end) < s + window {
-            end += 1;
-        }
-        best = best.max(end - start);
-    }
-    revs * n as u32 + best as u32
-}
-
 /// The destination-buffer size (in words) that guarantees credits never
 /// throttle `conn` below its reserved rate, for a given credit-return
 /// delay in cycles.
@@ -354,7 +321,8 @@ pub fn max_slots_in_window(slots: &[u32], size: u32, window: u32) -> u32 {
 /// from the source. The source injects one flit (of `payload` words) in
 /// every reserved slot, so in the worst case it must be able to spend
 /// credits for every reserved slot inside any round-trip-sized window of
-/// the TDM table, plus the flit in flight at the window boundary.
+/// the TDM table, plus the flit in flight at the window boundary: the
+/// slot set's [`SlotService::max_service`] over that window.
 ///
 /// # Panics
 ///
@@ -374,7 +342,7 @@ pub fn required_buffer_words(
     let window = u32::try_from(round_trip.div_ceil(u64::from(cfg.slot_cycles())))
         .expect("window fits u32")
         + 1;
-    let in_flight = max_slots_in_window(&grant.inject_slots, cfg.slot_table_size, window);
+    let in_flight = SlotService::new(&grant.inject_slots, cfg.slot_table_size).max_service(window);
     in_flight * cfg.payload_words_per_flit()
 }
 
@@ -912,8 +880,9 @@ impl Allocator {
 
             let n_links = route.path.link_count();
             // The latency contract is per flit (see worst_case_latency_cycles).
-            let latency_of =
-                |slots: &[u32]| latency_bound_cycles(cfg, worst_window(slots, size), n_links);
+            let latency_of = |slots: &[u32]| {
+                latency_bound_cycles(cfg, SlotService::new(slots, size).worst_wait(), n_links)
+            };
             // Hypothetical best latency with *all* free slots taken, used
             // only when this path is rejected for latency.
             let latency_of_all = |all: &mut Vec<u32>| {
@@ -1142,11 +1111,12 @@ fn spread_selection(avail: &mut SlotMask, needed: u32, size: u32, phase: u32, ou
 ///
 /// Classic circular greedy cover: from a fixed start, repeatedly jump to
 /// the farthest free slot within `gap`. A cover exists iff no circular gap
-/// between consecutive free slots exceeds `gap` — checked up front with
-/// one word-level scan — and in that case the greedy walk from the first
-/// free slot always succeeds, which is exactly the cover the original
-/// every-start search returned (it tried starts in ascending order and
-/// the first start either succeeds or none do). Each jump is one
+/// between consecutive free slots exceeds `gap`, and in that case the
+/// greedy walk from the first free slot always succeeds, which is exactly
+/// the cover the original every-start search returned (it tried starts in
+/// ascending order and the first start either succeeds or none do). The
+/// walk cannot jump a gap wider than `gap`, so it stalls on the first
+/// such gap it reaches, and a stall is the refusal. Each jump is one
 /// backwards bit scan, with no per-start retry loop and no inner-loop
 /// allocation.
 fn cover_with_gap(free: &SlotMask, gap: u32, size: u32, out: &mut Vec<u32>) -> bool {
@@ -1154,14 +1124,11 @@ fn cover_with_gap(free: &SlotMask, gap: u32, size: u32, out: &mut Vec<u32>) -> b
     if gap == 0 {
         return false;
     }
-    match free.max_circular_gap() {
-        None => return false,
-        Some(g) if g > gap => return false,
-        Some(_) => {}
-    }
+    let Some(start) = free.first_one() else {
+        return false;
+    };
     // Forward circular distance from a to b, in 1..=size (b == a -> size).
     let fwd = |a: u32, b: u32| (b + size - a - 1) % size + 1;
-    let start = free.first_one().expect("non-empty: gap check passed");
     out.push(start);
     let mut cur = start;
     loop {
@@ -1172,14 +1139,19 @@ fn cover_with_gap(free: &SlotMask, gap: u32, size: u32, out: &mut Vec<u32>) -> b
             return true;
         }
         // Jump to the farthest free slot within `gap` ahead: the first set
-        // bit at or before `cur + gap`, scanning backwards. Because every
-        // free-to-free gap is within `gap`, the scan always lands in
-        // (cur, cur + gap]; because the distance back to start still
-        // exceeds `gap`, it can never overshoot the start.
+        // bit at or before `cur + gap`, scanning backwards. It lands in
+        // (cur, cur + gap] unless no free slot is there, when it finds
+        // `cur` itself: the next free-to-free gap is wider than `gap`.
+        // Because the distance back to start still exceeds `gap`, it can
+        // never overshoot the start.
         let next = free
             .prev_one_circular((cur + gap) % size)
             .expect("free set is non-empty");
-        debug_assert!(next != cur && fwd(cur, next) <= gap);
+        if next == cur {
+            out.clear();
+            return false;
+        }
+        debug_assert!(fwd(cur, next) <= gap);
         out.push(next);
         cur = next;
     }
@@ -1765,6 +1737,44 @@ mod tests {
         let mask = SlotMask::from_slots(64, &[0, 40]);
         assert_eq!(cover(&mask, 10, 64), None);
         assert_eq!(reference(&[0, 40], 10, 64), None);
+        // Sets where the walk must stall and refuse, across word
+        // boundaries: one free slot, and free slots every `gap` apart
+        // but for one gap of `gap + 1`, wherever that gap falls.
+        let check = |free: &[u32], gap: u32, size: u32, covered: bool| {
+            let got = cover(&SlotMask::from_slots(size, free), gap, size);
+            assert_eq!(
+                got.is_some(),
+                covered,
+                "size {size} gap {gap} free {free:?}"
+            );
+            assert_eq!(got, reference(free, gap, size), "size {size} gap {gap}");
+        };
+        for size in [63u32, 64, 65, 130] {
+            for slot in [0, size / 2, size - 1] {
+                for gap in [1, 2, size / 2, size - 1] {
+                    check(&[slot], gap, size, false);
+                }
+                check(&[slot], size, size, true);
+            }
+            for gap in [1u32, 2, 5, 31, 32, 33] {
+                for rotate in [0, 1, size / 3, size - 1] {
+                    let spaced = |first: u32| {
+                        let mut free: Vec<u32> = (first..size)
+                            .step_by(gap as usize)
+                            .chain([0])
+                            .map(|s| (s + rotate) % size)
+                            .collect();
+                        free.sort_unstable();
+                        free.dedup();
+                        free
+                    };
+                    // Every free-to-free gap at most `gap`: a cover.
+                    check(&spaced(gap), gap, size, true);
+                    // One gap of exactly `gap + 1`: the walk stalls.
+                    check(&spaced(gap + 1), gap, size, false);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1849,31 +1859,31 @@ mod tests {
     #[test]
     fn window_count_basics() {
         // Slots {0, 8, 16, 24} of 32.
-        let slots = [0, 8, 16, 24];
-        assert_eq!(max_slots_in_window(&slots, 32, 1), 1);
-        assert_eq!(max_slots_in_window(&slots, 32, 8), 1);
-        assert_eq!(max_slots_in_window(&slots, 32, 9), 2);
-        assert_eq!(max_slots_in_window(&slots, 32, 32), 4);
-        assert_eq!(max_slots_in_window(&slots, 32, 0), 0);
-        assert_eq!(max_slots_in_window(&[], 32, 10), 0);
+        let service = SlotService::new(&[0, 8, 16, 24], 32);
+        assert_eq!(service.max_service(1), 1);
+        assert_eq!(service.max_service(8), 1);
+        assert_eq!(service.max_service(9), 2);
+        assert_eq!(service.max_service(32), 4);
+        assert_eq!(service.max_service(0), 0);
+        assert_eq!(SlotService::new(&[], 32).max_service(10), 0);
     }
 
     #[test]
     fn window_count_handles_clusters() {
         // Clustered slots stress the worst window.
-        let slots = [0, 1, 2, 20];
-        assert_eq!(max_slots_in_window(&slots, 32, 3), 3);
-        assert_eq!(max_slots_in_window(&slots, 32, 4), 3);
+        let service = SlotService::new(&[0, 1, 2, 20], 32);
+        assert_eq!(service.max_service(3), 3);
+        assert_eq!(service.max_service(4), 3);
         // Wrapping window catches 20,0,1,2 within 15 slots.
-        assert_eq!(max_slots_in_window(&slots, 32, 15), 4);
+        assert_eq!(service.max_service(15), 4);
     }
 
     #[test]
     fn window_larger_than_table_multiplies() {
-        let slots = [0, 16];
-        assert_eq!(max_slots_in_window(&slots, 32, 64), 4);
+        let service = SlotService::new(&[0, 16], 32);
+        assert_eq!(service.max_service(64), 4);
         // 81 consecutive slots starting at 0 catch 0,16,32,48,64,80.
-        assert_eq!(max_slots_in_window(&slots, 32, 64 + 17), 6);
+        assert_eq!(service.max_service(64 + 17), 6);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`route_cache`] — [`route_cache::RouteCache`]: memoized, lazily
 //!   enumerated route candidates per (src, dst) NI pair (memory ∝ pairs
 //!   routed), filtered through a link-fault mask.
-//! * [`table`] — per-link slot tables, gap and worst-window arithmetic.
+//! * [`table`] — per-link slot tables.
 //! * [`mod@allocate`] — the greedy hardest-first allocator.
 //! * [`validate`] — an independent checker that re-derives every guarantee.
 //!
@@ -51,5 +51,5 @@ pub use allocate::{
 pub use mask::SlotMask;
 pub use path::{dimension_ordered, route_candidates, Path, PathError};
 pub use route_cache::{CachedRoute, FaultMask, RouteCache, RouteProvider};
-pub use table::{gaps, worst_window, SlotTable};
+pub use table::SlotTable;
 pub use validate::{validate as validate_allocation, Violation};

@@ -427,20 +427,6 @@ impl SlotMask {
             core::cmp::Ordering::Equal => fwd.min(bwd),
         })
     }
-
-    /// The largest forward circular distance between consecutive set
-    /// slots (a single set slot yields `size`), or `None` if empty.
-    #[must_use]
-    pub(crate) fn max_circular_gap(&self) -> Option<u32> {
-        let first = self.first_one()?;
-        let mut prev = first;
-        let mut max = 0;
-        for s in self.iter_ones().skip(1) {
-            max = max.max(s - prev);
-            prev = s;
-        }
-        Some(max.max(self.size - prev + first))
-    }
 }
 
 impl fmt::Debug for SlotMask {
@@ -625,17 +611,6 @@ mod tests {
         assert_eq!(m.prev_one_circular(10), Some(10));
         assert_eq!(SlotMask::new_empty(16).next_one_circular(3), None);
         assert_eq!(SlotMask::new_empty(16).prev_one_circular(3), None);
-    }
-
-    #[test]
-    fn max_circular_gap_matches_gaps() {
-        let m = SlotMask::from_slots(8, &[1, 4]);
-        assert_eq!(m.max_circular_gap(), Some(5));
-        let m = SlotMask::from_slots(8, &[3]);
-        assert_eq!(m.max_circular_gap(), Some(8));
-        assert_eq!(SlotMask::new_empty(8).max_circular_gap(), None);
-        let full = SlotMask::new_full(64);
-        assert_eq!(full.max_circular_gap(), Some(1));
     }
 
     #[test]

@@ -175,65 +175,10 @@ impl fmt::Display for SlotTable {
     }
 }
 
-/// The circular gaps, in slots, between consecutive reserved injection
-/// slots of a connection.
-///
-/// `gaps(&[1, 4], 8)` is `[3, 5]`: slot 1→4 is 3 apart, and wrapping
-/// 4→1 is 5 apart. A connection waiting for its next slot waits at most
-/// `max(gaps) * slot_cycles` cycles — the quantity behind the per-flit
-/// latency bound, [`worst_window`].
-///
-/// Returns an empty vector for fewer than one slot, and `[size]` for a
-/// single slot (a full revolution back to itself).
-///
-/// # Panics
-///
-/// Panics if any slot is ≥ `size` or slots are not strictly ascending.
-#[must_use]
-pub fn gaps(slots: &[u32], size: u32) -> Vec<u32> {
-    if slots.is_empty() {
-        return Vec::new();
-    }
-    for w in slots.windows(2) {
-        assert!(w[0] < w[1], "slots must be strictly ascending");
-    }
-    assert!(*slots.last().unwrap() < size, "slot out of table range");
-    if slots.len() == 1 {
-        return vec![size];
-    }
-    let mut out = Vec::with_capacity(slots.len());
-    for w in slots.windows(2) {
-        out.push(w[1] - w[0]);
-    }
-    out.push(size - slots.last().unwrap() + slots[0]);
-    out
-}
-
-/// The worst-case wait, in slots, for a flit that becomes ready just
-/// after one of `slots` until the next one: the largest gap of
-/// [`gaps`], computed without allocating.
-///
-/// # Panics
-///
-/// Panics if `slots` is empty (no service at all), or the slots are
-/// invalid per [`gaps`].
-#[must_use]
-pub fn worst_window(slots: &[u32], size: u32) -> u32 {
-    assert!(!slots.is_empty(), "connection has no slots");
-    for w in slots.windows(2) {
-        assert!(w[0] < w[1], "slots must be strictly ascending");
-    }
-    let (first, last) = (slots[0], slots[slots.len() - 1]);
-    assert!(last < size, "slot out of table range");
-    // The wrap from the last slot back to the first; a single slot waits
-    // one full revolution.
-    let wrap = size - last + first;
-    slots.windows(2).map(|w| w[1] - w[0]).fold(wrap, u32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aelite_spec::timing::SlotService;
 
     fn c(i: u32) -> ConnId {
         ConnId::new(i)
@@ -385,40 +330,32 @@ mod tests {
     }
 
     #[test]
-    fn gaps_of_spread_slots() {
-        assert_eq!(gaps(&[1, 4], 8), vec![3, 5]);
-        assert_eq!(gaps(&[0, 2, 4, 6], 8), vec![2, 2, 2, 2]);
-        assert_eq!(gaps(&[7], 8), vec![8]);
-        assert_eq!(gaps(&[], 8), Vec::<u32>::new());
-    }
-
-    #[test]
     #[should_panic(expected = "strictly ascending")]
     fn gaps_reject_unsorted() {
-        let _ = gaps(&[4, 1], 8);
+        let _ = SlotService::new(&[4, 1], 8);
     }
 
     #[test]
     #[should_panic(expected = "out of table range")]
     fn gaps_reject_out_of_range() {
-        let _ = gaps(&[9], 8);
+        let _ = SlotService::new(&[9], 8);
     }
 
     #[test]
     fn worst_window_single_flit_is_max_gap() {
-        assert_eq!(worst_window(&[1, 4], 8), 5);
-        assert_eq!(worst_window(&[0, 2, 4, 6], 8), 2);
+        assert_eq!(SlotService::new(&[1, 4], 8).worst_wait(), 5);
+        assert_eq!(SlotService::new(&[0, 2, 4, 6], 8).worst_wait(), 2);
     }
 
     #[test]
     fn worst_window_single_slot_connection() {
         // One slot in 8: every flit costs a full revolution.
-        assert_eq!(worst_window(&[3], 8), 8);
+        assert_eq!(SlotService::new(&[3], 8).worst_wait(), 8);
     }
 
     #[test]
     #[should_panic(expected = "no slots")]
     fn worst_window_requires_slots() {
-        let _ = worst_window(&[], 8);
+        let _ = SlotService::new(&[], 8).worst_wait();
     }
 }

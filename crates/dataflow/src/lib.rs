@@ -9,9 +9,6 @@
 //!   (bisection + Bellman-Ford), yielding steady-state throughput.
 //! * [`models`] — builders for aelite structures (wrapped-element
 //!   chains), cross-checked against the token-level wrapper simulation.
-//! * [`sdf`] — multirate SDF with HSDF expansion, analysing the paper's
-//!   *other* named future work: link-width conversion (a k:1 converter is
-//!   a rate-k actor).
 //!
 //! # Examples
 //!
@@ -30,8 +27,6 @@
 
 pub mod graph;
 pub mod models;
-pub mod sdf;
 
 pub use graph::{ActorId, HsdfGraph};
 pub use models::{predicted_flit_rate_per_us, wrapper_chain, WrapperChainModel};
-pub use sdf::{SdfActorId, SdfGraph};

@@ -8,8 +8,8 @@
 //!   routers, NIs and directed links, with their hop counts.
 //! * [`path`] — source-route paths and the dimension-ordered (XY/YX)
 //!   route.
-//! * [`timing`] — the one timing model: pipeline delay, worst-case
-//!   latency bound and the slots a deadline forces.
+//! * [`timing`] — the one timing model: pipeline delay, slot service,
+//!   worst-case latency bound and the slots a deadline forces.
 //! * [`traffic`] — bandwidth units and offered-load patterns.
 //! * [`config`] — the NoC-wide geometry: data width, frequency, 3-word
 //!   flits, TDM slot-table size.

@@ -5,6 +5,8 @@
 //! generator, the allocator, the analysis and the turbo kernel call
 //! these functions rather than spell the arithmetic again. Routes
 //! are measured in links: *h* router-to-router hops make `h + 2` links.
+//! A connection's injection slots are read through [`SlotService`]: its
+//! worst wait feeds the per-flit bound [`latency_bound_cycles`].
 
 use crate::config::NocConfig;
 use crate::traffic::Bandwidth;
@@ -25,6 +27,68 @@ pub fn pipeline_cycles(cfg: &NocConfig, n_links: usize) -> u64 {
 #[must_use]
 pub fn latency_bound_cycles(cfg: &NocConfig, window: u32, n_links: usize) -> u64 {
     u64::from(window) * u64::from(cfg.slot_cycles()) + pipeline_cycles(cfg, n_links)
+}
+
+/// A connection's injection slots in a TDM table of `size` slots, read
+/// as the two ends of their service curve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotService<'a> {
+    slots: &'a [u32],
+    size: u32,
+}
+
+impl<'a> SlotService<'a> {
+    /// The service of `slots`, which may be empty, in a table of `size`
+    /// slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size` is zero, or the slots are not strictly ascending
+    /// or any is ≥ `size`.
+    #[must_use]
+    pub fn new(slots: &'a [u32], size: u32) -> Self {
+        assert!(
+            slots.windows(2).all(|w| w[0] < w[1]),
+            "slots must be strictly ascending"
+        );
+        let in_range = slots.last().map_or(size > 0, |&s| s < size);
+        assert!(in_range, "slot out of table range");
+        SlotService { slots, size }
+    }
+
+    /// The worst-case wait, in slots, of a flit ready just after one owned
+    /// slot: the largest circular gap (a full revolution for one slot),
+    /// and the first step of the minimum service curve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is empty (no service at all).
+    #[must_use]
+    pub fn worst_wait(&self) -> u32 {
+        let slots = self.slots;
+        assert!(!slots.is_empty(), "connection has no slots");
+        let wrap = self.size - slots[slots.len() - 1] + slots[0];
+        slots.windows(2).map(|w| w[1] - w[0]).fold(wrap, u32::max)
+    }
+
+    /// The most owned slots in any circular window `[s, s + window)`, the
+    /// maximum service curve: one two-pointer sweep, as the busiest
+    /// window starts at an owned slot and its end only moves with it.
+    #[must_use]
+    pub fn max_service(&self, window: u32) -> u32 {
+        let (slots, size, n) = (self.slots, self.size, self.slots.len());
+        // Full revolutions hold every slot; the remainder is swept.
+        let (revs, window) = (window / size, window % size);
+        let unrolled = |k: usize| slots[k % n] + if k < n { 0 } else { size };
+        let (mut best, mut end) = (0, 0);
+        for (start, &s) in slots.iter().enumerate() {
+            while end < start + n && unrolled(end) < s + window {
+                end += 1;
+            }
+            best = best.max(end - start);
+        }
+        revs * n as u32 + best as u32
+    }
 }
 
 /// A latency requirement of `max_latency_ns` in whole cycles, rounded
@@ -89,5 +153,11 @@ mod tests {
         let small = Bandwidth::from_mbytes_per_sec(1);
         assert_eq!(slot_estimate(&cfg, small, 40, 4), cfg.slot_table_size / 2);
         assert_eq!(slot_estimate(&cfg, small, 1_000_000, 4), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of table range")]
+    fn slot_service_rejects_an_empty_table() {
+        let _ = SlotService::new(&[], 0);
     }
 }

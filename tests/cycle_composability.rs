@@ -1,14 +1,18 @@
 //! Composability verified on the **cycle-accurate hardware models** (not
 //! just the flit-level abstraction): with the mesochronous build included,
 //! toggling one application's offered traffic cannot move a single
-//! delivery cycle of another application.
+//! delivery cycle of another application. On the paper platform, the
+//! compositions of experiment C1 (`benches/c1_composability.rs`) run on
+//! the event-driven build, whose routers model shared pipelines and
+//! panic on contention.
 
-use aelite_alloc::allocate;
-use aelite_noc::network::{build_network, NetworkKind};
+use aelite_alloc::{allocate, Allocation};
+use aelite_noc::network::{build_network, CycleNet, NetworkKind};
 use aelite_noc::ni::Message;
 use aelite_spec::app::{SystemSpec, SystemSpecBuilder};
 use aelite_spec::config::NocConfig;
-use aelite_spec::ids::{ConnId, NiId};
+use aelite_spec::generate::paper_workload;
+use aelite_spec::ids::{AppId, ConnId, NiId};
 use aelite_spec::topology::Topology;
 use aelite_spec::traffic::Bandwidth;
 
@@ -116,4 +120,65 @@ fn contention_freedom_holds_cycle_by_cycle() {
             c.id
         );
     }
+}
+
+/// Runs `apps` of `spec` alone on the event-driven build, with CBR
+/// traffic, on the full system's grants of their connections.
+fn run_apps(spec: &SystemSpec, alloc: &Allocation, apps: &[AppId], cycles: u64) -> CycleNet {
+    let mut alloc = alloc.clone();
+    for c in spec.connections() {
+        if !apps.contains(&c.app) {
+            alloc.take_grant(c.id);
+        }
+    }
+    let mut net = build_network(
+        &spec.restricted_to(apps),
+        &alloc,
+        NetworkKind::Synchronous,
+        true,
+    );
+    net.run_cycles(cycles);
+    net
+}
+
+/// C1 on the event-driven build of `paper_workload(42)`: each application
+/// alone and the pairs A0+A1, A1+A2 and A2+A3 must reproduce every
+/// delivery log of their connections in the full system, bit for bit.
+/// Returns the flits compared.
+fn c1_on_the_event_engine(cycles: u64) -> usize {
+    let spec = paper_workload(42);
+    let alloc = allocate(&spec).expect("paper workload allocates");
+    let all: Vec<AppId> = spec.apps().iter().map(|a| a.id).collect();
+    let full = run_apps(&spec, &alloc, &all, cycles);
+    let pairs = [[0, 1], [1, 2], [2, 3]].map(|p: [u32; 2]| p.map(AppId::new).to_vec());
+    let compositions = all.iter().map(|&a| vec![a]).chain(pairs);
+    let mut flits = 0;
+    for apps in compositions {
+        let part = run_apps(&spec, &alloc, &apps, cycles);
+        let divergent: Vec<ConnId> = spec
+            .connections()
+            .iter()
+            .filter(|c| apps.contains(&c.app))
+            .filter(|c| {
+                let log = part.log(c.id).borrow();
+                flits += log.len();
+                *log != *full.log(c.id).borrow()
+            })
+            .map(|c| c.id)
+            .collect();
+        assert!(divergent.is_empty(), "{apps:?}: {divergent:?} diverge");
+    }
+    assert!(flits > 0, "nothing delivered in {cycles} cycles");
+    flits
+}
+
+#[test]
+fn paper_platform_compositions_match_the_full_system() {
+    c1_on_the_event_engine(3_000);
+}
+
+#[test]
+#[ignore = "C1's full 60 000 cycles: run in release"]
+fn paper_platform_compositions_match_the_full_system_over_c1s_run() {
+    c1_on_the_event_engine(60_000);
 }

@@ -1,13 +1,12 @@
-//! Property-based tests of the core invariants (gap, worst-window and
-//! busiest-window arithmetic, header codec round-trips, bisync FIFO ordering, slot
+//! Property-based tests of the core invariants (a slot set's worst wait
+//! and busiest window, header codec round-trips, bisync FIFO ordering, slot
 //! table ≡ free mask, and allocate → validate → simulate composability),
 //! exercised over randomly generated workloads, slot sets, routes and
 //! clock phases.
 
 use aelite::AeliteSystem;
-use aelite_alloc::allocate::max_slots_in_window;
 use aelite_alloc::mask::SlotMask;
-use aelite_alloc::table::{gaps, worst_window, SlotTable};
+use aelite_alloc::table::SlotTable;
 use aelite_alloc::{allocate, validate_allocation};
 use aelite_noc::codec::{pack_header, route_capacity_hops, unpack_header};
 use aelite_noc::network::NetworkKind;
@@ -17,6 +16,7 @@ use aelite_sim::bisync::BisyncFifo;
 use aelite_sim::time::{SimDuration, SimTime};
 use aelite_spec::generate::{random_workload, WorkloadParams};
 use aelite_spec::ids::{ConnId, Port};
+use aelite_spec::timing::SlotService;
 use aelite_spec::topology::Topology;
 use aelite_spec::NocConfig;
 use proptest::prelude::*;
@@ -32,20 +32,31 @@ fn slot_sets() -> impl Strategy<Value = (Vec<u32>, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Gaps always sum to exactly one table revolution.
+    /// The gaps from each slot to the next, found by stepping through
+    /// the table, sum to exactly one revolution; the worst wait is the
+    /// largest of them, and a window of one revolution holds every slot.
     #[test]
     fn gaps_sum_to_table_size((slots, size) in slot_sets()) {
-        let g = gaps(&slots, size);
+        let g: Vec<u32> = slots
+            .iter()
+            .map(|&at| {
+                (1..=size)
+                    .find(|d| slots.binary_search(&((at + d) % size)).is_ok())
+                    .expect("a non-empty slot set recurs within one revolution")
+            })
+            .collect();
         prop_assert_eq!(g.iter().sum::<u32>(), size);
-        prop_assert_eq!(g.len(), slots.len());
+        let service = SlotService::new(&slots, size);
+        prop_assert_eq!(service.worst_wait(), g.iter().copied().max().unwrap());
+        prop_assert_eq!(service.max_service(size), slots.len() as u32);
     }
 
-    /// `worst_window` matches a brute-force computation: the longest wait,
-    /// over every table position, from that position to the next
+    /// The worst wait matches a brute-force computation: the longest
+    /// wait, over every table position, from that position to the next
     /// reserved slot strictly after it.
     #[test]
     fn worst_window_matches_brute_force((slots, size) in slot_sets()) {
-        let fast = worst_window(&slots, size);
+        let fast = SlotService::new(&slots, size).worst_wait();
         let brute = (0..size)
             .map(|at| {
                 (1..=size)
@@ -57,8 +68,8 @@ proptest! {
         prop_assert_eq!(fast, brute);
     }
 
-    /// The two-pointer `max_slots_in_window` matches a brute-force count
-    /// over every window start, for windows shorter and longer than a
+    /// The two-pointer busiest window matches a brute-force count over
+    /// every window start, for windows shorter and longer than a
     /// revolution.
     #[test]
     fn max_slots_in_window_matches_brute_force(
@@ -73,10 +84,10 @@ proptest! {
             })
             .max()
             .unwrap_or(0);
-        prop_assert_eq!(max_slots_in_window(&slots, size, window), brute);
+        prop_assert_eq!(SlotService::new(&slots, size).max_service(window), brute);
     }
 
-    /// Adding a slot never worsens the worst window.
+    /// Adding a slot never worsens the worst wait.
     #[test]
     fn extra_slot_never_hurts((slots, size) in slot_sets()) {
         if (slots.len() as u32) < size {
@@ -84,7 +95,8 @@ proptest! {
             let mut more = slots.clone();
             more.push(free);
             more.sort_unstable();
-            prop_assert!(worst_window(&more, size) <= worst_window(&slots, size));
+            let wait = |slots: &[u32]| SlotService::new(slots, size).worst_wait();
+            prop_assert!(wait(&more) <= wait(&slots));
         }
     }
 
