@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's six grep lints, in one place: the CI `lint` job runs
+# The repository's seven grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -99,4 +99,24 @@ for name in pipeline_cycles deadline_cycles max_injection_gap pop_arrival estima
     echo "::error::\`$name\` has $n definitions under crates/ and src/: keep exactly one"
     exit 1
   fi
+done
+
+# The validator and configuration-image lints cut each file at its first
+# `#[cfg(test)]`, so a test-only item above a file's tests would silently
+# exempt the rest of the file. In every `crates/*/src/*.rs` and
+# `src/**/*.rs` file the first `#[cfg(test)]` opens what ends the file:
+# its `mod tests { … }` block, or trailing `#[cfg(test)] mod name;`
+# declarations.
+for f in $(git ls-files 'crates/*/src/*.rs' 'src/*.rs'); do
+  rest=$(sed -n '/#\[cfg(test)\]/,$p' "$f" | sed 1d)
+  [ -z "$rest" ] && continue
+  case "$(printf '%s\n' "$rest" | head -1)" in
+    "mod tests {" | "pub(crate) mod tests {")
+      # Only the block's closing brace may sit at column 0 after it.
+      [ "$(printf '%s\n' "$rest" | sed 1d | grep -E '^[^[:space:]]')" = "}" ] && continue ;;
+    *)
+      printf '%s\n' "$rest" | grep -qvE '^(#\[cfg\(test\)\]|mod [a-z_]+;)$' || continue ;;
+  esac
+  echo "::error::$f has test-only code above or below its tests: move it into its \`mod tests\`"
+  exit 1
 done

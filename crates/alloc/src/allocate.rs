@@ -268,21 +268,6 @@ impl Allocation {
     }
 }
 
-/// Corruption hooks for the validator's tests: they break a grant or a
-/// table behind the allocation's back, which no public mutator can.
-#[cfg(test)]
-impl Allocation {
-    /// The grant of `conn`, writable.
-    pub(crate) fn grant_mut(&mut self, conn: ConnId) -> Option<&mut Grant> {
-        self.grants.get_mut(conn.index()).and_then(Option::as_mut)
-    }
-
-    /// The reservation table of `link`, writable.
-    pub(crate) fn link_table_mut(&mut self, link: LinkId) -> &mut SlotTable {
-        &mut self.link_tables[link.index()]
-    }
-}
-
 /// Estimates the slots a connection's grant will need: the larger of its
 /// bandwidth minimum and the count its per-flit deadline forces over
 /// [`Topology::router_hops`](aelite_spec::Topology::router_hops) hops.
@@ -1202,6 +1187,20 @@ mod tests {
         /// How many recycled grants are pooled.
         fn pooled_grants(&self) -> usize {
             self.spare.len()
+        }
+    }
+
+    /// Corruption hooks for the validator's tests: they break a grant or
+    /// a table behind the allocation's back, which no public mutator can.
+    impl Allocation {
+        /// The grant of `conn`, writable.
+        pub(crate) fn grant_mut(&mut self, conn: ConnId) -> Option<&mut Grant> {
+            self.grants.get_mut(conn.index()).and_then(Option::as_mut)
+        }
+
+        /// The reservation table of `link`, writable.
+        pub(crate) fn link_table_mut(&mut self, link: LinkId) -> &mut SlotTable {
+            &mut self.link_tables[link.index()]
         }
     }
 

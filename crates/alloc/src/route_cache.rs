@@ -23,8 +23,9 @@
 //! candidate, which under light contention is almost always XY or YX, so
 //! most pairs never pay for the DFS at all — while the candidate
 //! *sequence* observed by callers is identical to the eager enumeration
-//! (pinned against it pair by pair in `tests/mega_mesh_golden.rs` and
-//! under arbitrary mask sequences in `tests/proptest_fault_filter.rs`).
+//! (pinned against the eager oracle of `tests/common/route_oracle.rs`
+//! pair by pair in `tests/mega_mesh_golden.rs` and under arbitrary mask
+//! sequences in `tests/proptest_fault_filter.rs`).
 //!
 //! The cache also carries a [`FaultMask`] of failed links (empty by
 //! default). Faults *filter*, they never evict: under a non-empty mask

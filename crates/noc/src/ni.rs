@@ -210,25 +210,6 @@ impl FlitRecords {
         self.low.reserve(additional);
     }
 
-    /// Records the storage holds room for.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.low.capacity()
-    }
-
-    /// Heap bytes `(in use, held)` by the records and marks.
-    #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> (usize, usize) {
-        let bytes = |records: usize, marks: usize| {
-            records * std::mem::size_of::<(u32, u32)>()
-                + marks * std::mem::size_of::<(usize, u32, u32)>()
-        };
-        (
-            bytes(self.low.len(), self.high.len()),
-            bytes(self.low.capacity(), self.high.capacity()),
-        )
-    }
-
     /// Number of records.
     pub(crate) fn len(&self) -> usize {
         self.low.len()
@@ -632,6 +613,25 @@ mod tests {
     use aelite_sim::scheduler::Simulator;
     use aelite_sim::time::{Frequency, SimTime};
     const S: u32 = 8;
+
+    impl FlitRecords {
+        /// Records the storage holds room for.
+        pub(crate) fn capacity(&self) -> usize {
+            self.low.capacity()
+        }
+
+        /// Heap bytes `(in use, held)` by the records and marks.
+        pub(crate) fn heap_bytes(&self) -> (usize, usize) {
+            let bytes = |records: usize, marks: usize| {
+                records * std::mem::size_of::<(u32, u32)>()
+                    + marks * std::mem::size_of::<(usize, u32, u32)>()
+            };
+            (
+                bytes(self.low.len(), self.high.len()),
+                bytes(self.low.capacity(), self.high.capacity()),
+            )
+        }
+    }
 
     /// The only connection of a source NI, owning `slots` of its table.
     fn sole_source(

@@ -395,7 +395,7 @@ impl ChurnEngine {
     /// [`canonical_order`]: teardowns first, then switches, then single
     /// opens hardest-first — byte-identical end state and verdicts to
     /// serially [`submit`](Self::submit)ting the requests in that order
-    /// (property-tested in `tests/proptest_serve.rs`). What a burst buys
+    /// (property-tested in `tests/op_streams.rs`). What a burst buys
     /// is that order — capacity is freed before it is asked for and the
     /// hardest connection picks first, whatever order the requests
     /// arrived in — not time: round setup is O(1), so on one thread a

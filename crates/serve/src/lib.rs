@@ -27,7 +27,7 @@
 //! * [`replay_serial`] and [`replay_batched`] are the deterministic
 //!   single-thread modes. The former is the per-op baseline, and what
 //!   one producer reproduces exactly (`tests/serve_pipeline.rs`,
-//!   `tests/proptest_serve.rs`). The latter is the offline batched
+//!   `tests/op_streams.rs`). The latter is the offline batched
 //!   replay: [`plan_bursts`] cuts the stream into maximal bursts of
 //!   independent requests (a client appears at most once per burst;
 //!   disjoint pools lift that to connection independence), and
@@ -35,7 +35,7 @@
 //!   applies each burst as **one batched admission round** in canonical
 //!   order (teardowns, switches, then opens hardest-first) with
 //!   per-request rollback — pinned against a canonical serial
-//!   application by `tests/proptest_serve.rs`.
+//!   application by `tests/op_streams.rs`.
 //!
 //! The live path batches nothing because batching buys nothing there.
 //! Round setup is O(1), so a burst buys only its hardest-first order,

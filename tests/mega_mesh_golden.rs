@@ -7,16 +7,21 @@
 //! with no flit later than the allocator's analytical bound. At 16×16
 //! the cache the allocation left behind — most entries still at the
 //! XY/YX stage — must also serve, for **every routed pair**, exactly the
-//! candidate sequence the eager enumerator [`route_candidates`] yields,
-//! with and without a fault mask: the allocator's decisions derive
-//! solely from the free-mask kernels and that sequence.
+//! candidate sequence of the eager route oracle
+//! (`tests/common/route_oracle.rs`), with and without a fault mask: the
+//! allocator's decisions derive solely from the free-mask kernels and
+//! that sequence.
+
+#[path = "common/route_oracle.rs"]
+mod route_oracle;
 
 use aelite_alloc::allocate::{Allocation, Allocator};
-use aelite_alloc::{route_candidates, FaultMask, Path, RouteCache, RouteProvider};
+use aelite_alloc::{FaultMask, RouteCache, RouteProvider};
 use aelite_noc::network::NetworkKind;
 use aelite_noc::turbo::build_turbo;
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::WorkloadBuilder;
+use route_oracle::{eager_routes, under_mask};
 use std::collections::{BTreeSet, HashSet};
 
 /// Simulated horizon of the delivery pin — long enough for the slowest
@@ -122,24 +127,18 @@ fn route_cache_serves_the_eager_enumeration_for_every_routed_pair_at_16x16_10k()
     for faults in &[spread(0), spread(step / 2), FaultMask::new()] {
         cache.set_faults(faults);
         for &(s, d) in &pairs {
-            let eager = route_candidates(topo, s, d, max_paths);
-            let links = |p: &Path| p.links(topo).expect("valid");
-            let healthy: Vec<&Path> = eager.iter().filter(|p| !faults.blocks(&links(p))).collect();
+            let eager = eager_routes(topo, s, d, max_paths);
+            let (healthy, blocking) = under_mask(&eager, faults);
             let mut i = 0;
             while let Some(route) = cache.candidate(topo, s, d, i) {
                 assert_eq!(
-                    Some(&&route.path),
-                    healthy.get(i),
+                    healthy.get(i).map(|(p, l)| (p, l)),
+                    Some((&route.path, &route.links)),
                     "candidate {i} of {s}->{d}"
                 );
-                assert_eq!(route.links, links(&route.path), "links of {i} of {s}->{d}");
                 i += 1;
             }
             assert_eq!(i, healthy.len(), "{s}->{d} serves every healthy route");
-            let blocking = match (eager.first(), healthy.first()) {
-                (Some(shortest), None) => links(shortest).into_iter().find(|&l| faults.is_down(l)),
-                _ => None,
-            };
             assert_eq!(cache.blocking_fault(topo, s, d), blocking, "{s}->{d}");
             filtered += usize::from(healthy.len() < eager.len());
             severed += usize::from(healthy.is_empty());

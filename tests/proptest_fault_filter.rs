@@ -1,25 +1,27 @@
 //! Pins for the "faults filter, they never evict" fault path.
 //!
 //! * A **warm** route cache driven through an arbitrary sequence of
-//!   fault masks answers every lookup with what the eager enumerator
-//!   [`route_candidates`] — which shares none of the cache's staging,
-//!   healthy-view or epoch logic — yields once filtered by the mask
-//!   current at that lookup, across stale healthy views and detour
-//!   stages materialised under a mask.
+//!   fault masks answers every lookup with what the eager route oracle
+//!   (`tests/common/route_oracle.rs`) yields under the mask current at
+//!   that lookup, across stale healthy views and detour stages
+//!   materialised under a mask.
 //! * `Allocator::admit_in_round`, which stops the phase-salt loop after a
 //!   pass no salt could change, is verdict-, grant- and table-identical to
 //!   trying the four salts one at a time, over `admit_contended`-shaped
 //!   churn (8×8 mesh, 32 slots, hotspot traffic, 95 % occupancy).
 
+#[path = "common/route_oracle.rs"]
+mod route_oracle;
+
 use aelite_alloc::{
-    route_candidates, AllocError, AllocScratch, Allocation, Allocator, FaultMask, RouteCache,
-    RouteProvider, Steering,
+    AllocError, AllocScratch, Allocation, Allocator, FaultMask, RouteCache, RouteProvider, Steering,
 };
 use aelite_spec::{
     churn_trace, ChurnOp, ChurnParams, ConnId, LinkId, NiId, SystemSpec, Topology, TrafficProfile,
     WorkloadBuilder, WorkloadParams,
 };
 use proptest::prelude::*;
+use route_oracle::{eager_routes, under_mask, Route};
 
 const MAX_PATHS: usize = 12;
 
@@ -31,52 +33,23 @@ const PAIRS: [(u32, u32); 6] = [(0, 17), (1, 16), (4, 13), (0, 4), (6, 7), (9, 9
 /// What one lookup answered, by value.
 #[derive(Debug, PartialEq)]
 enum Answer {
-    Candidate(Option<(Vec<aelite_spec::Port>, Vec<LinkId>)>),
+    Candidate(Option<Route>),
     Blocking(Option<LinkId>),
 }
 
 fn lookup(
     cache: &mut RouteCache,
     topo: &Topology,
-    pair: (u32, u32),
+    (s, d): (NiId, NiId),
     index: Option<usize>,
 ) -> Answer {
-    let (s, d) = (NiId::new(pair.0), NiId::new(pair.1));
     match index {
         Some(i) => Answer::Candidate(
             cache
                 .candidate(topo, s, d, i)
-                .map(|r| (r.path.ports.clone(), r.links.clone())),
+                .map(|r| (r.path.clone(), r.links.clone())),
         ),
         None => Answer::Blocking(cache.blocking_fault(topo, s, d)),
-    }
-}
-
-/// The oracle: the same lookup answered from the eager enumeration.
-/// `candidate(i)` is the i-th eager route avoiding every down link;
-/// `blocking_fault` is the first down link of eager route 0 iff routes
-/// exist and the mask blocks them all.
-fn eager_lookup(
-    topo: &Topology,
-    mask: &FaultMask,
-    pair: (u32, u32),
-    index: Option<usize>,
-) -> Answer {
-    let eager = route_candidates(topo, NiId::new(pair.0), NiId::new(pair.1), MAX_PATHS);
-    let with_links = |p: &aelite_alloc::Path| (p.ports.clone(), p.links(topo).expect("valid"));
-    let mut healthy = eager
-        .iter()
-        .map(with_links)
-        .filter(|(_, links)| !mask.blocks(links));
-    match index {
-        Some(i) => Answer::Candidate(healthy.nth(i)),
-        None => Answer::Blocking(match (eager.first(), healthy.next()) {
-            (Some(shortest), None) => with_links(shortest)
-                .1
-                .into_iter()
-                .find(|&l| mask.is_down(l)),
-            _ => None,
-        }),
     }
 }
 
@@ -95,13 +68,14 @@ proptest! {
         let mut cache = RouteCache::new(&topo, MAX_PATHS);
         let mut resident = 0;
         for &(kind, pick, index) in &script {
-            let pair = PAIRS[pick as usize % PAIRS.len()];
+            let (s, d) = PAIRS[pick as usize % PAIRS.len()];
+            let pair = (NiId::new(s), NiId::new(d));
             match kind {
                 // Toggle a link — an endpoint's NI link one time in
                 // three, so whole pairs get severed — and install.
                 0..=2 => {
                     let link = if pick % 3 == 0 {
-                        topo.ni_ingress_link(NiId::new(pair.0))
+                        topo.ni_ingress_link(pair.0)
                     } else {
                         LinkId::new(u32::from(pick) % links)
                     };
@@ -118,8 +92,13 @@ proptest! {
                 // Look up: candidate(i) mostly, blocking_fault sometimes.
                 _ => {
                     let index = (kind < 9).then_some(index as usize);
-                    let expected = eager_lookup(&topo, &mask, pair, index);
-                    prop_assert_eq!(&lookup(&mut cache, &topo, pair, index), &expected);
+                    let eager = eager_routes(&topo, pair.0, pair.1, MAX_PATHS);
+                    let (healthy, blocking) = under_mask(&eager, &mask);
+                    let expected = match index {
+                        Some(i) => Answer::Candidate(healthy.get(i).map(|&r| r.clone())),
+                        None => Answer::Blocking(blocking),
+                    };
+                    prop_assert_eq!(lookup(&mut cache, &topo, pair, index), expected);
                 }
             }
             prop_assert_eq!(cache.faults(), &mask);

@@ -28,7 +28,7 @@ fn quad_config() -> ShardConfig {
 }
 
 /// Decodes one proptest draw into a (possibly conflicting, possibly
-/// state-mismatched) admission request, as `tests/proptest_serve.rs`.
+/// state-mismatched) admission request, as `tests/op_streams.rs`.
 fn decode_request(spec: &SystemSpec, kind: u8, pick: u16) -> AdmissionRequest {
     let conns = spec.connections();
     let n = conns.len();
