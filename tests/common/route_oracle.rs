@@ -4,7 +4,7 @@
 //! healthy-view or epoch logic. Included with `#[path]` by the tests
 //! that use it.
 
-use aelite_alloc::{route_candidates, FaultMask, Path};
+use aelite_alloc::{route_candidates, FaultMask, Path, RouteCache, RouteProvider};
 use aelite_spec::{LinkId, NiId, Topology};
 
 /// One candidate route and the links it crosses.
@@ -33,4 +33,30 @@ pub fn under_mask<'a>(eager: &'a [Route], mask: &FaultMask) -> (Vec<&'a Route>, 
         _ => None,
     };
     (healthy, blocking)
+}
+
+/// Asserts that `cache` serves `s → d` as the oracle answers from
+/// `eager` under the cache's current mask: every healthy candidate in
+/// order, nothing past them, and the same blocking fault. Returns how
+/// many candidates the mask left healthy.
+pub fn assert_serves(
+    cache: &mut RouteCache,
+    topo: &Topology,
+    s: NiId,
+    d: NiId,
+    eager: &[Route],
+) -> usize {
+    let (healthy, blocking) = under_mask(eager, cache.faults());
+    let mut i = 0;
+    while let Some(route) = cache.candidate(topo, s, d, i) {
+        assert_eq!(
+            healthy.get(i).map(|(p, l)| (p, l)),
+            Some((&route.path, &route.links)),
+            "candidate {i} of {s}->{d}"
+        );
+        i += 1;
+    }
+    assert_eq!(i, healthy.len(), "{s}->{d} serves every healthy route");
+    assert_eq!(cache.blocking_fault(topo, s, d), blocking, "{s}->{d}");
+    healthy.len()
 }

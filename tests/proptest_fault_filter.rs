@@ -4,7 +4,8 @@
 //!   fault masks answers every lookup with what the eager route oracle
 //!   (`tests/common/route_oracle.rs`) yields under the mask current at
 //!   that lookup, across stale healthy views and detour stages
-//!   materialised under a mask.
+//!   materialised under a mask, and then walks every pair's whole
+//!   sequence as the oracle does.
 //! * `Allocator::admit_in_round`, which stops the phase-salt loop after a
 //!   pass no salt could change, is verdict-, grant- and table-identical to
 //!   trying the four salts one at a time, over `admit_contended`-shaped
@@ -21,7 +22,7 @@ use aelite_spec::{
     WorkloadBuilder, WorkloadParams,
 };
 use proptest::prelude::*;
-use route_oracle::{eager_routes, under_mask, Route};
+use route_oracle::{assert_serves, eager_routes, under_mask, Route};
 
 const MAX_PATHS: usize = 12;
 
@@ -104,6 +105,11 @@ proptest! {
             prop_assert_eq!(cache.faults(), &mask);
             prop_assert!(cache.resident_pairs() >= resident, "an entry was evicted");
             resident = cache.resident_pairs();
+        }
+        // Then every pair, walked to its end, serves the oracle's whole
+        // sequence under the last mask.
+        for (s, d) in PAIRS.map(|(s, d)| (NiId::new(s), NiId::new(d))) {
+            assert_serves(&mut cache, &topo, s, d, &eager_routes(&topo, s, d, MAX_PATHS));
         }
     }
 }
