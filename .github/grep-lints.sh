@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repository's seven grep lints, in one place: the CI `lint` job runs
+# The repository's eight grep lints, in one place: the CI `lint` job runs
 # this script, and so does anyone verifying a change by hand. Run it from
 # anywhere inside the repository; it prints nothing and exits 0 when
 # clean, and exits 1 at the first lint that fails.
@@ -120,3 +120,18 @@ for f in $(git ls-files 'crates/*/src/*.rs' 'src/*.rs'); do
   echo "::error::$f has test-only code above or below its tests: move it into its \`mod tests\`"
   exit 1
 done
+
+# One comparator decides whether two runs gave a connection the same
+# service: `compare_logs` in `crates/noc/src/ni.rs`, which compares whole
+# records (connection, tag, cycle and time) and counts a connection that
+# one run lacks as a divergence. A dereferenced borrowed log
+# (`*net.log(conn).borrow()`) exists only to be compared by `==` or
+# `assert_eq!`, a hand-written diff beside it, so none appears outside
+# that file; nor does a borrowed log compared by `==` or `!=`.
+# `benchmark/` is frozen and not searched.
+hits=$(git grep -nE '\*[A-Za-z_][A-Za-z0-9_.]*\.log\([^)]*\)\.borrow\(\)|\.log\([^)]*\)\.borrow\(\) *[!=]=' -- '*.rs' ':!crates/noc/src/ni.rs' ':!benchmark' || true)
+if [ -n "$hits" ]; then
+  echo "$hits"
+  echo "::error::a delivery log is compared by hand: call aelite_noc::ni::compare_logs instead"
+  exit 1
+fi

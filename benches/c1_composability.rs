@@ -1,12 +1,12 @@
 //! Experiment C1 — the composability claim: every application's
-//! per-flit delivery timeline is bit-identical whether it runs alone,
+//! per-flit delivery log is bit-identical whether it runs alone,
 //! with any subset of the other applications, or in the full system —
 //! and the best-effort baseline demonstrably does *not* have this
 //! property.
 
-use aelite::analysis::composability::compare_timelines;
+use aelite::analysis::compare_logs;
 use aelite::report::{check, header, row};
-use aelite::{AeliteSystem, SimOptions};
+use aelite::AeliteSystem;
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 use aelite_spec::ids::AppId;
@@ -17,14 +17,13 @@ const DURATION: u64 = 60_000;
 fn main() {
     let spec = paper_workload(SEED);
     let system = AeliteSystem::design(spec.clone()).expect("paper workload allocates");
-    let opts = SimOptions {
-        duration_cycles: DURATION,
-        record_timestamps: true,
+    // Full-system reference logs.
+    let full = system.simulate(DURATION);
+    // The logs of `apps`' connections in `run` against the full system's.
+    let compare = |apps: &[AppId], run: &aelite::SimulationOutcome| {
+        let conns = spec.connections().iter().filter(|c| apps.contains(&c.app));
+        compare_logs(conns.map(|c| c.id), &full.logs, &run.logs)
     };
-
-    // Full-system reference timelines.
-    let full = system.simulate(opts);
-    let reference = &full.timelines;
 
     header(
         "GS composability: isolated runs vs the full system",
@@ -32,8 +31,8 @@ fn main() {
     );
     // Each application alone.
     for app in spec.apps() {
-        let isolated = system.simulate_apps(&[app.id], opts);
-        let result = compare_timelines(reference, &isolated.timelines);
+        let isolated = system.simulate_apps(&[app.id], DURATION);
+        let result = compare(&[app.id], &isolated);
         row(&[
             format!("{} alone", app.id),
             result.compared.to_string(),
@@ -48,8 +47,8 @@ fn main() {
     // Pairs, exercising partial compositions.
     for pair in [[0u32, 1], [1, 2], [2, 3]] {
         let apps = [AppId::new(pair[0]), AppId::new(pair[1])];
-        let partial = system.simulate_apps(&apps, opts);
-        let result = compare_timelines(reference, &partial.timelines);
+        let partial = system.simulate_apps(&apps, DURATION);
+        let result = compare(&apps, &partial);
         row(&[
             format!("A{} + A{}", pair[0], pair[1]),
             result.compared.to_string(),

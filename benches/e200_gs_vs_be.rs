@@ -18,7 +18,7 @@
 use aelite::analysis::service::{minimum_satisfying_frequency, verify_service};
 use aelite::analysis::stats::Summary;
 use aelite::report::{check, header, row};
-use aelite::{measured_services_be, AeliteSystem, SimOptions};
+use aelite::{measured_services_be, AeliteSystem};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::generate::paper_workload;
 
@@ -30,10 +30,7 @@ fn main() {
     let system = AeliteSystem::design(spec.clone()).expect("paper workload allocates");
 
     // ---- GS at 500 MHz --------------------------------------------------
-    let gs = system.simulate(SimOptions {
-        duration_cycles: DURATION,
-        ..SimOptions::default()
-    });
+    let gs = system.simulate(DURATION);
     check(
         "GS meets all 200 contracts at 500 MHz",
         gs.service.all_ok(),

@@ -321,6 +321,50 @@ mod tests {
         assert!((a.area_mm2 - b.area_mm2).abs() == 0.0);
     }
 
+    /// The paper's Section VII platform ([`crate::grid::PAPER_POINT_ID`])
+    /// with `link_pipeline_stages` stages per link.
+    fn paper_point(link_pipeline_stages: u32) -> DesignPoint {
+        DesignPoint {
+            mesh: MeshDim::new(4, 3, 4),
+            slot_table_size: 64,
+            link_pipeline_stages,
+            mix: TrafficMix::Paper,
+        }
+    }
+
+    #[test]
+    fn paper_platform_area_is_plausible() {
+        let p = paper_point(0);
+        assert_eq!(p.id(), crate::grid::PAPER_POINT_ID);
+        let mut routes = RouteCache::new(&p.topology(), Allocator::new().max_paths);
+        let r = evaluate_point(&p, &mut routes);
+        // 12 routers of ~15-25 kum2, priced without NIs or link stages.
+        let routers_um2 = platform_area_um2(&p, &[]);
+        assert!(
+            routers_um2 > 150_000.0 && routers_um2 < 400_000.0,
+            "{routers_um2}"
+        );
+        assert!(r.area_mm2 > 1.0 && r.area_mm2 < 12.0, "{}", r.area_mm2);
+        assert!(
+            r.power_mw > 100.0 && r.power_mw < 10_000.0,
+            "{}",
+            r.power_mw
+        );
+        // NIs dominate by a wide margin (48 NIs of ~0.13 mm² — consistent
+        // with published Æthereal NI figures): the Æthereal-family cost
+        // structure.
+        let nis_um2 = r.area_mm2 * 1.0e6 - routers_um2;
+        assert!(nis_um2 > 10.0 * routers_um2, "{nis_um2} vs {routers_um2}");
+    }
+
+    #[test]
+    fn mesochronous_point_adds_link_stage_area() {
+        let stages_um2 =
+            platform_area_um2(&paper_point(1), &[]) - platform_area_um2(&paper_point(0), &[]);
+        // 136 links x ~2.5 kum2.
+        assert!(stages_um2 > 20_000.0, "{stages_um2}");
+    }
+
     #[test]
     fn pipeline_stages_lengthen_the_chain_but_keep_the_rate() {
         let mut p = tiny_point();

@@ -17,7 +17,9 @@
 //! * [`wrapper`] — the asynchronous wrapper: port interfaces and the
 //!   fire-when-all-ready controller (Section VI, Fig 4).
 //! * [`ni`] — network interfaces: TDM slot tables, packetisation and
-//!   end-to-end flow control.
+//!   end-to-end flow control, and the delivery logs every engine writes,
+//!   with the one comparator of two runs' logs
+//!   ([`compare_logs`](ni::compare_logs)).
 //! * [`network`] — builders wiring a complete NoC (synchronous or
 //!   mesochronous) from a spec and its allocation.
 //! * [`turbo`] — the compiled flit-synchronous execution engine: the same

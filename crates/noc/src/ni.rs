@@ -20,8 +20,9 @@ use aelite_sim::signal::Wire;
 use aelite_sim::time::{SimDuration, SimTime};
 use aelite_spec::ids::ConnId;
 use aelite_spec::traffic::{Arrival, MessageSource};
+use core::fmt;
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// A message handed to the NI by an IP core.
@@ -261,6 +262,153 @@ pub(crate) fn delivery_log(conn: ConnId, phase_fs: u64, period_fs: u64) -> Deliv
         period_fs,
         flits: FlitRecords::default(),
     }))
+}
+
+/// Where one connection's delivery logs in two runs first differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Divergence {
+    /// Record `index` differs in tag, cycle or time.
+    Record {
+        /// Index of the first differing record.
+        index: usize,
+        /// The record in the reference run.
+        reference: FlitDelivery,
+        /// The record in the compared run.
+        compared: FlitDelivery,
+    },
+    /// One log is a proper prefix of the other.
+    Length {
+        /// Records in the reference run.
+        reference: usize,
+        /// Records in the compared run.
+        compared: usize,
+    },
+    /// A run has no log of the connection.
+    Missing {
+        /// Whether the reference run logged the connection.
+        reference: bool,
+        /// Whether the compared run logged it.
+        compared: bool,
+    },
+}
+
+impl fmt::Display for Divergence {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let flit = |d: &FlitDelivery| format!("tag {:#x} at cycle {} ({})", d.tag, d.cycle, d.time);
+        match self {
+            Divergence::Record {
+                index,
+                reference,
+                compared,
+            } => write!(
+                f,
+                "delivery #{index} changed from {} to {}",
+                flit(reference),
+                flit(compared)
+            ),
+            Divergence::Length {
+                reference,
+                compared,
+            } => write!(f, "delivery count changed from {reference} to {compared}"),
+            Divergence::Missing {
+                reference,
+                compared,
+            } => write!(
+                f,
+                "logged by {}",
+                match (reference, compared) {
+                    (true, _) => "the reference run only",
+                    (_, true) => "the compared run only",
+                    _ => "neither run",
+                }
+            ),
+        }
+    }
+}
+
+/// The outcome of [`compare_logs`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ComposabilityResult {
+    /// Connections whose logs diverged, with the first divergence.
+    pub divergent: Vec<(ConnId, Divergence)>,
+    /// Number of connections compared.
+    pub compared: usize,
+}
+
+impl ComposabilityResult {
+    /// Whether every compared connection delivered identical records.
+    #[must_use]
+    pub fn is_composable(&self) -> bool {
+        self.divergent.is_empty()
+    }
+}
+
+impl fmt::Display for ComposabilityResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_composable() {
+            write!(
+                f,
+                "composable: {} connections timing-identical",
+                self.compared
+            )
+        } else {
+            write!(
+                f,
+                "NOT composable: {}/{} connections diverged (first: {} {})",
+                self.divergent.len(),
+                self.compared,
+                self.divergent[0].0,
+                self.divergent[0].1
+            )
+        }
+    }
+}
+
+/// Compares the delivery logs of `conns` in two runs, given as the
+/// `logs` of their nets, whole record by whole record: connection, tag,
+/// cycle and time. A connection that either run did not log diverges.
+#[must_use]
+pub fn compare_logs(
+    conns: impl IntoIterator<Item = ConnId>,
+    reference: &[(ConnId, DeliveryLog)],
+    compared: &[(ConnId, DeliveryLog)],
+) -> ComposabilityResult {
+    let (reference, compared) = (by_conn(reference), by_conn(compared));
+    let mut result = ComposabilityResult {
+        divergent: Vec::new(),
+        compared: 0,
+    };
+    for conn in conns {
+        result.compared += 1;
+        let divergence = match (reference.get(&conn), compared.get(&conn)) {
+            (Some(r), Some(c)) => first_divergence(&r.borrow(), &c.borrow()),
+            (r, c) => Some(Divergence::Missing {
+                reference: r.is_some(),
+                compared: c.is_some(),
+            }),
+        };
+        result.divergent.extend(divergence.map(|d| (conn, d)));
+    }
+    result
+}
+
+fn by_conn(logs: &[(ConnId, DeliveryLog)]) -> HashMap<ConnId, &DeliveryLog> {
+    logs.iter().map(|(conn, log)| (*conn, log)).collect()
+}
+
+fn first_divergence(reference: &FlitLog, compared: &FlitLog) -> Option<Divergence> {
+    let mut pairs = reference.iter().zip(compared.iter()).enumerate();
+    if let Some((index, (r, c))) = pairs.find(|(_, (r, c))| r != c) {
+        return Some(Divergence::Record {
+            index,
+            reference: r,
+            compared: c,
+        });
+    }
+    (reference.len() != compared.len()).then(|| Divergence::Length {
+        reference: reference.len(),
+        compared: compared.len(),
+    })
 }
 
 /// Credit return channel: payload-word counts flowing back from a
@@ -877,6 +1025,155 @@ mod tests {
     fn flit_log_refuses_another_connections_flit() {
         let log = delivery_log(ConnId::new(0), 0, PERIOD_FS);
         log.borrow_mut().push(delivery(1, 0, 4, 4 * PERIOD_FS));
+    }
+
+    /// The log of `conn` on a clock of phase `phase_fs`, holding the
+    /// `(tag, cycle)` records.
+    fn log_of(conn: u32, phase_fs: u64, records: &[(u64, u64)]) -> (ConnId, DeliveryLog) {
+        let log = delivery_log(ConnId::new(conn), phase_fs, PERIOD_FS);
+        for &(tag, cycle) in records {
+            let time_fs = phase_fs + cycle * PERIOD_FS;
+            log.borrow_mut().push(delivery(conn, tag, cycle, time_fs));
+        }
+        (ConnId::new(conn), log)
+    }
+
+    const RECORDS: [(u64, u64); 3] = [(0x100, 9), (0x101, 21), (0x200, 33)];
+
+    /// Compares connections 0 and 1 of two runs whose connection 1 logged
+    /// `RECORDS` and whose connection 0 logged `reference` and
+    /// `compared` on clocks of phase `phases`.
+    fn compare_c0(
+        reference: &[(u64, u64)],
+        compared: &[(u64, u64)],
+        phases: [u64; 2],
+    ) -> ComposabilityResult {
+        let run = |records, phase_fs| [log_of(0, phase_fs, records), log_of(1, 0, &RECORDS)];
+        let [c0, c1] = [0, 1].map(ConnId::new);
+        compare_logs(
+            [c0, c1],
+            &run(reference, phases[0]),
+            &run(compared, phases[1]),
+        )
+    }
+
+    /// Connection 0's divergence at record `index`, between two
+    /// `(tag, cycle, phase_fs)` records.
+    fn c0_record(index: usize, [r, c]: [(u64, u64, u64); 2]) -> [(ConnId, Divergence); 1] {
+        let at = |(tag, cycle, phase_fs)| delivery(0, tag, cycle, phase_fs + cycle * PERIOD_FS);
+        let (reference, compared) = (at(r), at(c));
+        [(
+            ConnId::new(0),
+            Divergence::Record {
+                index,
+                reference,
+                compared,
+            },
+        )]
+    }
+
+    #[test]
+    fn identical_logs_compare_identical() {
+        let result = compare_c0(&RECORDS, &RECORDS, [0, 0]);
+        assert!(result.is_composable());
+        assert_eq!(result.compared, 2);
+        let text = result.to_string();
+        assert!(text.starts_with("composable: 2 connections"), "{text}");
+    }
+
+    #[test]
+    fn logs_that_differ_in_one_tag_diverge() {
+        let mut retagged = RECORDS;
+        retagged[1].0 = 0x102;
+        let result = compare_c0(&RECORDS, &retagged, [0, 0]);
+        assert_eq!(
+            result.divergent,
+            c0_record(1, [(0x101, 21, 0), (0x102, 21, 0)])
+        );
+        let text = result.to_string();
+        assert!(
+            text.contains("NOT composable: 1/2") && text.contains("c0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("tag 0x101") && text.contains("tag 0x102"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn logs_that_differ_only_in_time_diverge() {
+        // The same tags at the same cycles, on NIs of different phases.
+        let result = compare_c0(&RECORDS, &RECORDS, [0, 777_000]);
+        assert_eq!(
+            result.divergent,
+            c0_record(0, [(0x100, 9, 0), (0x100, 9, 777_000)])
+        );
+    }
+
+    #[test]
+    fn a_shorter_log_diverges() {
+        let result = compare_c0(&RECORDS, &RECORDS[..2], [0, 0]);
+        assert_eq!(
+            result.divergent,
+            [(
+                ConnId::new(0),
+                Divergence::Length {
+                    reference: 3,
+                    compared: 2
+                }
+            )]
+        );
+        assert!(result.to_string().contains("count changed from 3 to 2"));
+    }
+
+    #[test]
+    fn a_delivery_one_cycle_late_diverges() {
+        let result = compare_c0(&RECORDS, &[RECORDS[0], (0x101, 22), RECORDS[2]], [0, 0]);
+        assert!(!result.is_composable());
+        assert_eq!(
+            result.divergent,
+            c0_record(1, [(0x101, 21, 0), (0x101, 22, 0)])
+        );
+    }
+
+    #[test]
+    fn a_moved_delivery_diverges_before_the_length_does() {
+        // The second flit lands a cycle late in a shorter log: the moved
+        // record is the earlier evidence.
+        let result = compare_c0(&RECORDS, &[RECORDS[0], (0x101, 22)], [0, 0]);
+        assert_eq!(
+            result.divergent,
+            c0_record(1, [(0x101, 21, 0), (0x101, 22, 0)])
+        );
+        let text = result.to_string();
+        assert!(
+            text.contains("delivery #1 changed from tag 0x101 at cycle 21"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn a_connection_logged_on_one_side_only_diverges() {
+        let full = [log_of(0, 0, &RECORDS), log_of(1, 0, &RECORDS)];
+        let [c0, c1, c2] = [0, 1, 2].map(ConnId::new);
+        let result = compare_logs([c0, c1, c2], &full, &full[..1]);
+        let missing = |reference, compared| Divergence::Missing {
+            reference,
+            compared,
+        };
+        assert_eq!(result.compared, 3);
+        assert_eq!(
+            result.divergent,
+            [(c1, missing(true, false)), (c2, missing(false, false))]
+        );
+        let text = result.to_string();
+        assert!(
+            text.contains("c1 logged by the reference run only"),
+            "{text}"
+        );
+        let reversed = compare_logs([c1], &full[..1], &full);
+        assert_eq!(reversed.divergent, [(c1, missing(false, true))]);
     }
 
     #[test]

@@ -995,12 +995,6 @@ impl TurboNet {
         &self.logs[self.index.of(conn).1].1
     }
 
-    /// Delivery cycles of `conn`, in arrival order.
-    #[must_use]
-    pub fn delivery_cycles(&self, conn: ConnId) -> Vec<u64> {
-        self.log(conn).borrow().cycles().collect()
-    }
-
     /// Measured per-flit latency statistics of `conn` (see
     /// [`ConnLatency`] for the readiness definition).
     ///
@@ -1178,7 +1172,7 @@ fn compile_shards(
 mod tests {
     use super::*;
     use crate::network::{build_network, NetworkKind};
-    use crate::ni::FlitDelivery;
+    use crate::ni::{compare_logs, DeliveryLog, FlitDelivery};
     use aelite_alloc::allocate;
     use aelite_sim::time::SimTime;
     use aelite_spec::app::SystemSpecBuilder;
@@ -1257,19 +1251,16 @@ mod tests {
         cfg
     }
 
+    /// Asserts that two runs logged every connection of `spec` record
+    /// for record.
     fn assert_logs_identical(
         spec: &SystemSpec,
-        event: &crate::network::CycleNet,
-        turbo: &TurboNet,
+        reference: &[(ConnId, DeliveryLog)],
+        compared: &[(ConnId, DeliveryLog)],
+        what: &str,
     ) {
-        for c in spec.connections() {
-            assert_eq!(
-                *event.log(c.id).borrow(),
-                *turbo.log(c.id).borrow(),
-                "{} delivery logs diverge",
-                c.id
-            );
-        }
+        let result = compare_logs(spec.connections().iter().map(|c| c.id), reference, compared);
+        assert!(result.is_composable(), "{what}: {result}");
     }
 
     #[test]
@@ -1280,8 +1271,8 @@ mod tests {
         let mut turbo = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
         event.run_cycles(5_000);
         turbo.run_cycles(5_000);
-        assert_logs_identical(&spec, &event, &turbo);
-        assert!(!turbo.delivery_cycles(spec.connections()[0].id).is_empty());
+        assert_logs_identical(&spec, &event.logs, &turbo.logs, "turbo");
+        assert!(!turbo.log(spec.connections()[0].id).borrow().is_empty());
     }
 
     /// Compiling the routers away is licensed by the allocation being
@@ -1328,7 +1319,7 @@ mod tests {
             let mut turbo = build_turbo(&spec, &alloc, kind, true);
             event.run_cycles(5_000);
             turbo.run_cycles(5_000);
-            assert_logs_identical(&spec, &event, &turbo);
+            assert_logs_identical(&spec, &event.logs, &turbo.logs, "turbo");
         }
     }
 
@@ -1344,7 +1335,7 @@ mod tests {
             ready_cycle: 0,
         });
         turbo.run_cycles(2_000);
-        assert_eq!(turbo.delivery_cycles(conn).len(), 1);
+        assert_eq!(turbo.log(conn).borrow().len(), 1);
         assert_eq!(turbo.next_cycle(), 2_001);
     }
 
@@ -1395,8 +1386,8 @@ mod tests {
         }
         event.run_cycles(4_000);
         turbo.run_cycles(4_000);
-        assert_logs_identical(&spec, &event, &turbo);
-        assert!(turbo.delivery_cycles(conn).len() >= 40);
+        assert_logs_identical(&spec, &event.logs, &turbo.logs, "turbo");
+        assert!(turbo.log(conn).borrow().len() >= 40);
     }
 
     #[test]
@@ -1408,9 +1399,7 @@ mod tests {
         let mut stepped = build_turbo(&spec, &alloc, NetworkKind::Synchronous, true);
         stepped.run_cycles(1_234);
         stepped.run_cycles(4_000);
-        for c in spec.connections() {
-            assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
-        }
+        assert_logs_identical(&spec, &oneshot.logs, &stepped.logs, "stepped");
     }
 
     #[test]
@@ -1428,9 +1417,7 @@ mod tests {
         for deadline in [999, 1_500, 2_001, 3_000, 4_002] {
             stepped.run_cycles(deadline);
         }
-        for c in spec.connections() {
-            assert_eq!(*event.log(c.id).borrow(), *stepped.log(c.id).borrow());
-        }
+        assert_logs_identical(&spec, &event.logs, &stepped.logs, "stepped");
     }
 
     /// Checks what `run_cycles(cycles)` left in flight: only flits landing
@@ -1503,7 +1490,7 @@ mod tests {
             .connections()
             .iter()
             .flat_map(|c| {
-                let eops = oneshot.delivery_cycles(c.id);
+                let eops: Vec<u64> = oneshot.log(c.id).borrow().cycles().collect();
                 let mid = eops[eops.len() / 2];
                 eops.into_iter()
                     .take(4)
@@ -1521,9 +1508,9 @@ mod tests {
             cut_through |= stepped.conns().any(|(s, i)| !s.in_network[i].is_empty());
         }
         assert!(cut_through, "no deadline left a flit in flight");
+        assert_logs_identical(&spec, &oneshot.logs, &stepped.logs, "stepped");
+        assert_logs_identical(&spec, &event.logs, &stepped.logs, "stepped");
         for c in spec.connections() {
-            assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
-            assert_eq!(*event.log(c.id).borrow(), *stepped.log(c.id).borrow());
             assert_eq!(oneshot.latency(c.id), stepped.latency(c.id));
         }
     }
@@ -1666,21 +1653,17 @@ mod tests {
             event.run_cycles(deadline);
             turbo.run_cycles(deadline);
             booked.run_cycles(deadline);
-            for c in spec.connections() {
-                for (net, build) in [(&turbo, "default"), (&booked, "booked")] {
+            for (net, build) in [(&turbo, "default"), (&booked, "booked")] {
+                for c in spec.connections() {
                     assert_eq!(
                         *event.queue(c.id).borrow(),
                         *net.queue(c.id).borrow(),
                         "{}: {build} queues diverge after the run to {deadline}",
                         c.id
                     );
-                    assert_eq!(
-                        *event.log(c.id).borrow(),
-                        *net.log(c.id).borrow(),
-                        "{}: {build} delivery logs diverge after the run to {deadline}",
-                        c.id
-                    );
                 }
+                let what = format!("{build} after the run to {deadline}");
+                assert_logs_identical(spec, &event.logs, &net.logs, &what);
             }
             after(deadline, &turbo);
         }
@@ -1771,9 +1754,9 @@ mod tests {
             oneshot.run_cycles(4_000);
             assert_eq!(oneshot.counts(), work, "{kind:?}");
             let flits: u32 = back_to_back(meso).iter().map(|m| m.words.div_ceil(2)).sum();
+            assert_logs_identical(&spec, &oneshot.logs, &stepped.logs, "stepped");
             for c in spec.connections() {
                 assert_eq!(stepped.log(c.id).borrow().len(), flits as usize);
-                assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
                 assert_eq!(oneshot.latency(c.id), stepped.latency(c.id));
             }
         }
@@ -1914,9 +1897,7 @@ mod tests {
             }
             stepped.run_cycles(d);
         }
-        for c in spec.connections() {
-            assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
-        }
+        assert_logs_identical(&spec, &oneshot.logs, &stepped.logs, "stepped");
     }
 
     #[test]
@@ -1979,8 +1960,8 @@ mod tests {
             oneshot.run_cycles(3_000);
             for c in spec.connections() {
                 assert_eq!(*oneshot.queue(c.id).borrow(), *stepped.queue(c.id).borrow());
-                assert_eq!(*oneshot.log(c.id).borrow(), *stepped.log(c.id).borrow());
             }
+            assert_logs_identical(spec, &oneshot.logs, &stepped.logs, "stepped");
         }
     }
 
@@ -2035,8 +2016,8 @@ mod tests {
             for deadline in [1, 97, 1_000, 1_001, 2_345, 4_000] {
                 free.run_cycles(deadline);
                 booked.run_cycles(deadline);
+                assert_logs_identical(&spec, &free.logs, &booked.logs, "booked");
                 for c in spec.connections() {
-                    assert_eq!(*free.log(c.id).borrow(), *booked.log(c.id).borrow());
                     assert_eq!(*free.queue(c.id).borrow(), *booked.queue(c.id).borrow());
                     assert_eq!(free.latency(c.id), booked.latency(c.id));
                 }
@@ -2126,13 +2107,8 @@ mod tests {
         net: &TurboNet,
         what: &str,
     ) {
+        assert_logs_identical(spec, &event.logs, &net.logs, what);
         for c in spec.connections() {
-            assert_eq!(
-                *event.log(c.id).borrow(),
-                *net.log(c.id).borrow(),
-                "{}: delivery logs diverge {what}",
-                c.id
-            );
             assert_eq!(
                 *event.queue(c.id).borrow(),
                 *net.queue(c.id).borrow(),
@@ -2305,7 +2281,7 @@ mod tests {
             ..first
         };
         assert_eq!(log.to_vec(), [first, landed]);
-        assert_eq!(net.delivery_cycles(conn), [first.cycle, cycle]);
+        assert_eq!(log.cycles().collect::<Vec<_>>(), [first.cycle, cycle]);
         assert_eq!(
             net.latency(conn),
             ConnLatency {

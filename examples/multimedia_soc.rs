@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example multimedia_soc`
 
-use aelite::{AeliteSystem, SimOptions};
+use aelite::AeliteSystem;
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::ids::IpId;
@@ -101,10 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let system = AeliteSystem::design(b.build())?;
-    let opts = SimOptions {
-        duration_cycles: 120_000,
-        ..SimOptions::default()
-    };
+    let cycles = 120_000;
 
     // Each team verifies its application in isolation...
     for (app, name) in [
@@ -113,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (gfx, "GUI"),
         (control, "control"),
     ] {
-        let isolated = system.simulate_apps(&[app], opts);
+        let isolated = system.simulate_apps(&[app], cycles);
         assert!(isolated.service.all_ok(), "{name} fails in isolation");
         println!(
             "{name:>13}: {} connections verified in isolation",
@@ -122,12 +119,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // ... and integration cannot change any of their timing.
-    let integration = system.verify_composability(opts);
+    let integration = system.verify_composability(cycles);
     println!("integration check: {integration}");
     assert!(integration.is_composable());
 
     // The full system also meets every contract, of course.
-    let full = system.simulate(opts);
+    let full = system.simulate(cycles);
     assert!(full.service.all_ok());
     println!(
         "full system: {} connections, peak link utilisation {:.0}%",

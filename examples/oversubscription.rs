@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --example oversubscription`
 
-use aelite::analysis::composability::compare_timelines;
-use aelite::{AeliteSystem, SimOptions};
+use aelite::analysis::compare_logs;
+use aelite::AeliteSystem;
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::topology::Topology;
@@ -43,18 +43,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         b.build()
     };
-    let opts = SimOptions {
-        duration_cycles: 192_000,
-        record_timestamps: true,
-    };
+    let cycles = 192_000;
 
     // Baseline: the greedy app behaves (offers its contracted rate).
     let behaved = AeliteSystem::design(build(TrafficPattern::ConstantRate))?;
-    let base = behaved.simulate(opts);
+    let base = behaved.simulate(cycles);
 
     // Now it floods the NoC with as much data as it can produce.
     let flooded = AeliteSystem::design(build(TrafficPattern::Saturating))?;
-    let flood = flooded.simulate(opts);
+    let flood = flooded.simulate(cycles);
 
     let greedy = flooded.spec().connections()[0].id;
     let victim = flooded.spec().connections()[1].id;
@@ -62,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The offender is clipped to its reservation.
     let word_bytes = u64::from(flooded.spec().config().data_width_bytes());
     let greedy_bytes = flood.per_conn[greedy.index()].1.words * word_bytes;
-    let greedy_bw = greedy_bytes as f64 * 500e6 / 192_000.0;
+    let greedy_bw = greedy_bytes as f64 * 500e6 / cycles as f64;
     let reserved = flooded.guaranteed_bandwidth(greedy).bytes_per_sec() as f64;
     println!(
         "greedy app: offered unbounded, delivered {:.1} MB/s (reservation {:.1} MB/s)",
@@ -75,19 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The victim's timing is bit-identical either way.
-    let victim_timelines_base: Vec<_> = base
-        .timelines
-        .iter()
-        .filter(|t| t.conn == victim)
-        .cloned()
-        .collect();
-    let victim_timelines_flood: Vec<_> = flood
-        .timelines
-        .iter()
-        .filter(|t| t.conn == victim)
-        .cloned()
-        .collect();
-    let cmp = compare_timelines(&victim_timelines_base, &victim_timelines_flood);
+    let cmp = compare_logs([victim], &base.logs, &flood.logs);
     println!("victim under flood: {cmp}");
     assert!(cmp.is_composable(), "the victim must be untouched");
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use aelite::{AeliteSystem, SimOptions};
+use aelite::AeliteSystem;
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::topology::Topology;
@@ -48,10 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. Simulate and verify every contract.
-    let outcome = system.simulate(SimOptions {
-        duration_cycles: 100_000,
-        ..SimOptions::default()
-    });
+    let outcome = system.simulate(100_000);
     for verdict in &outcome.service.verdicts {
         println!("  {verdict}");
     }

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --example reconfiguration`
 
-use aelite::{AeliteSystem, SimOptions};
+use aelite::analysis::compare_logs;
+use aelite::AeliteSystem;
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::ids::AppId;
@@ -79,12 +80,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Boot: resident + video call.
     let mut system = AeliteSystem::design(build(true, false))?;
-    let opts = SimOptions {
-        duration_cycles: 60_000,
-        record_timestamps: true,
-    };
+    let cycles = 60_000;
     let resident = AppId::new(0);
-    let before = system.simulate_apps(&[resident], opts);
+    let before = system.simulate_apps(&[resident], cycles);
     println!(
         "boot: resident + video call ({} connections total)",
         system.spec().connections().len()
@@ -111,14 +109,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The resident application's delivery timeline never moved by a
     // single cycle through both reconfigurations.
-    let after = system.simulate_apps(&[resident], opts);
-    for (b, a) in before.timelines.iter().zip(&after.timelines) {
-        assert_eq!(b, a, "{}: timing changed across reconfiguration", b.conn);
-    }
+    let after = system.simulate_apps(&[resident], cycles);
+    let resident_conns = system.spec().app_connections(resident).map(|c| c.id);
+    let result = compare_logs(resident_conns, &before.logs, &after.logs);
+    assert!(
+        result.is_composable(),
+        "timing changed across reconfiguration: {result}"
+    );
     println!("resident app: every flit delivery cycle identical across both swaps");
 
     // And the surviving applications all meet their contracts.
-    let outcome = system.simulate(opts);
+    let outcome = system.simulate(cycles);
     assert!(outcome.service.all_ok());
     println!(
         "final system verified: {} connections all within contract",

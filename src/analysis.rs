@@ -7,8 +7,10 @@
 //!   contracts and, for GS runs, the analytical worst-case bounds, plus
 //!   the minimum-satisfying-frequency sweep used for the best-effort
 //!   comparison.
-//! * [`composability`] — bit-exact timeline comparison across system
-//!   compositions (the paper's central claim).
+//! * [`compare_logs`] — whole-record comparison of two runs' delivery
+//!   logs (`aelite_noc::ni`), the one check behind composability across
+//!   system compositions (the paper's central claim), undisturbed
+//!   service across reconfiguration and engine equivalence.
 //!
 //! The flow-control buffer sizing that decides which turbo connections
 //! book credits is `aelite_alloc::allocate::required_buffer_words`,
@@ -24,11 +26,10 @@
 //! assert!(s.spread() > 30.0);
 //! ```
 
-pub mod composability;
 pub mod service;
 pub mod stats;
 
-pub use composability::{compare_timelines, ComposabilityResult, Divergence, Timeline};
+pub use aelite_noc::ni::{compare_logs, ComposabilityResult, Divergence};
 pub use service::{
     minimum_satisfying_frequency, verify_service, ConnVerdict, MeasuredService, ServiceReport,
 };

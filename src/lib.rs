@@ -13,7 +13,7 @@
 //! reproduction checks (`benches/`, printed through [`report`]).
 //!
 //! ```
-//! use aelite::{AeliteSystem, SimOptions};
+//! use aelite::AeliteSystem;
 //! use aelite::spec::generate::paper_workload;
 //!
 //! // The paper's Section VII platform: 4x3 mesh, 70 IPs, 200 connections.
@@ -23,11 +23,8 @@
 //! let c0 = system.spec().connections()[0].id;
 //! assert!(system.latency_bound_ns(c0) > 0.0);
 //!
-//! // Simulated behaviour honours every contract.
-//! let outcome = system.simulate(SimOptions {
-//!     duration_cycles: 60_000,
-//!     ..SimOptions::default()
-//! });
+//! // Simulated behaviour honours every contract over 60 000 cycles.
+//! let outcome = system.simulate(60_000);
 //! assert!(outcome.service.all_ok());
 //! # Ok::<(), aelite::DesignError>(())
 //! ```
@@ -44,7 +41,7 @@ pub mod report;
 pub mod system;
 
 pub use system::{
-    measured_services_be, AeliteSystem, DesignError, ReconfigReport, SimOptions, SimulationOutcome,
+    measured_services_be, AeliteSystem, DesignError, ReconfigReport, SimulationOutcome,
 };
 
 pub use aelite_alloc as alloc;
@@ -55,6 +52,3 @@ pub use aelite_online as online;
 pub use aelite_sim as sim;
 pub use aelite_spec as spec;
 pub use aelite_synth as synth;
-
-#[cfg(test)]
-mod cost;

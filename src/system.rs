@@ -5,17 +5,18 @@
 //! result, and exposes guaranteed-service queries, simulation and
 //! verification — the workflow a user of the paper's design flow follows.
 
-use crate::analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
 use crate::analysis::service::{verify_service, MeasuredService, ServiceReport};
 use aelite_alloc::allocate::{AllocError, Allocation, Allocator};
 use aelite_alloc::validate::{validate, Violation};
 use aelite_noc::network::NetworkKind;
+use aelite_noc::ni::{compare_logs, ComposabilityResult, DeliveryLog};
 use aelite_noc::turbo::{build_turbo, ConnLatency};
 use aelite_online::{AdmissionError, AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::ids::{AppId, ConnId};
 use aelite_spec::traffic::Bandwidth;
 use core::fmt;
+use std::rc::Rc;
 
 /// Why a system could not be designed.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,33 +58,16 @@ impl From<AllocError> for DesignError {
 /// [`AeliteSystem::simulate`]'s service verdicts.
 const THROUGHPUT_TOLERANCE: f64 = 0.05;
 
-/// Options for a guaranteed-service simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimOptions {
-    /// Simulated duration in clock cycles.
-    pub duration_cycles: u64,
-    /// Record per-flit delivery timelines (needed for composability).
-    pub record_timestamps: bool,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            duration_cycles: 300_000,
-            record_timestamps: false,
-        }
-    }
-}
-
 /// A simulation outcome: raw measurements plus the service verdicts.
 #[derive(Debug, Clone)]
 pub struct SimulationOutcome {
     /// Every simulated connection's delivered flits and words and its
     /// per-flit latency, in the simulated spec's connection order.
     pub per_conn: Vec<(ConnId, ConnLatency)>,
-    /// Every simulated connection's delivery cycles, in the same order,
-    /// when the run recorded timestamps; empty otherwise.
-    pub timelines: Vec<Timeline>,
+    /// Every simulated connection's delivery log, in the same order:
+    /// the run's own logs, which the outcome alone holds once the run's
+    /// net is dropped.
+    pub logs: Vec<(ConnId, DeliveryLog)>,
     /// Contract/bound verdicts.
     pub service: ServiceReport,
 }
@@ -94,14 +78,11 @@ pub struct SimulationOutcome {
 /// # Examples
 ///
 /// ```
-/// use aelite::system::{AeliteSystem, SimOptions};
+/// use aelite::system::AeliteSystem;
 /// use aelite_spec::generate::paper_workload;
 ///
 /// let system = AeliteSystem::design(paper_workload(42))?;
-/// let outcome = system.simulate(SimOptions {
-///     duration_cycles: 60_000,
-///     ..SimOptions::default()
-/// });
+/// let outcome = system.simulate(60_000);
 /// assert!(outcome.service.all_ok());
 /// # Ok::<(), aelite::system::DesignError>(())
 /// ```
@@ -161,18 +142,19 @@ impl AeliteSystem {
         self.allocation.worst_case_latency_ns(&self.spec, conn)
     }
 
-    /// Simulates the full system in the turbo kernel, every connection
-    /// offering its traffic pattern at its contracted rate.
+    /// Simulates the full system in the turbo kernel for
+    /// `duration_cycles`, every connection offering its traffic pattern
+    /// at its contracted rate.
     #[must_use]
-    pub fn simulate(&self, opts: SimOptions) -> SimulationOutcome {
-        simulate_spec(&self.spec, &self.allocation, opts)
+    pub fn simulate(&self, duration_cycles: u64) -> SimulationOutcome {
+        simulate_spec(&self.spec, &self.allocation, duration_cycles)
     }
 
     /// Simulates only `apps`, on the full system's grants of their
     /// connections — applications are developed and verified in
     /// isolation (the paper's functional-scalability workflow).
     #[must_use]
-    pub fn simulate_apps(&self, apps: &[AppId], opts: SimOptions) -> SimulationOutcome {
+    pub fn simulate_apps(&self, apps: &[AppId], duration_cycles: u64) -> SimulationOutcome {
         let restricted = self.spec.restricted_to(apps);
         let mut allocation = self.allocation.clone();
         for c in self.spec.connections() {
@@ -180,30 +162,28 @@ impl AeliteSystem {
                 allocation.take_grant(c.id);
             }
         }
-        simulate_spec(&restricted, &allocation, opts)
+        simulate_spec(&restricted, &allocation, duration_cycles)
     }
 
-    /// Verifies composability: every application's delivery timelines are
-    /// bit-identical between the full system and each isolated run.
+    /// Verifies composability: every application's delivery logs are
+    /// record-for-record identical between the full system and its
+    /// isolated run of `duration_cycles`, and an isolated run that lacks
+    /// one of the application's connections diverges.
     #[must_use]
-    pub fn verify_composability(&self, opts: SimOptions) -> ComposabilityResult {
-        let opts = SimOptions {
-            record_timestamps: true,
-            ..opts
+    pub fn verify_composability(&self, duration_cycles: u64) -> ComposabilityResult {
+        let full = self.simulate(duration_cycles);
+        let mut result = ComposabilityResult {
+            divergent: Vec::new(),
+            compared: 0,
         };
-        let full = self.simulate(opts);
-        let mut divergent = Vec::new();
-        let mut compared = 0;
         for app in self.spec.apps() {
-            let isolated = self.simulate_apps(&[app.id], opts);
-            let result = compare_timelines(&full.timelines, &isolated.timelines);
-            compared += result.compared;
-            divergent.extend(result.divergent);
+            let isolated = self.simulate_apps(&[app.id], duration_cycles);
+            let conns = self.spec.app_connections(app.id).map(|c| c.id);
+            let app_result = compare_logs(conns, &full.logs, &isolated.logs);
+            result.compared += app_result.compared;
+            result.divergent.extend(app_result.divergent);
         }
-        ComposabilityResult {
-            divergent,
-            compared,
-        }
+        result
     }
 
     /// Reconfigures the live system to `new_spec` as one use-case switch
@@ -271,33 +251,26 @@ pub struct ReconfigReport {
 }
 
 /// Runs `spec` under `allocation` in the turbo kernel for
-/// `opts.duration_cycles` and verifies every connection's contract and
-/// bound. A spec with link pipeline stages runs mesochronously.
+/// `duration_cycles` and verifies every connection's contract and bound.
+/// A spec with link pipeline stages runs mesochronously.
 fn simulate_spec(
     spec: &SystemSpec,
     allocation: &Allocation,
-    opts: SimOptions,
+    duration_cycles: u64,
 ) -> SimulationOutcome {
     let kind = match spec.config().link_pipeline_stages {
         0 => NetworkKind::Synchronous,
         _ => NetworkKind::Mesochronous { phase_seed: 0 },
     };
     let mut net = build_turbo(spec, allocation, kind, true);
-    net.run_cycles(opts.duration_cycles);
+    net.run_cycles(duration_cycles);
     let conns = spec.connections();
     let per_conn: Vec<(ConnId, ConnLatency)> =
         conns.iter().map(|c| (c.id, net.latency(c.id))).collect();
-    let timelines = if opts.record_timestamps {
-        conns
-            .iter()
-            .map(|c| Timeline {
-                conn: c.id,
-                deliveries: net.delivery_cycles(c.id),
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let logs = conns
+        .iter()
+        .map(|c| (c.id, Rc::clone(net.log(c.id))))
+        .collect();
     let word_bytes = u64::from(spec.config().data_width_bytes());
     let measured: Vec<MeasuredService> = per_conn
         .iter()
@@ -313,12 +286,12 @@ fn simulate_spec(
         spec,
         Some(allocation),
         &measured,
-        opts.duration_cycles,
+        duration_cycles,
         THROUGHPUT_TOLERANCE,
     );
     SimulationOutcome {
         per_conn,
-        timelines,
+        logs,
         service,
     }
 }
@@ -351,17 +324,12 @@ mod tests {
     use aelite_spec::topology::Topology;
     use aelite_spec::traffic::TrafficPattern;
 
-    fn quick() -> SimOptions {
-        SimOptions {
-            duration_cycles: 60_000,
-            ..SimOptions::default()
-        }
-    }
+    const QUICK: u64 = 60_000;
 
     #[test]
     fn paper_system_designs_and_satisfies_contracts() {
         let system = AeliteSystem::design(paper_workload(42)).unwrap();
-        let outcome = system.simulate(quick());
+        let outcome = system.simulate(QUICK);
         assert!(outcome.service.all_ok());
         assert_eq!(outcome.service.verdicts.len(), 200);
     }
@@ -380,10 +348,7 @@ mod tests {
     #[test]
     fn composability_holds_for_paper_system() {
         let system = AeliteSystem::design(paper_workload(7)).unwrap();
-        let result = system.verify_composability(SimOptions {
-            duration_cycles: 30_000,
-            ..SimOptions::default()
-        });
+        let result = system.verify_composability(30_000);
         assert!(result.is_composable(), "{result}");
         assert!(result.compared >= 200);
     }
@@ -391,7 +356,7 @@ mod tests {
     #[test]
     fn isolated_app_meets_contracts_alone() {
         let system = AeliteSystem::design(paper_workload(13)).unwrap();
-        let outcome = system.simulate_apps(&[AppId::new(2)], quick());
+        let outcome = system.simulate_apps(&[AppId::new(2)], QUICK);
         assert!(outcome.service.all_ok());
         assert_eq!(outcome.service.verdicts.len(), 50);
     }
@@ -426,41 +391,31 @@ mod tests {
     #[test]
     fn reconfiguration_preserves_kept_timing_exactly() {
         // Swap application 2 out (and back in, standing in for a new use
-        // case): the remaining applications' delivery timelines must be
+        // case): the remaining applications' delivery logs must be
         // bit-identical before and after — undisrupted QoS.
         let mut system = AeliteSystem::design(paper_workload(42)).unwrap();
-        let opts = SimOptions {
-            duration_cycles: 30_000,
-            record_timestamps: true,
-        };
         let kept_apps = [AppId::new(0), AppId::new(1), AppId::new(3)];
-        let before = system.simulate_apps(&kept_apps, opts);
+        let before = system.simulate_apps(&kept_apps, 30_000);
 
         let without_app2 = system.spec().restricted_to(&kept_apps);
         let full = system.spec().clone();
         let report = system.reconfigure(without_app2).unwrap();
         assert_eq!(report.released.len(), 50);
         assert!(report.added.is_empty());
-        let during = system.simulate(opts);
+        let during = system.simulate(30_000);
 
         let report = system.reconfigure(full).unwrap();
         assert_eq!(report.added.len(), 50);
-        let after = system.simulate_apps(&kept_apps, opts);
+        let after = system.simulate_apps(&kept_apps, 30_000);
 
-        for (b, d) in before.timelines.iter().zip(&during.timelines) {
-            assert_eq!(b, d, "{} moved during", b.conn);
-        }
-        for (b, a) in before.timelines.iter().zip(&after.timelines) {
-            assert_eq!(b, a, "{} moved after", b.conn);
+        let kept: Vec<ConnId> = before.logs.iter().map(|&(c, _)| c).collect();
+        assert_eq!(kept.len(), 150);
+        for (run, when) in [(&during, "during"), (&after, "after")] {
+            let result = compare_logs(kept.iter().copied(), &before.logs, &run.logs);
+            assert!(result.is_composable(), "moved {when}: {result}");
         }
         // And the re-added application still meets its contracts.
-        let app2 = system.simulate_apps(
-            &[AppId::new(2)],
-            SimOptions {
-                duration_cycles: 30_000,
-                ..SimOptions::default()
-            },
-        );
+        let app2 = system.simulate_apps(&[AppId::new(2)], 30_000);
         assert!(app2.service.all_ok());
     }
 
@@ -533,7 +488,7 @@ mod tests {
                 "table of {l} changed"
             );
         }
-        assert!(system.simulate(quick()).service.all_ok());
+        assert!(system.simulate(QUICK).service.all_ok());
 
         // The refusal is the engine's, structured: the first heavy flow
         // was admitted and rolled back, the second found too few slots.
@@ -572,26 +527,21 @@ mod tests {
     }
 
     /// 1 000 revolutions of the paper's slot table.
-    fn long() -> SimOptions {
-        SimOptions {
-            duration_cycles: 192_000,
-            ..SimOptions::default()
-        }
-    }
+    const LONG: u64 = 192_000;
 
     /// The rate the only connection of `system` achieved over `outcome`'s
-    /// `long()` run, in bytes per second at 500 MHz.
+    /// `LONG` run, in bytes per second at 500 MHz.
     fn achieved(system: &AeliteSystem, outcome: &SimulationOutcome) -> f64 {
         let word_bytes = u64::from(system.spec().config().data_width_bytes());
         let bytes = outcome.per_conn[0].1.words * word_bytes;
-        bytes as f64 * 500e6 / long().duration_cycles as f64
+        bytes as f64 * 500e6 / LONG as f64
     }
 
     #[test]
     fn saturating_source_achieves_allocated_bandwidth() {
         let system = one_conn_system(TrafficPattern::Saturating, 100, 1_000);
         let conn = system.spec().connections()[0].id;
-        let achieved = achieved(&system, &system.simulate(long()));
+        let achieved = achieved(&system, &system.simulate(LONG));
         let allocated = system.guaranteed_bandwidth(conn).bytes_per_sec() as f64;
         assert!(
             achieved >= allocated * 0.98,
@@ -602,7 +552,7 @@ mod tests {
     #[test]
     fn cbr_source_achieves_contract() {
         let system = one_conn_system(TrafficPattern::ConstantRate, 100, 1_000);
-        let achieved = achieved(&system, &system.simulate(long()));
+        let achieved = achieved(&system, &system.simulate(LONG));
         assert!(
             achieved >= 98e6,
             "CBR at 100 MB/s delivered only {achieved} B/s"
@@ -613,7 +563,7 @@ mod tests {
     fn latency_stays_within_analytical_bound() {
         let system = one_conn_system(TrafficPattern::ConstantRate, 50, 1_000);
         let conn = system.spec().connections()[0].id;
-        let outcome = system.simulate(long());
+        let outcome = system.simulate(LONG);
         let bound = system
             .allocation()
             .worst_case_latency_cycles(system.spec(), conn);
@@ -632,7 +582,7 @@ mod tests {
         // (paper Section IV-A): delivery is capped by the reserved slots.
         let system = one_conn_system(TrafficPattern::Saturating, 20, 2_000);
         let conn = system.spec().connections()[0].id;
-        let achieved = achieved(&system, &system.simulate(long()));
+        let achieved = achieved(&system, &system.simulate(LONG));
         let allocated = system.guaranteed_bandwidth(conn).bytes_per_sec() as f64;
         assert!(
             achieved <= allocated * 1.02,
@@ -645,10 +595,7 @@ mod tests {
         // The headline GS claim of Section VII: every one of the 200
         // connections meets throughput and latency at 500 MHz.
         let system = AeliteSystem::design(paper_workload(42)).unwrap();
-        let outcome = system.simulate(SimOptions {
-            duration_cycles: 200_000,
-            ..SimOptions::default()
-        });
+        let outcome = system.simulate(200_000);
         assert_eq!(outcome.service.verdicts.len(), 200);
         for v in &outcome.service.verdicts {
             assert!(v.ok(), "{v}");
@@ -661,22 +608,18 @@ mod tests {
         // other three applications run or not — the paper's composability
         // claim, checked at scale.
         let system = AeliteSystem::design(paper_workload(7)).unwrap();
-        let opts = SimOptions {
-            duration_cycles: 60_000,
-            record_timestamps: true,
-        };
-        let full = system.simulate(opts);
-        let isolated = system.simulate_apps(&[AppId::new(0)], opts);
-        assert_eq!(isolated.timelines.len(), 50);
-        for t in &isolated.timelines {
-            let reference = full.timelines.iter().find(|r| r.conn == t.conn).unwrap();
-            assert!(!t.deliveries.is_empty(), "{} never delivered", t.conn);
-            assert_eq!(
-                reference, t,
-                "{} timing changed when other applications were removed",
-                t.conn
-            );
+        let full = system.simulate(QUICK);
+        let isolated = system.simulate_apps(&[AppId::new(0)], QUICK);
+        assert_eq!(isolated.logs.len(), 50);
+        for (conn, log) in &isolated.logs {
+            assert!(!log.borrow().is_empty(), "{conn} never delivered");
         }
+        let app0 = system.spec().app_connections(AppId::new(0)).map(|c| c.id);
+        let result = compare_logs(app0, &full.logs, &isolated.logs);
+        assert!(
+            result.is_composable(),
+            "timing changed when other applications were removed: {result}"
+        );
     }
 
     #[test]
@@ -687,7 +630,7 @@ mod tests {
         };
         let worst = |pattern| {
             let system = one_conn_system(pattern, 50, 1_000);
-            system.simulate(long()).per_conn[0].1.max_cycles
+            system.simulate(LONG).per_conn[0].1.max_cycles
         };
         assert!(worst(bursty) >= worst(TrafficPattern::ConstantRate));
     }

@@ -13,33 +13,16 @@
 //! event-driven cycle-accurate engine by `tests/turbo_golden.rs`, so the
 //! equivalence transitively covers the reference simulator too.
 
+#[path = "common/undisturbed.rs"]
+mod undisturbed;
+
 use aelite_alloc::{allocate, Allocation};
-use aelite_noc::network::NetworkKind;
-use aelite_noc::ni::FlitDelivery;
-use aelite_noc::turbo::build_turbo;
 use aelite_online::{AdmissionRequest, ChurnEngine, ShardConfig, ShardedEngine};
-use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, WorkloadBuilder};
 use aelite_spec::ids::{AppId, ConnId};
+use undisturbed::{assert_undisturbed, run, HORIZON_CYCLES};
 
 use AdmissionRequest::{Close, Open};
-
-const HORIZON_CYCLES: u64 = 20_000;
-
-/// Runs `spec` under `alloc` for the common horizon and returns the
-/// delivery logs of `conns`, in the given order.
-fn delivery_logs(
-    spec: &SystemSpec,
-    alloc: &aelite_alloc::Allocation,
-    conns: &[ConnId],
-) -> Vec<Vec<FlitDelivery>> {
-    let mut net = build_turbo(spec, alloc, NetworkKind::Synchronous, true);
-    net.run_cycles(HORIZON_CYCLES);
-    conns
-        .iter()
-        .map(|&c| net.log(c).borrow().to_vec())
-        .collect()
-}
 
 #[test]
 fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
@@ -62,7 +45,7 @@ fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
         .collect();
-    let before = delivery_logs(&uc1, &alloc, &persisting);
+    let before = run(&uc1, &alloc);
 
     // The switch: app 2 out, app 3 in, applied online as one delta.
     let mut engine = ChurnEngine::new(&spec);
@@ -83,8 +66,13 @@ fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
 
     // Behavioural check: delivery logs after the switch are bit-for-bit
     // the logs from before — conn, tag, cycle and absolute time.
-    let after = delivery_logs(&uc2, &alloc, &persisting);
-    assert_eq!(before, after, "a persisting connection's service changed");
+    let after = run(&uc2, &alloc);
+    assert_undisturbed(
+        &persisting,
+        &before,
+        &after,
+        "a persisting connection's service changed",
+    );
 
     // And tearing the incoming app down again (back to just the
     // persisting applications) still changes nothing.
@@ -92,11 +80,15 @@ fn persisting_connections_are_bitwise_undisturbed_across_a_switch() {
         assert!(engine.submit(&spec, &mut alloc, Close(c)).is_ok());
     }
     let uc_persist = spec.restricted_to(&[AppId::new(0), AppId::new(1)]);
-    let alone = delivery_logs(&uc_persist, &alloc, &persisting);
-    assert_eq!(before, alone, "service depends on who else is running");
+    let alone = run(&uc_persist, &alloc);
+    let flits = assert_undisturbed(
+        &persisting,
+        &before,
+        &alone,
+        "service depends on who else is running",
+    );
 
     // The logs carry real traffic — this test never compares silence.
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 10_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"
@@ -135,7 +127,7 @@ fn served_burst_leaves_untouched_connections_bit_identical() {
 
     let open_now: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_before = spec.restricted_to_connections(&open_now);
-    let before = delivery_logs(&view_before, &alloc, &persisting);
+    let before = run(&view_before, &alloc);
     let persisting_grants: Vec<_> = persisting
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
@@ -166,10 +158,14 @@ fn served_burst_leaves_untouched_connections_bit_identical() {
     // bit-for-bit the pre-burst logs.
     let open_after: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_after = spec.restricted_to_connections(&open_after);
-    let after = delivery_logs(&view_after, &alloc, &persisting);
-    assert_eq!(before, after, "a served burst disturbed a bystander");
+    let after = run(&view_after, &alloc);
+    let flits = assert_undisturbed(
+        &persisting,
+        &before,
+        &after,
+        "a served burst disturbed a bystander",
+    );
 
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 5_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"
@@ -218,7 +214,7 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
     assert!(!churned.is_empty() && persisting.len() > admitted.len() / 2);
 
     let view_before = spec.restricted_to_connections(&admitted);
-    let before = delivery_logs(&view_before, &alloc, &persisting);
+    let before = run(&view_before, &alloc);
     let persisting_grants: Vec<_> = persisting
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
@@ -235,8 +231,13 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
 
     let open_mid: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_mid = spec.restricted_to_connections(&open_mid);
-    let mid = delivery_logs(&view_mid, &alloc, &persisting);
-    assert_eq!(before, mid, "a sharded close burst disturbed a bystander");
+    let mid = run(&view_mid, &alloc);
+    assert_undisturbed(
+        &persisting,
+        &before,
+        &mid,
+        "a sharded close burst disturbed a bystander",
+    );
 
     let reopens: Vec<AdmissionRequest> =
         churned.iter().map(|&c| AdmissionRequest::Open(c)).collect();
@@ -250,10 +251,14 @@ fn sharded_burst_leaves_untouched_connections_bit_identical() {
     // Behavioural: bystander delivery logs bit-for-bit unchanged.
     let open_after: Vec<ConnId> = alloc.grants().map(|g| g.conn).collect();
     let view_after = spec.restricted_to_connections(&open_after);
-    let after = delivery_logs(&view_after, &alloc, &persisting);
-    assert_eq!(before, after, "a sharded burst disturbed a bystander");
+    let after = run(&view_after, &alloc);
+    let flits = assert_undisturbed(
+        &persisting,
+        &before,
+        &after,
+        "a sharded burst disturbed a bystander",
+    );
 
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 5_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"
@@ -270,7 +275,7 @@ fn repeated_open_close_cycles_leave_service_bit_identical() {
     let all: Vec<ConnId> = spec.connections().iter().map(|c| c.id).collect();
     let (churned, stable): (Vec<ConnId>, Vec<ConnId>) =
         all.iter().partition(|c| c.index() % 10 == 3);
-    let before = delivery_logs(&spec, &alloc, &stable);
+    let before = run(&spec, &alloc);
 
     let mut engine = ChurnEngine::new(&spec);
     for round in 0..5 {
@@ -286,6 +291,11 @@ fn repeated_open_close_cycles_leave_service_bit_identical() {
     }
     assert_eq!(engine.stats().ops(), churned.len() as u64 * 10);
 
-    let after = delivery_logs(&spec, &alloc, &stable);
-    assert_eq!(before, after, "a stable connection's service changed");
+    let after = run(&spec, &alloc);
+    assert_undisturbed(
+        &stable,
+        &before,
+        &after,
+        "a stable connection's service changed",
+    );
 }

@@ -3,8 +3,9 @@
 
 mod common;
 
+use aelite::analysis::compare_logs;
 use aelite::analysis::service::verify_service;
-use aelite::{measured_services_be, AeliteSystem, SimOptions};
+use aelite::{measured_services_be, AeliteSystem};
 use aelite_noc::baseline::{BeConfig, BeSim};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::{paper_workload, random_workload, scaled_workload, WorkloadParams};
@@ -15,17 +16,10 @@ use common::Digest;
 
 const DURATION: u64 = 60_000;
 
-fn quick() -> SimOptions {
-    SimOptions {
-        duration_cycles: DURATION,
-        ..SimOptions::default()
-    }
-}
-
 #[test]
 fn paper_headline_gs_meets_all_contracts() {
     let system = AeliteSystem::design(paper_workload(42)).expect("designs");
-    let outcome = system.simulate(quick());
+    let outcome = system.simulate(DURATION);
     assert!(outcome.service.all_ok());
     assert_eq!(outcome.service.verdicts.len(), 200);
     // Every measured max stays within the analytical bound too.
@@ -37,10 +31,7 @@ fn paper_headline_gs_meets_all_contracts() {
 #[test]
 fn paper_headline_composability_end_to_end() {
     let system = AeliteSystem::design(paper_workload(7)).expect("designs");
-    let result = system.verify_composability(SimOptions {
-        duration_cycles: 30_000,
-        ..SimOptions::default()
-    });
+    let result = system.verify_composability(30_000);
     assert!(result.is_composable(), "{result}");
 }
 
@@ -97,29 +88,27 @@ fn be_baseline_numbers_are_pinned() {
 }
 
 /// Simulates `spec` through [`AeliteSystem::simulate`] for 60 000 cycles
-/// with timestamps and folds every connection's flits, bytes, min, max
-/// and summed latency and every delivery cycle, in spec order, into one
+/// and folds every connection's flits, bytes, min, max and summed
+/// latency and every delivery cycle of its log, in spec order, into one
 /// digest.
 fn simulate_digest(spec: SystemSpec) -> u64 {
     let system = AeliteSystem::design(spec).expect("designs");
-    let outcome = system.simulate(SimOptions {
-        duration_cycles: DURATION,
-        record_timestamps: true,
-    });
+    let outcome = system.simulate(DURATION);
     let mut d = Digest::new();
     let word_bytes = u64::from(system.spec().config().data_width_bytes());
     d.word(outcome.per_conn.len() as u64);
-    for ((conn, s), t) in outcome.per_conn.iter().zip(&outcome.timelines) {
-        assert_eq!(*conn, t.conn);
+    for ((conn, s), (logged, log)) in outcome.per_conn.iter().zip(&outcome.logs) {
+        assert_eq!(conn, logged);
+        let log = log.borrow();
         d.word(conn.index() as u64);
         d.word(s.flits);
         d.word(s.words * word_bytes);
         d.word(s.min_cycles);
         d.word(s.max_cycles);
         d.word(s.latency_sum);
-        d.word(t.deliveries.len() as u64);
-        for &cycle in &t.deliveries {
-            d.word(cycle);
+        d.word(log.len() as u64);
+        for flit in log.iter() {
+            d.word(flit.cycle);
         }
     }
     d.0
@@ -146,10 +135,7 @@ fn multiple_seeds_design_and_verify() {
     for seed in [1u64, 13, 99] {
         let system = AeliteSystem::design(paper_workload(seed))
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let outcome = system.simulate(SimOptions {
-            duration_cycles: 30_000,
-            ..SimOptions::default()
-        });
+        let outcome = system.simulate(30_000);
         assert!(outcome.service.all_ok(), "seed {seed}");
     }
 }
@@ -159,9 +145,9 @@ fn app_developed_in_isolation_then_integrated() {
     // The functional-scalability story: verify app 3 alone, integrate,
     // verify the full system — app 3's verdicts are unchanged.
     let system = AeliteSystem::design(paper_workload(21)).expect("designs");
-    let alone = system.simulate_apps(&[AppId::new(3)], quick());
+    let alone = system.simulate_apps(&[AppId::new(3)], DURATION);
     assert!(alone.service.all_ok());
-    let full = system.simulate(quick());
+    let full = system.simulate(DURATION);
     for v in &alone.service.verdicts {
         let integrated = full.service.verdict(v.conn);
         assert_eq!(
@@ -189,12 +175,9 @@ fn smaller_platform_full_flow() {
     };
     let spec = random_workload(topo, NocConfig::paper_default(), params, 5);
     let system = AeliteSystem::design(spec).expect("designs");
-    let outcome = system.simulate(quick());
+    let outcome = system.simulate(DURATION);
     assert!(outcome.service.all_ok());
-    let comp = system.verify_composability(SimOptions {
-        duration_cycles: 20_000,
-        ..SimOptions::default()
-    });
+    let comp = system.verify_composability(20_000);
     assert!(comp.is_composable());
 }
 
@@ -222,12 +205,9 @@ fn ring_topology_full_flow() {
         );
     }
     let system = AeliteSystem::design(b.build()).expect("ring allocates");
-    let outcome = system.simulate(quick());
+    let outcome = system.simulate(DURATION);
     assert!(outcome.service.all_ok());
-    let comp = system.verify_composability(SimOptions {
-        duration_cycles: 20_000,
-        ..SimOptions::default()
-    });
+    let comp = system.verify_composability(20_000);
     assert!(comp.is_composable());
 }
 
@@ -286,14 +266,14 @@ fn buffer_sizing_analysis_predicts_throughput_stalls() {
         turbo.queue(conn).borrow_mut().extend(backlog);
         event.run_cycles(CYCLES);
         turbo.run_cycles(CYCLES);
-        let log = event.log(conn).borrow();
-        assert_eq!(
-            *log,
-            *turbo.log(conn).borrow(),
-            "{buffer_words}-word buffer"
+        let result = compare_logs([conn], &event.logs, &turbo.logs);
+        assert!(
+            result.is_composable(),
+            "{buffer_words}-word buffer: {result}"
         );
         let slots = alloc.grant(conn).expect("granted").inject_slots.clone();
-        (log.len(), need, slots)
+        let flits = event.log(conn).borrow().len();
+        (flits, need, slots)
     };
 
     let (_, need, slots) = run(NocConfig::paper_default().ni_buffer_words);

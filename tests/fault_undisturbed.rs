@@ -18,10 +18,10 @@
 //! plain serial engine in [`sharded_canonical_order`] — the fault mask
 //! only removes candidates, it never perturbs the commit order.
 
+#[path = "common/undisturbed.rs"]
+mod undisturbed;
+
 use aelite_alloc::{allocate, Allocation, Allocator, FaultMask, Steering};
-use aelite_noc::network::NetworkKind;
-use aelite_noc::ni::FlitDelivery;
-use aelite_noc::turbo::build_turbo;
 use aelite_online::{
     sharded_canonical_order, AdmissionRequest, ChurnEngine, ChurnStats, ShardConfig, ShardedEngine,
     DEFAULT_PERSISTENCE_NS,
@@ -31,23 +31,7 @@ use aelite_spec::fault::{FaultOp, ScenarioOp};
 use aelite_spec::generate::{paper_workload, scaled_workload};
 use aelite_spec::ids::{ConnId, LinkId, RouterId};
 use aelite_spec::topology::Endpoint;
-
-const HORIZON_CYCLES: u64 = 20_000;
-
-/// Runs `spec` under `alloc` for the common horizon and returns the
-/// delivery logs of `conns`, in the given order.
-fn delivery_logs(
-    spec: &SystemSpec,
-    alloc: &Allocation,
-    conns: &[ConnId],
-) -> Vec<Vec<FlitDelivery>> {
-    let mut net = build_turbo(spec, alloc, NetworkKind::Synchronous, true);
-    net.run_cycles(HORIZON_CYCLES);
-    conns
-        .iter()
-        .map(|&c| net.log(c).borrow().to_vec())
-        .collect()
-}
+use undisturbed::{assert_undisturbed, run, HORIZON_CYCLES};
 
 /// Applies `op` (which must name a link or router of `spec`) and returns
 /// what it did: the engine's stats delta across it.
@@ -103,7 +87,7 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
         .collect();
-    let before = delivery_logs(&spec, &alloc, &bystanders);
+    let before = run(&spec, &alloc);
 
     // Inject: the link goes down; the engine walks the recovery ladder.
     let mut engine = ChurnEngine::new(&spec);
@@ -124,8 +108,13 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
     }
     // Behavioural: bystander delivery logs are bit-for-bit the pre-fault
     // logs, even though affected connections were re-routed around them.
-    let during = delivery_logs(&open_view(&spec, &alloc), &alloc, &bystanders);
-    assert_eq!(before, during, "recovery disturbed a bystander");
+    let during = run(&open_view(&spec, &alloc), &alloc);
+    assert_undisturbed(
+        &bystanders,
+        &before,
+        &during,
+        "recovery disturbed a bystander",
+    );
 
     // Repair: the link comes back; displaced connections are re-homed.
     let repair = fault(&mut engine, &spec, &mut alloc, FaultOp::LinkUp(victim));
@@ -142,11 +131,10 @@ fn bystanders_are_bitwise_undisturbed_across_inject_recover_repair() {
             g.conn
         );
     }
-    let after = delivery_logs(&open_view(&spec, &alloc), &alloc, &bystanders);
-    assert_eq!(before, after, "repair disturbed a bystander");
+    let after = run(&open_view(&spec, &alloc), &alloc);
+    let flits = assert_undisturbed(&bystanders, &before, &after, "repair disturbed a bystander");
 
     // The logs carry real traffic — this test never compares silence.
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 5_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"
@@ -169,7 +157,7 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
         .collect();
-    let before = delivery_logs(&spec, &alloc, &everyone);
+    let before = run(&spec, &alloc);
 
     let mut engine = ChurnEngine::new(&spec);
     let duration_ns = DEFAULT_PERSISTENCE_NS - 1;
@@ -188,8 +176,13 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
     for g in &grants {
         assert_eq!(alloc.grant(g.conn).unwrap(), g, "{} moved", g.conn);
     }
-    let during = delivery_logs(&spec, &alloc, &everyone);
-    assert_eq!(before, during, "a sub-threshold glitch disturbed service");
+    let during = run(&spec, &alloc);
+    assert_undisturbed(
+        &everyone,
+        &before,
+        &during,
+        "a sub-threshold glitch disturbed service",
+    );
 
     // Expiry is equally invisible: only the admission mask clears.
     engine.advance_to(&spec, &mut alloc, duration_ns + 1);
@@ -203,10 +196,14 @@ fn sub_threshold_glitch_leaves_every_delivery_log_bit_for_bit() {
             g.conn
         );
     }
-    let after = delivery_logs(&spec, &alloc, &everyone);
-    assert_eq!(before, after, "glitch expiry disturbed service");
+    let after = run(&spec, &alloc);
+    let flits = assert_undisturbed(
+        &everyone,
+        &before,
+        &after,
+        "glitch expiry disturbed service",
+    );
 
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 5_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"
@@ -241,7 +238,7 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
         .iter()
         .map(|&c| alloc.grant(c).unwrap().clone())
         .collect();
-    let before = delivery_logs(&spec, &alloc, &bystanders);
+    let before = run(&spec, &alloc);
 
     let mut engine = ChurnEngine::new(&spec);
     let report = fault(&mut engine, &spec, &mut alloc, FaultOp::RouterDown(router));
@@ -256,8 +253,13 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
     for g in &bystander_grants {
         assert_eq!(alloc.grant(g.conn).unwrap(), g, "{} moved", g.conn);
     }
-    let during = delivery_logs(&open_view(&spec, &alloc), &alloc, &bystanders);
-    assert_eq!(before, during, "router recovery disturbed a bystander");
+    let during = run(&open_view(&spec, &alloc), &alloc);
+    assert_undisturbed(
+        &bystanders,
+        &before,
+        &during,
+        "router recovery disturbed a bystander",
+    );
 
     fault(&mut engine, &spec, &mut alloc, FaultOp::RouterUp(router));
     assert!(engine.mask().is_empty());
@@ -269,10 +271,14 @@ fn router_failure_leaves_unaffected_grants_bit_identical() {
             g.conn
         );
     }
-    let after = delivery_logs(&open_view(&spec, &alloc), &alloc, &bystanders);
-    assert_eq!(before, after, "router repair disturbed a bystander");
+    let after = run(&open_view(&spec, &alloc), &alloc);
+    let flits = assert_undisturbed(
+        &bystanders,
+        &before,
+        &after,
+        "router repair disturbed a bystander",
+    );
 
-    let flits: usize = before.iter().map(Vec::len).sum();
     assert!(
         flits > 1_000,
         "only {flits} flits in {HORIZON_CYCLES} cycles"

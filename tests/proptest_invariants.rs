@@ -320,10 +320,7 @@ proptest! {
         };
         let spec = random_workload(topo, NocConfig::paper_default(), params, seed);
         let system = AeliteSystem::design(spec).expect("designs");
-        let result = system.verify_composability(aelite::SimOptions {
-            duration_cycles: 10_000,
-            ..aelite::SimOptions::default()
-        });
+        let result = system.verify_composability(10_000);
         prop_assert!(result.is_composable(), "{}", result);
     }
 }

@@ -25,12 +25,28 @@
 use aelite_alloc::allocate;
 use aelite_alloc::allocate::required_buffer_words;
 use aelite_noc::network::{build_network, NetworkKind, CREDIT_RETURN_CYCLES};
-use aelite_noc::ni::Message;
+use aelite_noc::ni::{compare_logs, DeliveryLog, Message};
 use aelite_noc::turbo::{build_turbo, KernelCounts};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::config::NocConfig;
 use aelite_spec::generate::{paper_workload, scaled_workload, WorkloadBuilder, WorkloadParams};
 use aelite_spec::ids::ConnId;
+
+/// Asserts that two runs logged every connection of `spec` record for
+/// record, and returns the flits the reference run logged.
+fn assert_logs_identical(
+    spec: &SystemSpec,
+    reference: &[(ConnId, DeliveryLog)],
+    compared: &[(ConnId, DeliveryLog)],
+    what: &str,
+) -> u64 {
+    let result = compare_logs(spec.connections().iter().map(|c| c.id), reference, compared);
+    assert!(result.is_composable(), "{what}: {result}");
+    reference
+        .iter()
+        .map(|(_, log)| log.borrow().len() as u64)
+        .sum()
+}
 
 /// Runs both engines with CBR traffic for `cycles` and asserts every
 /// connection's delivery log identical; returns total flits compared.
@@ -40,13 +56,7 @@ fn assert_golden(spec: &SystemSpec, kind: NetworkKind, cycles: u64) -> u64 {
     let mut turbo = build_turbo(spec, &alloc, kind, true);
     event.run_cycles(cycles);
     turbo.run_cycles(cycles);
-    let mut flits = 0u64;
-    for c in spec.connections() {
-        let ev = event.log(c.id).borrow();
-        let tb = turbo.log(c.id).borrow();
-        assert_eq!(*ev, *tb, "{}: delivery logs diverge", c.id);
-        flits += ev.len() as u64;
-    }
+    let flits = assert_logs_identical(spec, &event.logs, &turbo.logs, "turbo");
     assert!(flits > 0, "nothing delivered in {cycles} cycles");
     flits
 }
@@ -84,23 +94,8 @@ fn assert_golden_wrapping(spec: &SystemSpec, kind: NetworkKind, cycles: u64, ste
     for deadline in (1..cycles / step).map(|k| k * step).chain([cycles]) {
         stepped.run_cycles(deadline);
     }
-    let mut flits = 0;
-    for c in spec.connections() {
-        let ev = event.log(c.id).borrow();
-        assert_eq!(
-            *ev,
-            *oneshot.log(c.id).borrow(),
-            "{}: delivery logs diverge",
-            c.id
-        );
-        assert_eq!(
-            *ev,
-            *stepped.log(c.id).borrow(),
-            "{}: stepped logs diverge",
-            c.id
-        );
-        flits += ev.len();
-    }
+    let flits = assert_logs_identical(spec, &event.logs, &oneshot.logs, "turbo");
+    assert_logs_identical(spec, &event.logs, &stepped.logs, "stepped");
     assert!(flits > 1_000, "only {flits} flits in {cycles} cycles");
 }
 
@@ -318,14 +313,8 @@ fn sweep_buffers(spec: impl Fn(u32) -> SystemSpec, kind: NetworkKind) -> Vec<(us
             for deadline in [217, 400] {
                 event.run_cycles(deadline);
                 turbo.run_cycles(deadline);
-                for c in spec.connections() {
-                    assert_eq!(
-                        *event.log(c.id).borrow(),
-                        *turbo.log(c.id).borrow(),
-                        "{}: logs diverge at {words}-word buffers, run to {deadline}",
-                        c.id
-                    );
-                }
+                let what = format!("{words}-word buffers, run to {deadline}");
+                assert_logs_identical(&spec, &event.logs, &turbo.logs, &what);
             }
             let free = spec
                 .connections()
